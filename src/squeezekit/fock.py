@@ -7,13 +7,34 @@ anti-Hermitian generators through a dense Hermitian eigendecomposition.
 Correctness is defined by moment matching against the stored second
 moments, not by matching any normally ordered operator expansion entrywise.
 
+Every step works per conserved sector of the Fock basis, using the
+conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
+(2012), arXiv:1110.3234):
+
+- the squeezer conserves photon-number parity.  It is exponentiated per
+  parity block, and every assembled density is exactly zero between states
+  of different total parity;
+- the two-mode squeezer conserves d = n_a − n_b.  The tms density is built
+  one d sector at a time and is exactly zero outside those blocks;
+- the beam splitter conserves N = n_a + n_b.  The bs route runs only the
+  mixer sectors N ≤ 2(cutoff − 1), the only ones that reach the retained
+  block, and accumulates the result per total parity.
+
 Every constructor works in an enlarged space of twice the requested cutoff
-and projects the result down.  The beam splitter conserves total photon
-number and the two-mode squeezer the photon-number difference, so with the
-doubled working space no truncation junk can reach the retained block: the
-returned entries are those of the untruncated state up to the (tiny)
-weight beyond the working space, and the trace deficit measures the genuine
-photon-number tail of the state.
+and projects the result down.  Because of these conservation laws no
+truncation junk can reach the retained block: the returned entries are
+those of the untruncated state up to the (tiny) weight beyond the working
+space, and the trace deficit measures the genuine photon-number tail of the
+state.  Constructors check only that deficit; ``FockDensity`` checks
+Hermiticity once, on the assembled matrix, and stores it symmetrized.
+
+Measurements have one path.  The explicit ladder product a†^i a^k has a
+single nonzero band, at row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an
+O(cutoff²) gather of ρ along the two bands; ``moment``, ``moment_table``
+and ``expectation_of_witness`` all read it that way.  The partial-transpose
+spectrum is taken block by block under the finest grading (n_a + n_b, then
+total parity, then none) for which the partial transpose is verified, on
+the matrix itself, to be exactly block diagonal.
 
 None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
@@ -87,11 +108,21 @@ def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
 
 
 def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
-    """exp(½(ξ* a² − ξ a†²)) with ξ = r e^{iφ}, truncated."""
+    """exp(½(ξ* a² − ξ a†²)) with ξ = r e^{iφ}, truncated.
+
+    The generator changes the photon number by two, so it is exponentiated
+    on the even and the odd Fock states separately.
+    """
     a = annihilation(cutoff)
     xi = r * cmath.exp(1j * phi)
     g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
-    return _expm_antihermitian(g)
+    u = np.zeros((cutoff, cutoff), dtype=complex)
+    for parity in (0, 1):
+        idx = np.arange(parity, cutoff, 2)
+        if idx.size:
+            block = np.ix_(idx, idx)
+            u[block] = _expm_antihermitian(g[block])
+    return u
 
 
 def displacement_unitary(cutoff: int, alpha: complex) -> np.ndarray:
@@ -124,14 +155,6 @@ class BlockUnitary:
             u[sl, sl] = blk
         return u[np.ix_(self.inverse, self.inverse)]
 
-    def apply_columns(self, mat: np.ndarray) -> np.ndarray:
-        """U @ mat for a stack of column vectors in the original basis."""
-        m_s = mat[self.order, :]
-        out = np.empty_like(m_s)
-        for sl, blk in zip(self.slices, self.blocks):
-            out[sl, :] = blk @ m_s[sl, :]
-        return out[self.inverse, :]
-
     def conjugate(self, rho: np.ndarray) -> np.ndarray:
         """U ρ U† without forming the dense product."""
         rho_s = rho[np.ix_(self.order, self.order)]
@@ -155,16 +178,16 @@ class BlockUnitary:
 
 
 def _assemble_block_unitary(dim: int, sectors) -> BlockUnitary:
-    """Build a BlockUnitary from (flat_indices, block_generator) sectors."""
+    """Build a BlockUnitary from (flat_indices, block) sectors."""
     order_parts = []
     slices = []
     blocks = []
     start = 0
-    for flat, gen in sectors:
+    for flat, block in sectors:
         order_parts.append(flat)
         stop = start + flat.size
         slices.append(slice(start, stop))
-        blocks.append(_expm_antihermitian(gen))
+        blocks.append(block)
         start = stop
     order = np.concatenate(order_parts)
     inverse = np.empty(dim, dtype=np.intp)
@@ -172,58 +195,74 @@ def _assemble_block_unitary(dim: int, sectors) -> BlockUnitary:
     return BlockUnitary(dim, order, inverse, tuple(slices), tuple(blocks))
 
 
-@functools.lru_cache(maxsize=8)
+def _mixer_block(cutoff: int, total: int, lam: float):
+    """Sector N = ``total`` of the beam splitter: the mode-a photon numbers
+    j of its states |j, N−j⟩ and its block, output phase rotation included.
+
+    Within a sector the mixer generator is tridiagonal in j.
+    """
+    js = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+    size = js.size
+    gen = np.zeros((size, size), dtype=complex)
+    if size > 1:
+        # a†b couples |j, N−j⟩ to |j+1, N−j−1⟩ with amplitude √((j+1)(N−j)).
+        phase = cmath.exp(1j * lam)
+        amp = (math.pi / 4.0) * np.sqrt((js[:-1] + 1.0) * (total - js[:-1]))
+        gen[np.arange(1, size), np.arange(size - 1)] = phase * amp
+        gen[np.arange(size - 1), np.arange(1, size)] = -np.conj(phase) * amp
+    rotation = np.exp(1j * (lam + math.pi) * (total - js))
+    return js, rotation[:, None] * _expm_antihermitian(gen)
+
+
 def beam_splitter_unitary(cutoff: int, lam: float) -> BlockUnitary:
     """Unitary V with V†aV = (a + b e^{iλ})/√2 and V†bV = (a − b e^{iλ})/√2.
 
     Built sector by sector: the 50/50 mixer conserves the total photon
-    number N, and within a sector the generator is tridiagonal in the
-    photon imbalance.  A final phase rotation b → −b e^{iλ} fixes the sign
+    number N.  A final phase rotation b → −b e^{iλ} fixes the sign
     convention of the second output port.
     """
-    kappa = math.pi / 4.0
-    phase = cmath.exp(1j * lam)
     sectors = []
     for total in range(2 * cutoff - 1):
-        j_lo = max(0, total - cutoff + 1)
-        j_hi = min(total, cutoff - 1)
-        js = np.arange(j_lo, j_hi + 1)
-        flat = js * cutoff + (total - js)
-        size = js.size
-        gen = np.zeros((size, size), dtype=complex)
-        if size > 1:
-            # a†b couples |j, N−j⟩ to |j+1, N−j−1⟩ with amplitude √((j+1)(N−j)).
-            amp = kappa * np.sqrt((js[:-1] + 1.0) * (total - js[:-1]))
-            gen[np.arange(1, size), np.arange(size - 1)] = phase * amp
-            gen[np.arange(size - 1), np.arange(1, size)] = -np.conj(phase) * amp
-        sectors.append((flat, gen))
-    mixer = _assemble_block_unitary(cutoff * cutoff, sectors)
-    nb = np.tile(np.arange(cutoff), cutoff)
-    rot_s = np.exp(1j * (lam + math.pi) * nb)[mixer.order]
-    blocks = tuple(rot_s[sl][:, None] * blk for sl, blk in zip(mixer.slices, mixer.blocks))
-    return BlockUnitary(mixer.dim, mixer.order, mixer.inverse, mixer.slices, blocks)
+        js, block = _mixer_block(cutoff, total, lam)
+        sectors.append((js * cutoff + (total - js), block))
+    return _assemble_block_unitary(cutoff * cutoff, sectors)
+
+
+@functools.lru_cache(maxsize=8)
+def _mixer_blocks(max_total: int, lam: float) -> tuple:
+    """Beam-splitter blocks of the sectors N = 0 .. max_total, untruncated:
+    row and column j of block N belong to |j, N−j⟩."""
+    return tuple(_mixer_block(max_total + 1, total, lam)[1] for total in range(max_total + 1))
+
+
+def _tms_block(cutoff: int, xi: complex, d: int):
+    """Sector d = n_a − n_b of the two-mode squeezer: the mode-a photon
+    numbers j of its states |j, j−d⟩, in increasing order, and its block.
+
+    Within a sector the generator is tridiagonal in the pair count.
+    """
+    js = np.arange(max(0, d), cutoff + min(0, d))
+    ks = js - d
+    size = js.size
+    gen = np.zeros((size, size), dtype=complex)
+    if size > 1:
+        # a†b† couples |j, j−d⟩ to |j+1, j−d+1⟩ with amplitude √((j+1)(j−d+1)).
+        amp = np.sqrt((js[:-1] + 1.0) * (ks[:-1] + 1.0))
+        gen[np.arange(1, size), np.arange(size - 1)] = -xi * amp
+        gen[np.arange(size - 1), np.arange(1, size)] = np.conj(xi) * amp
+    return js, _expm_antihermitian(gen)
 
 
 def two_mode_squeeze_unitary(cutoff: int, r: float, phi: float) -> BlockUnitary:
     """exp(ξ* ab − ξ a†b†) with ξ = r e^{iφ}, truncated.
 
-    Conserves the photon-number difference d = n_a − n_b; within a sector
-    the generator is tridiagonal in the pair count.
+    Conserves the photon-number difference d = n_a − n_b.
     """
     xi = r * cmath.exp(1j * phi)
     sectors = []
     for d in range(-(cutoff - 1), cutoff):
-        js = np.arange(max(0, d), cutoff + min(0, d))
-        ks = js - d
-        flat = js * cutoff + ks
-        size = js.size
-        gen = np.zeros((size, size), dtype=complex)
-        if size > 1:
-            # a†b† couples |j, j−d⟩ to |j+1, j−d+1⟩ with amplitude √((j+1)(j−d+1)).
-            amp = np.sqrt((js[:-1] + 1.0) * (ks[:-1] + 1.0))
-            gen[np.arange(1, size), np.arange(size - 1)] = -xi * amp
-            gen[np.arange(size - 1), np.arange(1, size)] = np.conj(xi) * amp
-        sectors.append((flat, gen))
+        js, block = _tms_block(cutoff, xi, d)
+        sectors.append((js * cutoff + (js - d), block))
     return _assemble_block_unitary(cutoff * cutoff, sectors)
 
 
@@ -270,114 +309,132 @@ def _working_cutoff(cutoff: int) -> int:
     return 2 * cutoff
 
 
+def _factor_matrix(st: _SqueezedThermal, dim: int) -> np.ndarray:
+    """S ρ_thermal S† on the first ``dim`` Fock states.  S has exact zeros
+    between the parities, so the product has them too."""
+    w = _thermal_weights(st.nbar, dim)
+    if st.r == 0.0:
+        return np.diag(w).astype(complex)
+    s = squeeze_unitary(dim, st.r, st.phi)
+    return (s * w) @ s.conj().T
+
+
 def _one_mode_matrix(st: _SqueezedThermal, cutoff: int) -> np.ndarray:
     """Restricted matrix of the squeezed thermal state, assembled at twice
     the cutoff so the retained block carries no truncation junk."""
-    cw = _working_cutoff(cutoff)
-    w = _thermal_weights(st.nbar, cw)
-    if st.r == 0.0:
-        rho = np.diag(w).astype(complex)
-    else:
-        s = squeeze_unitary(cw, st.r, st.phi)
-        rho = (s * w) @ s.conj().T
-    rho = rho[:cutoff, :cutoff]
-    return (rho + rho.conj().T) / 2.0
-
-
-def _factor_columns(st: _SqueezedThermal, cw: int):
-    """Scaled eigenvector columns of the factor density at the working cutoff."""
-    w = _thermal_weights(st.nbar, cw)
-    keep = np.flatnonzero(np.abs(w) > _WEIGHT_FLOOR)
-    if st.r == 0.0:
-        vectors = np.zeros((cw, keep.size), dtype=complex)
-        vectors[keep, np.arange(keep.size)] = 1.0
-    else:
-        vectors = squeeze_unitary(cw, st.r, st.phi)[:, keep]
-    return vectors, w[keep]
-
-
-def _restricted_flat_indices(cutoff: int, cw: int) -> np.ndarray:
-    ia = np.repeat(np.arange(cutoff), cutoff)
-    ib = np.tile(np.arange(cutoff), cutoff)
-    return ia * cw + ib
-
-
-def _accumulate_outer(rho: np.ndarray, columns: np.ndarray, weights: np.ndarray) -> None:
-    """rho += Σ_k weights[k] · columns[:,k] columns[:,k]†, sign-aware."""
-    pos = weights > 0.0
-    if pos.any():
-        c = columns[:, pos] * np.sqrt(weights[pos])
-        rho += c @ c.conj().T
-    neg = ~pos
-    if neg.any():
-        c = columns[:, neg] * np.sqrt(-weights[neg])
-        rho -= c @ c.conj().T
+    return _factor_matrix(st, _working_cutoff(cutoff))[:cutoff, :cutoff]
 
 
 def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float,
                           theta_c: float, theta_d: float, cutoff: int) -> np.ndarray:
     """Restricted density of R(θc, θd) · V_λ (ρ₁ ⊗ ρ₂) V_λ† · R†.
 
-    Works rank by rank at the doubled cutoff: the mixer conserves total
-    photon number, so dropping working-space components can only remove
-    sectors that the restriction discards anyway.
+    The mixer conserves N = n_a + n_b, so a retained state (both photon
+    numbers below the cutoff) only receives weight from the input sectors
+    N ≤ 2(cutoff − 1), which the doubled working space holds untruncated.
+    The factors conserve parity, so input and output split by total
+    parity.  Within one parity the output is Σ B_N ρ_in[N, N'] B_N'†, where
+    B_N holds the retained rows of the sector-N mixer block with the
+    rotation R folded in.
     """
     cw = _working_cutoff(cutoff)
-    v1, w1 = _factor_columns(f1, cw)
-    v2, w2 = _factor_columns(f2, cw)
-    mixer = beam_splitter_unitary(cw, lam)
-    restrict = _restricted_flat_indices(cutoff, cw)
+    rho1 = _factor_matrix(f1, cw)
+    rho2 = _factor_matrix(f2, cw)
+    max_total = 2 * (cutoff - 1)
+    blocks = _mixer_blocks(max_total, lam)
     dim = cutoff * cutoff
-    col_parts = []
-    weight_parts = []
-    for j in range(v1.shape[1]):
-        keep = np.flatnonzero(np.abs(w1[j] * w2) > _WEIGHT_FLOOR)
-        if keep.size == 0:
-            continue
-        chunk = np.einsum("a,bk->abk", v1[:, j], v2[:, keep]).reshape(cw * cw, keep.size)
-        col_parts.append(mixer.apply_columns(chunk)[restrict, :])
-        weight_parts.append(w1[j] * w2[keep])
     rho = np.zeros((dim, dim), dtype=complex)
-    if col_parts:
-        _accumulate_outer(rho, np.hstack(col_parts), np.concatenate(weight_parts))
-    if theta_c != 0.0 or theta_d != 0.0:
-        d = rotation_phases(cutoff, theta_c, theta_d)
-        rho = d[:, None] * rho * d.conj()[None, :]
+    for parity in (0, 1):
+        totals = range(parity, max_total + 1, 2)
+        ins, outs, rows, flat = [], [], [], []
+        n_in = n_out = 0
+        for total in totals:
+            js = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+            phases = np.exp(1j * (theta_c * js + theta_d * (total - js)))
+            rows.append(phases[:, None] * blocks[total][js])
+            flat.append(js * cutoff + (total - js))
+            ins.append(slice(n_in, n_in + total + 1))
+            outs.append(slice(n_out, n_out + js.size))
+            n_in += total + 1
+            n_out += js.size
+        ja = np.concatenate([np.arange(total + 1) for total in totals])
+        jb = np.concatenate([total - np.arange(total + 1) for total in totals])
+        # half = B ρ_in one row sector at a time, then half B† one column
+        # sector at a time.
+        half = np.empty((n_out, n_in), dtype=complex)
+        for sl_in, sl_out, b in zip(ins, outs, rows):
+            rho_in = rho1[ja[sl_in]][:, ja] * rho2[jb[sl_in]][:, jb]
+            half[sl_out] = b @ rho_in
+        out = np.empty((n_out, n_out), dtype=complex)
+        for sl_in, sl_out, b in zip(ins, outs, rows):
+            out[:, sl_out] = half[:, sl_in] @ b.conj().T
+        idx = np.concatenate(flat)
+        rho[np.ix_(idx, idx)] = out
     return rho
 
 
 def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> np.ndarray:
-    """Restricted density of S₂(r, φ) (ρ_th ⊗ ρ_th) S₂†, assembled columnwise."""
+    """Restricted density of S₂(r, φ) (ρ_th ⊗ ρ_th) S₂†, one d sector at a time.
+
+    The thermal input is diagonal and S₂ conserves d = n_a − n_b, so sector
+    d is C_d W_d C_d†: W_d holds the input weights of the sector's states
+    and C_d the retained rows of its block.  Sectors with |d| ≥ cutoff hold
+    no retained state.
+    """
     cw = _working_cutoff(cutoff)
     w = _thermal_weights(nbar, cw)
-    keep = np.flatnonzero(np.abs(w) > _WEIGHT_FLOOR)
-    u = two_mode_squeeze_unitary(cw, r, phi)
-    restrict = _restricted_flat_indices(cutoff, cw)
+    xi = r * cmath.exp(1j * phi)
     dim = cutoff * cutoff
-    columns = []
-    weights = []
-    for j in keep:
-        for k in keep:
-            weight = w[j] * w[k]
-            if abs(weight) <= _WEIGHT_FLOOR:
-                continue
-            columns.append(u.column(int(j) * cw + int(k))[restrict])
-            weights.append(weight)
     rho = np.zeros((dim, dim), dtype=complex)
-    if columns:
-        _accumulate_outer(rho, np.column_stack(columns), np.asarray(weights))
+    for d in range(cutoff):
+        js, block = _tms_block(cw, xi, d)
+        weights = w[js] * w[js - d]
+        keep = np.abs(weights) > _WEIGHT_FLOOR
+        # States are listed by increasing j, so the retained ones come first.
+        ja = js[:cutoff - d]
+        c_d = block[:ja.size, keep]
+        sector = (c_d * weights[keep]) @ c_d.conj().T
+        # Swapping the modes maps sector d onto sector −d with the same
+        # generator block and input weights, so the two blocks are equal.
+        for na, nb in ((ja, ja - d), (ja - d, ja)):
+            idx = na * cutoff + nb
+            rho[np.ix_(idx, idx)] = sector
     return rho
 
 
 # --- density container --------------------------------------------------------
+
+_TILE = 64
+
+
+def _hermitian_part(mat: np.ndarray):
+    """(M + M†)/2, exactly Hermitian, and max |M − M†|.
+
+    Works on pairs of mirrored square tiles, which stay in cache; the
+    transposed reads of a whole-matrix M − M† and M + M† would not.
+    """
+    dim = mat.shape[0]
+    sym = np.empty_like(mat)
+    deviation = 0.0
+    for i in range(0, dim, _TILE):
+        for j in range(i, dim, _TILE):
+            upper = mat[i:i + _TILE, j:j + _TILE]
+            lower_adjoint = mat[j:j + _TILE, i:i + _TILE].conj().T
+            deviation = max(deviation, float(np.max(np.abs(upper - lower_adjoint))))
+            tile = upper + lower_adjoint
+            tile *= 0.5
+            sym[i:i + _TILE, j:j + _TILE] = tile
+            sym[j:j + _TILE, i:i + _TILE] = tile.conj().T
+    return sym, deviation
+
 
 @dataclass(frozen=True)
 class FockDensity:
     """Truncated Fock-basis density matrix with cutoff metadata.
 
     ``trace_deficit`` is 1 − Tr ρ, the photon-number weight of the state
-    beyond the cutoff.  The matrix is stored read-only; treat the value as
-    immutable.
+    beyond the cutoff.  The given matrix must be Hermitian to 1e-12; it is
+    stored symmetrized and read-only.  Treat the value as immutable.
     """
 
     modes: int
@@ -394,12 +451,11 @@ class FockDensity:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match cutoff^modes = {dim}")
-        herm = np.max(np.abs(mat - mat.conj().T))
+        sym, herm = _hermitian_part(mat)
         if herm > _HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (deviation {herm:.3g})")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        sym.flags.writeable = False
+        object.__setattr__(self, "matrix", sym)
         object.__setattr__(self, "trace_deficit", float(self.trace_deficit))
 
     @property
@@ -425,15 +481,18 @@ class FockDensity:
         return self.matrix.diagonal().real.copy()
 
 
-def _finish(modes: int, cutoff: int, mat: np.ndarray, eps_tr: float) -> FockDensity:
-    mat = (mat + mat.conj().T) / 2.0
+def _trace_deficit(cutoff: int, mat: np.ndarray, eps_tr: float) -> float:
     deficit = 1.0 - float(np.trace(mat).real)
     if abs(deficit) >= eps_tr:
         raise ConvergenceError(
             f"trace deficit {deficit:.3g} at cutoff {cutoff} exceeds {eps_tr:.3g}",
             deficit,
         )
-    return FockDensity(modes, cutoff, mat, deficit)
+    return deficit
+
+
+def _finish(modes: int, cutoff: int, mat: np.ndarray, eps_tr: float) -> FockDensity:
+    return FockDensity(modes, cutoff, mat, _trace_deficit(cutoff, mat, eps_tr))
 
 
 # --- constructors -------------------------------------------------------------
@@ -548,6 +607,31 @@ def _assemble_two_mode(plan: _TwoModePlan, cutoff: int) -> np.ndarray:
                                  plan.theta_c, plan.theta_d, cutoff)
 
 
+def _two_mode_matrix(state, cutoff: int, eps_tr: float) -> np.ndarray:
+    """Assembled, not yet validated matrix of a two-mode state or mixture.
+
+    A mixture is the weighted sum of its components' matrices, each of
+    which must meet the trace tolerance on its own.
+    """
+    if isinstance(state, GaussianMixture):
+        mat = None
+        for w, comp in state.components:
+            part = _two_mode_matrix(comp, cutoff, eps_tr)
+            _trace_deficit(cutoff, part, eps_tr)
+            part *= w
+            if mat is None:
+                mat = part
+            else:
+                mat += part
+        return mat
+    if not isinstance(state, TwoModeGaussian):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    plan = _plan_two_mode(state)
+    if plan is None or plan.factor1.nbar < -1e-12 or plan.factor2.nbar < -1e-12:
+        raise NonPhysicalStateError("second moments do not describe a physical state")
+    return _assemble_two_mode(plan, cutoff)
+
+
 def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
     """Assemble a two-mode state or mixture in the truncated Fock basis.
 
@@ -556,20 +640,9 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     and states with both per-mode squeezing and cross correlations are
     realized as a rotated beam-splitter image of two factor states (every
     such state with equal per-mode squeezing magnitudes is one).  Mixtures
-    are weighted sums.
+    are weighted sums, validated once.
     """
-    if isinstance(state, GaussianMixture):
-        mat = None
-        for w, comp in state.components:
-            part = two_mode_density(comp, cutoff, eps_tr=eps_tr).matrix
-            mat = w * part if mat is None else mat + w * part
-        return _finish(2, cutoff, mat, eps_tr)
-    if not isinstance(state, TwoModeGaussian):
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    plan = _plan_two_mode(state)
-    if plan is None or plan.factor1.nbar < -1e-12 or plan.factor2.nbar < -1e-12:
-        raise NonPhysicalStateError("second moments do not describe a physical state")
-    return _finish(2, cutoff, _assemble_two_mode(plan, cutoff), eps_tr)
+    return _finish(2, cutoff, _two_mode_matrix(state, cutoff, eps_tr), eps_tr)
 
 
 def physicality_summary(state: TwoModeGaussian, cutoff: int):
@@ -608,67 +681,64 @@ def _ladder_power_product(cutoff: int, n_create: int, n_annihilate: int) -> np.n
     return out
 
 
+def _word_trace(rho: FockDensity, counts) -> complex:
+    """Tr{ρ · a†^i a^k ⊗ b†^j b^l} for counts (i, j, k, l).
+
+    The explicit product a†^i a^k is nonzero only on the band of entries
+    (s + δ, s) with δ = i − k, so the trace only reads the entries
+    ρ[(s_a, s_b), (s_a + δ_a, s_b + δ_b)], weighted by the two bands: an
+    O(cutoff²) gather, done with strided views of ρ.
+    """
+    i, j, k, l = counts
+    c = rho.cutoff
+    da, db = i - k, j - l
+    band_a = np.diagonal(_ladder_power_product(c, i, k), -da)
+    if rho.modes == 1:
+        return complex(np.diagonal(rho.matrix, da) @ band_a)
+    band_b = np.diagonal(_ladder_power_product(c, j, l), -db)
+    rho4 = rho.matrix.reshape(c, c, c, c)
+    gathered = np.diagonal(np.diagonal(rho4, da, 0, 2), db, 0, 1)
+    return complex(band_a @ gathered @ band_b)
+
+
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
-    """Tr{ρ · a†^i b†^j a^k b^l} by explicit ladder-matrix products."""
+    """Tr{ρ · a†^i b†^j a^k b^l} from explicit ladder-matrix products."""
     if len(word) > rho.cutoff // 2:
         raise ValueError(
             f"word of length {len(word)} is truncation-unsafe at cutoff {rho.cutoff}"
         )
-    ca, cb, aa, ab = word.counts()
-    if rho.modes == 1:
-        if cb or ab:
-            raise ValueError("one-mode density cannot take words containing mode b")
-        k = _ladder_power_product(rho.cutoff, ca, aa)
-        return complex(np.einsum("ij,ji->", rho.matrix, k))
-    c = rho.cutoff
-    ka = _ladder_power_product(c, ca, aa)
-    kb = _ladder_power_product(c, cb, ab)
-    rho4 = rho.matrix.reshape(c, c, c, c)
-    partial = np.tensordot(rho4, ka, axes=([0, 2], [1, 0]))
-    return complex(np.tensordot(partial, kb, axes=([0, 1], [1, 0])))
+    counts = word.counts()
+    if rho.modes == 1 and (counts[1] or counts[3]):
+        raise ValueError("one-mode density cannot take words containing mode b")
+    return _word_trace(rho, counts)
 
 
 def moment_table(rho: FockDensity, max_len: int) -> dict:
     """All normally ordered ladder moments with total length 1 .. max_len.
 
     Keys are exponent tuples (i, j, k, l) for a†^i b†^j a^k b^l (j = l = 0
-    on one-mode densities).  The two-mode density is reshaped once so that
-    each distinct mode-a factor costs a single matrix-vector product and
-    each word a vector dot, which keeps the full table about as cheap as a
-    handful of single moments.
+    on one-mode densities).  Each value is read like a single ``moment``.
     """
     if max_len > rho.cutoff // 2:
         raise ValueError(
             f"words of length {max_len} are truncation-unsafe at cutoff {rho.cutoff}"
         )
-    c = rho.cutoff
-    if rho.modes == 1:
-        out = {}
-        for i in range(max_len + 1):
-            for k in range(max_len + 1 - i):
-                if i + k >= 1:
-                    op = _ladder_power_product(c, i, k)
-                    out[(i, 0, k, 0)] = complex(np.einsum("ij,ji->", rho.matrix, op))
-        return out
-    # R[(ib,jb), (ja,ia)] = rho[(ia,ib), (ja,jb)]; one zgemm gives every
-    # mode-a partial trace at once.
-    r_flat = np.ascontiguousarray(
-        rho.matrix.reshape(c, c, c, c).transpose(1, 3, 2, 0).reshape(c * c, c * c)
-    )
-    a_pairs = [(i, k) for i in range(max_len + 1) for k in range(max_len + 1 - i)]
-    ka_stack = np.column_stack(
-        [_ladder_power_product(c, i, k).ravel() for i, k in a_pairs]
-    )
-    partials = r_flat @ ka_stack
+    two_mode = rho.modes == 2
     out = {}
-    for col, (i, k) in enumerate(a_pairs):
-        partial = partials[:, col]
-        for j in range(max_len + 1 - i - k):
-            for l in range(max_len + 1 - i - k - j):
-                if i + j + k + l >= 1:
-                    kb_vec = _ladder_power_product(c, j, l).T.ravel()
-                    out[(i, j, k, l)] = complex(partial @ kb_vec)
+    for i in range(max_len + 1):
+        for k in range(max_len + 1 - i):
+            for j in range(max_len + 1 - i - k if two_mode else 1):
+                for l in range(max_len + 1 - i - k - j if two_mode else 1):
+                    if i + j + k + l >= 1:
+                        out[(i, j, k, l)] = _word_trace(rho, (i, j, k, l))
     return out
+
+
+def _partial_transpose_block(mat: np.ndarray, cutoff: int, members: np.ndarray) -> np.ndarray:
+    """Rows and columns ``members`` (flat two-mode indices) of the partial
+    transpose, PT[(x_a, x_b), (y_a, y_b)] = ρ[(x_a, y_b), (y_a, x_b)]."""
+    na, nb = np.divmod(members, cutoff)
+    return mat[na[:, None] * cutoff + nb[None, :], na[None, :] * cutoff + nb[:, None]]
 
 
 def ppt_min_eigenvalue(rho: FockDensity) -> float:
@@ -676,13 +746,25 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
 
     Nonnegative (up to truncation noise) for separable states; strictly
     negative values certify entanglement.
+
+    The spectrum is the union of the spectra of the blocks of the finest
+    grading, among n_a + n_b, total parity and none, whose blocks hold the
+    whole partial transpose.  That is checked on the matrix itself: the
+    partial transpose permutes the entries of ρ, so it is block diagonal
+    exactly when its blocks hold as many nonzero entries as ρ does.
     """
     if rho.modes != 2:
         raise ValueError("partial transpose needs a two-mode density")
     c = rho.cutoff
-    pt = rho.renormalized().reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
-    pt = (pt + pt.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(pt)[0])
+    na, nb = np.divmod(np.arange(c * c), c)
+    nonzero = np.count_nonzero(rho.matrix)
+    for labels in (na + nb, (na + nb) % 2, np.zeros(c * c, dtype=int)):
+        blocks = [_partial_transpose_block(rho.matrix, c, np.flatnonzero(labels == g))
+                  for g in np.unique(labels)]
+        if sum(np.count_nonzero(b) for b in blocks) == nonzero:
+            break
+    trace = rho.trace()
+    return min(float(np.linalg.eigvalsh(b / trace)[0]) for b in blocks)
 
 
 def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +135,12 @@ class _Worst:
     err: float = 0.0
     detail: str = ""
 
-    def update(self, err: float, detail: str):
+    def update(self, err: float, detail: Callable[[], str]):
+        """Keep ``err`` if it is the new worst.  ``detail`` describes it and
+        is only called then, so most comparisons format no string."""
         if err > self.err:
             self.err = err
-            self.detail = detail
+            self.detail = detail()
 
 
 def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: int = 6,
@@ -166,13 +169,13 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
         for counts, oracle_val in table.items():
             word = OperatorWord.from_counts(counts[0], counts[1], counts[2], counts[3])
             err = relative_error(oracle_val, wick_moment(s, word))
-            mom1.update(err, f"word a†^{counts[0]}a^{counts[2]} on n={s.n:.4f}, m={s.m:.4f}")
+            mom1.update(err, lambda: f"word a†^{counts[0]}a^{counts[2]} on n={s.n:.4f}, m={s.m:.4f}")
         purity_err = relative_error(rho.purity(), purity_one_mode(s))
-        purity_worst.update(purity_err, f"n={s.n:.4f}, |m|={abs(s.m):.4f}")
+        purity_worst.update(purity_err, lambda: f"n={s.n:.4f}, |m|={abs(s.m):.4f}")
         w2_err = relative_error(
             fock.expectation_of_witness(rho, WitnessKind.W2), w2_expectation(s).value
         )
-        w2_worst.update(w2_err, f"n={s.n:.4f}, |m|={abs(s.m):.4f}")
+        w2_worst.update(w2_err, lambda: f"n={s.n:.4f}, |m|={abs(s.m):.4f}")
 
     mom2 = _Worst()
     whbt_worst = _Worst()
@@ -183,11 +186,11 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
         for counts, oracle_val in table.items():
             word = OperatorWord.from_counts(counts[0], counts[1], counts[2], counts[3])
             err = relative_error(oracle_val, wick_moment(state, word))
-            mom2.update(err, f"word {counts} on {state}")
+            mom2.update(err, lambda: f"word {counts} on {state}")
         whbt_err = relative_error(
             fock.expectation_of_witness(rho, WitnessKind.WHBT), whbt_expectation(state).value
         )
-        whbt_worst.update(whbt_err, f"{state}")
+        whbt_worst.update(whbt_err, lambda: f"{state}")
 
     checks = [
         CheckRecord("one-mode moments", mom1.err < rtol, mom1.err, rtol, mom1.detail),

@@ -1,4 +1,6 @@
+import ast
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from squeezekit import (
     WitnessKind,
     beam_splitter,
     bs_output_is_separable,
+    mode_rotation,
     purity_one_mode,
     w2_expectation,
     werner_mix,
@@ -391,3 +394,191 @@ class TestDump:
         raw = path.read_bytes()
         assert len(raw) == 16 + 25 * 16
         assert raw[:16] == (1).to_bytes(4, "little") + (5).to_bytes(4, "little") + b"\x00" * 8
+
+
+def _labels(cutoff):
+    return np.divmod(np.arange(cutoff * cutoff), cutoff)
+
+
+def _dense_factor(factor, dim):
+    # Squeezed thermal factor from one dense exponential of the full
+    # generator, without the per-parity split.
+    a = fock.annihilation(dim)
+    xi = factor.r * cmath.exp(1j * factor.phi)
+    g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
+    s = fock._expm_antihermitian(g)
+    return (s * fock._thermal_weights(factor.nbar, dim)) @ s.conj().T
+
+
+def _restrict(rho, cutoff, working):
+    na, nb = _labels(cutoff)
+    keep = na * working + nb
+    return rho[np.ix_(keep, keep)]
+
+
+def _dense_partial_transpose_min(rho):
+    c = rho.cutoff
+    pt = rho.matrix.reshape(c, c, c, c).transpose(0, 3, 2, 1).reshape(c * c, c * c)
+    return float(np.linalg.eigvalsh(pt / rho.trace())[0])
+
+
+_BS_STATE = mode_rotation(
+    beam_splitter(OneModeGaussian(0.7, 0.4 + 0.2j), OneModeGaussian(0.5, -0.1 + 0.3j), 0.0),
+    0.4, 1.1,
+)
+
+
+def _graded_densities(cutoff):
+    return {
+        "tensor": fock.two_mode_density(
+            TwoModeGaussian.pair_with_phase(OneModeGaussian(0.6, 0.3 + 0.4j), 0.8), cutoff,
+            eps_tr=1.0),
+        "tms": fock.two_mode_density(TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j)), cutoff,
+                                     eps_tr=1.0),
+        "bs": fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0),
+        "bs-output": fock.bs_output_density(OneModeGaussian(0.6, 0.5 + 0j),
+                                            OneModeGaussian(0.4, 0.2j), 0.9, cutoff,
+                                            eps_tr=1.0),
+        "mixture": fock.two_mode_density(werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6),
+                                         cutoff, eps_tr=1.0),
+    }
+
+
+class TestGradedAssembly:
+    def test_off_parity_entries_are_exactly_zero(self):
+        na, nb = _labels(12)
+        parity = (na + nb) % 2
+        off = parity[:, None] != parity[None, :]
+        for name, rho in _graded_densities(12).items():
+            assert np.all(rho.matrix[off] == 0.0), name
+
+    def test_tms_density_vanishes_outside_difference_blocks(self):
+        na, nb = _labels(12)
+        d = na - nb
+        rho = _graded_densities(12)["tms"]
+        assert np.all(rho.matrix[d[:, None] != d[None, :]] == 0.0)
+        assert np.count_nonzero(rho.matrix[d[:, None] == d[None, :]]) > 0
+
+    def test_tms_matches_dense_reference(self):
+        cutoff, working = 10, 20
+        state = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
+        plan = fock._plan_two_mode(state)
+        w = fock._thermal_weights(plan.factor1.nbar, working)
+        u = fock.two_mode_squeeze_unitary(working, plan.tms_r, plan.tms_phi).dense()
+        dense = u @ np.diag(np.kron(w, w)) @ u.conj().T
+        got = fock.two_mode_density(state, cutoff, eps_tr=1.0).matrix
+        assert np.max(np.abs(got - _restrict(dense, cutoff, working))) < 1e-13
+
+    def test_bs_route_matches_dense_reference(self):
+        cutoff, working = 10, 20
+        plan = fock._plan_two_mode(_BS_STATE)
+        assert plan.route == "bs"
+        mixer = fock.beam_splitter_unitary(working, 0.0).dense()
+        rho_in = np.kron(_dense_factor(plan.factor1, working), _dense_factor(plan.factor2, working))
+        dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
+        d = fock.rotation_phases(cutoff, plan.theta_c, plan.theta_d)
+        dense = d[:, None] * dense * d.conj()[None, :]
+        got = fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0).matrix
+        assert np.max(np.abs(got - dense)) < 1e-13
+
+    def test_bs_output_matches_dense_reference(self):
+        cutoff, working, lam = 10, 20, 0.9
+        sa, sb = OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j)
+        factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
+        mixer = fock.beam_splitter_unitary(working, lam).dense()
+        rho_in = np.kron(_dense_factor(factors[0], working), _dense_factor(factors[1], working))
+        dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
+        got = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0).matrix
+        assert np.max(np.abs(got - dense)) < 1e-13
+
+
+class TestBandMeasurement:
+    def test_moment_matches_dense_trace(self, rng):
+        cutoff = 12
+        a = fock.annihilation(cutoff)
+        ad = a.conj().T
+
+        def ladder(n_create, n_annihilate):
+            return np.linalg.matrix_power(ad, n_create) @ np.linalg.matrix_power(a, n_annihilate)
+
+        one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), cutoff, eps_tr=1.0)
+        for rho in (*_graded_densities(cutoff).values(), one):
+            for _ in range(12):
+                length = int(rng.integers(1, cutoff // 2 + 1))
+                slots = 4 if rho.modes == 2 else 2
+                cuts = np.sort(rng.integers(0, length + 1, size=slots - 1))
+                parts = np.diff(np.concatenate([[0], cuts, [length]]))
+                if rho.modes == 2:
+                    i, j, k, l = (int(p) for p in parts)
+                    op = np.kron(ladder(i, k), ladder(j, l))
+                else:
+                    i, k = (int(p) for p in parts)
+                    j = l = 0
+                    op = ladder(i, k)
+                expected = np.trace(rho.matrix @ op)
+                got = fock.moment(rho, OperatorWord.from_counts(i, j, k, l))
+                assert abs(got - expected) < 1e-12 * (1.0 + abs(expected))
+
+
+class TestBlockPartialTranspose:
+    def test_graded_densities_match_dense_spectrum(self):
+        for name, rho in _graded_densities(12).items():
+            assert fock.ppt_min_eigenvalue(rho) == pytest.approx(
+                _dense_partial_transpose_min(rho), abs=1e-13), name
+
+    def test_non_graded_density_gets_full_spectrum(self):
+        # Local displacements keep the entanglement of the pair but break
+        # every photon-number grading, so no block split is exact.
+        cutoff = 10
+        epr = fock.two_mode_density(TwoModeGaussian.epr(0.5, 0.6 + 0j), cutoff, eps_tr=1.0)
+        u = np.kron(fock.displacement_unitary(cutoff, 0.3 + 0.1j),
+                    fock.displacement_unitary(cutoff, -0.2j))
+        mat = u @ epr.matrix @ u.conj().T
+        mat = (mat + mat.conj().T) / 2.0
+        rho = fock.FockDensity(2, cutoff, mat, 1.0 - float(np.trace(mat).real))
+        na, nb = _labels(cutoff)
+        parity = (na + nb) % 2
+        assert np.any(rho.matrix[parity[:, None] != parity[None, :]] != 0.0)
+        dense = _dense_partial_transpose_min(rho)
+        assert dense < -1e-3
+        assert fock.ppt_min_eigenvalue(rho) == pytest.approx(dense, abs=1e-13)
+
+
+class TestValidation:
+    def _skewed(self):
+        rho = fock.two_mode_density(TwoModeGaussian.thermal_pair(0.3), 8, eps_tr=1.0)
+        mat = np.array(rho.matrix)
+        mat[0, 1] += 1e-9
+        return mat
+
+    def test_finish_rejects_non_hermitian_assembly(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock._finish(2, 8, self._skewed(), 1.0)
+
+    def test_density_rejects_non_hermitian_matrix(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock.FockDensity(2, 8, self._skewed(), 0.0)
+
+    def test_stored_matrix_is_exactly_hermitian_and_read_only(self):
+        rng = np.random.default_rng(3)
+        noise = 1e-14 * (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+        mat = np.diag(np.full(64, 1.0 / 64)) + noise
+        rho = fock.FockDensity(2, 8, mat, 0.0)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.allclose(rho.matrix, (mat + mat.conj().T) / 2.0, rtol=0.0, atol=1e-30)
+        assert not rho.matrix.flags.writeable
+
+
+def test_fock_imports_no_wick_symbols():
+    tree = ast.parse(inspect.getsource(fock))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"wick_moment", "_pairings_sum", "LadderToken"}
