@@ -394,10 +394,12 @@ def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -
         ja = js[:cutoff - d]
         c_d = block[:ja.size, keep]
         sector = (c_d * weights[keep]) @ c_d.conj().T
-        # Swapping the modes maps sector d onto sector −d with the same
-        # generator block and input weights, so the two blocks are equal.
-        for na, nb in ((ja, ja - d), (ja - d, ja)):
-            idx = na * cutoff + nb
+        idx = ja * cutoff + (ja - d)
+        rho[np.ix_(idx, idx)] = sector
+        if d:
+            # Swapping the modes maps sector d onto sector −d with the same
+            # generator block and input weights, so the two blocks are equal.
+            idx = (ja - d) * cutoff + ja
             rho[np.ix_(idx, idx)] = sector
     return rho
 
