@@ -232,7 +232,10 @@ def beam_splitter_unitary(cutoff: int, lam: float) -> BlockUnitary:
 def _mixer_blocks(max_total: int, lam: float) -> tuple:
     """Beam-splitter blocks of the sectors N = 0 .. max_total, untruncated:
     row and column j of block N belong to |j, N−j⟩."""
-    return tuple(_mixer_block(max_total + 1, total, lam)[1] for total in range(max_total + 1))
+    blocks = tuple(_mixer_block(max_total + 1, total, lam)[1] for total in range(max_total + 1))
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
 
 
 def _tms_block(cutoff: int, xi: complex, d: int):
