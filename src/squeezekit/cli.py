@@ -30,7 +30,6 @@ from .interference import (
     visibility_werner,
 )
 from .separability import (
-    InconclusiveError,
     bs_output_is_separable,
     epr_is_entangled,
     general_is_separable,
@@ -705,7 +704,7 @@ def main(argv=None) -> int:
     except NonPhysicalStateError as exc:
         print(f"nonphysical state: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ZeroDivisionError, InconclusiveError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

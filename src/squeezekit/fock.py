@@ -67,7 +67,6 @@ from .witnesses import WitnessKind
 
 EPS_EIG = 1e-8
 EPS_TR = 1e-6
-CUTOFF_SCHEDULE = (15, 25, 40)
 
 _HERMITICITY_TOL = 1e-12
 _MIN_RADICAND = 1e-12

@@ -217,7 +217,7 @@ def visibilities_general(n: float, m: float, m_c: float,
     v₋ = (n²+m_c²)/D, v₊ = m²/D, v_m = m·m_c/D with D = 3n²+m²+m_c²,
     the out-of-phase cosine sits at φ₁+φ₂−λ₁+λ₂ and the four single-phase
     cosines at φ₁−λ₁, φ₂+λ₂, φ₁+λ₂, φ₂−λ₁.  Physicality of the parameter
-    set is certified by the Fock oracle before evaluation.
+    set is checked by ``is_physical_two_mode`` before evaluation.
     """
     state = TwoModeGaussian(
         n,

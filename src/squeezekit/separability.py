@@ -1,6 +1,6 @@
 """Analytic separability and classicality criteria for two-mode families,
-threshold curves for the thermal-diluted comparison, and the oracle-backed
-physicality check for general states.
+threshold curves for the thermal-diluted comparison, and the physicality
+test for general two-mode states.
 
 Boundary cases count as separable throughout: the analytic entanglement
 statements are strict inequalities, so thresholds sit on the separable side.
@@ -8,10 +8,10 @@ statements are strict inequalities, so thresholds sit on the separable side.
 
 from __future__ import annotations
 
-import functools
 import math
 
-from . import fock
+import numpy as np
+
 from .states import (
     EPS_CLS,
     EPS_PHYS,
@@ -19,10 +19,6 @@ from .states import (
     NonPhysicalStateError,
     TwoModeGaussian,
 )
-
-
-class InconclusiveError(RuntimeError):
-    """Oracle could not certify physicality within the cutoff schedule."""
 
 
 def epr_is_entangled(n: float, mc_abs: float) -> bool:
@@ -80,59 +76,29 @@ def werner_ppt_threshold(n: float) -> float:
     return 1.0 / (1.0 + factor)
 
 
-def _provably_nonphysical(state: TwoModeGaussian) -> bool:
-    """Cheap certificates: any state obeys |⟨aa⟩|² ≤ n(n+1), |⟨ab⟩|² ≤ n(n+1)
-    and |⟨a†b⟩| ≤ n (Cauchy-Schwarz on the respective operator pairs)."""
-    margin = 1e-6
-    bound = state.n * (state.n + 1.0) + margin
-    if abs(state.m_a) ** 2 > bound or abs(state.m_b) ** 2 > bound:
-        return True
-    if abs(state.m_c) ** 2 > bound:
-        return True
-    if abs(state.m_x) > state.n + margin:
-        return True
-    return False
+def _moment_matrix(state: TwoModeGaussian) -> np.ndarray:
+    """⟨ζ_r ζ_s†⟩ for ζ = (a, b, a†, b†), read off the stored moments."""
+    n, m_a, m_b, m_c, m_x = state.n, state.m_a, state.m_b, state.m_c, state.m_x
+    return np.array([
+        [n + 1.0, m_x.conjugate(), -m_a, -m_c],
+        [m_x, n + 1.0, -m_c, -m_b],
+        [-m_a.conjugate(), -m_c.conjugate(), n, m_x],
+        [-m_c.conjugate(), -m_b.conjugate(), m_x.conjugate(), n],
+    ])
 
 
-@functools.lru_cache(maxsize=4096)
-def _oracle_physicality(state: TwoModeGaussian, cutoffs: tuple, eps_eig: float, eps_tr: float) -> bool:
-    if _provably_nonphysical(state):
-        return False
-    last_deficit = None
-    for cutoff in cutoffs:
-        summary = fock.physicality_summary(state, cutoff)
-        if summary is None:
-            return False
-        min_eig, deficit = summary
-        # Negative weights persist at every cutoff; the verdict needs no
-        # converged trace because truncation only drops tail entries of the
-        # exact spectrum.
-        if min_eig < -eps_eig:
-            return False
-        if abs(deficit) < eps_tr:
-            return True
-        last_deficit = deficit
-    raise InconclusiveError(
-        f"trace deficit {last_deficit:.3g} still above {eps_tr:.3g} at cutoff {cutoffs[-1]}"
-    )
+def is_physical_two_mode(state) -> bool:
+    """Uncertainty relation V + iΩ/2 ≥ 0 of the two-mode covariance matrix.
 
-
-def is_physical_two_mode(state, *, cutoffs=fock.CUTOFF_SCHEDULE,
-                         eps_eig: float = fock.EPS_EIG,
-                         eps_tr: float = fock.EPS_TR) -> bool:
-    """Physicality via the Fock-space candidate at an adaptive cutoff.
-
-    The state is physical iff the oracle's candidate density has minimum
-    eigenvalue ≥ −eps_eig with a converged trace (deficit below eps_tr)
-    somewhere on the cutoff schedule.  A mixture is accepted when all of
-    its components are.  Results are memoized; the cache is populated once
-    per distinct value and safe for concurrent readers.
+    For ζ = (a, b, a†, b†) every operator X = Σ c_r ζ_r has ⟨XX†⟩ ≥ 0, so
+    the Hermitian matrix ⟨ζζ†⟩ must be positive semidefinite; it is the
+    complex form of V + iΩ/2, which makes the condition sufficient for a
+    Gaussian state as well (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
+    The smallest eigenvalue may dip to −EPS_PHYS.  A mixture is accepted
+    when all of its components are.
     """
     if isinstance(state, GaussianMixture):
-        return all(
-            is_physical_two_mode(comp, cutoffs=cutoffs, eps_eig=eps_eig, eps_tr=eps_tr)
-            for _, comp in state.components
-        )
+        return all(is_physical_two_mode(comp) for _, comp in state.components)
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return _oracle_physicality(state, tuple(cutoffs), eps_eig, eps_tr)
+    return bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)

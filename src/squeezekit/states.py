@@ -4,8 +4,16 @@ A zero-mean Gaussian state of one bosonic mode is fixed by the pair (n, m)
 with ⟨a†a⟩ = n and ⟨aa⟩ = −m.  Two modes add a second squeezing moment and
 the cross correlations ⟨ab⟩ = −m_c and ⟨a†b⟩ = m_x.  Every higher normally
 ordered moment of such a state factorizes into a sum over perfect pairings
-of these second moments (``wick_moment``), which is what makes closed-form
+of these second moments (Isserlis/Wick), which is what makes closed-form
 fourth-order interference quantities possible.
+
+``wick_moment`` never enumerates the (L−1)!! pairings of a length-L word.
+Tokens of one class (a†, b†, a or b) are interchangeable in a normally
+ordered word, so the moment depends only on the counts (i, j, k, l) of
+a†^i b†^j a^k b^l.  Pairing the first token with each remaining class gives
+a recursion on those counts, memoized for the duration of one call: it
+visits at most (i+1)(j+1)(k+1)(l+1) count tuples, 625 for a 16-token word,
+with at most four terms each.
 
 All values are immutable after construction and all operations are pure
 functions, so everything in this module is safe to share between threads.
@@ -16,7 +24,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 EPS_PHYS = 1e-9  # absolute tolerance on |m|^2 - n(n+1)
 EPS_CLS = 1e-9   # absolute tolerance on n - |m|
@@ -207,12 +215,14 @@ class OperatorWord:
     """
 
     tokens: tuple[LadderToken, ...]
+    _counts: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = tuple(self.tokens)
         object.__setattr__(self, "tokens", tokens)
         if len(tokens) > _WORD_TOKEN_LIMIT:
             raise ValueError(f"word length {len(tokens)} exceeds limit {_WORD_TOKEN_LIMIT}")
+        counts = [0, 0, 0, 0]
         seen_undaggered = False
         for t in tokens:
             if not isinstance(t, LadderToken):
@@ -221,6 +231,8 @@ class OperatorWord:
                 raise WordOrderError(f"word '{self._render(tokens)}' is not normally ordered")
             if not t.daggered:
                 seen_undaggered = True
+            counts[(0 if t.daggered else 2) + (t.mode is Mode.B)] += 1
+        object.__setattr__(self, "_counts", tuple(counts))
 
     @staticmethod
     def _render(tokens) -> str:
@@ -265,14 +277,10 @@ class OperatorWord:
 
     def counts(self) -> tuple[int, int, int, int]:
         """(create_a, create_b, annihilate_a, annihilate_b) token counts."""
-        ca = sum(1 for t in self.tokens if t.daggered and t.mode is Mode.A)
-        cb = sum(1 for t in self.tokens if t.daggered and t.mode is Mode.B)
-        aa = sum(1 for t in self.tokens if not t.daggered and t.mode is Mode.A)
-        ab = sum(1 for t in self.tokens if not t.daggered and t.mode is Mode.B)
-        return ca, cb, aa, ab
+        return self._counts
 
     def uses_mode_b(self) -> bool:
-        return any(t.mode is Mode.B for t in self.tokens)
+        return bool(self._counts[1] or self._counts[3])
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -379,58 +387,75 @@ def purity_one_mode(s: OneModeGaussian) -> float:
 
 # --- Wick moment engine -----------------------------------------------------
 
-def _pair_value_two_mode(state: TwoModeGaussian, t1: LadderToken, t2: LadderToken) -> complex:
-    """Second moment ⟨t1 t2⟩ for tokens in written (normally ordered) order."""
-    same = t1.mode is t2.mode
-    if t1.daggered and t2.daggered:
-        if same:
-            m = state.m_a if t1.mode is Mode.A else state.m_b
-        else:
-            m = state.m_c
-        return -m.conjugate()
-    if not t1.daggered and not t2.daggered:
-        if same:
-            m = state.m_a if t1.mode is Mode.A else state.m_b
-        else:
-            m = state.m_c
-        return -m
-    # Mixed pair; the daggered token comes first in a normally ordered word.
-    if same:
-        return complex(state.n)
-    if t1.mode is Mode.A:
-        return state.m_x
-    return state.m_x.conjugate()
+def _counts_moment(moments, memo: dict, i: int, j: int, k: int, l: int) -> complex:
+    """⟨a†^i b†^j a^k b^l⟩ on the state with second moments
+    ``moments = (n, m_a, m_b, m_c, m_x)``, by pairing the first token.
 
-
-def _pairings_sum(tokens: tuple[LadderToken, ...], state: TwoModeGaussian) -> complex:
-    if not tokens:
+    The first token pairs with each remaining token class; a class holding
+    c tokens contributes c × the pair's second moment × the moment of the
+    counts left over.  Pairs read in written (normally ordered) order:
+    ⟨a†a†⟩ = −m_a*, ⟨a†b†⟩ = −m_c*, ⟨a†a⟩ = ⟨b†b⟩ = n, ⟨a†b⟩ = m_x,
+    ⟨b†a⟩ = m_x*, ⟨aa⟩ = −m_a, ⟨ab⟩ = −m_c.  Vanishing second moments are
+    skipped.  ``memo`` belongs to one ``wick_moment`` call; sub-words of
+    length 2 are cheaper to recompute than to look up.
+    """
+    key = (i, j, k, l) if i + j + k + l > 2 else None
+    if key is not None:
+        value = memo.get(key)
+        if value is not None:
+            return value
+    n, m_a, m_b, m_c, m_x = moments
+    value = 0j
+    if i:
+        if i > 1 and m_a:
+            value -= (i - 1) * m_a.conjugate() * _counts_moment(moments, memo, i - 2, j, k, l)
+        if j and m_c:
+            value -= j * m_c.conjugate() * _counts_moment(moments, memo, i - 1, j - 1, k, l)
+        if k and n:
+            value += k * n * _counts_moment(moments, memo, i - 1, j, k - 1, l)
+        if l and m_x:
+            value += l * m_x * _counts_moment(moments, memo, i - 1, j, k, l - 1)
+    elif j:
+        if j > 1 and m_b:
+            value -= (j - 1) * m_b.conjugate() * _counts_moment(moments, memo, 0, j - 2, k, l)
+        if k and m_x:
+            value += k * m_x.conjugate() * _counts_moment(moments, memo, 0, j - 1, k - 1, l)
+        if l and n:
+            value += l * n * _counts_moment(moments, memo, 0, j - 1, k, l - 1)
+    elif k:
+        if k > 1 and m_a:
+            value -= (k - 1) * m_a * _counts_moment(moments, memo, 0, 0, k - 2, l)
+        if l and m_c:
+            value -= l * m_c * _counts_moment(moments, memo, 0, 0, k - 1, l - 1)
+    elif l:
+        if l > 1 and m_b:
+            value -= (l - 1) * m_b * _counts_moment(moments, memo, 0, 0, 0, l - 2)
+    else:
         return 1.0 + 0j
-    first = tokens[0]
-    rest = tokens[1:]
-    total = 0j
-    for idx, other in enumerate(rest):
-        v = _pair_value_two_mode(state, first, other)
-        if v != 0:
-            total += v * _pairings_sum(rest[:idx] + rest[idx + 1:], state)
-    return total
+    if key is not None:
+        memo[key] = value
+    return value
 
 
 def wick_moment(state, word: OperatorWord) -> complex:
     """Normally ordered expectation of a ladder word on a Gaussian state.
 
-    Sums over all perfect pairings of the word's tokens, each pair
-    contributing its stored second moment.  Words of odd length vanish
-    because the states are zero-mean.  Mixtures average component moments
-    by weight.
+    Equals the sum over all perfect pairings of the word's tokens, each pair
+    contributing its stored second moment, evaluated by the recursion on the
+    word's counts in ``_counts_moment``.  Words of odd length vanish because
+    the states are zero-mean.  Mixtures average component moments by weight.
     """
     if isinstance(state, GaussianMixture):
         return sum(w * wick_moment(s, word) for w, s in state.components)
     if isinstance(state, OneModeGaussian):
         if word.uses_mode_b():
             raise ValueError("one-mode state cannot take words containing mode b")
-        state = TwoModeGaussian(state.n, state.m, 0j, 0j, 0j)
-    if not isinstance(state, TwoModeGaussian):
+        moments = (state.n, state.m, 0j, 0j, 0j)
+    elif isinstance(state, TwoModeGaussian):
+        moments = (state.n, state.m_a, state.m_b, state.m_c, state.m_x)
+    else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    if len(word) % 2 == 1:
+    i, j, k, l = word.counts()
+    if (i + j + k + l) % 2:
         return 0j
-    return _pairings_sum(word.tokens, state)
+    return _counts_moment(moments, {}, i, j, k, l)

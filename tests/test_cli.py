@@ -59,6 +59,17 @@ class TestClassify:
         assert code == 0
         assert "separable" in out
 
+    def test_readme_general_example(self, capsys):
+        # Hot enough (n = 5) that the trace of any cutoff-40 Fock candidate
+        # has not converged; physicality needs no truncation.
+        code, out, _ = run_cli(capsys, "classify", "general", "--n", "5", "--m", "1",
+                               "--mc", "1", "--lam1", "0", "--lam2", "0.5",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["physical"] is True
+        assert payload["v_minus"] == pytest.approx(26.0 / 77.0, rel=1e-12)
+
     def test_werner(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "werner", "--n", "1", "--mc", "1.2",
                                "--p", "0.8")

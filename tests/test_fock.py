@@ -581,4 +581,4 @@ def test_fock_imports_no_wick_symbols():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert not names & {"wick_moment", "_pairings_sum", "LadderToken"}
+    assert not names & {"wick_moment", "_counts_moment", "LadderToken"}

@@ -44,6 +44,18 @@ def physical_one_mode(draw, n_min=0.0, n_max=2.0, frac_max=1.0):
 
 
 @st.composite
+def quantum_one_mode(draw, n_min=1e-3, n_max=2.0):
+    """Physical state below the classicality line: |m|/√(n(n+1)) is drawn
+    from (√(n/(n+1)), 1], where √(n/(n+1)) is where |m| = n."""
+    n = draw(st.floats(min_value=n_min, max_value=n_max, **finite))
+    lo = math.sqrt(n / (n + 1.0))
+    u = draw(st.floats(min_value=1e-6, max_value=1.0, **finite))
+    phase = draw(st.floats(min_value=0.0, max_value=2 * math.pi, **finite))
+    m = (lo + u * (1.0 - lo)) * math.sqrt(n * (n + 1.0)) * cmath.exp(1j * phase)
+    return OneModeGaussian(n, m)
+
+
+@st.composite
 def word_counts(draw):
     counts = [draw(st.integers(min_value=0, max_value=2)) for _ in range(4)]
     assume(sum(counts) >= 1)
@@ -144,9 +156,8 @@ class TestVisibilityInvariants:
             visibilities_uncorrelated(s.n, abs(s.m)), InequalityContext.UNCORRELATED_PAIR)
         assert report.classical
 
-    @given(physical_one_mode(n_min=1e-3))
+    @given(quantum_one_mode())
     def test_quantum_states_violate_and_order(self, s):
-        assume(abs(s.m) > s.n * (1.0 + 1e-9) + 1e-12)
         vis = visibilities_uncorrelated(s.n, abs(s.m))
         report = classical_inequality_report(vis, InequalityContext.UNCORRELATED_PAIR)
         assert not report.classical

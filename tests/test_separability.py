@@ -1,21 +1,28 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from squeezekit import (
-    InconclusiveError,
     NonPhysicalStateError,
+    OperatorWord,
     TwoModeGaussian,
     beam_splitter,
     bs_output_is_separable,
     epr_is_entangled,
+    fock,
+    fringe_prefactor,
+    fringe_value,
     general_is_separable,
+    hbt_correlation,
     is_physical_two_mode,
+    visibilities_uncorrelated,
     visibility_epr,
     werner_hbt_threshold,
     werner_ppt_threshold,
     whbt_expectation,
+    wick_moment,
 )
 from squeezekit.fock import UnsupportedStateError
 
@@ -171,14 +178,134 @@ class TestIsPhysicalTwoMode:
         assert is_physical_two_mode(GaussianMixture(((1.0, good),)))
         assert not is_physical_two_mode(GaussianMixture(((0.5, good), (0.5, bad))))
 
-    def test_unsupported_pattern_raises(self):
+    def test_unequal_magnitudes_get_a_verdict(self):
+        # The oracle has no construction for |m_a| != |m_b| alongside cross
+        # correlations; the uncertainty relation needs none.
         state = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, 0.3 + 0j, 0j)
         with pytest.raises(UnsupportedStateError):
-            is_physical_two_mode(state)
+            fock.two_mode_density(state, 10)
+        assert is_physical_two_mode(state)
+        assert _symplectic_verdict(state)
+        overcorrelated = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, 1.35 + 0j, 0j)
+        # |m_c|² ≤ n(n+1): the pairwise Cauchy-Schwarz bound alone accepts it.
+        assert abs(overcorrelated.m_c) ** 2 <= 2.0
+        assert not is_physical_two_mode(overcorrelated)
+        assert not _symplectic_verdict(overcorrelated)
 
-    def test_hot_state_is_inconclusive(self):
-        with pytest.raises(InconclusiveError):
-            is_physical_two_mode(TwoModeGaussian.thermal_pair(2.5))
+    def test_hot_thermal_pair_is_physical(self):
+        for n in (2.5, 3.0, 10.0):
+            state = TwoModeGaussian.thermal_pair(n)
+            assert is_physical_two_mode(state)
+            for phi1, phi2 in ((0.0, 0.0), (0.3, 1.1), (2.0, -0.7)):
+                expected = 1.5 * n ** 2 * (1.0 + math.cos(phi1 - phi2) / 3.0)
+                got = hbt_correlation(state, phi1, phi2)
+                assert got == pytest.approx(expected, rel=1e-12)
+                assert got == pytest.approx(
+                    fringe_prefactor(state)
+                    * fringe_value(visibilities_uncorrelated(n, 0.0), phi1, phi2), rel=1e-12)
+
+    def test_agrees_with_symplectic_spectrum(self, rng):
+        # Random moments of every pattern, unequal magnitudes and complex
+        # ⟨a†b⟩ included, against the Williamson form of the same criterion.
+        verdicts = []
+        for _ in range(600):
+            n = float(rng.uniform(0.0, 2.0))
+            bound = math.sqrt(n * (n + 1.0))
+            m_a, m_b, m_c = (float(rng.uniform(0.0, 1.1)) * bound
+                             * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(3))
+            m_x = float(rng.uniform(0.0, 0.6)) * n * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            state = TwoModeGaussian(n, m_a, m_b, m_c, m_x)
+            if abs(_min_symplectic_eigenvalue(state) - 0.5) < 1e-6:
+                continue
+            assert is_physical_two_mode(state) == _symplectic_verdict(state), state
+            verdicts.append(is_physical_two_mode(state))
+        assert len(verdicts) > 500
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+
+    def test_agrees_with_oracle_candidate_spectrum(self):
+        # Tensor, two-mode-squeezed and beam-splitter patterns, hot and
+        # beyond the positivity bound; the oracle reads physicality off the
+        # weights of its working-space candidate (fock.physicality_summary).
+        draws = np.random.default_rng(1994)
+        compared = physical = 0
+        for k in range(1500):
+            state = _oracle_pattern(draws, k % 3)
+            plan = fock._plan_two_mode(state)
+            if plan is not None and min(abs(plan.factor1.nbar), abs(plan.factor2.nbar)) < 1e-6:
+                continue   # within round-off of the boundary
+            summary = fock.physicality_summary(state, 40)
+            oracle = summary is not None and summary[0] >= -fock.EPS_EIG
+            if oracle and summary[1] >= fock.EPS_TR:
+                continue   # tail beyond cutoff 40: outside the oracle's range
+            assert is_physical_two_mode(state) == oracle, state
+            compared += 1
+            physical += oracle
+        assert compared >= 1000
+        assert 200 < physical < compared - 200
+
+
+_ZETA = ("a", "b", "ad", "bd")
+
+
+def _xxdag_matrix(state) -> np.ndarray:
+    """⟨ζ_r ζ_s†⟩ from Wick second moments plus the commutators [a, a†] = 1."""
+    dagger = {"a": "ad", "b": "bd", "ad": "a", "bd": "b"}
+    g = np.empty((4, 4), dtype=complex)
+    for r, left in enumerate(_ZETA):
+        for s, right in enumerate(_ZETA):
+            right = dagger[right]
+            if left in ("a", "b") and right in ("ad", "bd"):
+                # a_i a_j† = a_j† a_i + δ_ij
+                g[r, s] = wick_moment(state, OperatorWord.parse(f"{right} {left}"))
+                g[r, s] += 1.0 if right == left + "d" else 0.0
+            else:
+                g[r, s] = wick_moment(state, OperatorWord.parse(f"{left} {right}"))
+    return g
+
+
+def _covariance(state) -> np.ndarray:
+    """Symmetrized covariance ½⟨{R_r, R_s}⟩ of R = (x_a, p_a, x_b, p_b)."""
+    g = _xxdag_matrix(state)
+    # R = T ζ with x = (a + a†)/√2 and p = (a − a†)/(i√2).
+    t = np.array([[1, 0, 1, 0], [-1j, 0, 1j, 0], [0, 1, 0, 1], [0, -1j, 0, 1j]]) / SQRT2
+    rr = t @ g @ t.conj().T      # ⟨R_r R_s†⟩ = ⟨R_r R_s⟩ for Hermitian R
+    return rr.real
+
+
+def _min_symplectic_eigenvalue(state) -> float:
+    v = _covariance(state)
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return float(np.min(np.abs(np.linalg.eigvals(1j * omega @ v))))
+
+
+def _symplectic_verdict(state) -> bool:
+    """Williamson: physical iff V > 0 and every symplectic eigenvalue ≥ ½."""
+    return bool(np.linalg.eigvalsh(_covariance(state))[0] > 0
+                and _min_symplectic_eigenvalue(state) >= 0.5)
+
+
+def _oracle_pattern(draws, family: int) -> TwoModeGaussian:
+    """A moment set of a pattern the oracle can plan: product, two-mode
+    squeezed, or equal magnitudes with a phase-compatible ⟨a†b⟩."""
+    n = float(draws.uniform(0.02, 1.5))
+    bound = math.sqrt(n * (n + 1.0))
+
+    def magnitude():
+        return float(draws.uniform(0.0, 1.3)) * bound
+
+    def phase():
+        return float(draws.uniform(0.0, 2.0 * math.pi))
+
+    if family == 0:
+        return TwoModeGaussian(n, magnitude() * cmath.exp(1j * phase()),
+                               magnitude() * cmath.exp(1j * phase()))
+    if family == 1:
+        return TwoModeGaussian.epr(n, magnitude() * cmath.exp(1j * phase()))
+    f, lam1, lam2 = magnitude(), phase(), phase()
+    theta_c, theta_d = 0.5 * lam1, 0.5 * lam2
+    m_c = magnitude() * cmath.exp(1j * (theta_c + theta_d + phase()))
+    m_x = float(draws.uniform(-0.5, 0.5)) * n * cmath.exp(1j * (theta_d - theta_c))
+    return TwoModeGaussian(n, f * cmath.exp(1j * lam1), f * cmath.exp(1j * lam2), m_c, m_x)
 
 
 class TestCrossModuleConsistency:

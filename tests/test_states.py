@@ -7,6 +7,8 @@ import pytest
 from squeezekit import (
     Classification,
     GaussianMixture,
+    LadderToken,
+    Mode,
     NonPhysicalStateError,
     NotPRepresentableError,
     OneModeGaussian,
@@ -27,6 +29,92 @@ from squeezekit import fock
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _pair_value(state: TwoModeGaussian, t1: LadderToken, t2: LadderToken) -> complex:
+    """Second moment ⟨t1 t2⟩ for tokens in written (normally ordered) order."""
+    same = t1.mode is t2.mode
+    if t1.daggered and t2.daggered:
+        if same:
+            m = state.m_a if t1.mode is Mode.A else state.m_b
+        else:
+            m = state.m_c
+        return -m.conjugate()
+    if not t1.daggered and not t2.daggered:
+        if same:
+            m = state.m_a if t1.mode is Mode.A else state.m_b
+        else:
+            m = state.m_c
+        return -m
+    # Mixed pair; the daggered token comes first in a normally ordered word.
+    if same:
+        return complex(state.n)
+    if t1.mode is Mode.A:
+        return state.m_x
+    return state.m_x.conjugate()
+
+
+def _pairings_sum(tokens, state: TwoModeGaussian) -> complex:
+    """Isserlis' theorem read literally: the sum over all (L−1)!! perfect
+    pairings of the tokens.  The reference for the count recursion."""
+    if not tokens:
+        return 1.0 + 0j
+    first = tokens[0]
+    rest = tokens[1:]
+    total = 0j
+    for idx, other in enumerate(rest):
+        v = _pair_value(state, first, other)
+        if v != 0:
+            total += v * _pairings_sum(rest[:idx] + rest[idx + 1:], state)
+    return total
+
+
+def _reference_moment(state, word: OperatorWord) -> complex:
+    if isinstance(state, GaussianMixture):
+        return sum(w * _reference_moment(s, word) for w, s in state.components)
+    if isinstance(state, OneModeGaussian):
+        state = TwoModeGaussian(state.n, state.m, 0j, 0j, 0j)
+    return _pairings_sum(word.tokens, state)
+
+
+def _even_words(max_len: int, modes: int = 2):
+    """Every normally ordered word of even length 2..max_len."""
+    for length in range(2, max_len + 1, 2):
+        for i in range(length + 1):
+            if modes == 1:
+                yield OperatorWord.from_counts(create_a=i, annihilate_a=length - i)
+                continue
+            for j in range(length + 1 - i):
+                for k in range(length + 1 - i - j):
+                    yield OperatorWord.from_counts(i, j, k, length - i - j - k)
+
+
+def _random_two_mode(rng, m_x: bool = True) -> TwoModeGaussian:
+    n = float(rng.uniform(0.1, 2.0))
+    bound = math.sqrt(n * (n + 1.0))
+    m_a, m_b, m_c = (float(rng.uniform(0.1, 0.9)) * bound
+                     * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(3))
+    m_x = float(rng.uniform(0.1, 0.5)) * n * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) if m_x else 0j
+    return TwoModeGaussian(n, m_a, m_b, m_c, m_x)
+
+
+# Every word of even length ≤ 10 on these states takes the pairing sum
+# about 1.5 s in all, so the table is computed once per session.
+_WICK_RNG = np.random.default_rng(1516)
+_WICK_STATES = (_random_two_mode(_WICK_RNG), _random_two_mode(_WICK_RNG),
+                _random_two_mode(_WICK_RNG, m_x=False))
+_REFERENCE_TABLES: dict = {}
+
+
+def _reference_table(index: int) -> dict:
+    if index not in _REFERENCE_TABLES:
+        state = _WICK_STATES[index]
+        _REFERENCE_TABLES[index] = {w: _reference_moment(state, w) for w in _even_words(10)}
+    return _REFERENCE_TABLES[index]
+
+
+def _assert_close(got: complex, expected: complex, word) -> None:
+    assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), (str(word), got, expected)
 
 
 class TestPhysicality:
@@ -264,11 +352,43 @@ class TestWickMoment:
         assert got == pytest.approx(1.0 + 1.69, rel=1e-14)
 
     def test_eight_token_word(self):
-        # Thermal factorial moment ⟨a†⁴a⁴⟩ = 4!·n⁴ exercised through the
-        # full 105-pairing enumeration.
+        # Thermal factorial moment ⟨a†⁴a⁴⟩ = 4!·n⁴, a sum of 105 pairings.
         s = OneModeGaussian(1.3, 0j)
         got = wick_moment(s, OperatorWord.from_counts(create_a=4, annihilate_a=4))
         assert got == pytest.approx(24.0 * 1.3 ** 4, rel=1e-12)
+
+    def test_sixteen_token_words(self):
+        # 15!! = 2 027 025 pairings each; closed forms pin the recursion.
+        thermal = OneModeGaussian(1.7, 0j)
+        got = wick_moment(thermal, OperatorWord.from_counts(create_a=8, annihilate_a=8))
+        assert got == pytest.approx(math.factorial(8) * 1.7 ** 8, rel=1e-12)
+        squeezed = OneModeGaussian(0.8, 0.6 * cmath.exp(0.9j))
+        got = wick_moment(squeezed, OperatorWord.from_counts(annihilate_a=16))
+        assert got == pytest.approx(2027025 * (-squeezed.m) ** 8, rel=1e-12)
+        got = wick_moment(squeezed, OperatorWord.from_counts(create_a=16))
+        assert got == pytest.approx(2027025 * (-squeezed.m.conjugate()) ** 8, rel=1e-12)
+
+    @pytest.mark.parametrize("index", range(len(_WICK_STATES)))
+    def test_matches_pairing_sum_on_two_mode_states(self, index):
+        state = _WICK_STATES[index]
+        for word, expected in _reference_table(index).items():
+            _assert_close(wick_moment(state, word), expected, word)
+
+    def test_matches_pairing_sum_on_mixture(self):
+        mix = GaussianMixture(((0.3, _WICK_STATES[0]), (0.7, _WICK_STATES[1])))
+        tables = _reference_table(0), _reference_table(1)
+        for word in tables[0]:
+            expected = 0.3 * tables[0][word] + 0.7 * tables[1][word]
+            _assert_close(wick_moment(mix, word), expected, word)
+
+    def test_matches_pairing_sum_on_one_mode_states(self, rng):
+        for _ in range(5):
+            s = random_physical_one_mode(rng, n_max=2.0, frac_max=1.0)
+            for word in _even_words(10, modes=1):
+                _assert_close(wick_moment(s, word), _reference_moment(s, word), word)
+        thermal = OneModeGaussian(0.9, 0j)
+        for word in _even_words(10, modes=1):
+            _assert_close(wick_moment(thermal, word), _reference_moment(thermal, word), word)
 
     def test_odd_words_vanish(self):
         s = TwoModeGaussian(1.0, 0.4 + 0j, 0.4 + 0j, 0.2 + 0j, 0j)
