@@ -166,7 +166,7 @@ def _two_mode_oracle_fields(state, out, cutoff):
 def _describe_epr(params, radians, oracle, cutoff):
     n, mc = params["n"], params["mc"]
     out = {"n": n, "mc": mc}
-    physical = mc ** 2 <= n * (n + 1.0) + 1e-9
+    physical = is_physical_two_mode(TwoModeGaussian.epr(n, complex(mc)))
     out["physical"] = physical
     if not physical:
         return out, False
@@ -184,7 +184,7 @@ def _describe_epr(params, radians, oracle, cutoff):
 def _describe_werner(params, radians, oracle, cutoff):
     n, mc, p = params["n"], params["mc"], params["p"]
     out = {"n": n, "mc": mc, "p": p}
-    physical = mc ** 2 <= n * (n + 1.0) + 1e-9 and 0.0 <= p <= 1.0
+    physical = is_physical_two_mode(TwoModeGaussian.epr(n, complex(mc))) and 0.0 <= p <= 1.0
     out["physical"] = physical
     if not physical:
         return out, False
@@ -205,7 +205,7 @@ def _describe_bs_output(params, radians, oracle, cutoff):
     n, m = params["n"], params["m"]
     lam = _angle(params["lam"], radians)
     out = {"n": n, "m": m, "lam": params["lam"]}
-    physical = m ** 2 <= n * (n + 1.0) + 1e-9
+    physical = OneModeGaussian(n, complex(m)).is_physical()
     out["physical"] = physical
     state = beam_splitter(OneModeGaussian(n, complex(m)), OneModeGaussian(n, complex(m)), lam)
     out["m_out_abs"] = abs(state.m_a)

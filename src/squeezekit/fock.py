@@ -12,29 +12,44 @@ conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
 (2012), arXiv:1110.3234):
 
 - the squeezer conserves photon-number parity.  It is exponentiated per
-  parity block, and every assembled density is exactly zero between states
+  parity block; a product density is built as its four (parity of n_a,
+  parity of n_b) blocks, and every density is exactly zero between states
   of different total parity;
 - the two-mode squeezer conserves d = n_a − n_b.  The tms density is built
-  one d sector at a time and is exactly zero outside those blocks;
+  as one block per d sector; sectors d and −d share one block.  A thermal
+  pair takes this route with no squeezing, so a Werner mixture sums block
+  by block;
 - the beam splitter conserves N = n_a + n_b.  The bs route runs only the
   mixer sectors N ≤ 2(cutoff − 1), the only ones that reach the retained
-  block, and accumulates the result per total parity.
+  block, and builds one block per total parity.
 
 Every constructor works in an enlarged space of twice the requested cutoff
 and projects the result down.  Because of these conservation laws no
 truncation junk can reach the retained block: the returned entries are
 those of the untruncated state up to the (tiny) weight beyond the working
 space, and the trace deficit measures the genuine photon-number tail of the
-state.  Constructors check only that deficit; ``FockDensity`` checks
-Hermiticity once, on the assembled matrix, and stores it symmetrized.
+state.
 
-Measurements have one path.  The explicit ladder product a†^i a^k has a
-single nonzero band, at row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an
-O(cutoff²) gather of ρ along the two bands; ``moment``, ``moment_table``
-and ``expectation_of_witness`` all read it that way.  The partial-transpose
-spectrum is taken block by block under the finest grading (n_a + n_b, then
-total parity, then none) for which the partial transpose is verified, on
-the matrix itself, to be exactly block diagonal.
+A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
+states; every entry outside them is a structural zero, and a dense matrix
+is the one-block case.  No constructor forms a dense matrix.  Constructors
+check only the trace deficit; ``FockDensity`` checks Hermiticity and sums
+the trace block by block, once per block, and stores the blocks
+symmetrized.  A mixture sums its components block by block when they share
+their blocks, and otherwise on the two total-parity blocks, which every
+route refines.
+
+Measurements have one path: a lookup that gives, per basis state, its
+block, its position in the block and the offset of its row in the packed
+blocks.  The explicit ladder product a†^i a^k has a single nonzero band, at
+row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an O(cutoff²) gather of ρ
+along the two bands; ``moment``, ``moment_table`` (one gather per band
+pair) and ``expectation_of_witness`` all read it that way.  The
+partial-transpose spectrum is taken block by block under the finest grading
+(n_a + n_b, then total parity, then none) for which the partial transpose
+is verified, by counting nonzero entries, to be exactly block diagonal.
+Purity, spectrum, trace and diagonal are read from the blocks; ``matrix``
+is a dense view built only when asked for.
 
 None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
@@ -52,7 +67,8 @@ import cmath
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -328,24 +344,23 @@ def _one_mode_matrix(st: _SqueezedThermal, cutoff: int) -> np.ndarray:
 
 
 def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float,
-                          theta_c: float, theta_d: float, cutoff: int) -> np.ndarray:
-    """Restricted density of R(θc, θd) · V_λ (ρ₁ ⊗ ρ₂) V_λ† · R†.
+                          theta_c: float, theta_d: float, cutoff: int) -> list:
+    """Blocks of the restricted density of R(θc, θd) · V_λ (ρ₁ ⊗ ρ₂) V_λ† · R†.
 
     The mixer conserves N = n_a + n_b, so a retained state (both photon
     numbers below the cutoff) only receives weight from the input sectors
     N ≤ 2(cutoff − 1), which the doubled working space holds untruncated.
     The factors conserve parity, so input and output split by total
-    parity.  Within one parity the output is Σ B_N ρ_in[N, N'] B_N'†, where
-    B_N holds the retained rows of the sector-N mixer block with the
-    rotation R folded in.
+    parity, one block each.  Within one parity the output is
+    Σ B_N ρ_in[N, N'] B_N'†, where B_N holds the retained rows of the
+    sector-N mixer block with the rotation R folded in.
     """
     cw = _working_cutoff(cutoff)
     rho1 = _factor_matrix(f1, cw)
     rho2 = _factor_matrix(f2, cw)
     max_total = 2 * (cutoff - 1)
     blocks = _mixer_blocks(max_total, lam)
-    dim = cutoff * cutoff
-    rho = np.zeros((dim, dim), dtype=complex)
+    out_blocks = []
     for parity in (0, 1):
         totals = range(parity, max_total + 1, 2)
         ins, outs, rows, flat = [], [], [], []
@@ -370,55 +385,84 @@ def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float
         out = np.empty((n_out, n_out), dtype=complex)
         for sl_in, sl_out, b in zip(ins, outs, rows):
             out[:, sl_out] = half[:, sl_in] @ b.conj().T
-        idx = np.concatenate(flat)
-        rho[np.ix_(idx, idx)] = out
-    return rho
+        out_blocks.append(_Block(np.concatenate(flat)[None, :], out))
+    return out_blocks
 
 
-def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> np.ndarray:
-    """Restricted density of S₂(r, φ) (ρ_th ⊗ ρ_th) S₂†, one d sector at a time.
+def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> list:
+    """Blocks of the restricted density of S₂(r, φ) (ρ_th ⊗ ρ_th) S₂†, one
+    per d = n_a − n_b sector pair.
 
-    The thermal input is diagonal and S₂ conserves d = n_a − n_b, so sector
-    d is C_d W_d C_d†: W_d holds the input weights of the sector's states
-    and C_d the retained rows of its block.  Sectors with |d| ≥ cutoff hold
-    no retained state.
+    The thermal input is diagonal and S₂ conserves d, so sector d is
+    C_d W_d C_d†: W_d holds the input weights of the sector's states and
+    C_d the retained rows of its block.  Swapping the modes maps sector d
+    onto sector −d with the same generator block and input weights, so the
+    two sectors share one block.  Sectors with |d| ≥ cutoff hold no
+    retained state.
     """
     cw = _working_cutoff(cutoff)
     w = _thermal_weights(nbar, cw)
     xi = r * cmath.exp(1j * phi)
-    dim = cutoff * cutoff
-    rho = np.zeros((dim, dim), dtype=complex)
+    out = []
     for d in range(cutoff):
+        # States are listed by increasing j, so the retained ones come first.
+        ja = np.arange(d, cutoff)
+        members = [ja * cutoff + (ja - d)]
+        if d:
+            members.append((ja - d) * cutoff + ja)
+        if r == 0.0:
+            # A thermal pair: S₂ is the identity, and the sector is its
+            # diagonal of weights, exactly as the tensor route has it.
+            out.append(_Block(np.array(members), np.diag(w[ja] * w[ja - d]).astype(complex)))
+            continue
         js, block = _tms_block(cw, xi, d)
         weights = w[js] * w[js - d]
         keep = np.abs(weights) > _WEIGHT_FLOOR
-        # States are listed by increasing j, so the retained ones come first.
-        ja = js[:cutoff - d]
         c_d = block[:ja.size, keep]
-        sector = (c_d * weights[keep]) @ c_d.conj().T
-        idx = ja * cutoff + (ja - d)
-        rho[np.ix_(idx, idx)] = sector
-        if d:
-            # Swapping the modes maps sector d onto sector −d with the same
-            # generator block and input weights, so the two blocks are equal.
-            idx = (ja - d) * cutoff + ja
-            rho[np.ix_(idx, idx)] = sector
-    return rho
+        out.append(_Block(np.array(members), (c_d * weights[keep]) @ c_d.conj().T))
+    return out
+
+
+def _tensor_blocks(f1: _SqueezedThermal, f2: _SqueezedThermal, cutoff: int) -> list:
+    """Blocks of ρ₁ ⊗ ρ₂, one per class (parity of n_a, parity of n_b).
+
+    Each factor conserves its own photon-number parity, so the product is
+    exactly zero between different classes.
+    """
+    m1 = _one_mode_matrix(f1, cutoff)
+    m2 = _one_mode_matrix(f2, cutoff)
+    out = []
+    for ia in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
+        for ib in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
+            members = (ia[:, None] * cutoff + ib[None, :]).reshape(1, -1)
+            out.append(_Block(members, np.kron(m1[np.ix_(ia, ia)], m2[np.ix_(ib, ib)])))
+    return out
 
 
 # --- density container --------------------------------------------------------
 
+class _Block(NamedTuple):
+    """Hermitian block of a density on one or more disjoint sets of basis
+    states that carry the same matrix.
+
+    ``members`` has one row of flat basis indices per copy, in the order of
+    the block's rows; None stands for the whole basis in its natural order.
+    """
+
+    members: np.ndarray | None
+    values: np.ndarray
+
+
 _TILE = 64
 
 
-def _hermitian_part(mat: np.ndarray):
-    """(M + M†)/2, exactly Hermitian, and max |M − M†|.
+def _hermitian_part(mat: np.ndarray, out: np.ndarray) -> float:
+    """Write (M + M†)/2, exactly Hermitian, into ``out``; return max |M − M†|.
 
     Works on pairs of mirrored square tiles, which stay in cache; the
     transposed reads of a whole-matrix M − M† and M + M† would not.
     """
     dim = mat.shape[0]
-    sym = np.empty_like(mat)
     deviation = 0.0
     for i in range(0, dim, _TILE):
         for j in range(i, dim, _TILE):
@@ -427,66 +471,171 @@ def _hermitian_part(mat: np.ndarray):
             deviation = max(deviation, float(np.max(np.abs(upper - lower_adjoint))))
             tile = upper + lower_adjoint
             tile *= 0.5
-            sym[i:i + _TILE, j:j + _TILE] = tile
-            sym[j:j + _TILE, i:i + _TILE] = tile.conj().T
-    return sym, deviation
+            out[i:i + _TILE, j:j + _TILE] = tile
+            out[j:j + _TILE, i:i + _TILE] = tile.conj().T
+    return deviation
 
 
-@dataclass(frozen=True)
+def _blocks_trace(blocks) -> float:
+    """Σ Re ρ_ss over every copy of every block."""
+    total = 0.0
+    for members, values in blocks:
+        copies = 1 if members is None else len(members)
+        total += copies * float(np.trace(values).real)
+    return total
+
+
 class FockDensity:
     """Truncated Fock-basis density matrix with cutoff metadata.
 
     ``trace_deficit`` is 1 − Tr ρ, the photon-number weight of the state
-    beyond the cutoff.  The given matrix must be Hermitian to 1e-12; it is
-    stored symmetrized and read-only.  Treat the value as immutable.
+    beyond the cutoff.  ``FockDensity(modes, cutoff, matrix, trace_deficit)``
+    stores a dense matrix as a single block; the constructors of this module
+    store only the blocks of the gradings their states conserve, and every
+    entry outside the blocks is a structural zero.  Each block must be
+    Hermitian to 1e-12; it is validated once (mirror copies share it) and
+    stored symmetrized and read-only.  Measurements read the blocks through
+    a per-state lookup; ``matrix`` is a dense read-only view built on first
+    use.  The value is immutable.
     """
 
-    modes: int
-    cutoff: int
-    matrix: np.ndarray
-    trace_deficit: float
+    __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_copy",
+                 "_row_start", "_pos", "_trace", "_matrix")
+
+    def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
+        self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit)
+
+    @classmethod
+    def _graded(cls, modes: int, cutoff: int, blocks, trace_deficit: float) -> "FockDensity":
+        rho = cls.__new__(cls)
+        rho._set(modes, cutoff, tuple(blocks), trace_deficit)
+        return rho
+
+    def _set(self, modes, cutoff, blocks, trace_deficit) -> None:
+        for name, value in (("modes", modes), ("cutoff", cutoff), ("_blocks", blocks),
+                            ("trace_deficit", trace_deficit), ("_matrix", None)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __post_init__(self):
+        """Validate and symmetrize each block, pack the blocks into one
+        buffer and build the lookup: per basis state its block copy (−1
+        when no block covers it), the packed offset of its row and its
+        position in the block."""
         if self.modes not in (1, 2):
             raise ValueError("only one- or two-mode densities are supported")
         if self.cutoff < 2:
             raise ValueError("cutoff must be at least 2")
         dim = self.cutoff ** self.modes
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match cutoff^modes = {dim}")
-        sym, herm = _hermitian_part(mat)
-        if herm > _HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm:.3g})")
-        sym.flags.writeable = False
-        object.__setattr__(self, "matrix", sym)
-        object.__setattr__(self, "trace_deficit", float(self.trace_deficit))
+        raw = []
+        for members, values in self._blocks:
+            values = np.asarray(values, dtype=complex)
+            if members is None:
+                if values.shape != (dim, dim):
+                    raise ValueError(
+                        f"matrix shape {values.shape} does not match cutoff^modes = {dim}")
+                members = np.arange(dim)[None, :]
+            members = np.array(members, dtype=np.intp)
+            size = members.shape[1]
+            if values.shape != (size, size):
+                raise ValueError(f"block shape {values.shape} does not match its {size} states")
+            if members.min() < 0 or members.max() >= dim:
+                raise ValueError(f"block members outside the {dim} basis states")
+            members.flags.writeable = False
+            raw.append((members, values))
+        zero_slot = sum(m.shape[1] ** 2 for m, _ in raw)
+        packed = np.empty(zero_slot + 1, dtype=complex)
+        packed[zero_slot] = 0.0
+        copy = np.full(dim, -1, dtype=np.intp)
+        row_start = np.full(dim, zero_slot, dtype=np.intp)
+        pos = np.zeros(dim, dtype=np.intp)
+        blocks = []
+        deviation = 0.0
+        offset = copies = 0
+        for members, values in raw:
+            size = members.shape[1]
+            sym = packed[offset:offset + size * size].reshape(size, size)
+            deviation = max(deviation, _hermitian_part(values, sym))
+            sym.flags.writeable = False
+            blocks.append(_Block(members, sym))
+            for row in members:
+                copy[row] = copies
+                row_start[row] = offset + size * np.arange(size)
+                pos[row] = np.arange(size)
+                copies += 1
+            offset += size * size
+        if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in raw):
+            raise ValueError("blocks overlap")
+        if deviation > _HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian (deviation {deviation:.3g})")
+        packed.flags.writeable = False
+        for name, value in (("_blocks", tuple(blocks)), ("_values", packed), ("_copy", copy),
+                            ("_row_start", row_start), ("_pos", pos),
+                            ("_trace", _blocks_trace(blocks)),
+                            ("trace_deficit", float(self.trace_deficit))):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.cutoff ** self.modes
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only view of the density, built on first use."""
+        if self._matrix is None:
+            dense = np.zeros((self.dim, self.dim), dtype=complex)
+            for members, values in self._blocks:
+                for row in members:
+                    dense[np.ix_(row, row)] = values
+            dense.flags.writeable = False
+            object.__setattr__(self, "_matrix", dense)
+        return self._matrix
+
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return self._trace
 
     def renormalized(self) -> np.ndarray:
         return self.matrix / self.trace()
 
     def purity(self) -> float:
         """Tr ρ² of the trace-renormalized matrix."""
-        rho = self.renormalized()
-        return float(np.sum(np.abs(rho) ** 2))
+        return sum(len(members) * float(np.sum(np.abs(values / self._trace) ** 2))
+                   for members, values in self._blocks)
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the trace-renormalized matrix."""
-        return float(np.linalg.eigvalsh(self.renormalized())[0])
+        """Smallest eigenvalue of the trace-renormalized matrix.  A basis
+        state that no block covers contributes the eigenvalue 0."""
+        lowest = min(float(np.linalg.eigvalsh(values / self._trace)[0])
+                     for _, values in self._blocks)
+        if np.any(self._copy < 0):
+            lowest = min(lowest, 0.0)
+        return lowest
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
+        out = np.zeros(self.dim)
+        for members, values in self._blocks:
+            out[members] = values.diagonal().real
+        return out
 
 
-def _trace_deficit(cutoff: int, mat: np.ndarray, eps_tr: float) -> float:
-    deficit = 1.0 - float(np.trace(mat).real)
+def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """ρ[rows, cols] elementwise for flat basis indices: the packed entry
+    where both states lie in the same block copy, else the trailing zero of
+    the buffer."""
+    index = rho._row_start.take(rows)
+    index += rho._pos.take(cols)
+    index[rho._copy.take(rows) != rho._copy.take(cols)] = rho._values.size - 1
+    return rho._values.take(index)
+
+
+def _trace_deficit(cutoff: int, blocks, eps_tr: float) -> float:
+    deficit = 1.0 - _blocks_trace(blocks)
     if abs(deficit) >= eps_tr:
         raise ConvergenceError(
             f"trace deficit {deficit:.3g} at cutoff {cutoff} exceeds {eps_tr:.3g}",
@@ -495,8 +644,8 @@ def _trace_deficit(cutoff: int, mat: np.ndarray, eps_tr: float) -> float:
     return deficit
 
 
-def _finish(modes: int, cutoff: int, mat: np.ndarray, eps_tr: float) -> FockDensity:
-    return FockDensity(modes, cutoff, mat, _trace_deficit(cutoff, mat, eps_tr))
+def _finish(modes: int, cutoff: int, blocks, eps_tr: float) -> FockDensity:
+    return FockDensity._graded(modes, cutoff, blocks, _trace_deficit(cutoff, blocks, eps_tr))
 
 
 # --- constructors -------------------------------------------------------------
@@ -516,7 +665,7 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
     st = _solve_squeezed_thermal(s.n, s.m)
     if st is None or st.nbar < -1e-12:
         raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
-    return _finish(1, cutoff, _one_mode_matrix(st, cutoff), eps_tr)
+    return _finish(1, cutoff, [_Block(None, _one_mode_matrix(st, cutoff))], eps_tr)
 
 
 def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
@@ -531,8 +680,7 @@ def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
     f2 = _solve_squeezed_thermal(sb.n, sb.m)
     if f1 is None or f2 is None or f1.nbar < -1e-12 or f2.nbar < -1e-12:
         raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
-    mat = _mix_on_beam_splitter(f1, f2, lam, 0.0, 0.0, cutoff)
-    return _finish(2, cutoff, mat, eps_tr)
+    return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, 0.0, 0.0, cutoff), eps_tr)
 
 
 @dataclass(frozen=True)
@@ -540,7 +688,9 @@ class _TwoModePlan:
     """Constructive recipe whose unitary part leaves the spectrum alone.
 
     route ``tensor``:  kron of the two factors.
-    route ``tms``:     thermal ⊗ thermal conjugated by a two-mode squeezer.
+    route ``tms``:     thermal ⊗ thermal conjugated by a two-mode squeezer;
+                       a thermal pair takes it with r = 0, so that it has the
+                       d blocks of the cross-correlated states it is mixed with.
     route ``bs``:      factors mixed on a 50/50 splitter, then local rotations.
     """
 
@@ -564,18 +714,18 @@ def _plan_two_mode(state: TwoModeGaussian):
     """
     scale = 1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c) + abs(state.m_x)
     tol = 1e-12 * scale
-    if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
-        f1 = _solve_squeezed_thermal(state.n, state.m_a)
-        f2 = _solve_squeezed_thermal(state.n, state.m_b)
-        if f1 is None or f2 is None:
-            return None
-        return _TwoModePlan("tensor", f1, f2)
     if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
         st = _solve_squeezed_thermal(state.n, state.m_c)
         if st is None:
             return None
         thermal = _SqueezedThermal(st.nbar, 0.0, 0.0)
         return _TwoModePlan("tms", thermal, thermal, tms_r=st.r, tms_phi=st.phi)
+    if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
+        f1 = _solve_squeezed_thermal(state.n, state.m_a)
+        f2 = _solve_squeezed_thermal(state.n, state.m_b)
+        if f1 is None or f2 is None:
+            return None
+        return _TwoModePlan("tensor", f1, f2)
     fa, fb = abs(state.m_a), abs(state.m_b)
     if abs(fa - fb) > 1e-9 * max(1.0, fa, fb):
         raise UnsupportedStateError(
@@ -601,33 +751,60 @@ def _plan_two_mode(state: TwoModeGaussian):
     return _TwoModePlan("bs", f1, f2, theta_c=theta_c, theta_d=theta_d)
 
 
-def _assemble_two_mode(plan: _TwoModePlan, cutoff: int) -> np.ndarray:
+def _assemble_two_mode(plan: _TwoModePlan, cutoff: int) -> list:
     if plan.route == "tensor":
-        return np.kron(_one_mode_matrix(plan.factor1, cutoff),
-                       _one_mode_matrix(plan.factor2, cutoff))
+        return _tensor_blocks(plan.factor1, plan.factor2, cutoff)
     if plan.route == "tms":
         return _two_mode_squeezed_thermal(plan.factor1.nbar, plan.tms_r, plan.tms_phi, cutoff)
     return _mix_on_beam_splitter(plan.factor1, plan.factor2, 0.0,
                                  plan.theta_c, plan.theta_d, cutoff)
 
 
-def _two_mode_matrix(state, cutoff: int, eps_tr: float) -> np.ndarray:
-    """Assembled, not yet validated matrix of a two-mode state or mixture.
+def _on_total_parity(blocks, cutoff: int) -> list:
+    """The same density as two blocks, one per total parity of n_a + n_b.
 
-    A mixture is the weighted sum of its components' matrices, each of
-    which must meet the trace tolerance on its own.
+    Every route's blocks refine total parity, so each copy lands inside one
+    of the two.
+    """
+    na, nb = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    parity = (na + nb) % 2
+    groups = [np.flatnonzero(parity == p) for p in (0, 1)]
+    position = np.empty(cutoff * cutoff, dtype=np.intp)
+    for group in groups:
+        position[group] = np.arange(group.size)
+    out = [np.zeros((group.size, group.size), dtype=complex) for group in groups]
+    for members, values in blocks:
+        for row in members:
+            at = position[row]
+            out[parity[row[0]]][np.ix_(at, at)] = values
+    return [_Block(group[None, :], mat) for group, mat in zip(groups, out)]
+
+
+def _two_mode_blocks(state, cutoff: int, eps_tr: float) -> list:
+    """Assembled, not yet validated blocks of a two-mode state or mixture.
+
+    A mixture is the weighted sum of its components, each of which must
+    meet the trace tolerance on its own.  Components with the same blocks
+    are summed block by block; otherwise every component is first put on
+    the two total-parity blocks.
     """
     if isinstance(state, GaussianMixture):
-        mat = None
+        parts = []
         for w, comp in state.components:
-            part = _two_mode_matrix(comp, cutoff, eps_tr)
-            _trace_deficit(cutoff, part, eps_tr)
-            part *= w
-            if mat is None:
-                mat = part
-            else:
-                mat += part
-        return mat
+            blocks = _two_mode_blocks(comp, cutoff, eps_tr)
+            _trace_deficit(cutoff, blocks, eps_tr)
+            parts.append((w, blocks))
+        first = parts[0][1]
+        shared = all(len(blocks) == len(first)
+                     and all(np.array_equal(b.members, f.members) for b, f in zip(blocks, first))
+                     for _, blocks in parts)
+        if not shared:
+            parts = [(w, _on_total_parity(blocks, cutoff)) for w, blocks in parts]
+        summed = [_Block(b.members, b.values * parts[0][0]) for b in parts[0][1]]
+        for w, blocks in parts[1:]:
+            for (_, acc), b in zip(summed, blocks):
+                acc += b.values * w
+        return summed
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     plan = _plan_two_mode(state)
@@ -646,7 +823,7 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     such state with equal per-mode squeezing magnitudes is one).  Mixtures
     are weighted sums, validated once.
     """
-    return _finish(2, cutoff, _two_mode_matrix(state, cutoff, eps_tr), eps_tr)
+    return _finish(2, cutoff, _two_mode_blocks(state, cutoff, eps_tr), eps_tr)
 
 
 def physicality_summary(state: TwoModeGaussian, cutoff: int):
@@ -677,32 +854,52 @@ def physicality_summary(state: TwoModeGaussian, cutoff: int):
 # --- measurements -------------------------------------------------------------
 
 @functools.lru_cache(maxsize=512)
-def _ladder_power_product(cutoff: int, n_create: int, n_annihilate: int) -> np.ndarray:
+def _ladder_band(cutoff: int, n_create: int, n_annihilate: int) -> np.ndarray:
+    """The one nonzero band of the explicit product a†^i a^k: its entries
+    (s + i − k, s) in order of s."""
     ad = creation(cutoff)
     a = annihilation(cutoff)
-    out = np.linalg.matrix_power(ad, n_create) @ np.linalg.matrix_power(a, n_annihilate)
-    out.flags.writeable = False
-    return out
+    product = np.linalg.matrix_power(ad, n_create) @ np.linalg.matrix_power(a, n_annihilate)
+    band = np.diagonal(product, n_annihilate - n_create).copy()
+    band.flags.writeable = False
+    return band
 
 
-def _word_trace(rho: FockDensity, counts) -> complex:
-    """Tr{ρ · a†^i a^k ⊗ b†^j b^l} for counts (i, j, k, l).
+@functools.lru_cache(maxsize=1024)
+def _band_indices(ca: int, cb: int, da: int, db: int):
+    """Flat indices of the states (s_a, s_b) and (s_a + δa, s_b + δb), both
+    retained, as (s_a, s_b) grids; ``cb`` is 1 on one mode."""
+    sa = np.arange(max(0, -da), ca - max(0, da))
+    sb = np.arange(max(0, -db), cb - max(0, db))
+    rows = sa[:, None] * cb + sb[None, :]
+    cols = rows + (da * cb + db)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def _mode_b_cutoff(rho: FockDensity) -> int:
+    return rho.cutoff if rho.modes == 2 else 1
+
+
+def _band_gather(rho: FockDensity, da: int, db: int) -> np.ndarray:
+    """The entries ρ[(s_a, s_b), (s_a + δa, s_b + δb)] with both ends
+    retained, as an (s_a, s_b) grid."""
+    return _entries(rho, *_band_indices(rho.cutoff, _mode_b_cutoff(rho), da, db))
+
+
+def _band_trace(rho: FockDensity, gathered: np.ndarray, counts) -> complex:
+    """Tr{ρ · a†^i a^k ⊗ b†^j b^l} for counts (i, j, k, l), from the band
+    gather at (δa, δb) = (i − k, j − l).
 
     The explicit product a†^i a^k is nonzero only on the band of entries
     (s + δ, s) with δ = i − k, so the trace only reads the entries
     ρ[(s_a, s_b), (s_a + δ_a, s_b + δ_b)], weighted by the two bands: an
-    O(cutoff²) gather, done with strided views of ρ.
+    O(cutoff²) contraction.
     """
     i, j, k, l = counts
-    c = rho.cutoff
-    da, db = i - k, j - l
-    band_a = np.diagonal(_ladder_power_product(c, i, k), -da)
-    if rho.modes == 1:
-        return complex(np.diagonal(rho.matrix, da) @ band_a)
-    band_b = np.diagonal(_ladder_power_product(c, j, l), -db)
-    rho4 = rho.matrix.reshape(c, c, c, c)
-    gathered = np.diagonal(np.diagonal(rho4, da, 0, 2), db, 0, 1)
-    return complex(band_a @ gathered @ band_b)
+    return complex(_ladder_band(rho.cutoff, i, k) @ gathered
+                   @ _ladder_band(_mode_b_cutoff(rho), j, l))
 
 
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
@@ -714,35 +911,42 @@ def moment(rho: FockDensity, word: OperatorWord) -> complex:
     counts = word.counts()
     if rho.modes == 1 and (counts[1] or counts[3]):
         raise ValueError("one-mode density cannot take words containing mode b")
-    return _word_trace(rho, counts)
+    i, j, k, l = counts
+    return _band_trace(rho, _band_gather(rho, i - k, j - l), counts)
 
 
 def moment_table(rho: FockDensity, max_len: int) -> dict:
     """All normally ordered ladder moments with total length 1 .. max_len.
 
     Keys are exponent tuples (i, j, k, l) for a†^i b†^j a^k b^l (j = l = 0
-    on one-mode densities).  Each value is read like a single ``moment``.
+    on one-mode densities).  Each value is read like a single ``moment``;
+    words with the same (i − k, j − l) share one band gather.
     """
     if max_len > rho.cutoff // 2:
         raise ValueError(
             f"words of length {max_len} are truncation-unsafe at cutoff {rho.cutoff}"
         )
     two_mode = rho.modes == 2
+    gathered = {}
     out = {}
     for i in range(max_len + 1):
         for k in range(max_len + 1 - i):
             for j in range(max_len + 1 - i - k if two_mode else 1):
                 for l in range(max_len + 1 - i - k - j if two_mode else 1):
                     if i + j + k + l >= 1:
-                        out[(i, j, k, l)] = _word_trace(rho, (i, j, k, l))
+                        shift = (i - k, j - l)
+                        if shift not in gathered:
+                            gathered[shift] = _band_gather(rho, *shift)
+                        out[(i, j, k, l)] = _band_trace(rho, gathered[shift], (i, j, k, l))
     return out
 
 
-def _partial_transpose_block(mat: np.ndarray, cutoff: int, members: np.ndarray) -> np.ndarray:
+def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarray:
     """Rows and columns ``members`` (flat two-mode indices) of the partial
     transpose, PT[(x_a, x_b), (y_a, y_b)] = ρ[(x_a, y_b), (y_a, x_b)]."""
-    na, nb = np.divmod(members, cutoff)
-    return mat[na[:, None] * cutoff + nb[None, :], na[None, :] * cutoff + nb[:, None]]
+    na, nb = np.divmod(members, rho.cutoff)
+    rows = na[:, None] * rho.cutoff + nb[None, :]
+    return _entries(rho, rows, rows.T)
 
 
 def ppt_min_eigenvalue(rho: FockDensity) -> float:
@@ -753,17 +957,17 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
 
     The spectrum is the union of the spectra of the blocks of the finest
     grading, among n_a + n_b, total parity and none, whose blocks hold the
-    whole partial transpose.  That is checked on the matrix itself: the
+    whole partial transpose.  That is checked on the density itself: the
     partial transpose permutes the entries of ρ, so it is block diagonal
-    exactly when its blocks hold as many nonzero entries as ρ does.
+    exactly when its blocks hold as many nonzero entries as ρ's blocks do.
     """
     if rho.modes != 2:
         raise ValueError("partial transpose needs a two-mode density")
     c = rho.cutoff
     na, nb = np.divmod(np.arange(c * c), c)
-    nonzero = np.count_nonzero(rho.matrix)
+    nonzero = sum(len(members) * np.count_nonzero(values) for members, values in rho._blocks)
     for labels in (na + nb, (na + nb) % 2, np.zeros(c * c, dtype=int)):
-        blocks = [_partial_transpose_block(rho.matrix, c, np.flatnonzero(labels == g))
+        blocks = [_partial_transpose_block(rho, np.flatnonzero(labels == g))
                   for g in np.unique(labels)]
         if sum(np.count_nonzero(b) for b in blocks) == nonzero:
             break

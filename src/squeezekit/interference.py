@@ -36,8 +36,10 @@ _VIS_TOL = 1e-9
 _COND_LIMIT = 1e6
 
 _W_CROSS = OperatorWord.from_counts(1, 1, 1, 1)
-_W_BDAD_AA = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_a=2)
-_W_BDBD_AB = OperatorWord.from_counts(create_b=2, annihilate_a=1, annihilate_b=1)
+# The two words of ⟨a†:(I_a+I_b):b⟩, a†a†ab and a†b†bb, as the adjoints of
+# b†a†aa and b†b†ab.
+_W_ADAD_AB = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_a=2).conjugate()
+_W_ADBD_BB = OperatorWord.from_counts(create_b=2, annihilate_a=1, annihilate_b=1).conjugate()
 _W_SQ_UP = OperatorWord.from_counts(create_a=2, annihilate_b=2)
 
 
@@ -108,7 +110,7 @@ def hbt_correlation(state, phi1: float, phi2: float) -> float:
     i2 = intensity_square_moment(state)
     cross = wick_moment(state, _W_CROSS).real
     # ⟨a†:(I_a+I_b):b⟩; its partner group is the complex conjugate.
-    t_up = wick_moment(state, _W_BDAD_AA.conjugate()) + wick_moment(state, _W_BDBD_AB.conjugate())
+    t_up = wick_moment(state, _W_ADAD_AB) + wick_moment(state, _W_ADBD_BB)
     sq_up = wick_moment(state, _W_SQ_UP)
     esum = cmath.exp(1j * phi1) + cmath.exp(1j * phi2)
     value = (

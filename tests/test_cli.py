@@ -76,6 +76,22 @@ class TestClassify:
         assert code == 0
         assert "hbt_threshold" in out
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("family, magnitude, extra", [
+        ("epr", "--mc", ()),
+        ("werner", "--mc", ("--p", "0.5")),
+        ("bs-output", "--m", ("--lam", "0.3")),
+    ])
+    def test_physicality_boundary(self, capsys, family, magnitude, extra, n):
+        # A magnitude of exactly sqrt(n(n+1)) is a pure boundary state; one
+        # part in a million more is not a state.
+        bound = math.sqrt(n * (n + 1.0))
+        for value, physical in ((bound, True), ((1.0 + 1e-6) * bound, False)):
+            code, out, _ = run_cli(capsys, "classify", family, "--n", repr(n),
+                                   magnitude, repr(value), *extra, "--format", "json")
+            assert json.loads(out)["physical"] is physical
+            assert code == (0 if physical else 3)
+
 
 class TestAmplifier:
     def test_reported_gains(self, capsys):

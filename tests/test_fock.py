@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from squeezekit import (
+    GaussianMixture,
     NonPhysicalStateError,
     OneModeGaussian,
     OperatorWord,
@@ -426,6 +427,9 @@ _BS_STATE = mode_rotation(
     beam_splitter(OneModeGaussian(0.7, 0.4 + 0.2j), OneModeGaussian(0.5, -0.1 + 0.3j), 0.0),
     0.4, 1.1,
 )
+_TMS_STATE = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
+# Its components have different blocks, so it is summed on total parity.
+_BS_TMS_MIXTURE = GaussianMixture(((0.3, _BS_STATE), (0.7, _TMS_STATE)))
 
 
 def _graded_densities(cutoff):
@@ -433,14 +437,14 @@ def _graded_densities(cutoff):
         "tensor": fock.two_mode_density(
             TwoModeGaussian.pair_with_phase(OneModeGaussian(0.6, 0.3 + 0.4j), 0.8), cutoff,
             eps_tr=1.0),
-        "tms": fock.two_mode_density(TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j)), cutoff,
-                                     eps_tr=1.0),
+        "tms": fock.two_mode_density(_TMS_STATE, cutoff, eps_tr=1.0),
         "bs": fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0),
         "bs-output": fock.bs_output_density(OneModeGaussian(0.6, 0.5 + 0j),
                                             OneModeGaussian(0.4, 0.2j), 0.9, cutoff,
                                             eps_tr=1.0),
         "mixture": fock.two_mode_density(werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6),
                                          cutoff, eps_tr=1.0),
+        "bs+tms mixture": fock.two_mode_density(_BS_TMS_MIXTURE, cutoff, eps_tr=1.0),
     }
 
 
@@ -553,7 +557,7 @@ class TestValidation:
 
     def test_finish_rejects_non_hermitian_assembly(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            fock._finish(2, 8, self._skewed(), 1.0)
+            fock._finish(2, 8, [fock._Block(None, self._skewed())], 1.0)
 
     def test_density_rejects_non_hermitian_matrix(self):
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -567,6 +571,182 @@ class TestValidation:
         assert np.array_equal(rho.matrix, rho.matrix.conj().T)
         assert np.allclose(rho.matrix, (mat + mat.conj().T) / 2.0, rtol=0.0, atol=1e-30)
         assert not rho.matrix.flags.writeable
+
+
+def _dense_bs(f1, f2, lam, theta_c, theta_d, cutoff):
+    # The bs route's per-parity products, scattered into a dense matrix.
+    cw = 2 * cutoff
+    rho1 = fock._factor_matrix(f1, cw)
+    rho2 = fock._factor_matrix(f2, cw)
+    max_total = 2 * (cutoff - 1)
+    mixer = fock._mixer_blocks(max_total, lam)
+    dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    for parity in (0, 1):
+        totals = range(parity, max_total + 1, 2)
+        rows, flat = [], []
+        for total in totals:
+            js = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+            phases = np.exp(1j * (theta_c * js + theta_d * (total - js)))
+            rows.append(phases[:, None] * mixer[total][js])
+            flat.append(js * cutoff + (total - js))
+        ja = np.concatenate([np.arange(total + 1) for total in totals])
+        jb = np.concatenate([total - np.arange(total + 1) for total in totals])
+        starts = np.cumsum([0] + [total + 1 for total in totals])
+        n_out = sum(b.shape[0] for b in rows)
+        half = np.concatenate(
+            [b @ (rho1[ja[lo:hi]][:, ja] * rho2[jb[lo:hi]][:, jb])
+             for b, lo, hi in zip(rows, starts[:-1], starts[1:])])
+        out = np.empty((n_out, n_out), dtype=complex)
+        at = 0
+        for b, lo, hi in zip(rows, starts[:-1], starts[1:]):
+            out[:, at:at + b.shape[0]] = half[:, lo:hi] @ b.conj().T
+            at += b.shape[0]
+        idx = np.concatenate(flat)
+        dense[np.ix_(idx, idx)] = out
+    return dense
+
+
+def _dense_assembly(state, cutoff):
+    # Dense matrix of a state or mixture, scattered sector by sector from
+    # the same factor and sector products as the graded routes, and summed
+    # entrywise: the reference for the block bookkeeping.
+    if isinstance(state, GaussianMixture):
+        return sum(w * _dense_assembly(comp, cutoff) for w, comp in state.components)
+    plan = fock._plan_two_mode(state)
+    if plan.route == "tensor" or (plan.route == "tms" and plan.tms_r == 0.0):
+        return np.kron(fock._one_mode_matrix(plan.factor1, cutoff),
+                       fock._one_mode_matrix(plan.factor2, cutoff))
+    if plan.route == "bs":
+        return _dense_bs(plan.factor1, plan.factor2, 0.0, plan.theta_c, plan.theta_d, cutoff)
+    cw = 2 * cutoff
+    w = fock._thermal_weights(plan.factor1.nbar, cw)
+    xi = plan.tms_r * cmath.exp(1j * plan.tms_phi)
+    dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    for d in range(cutoff):
+        js, block = fock._tms_block(cw, xi, d)
+        weights = w[js] * w[js - d]
+        keep = np.abs(weights) > fock._WEIGHT_FLOOR
+        ja = js[:cutoff - d]
+        c_d = block[:ja.size, keep]
+        sector = (c_d * weights[keep]) @ c_d.conj().T
+        for idx in (ja * cutoff + (ja - d), (ja - d) * cutoff + ja):
+            dense[np.ix_(idx, idx)] = sector
+    return dense
+
+
+_BS_OUTPUT_INPUTS = (OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j), 0.9)
+_ROUTE_STATES = {
+    "tensor": TwoModeGaussian.pair_with_phase(OneModeGaussian(0.6, 0.3 + 0.4j), 0.8),
+    "tms": _TMS_STATE,
+    "bs": _BS_STATE,
+    "werner": werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6),
+    "bs+tms mixture": _BS_TMS_MIXTURE,
+}
+
+
+def _all_words(max_len):
+    return [(i, j, k, l)
+            for i in range(max_len + 1) for j in range(max_len + 1)
+            for k in range(max_len + 1) for l in range(max_len + 1)
+            if 1 <= i + j + k + l <= max_len]
+
+
+class TestGradedStorage:
+    @pytest.mark.parametrize("cutoff", [10, 40])
+    def test_dense_view_equals_dense_assembly(self, cutoff):
+        # Symmetrizing entrywise is exact arithmetic on mirrored pairs, so
+        # the graded density must reproduce the dense assembly bit for bit.
+        blocks = {"tensor": 4, "tms": cutoff, "bs": 2, "werner": cutoff, "bs+tms mixture": 2}
+        for name, state in _ROUTE_STATES.items():
+            rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            dense = _dense_assembly(state, cutoff)
+            assert len(rho._blocks) == blocks[name], name
+            assert np.array_equal(rho.matrix, (dense + dense.conj().T) / 2.0), name
+            assert rho.trace() == pytest.approx(float(np.trace(dense).real), abs=1e-14), name
+        sa, sb, lam = _BS_OUTPUT_INPUTS
+        rho = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0)
+        factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
+        dense = _dense_bs(*factors, lam, 0.0, 0.0, cutoff)
+        assert np.array_equal(rho.matrix, (dense + dense.conj().T) / 2.0)
+
+    def test_mirror_sectors_share_one_block(self):
+        rho = fock.two_mode_density(_TMS_STATE, 12, eps_tr=1.0)
+        copies = sorted(len(members) for members, _ in rho._blocks)
+        assert copies == [1] + [2] * 11
+
+    def test_moments_match_dense_trace_on_every_short_word(self):
+        cutoff = 12
+        a = fock.annihilation(cutoff)
+        ad = a.conj().T
+
+        def ladder(n_create, n_annihilate):
+            return np.linalg.matrix_power(ad, n_create) @ np.linalg.matrix_power(a, n_annihilate)
+
+        one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), cutoff, eps_tr=1.0)
+        for name, rho in (*_graded_densities(cutoff).items(), ("one-mode", one)):
+            table = fock.moment_table(rho, 6)
+            words = _all_words(6) if rho.modes == 2 else [
+                (i, 0, k, 0) for i in range(7) for k in range(7) if 1 <= i + k <= 6]
+            assert sorted(table) == sorted(words), name
+            for i, j, k, l in words:
+                op = np.kron(ladder(i, k), ladder(j, l)) if rho.modes == 2 else ladder(i, k)
+                expected = np.trace(rho.matrix @ op)
+                got = fock.moment(rho, OperatorWord.from_counts(i, j, k, l))
+                assert abs(got - expected) < 1e-12 * (1.0 + abs(expected)), (name, i, j, k, l)
+                assert table[(i, j, k, l)] == got, (name, i, j, k, l)
+
+    def test_measurements_never_build_the_dense_view(self):
+        for rho in _graded_densities(10).values():
+            fock.moment_table(rho, 4)
+            fock.expectation_of_witness(rho, WitnessKind.WHBT)
+            fock.ppt_min_eigenvalue(rho)
+            rho.purity(), rho.min_eigenvalue(), rho.diagonal(), rho.trace()
+            assert rho._matrix is None
+
+    def test_spectral_measurements_match_dense(self):
+        for name, rho in _graded_densities(10).items():
+            dense = rho.matrix / rho.trace()
+            assert rho.purity() == pytest.approx(float(np.sum(np.abs(dense) ** 2)), abs=1e-14)
+            assert rho.min_eigenvalue() == pytest.approx(
+                float(np.linalg.eigvalsh(dense)[0]), abs=1e-14), name
+            assert np.array_equal(rho.diagonal(), rho.matrix.diagonal().real), name
+
+    def test_uncovered_state_contributes_eigenvalue_zero(self):
+        block = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
+        covered = fock.FockDensity._graded(1, 2, [fock._Block(np.array([[0, 1]]), block)], 0.0)
+        assert covered.min_eigenvalue() > 0.3
+        partial = fock.FockDensity._graded(1, 3, [fock._Block(np.array([[0, 1]]), block)], 0.0)
+        assert partial.min_eigenvalue() == 0.0
+        assert np.array_equal(partial.diagonal(), [0.6, 0.4, 0.0])
+
+    def test_non_hermitian_block_is_rejected_with_its_deviation(self):
+        rho = fock.two_mode_density(_TMS_STATE, 8, eps_tr=1.0)
+        blocks = [fock._Block(members, np.array(values)) for members, values in rho._blocks]
+        blocks[3].values[0, 1] += 3e-9
+        with pytest.raises(ValueError, match=r"not Hermitian \(deviation 3e-09\)"):
+            fock.FockDensity._graded(2, 8, blocks, 0.0)
+
+    def test_overlapping_or_foreign_members_are_rejected(self):
+        eye = np.eye(2, dtype=complex) / 2.0
+        with pytest.raises(ValueError, match="overlap"):
+            fock.FockDensity._graded(1, 3, [fock._Block(np.array([[0, 1]]), eye),
+                                            fock._Block(np.array([[1, 2]]), eye)], 0.0)
+        with pytest.raises(ValueError, match="outside"):
+            fock.FockDensity._graded(1, 3, [fock._Block(np.array([[2, 3]]), eye)], 0.0)
+
+    def test_dense_view_is_read_only(self):
+        rho = fock.two_mode_density(_BS_STATE, 8, eps_tr=1.0)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+        assert rho.matrix is rho.matrix
+
+    def test_graded_round_trip_is_exact(self, tmp_path):
+        path = tmp_path / "density.bin"
+        for name, rho in _graded_densities(8).items():
+            fock.save_density(rho, path)
+            loaded = fock.load_density(path)
+            assert np.array_equal(loaded.matrix, rho.matrix), name
+            assert loaded.trace() == pytest.approx(rho.trace(), abs=1e-15), name
 
 
 def test_fock_imports_no_wick_symbols():
