@@ -704,6 +704,9 @@ def main(argv=None) -> int:
     except NonPhysicalStateError as exc:
         print(f"nonphysical state: {exc}", file=sys.stderr)
         return 3
+    except fock.ConvergenceError as exc:
+        print(f"error: {exc}; rerun with a larger --cutoff", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

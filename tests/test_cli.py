@@ -92,6 +92,18 @@ class TestClassify:
             assert json.loads(out)["physical"] is physical
             assert code == (0 if physical else 3)
 
+    @pytest.mark.parametrize("argv", [
+        ("epr", "--n", "3", "--mc", "2", "--oracle"),
+        ("one-mode", "--n", "1", "--m", "0.5", "--oracle", "--cutoff", "10"),
+    ])
+    def test_unconverged_oracle_exits_two_with_remedy(self, capsys, argv):
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "trace deficit" in err and "at cutoff" in err
+        assert "rerun with a larger --cutoff" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
 
 class TestAmplifier:
     def test_reported_gains(self, capsys):
@@ -238,6 +250,13 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "epr", "--n", "1",
                                "--vary", "zzz", "0", "1", "4")
         assert code == 2
+
+    def test_unconverged_oracle_point_exits_two_with_remedy(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "epr", "--n", "1", "--vary", "mc", "0", "1", "3",
+                               "--oracle", "--cutoff", "10")
+        assert code == 2
+        assert "at cutoff 10" in err and "rerun with a larger --cutoff" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 class TestOracleCheckCommand:

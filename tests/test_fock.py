@@ -574,19 +574,21 @@ class TestValidation:
 
 
 def _dense_bs(f1, f2, lam, theta_c, theta_d, cutoff):
-    # The bs route's per-parity products, scattered into a dense matrix.
+    # The bs route's per-parity products, scattered into a dense matrix:
+    # the λ = 0 mixer blocks, factor 1 squeezed at φ − 2λ and λ in the row
+    # phases.
     cw = 2 * cutoff
-    rho1 = fock._factor_matrix(f1, cw)
+    rho1 = fock._factor_matrix(fock._SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam), cw)
     rho2 = fock._factor_matrix(f2, cw)
     max_total = 2 * (cutoff - 1)
-    mixer = fock._mixer_blocks(max_total, lam)
+    mixer = fock._mixer_blocks(max_total)
     dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for parity in (0, 1):
         totals = range(parity, max_total + 1, 2)
         rows, flat = [], []
         for total in totals:
             js = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
-            phases = np.exp(1j * (theta_c * js + theta_d * (total - js)))
+            phases = np.exp(1j * ((theta_c + lam) * js + (theta_d + lam + math.pi) * (total - js)))
             rows.append(phases[:, None] * mixer[total][js])
             flat.append(js * cutoff + (total - js))
         ja = np.concatenate([np.arange(total + 1) for total in totals])
@@ -620,14 +622,14 @@ def _dense_assembly(state, cutoff):
         return _dense_bs(plan.factor1, plan.factor2, 0.0, plan.theta_c, plan.theta_d, cutoff)
     cw = 2 * cutoff
     w = fock._thermal_weights(plan.factor1.nbar, cw)
-    xi = plan.tms_r * cmath.exp(1j * plan.tms_phi)
+    z = -plan.tms_r * cmath.exp(1j * plan.tms_phi)
     dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for d in range(cutoff):
-        js, block = fock._tms_block(cw, xi, d)
+        js = np.arange(d, cw)
         weights = w[js] * w[js - d]
         keep = np.abs(weights) > fock._WEIGHT_FLOOR
         ja = js[:cutoff - d]
-        c_d = block[:ja.size, keep]
+        c_d = fock._sector_exponential("tms", cw, d, z, rows=slice(ja.size), cols=keep)
         sector = (c_d * weights[keep]) @ c_d.conj().T
         for idx in (ja * cutoff + (ja - d), (ja - d) * cutoff + ja):
             dense[np.ix_(idx, idx)] = sector
@@ -747,6 +749,116 @@ class TestGradedStorage:
             loaded = fock.load_density(path)
             assert np.array_equal(loaded.matrix, rho.matrix), name
             assert loaded.trace() == pytest.approx(rho.trace(), abs=1e-15), name
+
+    def test_witnesses_match_the_five_moment_formula(self):
+        def moment(rho, *counts):
+            return fock.moment(rho, OperatorWord.from_counts(*counts))
+
+        for name, rho in _graded_densities(12).items():
+            cross = moment(rho, 1, 1, 1, 1).real
+            numerator = 2.0 * cross + (moment(rho, 0, 2, 2, 0) + moment(rho, 2, 0, 0, 2)).real
+            denominator = (moment(rho, 2, 0, 2, 0).real + moment(rho, 0, 2, 0, 2).real
+                           + 2.0 * cross)
+            expected = 0.5 - numerator / denominator
+            got = fock.expectation_of_witness(rho, WitnessKind.WHBT)
+            assert abs(got - expected) < 1e-14, name
+        for s in (OneModeGaussian(0.6, 0.3 - 0.4j), OneModeGaussian(0.12, 0.29 + 0j)):
+            rho = fock.one_mode_density(s, 12, eps_tr=1.0)
+            expected = 3.0 - moment(rho, 2, 0, 2, 0).real / moment(rho, 1, 0, 1, 0).real ** 2
+            assert abs(fock.expectation_of_witness(rho, WitnessKind.W2) - expected) < 1e-14
+
+    def test_witnesses_reject_truncation_unsafe_cutoffs(self):
+        one = fock.one_mode_density(OneModeGaussian(0.5, 0.2j), 7, eps_tr=1.0)
+        two = fock.two_mode_density(_TMS_STATE, 7, eps_tr=1.0)
+        for rho, kind in ((one, WitnessKind.W2), (two, WitnessKind.WHBT)):
+            with pytest.raises(ValueError, match="truncation-unsafe at cutoff 7"):
+                fock.expectation_of_witness(rho, kind)
+
+
+def _explicit_sector_generator(kind, n_states, sector, z):
+    # Sector block of z L − z̄ L†, L the raising part of the generator, read
+    # from the ladder matrices: a†² on one mode, a†b† or a†b on two.  The
+    # cutoff is chosen so that the sector holds ``n_states`` states.
+    if kind == "squeeze":
+        size = 2 * n_states
+        ad = fock.creation(size)
+        idx = np.arange(sector, size, 2)
+        raising = (ad @ ad)[np.ix_(idx, idx)]
+    elif kind == "tms":
+        d = sector
+        size = n_states + abs(d)
+        ad = fock.creation(size)
+        ja = np.arange(max(0, d), size + min(0, d))
+        raising = ad[np.ix_(ja, ja)] * ad[np.ix_(ja - d, ja - d)]
+    else:
+        size, total = sector
+        ad = fock.creation(size)
+        ja = fock._mixer_states(size, total)
+        raising = ad[np.ix_(ja, ja)] * ad.conj().T[np.ix_(total - ja, total - ja)]
+    assert raising.shape == (n_states, n_states)
+    return size, z * raising - np.conj(z) * raising.conj().T
+
+
+class TestSectorExponential:
+    @pytest.mark.parametrize("n_states", [1, 2, 41, 80])
+    def test_matches_dense_exponential_of_the_explicit_generator(self, n_states):
+        rng = np.random.default_rng(n_states)
+        draws = [float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * float(rng.uniform(-3.0, 3.0)))
+                 for _ in range(2)]
+        lams = [0.0, float(rng.uniform(-math.pi, math.pi))]
+        cases = []
+        for z in (*draws, 0.7):
+            cases += [("squeeze", parity, parity, z) for parity in (0, 1)]
+            cases += [("tms", d, abs(d), z) for d in (0, 3, -3)]
+        for lam in lams:
+            z = (math.pi / 4.0) * cmath.exp(1j * lam)
+            # An untruncated sector and one cut by the cutoff.
+            for size, total in ((n_states + 1, n_states - 1), (n_states + 2, n_states + 3)):
+                cases.append(("mixer", (size, total), total, z))
+        for kind, spec, sector, z in cases:
+            size, g = _explicit_sector_generator(kind, n_states, spec, z)
+            got = fock._sector_exponential(kind, size, sector, z)
+            assert np.max(np.abs(got - fock._expm_antihermitian(g))) < 1e-13, (kind, spec, z)
+
+    def test_rows_and_columns_select_from_the_full_block(self):
+        z = 0.4 * cmath.exp(-2.1j)
+        full = fock._sector_exponential("tms", 20, 2, z)
+        keep = np.arange(18) % 3 != 1
+        part = fock._sector_exponential("tms", 20, 2, z, rows=slice(7), cols=keep)
+        assert np.allclose(part, full[:7, keep], rtol=0.0, atol=1e-15)
+
+    def test_cached_spectra_are_read_only(self):
+        fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0)
+        lam, v = fock._sector_spectrum("tms", 20, 3)
+        for arr in (lam, v, *fock._mixer_blocks(18)):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+
+    def test_assembly_leaves_the_caches_unchanged(self):
+        fock._sector_spectrum.cache_clear()
+        fock._mixer_blocks.cache_clear()
+        other_bs = mode_rotation(
+            beam_splitter(OneModeGaussian(0.3, -0.2j), OneModeGaussian(0.9, 0.6 + 0j), 0.0),
+            1.3, -0.2)
+        pairs = {
+            "tms": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
+                    _TMS_STATE, TwoModeGaussian.epr(1.1, 0.4 - 0.9j)),
+            "bs": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0), _BS_STATE, other_bs),
+            "tensor": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
+                       _ROUTE_STATES["tensor"],
+                       TwoModeGaussian.pair_with_phase(OneModeGaussian(0.9, -0.5j), 2.0)),
+            "bs-output": (lambda lam: fock.bs_output_density(*_BS_OUTPUT_INPUTS[:2], lam, 12,
+                                                             eps_tr=1.0), 0.9, -2.3),
+        }
+        for name, (build, first, second) in pairs.items():
+            before = build(first)
+            build(second)
+            after = build(first)
+            assert len(before._blocks) == len(after._blocks), name
+            for b1, b2 in zip(before._blocks, after._blocks):
+                assert np.array_equal(b1.members, b2.members), name
+                assert np.array_equal(b1.values, b2.values), name
 
 
 def test_fock_imports_no_wick_symbols():
