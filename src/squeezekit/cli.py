@@ -6,7 +6,10 @@ Angles are accepted in units of π (``--lam 0.5`` means π/2) so that figure
 abscissae stay exact; pass ``--radians`` for raw radians.  CSV output is
 deterministic: 12 significant digits, '.' decimal separator, LF line
 endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
-4 oracle disagreement.
+4 oracle disagreement; an ``--oracle`` cutoff too small for the state's
+photon-number tail also exits 2.  With ``--oracle``, ``classify``, ``sweep``
+and ``amplifier`` report the cutoff and the trace deficit of the density
+they measured.
 """
 
 from __future__ import annotations
@@ -143,6 +146,7 @@ def _describe_one_mode(params, radians, oracle, cutoff):
     disagree = False
     if oracle and s.n > 0:
         rho = fock.one_mode_density(s, cutoff)
+        _oracle_run_fields(rho, out)
         oracle_n1 = fock.moment(rho, OperatorWord.from_counts(1, 0, 1, 0)).real
         oracle_n2 = fock.moment(rho, OperatorWord.from_counts(2, 0, 2, 0)).real
         oracle_g2 = oracle_n2 / oracle_n1 ** 2
@@ -155,8 +159,15 @@ def _describe_one_mode(params, radians, oracle, cutoff):
     return out, disagree
 
 
+def _oracle_run_fields(rho, out):
+    """The cutoff and the trace deficit of the density the oracle measured."""
+    out["oracle_cutoff"] = rho.cutoff
+    out["oracle_trace_deficit"] = rho.trace_deficit
+
+
 def _two_mode_oracle_fields(state, out, cutoff):
     rho = fock.two_mode_density(state, cutoff)
+    _oracle_run_fields(rho, out)
     out["oracle_ppt_min_eig"] = fock.ppt_min_eigenvalue(rho)
     oracle_whbt = fock.expectation_of_witness(rho, WitnessKind.WHBT)
     out["oracle_whbt_delta"] = oracle_check.relative_error(oracle_whbt, out["whbt"])
@@ -301,6 +312,7 @@ def _cmd_amplifier(args) -> int:
     disagree = False
     if args.oracle and s.n > 0:
         rho = fock.one_mode_density(s, args.cutoff)
+        _oracle_run_fields(rho, fields)
         fields["oracle_purity_delta"] = oracle_check.relative_error(rho.purity(), fields["purity"])
         fields["oracle_w2_delta"] = oracle_check.relative_error(
             fock.expectation_of_witness(rho, WitnessKind.W2), fields["w2"])

@@ -28,7 +28,9 @@ conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
   input weight of each sector exponential are formed;
 - the beam splitter conserves N = n_a + n_b.  The bs route runs only the
   mixer sectors N ≤ 2(cutoff − 1), the only ones that reach the retained
-  block, and builds one block per total parity.
+  block, and builds one block per total parity.  Its input ρ₁ ⊗ ρ₂ is zero
+  between states whose n_a differ in parity, since each factor conserves
+  its own parity, so it is mixed as two classes, on its nonzero half only.
 
 Every constructor works in an enlarged space of twice the requested cutoff
 and projects the result down.  Because of these conservation laws no
@@ -401,6 +403,17 @@ def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float
     Σ B_N ρ_in[N, N'] B_N'†, where B_N holds the retained rows of the
     sector-N mixer block with the rotation R folded in.
 
+    Each factor also conserves its own parity, so the input entry
+    ρ_in[(N, j), (N', j')] = ρ₁[j, j'] ρ₂[N − j, N' − j'] of the states
+    |j, N − j⟩ and |j', N' − j'⟩ vanishes unless j ≡ j' (mod 2): within one
+    total parity the input splits into two classes by the parity c of n_a.
+    The first product runs per class.  The class's columns of ρ₁'s rows
+    j ≡ c, and of ρ₂'s rows in decreasing k = N − j, are gathered once, so
+    the class rows of sector N are the product of two contiguous row
+    slices.  ``half`` holds B ρ_in with the class-0 columns first; the
+    second product joins a sector's two class column ranges against B_N's
+    columns in the same class order.
+
     V_λ is the λ = 0 mixer between the rotations e^{iλ n_a}, followed by
     e^{i(λ+π) n_b}.  The input rotation e^{−iλ n_a} turns S(r, φ) into
     S(r, φ − 2λ), so factor 1 is squeezed at φ − 2λ and the output
@@ -414,28 +427,48 @@ def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float
     out_blocks = []
     for parity in (0, 1):
         totals = range(parity, max_total + 1, 2)
-        ins, outs, rows, flat = [], [], [], []
-        n_in = n_out = 0
+        # B_N with its columns j in class order: even j, then odd j.
+        mixers, outs, flat = [], [], []
+        n_out = 0
         for total in totals:
             js = _mixer_states(cutoff, total)
             phases = np.exp(1j * ((theta_c + lam) * js + (theta_d + lam + math.pi) * (total - js)))
-            rows.append(phases[:, None] * blocks[total][js])
+            b = phases[:, None] * blocks[total][js]
+            mixers.append(np.concatenate((b[:, 0::2], b[:, 1::2]), axis=1))
             flat.append(js * cutoff + (total - js))
-            ins.append(slice(n_in, n_in + total + 1))
             outs.append(slice(n_out, n_out + js.size))
-            n_in += total + 1
             n_out += js.size
-        ja = np.concatenate([np.arange(total + 1) for total in totals])
-        jb = np.concatenate([total - np.arange(total + 1) for total in totals])
-        # half = B ρ_in one row sector at a time, then half B† one column
-        # sector at a time.
-        half = np.empty((n_out, n_in), dtype=complex)
-        for sl_in, sl_out, b in zip(ins, outs, rows):
-            rho_in = rho1[ja[sl_in]][:, ja] * rho2[jb[sl_in]][:, jb]
-            half[sl_out] = b @ rho_in
+        # Class c of sector N holds the states j = c, c + 2, .., ≤ N.  Its
+        # columns of ``half``: class 0's sector by sector, then class 1's.
+        counts = [[len(range(c, total + 1, 2)) for total in totals] for c in (0, 1)]
+        stops = np.cumsum(counts[0] + counts[1]).reshape(2, -1)
+        columns = [[slice(stop - n, stop) for stop, n in zip(stops[c], counts[c])]
+                   for c in (0, 1)]
+        half = np.empty((n_out, int(stops[1, -1])), dtype=complex)
+        for c in (0, 1):
+            j_in = np.concatenate([np.arange(c, total + 1, 2) for total in totals])
+            k_in = np.repeat(totals, counts[c]) - j_in
+            top = totals[-1] - c
+            g1 = rho1[np.ix_(np.arange(c, totals[-1] + 1, 2), j_in)]
+            g2 = rho2[np.ix_(np.arange(top, -1, -2), k_in)]
+            cols = slice(columns[c][0].start, columns[c][-1].stop)
+            buf = np.empty((max(counts[c]), j_in.size), dtype=complex)
+            for total, count, b, sl_out in zip(totals, counts[c], mixers, outs):
+                if not count:
+                    # Sector 0 has no odd-j state.
+                    half[sl_out, cols] = 0.0
+                    continue
+                k0 = (top - total + c) // 2
+                rho_in = np.multiply(g1[:count], g2[k0:k0 + count], out=buf[:count])
+                np.matmul(b[:, :count] if c == 0 else b[:, -count:], rho_in,
+                          out=half[sl_out, cols])
         out = np.empty((n_out, n_out), dtype=complex)
-        for sl_in, sl_out, b in zip(ins, outs, rows):
-            out[:, sl_out] = half[:, sl_in] @ b.conj().T
+        joined = np.empty((n_out, totals[-1] + 1), dtype=complex)
+        for b, sl_out, even, odd in zip(mixers, outs, *columns):
+            n_even = even.stop - even.start
+            joined[:, :n_even] = half[:, even]
+            joined[:, n_even:b.shape[1]] = half[:, odd]
+            np.matmul(joined[:, :b.shape[1]], b.conj().T, out=out[:, sl_out])
         out_blocks.append(_Block(np.concatenate(flat)[None, :], out))
     return out_blocks
 
@@ -649,9 +682,6 @@ class FockDensity:
 
     def trace(self) -> float:
         return self._trace
-
-    def renormalized(self) -> np.ndarray:
-        return self.matrix / self.trace()
 
     def purity(self) -> float:
         """Tr ρ² of the trace-renormalized matrix."""

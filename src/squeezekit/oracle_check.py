@@ -19,6 +19,7 @@ lower-order and entrywise checks in the test suite instead.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import time
 from collections.abc import Callable
@@ -117,19 +118,6 @@ def random_two_mode(rng: np.random.Generator, n_max: float = 1.5):
     )
 
 
-def _word_counts(max_len: int, two_mode: bool):
-    for i in range(max_len + 1):
-        for k in range(max_len + 1 - i):
-            if not two_mode:
-                if i + k >= 1:
-                    yield (i, 0, k, 0)
-                continue
-            for j in range(max_len + 1 - i - k):
-                for l in range(max_len + 1 - i - k - j):
-                    if i + j + k + l >= 1:
-                        yield (i, j, k, l)
-
-
 @dataclass
 class _Worst:
     err: float = 0.0
@@ -156,6 +144,8 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
+    # The word of each moment-table key, built once per call.
+    word = functools.cache(lambda counts: OperatorWord.from_counts(*counts))
     n_one = n_states // 2
     n_two = n_states - n_one
 
@@ -167,8 +157,7 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
         rho = fock.one_mode_density(s, cutoff)
         table = fock.moment_table(rho, max_word_len)
         for counts, oracle_val in table.items():
-            word = OperatorWord.from_counts(counts[0], counts[1], counts[2], counts[3])
-            err = relative_error(oracle_val, wick_moment(s, word))
+            err = relative_error(oracle_val, wick_moment(s, word(counts)))
             mom1.update(err, lambda: f"word a†^{counts[0]}a^{counts[2]} on n={s.n:.4f}, m={s.m:.4f}")
         purity_err = relative_error(rho.purity(), purity_one_mode(s))
         purity_worst.update(purity_err, lambda: f"n={s.n:.4f}, |m|={abs(s.m):.4f}")
@@ -184,8 +173,7 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
         rho = fock.two_mode_density(state, cutoff)
         table = fock.moment_table(rho, max_word_len)
         for counts, oracle_val in table.items():
-            word = OperatorWord.from_counts(counts[0], counts[1], counts[2], counts[3])
-            err = relative_error(oracle_val, wick_moment(state, word))
+            err = relative_error(oracle_val, wick_moment(state, word(counts)))
             mom2.update(err, lambda: f"word {counts} on {state}")
         whbt_err = relative_error(
             fock.expectation_of_witness(rho, WitnessKind.WHBT), whbt_expectation(state).value

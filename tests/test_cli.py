@@ -1,8 +1,18 @@
+import cmath
 import json
 import math
 
 import pytest
 
+from squeezekit import (
+    AmplifierGains,
+    OneModeGaussian,
+    TwoModeGaussian,
+    amplifier_output,
+    beam_splitter,
+    fock,
+    werner_mix,
+)
 from squeezekit.cli import main
 
 
@@ -40,8 +50,10 @@ class TestClassify:
         code, out, _ = run_cli(capsys, "classify", "epr", "--n", "1", "--mc", "1.2",
                                "--oracle", "--cutoff", "25")
         assert code == 0
-        assert "entangled           true" in out
+        # Read by key: the text report pads keys to the longest one, which
+        # the oracle fields set.
         fields = dict(line.split(None, 1) for line in out.strip().split("\n"))
+        assert fields["entangled"] == "true"
         assert float(fields["oracle_ppt_min_eig"]) < 0
 
     def test_json_format(self, capsys):
@@ -103,6 +115,51 @@ class TestClassify:
         assert "trace deficit" in err and "at cutoff" in err
         assert "rerun with a larger --cutoff" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _general_state(n, m, mc, lam1, lam2):
+    return TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
+
+
+_ORACLE_RUNS = {
+    # argv after the command name -> the density the command measures
+    "one-mode": (("classify", "one-mode", "--n", "0.5", "--m", "0.3"),
+                 lambda c: fock.one_mode_density(OneModeGaussian(0.5, 0.3 + 0j), c)),
+    "epr": (("classify", "epr", "--n", "0.8", "--mc", "0.9"),
+            lambda c: fock.two_mode_density(TwoModeGaussian.epr(0.8, 0.9 + 0j), c)),
+    "werner": (("classify", "werner", "--n", "0.8", "--mc", "0.9", "--p", "0.6"),
+               lambda c: fock.two_mode_density(
+                   werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6), c)),
+    "bs-output": (("classify", "bs-output", "--n", "0.5", "--m", "0.4", "--lam", "0.3"),
+                  lambda c: fock.two_mode_density(
+                      beam_splitter(OneModeGaussian(0.5, 0.4 + 0j), OneModeGaussian(0.5, 0.4 + 0j),
+                                    0.3 * math.pi), c)),
+    "general": (("classify", "general", "--n", "0.5", "--m", "0.3", "--mc", "0.4",
+                 "--lam1", "0", "--lam2", "0.5"),
+                lambda c: fock.two_mode_density(_general_state(0.5, 0.3, 0.4, 0.0, 0.5 * math.pi),
+                                                c)),
+    "amplifier": (("amplifier", "--G", "1.65", "--H", "1.05"),
+                  lambda c: fock.one_mode_density(amplifier_output(AmplifierGains(1.65, 1.05)), c)),
+}
+
+
+class TestOracleRunFields:
+    @pytest.mark.parametrize("name", list(_ORACLE_RUNS))
+    def test_cutoff_and_trace_deficit_of_the_measured_density(self, capsys, name):
+        argv, density = _ORACLE_RUNS[name]
+        code, out, _ = run_cli(capsys, *argv, "--oracle", "--cutoff", "30", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle_cutoff"] == 30
+        deficit = payload["oracle_trace_deficit"]
+        assert abs(deficit) < 1e-6
+        assert deficit == 1.0 - density(30).trace()
+
+    def test_fields_absent_without_oracle(self, capsys):
+        code, out, _ = run_cli(capsys, *_ORACLE_RUNS["epr"][0], "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "oracle_cutoff" not in payload and "oracle_trace_deficit" not in payload
 
 
 class TestAmplifier:

@@ -428,6 +428,7 @@ _BS_STATE = mode_rotation(
     0.4, 1.1,
 )
 _TMS_STATE = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
+_BS_OUTPUT_INPUTS = (OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j), 0.9)
 # Its components have different blocks, so it is summed on total parity.
 _BS_TMS_MIXTURE = GaussianMixture(((0.3, _BS_STATE), (0.7, _TMS_STATE)))
 
@@ -494,6 +495,74 @@ class TestGradedAssembly:
         dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
         got = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - dense)) < 1e-13
+
+
+def _unsplit_bs(rho1, rho2, lam, theta_c, theta_d, cutoff):
+    # Per total parity, the dense product B ρ_in B† over the input sectors
+    # N ≤ 2(cutoff − 1), zero half included: ρ_in[(N, j), (M, j')] =
+    # ρ₁[j, j'] ρ₂[N − j, M − j'], and B holds the retained rows of the
+    # sector blocks of the beam splitter at λ, rotated by R(θc, θd).
+    # Returns (flat indices, block) per parity.
+    cw = 2 * cutoff
+    out = []
+    for parity in (0, 1):
+        totals = range(parity, 2 * cutoff - 1, 2)
+        ja = np.concatenate([np.arange(total + 1) for total in totals])
+        jb = np.concatenate([total - np.arange(total + 1) for total in totals])
+        rho_in = rho1[np.ix_(ja, ja)] * rho2[np.ix_(jb, jb)]
+        rows, flat = [], []
+        col = 0
+        for total in totals:
+            js, block = fock._mixer_block(cw, total, lam)
+            keep = js[(js < cutoff) & (total - js < cutoff)]
+            rotation = np.exp(1j * (theta_c * keep + theta_d * (total - keep)))
+            row = np.zeros((keep.size, ja.size), dtype=complex)
+            row[:, col:col + total + 1] = rotation[:, None] * block[keep]
+            rows.append(row)
+            flat.append(keep * cutoff + (total - keep))
+            col += total + 1
+        b = np.concatenate(rows)
+        out.append((np.concatenate(flat), b @ rho_in @ b.conj().T))
+    return out
+
+
+class TestBeamSplitterClassSplit:
+    """The bs route mixes the input class by class (parity of n_a); these
+    pin the premise and the result against the unsplit product."""
+
+    @pytest.mark.parametrize("size", [20, 80])
+    def test_factor_matrix_is_exactly_zero_between_parities(self, size, rng):
+        parity = np.arange(size) % 2
+        off = parity[:, None] != parity[None, :]
+        for _ in range(6):
+            st = fock._SqueezedThermal(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.2)),
+                                       float(rng.uniform(-math.pi, math.pi)))
+            mat = fock._factor_matrix(st, size)
+            assert np.all(mat[off] == 0.0)
+            assert np.count_nonzero(mat[~off]) > size
+
+    @pytest.mark.parametrize("cutoff", [10, 40])
+    def test_bs_density_equals_unsplit_product(self, cutoff):
+        plan = fock._plan_two_mode(_BS_STATE)
+        cw = 2 * cutoff
+        rho = fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0)
+        parts = _unsplit_bs(fock._factor_matrix(plan.factor1, cw),
+                            fock._factor_matrix(plan.factor2, cw), 0.0,
+                            plan.theta_c, plan.theta_d, cutoff)
+        for idx, expected in parts:
+            assert np.max(np.abs(rho.matrix[np.ix_(idx, idx)] - expected)) < 1e-15
+
+    @pytest.mark.parametrize("cutoff", [10, 40])
+    def test_bs_output_density_equals_unsplit_product(self, cutoff):
+        sa, sb, lam = _BS_OUTPUT_INPUTS
+        assert lam != 0.0
+        cw = 2 * cutoff
+        rho = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0)
+        f1, f2 = (fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb))
+        parts = _unsplit_bs(fock._factor_matrix(f1, cw), fock._factor_matrix(f2, cw), lam,
+                            0.0, 0.0, cutoff)
+        for idx, expected in parts:
+            assert np.max(np.abs(rho.matrix[np.ix_(idx, idx)] - expected)) < 1e-15
 
 
 class TestBandMeasurement:
@@ -574,9 +643,10 @@ class TestValidation:
 
 
 def _dense_bs(f1, f2, lam, theta_c, theta_d, cutoff):
-    # The bs route's per-parity products, scattered into a dense matrix:
-    # the λ = 0 mixer blocks, factor 1 squeezed at φ − 2λ and λ in the row
-    # phases.
+    # The bs route's products, scattered into a dense matrix: the λ = 0
+    # mixer blocks, factor 1 squeezed at φ − 2λ, λ in the row phases, and
+    # the input of each total parity split into classes by the parity of
+    # n_a, each class multiplied by the mixer columns of its own states.
     cw = 2 * cutoff
     rho1 = fock._factor_matrix(fock._SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam), cw)
     rho2 = fock._factor_matrix(f2, cw)
@@ -589,19 +659,37 @@ def _dense_bs(f1, f2, lam, theta_c, theta_d, cutoff):
         for total in totals:
             js = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
             phases = np.exp(1j * ((theta_c + lam) * js + (theta_d + lam + math.pi) * (total - js)))
-            rows.append(phases[:, None] * mixer[total][js])
+            b = phases[:, None] * mixer[total][js]
+            # Columns in class order: even j, then odd j.
+            rows.append(np.concatenate((b[:, 0::2], b[:, 1::2]), axis=1))
             flat.append(js * cutoff + (total - js))
-        ja = np.concatenate([np.arange(total + 1) for total in totals])
-        jb = np.concatenate([total - np.arange(total + 1) for total in totals])
-        starts = np.cumsum([0] + [total + 1 for total in totals])
         n_out = sum(b.shape[0] for b in rows)
-        half = np.concatenate(
-            [b @ (rho1[ja[lo:hi]][:, ja] * rho2[jb[lo:hi]][:, jb])
-             for b, lo, hi in zip(rows, starts[:-1], starts[1:])])
+        sectors, halves = [], []
+        for c in (0, 1):
+            states = [(total, j) for total in totals for j in range(c, total + 1, 2)]
+            sector = np.array([total for total, _ in states])
+            ja = np.array([j for _, j in states])
+            jb = sector - ja
+            parts = []
+            for total, b in zip(totals, rows):
+                mine = sector == total
+                count = int(np.count_nonzero(mine))
+                if not count:
+                    parts.append(np.zeros((b.shape[0], sector.size), dtype=complex))
+                    continue
+                rho_in = rho1[np.ix_(ja[mine], ja)] * rho2[np.ix_(jb[mine], jb)]
+                parts.append((b[:, :count] if c == 0 else b[:, b.shape[1] - count:]) @ rho_in)
+            sectors.append(sector)
+            halves.append(np.concatenate(parts))
         out = np.empty((n_out, n_out), dtype=complex)
         at = 0
-        for b, lo, hi in zip(rows, starts[:-1], starts[1:]):
-            out[:, at:at + b.shape[0]] = half[:, lo:hi] @ b.conj().T
+        for total, b in zip(totals, rows):
+            # In C order, as the route's buffer: a mask-indexed gather comes
+            # out in Fortran order, and BLAS then takes another path that
+            # differs in the last bits.
+            joined = np.ascontiguousarray(
+                np.concatenate([h[:, s == total] for h, s in zip(halves, sectors)], axis=1))
+            out[:, at:at + b.shape[0]] = joined @ b.conj().T
             at += b.shape[0]
         idx = np.concatenate(flat)
         dense[np.ix_(idx, idx)] = out
@@ -636,7 +724,6 @@ def _dense_assembly(state, cutoff):
     return dense
 
 
-_BS_OUTPUT_INPUTS = (OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j), 0.9)
 _ROUTE_STATES = {
     "tensor": TwoModeGaussian.pair_with_phase(OneModeGaussian(0.6, 0.3 + 0.4j), 0.8),
     "tms": _TMS_STATE,

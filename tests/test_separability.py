@@ -117,6 +117,34 @@ class TestGeneralCriterion:
             assert a == b
 
 
+    def test_agrees_with_oracle_partial_transpose(self):
+        # Seeded states of the family, m_c of either sign, each at least 5%
+        # from the boundary n(n+1) of the criterion's left side, four of
+        # each verdict; the oracle's partial-transpose spectrum at cutoff 30
+        # decides them independently.
+        rng = np.random.default_rng(6)
+        found = {True: [], False: []}
+        while min(len(v) for v in found.values()) < 4:
+            n = float(rng.uniform(0.05, 0.4))
+            bound = n * (n + 1.0)
+            m = float(rng.uniform(0.0, 1.0)) * math.sqrt(bound)
+            m_c = float(rng.uniform(-1.0, 1.0)) * math.sqrt(bound)
+            lam1, lam2 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=2))
+            state = TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2),
+                                    complex(m_c))
+            lhs = m ** 2 + m_c ** 2 + abs(m_c) * math.sqrt(
+                1.0 + 2.0 * (1.0 + math.cos(lam1 + lam2)) * m ** 2)
+            if not is_physical_two_mode(state) or abs(lhs / bound - 1.0) < 0.05:
+                continue
+            verdict = general_is_separable(n, m, m_c, lam1, lam2)
+            if len(found[verdict]) < 4:
+                found[verdict].append(state)
+        for verdict, states in found.items():
+            for state in states:
+                rho = fock.two_mode_density(state, 30)
+                assert (fock.ppt_min_eigenvalue(rho) >= -1e-9) is verdict, state
+
+
 class TestWernerThresholds:
     def test_hbt_values(self):
         assert werner_hbt_threshold(1.0) == pytest.approx(0.5, abs=1e-15)
