@@ -7,9 +7,10 @@ abscissae stay exact; pass ``--radians`` for raw radians.  CSV output is
 deterministic: 12 significant digits, '.' decimal separator, LF line
 endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
 4 oracle disagreement; an ``--oracle`` cutoff too small for the state's
-photon-number tail also exits 2.  With ``--oracle``, ``classify``, ``sweep``
-and ``amplifier`` report the cutoff and the trace deficit of the density
-they measured.
+photon-number tail also exits 2.  Only ``classify``, ``sweep`` and
+``amplifier`` take ``--oracle``; with it they report the route, the cutoff
+and the trace deficit of the density they measured.  ``oracle-check`` takes
+``--cutoff`` for its suite.
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ def _describe_one_mode(params, radians, oracle, cutoff):
 
 
 def _oracle_run_fields(rho, out):
-    """The cutoff and the trace deficit of the density the oracle measured."""
+    """The route, the cutoff and the trace deficit of the density the oracle
+    measured."""
+    out["oracle_route"] = rho.route
     out["oracle_cutoff"] = rho.cutoff
     out["oracle_trace_deficit"] = rho.trace_deficit
 
@@ -596,6 +599,10 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     parser.add_argument("--radians", action="store_true",
                         help="interpret angles as raw radians instead of units of pi")
+
+
+def _add_oracle(parser):
+    """The flags of the commands that can cross-check against the oracle."""
     parser.add_argument("--oracle", action="store_true",
                         help="add Fock-oracle agreement columns")
     parser.add_argument("--cutoff", type=int, default=40,
@@ -633,12 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
         fam_parser = fam.add_parser(family)
         _add_family_arguments(fam_parser, family)
         _add_common(fam_parser)
+        _add_oracle(fam_parser)
         fam_parser.set_defaults(func=_cmd_classify)
 
     p_amp = sub.add_parser("amplifier", help="state produced by the two-stage amplifier")
     p_amp.add_argument("--G", type=float, required=True, help="phase-sensitive gain, >= 1")
     p_amp.add_argument("--H", type=float, required=True, help="phase-insensitive gain, >= 1")
     _add_common(p_amp)
+    _add_oracle(p_amp)
     p_amp.set_defaults(func=_cmd_amplifier)
 
     p_wit = sub.add_parser("witness", help="witness expectation value and verdict")
@@ -695,6 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--vary", nargs=4, metavar=("PARAM", "START", "STOP", "NUM"),
                         required=True, help="parameter name and linspace grid")
         _add_common(sp)
+        _add_oracle(sp)
         sp.set_defaults(func=_cmd_sweep)
 
     p_check = sub.add_parser("oracle-check", help="run the closed-form vs oracle concordance suite")
@@ -702,6 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-word-len", dest="max_word_len", type=int, default=6)
     p_check.add_argument("--seed", type=int, default=oracle_check.DEFAULT_SEED)
     p_check.add_argument("--ppt-cutoff", dest="ppt_cutoff", type=int, default=30)
+    p_check.add_argument("--cutoff", type=int, default=40,
+                         help="Fock cutoff of the moment and witness checks (default 40)")
     _add_common(p_check)
     p_check.set_defaults(func=_cmd_oracle_check)
 

@@ -53,12 +53,27 @@ block, its position in the block and the offset of its row in the packed
 blocks.  The explicit ladder product a†^i a^k has a single nonzero band, at
 row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an O(cutoff²) gather of ρ
 along the two bands; ``moment``, ``moment_table`` (one gather per band
-pair) and ``expectation_of_witness`` all read it that way.  The
-partial-transpose spectrum is taken block by block under the finest grading
-(n_a + n_b, then total parity, then none) for which the partial transpose
-is verified, by counting nonzero entries, to be exactly block diagonal.
-Purity, spectrum, trace and diagonal are read from the blocks; ``matrix``
-is a dense view built only when asked for.
+pair) and ``expectation_of_witness`` all read it that way.  Purity,
+spectrum, trace and diagonal are read from the blocks; ``matrix`` is a
+dense view built only when asked for.
+
+The partial-transpose spectrum is taken one block at a time under the
+finest grading (n_a + n_b, then total parity, then none) whose blocks hold
+the whole partial transpose.  PT[x, y] = ρ[p, q] with p = (x_a, y_b) and
+q = (y_a, x_b), so N_x − N_y = d_p − d_q with d = n_a − n_b; the grading is
+verified on ρ's own blocks, which must join only states of equal d (of
+equal d mod 2 for total parity).  Each constructor records its route on
+the density.  A bs-route density R B₀(ρ₁ ⊗ ρ₂) B₀† R†, with B₀ the real
+λ = 0 mixer and R = e^{iα n_a + iβ n_b} the local phases, also records
+δ = θ_d − θ_c: B₀ maps the input parity (−1)^{n_a} to a signed mode swap,
+so ρ commutes with T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩.  Under partial
+transposition that symmetry becomes antiunitary, and with the phases
+e^{iδN/2} each block is real symmetric in the basis of |j, j⟩ and the
+symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩.  Its
+spectrum then comes from the real eigensolver, about a quarter of the
+complex cost.  The symmetry is checked on every block to the Hermiticity
+tolerance; a block that fails it, and every density without δ, takes the
+complex eigensolver.
 
 None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
@@ -75,7 +90,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import struct
 from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
@@ -96,7 +110,6 @@ EPS_TR = 1e-6
 _HERMITICITY_TOL = 1e-12
 _MIN_RADICAND = 1e-12
 _WEIGHT_FLOOR = 1e-18
-_DUMP_HEADER = struct.Struct("<IIII")
 
 
 class ConvergenceError(RuntimeError):
@@ -119,16 +132,6 @@ def annihilation(cutoff: int) -> np.ndarray:
 
 def creation(cutoff: int) -> np.ndarray:
     return annihilation(cutoff).conj().T
-
-
-def _expm_antihermitian(g: np.ndarray) -> np.ndarray:
-    """exp(g) for anti-Hermitian g, exactly unitary up to round-off."""
-    h = 1j * g
-    asym = np.max(np.abs(h - h.conj().T))
-    if asym > 1e-10:
-        raise ValueError(f"generator is not anti-Hermitian (deviation {asym:.3g})")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def _mixer_states(cutoff: int, total: int) -> np.ndarray:
@@ -210,13 +213,6 @@ def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     for parity in range(min(2, cutoff)):
         u[parity::2, parity::2] = _sector_exponential("squeeze", cutoff, parity, z)
     return u
-
-
-def displacement_unitary(cutoff: int, alpha: complex) -> np.ndarray:
-    """exp(α a† − α* a), truncated."""
-    a = annihilation(cutoff)
-    g = alpha * a.conj().T - np.conj(alpha) * a
-    return _expm_antihermitian(g)
 
 
 @dataclass(frozen=True)
@@ -536,6 +532,16 @@ class _Block(NamedTuple):
     values: np.ndarray
 
 
+class _Origin(NamedTuple):
+    """How a constructor of this module built a density: its route
+    (``one-mode``, ``tensor``, ``tms``, ``bs`` or ``mixture``) and, for the
+    bs route, the phase δ of its mode-exchange symmetry (see
+    ``ppt_min_eigenvalue``); None on every other route."""
+
+    route: str
+    swap_phase: float | None = None
+
+
 _TILE = 64
 
 
@@ -579,24 +585,27 @@ class FockDensity:
     Hermitian to 1e-12; it is validated once (mirror copies share it) and
     stored symmetrized and read-only.  Measurements read the blocks through
     a per-state lookup; ``matrix`` is a dense read-only view built on first
-    use.  The value is immutable.
+    use.  A density from this module's constructors records how it was
+    built (``route``); a dense one records nothing.  The value is immutable.
     """
 
     __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_copy",
-                 "_row_start", "_pos", "_trace", "_matrix")
+                 "_row_start", "_pos", "_trace", "_matrix", "_origin")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
-        self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit)
+        self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit, None)
 
     @classmethod
-    def _graded(cls, modes: int, cutoff: int, blocks, trace_deficit: float) -> "FockDensity":
+    def _graded(cls, modes: int, cutoff: int, blocks, trace_deficit: float,
+                origin: _Origin | None = None) -> "FockDensity":
         rho = cls.__new__(cls)
-        rho._set(modes, cutoff, tuple(blocks), trace_deficit)
+        rho._set(modes, cutoff, tuple(blocks), trace_deficit, origin)
         return rho
 
-    def _set(self, modes, cutoff, blocks, trace_deficit) -> None:
+    def _set(self, modes, cutoff, blocks, trace_deficit, origin) -> None:
         for name, value in (("modes", modes), ("cutoff", cutoff), ("_blocks", blocks),
-                            ("trace_deficit", trace_deficit), ("_matrix", None)):
+                            ("trace_deficit", trace_deficit), ("_matrix", None),
+                            ("_origin", origin)):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -669,6 +678,12 @@ class FockDensity:
         return self.cutoff ** self.modes
 
     @property
+    def route(self) -> str | None:
+        """The constructor route that built the density (``one-mode``,
+        ``tensor``, ``tms``, ``bs`` or ``mixture``); None for a dense one."""
+        return None if self._origin is None else self._origin.route
+
+    @property
     def matrix(self) -> np.ndarray:
         """Dense read-only view of the density, built on first use."""
         if self._matrix is None:
@@ -724,8 +739,10 @@ def _trace_deficit(cutoff: int, blocks, eps_tr: float) -> float:
     return deficit
 
 
-def _finish(modes: int, cutoff: int, blocks, eps_tr: float) -> FockDensity:
-    return FockDensity._graded(modes, cutoff, blocks, _trace_deficit(cutoff, blocks, eps_tr))
+def _finish(modes: int, cutoff: int, blocks, eps_tr: float,
+            origin: _Origin | None = None) -> FockDensity:
+    return FockDensity._graded(modes, cutoff, blocks, _trace_deficit(cutoff, blocks, eps_tr),
+                               origin)
 
 
 # --- constructors -------------------------------------------------------------
@@ -745,7 +762,8 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
     st = _solve_squeezed_thermal(s.n, s.m)
     if st is None or st.nbar < -1e-12:
         raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
-    return _finish(1, cutoff, [_Block(None, _one_mode_matrix(st, cutoff))], eps_tr)
+    return _finish(1, cutoff, [_Block(None, _one_mode_matrix(st, cutoff))], eps_tr,
+                   _Origin("one-mode"))
 
 
 def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
@@ -760,7 +778,8 @@ def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
     f2 = _solve_squeezed_thermal(sb.n, sb.m)
     if f1 is None or f2 is None or f1.nbar < -1e-12 or f2.nbar < -1e-12:
         raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
-    return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, 0.0, 0.0, cutoff), eps_tr)
+    return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, 0.0, 0.0, cutoff), eps_tr,
+                   _Origin("bs", 0.0))
 
 
 @dataclass(frozen=True)
@@ -831,13 +850,17 @@ def _plan_two_mode(state: TwoModeGaussian):
     return _TwoModePlan("bs", f1, f2, theta_c=theta_c, theta_d=theta_d)
 
 
-def _assemble_two_mode(plan: _TwoModePlan, cutoff: int) -> list:
+def _assemble_two_mode(plan: _TwoModePlan, cutoff: int):
+    """The plan's blocks and its record; the bs route's symmetry phase is
+    δ = θ_d − θ_c."""
     if plan.route == "tensor":
-        return _tensor_blocks(plan.factor1, plan.factor2, cutoff)
+        return _tensor_blocks(plan.factor1, plan.factor2, cutoff), _Origin("tensor")
     if plan.route == "tms":
-        return _two_mode_squeezed_thermal(plan.factor1.nbar, plan.tms_r, plan.tms_phi, cutoff)
-    return _mix_on_beam_splitter(plan.factor1, plan.factor2, 0.0,
-                                 plan.theta_c, plan.theta_d, cutoff)
+        return (_two_mode_squeezed_thermal(plan.factor1.nbar, plan.tms_r, plan.tms_phi, cutoff),
+                _Origin("tms"))
+    return (_mix_on_beam_splitter(plan.factor1, plan.factor2, 0.0,
+                                  plan.theta_c, plan.theta_d, cutoff),
+            _Origin("bs", plan.theta_d - plan.theta_c))
 
 
 def _on_total_parity(blocks, cutoff: int) -> list:
@@ -860,8 +883,9 @@ def _on_total_parity(blocks, cutoff: int) -> list:
     return [_Block(group[None, :], mat) for group, mat in zip(groups, out)]
 
 
-def _two_mode_blocks(state, cutoff: int, eps_tr: float) -> list:
-    """Assembled, not yet validated blocks of a two-mode state or mixture.
+def _two_mode_blocks(state, cutoff: int, eps_tr: float):
+    """Assembled, not yet validated blocks of a two-mode state or mixture,
+    and the record of how they were built.
 
     A mixture is the weighted sum of its components, each of which must
     meet the trace tolerance on its own.  Components with the same blocks
@@ -871,7 +895,7 @@ def _two_mode_blocks(state, cutoff: int, eps_tr: float) -> list:
     if isinstance(state, GaussianMixture):
         parts = []
         for w, comp in state.components:
-            blocks = _two_mode_blocks(comp, cutoff, eps_tr)
+            blocks, _ = _two_mode_blocks(comp, cutoff, eps_tr)
             _trace_deficit(cutoff, blocks, eps_tr)
             parts.append((w, blocks))
         first = parts[0][1]
@@ -884,7 +908,7 @@ def _two_mode_blocks(state, cutoff: int, eps_tr: float) -> list:
         for w, blocks in parts[1:]:
             for (_, acc), b in zip(summed, blocks):
                 acc += b.values * w
-        return summed
+        return summed, _Origin("mixture")
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     plan = _plan_two_mode(state)
@@ -903,7 +927,8 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     such state with equal per-mode squeezing magnitudes is one).  Mixtures
     are weighted sums, validated once.
     """
-    return _finish(2, cutoff, _two_mode_blocks(state, cutoff, eps_tr), eps_tr)
+    blocks, origin = _two_mode_blocks(state, cutoff, eps_tr)
+    return _finish(2, cutoff, blocks, eps_tr, origin)
 
 
 def physicality_summary(state: TwoModeGaussian, cutoff: int):
@@ -1029,6 +1054,82 @@ def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarra
     return _entries(rho, rows, rows.T)
 
 
+def _partial_transpose_labels(rho: FockDensity) -> np.ndarray:
+    """Per basis state, its label in the finest grading among n_a + n_b,
+    total parity and none whose blocks hold the whole partial transpose.
+
+    PT[x, y] = ρ[p, q] with p = (x_a, y_b) and q = (y_a, x_b), so
+    N_x − N_y = d_p − d_q with d = n_a − n_b: the partial transpose is block
+    diagonal in N (in N mod 2) exactly when every nonzero entry of ρ's
+    blocks joins states of equal d (of equal d mod 2).  That is checked on
+    the density itself.
+    """
+    c = rho.cutoff
+    na, nb = np.divmod(np.arange(c * c), c)
+    d = na - nb
+
+    def holds(key) -> bool:
+        for members, values in rho._blocks:
+            k = key[members]    # one row per copy of the block
+            if np.any((values != 0) & (k[:, :, None] != k[:, None])):
+                return False
+        return True
+
+    if holds(d):
+        return na + nb
+    if holds(d % 2):
+        return (na + nb) % 2
+    return np.zeros(c * c, dtype=int)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _symmetric_block_min(rho: FockDensity, members: np.ndarray, swap_phase: float):
+    """Smallest eigenvalue of the partial-transpose block on ``members`` (a
+    set closed under the mode swap s), from a real symmetric form; None when
+    the block lacks the symmetry.
+
+    A density that commutes with T|j, k⟩ = e^{iδ(j−k)}|k, j⟩ (with or
+    without the sign (−1)^{j+k}: it conserves total parity) has
+    PT[sx, sy] = e^{iδ(N_y − N_x)} conj(PT[x, y]), so M = D PT D† with
+    D = diag(e^{iδN/2}) has M[sx, sy] = conj(M[x, y]) and is real in the
+    basis {|j, j⟩, (|j, k⟩ + |k, j⟩)/√2, i(|j, k⟩ − |k, j⟩)/√2 : j < k}.
+    The block is gathered in the order (diagonal, upper j < k, their swap
+    images), and the symmetry is checked on its quadrants to the density's
+    Hermiticity tolerance; the complex block is released before the
+    eigensolve.
+    """
+    na, nb = np.divmod(members, rho.cutoff)
+    upper = na < nb
+    order = np.concatenate((members[na == nb], members[upper], nb[upper] * rho.cutoff + na[upper]))
+    m = _partial_transpose_block(rho, order)
+    if swap_phase:
+        phase = np.exp(0.5j * swap_phase * np.add(*np.divmod(order, rho.cutoff)))
+        m *= phase[:, None]
+        m *= phase.conj()
+    n_pairs = int(np.count_nonzero(upper))
+    n_diag = order.size - 2 * n_pairs
+    dg, up, lo = slice(n_diag), slice(n_diag, n_diag + n_pairs), slice(n_diag + n_pairs, None)
+    residual = max(_max_abs(m[dg, dg].imag), _max_abs(m[dg, lo] - m[dg, up].conj()),
+                   _max_abs(m[lo, lo] - m[up, up].conj()), _max_abs(m[lo, up] - m[up, lo].conj()))
+    if residual > _HERMITICITY_TOL:
+        return None
+    real = np.empty(m.shape)
+    real[dg, dg] = m[dg, dg].real
+    real[dg, up] = math.sqrt(2.0) * m[dg, up].real
+    real[dg, lo] = -math.sqrt(2.0) * m[dg, up].imag
+    real[up, up] = m[up, up].real + m[up, lo].real
+    real[up, lo] = m[up, lo].imag - m[up, up].imag
+    real[lo, lo] = m[up, up].real - m[up, lo].real
+    for rows, cols in ((up, dg), (lo, dg), (lo, up)):
+        real[rows, cols] = real[cols, rows].T
+    del m
+    real /= rho.trace()
+    return float(np.linalg.eigvalsh(real)[0])
+
+
 def ppt_min_eigenvalue(rho: FockDensity) -> float:
     """Smallest eigenvalue after transposing the second mode's indices.
 
@@ -1037,22 +1138,25 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
 
     The spectrum is the union of the spectra of the blocks of the finest
     grading, among n_a + n_b, total parity and none, whose blocks hold the
-    whole partial transpose.  That is checked on the density itself: the
-    partial transpose permutes the entries of ρ, so it is block diagonal
-    exactly when its blocks hold as many nonzero entries as ρ's blocks do.
+    whole partial transpose (see ``_partial_transpose_labels``), taken one
+    block at a time.  A bs-route density commutes with a phased mode swap,
+    which makes each block real symmetric up to known phases
+    (``_symmetric_block_min``); a block that fails that check, and every
+    other density, takes the complex Hermitian eigensolver.
     """
     if rho.modes != 2:
         raise ValueError("partial transpose needs a two-mode density")
-    c = rho.cutoff
-    na, nb = np.divmod(np.arange(c * c), c)
-    nonzero = sum(len(members) * np.count_nonzero(values) for members, values in rho._blocks)
-    for labels in (na + nb, (na + nb) % 2, np.zeros(c * c, dtype=int)):
-        blocks = [_partial_transpose_block(rho, np.flatnonzero(labels == g))
-                  for g in np.unique(labels)]
-        if sum(np.count_nonzero(b) for b in blocks) == nonzero:
-            break
+    labels = _partial_transpose_labels(rho)
+    swap_phase = None if rho._origin is None else rho._origin.swap_phase
     trace = rho.trace()
-    return min(float(np.linalg.eigvalsh(b / trace)[0]) for b in blocks)
+    lowest = math.inf
+    for g in np.unique(labels):
+        members = np.flatnonzero(labels == g)
+        value = None if swap_phase is None else _symmetric_block_min(rho, members, swap_phase)
+        if value is None:
+            value = float(np.linalg.eigvalsh(_partial_transpose_block(rho, members) / trace)[0])
+        lowest = min(lowest, value)
+    return lowest
 
 
 def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
@@ -1089,25 +1193,3 @@ def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
     sq_ab = _band_trace(rho, _band_gather(rho, 2, -2), (2, 0, 0, 2))
     numerator = 2.0 * cross + (sq_ba + sq_ab).real
     return 0.5 - numerator / denominator
-
-
-# --- debug dump ---------------------------------------------------------------
-
-def save_density(rho: FockDensity, path) -> None:
-    """Binary dump: 16-byte header (modes, cutoff, two reserved words, each a
-    little-endian uint32) followed by the matrix row-major as little-endian
-    float64 (re, im) pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_HEADER.pack(rho.modes, rho.cutoff, 0, 0))
-        fh.write(np.ascontiguousarray(rho.matrix).astype("<c16").tobytes())
-
-
-def load_density(path) -> FockDensity:
-    """Read a dump written by ``save_density``; the deficit is recomputed."""
-    with open(path, "rb") as fh:
-        modes, cutoff, _, _ = _DUMP_HEADER.unpack(fh.read(_DUMP_HEADER.size))
-        dim = cutoff ** modes
-        raw = fh.read(dim * dim * 16)
-    mat = np.frombuffer(raw, dtype="<c16").reshape(dim, dim).astype(complex)
-    deficit = 1.0 - float(np.trace(mat).real)
-    return FockDensity(modes, cutoff, mat, deficit)

@@ -13,7 +13,7 @@ from squeezekit import (
     fock,
     werner_mix,
 )
-from squeezekit.cli import main
+from squeezekit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -155,11 +155,58 @@ class TestOracleRunFields:
         assert abs(deficit) < 1e-6
         assert deficit == 1.0 - density(30).trace()
 
+    @pytest.mark.parametrize("name, route", [
+        ("one-mode", "one-mode"), ("epr", "tms"), ("werner", "mixture"),
+        ("bs-output", "bs"), ("general", "bs"), ("amplifier", "one-mode"),
+    ])
+    def test_route_of_the_measured_density(self, capsys, name, route):
+        argv, density = _ORACLE_RUNS[name]
+        code, out, _ = run_cli(capsys, *argv, "--oracle", "--cutoff", "30", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle_route"] == route
+        assert density(30).route == route
+
     def test_fields_absent_without_oracle(self, capsys):
         code, out, _ = run_cli(capsys, *_ORACLE_RUNS["epr"][0], "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert "oracle_cutoff" not in payload and "oracle_trace_deficit" not in payload
+        assert not {"oracle_route", "oracle_cutoff", "oracle_trace_deficit"} & set(payload)
+
+
+class TestOracleFlags:
+    """Only the commands that build a Fock density take ``--oracle``;
+    ``oracle-check`` takes ``--cutoff`` for its suite."""
+
+    _WITHOUT_ORACLE = [
+        ("witness", "w2", "--n", "1", "--m", "0.5"),
+        ("witness", "whbt", "--n", "1", "--m", "0.5"),
+        ("visibility", "epr", "--n", "1", "--mc", "0.5"),
+        ("figure", "5"),
+    ]
+
+    @pytest.mark.parametrize("argv", _WITHOUT_ORACLE)
+    @pytest.mark.parametrize("flag", [("--oracle",), ("--cutoff", "3")])
+    def test_commands_without_an_oracle_reject_the_flags(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_oracle_check_takes_a_cutoff_but_no_oracle_flag(self, capsys):
+        assert build_parser().parse_args(["oracle-check", "--cutoff", "30"]).cutoff == 30
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--oracle"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "epr", "--n", "1", "--mc", "0.5"),
+        ("sweep", "epr", "--n", "1", "--vary", "mc", "0", "1", "3"),
+        ("amplifier", "--G", "1.65", "--H", "1.05"),
+    ])
+    def test_oracle_commands_take_both_flags(self, argv):
+        args = build_parser().parse_args([*argv, "--oracle", "--cutoff", "30"])
+        assert args.oracle is True and args.cutoff == 30
 
 
 class TestAmplifier:

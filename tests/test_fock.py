@@ -23,6 +23,7 @@ from squeezekit import (
 )
 from squeezekit import fock
 
+from _fock_reference import displacement_unitary, expm_antihermitian
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -377,26 +378,6 @@ class TestPhysicalitySummary:
         assert min_eig < -1e-8
 
 
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        rho = fock.two_mode_density(TwoModeGaussian.epr(0.7, 0.6 + 0.2j), 12, eps_tr=1e-2)
-        path = tmp_path / "density.bin"
-        fock.save_density(rho, path)
-        loaded = fock.load_density(path)
-        assert loaded.modes == 2
-        assert loaded.cutoff == 12
-        assert np.array_equal(loaded.matrix, rho.matrix)
-        assert loaded.trace_deficit == pytest.approx(rho.trace_deficit, abs=1e-12)
-
-    def test_header_layout(self, tmp_path):
-        rho = fock.one_mode_density(OneModeGaussian(0.3, 0j), 5, eps_tr=1e-2)
-        path = tmp_path / "density.bin"
-        fock.save_density(rho, path)
-        raw = path.read_bytes()
-        assert len(raw) == 16 + 25 * 16
-        assert raw[:16] == (1).to_bytes(4, "little") + (5).to_bytes(4, "little") + b"\x00" * 8
-
-
 def _labels(cutoff):
     return np.divmod(np.arange(cutoff * cutoff), cutoff)
 
@@ -407,7 +388,7 @@ def _dense_factor(factor, dim):
     a = fock.annihilation(dim)
     xi = factor.r * cmath.exp(1j * factor.phi)
     g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
-    s = fock._expm_antihermitian(g)
+    s = expm_antihermitian(g)
     return (s * fock._thermal_weights(factor.nbar, dim)) @ s.conj().T
 
 
@@ -604,8 +585,8 @@ class TestBlockPartialTranspose:
         # every photon-number grading, so no block split is exact.
         cutoff = 10
         epr = fock.two_mode_density(TwoModeGaussian.epr(0.5, 0.6 + 0j), cutoff, eps_tr=1.0)
-        u = np.kron(fock.displacement_unitary(cutoff, 0.3 + 0.1j),
-                    fock.displacement_unitary(cutoff, -0.2j))
+        u = np.kron(displacement_unitary(cutoff, 0.3 + 0.1j),
+                    displacement_unitary(cutoff, -0.2j))
         mat = u @ epr.matrix @ u.conj().T
         mat = (mat + mat.conj().T) / 2.0
         rho = fock.FockDensity(2, cutoff, mat, 1.0 - float(np.trace(mat).real))
@@ -615,6 +596,121 @@ class TestBlockPartialTranspose:
         dense = _dense_partial_transpose_min(rho)
         assert dense < -1e-3
         assert fock.ppt_min_eigenvalue(rho) == pytest.approx(dense, abs=1e-13)
+
+
+def _swap_operator(cutoff, delta):
+    # T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)} |k, j⟩ on the truncated basis.
+    t = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
+    for j in range(cutoff):
+        for k in range(cutoff):
+            t[k * cutoff + j, j * cutoff + k] = (-1.0) ** (j + k) * cmath.exp(1j * delta * (j - k))
+    return t
+
+
+def _swap_phase(state):
+    # δ = θ_b − θ_a of the local rotations that take a state with equal
+    # squeezing moments on both modes to this one: half the phase gap of m_b
+    # and m_a.  It is fixed mod π only; δ + π flips the sign of T on odd
+    # total parity, which the state does not mix with even.
+    return 0.5 * (cmath.phase(state.m_b) - cmath.phase(state.m_a))
+
+
+def _seeded_bs_route(cutoff, seed=20261018):
+    """(name, density, δ) of seeded bs-route states: rotated beam-splitter
+    images through ``two_mode_density`` and ``bs_output_density`` outputs,
+    every splitter phase λ ≠ 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(8):
+        n = float(rng.uniform(0.2, 0.7))
+        m = float(rng.uniform(0.6, 0.95)) * math.sqrt(n * (n + 1.0))
+        lam = float(rng.uniform(0.15, 0.85)) * math.pi
+        if k % 2:
+            sa = OneModeGaussian(n, m * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi))))
+            rho = fock.bs_output_density(sa, sa, lam, cutoff, eps_tr=1.0)
+            out.append((f"bs-output {k}", rho, _swap_phase(beam_splitter(sa, sa, lam))))
+        else:
+            sa = OneModeGaussian(n, complex(m))
+            sb = random_physical_one_mode(rng, n_max=0.7)
+            state = mode_rotation(beam_splitter(sa, sb if k % 4 else sa, lam),
+                                  *rng.uniform(-math.pi, math.pi, size=2))
+            rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            out.append((f"bs {k}", rho, _swap_phase(state)))
+    return out
+
+
+class _EigvalshSpy:
+    def __init__(self, monkeypatch):
+        self.dtypes = []
+        original = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            self.dtypes.append(np.asarray(a).dtype)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+
+
+class TestSwapSymmetricPartialTranspose:
+    """A bs-route density R B₀(ρ₁ ⊗ ρ₂)B₀† R† commutes with a phased mode
+    swap, so each of its partial-transpose blocks is real symmetric up to
+    known phases and takes the real eigensolver."""
+
+    def test_bs_densities_commute_with_the_phased_swap(self):
+        cutoff = 12
+        for name, rho, delta in _seeded_bs_route(cutoff):
+            assert rho.route == "bs", name
+            t = _swap_operator(cutoff, delta)
+            assert np.max(np.abs(t @ rho.matrix - rho.matrix @ t)) < 1e-14, name
+            # The phase is pinned: a wrong one breaks the symmetry.
+            t = _swap_operator(cutoff, delta + 0.3)
+            assert np.max(np.abs(t @ rho.matrix - rho.matrix @ t)) > 1e-6, name
+
+    @pytest.mark.parametrize("cutoff", [12, 30])
+    def test_matches_the_dense_spectrum(self, cutoff):
+        values = []
+        for name, rho, _ in _seeded_bs_route(cutoff):
+            dense = _dense_partial_transpose_min(rho)
+            assert fock.ppt_min_eigenvalue(rho) == pytest.approx(dense, abs=1e-13), name
+            values.append(dense)
+        assert sum(v < -1e-4 for v in values) >= 3
+
+    def test_wrong_phase_takes_the_complex_path(self, monkeypatch):
+        spy = _EigvalshSpy(monkeypatch)
+        for name, rho, _ in _seeded_bs_route(12)[:4]:
+            wrong = fock.FockDensity._graded(2, 12, rho._blocks, rho.trace_deficit,
+                                             fock._Origin("bs", rho._origin.swap_phase + 0.3))
+            spy.dtypes.clear()
+            assert fock.ppt_min_eigenvalue(wrong) == pytest.approx(
+                _dense_partial_transpose_min(rho), abs=1e-13), name
+            assert spy.dtypes and all(dt == np.complex128 for dt in spy.dtypes), name
+
+    def test_eigensolver_input_type_per_route(self, monkeypatch):
+        spy = _EigvalshSpy(monkeypatch)
+        for name, rho in _graded_densities(12).items():
+            spy.dtypes.clear()
+            fock.ppt_min_eigenvalue(rho)
+            expected = np.float64 if name in ("bs", "bs-output") else np.complex128
+            assert spy.dtypes and all(dt == expected for dt in spy.dtypes), name
+
+
+class TestRoute:
+    def test_each_constructor_records_its_route(self):
+        for name, rho in _graded_densities(8).items():
+            expected = {"bs-output": "bs", "bs+tms mixture": "mixture"}.get(name, name)
+            assert rho.route == expected, name
+        assert fock.one_mode_density(OneModeGaussian(0.3, 0.1j), 8, eps_tr=1.0).route == "one-mode"
+        thermal = fock.two_mode_density(TwoModeGaussian.thermal_pair(0.3), 8, eps_tr=1.0)
+        assert thermal.route == "tms"
+
+    def test_only_the_bs_route_records_a_swap_phase(self):
+        for name, rho in _graded_densities(8).items():
+            assert (rho._origin.swap_phase is not None) == (name in ("bs", "bs-output")), name
+        assert _graded_densities(8)["bs-output"]._origin.swap_phase == 0.0
+
+    def test_dense_density_records_none(self):
+        rho = fock.FockDensity(1, 3, np.diag([0.5, 0.3, 0.2]), 0.0)
+        assert rho.route is None and rho._origin is None
 
 
 class TestValidation:
@@ -829,14 +925,6 @@ class TestGradedStorage:
             rho.matrix[0, 0] = 1.0
         assert rho.matrix is rho.matrix
 
-    def test_graded_round_trip_is_exact(self, tmp_path):
-        path = tmp_path / "density.bin"
-        for name, rho in _graded_densities(8).items():
-            fock.save_density(rho, path)
-            loaded = fock.load_density(path)
-            assert np.array_equal(loaded.matrix, rho.matrix), name
-            assert loaded.trace() == pytest.approx(rho.trace(), abs=1e-15), name
-
     def test_witnesses_match_the_five_moment_formula(self):
         def moment(rho, *counts):
             return fock.moment(rho, OperatorWord.from_counts(*counts))
@@ -905,7 +993,7 @@ class TestSectorExponential:
         for kind, spec, sector, z in cases:
             size, g = _explicit_sector_generator(kind, n_states, spec, z)
             got = fock._sector_exponential(kind, size, sector, z)
-            assert np.max(np.abs(got - fock._expm_antihermitian(g))) < 1e-13, (kind, spec, z)
+            assert np.max(np.abs(got - expm_antihermitian(g))) < 1e-13, (kind, spec, z)
 
     def test_rows_and_columns_select_from_the_full_block(self):
         z = 0.4 * cmath.exp(-2.1j)

@@ -26,6 +26,7 @@ from squeezekit import (
 )
 from squeezekit import fock
 
+from _fock_reference import displacement_unitary
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -228,7 +229,7 @@ class TestWeylCharacteristic:
         # Independent oracle: Tr{ρ D(α)} with explicit matrices at cutoff 40.
         s = OneModeGaussian(0.8, 0.6 * cmath.exp(0.9j))
         rho = fock.one_mode_density(s, 40)
-        disp = fock.displacement_unitary(40, alpha)
+        disp = displacement_unitary(40, alpha)
         oracle = np.trace(rho.matrix @ disp)
         assert weyl_characteristic(s, alpha) == pytest.approx(oracle, abs=1e-8)
 
