@@ -3,7 +3,9 @@ visibilities, sweep parameters, reproduce figure data as CSV, and run the
 oracle concordance suite.
 
 Angles are accepted in units of π (``--lam 0.5`` means π/2) so that figure
-abscissae stay exact; pass ``--radians`` for raw radians.  CSV output is
+abscissae stay exact; ``classify``, ``witness``, ``visibility`` and
+``sweep``, the commands that take angles, accept ``--radians`` for raw
+radians.  CSV output is
 deterministic: 12 significant digits, '.' decimal separator, LF line
 endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
 4 oracle disagreement; an ``--oracle`` cutoff too small for the state's
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -597,6 +600,10 @@ def _cmd_oracle_check(args) -> int:
 def _add_common(parser):
     parser.add_argument("--out", help="write output to this file instead of stdout")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+
+def _add_angles(parser):
+    """The flag of the commands that take angle arguments."""
     parser.add_argument("--radians", action="store_true",
                         help="interpret angles as raw radians instead of units of pi")
 
@@ -640,6 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
         fam_parser = fam.add_parser(family)
         _add_family_arguments(fam_parser, family)
         _add_common(fam_parser)
+        _add_angles(fam_parser)
         _add_oracle(fam_parser)
         fam_parser.set_defaults(func=_cmd_classify)
 
@@ -657,6 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     w2p.add_argument("--m", type=float, required=True)
     w2p.add_argument("--m-phase", dest="m_phase", type=float, default=0.0)
     _add_common(w2p)
+    _add_angles(w2p)
     w2p.set_defaults(func=_cmd_witness)
     whbtp = wit_sub.add_parser("whbt")
     whbtp.add_argument("--family", choices=("pair", "epr", "werner", "bs-output", "general"),
@@ -670,6 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     whbtp.add_argument("--lam1", type=float, default=0.0)
     whbtp.add_argument("--lam2", type=float, default=0.0)
     _add_common(whbtp)
+    _add_angles(whbtp)
     whbtp.set_defaults(func=_cmd_witness)
 
     p_vis = sub.add_parser("visibility", help="closed-form fringe visibilities")
@@ -687,6 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
             default = 0.0 if nm.startswith("lam") else None
             vp.add_argument(f"--{nm}", type=float, required=default is None, default=default)
         _add_common(vp)
+        _add_angles(vp)
         vp.set_defaults(func=_cmd_visibility)
 
     p_fig = sub.add_parser("figure", help="write figure-reproduction CSV data")
@@ -704,6 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--vary", nargs=4, metavar=("PARAM", "START", "STOP", "NUM"),
                         required=True, help="parameter name and linspace grid")
         _add_common(sp)
+        _add_angles(sp)
         _add_oracle(sp)
         sp.set_defaults(func=_cmd_sweep)
 
@@ -720,9 +732,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: parsing never changes it, and building it
+    costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonPhysicalStateError as exc:

@@ -18,6 +18,7 @@ from .states import (
     GaussianMixture,
     NonPhysicalStateError,
     TwoModeGaussian,
+    state_record,
 )
 
 
@@ -95,10 +96,15 @@ def is_physical_two_mode(state) -> bool:
     complex form of V + iΩ/2, which makes the condition sufficient for a
     Gaussian state as well (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)).
     The smallest eigenvalue may dip to −EPS_PHYS.  A mixture is accepted
-    when all of its components are.
+    when all of its components are.  The verdict is kept in the state's
+    record, so each state value takes one eigensolve however often it is
+    gated.
     """
     if isinstance(state, GaussianMixture):
         return all(is_physical_two_mode(comp) for _, comp in state.components)
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)
+    record = state_record(state)
+    if record.physical is None:
+        record.physical = bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)
+    return record.physical

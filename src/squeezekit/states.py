@@ -11,12 +11,17 @@ fourth-order interference quantities possible.
 Tokens of one class (a†, b†, a or b) are interchangeable in a normally
 ordered word, so the moment depends only on the counts (i, j, k, l) of
 a†^i b†^j a^k b^l.  Pairing the first token with each remaining class gives
-a recursion on those counts, memoized for the duration of one call: it
-visits at most (i+1)(j+1)(k+1)(l+1) count tuples, 625 for a 16-token word,
-with at most four terms each.
+a recursion on those counts: a word visits at most (i+1)(j+1)(k+1)(l+1)
+count tuples, 625 for a 16-token word, with at most four terms each.  The
+memo of that recursion belongs to the state value, so every word, fringe
+sample and witness evaluated on one instance reuses the count tuples its
+earlier words filled in.  It dies with the state and holds at most
+C(20,4) = 4845 tuples, one per count tuple of 16 tokens or fewer.
 
-All values are immutable after construction and all operations are pure
-functions, so everything in this module is safe to share between threads.
+The fields of every value are immutable after construction and every
+operation is a pure function of them.  The per-state memo only ever gains
+entries that any evaluation would compute bit for bit alike, so states are
+safe to share between threads: a race can only repeat work.
 """
 
 from __future__ import annotations
@@ -73,8 +78,41 @@ def _finite_complex(z: complex, name: str) -> complex:
     return z
 
 
+class _Record:
+    """What is known about one state value beyond its fields.
+
+    ``moments`` is (n, m_a, m_b, m_c, m_x) as the Wick recursion reads them,
+    ``one_mode`` marks a state that takes no mode-b word, ``counts`` maps
+    each count tuple evaluated so far to its moment, and ``physical`` holds
+    the verdict of ``separability.is_physical_two_mode`` once it is known.
+    """
+
+    __slots__ = ("moments", "one_mode", "counts", "physical")
+
+    def __init__(self, moments: tuple, one_mode: bool):
+        self.moments = moments
+        self.one_mode = one_mode
+        self.counts: dict = {}
+        self.physical: bool | None = None
+
+
+class _RecordedState:
+    """Base of the state values that carry a ``_Record`` once evaluated.
+
+    The record is derived data, like ``OperatorWord._counts``, but not a
+    dataclass field: ``fields``, ``asdict``, ``repr``, ``==`` and ``hash``
+    never see it, ``dataclasses.replace`` builds a value without one, and
+    pickles and copies leave it out.
+    """
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_record", None)
+        return state
+
+
 @dataclass(frozen=True)
-class OneModeGaussian:
+class OneModeGaussian(_RecordedState):
     """One-mode zero-mean Gaussian state with ⟨a†a⟩ = n and ⟨aa⟩ = −m.
 
     Construction only enforces n ≥ 0 and finiteness; physicality
@@ -107,7 +145,7 @@ class OneModeGaussian:
 
 
 @dataclass(frozen=True)
-class TwoModeGaussian:
+class TwoModeGaussian(_RecordedState):
     """Two-mode zero-mean Gaussian state with equal mean photon number.
 
     Moment conventions: ⟨a†a⟩ = ⟨b†b⟩ = n, ⟨aa⟩ = −m_a, ⟨bb⟩ = −m_b,
@@ -396,8 +434,11 @@ def _counts_moment(moments, memo: dict, i: int, j: int, k: int, l: int) -> compl
     counts left over.  Pairs read in written (normally ordered) order:
     ⟨a†a†⟩ = −m_a*, ⟨a†b†⟩ = −m_c*, ⟨a†a⟩ = ⟨b†b⟩ = n, ⟨a†b⟩ = m_x,
     ⟨b†a⟩ = m_x*, ⟨aa⟩ = −m_a, ⟨ab⟩ = −m_c.  Vanishing second moments are
-    skipped.  ``memo`` belongs to one ``wick_moment`` call; sub-words of
-    length 2 are cheaper to recompute than to look up.
+    skipped.  ``memo`` is the state's own record of count tuples (see
+    ``state_record``), kept across calls: every entry is the value this
+    recursion computes for its key, so a hit returns exactly what a fresh
+    evaluation would.  Sub-words of length 2 are cheaper to recompute than
+    to look up.
     """
     key = (i, j, k, l) if i + j + k + l > 2 else None
     if key is not None:
@@ -437,25 +478,38 @@ def _counts_moment(moments, memo: dict, i: int, j: int, k: int, l: int) -> compl
     return value
 
 
+def state_record(state) -> _Record:
+    """The record of a one- or two-mode state value, made on first use.
+
+    Mixtures have none: each component keeps its own.
+    """
+    record = getattr(state, "_record", None)
+    if record is None:
+        if isinstance(state, OneModeGaussian):
+            record = _Record((state.n, state.m, 0j, 0j, 0j), True)
+        elif isinstance(state, TwoModeGaussian):
+            record = _Record((state.n, state.m_a, state.m_b, state.m_c, state.m_x), False)
+        else:
+            raise TypeError(f"unsupported state type {type(state).__name__}")
+        object.__setattr__(state, "_record", record)
+    return record
+
+
 def wick_moment(state, word: OperatorWord) -> complex:
     """Normally ordered expectation of a ladder word on a Gaussian state.
 
     Equals the sum over all perfect pairings of the word's tokens, each pair
     contributing its stored second moment, evaluated by the recursion on the
-    word's counts in ``_counts_moment``.  Words of odd length vanish because
-    the states are zero-mean.  Mixtures average component moments by weight.
+    word's counts in ``_counts_moment`` on the state's own memo.  Words of
+    odd length vanish because the states are zero-mean.  Mixtures average
+    component moments by weight.
     """
     if isinstance(state, GaussianMixture):
         return sum(w * wick_moment(s, word) for w, s in state.components)
-    if isinstance(state, OneModeGaussian):
-        if word.uses_mode_b():
-            raise ValueError("one-mode state cannot take words containing mode b")
-        moments = (state.n, state.m, 0j, 0j, 0j)
-    elif isinstance(state, TwoModeGaussian):
-        moments = (state.n, state.m_a, state.m_b, state.m_c, state.m_x)
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
+    record = state_record(state)
+    if record.one_mode and word.uses_mode_b():
+        raise ValueError("one-mode state cannot take words containing mode b")
     i, j, k, l = word.counts()
     if (i + j + k + l) % 2:
         return 0j
-    return _counts_moment(moments, {}, i, j, k, l)
+    return _counts_moment(record.moments, record.counts, i, j, k, l)

@@ -209,6 +209,49 @@ class TestOracleFlags:
         assert args.oracle is True and args.cutoff == 30
 
 
+class TestAngleFlag:
+    """Only the commands that take angles accept ``--radians``."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "general", "--n", "1", "--m", "0.3", "--mc", "0.5",
+         "--lam1", "0", "--lam2", "0.5"),
+        ("witness", "w2", "--n", "1", "--m", "0.5"),
+        ("witness", "whbt", "--n", "1", "--m", "0.5"),
+        ("visibility", "uncorrelated", "--n", "1", "--m", "0.5"),
+        ("sweep", "epr", "--n", "1", "--vary", "mc", "0", "1", "3"),
+    ])
+    def test_angle_commands_take_the_flag(self, argv):
+        assert build_parser().parse_args([*argv, "--radians"]).radians is True
+        assert build_parser().parse_args(list(argv)).radians is False
+
+    @pytest.mark.parametrize("argv", [
+        ("figure", "5", "--points", "3"),
+        ("amplifier", "--G", "1.65", "--H", "1.05"),
+        ("oracle-check", "--states", "1"),
+    ])
+    def test_other_commands_reject_the_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--radians"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --radians" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser; no call may see another call's flags."""
+
+    def test_oracle_fields_do_not_leak_into_the_next_call(self, capsys):
+        argv = ("classify", "epr", "--n", "1", "--mc", "1.2", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv, "--oracle")
+        assert code == 0
+        assert "oracle_route" in json.loads(out)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert not [key for key in json.loads(out) if key.startswith("oracle")]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestAmplifier:
     def test_reported_gains(self, capsys):
         code, out, _ = run_cli(capsys, "amplifier", "--G", "1.65", "--H", "1.05",

@@ -7,6 +7,7 @@ import pytest
 from squeezekit import (
     FitModel,
     FringeSample,
+    GaussianMixture,
     IllConditionedError,
     InequalityContext,
     NonPhysicalStateError,
@@ -130,6 +131,32 @@ class TestClosedFormVisibilities:
 
 
 class TestHbtCorrelation:
+    def test_fringe_on_one_state_takes_one_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(matrix):
+            calls.append(matrix)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        state = TwoModeGaussian(1.0, 0.4 + 0j, 0.3j, 0.5 + 0j, 0.1 + 0j)
+        phases = np.linspace(0.0, 2.0 * math.pi, 5)
+        values = [hbt_correlation(state, p1, p2) for p1 in phases for p2 in phases]
+        assert len(values) == 25 and len(calls) == 1
+        fresh = TwoModeGaussian(1.0, 0.4 + 0j, 0.3j, 0.5 + 0j, 0.1 + 0j)
+        assert hbt_correlation(fresh, phases[3], phases[1]) == values[16]
+
+    def test_nonphysical_state_raises_on_every_call(self):
+        state = TwoModeGaussian.epr(1.0, 1.5 + 0j)
+        for _ in range(3):
+            with pytest.raises(NonPhysicalStateError):
+                hbt_correlation(state, 0.3, 1.1)
+        mix = GaussianMixture(((0.5, state), (0.5, TwoModeGaussian.thermal_pair(1.0))))
+        for _ in range(3):
+            with pytest.raises(NonPhysicalStateError):
+                hbt_correlation(mix, 0.3, 1.1)
+
     def test_thermal_pair_equal_phases(self):
         pair = TwoModeGaussian.pair_with_phase(OneModeGaussian(1.0, 0j), 0.0)
         assert hbt_correlation(pair, 0.3, 0.3) == pytest.approx(2.0, rel=1e-12)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from squeezekit import (
+    EPS_PHYS,
+    GaussianMixture,
     NonPhysicalStateError,
+    OneModeGaussian,
     OperatorWord,
     TwoModeGaussian,
     beam_splitter,
@@ -25,6 +28,7 @@ from squeezekit import (
     wick_moment,
 )
 from squeezekit.fock import UnsupportedStateError
+from squeezekit.separability import _moment_matrix
 
 from conftest import random_physical_one_mode
 
@@ -270,6 +274,45 @@ class TestIsPhysicalTwoMode:
             physical += oracle
         assert compared >= 1000
         assert 200 < physical < compared - 200
+
+    def test_each_state_value_takes_one_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(matrix):
+            calls.append(matrix)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        good = TwoModeGaussian.epr(1.0, 1.0 + 0j)
+        bad = TwoModeGaussian.epr(1.0, 1.5 + 0j)
+        assert [is_physical_two_mode(good) for _ in range(5)] == [True] * 5
+        assert [is_physical_two_mode(bad) for _ in range(3)] == [False] * 3
+        assert len(calls) == 2
+        # An equal value built another way keeps its own verdict.
+        twin = TwoModeGaussian(1.0, m_c=1.0 + 0j)
+        assert twin == good and is_physical_two_mode(twin)
+        assert len(calls) == 3
+        # A mixture reuses its components' verdicts.
+        mix = GaussianMixture(((0.5, good), (0.5, TwoModeGaussian.thermal_pair(1.0))))
+        assert [is_physical_two_mode(mix) for _ in range(4)] == [True] * 4
+        assert not is_physical_two_mode(GaussianMixture(((0.5, good), (0.5, bad))))
+        assert len(calls) == 4
+
+    def test_kept_verdicts_equal_fresh_ones(self, rng):
+        for _ in range(300):
+            n = float(rng.uniform(0.0, 2.0))
+            bound = math.sqrt(n * (n + 1.0))
+            m_a, m_b, m_c = (float(rng.uniform(0.0, 1.1)) * bound
+                             * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(3))
+            state = TwoModeGaussian(n, m_a, m_b, m_c, 0.3 * n * cmath.exp(1j * rng.uniform(0, 7)))
+            fresh = bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)
+            assert [is_physical_two_mode(state) for _ in range(3)] == [fresh] * 3
+
+    def test_gate_rejects_one_mode_states(self):
+        for _ in range(2):
+            with pytest.raises(TypeError, match="unsupported state type OneModeGaussian"):
+                is_physical_two_mode(OneModeGaussian(1.0, 0.2 + 0j))
 
 
 _ZETA = ("a", "b", "ad", "bd")

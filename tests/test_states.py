@@ -1,5 +1,11 @@
 import cmath
+import copy
+import dataclasses
+import itertools
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +30,8 @@ from squeezekit import (
     weyl_characteristic,
     wick_moment,
 )
-from squeezekit import fock
+from squeezekit import fock, is_physical_two_mode
+from squeezekit.states import _counts_moment, state_record
 
 from _fock_reference import displacement_unitary
 from conftest import random_physical_one_mode
@@ -466,3 +473,131 @@ class TestTwoModeConstructors:
         st = TwoModeGaussian(0.8, 0.1 + 0j, 0.2j, 0.3 + 0j, 0j)
         assert st.marginal_a() == OneModeGaussian(0.8, 0.1 + 0j)
         assert st.marginal_b() == OneModeGaussian(0.8, 0.2j)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return float(z.real).hex(), float(z.imag).hex()
+
+
+def _fresh_moment(state, counts) -> complex:
+    """The moment from an empty memo, as if the state had never been asked."""
+    if sum(counts) % 2:
+        return 0j
+    if isinstance(state, GaussianMixture):
+        return sum(w * _fresh_moment(s, counts) for w, s in state.components)
+    if isinstance(state, OneModeGaussian):
+        moments = (state.n, state.m, 0j, 0j, 0j)
+    else:
+        moments = (state.n, state.m_a, state.m_b, state.m_c, state.m_x)
+    return _counts_moment(moments, {}, *counts)
+
+
+def _shuffled_counts(max_len: int, seed: int, modes: int = 2):
+    counts = [c for c in itertools.product(range(max_len + 1), repeat=4)
+              if sum(c) <= max_len and (modes == 2 or not (c[1] or c[3]))]
+    np.random.default_rng(seed).shuffle(counts)
+    return counts
+
+
+class TestStateRecord:
+    """The count memo and the physicality verdict belong to the state value."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: OneModeGaussian(0.8, 0.6 * cmath.exp(0.9j)),
+        lambda: TwoModeGaussian(0.9, 0.5 * cmath.exp(0.7j), 0.4 * cmath.exp(2.0j),
+                                0.3 * cmath.exp(-1.1j), 0.1 * cmath.exp(0.4j)),
+        lambda: GaussianMixture(((0.35, TwoModeGaussian.epr(1.0, 1.3 + 0j)),
+                                 (0.65, _random_two_mode(np.random.default_rng(7))))),
+    ], ids=["one-mode", "two-mode", "mixture"])
+    def test_shuffled_words_match_an_empty_memo_bitwise(self, make):
+        state = make()
+        modes = 1 if isinstance(state, OneModeGaussian) else 2
+        for seed in (1, 2):   # the second pass reads every tuple from the memo
+            for counts in _shuffled_counts(12, seed, modes):
+                got = wick_moment(state, OperatorWord.from_counts(*counts))
+                assert _bits(got) == _bits(_fresh_moment(state, counts)), counts
+
+    def test_memo_is_bounded_by_the_word_limit(self):
+        state = TwoModeGaussian(0.9, 0.5 + 0j, 0.4j, 0.3 + 0j, 0.1j)
+        for counts in _shuffled_counts(16, 3):
+            wick_moment(state, OperatorWord.from_counts(*counts))
+        # Every key has more than two tokens, and at most 16.
+        assert 0 < len(state_record(state).counts) <= math.comb(20, 4)
+        assert all(2 < sum(key) <= 16 for key in state_record(state).counts)
+
+    @pytest.mark.parametrize("a, b", [
+        (TwoModeGaussian.epr(1.0, 1.2 + 0j), TwoModeGaussian(1.0, m_c=1.2 + 0j)),
+        (TwoModeGaussian.thermal_pair(0.7), TwoModeGaussian(0.7)),
+        (TwoModeGaussian.uncorrelated_pair(OneModeGaussian(0.8, 0.3j), OneModeGaussian(0.8, 0.5)),
+         TwoModeGaussian(0.8, 0.3j, 0.5 + 0j)),
+        (OneModeGaussian.thermal(0.9), OneModeGaussian(0.9)),
+        (TwoModeGaussian(0.8, 0.1 + 0j, 0.2j).marginal_b(), OneModeGaussian(0.8, 0.2j)),
+    ])
+    def test_equal_states_from_different_constructors_agree(self, a, b):
+        assert a == b and hash(a) == hash(b)
+        modes = 1 if isinstance(a, OneModeGaussian) else 2
+        words = [OperatorWord.from_counts(*c) for c in _shuffled_counts(8, 4, modes)]
+        first = [wick_moment(a, w) for w in words]
+        assert state_record(a) is not state_record(b)
+        assert [_bits(wick_moment(b, w)) for w in words] == [_bits(v) for v in first]
+        assert [_bits(wick_moment(a, w)) for w in words] == [_bits(v) for v in first]
+
+    @pytest.mark.parametrize("make", [
+        lambda: OneModeGaussian(0.8, 0.6 * cmath.exp(0.9j)),
+        lambda: TwoModeGaussian(0.9, 0.5 + 0j, 0.4j, 0.3 + 0j, 0.1j),
+    ], ids=["one-mode", "two-mode"])
+    def test_value_semantics_survive_evaluation(self, make):
+        state, twin = make(), make()
+        before = (repr(state), hash(state), dataclasses.asdict(state),
+                  [f.name for f in dataclasses.fields(state)], pickle.dumps(state))
+        modes = 1 if isinstance(state, OneModeGaussian) else 2
+        for counts in _shuffled_counts(10, 5, modes):
+            wick_moment(state, OperatorWord.from_counts(*counts))
+        if modes == 2:
+            is_physical_two_mode(state)
+        after = (repr(state), hash(state), dataclasses.asdict(state),
+                 [f.name for f in dataclasses.fields(state)], pickle.dumps(state))
+        assert after == before
+        assert state == twin and hash(state) == hash(twin)
+        for clone in (pickle.loads(before[-1]), pickle.loads(after[-1]),
+                      copy.copy(state), copy.deepcopy(state), dataclasses.replace(state)):
+            assert clone == state and "_record" not in vars(clone)
+        changed = dataclasses.replace(state, n=state.n + 1.0)
+        word = OperatorWord.from_counts(create_a=1, annihilate_a=1)
+        assert wick_moment(changed, word) == pytest.approx(state.n + 1.0)
+
+    def test_one_mode_state_still_rejects_mode_b_after_evaluation(self):
+        s = OneModeGaussian(1.0, 0.3 + 0j)
+        wick_moment(s, OperatorWord.parse("ad ad a a"))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mode b"):
+                wick_moment(s, OperatorWord.parse("bd b"))
+
+    def test_unsupported_state_is_a_type_error(self):
+        for bad in (object(), 1.0, (1.0, 0j)):
+            with pytest.raises(TypeError, match="unsupported state type"):
+                wick_moment(bad, OperatorWord.parse("ad a"))
+
+    def test_threads_sharing_one_state_see_fresh_values(self):
+        state = TwoModeGaussian(1.1, 0.6 * cmath.exp(0.3j), 0.5 * cmath.exp(1.7j),
+                                0.4 * cmath.exp(-0.8j), 0.2 * cmath.exp(2.2j))
+        expected = {c: _bits(_fresh_moment(state, c)) for c in _shuffled_counts(10, 0)}
+        mismatches = []
+
+        def evaluate(seed):
+            for counts in _shuffled_counts(10, seed):
+                if _bits(wick_moment(state, OperatorWord.from_counts(*counts))) != expected[counts]:
+                    mismatches.append(counts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
