@@ -64,7 +64,6 @@ from .transforms import (
 from .witnesses import WitnessKind, w2_expectation, whbt_expectation
 
 ORACLE_RTOL = 1e-4
-_ANGLE_PARAMS = {"lam", "lam1", "lam2", "m_phase"}
 
 
 def _fmt(value) -> str:
@@ -183,29 +182,31 @@ def _two_mode_oracle_fields(state, out, cutoff):
 def _describe_epr(params, radians, oracle, cutoff):
     n, mc = params["n"], params["mc"]
     out = {"n": n, "mc": mc}
-    physical = is_physical_two_mode(TwoModeGaussian.epr(n, complex(mc)))
+    state = TwoModeGaussian.epr(n, complex(mc))
+    physical = is_physical_two_mode(state)
     out["physical"] = physical
     if not physical:
         return out, False
     out["entangled"] = epr_is_entangled(n, mc)
     out["v_minus"] = visibility_epr(n, mc).v_minus
-    whbt = whbt_expectation(TwoModeGaussian.epr(n, complex(mc)))
+    whbt = whbt_expectation(state)
     out["whbt"] = whbt.value
     out["whbt_verdict"] = whbt.verdict.value
     disagree = False
     if oracle:
-        disagree = _two_mode_oracle_fields(TwoModeGaussian.epr(n, complex(mc)), out, cutoff)
+        disagree = _two_mode_oracle_fields(state, out, cutoff)
     return out, disagree
 
 
 def _describe_werner(params, radians, oracle, cutoff):
     n, mc, p = params["n"], params["mc"], params["p"]
     out = {"n": n, "mc": mc, "p": p}
-    physical = is_physical_two_mode(TwoModeGaussian.epr(n, complex(mc))) and 0.0 <= p <= 1.0
+    epr = TwoModeGaussian.epr(n, complex(mc))
+    physical = is_physical_two_mode(epr) and 0.0 <= p <= 1.0
     out["physical"] = physical
     if not physical:
         return out, False
-    mixture = werner_mix(TwoModeGaussian.epr(n, complex(mc)), p)
+    mixture = werner_mix(epr, p)
     out["hbt_threshold"] = werner_hbt_threshold(n)
     out["ppt_threshold"] = werner_ppt_threshold(n)
     out["v_minus"] = visibility_werner(n, mc, p).v_minus
@@ -222,9 +223,10 @@ def _describe_bs_output(params, radians, oracle, cutoff):
     n, m = params["n"], params["m"]
     lam = _angle(params["lam"], radians)
     out = {"n": n, "m": m, "lam": params["lam"]}
-    physical = OneModeGaussian(n, complex(m)).is_physical()
+    s = OneModeGaussian(n, complex(m))
+    physical = s.is_physical()
     out["physical"] = physical
-    state = beam_splitter(OneModeGaussian(n, complex(m)), OneModeGaussian(n, complex(m)), lam)
+    state = beam_splitter(s, s, lam)
     out["m_out_abs"] = abs(state.m_a)
     out["mc_out_abs"] = abs(state.m_c)
     out["separable"] = bs_output_is_separable(n, m, lam)

@@ -15,7 +15,7 @@ moments, not by matching any normally ordered operator expansion entrywise.
 
 Every step works per conserved sector of the Fock basis, using the
 conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
-(2012), arXiv:1110.3234):
+(2012), arXiv:1110.3234), with one constructive route per law:
 
 - the squeezer conserves photon-number parity.  It is exponentiated per
   parity block; a product density is built as its four (parity of n_a,
@@ -31,6 +31,9 @@ conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
   block, and builds one block per total parity.  Its input ρ₁ ⊗ ρ₂ is zero
   between states whose n_a differ in parity, since each factor conserves
   its own parity, so it is mixed as two classes, on its nonzero half only.
+
+The tests check each route against dense exponentials of the full
+truncated generator, which share no code with the sector exponentials.
 
 Every constructor works in an enlarged space of twice the requested cutoff
 and projects the result down.  Because of these conservation laws no
@@ -101,6 +104,7 @@ from .states import (
     OneModeGaussian,
     OperatorWord,
     TwoModeGaussian,
+    _require_physical,
 )
 from .witnesses import WitnessKind
 
@@ -215,93 +219,6 @@ def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class BlockUnitary:
-    """Unitary that is block diagonal after sorting the basis by a grading.
-
-    Quadratic two-mode generators conserve a grading of the Fock basis
-    (total photon number for the beam splitter, photon-number difference
-    for the two-mode squeezer), so their exponentials split into small
-    dense blocks and matrix application costs far less than a dense
-    product.
-    """
-
-    dim: int
-    order: np.ndarray      # sorted position -> original basis index
-    inverse: np.ndarray    # original basis index -> sorted position
-    slices: tuple
-    blocks: tuple
-
-    def dense(self) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for sl, blk in zip(self.slices, self.blocks):
-            u[sl, sl] = blk
-        return u[np.ix_(self.inverse, self.inverse)]
-
-    def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """U ρ U† without forming the dense product."""
-        rho_s = rho[np.ix_(self.order, self.order)]
-        tmp = np.empty_like(rho_s)
-        for sl, blk in zip(self.slices, self.blocks):
-            tmp[sl, :] = blk @ rho_s[sl, :]
-        out = np.empty_like(rho_s)
-        for sl, blk in zip(self.slices, self.blocks):
-            out[:, sl] = tmp[:, sl] @ blk.conj().T
-        return out[np.ix_(self.inverse, self.inverse)]
-
-    def column(self, index: int) -> np.ndarray:
-        """Single column of the dense unitary (cheap: one block column)."""
-        pos = int(self.inverse[index])
-        for sl, blk in zip(self.slices, self.blocks):
-            if sl.start <= pos < sl.stop:
-                col = np.zeros(self.dim, dtype=complex)
-                col[self.order[sl]] = blk[:, pos - sl.start]
-                return col
-        raise IndexError(index)
-
-
-def _assemble_block_unitary(dim: int, sectors) -> BlockUnitary:
-    """Build a BlockUnitary from (flat_indices, block) sectors."""
-    order_parts = []
-    slices = []
-    blocks = []
-    start = 0
-    for flat, block in sectors:
-        order_parts.append(flat)
-        stop = start + flat.size
-        slices.append(slice(start, stop))
-        blocks.append(block)
-        start = stop
-    order = np.concatenate(order_parts)
-    inverse = np.empty(dim, dtype=np.intp)
-    inverse[order] = np.arange(dim)
-    return BlockUnitary(dim, order, inverse, tuple(slices), tuple(blocks))
-
-
-def _mixer_block(cutoff: int, total: int, lam: float):
-    """Sector N = ``total`` of the beam splitter: the mode-a photon numbers
-    j of its states |j, N−j⟩ and its block, output phase rotation included.
-    """
-    js = _mixer_states(cutoff, total)
-    block = _sector_exponential("mixer", cutoff, total, (math.pi / 4.0) * cmath.exp(1j * lam))
-    rotation = np.exp(1j * (lam + math.pi) * (total - js))
-    return js, rotation[:, None] * block
-
-
-def beam_splitter_unitary(cutoff: int, lam: float) -> BlockUnitary:
-    """Unitary V with V†aV = (a + b e^{iλ})/√2 and V†bV = (a − b e^{iλ})/√2.
-
-    Built sector by sector: the 50/50 mixer conserves the total photon
-    number N.  A final phase rotation b → −b e^{iλ} fixes the sign
-    convention of the second output port.
-    """
-    sectors = []
-    for total in range(2 * cutoff - 1):
-        js, block = _mixer_block(cutoff, total, lam)
-        sectors.append((js * cutoff + (total - js), block))
-    return _assemble_block_unitary(cutoff * cutoff, sectors)
-
-
 @functools.lru_cache(maxsize=4)
 def _mixer_blocks(max_total: int) -> tuple:
     """Mixer blocks at λ = 0, without the output rotation, of the sectors
@@ -312,27 +229,6 @@ def _mixer_blocks(max_total: int) -> tuple:
     for block in blocks:
         block.flags.writeable = False
     return blocks
-
-
-def two_mode_squeeze_unitary(cutoff: int, r: float, phi: float) -> BlockUnitary:
-    """exp(ξ* ab − ξ a†b†) with ξ = r e^{iφ}, truncated.
-
-    Conserves the photon-number difference d = n_a − n_b; sector d holds
-    the states |j, j−d⟩ in increasing j.
-    """
-    z = -r * cmath.exp(1j * phi)
-    sectors = []
-    for d in range(-(cutoff - 1), cutoff):
-        js = np.arange(max(0, d), cutoff + min(0, d))
-        sectors.append((js * cutoff + (js - d), _sector_exponential("tms", cutoff, abs(d), z)))
-    return _assemble_block_unitary(cutoff * cutoff, sectors)
-
-
-def rotation_phases(cutoff: int, theta_a: float, theta_b: float) -> np.ndarray:
-    """Diagonal of exp(i(θ_a a†a + θ_b b†b)) on the two-mode basis."""
-    na = np.repeat(np.arange(cutoff), cutoff)
-    nb = np.tile(np.arange(cutoff), cutoff)
-    return np.exp(1j * (theta_a * na + theta_b * nb))
 
 
 # --- squeezed-thermal decompositions -----------------------------------------
@@ -755,10 +651,7 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    if not s.is_physical():
-        raise NonPhysicalStateError(
-            f"|m|^2 = {abs(s.m) ** 2:.6g} exceeds n(n+1) = {s.n * (s.n + 1):.6g}"
-        )
+    _require_physical(s)
     st = _solve_squeezed_thermal(s.n, s.m)
     if st is None or st.nbar < -1e-12:
         raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
@@ -770,10 +663,7 @@ def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
                       cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
     """Tensor the two input states and conjugate by the beam splitter."""
     for s in (sa, sb):
-        if not s.is_physical():
-            raise NonPhysicalStateError(
-                f"|m|^2 = {abs(s.m) ** 2:.6g} exceeds n(n+1) = {s.n * (s.n + 1):.6g}"
-            )
+        _require_physical(s)
     f1 = _solve_squeezed_thermal(sa.n, sa.m)
     f2 = _solve_squeezed_thermal(sb.n, sb.m)
     if f1 is None or f2 is None or f1.nbar < -1e-12 or f2.nbar < -1e-12:
@@ -929,31 +819,6 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     """
     blocks, origin = _two_mode_blocks(state, cutoff, eps_tr)
     return _finish(2, cutoff, blocks, eps_tr, origin)
-
-
-def physicality_summary(state: TwoModeGaussian, cutoff: int):
-    """(min eigenvalue, trace deficit) of the two-mode candidate at cutoff.
-
-    The candidate is the working-space construction before projection: a
-    diagonal of products of (quasi-)thermal weights conjugated by exactly
-    unitary factors.  Its spectrum therefore equals that diagonal and its
-    trace is the product of the factor traces, both available without
-    assembling a matrix.  A negative weight certifies nonphysical moments
-    at any cutoff, since truncation only drops tail entries of the exact
-    spectrum.  Returns None when no candidate exists at all, which also
-    certifies nonphysical moments because every state obeys
-    |⟨aa⟩| < n + ½ and |⟨ab⟩| < n + ½.
-    """
-    plan = _plan_two_mode(state)
-    if plan is None:
-        return None
-    w1 = _thermal_weights(plan.factor1.nbar, cutoff)
-    w2 = _thermal_weights(plan.factor2.nbar, cutoff)
-    extremes1 = (w1.min(), w1.max())
-    extremes2 = (w2.min(), w2.max())
-    min_eig = min(e1 * e2 for e1 in extremes1 for e2 in extremes2)
-    deficit = 1.0 - float(w1.sum() * w2.sum())
-    return float(min_eig), deficit
 
 
 # --- measurements -------------------------------------------------------------

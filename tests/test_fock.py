@@ -23,7 +23,14 @@ from squeezekit import (
 )
 from squeezekit import fock
 
-from _fock_reference import displacement_unitary, expm_antihermitian
+from _fock_reference import (
+    beam_splitter_unitary,
+    candidate_weight_summary,
+    displacement_unitary,
+    expm_antihermitian,
+    mixer_block,
+    two_mode_squeeze_unitary,
+)
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -70,49 +77,48 @@ class TestUnitaries:
         assert np.max(np.abs(fock.squeeze_unitary(cutoff, r, phi) - _expm_taylor(g))) < 1e-10
 
     def test_beam_splitter_matches_taylor_series(self):
+        # Each sector block of the 50/50 mixer equals the sector restriction
+        # of the dense exponential of the full generator.
         cutoff, lam = 8, 0.9
         a = fock.annihilation(cutoff)
         ad = a.conj().T
-        eye = np.eye(cutoff)
         phase = cmath.exp(1j * lam)
         g = (math.pi / 4.0) * (phase * np.kron(ad, a) - np.conj(phase) * np.kron(a, ad))
-        nb = np.kron(eye, np.diag(np.arange(cutoff)))
-        rot = _expm_taylor(1j * (lam + math.pi) * nb)
-        expected = rot @ _expm_taylor(g)
-        assert np.max(np.abs(fock.beam_splitter_unitary(cutoff, lam).dense() - expected)) < 1e-9
+        expected = _expm_taylor(g)
+        z = (math.pi / 4.0) * phase
+        for total in range(2 * cutoff - 1):
+            js = fock._mixer_states(cutoff, total)
+            flat = js * cutoff + (total - js)
+            block = fock._sector_exponential("mixer", cutoff, total, z)
+            assert np.max(np.abs(block - expected[np.ix_(flat, flat)])) < 1e-9, total
 
     def test_two_mode_squeeze_matches_taylor_series(self):
+        # Sector d of the two-mode squeezer holds |j, j−d⟩ in increasing j;
+        # sectors d and −d share one block.
         cutoff, r, phi = 8, 0.4, -0.7
         a = fock.annihilation(cutoff)
         ad = a.conj().T
         xi = r * cmath.exp(1j * phi)
         g = np.conj(xi) * np.kron(a, a) - xi * np.kron(ad, ad)
-        got = fock.two_mode_squeeze_unitary(cutoff, r, phi).dense()
-        assert np.max(np.abs(got - _expm_taylor(g))) < 1e-10
+        expected = _expm_taylor(g)
+        z = -xi
+        for d in range(-(cutoff - 1), cutoff):
+            js = np.arange(max(0, d), cutoff + min(0, d))
+            flat = js * cutoff + (js - d)
+            block = fock._sector_exponential("tms", cutoff, abs(d), z)
+            assert np.max(np.abs(block - expected[np.ix_(flat, flat)])) < 1e-10, d
 
     def test_truncated_unitarity_on_retained_block(self):
-        # Unitarity defect below 1e-8 away from the truncation boundary
-        # (the construction is exactly unitary everywhere, so this holds
-        # with a wide margin).
-        for u in (fock.beam_splitter_unitary(20, 1.3).dense(),
-                  fock.two_mode_squeeze_unitary(20, 0.5, 0.2).dense()):
-            defect = u.conj().T @ u - np.eye(u.shape[0])
-            keep = int(0.8 * u.shape[0])
-            assert np.max(np.abs(defect[:keep, :keep])) < 1e-8
-
-    def test_block_conjugate_matches_dense(self):
-        u = fock.beam_splitter_unitary(8, 0.6)
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        rho = m @ m.conj().T
-        dense = u.dense()
-        assert np.allclose(u.conjugate(rho), dense @ rho @ dense.conj().T, atol=1e-9)
-
-    def test_block_column_extraction(self):
-        u = fock.two_mode_squeeze_unitary(10, 0.3, 0.4)
-        dense = u.dense()
-        for idx in (0, 7, 55, 99):
-            assert np.allclose(u.column(idx), dense[:, idx], atol=1e-12)
+        # Every sector block is exactly unitary, so the defect stays far
+        # below 1e-8.
+        cutoff = 20
+        blocks = [fock._sector_exponential("mixer", cutoff, total,
+                                           (math.pi / 4.0) * cmath.exp(1.3j))
+                  for total in range(2 * cutoff - 1)]
+        blocks += [fock._sector_exponential("tms", cutoff, d, -0.5 * cmath.exp(0.2j))
+                   for d in range(cutoff)]
+        for u in blocks:
+            assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8
 
 
 class TestOneModeDensity:
@@ -348,7 +354,7 @@ class TestWitnessExpectations:
 class TestPhysicalitySummary:
     def test_matches_unprojected_candidate_spectrum(self):
         # Rebuild the unprojected working candidate explicitly and compare
-        # its dense spectrum with the closed-form summary.
+        # its dense spectrum with the weight summary.
         state = TwoModeGaussian(0.9, 0.5 * cmath.exp(0.3j), 0.5 * cmath.exp(1.2j),
                                 0.4 * cmath.exp(-0.5j), 0j)
         cutoff = 12
@@ -358,28 +364,33 @@ class TestPhysicalitySummary:
             w = fock._thermal_weights(factor.nbar, cutoff)
             u = fock.squeeze_unitary(cutoff, factor.r, factor.phi)
             made.append((u * w) @ u.conj().T)
-        candidate = np.kron(made[0], made[1])
-        mixer = fock.beam_splitter_unitary(cutoff, 0.0)
-        candidate = mixer.conjugate(candidate)
-        d = fock.rotation_phases(cutoff, plan.theta_c, plan.theta_d)
+        mixer = beam_splitter_unitary(cutoff, 0.0)
+        candidate = mixer @ np.kron(made[0], made[1]) @ mixer.conj().T
+        d = _rotation_phases(cutoff, plan.theta_c, plan.theta_d)
         candidate = d[:, None] * candidate * d.conj()[None, :]
         dense_min = float(np.linalg.eigvalsh((candidate + candidate.conj().T) / 2)[0])
-        summary_min, deficit = fock.physicality_summary(state, cutoff)
+        summary_min, deficit = candidate_weight_summary(state, cutoff)
         assert summary_min == pytest.approx(dense_min, abs=1e-12)
         assert deficit == pytest.approx(1.0 - float(np.trace(candidate).real), abs=1e-12)
 
     def test_none_for_wildly_nonphysical_moments(self):
         state = TwoModeGaussian.epr(0.5, 2.0 + 0j)
-        assert fock.physicality_summary(state, 15) is None
+        assert candidate_weight_summary(state, 15) is None
 
     def test_negative_weight_for_slightly_nonphysical(self):
         state = TwoModeGaussian.epr(1.0, 1.43 + 0j)
-        min_eig, _ = fock.physicality_summary(state, 15)
+        min_eig, _ = candidate_weight_summary(state, 15)
         assert min_eig < -1e-8
 
 
 def _labels(cutoff):
     return np.divmod(np.arange(cutoff * cutoff), cutoff)
+
+
+def _rotation_phases(cutoff, theta_a, theta_b):
+    # Diagonal of exp(i(θ_a n_a + θ_b n_b)) on the two-mode basis.
+    na, nb = _labels(cutoff)
+    return np.exp(1j * (theta_a * na + theta_b * nb))
 
 
 def _dense_factor(factor, dim):
@@ -450,7 +461,7 @@ class TestGradedAssembly:
         state = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
         plan = fock._plan_two_mode(state)
         w = fock._thermal_weights(plan.factor1.nbar, working)
-        u = fock.two_mode_squeeze_unitary(working, plan.tms_r, plan.tms_phi).dense()
+        u = two_mode_squeeze_unitary(working, plan.tms_r, plan.tms_phi)
         dense = u @ np.diag(np.kron(w, w)) @ u.conj().T
         got = fock.two_mode_density(state, cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - _restrict(dense, cutoff, working))) < 1e-13
@@ -459,10 +470,10 @@ class TestGradedAssembly:
         cutoff, working = 10, 20
         plan = fock._plan_two_mode(_BS_STATE)
         assert plan.route == "bs"
-        mixer = fock.beam_splitter_unitary(working, 0.0).dense()
+        mixer = beam_splitter_unitary(working, 0.0)
         rho_in = np.kron(_dense_factor(plan.factor1, working), _dense_factor(plan.factor2, working))
         dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
-        d = fock.rotation_phases(cutoff, plan.theta_c, plan.theta_d)
+        d = _rotation_phases(cutoff, plan.theta_c, plan.theta_d)
         dense = d[:, None] * dense * d.conj()[None, :]
         got = fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - dense)) < 1e-13
@@ -471,7 +482,7 @@ class TestGradedAssembly:
         cutoff, working, lam = 10, 20, 0.9
         sa, sb = OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j)
         factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
-        mixer = fock.beam_splitter_unitary(working, lam).dense()
+        mixer = beam_splitter_unitary(working, lam)
         rho_in = np.kron(_dense_factor(factors[0], working), _dense_factor(factors[1], working))
         dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
         got = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0).matrix
@@ -494,7 +505,7 @@ def _unsplit_bs(rho1, rho2, lam, theta_c, theta_d, cutoff):
         rows, flat = [], []
         col = 0
         for total in totals:
-            js, block = fock._mixer_block(cw, total, lam)
+            js, block = mixer_block(cw, total, lam)
             keep = js[(js < cutoff) & (total - js < cutoff)]
             rotation = np.exp(1j * (theta_c * keep + theta_d * (total - keep)))
             row = np.zeros((keep.size, ja.size), dtype=complex)

@@ -30,6 +30,7 @@ from squeezekit import (
 from squeezekit.fock import UnsupportedStateError
 from squeezekit.separability import _moment_matrix
 
+from _fock_reference import candidate_weight_summary
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -257,7 +258,7 @@ class TestIsPhysicalTwoMode:
     def test_agrees_with_oracle_candidate_spectrum(self):
         # Tensor, two-mode-squeezed and beam-splitter patterns, hot and
         # beyond the positivity bound; the oracle reads physicality off the
-        # weights of its working-space candidate (fock.physicality_summary).
+        # weights of its working-space candidate.
         draws = np.random.default_rng(1994)
         compared = physical = 0
         for k in range(1500):
@@ -265,7 +266,7 @@ class TestIsPhysicalTwoMode:
             plan = fock._plan_two_mode(state)
             if plan is not None and min(abs(plan.factor1.nbar), abs(plan.factor2.nbar)) < 1e-6:
                 continue   # within round-off of the boundary
-            summary = fock.physicality_summary(state, 40)
+            summary = candidate_weight_summary(state, 40)
             oracle = summary is not None and summary[0] >= -fock.EPS_EIG
             if oracle and summary[1] >= fock.EPS_TR:
                 continue   # tail beyond cutoff 40: outside the oracle's range
