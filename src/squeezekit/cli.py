@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -37,10 +38,10 @@ from .interference import (
     visibility_werner,
 )
 from .separability import (
+    _require_physical,
     bs_output_is_separable,
     epr_is_entangled,
     general_is_separable,
-    is_physical_two_mode,
     werner_hbt_threshold,
     werner_ppt_threshold,
 )
@@ -113,21 +114,68 @@ def _angle(value: float, radians: bool) -> float:
     return value if radians else value * math.pi
 
 
-# --- family descriptions -------------------------------------------------------
+# --- state builders ------------------------------------------------------------
+# One per family, shared by ``classify``, ``sweep`` and ``witness``: each reads
+# the family's parameters by name from a mapping (describer parameters, or
+# ``vars`` of the parsed arguments).  Only ``werner_mix`` gates what it builds.
 
-def _one_mode_state(params, radians):
-    phase = _angle(params.get("m_phase", 0.0), radians)
+def _build_one_mode(params, radians):
+    phase = _angle(params["m_phase"], radians)
     return OneModeGaussian(params["n"], params["m"] * cmath.exp(1j * phase))
 
 
+def _build_pair(params, radians):
+    return TwoModeGaussian.pair_with_phase(_build_one_mode(params, radians),
+                                           _angle(params["lam"], radians))
+
+
+def _build_epr(params, radians):
+    return TwoModeGaussian.epr(params["n"], complex(params["mc"]))
+
+
+def _build_werner(params, radians):
+    return werner_mix(_build_epr(params, radians), params["p"])
+
+
+def _build_bs_output(params, radians):
+    s = OneModeGaussian(params["n"], complex(params["m"]))
+    return beam_splitter(s, s, _angle(params["lam"], radians))
+
+
+def _build_general(params, radians):
+    m = params["m"]
+    return TwoModeGaussian(params["n"], m * cmath.exp(1j * _angle(params["lam1"], radians)),
+                           m * cmath.exp(1j * _angle(params["lam2"], radians)),
+                           complex(params["mc"]))
+
+
+_TWO_MODE_BUILDERS = {"pair": _build_pair, "epr": _build_epr, "werner": _build_werner,
+                      "bs-output": _build_bs_output, "general": _build_general}
+
+
+# --- family descriptions -------------------------------------------------------
+# A describer returns the reported fields and, for a nonphysical state, the
+# gate's NonPhysicalStateError, otherwise whether the oracle disagrees.
+
+def _gate(out, state):
+    """Record whether ``state`` is physical in ``out``; the gate's error if
+    it is not, else None."""
+    try:
+        _require_physical(state)
+    except NonPhysicalStateError as exc:
+        out["physical"] = False
+        return exc
+    out["physical"] = True
+    return None
+
+
 def _describe_one_mode(params, radians, oracle, cutoff):
-    s = _one_mode_state(params, radians)
-    out = {"n": s.n, "m": abs(s.m), "m_phase": params.get("m_phase", 0.0)}
-    physical = s.is_physical()
-    out["physical"] = physical
-    if not physical:
+    s = _build_one_mode(params, radians)
+    out = {"n": s.n, "m": abs(s.m), "m_phase": params["m_phase"]}
+    rejection = _gate(out, s)
+    if rejection:
         out["classification"] = "nonphysical"
-        return out, False
+        return out, rejection
     out["classification"] = is_p_representable(s).value
     out["pure"] = s.is_pure()
     dx1, dx2 = quadrature_variances(s)
@@ -182,51 +230,43 @@ def _two_mode_oracle_fields(state, out, cutoff):
 def _describe_epr(params, radians, oracle, cutoff):
     n, mc = params["n"], params["mc"]
     out = {"n": n, "mc": mc}
-    state = TwoModeGaussian.epr(n, complex(mc))
-    physical = is_physical_two_mode(state)
-    out["physical"] = physical
-    if not physical:
-        return out, False
+    state = _build_epr(params, radians)
+    rejection = _gate(out, state)
+    if rejection:
+        return out, rejection
     out["entangled"] = epr_is_entangled(n, mc)
     out["v_minus"] = visibility_epr(n, mc).v_minus
     whbt = whbt_expectation(state)
     out["whbt"] = whbt.value
     out["whbt_verdict"] = whbt.verdict.value
-    disagree = False
-    if oracle:
-        disagree = _two_mode_oracle_fields(state, out, cutoff)
-    return out, disagree
+    return out, oracle and _two_mode_oracle_fields(state, out, cutoff)
 
 
 def _describe_werner(params, radians, oracle, cutoff):
     n, mc, p = params["n"], params["mc"], params["p"]
-    out = {"n": n, "mc": mc, "p": p}
-    epr = TwoModeGaussian.epr(n, complex(mc))
-    physical = is_physical_two_mode(epr) and 0.0 <= p <= 1.0
-    out["physical"] = physical
-    if not physical:
-        return out, False
-    mixture = werner_mix(epr, p)
+    out = {"n": n, "mc": mc, "p": p, "physical": False}
+    if not 0.0 <= p <= 1.0:
+        return out, NonPhysicalStateError(f"mixing probability must lie in [0, 1], got {p}")
+    try:
+        mixture = _build_werner(params, radians)
+    except NonPhysicalStateError as exc:
+        return out, exc
+    out["physical"] = True
     out["hbt_threshold"] = werner_hbt_threshold(n)
     out["ppt_threshold"] = werner_ppt_threshold(n)
     out["v_minus"] = visibility_werner(n, mc, p).v_minus
     whbt = whbt_expectation(mixture)
     out["whbt"] = whbt.value
     out["whbt_verdict"] = whbt.verdict.value
-    disagree = False
-    if oracle:
-        disagree = _two_mode_oracle_fields(mixture, out, cutoff)
-    return out, disagree
+    return out, oracle and _two_mode_oracle_fields(mixture, out, cutoff)
 
 
 def _describe_bs_output(params, radians, oracle, cutoff):
     n, m = params["n"], params["m"]
     lam = _angle(params["lam"], radians)
     out = {"n": n, "m": m, "lam": params["lam"]}
-    s = OneModeGaussian(n, complex(m))
-    physical = s.is_physical()
-    out["physical"] = physical
-    state = beam_splitter(s, s, lam)
+    state = _build_bs_output(params, radians)
+    rejection = _gate(out, state)
     out["m_out_abs"] = abs(state.m_a)
     out["mc_out_abs"] = abs(state.m_c)
     out["separable"] = bs_output_is_separable(n, m, lam)
@@ -235,14 +275,11 @@ def _describe_bs_output(params, radians, oracle, cutoff):
     out["v_plus"] = vis.v_plus
     report = classical_inequality_report(vis, InequalityContext.BEAM_SPLITTER_OUTPUT)
     out["fringe_classical"] = report.classical
-    if not physical:
-        return out, False
+    if rejection:
+        return out, rejection
     whbt = whbt_expectation(state)
     out["whbt"] = whbt.value
-    disagree = False
-    if oracle:
-        disagree = _two_mode_oracle_fields(state, out, cutoff)
-    return out, disagree
+    return out, oracle and _two_mode_oracle_fields(state, out, cutoff)
 
 
 def _describe_general(params, radians, oracle, cutoff):
@@ -250,22 +287,18 @@ def _describe_general(params, radians, oracle, cutoff):
     lam1 = _angle(params["lam1"], radians)
     lam2 = _angle(params["lam2"], radians)
     out = {"n": n, "m": m, "mc": mc, "lam1": params["lam1"], "lam2": params["lam2"]}
-    state = TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
-    physical = is_physical_two_mode(state)
-    out["physical"] = physical
+    state = _build_general(params, radians)
+    rejection = _gate(out, state)
     out["separable"] = general_is_separable(n, m, mc, lam1, lam2)
-    if not physical:
-        return out, False
+    if rejection:
+        return out, rejection
     vis = visibilities_general(n, m, mc, lam1, lam2)
     out["v_minus"] = vis.v_minus
     out["v_plus"] = vis.v_plus
     out["v_m"] = vis.v_m
     whbt = whbt_expectation(state)
     out["whbt"] = whbt.value
-    disagree = False
-    if oracle:
-        disagree = _two_mode_oracle_fields(state, out, cutoff)
-    return out, disagree
+    return out, oracle and _two_mode_oracle_fields(state, out, cutoff)
 
 
 _FAMILIES = {
@@ -290,12 +323,11 @@ def _family_params(args) -> dict:
 
 def _cmd_classify(args) -> int:
     describe = _FAMILIES[args.family][0]
-    fields, disagree = describe(_family_params(args), args.radians, args.oracle, args.cutoff)
+    fields, outcome = describe(_family_params(args), args.radians, args.oracle, args.cutoff)
     _report(args, fields)
-    if not fields.get("physical", True):
-        print("nonphysical state parameters", file=sys.stderr)
-        return 3
-    return 4 if disagree else 0
+    if isinstance(outcome, NonPhysicalStateError):
+        raise outcome
+    return 4 if outcome else 0
 
 
 def _cmd_amplifier(args) -> int:
@@ -330,13 +362,11 @@ def _cmd_amplifier(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    params = vars(args)
     if args.kind == "w2":
-        phase = _angle(args.m_phase, args.radians)
-        s = OneModeGaussian(args.n, args.m * cmath.exp(1j * phase))
-        report = w2_expectation(s)
+        report = w2_expectation(_build_one_mode(params, args.radians))
     else:
-        state = _whbt_state(args)
-        report = whbt_expectation(state)
+        report = whbt_expectation(_TWO_MODE_BUILDERS[args.family](params, args.radians))
     _report(args, {
         "witness": report.witness_kind.value,
         "value": report.value,
@@ -345,41 +375,19 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _whbt_state(args):
-    family = args.family
-    if family == "pair":
-        phase = _angle(args.m_phase, args.radians)
-        lam = _angle(args.lam, args.radians)
-        s = OneModeGaussian(args.n, args.m * cmath.exp(1j * phase))
-        return TwoModeGaussian.pair_with_phase(s, lam)
-    if family == "epr":
-        return TwoModeGaussian.epr(args.n, complex(args.mc))
-    if family == "werner":
-        return werner_mix(TwoModeGaussian.epr(args.n, complex(args.mc)), args.p)
-    if family == "bs-output":
-        lam = _angle(args.lam, args.radians)
-        s = OneModeGaussian(args.n, complex(args.m))
-        return beam_splitter(s, s, lam)
-    lam1 = _angle(args.lam1, args.radians)
-    lam2 = _angle(args.lam2, args.radians)
-    return TwoModeGaussian(
-        args.n, args.m * cmath.exp(1j * lam1), args.m * cmath.exp(1j * lam2), complex(args.mc))
+_VISIBILITIES = {
+    "uncorrelated": (visibilities_uncorrelated, ("n", "m", "lam")),
+    "epr": (visibility_epr, ("n", "mc")),
+    "werner": (visibility_werner, ("n", "mc", "p")),
+    "bs-output": (visibilities_bs_output, ("n", "m", "lam")),
+    "general": (visibilities_general, ("n", "m", "mc", "lam1", "lam2")),
+}
 
 
 def _cmd_visibility(args) -> int:
-    family = args.family
-    if family == "uncorrelated":
-        vis = visibilities_uncorrelated(args.n, args.m, _angle(args.lam, args.radians))
-    elif family == "epr":
-        vis = visibility_epr(args.n, args.mc)
-    elif family == "werner":
-        vis = visibility_werner(args.n, args.mc, args.p)
-    elif family == "bs-output":
-        vis = visibilities_bs_output(args.n, args.m, _angle(args.lam, args.radians))
-    else:
-        vis = visibilities_general(
-            args.n, args.m, args.mc,
-            _angle(args.lam1, args.radians), _angle(args.lam2, args.radians))
+    formula, names = _VISIBILITIES[args.family]
+    vis = formula(*(_angle(getattr(args, nm), args.radians) if nm.startswith("lam")
+                    else getattr(args, nm) for nm in names))
     _report(args, {
         "v_minus": vis.v_minus,
         "v_plus": vis.v_plus,
@@ -571,16 +579,7 @@ def _cmd_oracle_check(args) -> int:
             "cutoff": report.cutoff,
             "n_states": report.n_states,
             "seed": report.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "ok": c.ok,
-                    "worst": c.worst,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in report.checks
-            ],
+            "checks": [dataclasses.asdict(c) for c in report.checks],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
@@ -670,8 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_angles(w2p)
     w2p.set_defaults(func=_cmd_witness)
     whbtp = wit_sub.add_parser("whbt")
-    whbtp.add_argument("--family", choices=("pair", "epr", "werner", "bs-output", "general"),
-                       default="pair")
+    whbtp.add_argument("--family", choices=tuple(_TWO_MODE_BUILDERS), default="pair")
     whbtp.add_argument("--n", type=float, required=True)
     whbtp.add_argument("--m", type=float, default=0.0)
     whbtp.add_argument("--m-phase", dest="m_phase", type=float, default=0.0)
@@ -686,14 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vis = sub.add_parser("visibility", help="closed-form fringe visibilities")
     vis_sub = p_vis.add_subparsers(dest="family", required=True)
-    vis_families = {
-        "uncorrelated": ("n", "m", "lam"),
-        "epr": ("n", "mc"),
-        "werner": ("n", "mc", "p"),
-        "bs-output": ("n", "m", "lam"),
-        "general": ("n", "m", "mc", "lam1", "lam2"),
-    }
-    for family, names in vis_families.items():
+    for family, (_, names) in _VISIBILITIES.items():
         vp = vis_sub.add_parser(family)
         for nm in names:
             default = 0.0 if nm.startswith("lam") else None

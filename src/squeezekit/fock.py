@@ -108,7 +108,6 @@ from .states import (
 )
 from .witnesses import WitnessKind
 
-EPS_EIG = 1e-8
 EPS_TR = 1e-6
 
 _HERMITICITY_TOL = 1e-12
@@ -283,9 +282,10 @@ def _one_mode_matrix(st: _SqueezedThermal, cutoff: int) -> np.ndarray:
     return _factor_matrix(st, _working_cutoff(cutoff))[:cutoff, :cutoff]
 
 
-def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float,
+def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal,
                           theta_c: float, theta_d: float, cutoff: int) -> list:
-    """Blocks of the restricted density of R(θc, θd) · V_λ (ρ₁ ⊗ ρ₂) V_λ† · R†.
+    """Blocks of the restricted density of R(θc, θd) · V₀ (ρ₁ ⊗ ρ₂) V₀† · R†,
+    with V₀ the λ = 0 beam splitter of ``bs_output_density``.
 
     The mixer conserves N = n_a + n_b, so a retained state (both photon
     numbers below the cutoff) only receives weight from the input sectors
@@ -305,14 +305,9 @@ def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float
     slices.  ``half`` holds B ρ_in with the class-0 columns first; the
     second product joins a sector's two class column ranges against B_N's
     columns in the same class order.
-
-    V_λ is the λ = 0 mixer between the rotations e^{iλ n_a}, followed by
-    e^{i(λ+π) n_b}.  The input rotation e^{−iλ n_a} turns S(r, φ) into
-    S(r, φ − 2λ), so factor 1 is squeezed at φ − 2λ and the output
-    rotations join R in the row phases of the cached λ = 0 blocks.
     """
     cw = _working_cutoff(cutoff)
-    rho1 = _factor_matrix(_SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam), cw)
+    rho1 = _factor_matrix(f1, cw)
     rho2 = _factor_matrix(f2, cw)
     max_total = 2 * (cutoff - 1)
     blocks = _mixer_blocks(max_total)
@@ -324,7 +319,7 @@ def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal, lam: float
         n_out = 0
         for total in totals:
             js = _mixer_states(cutoff, total)
-            phases = np.exp(1j * ((theta_c + lam) * js + (theta_d + lam + math.pi) * (total - js)))
+            phases = np.exp(1j * (theta_c * js + (theta_d + math.pi) * (total - js)))
             b = phases[:, None] * blocks[total][js]
             mixers.append(np.concatenate((b[:, 0::2], b[:, 1::2]), axis=1))
             flat.append(js * cutoff + (total - js))
@@ -661,14 +656,21 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
 
 def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
                       cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
-    """Tensor the two input states and conjugate by the beam splitter."""
+    """Tensor the two input states and conjugate by the beam splitter V_λ.
+
+    V_λ is the λ = 0 mixer between the rotations e^{iλ n_a}, followed by
+    e^{i(λ+π) n_b}.  The input rotation e^{−iλ n_a} turns S(r, φ) into
+    S(r, φ − 2λ), so factor 1 is squeezed at φ − 2λ, and the output
+    rotations e^{iλ n_a} e^{iλ n_b} are the rotations θc = θd = λ.
+    """
     for s in (sa, sb):
         _require_physical(s)
     f1 = _solve_squeezed_thermal(sa.n, sa.m)
     f2 = _solve_squeezed_thermal(sb.n, sb.m)
     if f1 is None or f2 is None or f1.nbar < -1e-12 or f2.nbar < -1e-12:
         raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
-    return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, 0.0, 0.0, cutoff), eps_tr,
+    f1 = _SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam)
+    return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, lam, cutoff), eps_tr,
                    _Origin("bs", 0.0))
 
 
@@ -748,8 +750,8 @@ def _assemble_two_mode(plan: _TwoModePlan, cutoff: int):
     if plan.route == "tms":
         return (_two_mode_squeezed_thermal(plan.factor1.nbar, plan.tms_r, plan.tms_phi, cutoff),
                 _Origin("tms"))
-    return (_mix_on_beam_splitter(plan.factor1, plan.factor2, 0.0,
-                                  plan.theta_c, plan.theta_d, cutoff),
+    return (_mix_on_beam_splitter(plan.factor1, plan.factor2, plan.theta_c, plan.theta_d,
+                                  cutoff),
             _Origin("bs", plan.theta_d - plan.theta_c))
 
 

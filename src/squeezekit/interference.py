@@ -22,14 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import separability
-from .states import (
-    EPS_PHYS,
-    NonPhysicalStateError,
-    OperatorWord,
-    TwoModeGaussian,
-    wick_moment,
-)
+from .separability import _require_epr_physical, _require_physical
+from .states import OperatorWord, TwoModeGaussian, wick_moment
 from .witnesses import intensity_square_moment
 
 _VIS_TOL = 1e-9
@@ -94,11 +88,6 @@ class FringeSample:
     value: float
 
 
-def _require_two_mode_physical(state):
-    if not separability.is_physical_two_mode(state):
-        raise NonPhysicalStateError("second moments do not describe a physical state")
-
-
 def hbt_correlation(state, phi1: float, phi2: float) -> float:
     """Unnormalized correlation ⟨:I(φ₁)I(φ₂):⟩ of the two detector intensities.
 
@@ -106,7 +95,7 @@ def hbt_correlation(state, phi1: float, phi2: float) -> float:
     average by weight automatically.  The value is real and nonnegative for
     physical states.
     """
-    _require_two_mode_physical(state)
+    _require_physical(state)
     i2 = intensity_square_moment(state)
     cross = wick_moment(state, _W_CROSS).real
     # ⟨a†:(I_a+I_b):b⟩; its partner group is the complex conjugate.
@@ -125,6 +114,7 @@ def hbt_correlation(state, phi1: float, phi2: float) -> float:
 def fringe_prefactor(state) -> float:
     """Constant part ¼⟨:(I_a+I_b)²:⟩ of the correlation; the visibility
     records are the fringe divided by this value."""
+    _require_physical(state)
     return 0.25 * intensity_square_moment(state)
 
 
@@ -171,10 +161,7 @@ def visibility_epr(n: float, mc_abs: float) -> VisibilityRecord:
     v₋ = (n² + |m_c|²)/(3n² + |m_c|²); there is no out-of-phase fringe.
     Values above ½ occur exactly for entangled parameters |m_c| > n.
     """
-    if mc_abs ** 2 > n * (n + 1.0) + EPS_PHYS:
-        raise NonPhysicalStateError(
-            f"|m_c|^2 = {mc_abs ** 2:.6g} exceeds n(n+1) = {n * (n + 1):.6g}"
-        )
+    _require_epr_physical(n, mc_abs)
     if n == 0.0 and mc_abs == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
     denom = 3.0 * n ** 2 + mc_abs ** 2
@@ -185,10 +172,7 @@ def visibility_werner(n: float, mc_abs: float, p: float) -> VisibilityRecord:
     """Thermal-diluted correlated pair: v₋ = (n² + p|m_c|²)/(3n² + p|m_c|²)."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
-    if mc_abs ** 2 > n * (n + 1.0) + EPS_PHYS:
-        raise NonPhysicalStateError(
-            f"|m_c|^2 = {mc_abs ** 2:.6g} exceeds n(n+1) = {n * (n + 1):.6g}"
-        )
+    _require_epr_physical(n, mc_abs)
     if n == 0.0 and (p == 0.0 or mc_abs == 0.0):
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
     denom = 3.0 * n ** 2 + p * mc_abs ** 2
@@ -228,7 +212,7 @@ def visibilities_general(n: float, m: float, m_c: float,
         complex(m_c),
         0j,
     )
-    _require_two_mode_physical(state)
+    _require_physical(state)
     denom = 3.0 * n ** 2 + m ** 2 + m_c ** 2
     if denom == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")

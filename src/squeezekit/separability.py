@@ -1,6 +1,7 @@
 """Analytic separability and classicality criteria for two-mode families,
 threshold curves for the thermal-diluted comparison, and the physicality
-test for general two-mode states.
+test for general two-mode states.  Every closed form that takes a state, or
+the parameters of a cross-correlated one, decides physicality here.
 
 Boundary cases count as separable throughout: the analytic entanglement
 statements are strict inequalities, so thresholds sit on the separable side.
@@ -17,17 +18,16 @@ from .states import (
     EPS_PHYS,
     GaussianMixture,
     NonPhysicalStateError,
+    OneModeGaussian,
     TwoModeGaussian,
+    _require_physical as _require_one_mode_physical,
     state_record,
 )
 
 
 def epr_is_entangled(n: float, mc_abs: float) -> bool:
     """Cross-correlated family: entangled exactly when |m_c| > n."""
-    if mc_abs ** 2 > n * (n + 1.0) + EPS_PHYS:
-        raise NonPhysicalStateError(
-            f"|m_c|^2 = {mc_abs ** 2:.6g} exceeds n(n+1) = {n * (n + 1):.6g}"
-        )
+    _require_epr_physical(n, mc_abs)
     return mc_abs > n + EPS_CLS
 
 
@@ -108,3 +108,23 @@ def is_physical_two_mode(state) -> bool:
     if record.physical is None:
         record.physical = bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)
     return record.physical
+
+
+def _require_physical(state) -> None:
+    """Raise NonPhysicalStateError unless the second moments describe a
+    state: |m|² ≤ n(n+1) for one mode, ``is_physical_two_mode`` otherwise."""
+    if isinstance(state, OneModeGaussian):
+        _require_one_mode_physical(state)
+    elif not is_physical_two_mode(state):
+        raise NonPhysicalStateError("second moments do not describe a physical state")
+
+
+def _require_epr_physical(n: float, mc_abs: float) -> None:
+    """``_require_physical`` of ``TwoModeGaussian.epr(n, m_c)`` in closed form:
+    ⟨ζζ†⟩ splits into two blocks [[n+1, −m_c], [−m_c*, n]], whose smaller
+    eigenvalue n + ½ − √(¼ + |m_c|²) is taken without cancellation."""
+    lowest = (n * (n + 1.0) - mc_abs ** 2) / (n + 0.5 + math.sqrt(0.25 + mc_abs ** 2))
+    if lowest < -EPS_PHYS:
+        raise NonPhysicalStateError(
+            f"|m_c|^2 = {mc_abs ** 2:.6g} exceeds n(n+1) = {n * (n + 1):.6g}"
+        )

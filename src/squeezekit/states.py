@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-EPS_PHYS = 1e-9  # absolute tolerance on |m|^2 - n(n+1)
+EPS_PHYS = 1e-9  # absolute tolerance on |m|^2 - n(n+1), and on the two-mode gate's eigenvalue
 EPS_CLS = 1e-9   # absolute tolerance on n - |m|
 
 _WORD_TOKEN_LIMIT = 16
@@ -193,9 +193,6 @@ class TwoModeGaussian(_RecordedState):
 
     def marginal_b(self) -> OneModeGaussian:
         return OneModeGaussian(self.n, self.m_b)
-
-    def is_uncorrelated(self, tol: float = EPS_CLS) -> bool:
-        return abs(self.m_c) <= tol and abs(self.m_x) <= tol
 
 
 @dataclass(frozen=True)

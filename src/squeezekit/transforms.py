@@ -11,9 +11,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .separability import _require_epr_physical
 from .states import (
     EPS_CLS,
-    EPS_PHYS,
     GaussianMixture,
     OneModeGaussian,
     TwoModeGaussian,
@@ -128,15 +128,15 @@ def werner_mix(epr: TwoModeGaussian, p: float) -> GaussianMixture:
     """Convex combination p·(cross-correlated state) + (1−p)·thermal⊗thermal.
 
     The thermal component carries the same per-mode photon number n as the
-    correlated component.  Endpoints return single-component mixtures.
+    correlated component.  Endpoints return single-component mixtures.  A
+    correlated component that is no state raises NonPhysicalStateError.
     """
     p = _finite_real(p, "p")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
     if abs(epr.m_a) > EPS_CLS or abs(epr.m_b) > EPS_CLS or abs(epr.m_x) > EPS_CLS:
         raise ValueError("werner mixing requires a state without single-mode squeezing")
-    if abs(epr.m_c) ** 2 > epr.n * (epr.n + 1.0) + EPS_PHYS:
-        raise ValueError("correlated component is nonphysical: |m_c|^2 > n(n+1)")
+    _require_epr_physical(epr.n, abs(epr.m_c))
     thermal = TwoModeGaussian.thermal_pair(epr.n)
     if p == 1.0:
         return GaussianMixture(((1.0, epr),))

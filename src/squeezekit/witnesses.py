@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .separability import _require_physical
 from .states import OneModeGaussian, OperatorWord, wick_moment
 
 EPS_VERDICT = 1e-9
@@ -57,8 +58,10 @@ def w2_expectation(s: OneModeGaussian) -> WitnessReport:
     """Expectation of the single-mode witness 3 − a†a†aa/⟨a†a⟩².
 
     Equals (n² − |m|²)/n², i.e. 3 − g², positive exactly for states with a
-    regular P density and −1/n on pure states.
+    regular P density and −1/n on pure states.  Nonphysical second moments
+    raise NonPhysicalStateError.
     """
+    _require_physical(s)
     if s.n == 0:
         raise ZeroDivisionError("witness normalization undefined at zero photon number")
     numerator = wick_moment(s, _W_ADAD_AA).real
@@ -81,12 +84,13 @@ def whbt_expectation(state) -> WitnessReport:
     """Expectation of the intensity-interference witness
     ½ − (2a†b†ab + b†²a² + a†²b²) / ⟨:(I_a+I_b)²:⟩.
 
-    Evaluated through the Wick engine for any two-mode state or mixture.
-    Negative values certify nonclassicality of an uncorrelated pair and
-    entanglement of a cross-correlated pair.
+    Evaluated through the Wick engine for any physical two-mode state or
+    mixture.  Negative values certify nonclassicality of an uncorrelated
+    pair and entanglement of a cross-correlated pair.
     """
     if isinstance(state, OneModeGaussian):
         raise TypeError("intensity witness needs a two-mode state; build a pair first")
+    _require_physical(state)
     numerator = (
         2.0 * wick_moment(state, _W_ADBD_AB)
         + wick_moment(state, _W_BDBD_AA)

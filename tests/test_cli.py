@@ -117,6 +117,46 @@ class TestClassify:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+_NONPHYSICAL = [
+    ("witness", "w2", "--n", "1", "--m", "5"),
+    ("witness", "w2", "--n", "0", "--m", "0.5"),
+    ("witness", "whbt", "--family", "pair", "--n", "1", "--m", "1.5"),
+    ("witness", "whbt", "--family", "epr", "--n", "1", "--mc", "1.5"),
+    ("witness", "whbt", "--family", "werner", "--n", "1", "--mc", "1.5", "--p", "0.5"),
+    ("witness", "whbt", "--family", "bs-output", "--n", "1", "--m", "1.5", "--lam", "0.3"),
+    ("witness", "whbt", "--family", "general", "--n", "1", "--m", "1.5", "--mc", "0.3",
+     "--lam1", "0", "--lam2", "0.3"),
+    ("classify", "werner", "--n", "1", "--mc", "1.5", "--p", "0.5", "--format", "json"),
+]
+
+
+class TestPhysicalityGate:
+    @pytest.mark.parametrize("argv", _NONPHYSICAL, ids=lambda argv: " ".join(argv[:4]))
+    def test_nonphysical_state_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("nonphysical state: "), err
+        if argv[0] == "witness":
+            assert out == ""
+        else:
+            assert json.loads(out)["physical"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "epr"),
+        ("classify", "werner", "--p", "0.5"),
+        ("visibility", "epr"),
+    ])
+    def test_gate_decides_the_epr_boundary(self, capsys, argv):
+        # |m_c|^2 - n(n+1) = 1.4e-9 exceeds EPS_PHYS, but the smallest
+        # eigenvalue of the two-mode gate is a sixth of that.
+        code, out, err = run_cli(capsys, *argv, "--n", "2.5", "--mc", "2.958039892141416",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        if argv[0] == "classify":
+            assert json.loads(out)["physical"] is True
+
+
 def _general_state(n, m, mc, lam1, lam2):
     return TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
 

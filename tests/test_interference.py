@@ -184,6 +184,8 @@ class TestHbtCorrelation:
         bad = TwoModeGaussian.epr(1.0, 1.6 + 0j)
         with pytest.raises(NonPhysicalStateError):
             hbt_correlation(bad, 0.0, 0.0)
+        with pytest.raises(NonPhysicalStateError):
+            fringe_prefactor(bad)
 
     def test_matches_uncorrelated_closed_form(self, rng):
         for _ in range(20):

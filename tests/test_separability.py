@@ -22,18 +22,23 @@ from squeezekit import (
     is_physical_two_mode,
     visibilities_uncorrelated,
     visibility_epr,
+    visibility_werner,
     werner_hbt_threshold,
+    werner_mix,
     werner_ppt_threshold,
     whbt_expectation,
     wick_moment,
 )
 from squeezekit.fock import UnsupportedStateError
-from squeezekit.separability import _moment_matrix
+from squeezekit.separability import _moment_matrix, _require_epr_physical
 
 from _fock_reference import candidate_weight_summary
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
+# How far below zero the smallest weight of the oracle's candidate density
+# may dip before the candidate counts as no state.
+EPS_EIG = 1e-8
 
 
 class TestEprCriterion:
@@ -48,6 +53,59 @@ class TestEprCriterion:
     def test_nonphysical_rejected(self):
         with pytest.raises(NonPhysicalStateError):
             epr_is_entangled(1.0, 1.5)
+
+
+class TestEprGateClosedForm:
+    """``_require_epr_physical`` is the two-mode gate of the cross-correlated
+    pattern in closed form, behind every parameter-family formula."""
+
+    @staticmethod
+    def _closed_form_accepts(n, mc_abs):
+        try:
+            _require_epr_physical(n, mc_abs)
+        except NonPhysicalStateError:
+            return False
+        return True
+
+    def test_agrees_with_gate(self):
+        # Half the draws sit within 3e-9 of |m_c| = sqrt(n(n+1)), where the
+        # smallest eigenvalue of <zeta zeta^dag> crosses -EPS_PHYS; the rest
+        # are spread over the whole range.  Only round-off may part the two
+        # verdicts, where the eigenvalue is within 1e-13 of the tolerance.
+        draws = np.random.default_rng(20240611)
+        near = {True: 0, False: 0}
+        disagreements = 0
+        for k in range(16000):
+            n = float(draws.uniform(0.0, 100.0 if k % 2 else 2.0))
+            bound = math.sqrt(n * (n + 1.0))
+            for mc_abs, on_boundary in ((bound + float(draws.uniform(-3e-9, 3e-9)), True),
+                                        (float(draws.uniform(0.0, 1.5)) * bound, False)):
+                state = TwoModeGaussian.epr(n, mc_abs * cmath.exp(1j * draws.uniform(0, 2 * math.pi)))
+                gate = is_physical_two_mode(state)
+                if on_boundary:
+                    near[gate] += 1
+                if self._closed_form_accepts(n, abs(state.m_c)) != gate:
+                    lowest = np.linalg.eigvalsh(_moment_matrix(state))[0]
+                    assert abs(lowest + EPS_PHYS) < 1e-13, (n, mc_abs, lowest)
+                    disagreements += 1
+        assert near[True] > 4000 and near[False] > 4000
+        assert disagreements < 50
+
+    def test_every_family_formula_takes_the_gate_verdict(self):
+        # |m_c|^2 exceeds n(n+1) by more than EPS_PHYS here, yet the smallest
+        # eigenvalue, (n(n+1) - |m_c|^2)/6, is within the tolerance.
+        n, mc = 2.5, 2.958039892141416
+        assert mc ** 2 - n * (n + 1.0) > EPS_PHYS
+        assert is_physical_two_mode(TwoModeGaussian.epr(n, mc + 0j))
+        assert epr_is_entangled(n, mc)
+        visibility_epr(n, mc)
+        visibility_werner(n, mc, 0.5)
+        werner_mix(TwoModeGaussian.epr(n, mc + 0j), 0.5)
+        for check in (lambda: epr_is_entangled(1.0, 1.5), lambda: visibility_epr(1.0, 1.5),
+                      lambda: visibility_werner(1.0, 1.5, 0.5),
+                      lambda: werner_mix(TwoModeGaussian.epr(1.0, 1.5 + 0j), 0.5)):
+            with pytest.raises(NonPhysicalStateError, match="exceeds n"):
+                check()
 
 
 class TestBsOutputCriterion:
@@ -267,7 +325,7 @@ class TestIsPhysicalTwoMode:
             if plan is not None and min(abs(plan.factor1.nbar), abs(plan.factor2.nbar)) < 1e-6:
                 continue   # within round-off of the boundary
             summary = candidate_weight_summary(state, 40)
-            oracle = summary is not None and summary[0] >= -fock.EPS_EIG
+            oracle = summary is not None and summary[0] >= -EPS_EIG
             if oracle and summary[1] >= fock.EPS_TR:
                 continue   # tail beyond cutoff 40: outside the oracle's range
             assert is_physical_two_mode(state) == oracle, state

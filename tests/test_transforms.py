@@ -6,6 +6,7 @@ import pytest
 from squeezekit import (
     AmplifierGains,
     Classification,
+    NonPhysicalStateError,
     OneModeGaussian,
     TwoModeGaussian,
     UnsupportedPhaseError,
@@ -244,4 +245,8 @@ class TestWernerMix:
 
     def test_nonphysical_component_rejected(self):
         with pytest.raises(ValueError):
+            werner_mix(TwoModeGaussian.epr(1.0, 1.5 + 0j), 0.5)
+
+    def test_nonphysical_component_is_a_nonphysical_state(self):
+        with pytest.raises(NonPhysicalStateError, match=r"\|m_c\|\^2 = 2.25 exceeds n\(n\+1\) = 2"):
             werner_mix(TwoModeGaussian.epr(1.0, 1.5 + 0j), 0.5)

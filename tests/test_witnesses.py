@@ -6,6 +6,8 @@ import pytest
 from squeezekit import (
     AmplifierGains,
     Classification,
+    GaussianMixture,
+    NonPhysicalStateError,
     OneModeGaussian,
     TwoModeGaussian,
     Verdict,
@@ -53,6 +55,13 @@ class TestW2:
     def test_vacuum_raises(self):
         with pytest.raises(ZeroDivisionError):
             w2_expectation(OneModeGaussian(0.0, 0j))
+
+    def test_nonphysical_state_rejected(self):
+        # |m|^2 = 25 > n(n+1) = 2 would read -24, "quantum".  At n = 0 the
+        # gate speaks before the normalization does.
+        for s in (OneModeGaussian(1.0, 5.0 + 0j), OneModeGaussian(0.0, 0.5 + 0j)):
+            with pytest.raises(NonPhysicalStateError):
+                w2_expectation(s)
 
     def test_sign_matches_classification(self, rng):
         for _ in range(200):
@@ -153,6 +162,14 @@ class TestWhbtVerdicts:
     def test_vacuum_pair_rejected(self):
         with pytest.raises(ZeroDivisionError):
             whbt_expectation(TwoModeGaussian.thermal_pair(0.0))
+
+    def test_nonphysical_states_rejected(self):
+        bad = TwoModeGaussian.epr(1.0, 1.5 + 0j)
+        mixture = GaussianMixture(((0.5, bad), (0.5, TwoModeGaussian.thermal_pair(1.0))))
+        for state in (bad, mixture,
+                      TwoModeGaussian.pair_with_phase(OneModeGaussian(1.0, 1.5 + 0j), 0.3)):
+            with pytest.raises(NonPhysicalStateError):
+                whbt_expectation(state)
 
 
 class TestMixtureAffinity:
