@@ -245,8 +245,6 @@ def _describe_epr(params, radians, oracle, cutoff):
 def _describe_werner(params, radians, oracle, cutoff):
     n, mc, p = params["n"], params["mc"], params["p"]
     out = {"n": n, "mc": mc, "p": p, "physical": False}
-    if not 0.0 <= p <= 1.0:
-        return out, NonPhysicalStateError(f"mixing probability must lie in [0, 1], got {p}")
     try:
         mixture = _build_werner(params, radians)
     except NonPhysicalStateError as exc:

@@ -82,10 +82,12 @@ None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
 matrices are independent checks of every closed form in the package.
 
-Thermal occupations n̄ slightly below zero are admitted internally: they
-produce Hermitian, trace-one constructions with alternating-sign weights
-whose negative eigenvalues certify that the requested second moments do
-not belong to a physical state.  Public constructors reject such inputs.
+Each constructor calls ``separability._require_physical``, the gate of
+every closed form, once on entry and builds every state it accepts.  The
+planner keeps each factor's formal occupation n̄, negative (with
+alternating-sign weights) for moments beyond the physical bound, so tests
+can read physicality off it independently.  An accepted factor with n̄
+just below zero (a vacuum port, a boundary state) is built pure.
 """
 
 from __future__ import annotations
@@ -98,20 +100,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import (
-    GaussianMixture,
-    NonPhysicalStateError,
-    OneModeGaussian,
-    OperatorWord,
-    TwoModeGaussian,
-    _require_physical,
-)
+from .separability import _require_physical
+from .states import GaussianMixture, OneModeGaussian, OperatorWord, TwoModeGaussian
 from .witnesses import WitnessKind
 
 EPS_TR = 1e-6
 
 _HERMITICITY_TOL = 1e-12
-_MIN_RADICAND = 1e-12
 _WEIGHT_FLOOR = 1e-18
 
 
@@ -244,14 +239,12 @@ class _SqueezedThermal:
 def _solve_squeezed_thermal(n: float, m: complex):
     """Solve (n̄, r, φ) from n + ½ = (n̄+½) cosh 2r and m = e^{iφ}(n̄+½) sinh 2r.
 
-    Returns None when (n+½)² ≤ |m|², in which case no (even quasi-thermal)
-    decomposition exists; such moments violate the Cauchy-Schwarz bound
-    |⟨aa⟩|² ≤ n(n+1) by a wide margin and never describe a state.
+    A solution exists exactly when n + ½ > |m| (which excludes n < −½),
+    else None.  n̄ is the formal one, negative beyond |m|² ≤ n(n+1).
     """
-    radicand = (n + 0.5) ** 2 - abs(m) ** 2
-    if radicand <= _MIN_RADICAND:
+    if n + 0.5 <= abs(m):
         return None
-    half_width = math.sqrt(radicand)
+    half_width = math.sqrt((n + 0.5) ** 2 - abs(m) ** 2)
     r = 0.5 * math.asinh(abs(m) / half_width)
     phi = cmath.phase(m) if abs(m) > 0.0 else 0.0
     return _SqueezedThermal(half_width - 0.5, r, phi)
@@ -268,8 +261,9 @@ def _working_cutoff(cutoff: int) -> int:
 
 def _factor_matrix(st: _SqueezedThermal, dim: int) -> np.ndarray:
     """S ρ_thermal S† on the first ``dim`` Fock states.  S has exact zeros
-    between the parities, so the product has them too."""
-    w = _thermal_weights(st.nbar, dim)
+    between the parities, so the product has them too.  A gated state's
+    factor with n̄ just below zero is built pure."""
+    w = _thermal_weights(max(st.nbar, 0.0), dim)
     if st.r == 0.0:
         return np.diag(w).astype(complex)
     s = squeeze_unitary(dim, st.r, st.phi)
@@ -372,7 +366,8 @@ def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -
     block.  Sectors with |d| ≥ cutoff hold no retained state.
     """
     cw = _working_cutoff(cutoff)
-    w = _thermal_weights(nbar, cw)
+    # As in ``_factor_matrix``: n̄ just below zero is built pure.
+    w = _thermal_weights(max(nbar, 0.0), cw)
     z = -r * cmath.exp(1j * phi)
     out = []
     for d in range(cutoff):
@@ -648,8 +643,6 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
         raise ValueError("cutoff must be at least 2")
     _require_physical(s)
     st = _solve_squeezed_thermal(s.n, s.m)
-    if st is None or st.nbar < -1e-12:
-        raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
     return _finish(1, cutoff, [_Block(None, _one_mode_matrix(st, cutoff))], eps_tr,
                    _Origin("one-mode"))
 
@@ -667,8 +660,6 @@ def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
         _require_physical(s)
     f1 = _solve_squeezed_thermal(sa.n, sa.m)
     f2 = _solve_squeezed_thermal(sb.n, sb.m)
-    if f1 is None or f2 is None or f1.nbar < -1e-12 or f2.nbar < -1e-12:
-        raise NonPhysicalStateError("no squeezed-thermal decomposition exists")
     f1 = _SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam)
     return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, lam, cutoff), eps_tr,
                    _Origin("bs", 0.0))
@@ -697,11 +688,12 @@ class _TwoModePlan:
 def _plan_two_mode(state: TwoModeGaussian):
     """Pick a constructive route for the state's moment pattern.
 
-    Returns None when the moments provably belong to no state (no formal
-    decomposition exists).  Raises UnsupportedStateError for patterns
-    outside the supported families: unequal |⟨aa⟩| and |⟨bb⟩| alongside
-    cross correlations, or a cross moment ⟨a†b⟩ whose phase is
-    incompatible with the per-mode squeezing phases.
+    The factors keep their formal n̄.  Returns None when one has no
+    squeezed-thermal solution, which no gated state lacks.  Raises
+    UnsupportedStateError for patterns outside the supported families:
+    unequal |⟨aa⟩| and |⟨bb⟩| alongside cross correlations, or a cross
+    moment ⟨a†b⟩ whose phase is incompatible with the per-mode squeezing
+    phases.
     """
     scale = 1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c) + abs(state.m_x)
     tol = 1e-12 * scale
@@ -731,12 +723,8 @@ def _plan_two_mode(state: TwoModeGaussian):
         raise UnsupportedStateError(
             "cross moment ⟨a†b⟩ phase is incompatible with the squeezing phases"
         )
-    nu1 = state.n + x.real
-    nu2 = state.n - x.real
-    if nu1 < 0.0 or nu2 < 0.0:
-        return None
-    f1 = _solve_squeezed_thermal(nu1, f + z)
-    f2 = _solve_squeezed_thermal(nu2, f - z)
+    f1 = _solve_squeezed_thermal(state.n + x.real, f + z)
+    f2 = _solve_squeezed_thermal(state.n - x.real, f - z)
     if f1 is None or f2 is None:
         return None
     return _TwoModePlan("bs", f1, f2, theta_c=theta_c, theta_d=theta_d)
@@ -803,10 +791,7 @@ def _two_mode_blocks(state, cutoff: int, eps_tr: float):
         return summed, _Origin("mixture")
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    plan = _plan_two_mode(state)
-    if plan is None or plan.factor1.nbar < -1e-12 or plan.factor2.nbar < -1e-12:
-        raise NonPhysicalStateError("second moments do not describe a physical state")
-    return _assemble_two_mode(plan, cutoff)
+    return _assemble_two_mode(_plan_two_mode(state), cutoff)
 
 
 def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
@@ -819,6 +804,7 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     such state with equal per-mode squeezing magnitudes is one).  Mixtures
     are weighted sums, validated once.
     """
+    _require_physical(state)
     blocks, origin = _two_mode_blocks(state, cutoff, eps_tr)
     return _finish(2, cutoff, blocks, eps_tr, origin)
 

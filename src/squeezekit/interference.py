@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .separability import _require_epr_physical, _require_physical
+from .separability import _require_epr_physical, _require_physical, _require_werner_weight
 from .states import OperatorWord, TwoModeGaussian, wick_moment
 from .witnesses import intensity_square_moment
 
@@ -170,8 +170,7 @@ def visibility_epr(n: float, mc_abs: float) -> VisibilityRecord:
 
 def visibility_werner(n: float, mc_abs: float, p: float) -> VisibilityRecord:
     """Thermal-diluted correlated pair: v₋ = (n² + p|m_c|²)/(3n² + p|m_c|²)."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
+    _require_werner_weight(p)
     _require_epr_physical(n, mc_abs)
     if n == 0.0 and (p == 0.0 or mc_abs == 0.0):
         raise ValueError("vacuum produces no fringes; visibilities are undefined")

@@ -128,3 +128,10 @@ def _require_epr_physical(n: float, mc_abs: float) -> None:
         raise NonPhysicalStateError(
             f"|m_c|^2 = {mc_abs ** 2:.6g} exceeds n(n+1) = {n * (n + 1):.6g}"
         )
+
+
+def _require_werner_weight(p: float) -> None:
+    """Raise NonPhysicalStateError unless the Werner mixing probability p
+    lies in [0, 1]: any other weight mixes no state."""
+    if not 0.0 <= p <= 1.0:
+        raise NonPhysicalStateError(f"mixing probability must lie in [0, 1], got {p}")

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .separability import _require_epr_physical
+from .separability import _require_epr_physical, _require_werner_weight
 from .states import (
     EPS_CLS,
     GaussianMixture,
@@ -129,11 +129,10 @@ def werner_mix(epr: TwoModeGaussian, p: float) -> GaussianMixture:
 
     The thermal component carries the same per-mode photon number n as the
     correlated component.  Endpoints return single-component mixtures.  A
-    correlated component that is no state raises NonPhysicalStateError.
+    weight outside [0, 1] or a correlated component that is no state raises
+    NonPhysicalStateError.
     """
-    p = _finite_real(p, "p")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"mixing probability must lie in [0, 1], got {p}")
+    _require_werner_weight(p)
     if abs(epr.m_a) > EPS_CLS or abs(epr.m_b) > EPS_CLS or abs(epr.m_x) > EPS_CLS:
         raise ValueError("werner mixing requires a state without single-mode squeezing")
     _require_epr_physical(epr.n, abs(epr.m_c))

@@ -127,7 +127,13 @@ _NONPHYSICAL = [
     ("witness", "whbt", "--family", "general", "--n", "1", "--m", "1.5", "--mc", "0.3",
      "--lam1", "0", "--lam2", "0.3"),
     ("classify", "werner", "--n", "1", "--mc", "1.5", "--p", "0.5", "--format", "json"),
+    # A mixing probability outside [0, 1] mixes no state, whatever the command.
+    ("witness", "whbt", "--p", "1.5", "--family", "werner", "--n", "1", "--mc", "0.5"),
+    ("visibility", "werner", "--n", "1", "--mc", "0.5", "--p", "1.5"),
 ]
+
+
+_EPR_EDGE = ("--n", "2.5", "--mc", "2.958039892141416")
 
 
 class TestPhysicalityGate:
@@ -137,21 +143,23 @@ class TestPhysicalityGate:
         assert code == 3
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("nonphysical state: "), err
-        if argv[0] == "witness":
-            assert out == ""
-        else:
+        if argv[0] == "classify":
             assert json.loads(out)["physical"] is False
+        else:
+            assert out == ""
 
     @pytest.mark.parametrize("argv", [
-        ("classify", "epr"),
-        ("classify", "werner", "--p", "0.5"),
-        ("visibility", "epr"),
-    ])
-    def test_gate_decides_the_epr_boundary(self, capsys, argv):
         # |m_c|^2 - n(n+1) = 1.4e-9 exceeds EPS_PHYS, but the smallest
         # eigenvalue of the two-mode gate is a sixth of that.
-        code, out, err = run_cli(capsys, *argv, "--n", "2.5", "--mc", "2.958039892141416",
-                                 "--format", "json")
+        ("classify", "epr", *_EPR_EDGE),
+        ("classify", "werner", "--p", "0.5", *_EPR_EDGE),
+        ("visibility", "epr", *_EPR_EDGE),
+        # 1.1e-9 over n(n+1) at n = 1, a third of it in the gate: the oracle
+        # builds every state the gate accepts.
+        ("classify", "epr", "--n", "1", "--mc", "1.4142135627730952", "--oracle"),
+    ])
+    def test_gate_decides_the_epr_boundary(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert (code, err) == (0, "")
         if argv[0] == "classify":
             assert json.loads(out)["physical"] is True

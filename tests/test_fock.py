@@ -1,5 +1,6 @@
 import ast
 import cmath
+import functools
 import inspect
 import math
 
@@ -20,8 +21,10 @@ from squeezekit import (
     w2_expectation,
     werner_mix,
     whbt_closed_form_epr,
+    wick_moment,
 )
 from squeezekit import fock
+from squeezekit.oracle_check import MOMENT_RTOL, relative_error
 
 from _fock_reference import (
     beam_splitter_unitary,
@@ -244,6 +247,63 @@ class TestTwoModeDensity:
         bad = TwoModeGaussian(1.0, 0.5 + 0j, 0.1 + 0j, 0.2 + 0j, 0j)
         with pytest.raises(fock.UnsupportedStateError):
             fock.two_mode_density(bad, 20)
+
+
+def _band_constructors(delta):
+    """Each constructor route on a state whose squeezing (or cross
+    correlation) has |m|² = n(n+1) + delta at n = 0.5."""
+    n = 0.5
+    m = math.sqrt(n * (n + 1.0) + delta)
+    s = OneModeGaussian(n, m * cmath.exp(0.4j))
+    epr = TwoModeGaussian.epr(n, m * cmath.exp(-0.2j))
+    # The Werner mixture at p = 0.5, built directly so that the oracle's
+    # gate, not werner_mix's, decides it.
+    werner = GaussianMixture(((0.5, epr), (0.5, TwoModeGaussian.thermal_pair(n))))
+    bs = mode_rotation(beam_splitter(s, OneModeGaussian(n, m * cmath.exp(1.1j)), 0.7), 0.2, -0.5)
+    return {
+        "one-mode": lambda c: fock.one_mode_density(s, c),
+        "tensor": lambda c: fock.two_mode_density(TwoModeGaussian.pair_with_phase(s, 0.3), c),
+        "tms": lambda c: fock.two_mode_density(epr, c),
+        "mixture": lambda c: fock.two_mode_density(werner, c),
+        "bs": lambda c: fock.two_mode_density(bs, c),
+        "bs_output_density": lambda c: fock.bs_output_density(s, OneModeGaussian(0.3, 0.2j), 0.7, c),
+    }
+
+
+class TestGateBand:
+    # At n = 0.5 the one-mode gate admits |m|² − n(n+1) up to EPS_PHYS and
+    # the two-mode gate up to about 2·EPS_PHYS (its smallest eigenvalue is
+    # about a half of the excess); 5e-10 lies inside both, 4e-9 outside.
+    @pytest.mark.parametrize("route", sorted(_band_constructors(0.0)))
+    def test_the_gate_band_decides(self, route):
+        rho = _band_constructors(5e-10)[route](30)
+        assert rho.route == {"bs_output_density": "bs"}.get(route, route)
+        assert rho.min_eigenvalue() >= -1e-12
+        gate_messages = r"exceeds n\(n\+1\)|second moments do not describe a physical state"
+        with pytest.raises(NonPhysicalStateError, match=gate_messages):
+            _band_constructors(4e-9)[route](30)
+
+
+class TestVacuumPorts:
+    def test_rotated_bs_outputs_with_a_vacuum_input_build(self):
+        # The plan reads the vacuum factor's occupation as about −1e-16;
+        # the gate accepts every such state, and so must the assembly.
+        draws = np.random.default_rng(5)
+        vacuum = OneModeGaussian(0.0, 0j)
+        word = functools.cache(lambda counts: OperatorWord.from_counts(*counts))
+        for k in range(100):
+            n = float(draws.uniform(0.1, 1.0))
+            m = (float(draws.uniform(0.0, 0.9)) * math.sqrt(n * (n + 1.0))
+                 * cmath.exp(1j * draws.uniform(0.0, 2.0 * math.pi)))
+            lam, theta_a, theta_b = draws.uniform(0.0, 2.0 * math.pi, 3)
+            s = OneModeGaussian(n, m)
+            sa, sb = (s, vacuum) if k % 2 == 0 else (vacuum, s)
+            state = mode_rotation(beam_splitter(sa, sb, lam), theta_a, theta_b)
+            rho = fock.two_mode_density(state, 40)
+            assert rho.route == "bs", state
+            for counts, value in fock.moment_table(rho, 6).items():
+                err = relative_error(value, wick_moment(state, word(counts)))
+                assert err < MOMENT_RTOL, (state, counts, err)
 
 
 class TestMoments:

@@ -107,6 +107,13 @@ class TestEprGateClosedForm:
             with pytest.raises(NonPhysicalStateError, match="exceeds n"):
                 check()
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+    def test_werner_weight_outside_unit_interval_is_no_state(self, p):
+        for check in (lambda: visibility_werner(1.0, 1.2, p),
+                      lambda: werner_mix(TwoModeGaussian.epr(1.0, 1.2 + 0j), p)):
+            with pytest.raises(NonPhysicalStateError, match=r"must lie in \[0, 1\], got"):
+                check()
+
 
 class TestBsOutputCriterion:
     def test_zero_phase_never_entangles(self, rng):
