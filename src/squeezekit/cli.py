@@ -62,7 +62,7 @@ from .transforms import (
     is_classical_threshold,
     werner_mix,
 )
-from .witnesses import WitnessKind, w2_expectation, whbt_expectation
+from .witnesses import WitnessKind, w2_expectation, whbt_closed_form_uncorrelated, whbt_expectation
 
 ORACLE_RTOL = 1e-4
 
@@ -187,13 +187,11 @@ def _describe_one_mode(params, radians, oracle, cutoff):
         w2 = w2_expectation(s)
         out["w2"] = w2.value
         out["w2_verdict"] = w2.verdict.value
-    pair = TwoModeGaussian.pair_with_phase(s, 0.0)
     if s.n > 0 or abs(s.m) > 0:
         vis = visibilities_uncorrelated(s.n, abs(s.m))
         out["v_minus"] = vis.v_minus
         out["v_plus"] = vis.v_plus
-        whbt = whbt_expectation(pair)
-        out["whbt_pair"] = whbt.value
+        out["whbt_pair"] = whbt_closed_form_uncorrelated(s.n, abs(s.m))
     disagree = False
     if oracle and s.n > 0:
         rho = fock.one_mode_density(s, cutoff)
@@ -346,7 +344,7 @@ def _cmd_amplifier(args) -> int:
         vis = visibilities_uncorrelated(s.n, abs(s.m))
         fields["v_minus"] = vis.v_minus
         fields["v_plus"] = vis.v_plus
-        fields["whbt_pair"] = whbt_expectation(TwoModeGaussian.pair_with_phase(s, 0.0)).value
+        fields["whbt_pair"] = whbt_closed_form_uncorrelated(s.n, abs(s.m))
     disagree = False
     if args.oracle and s.n > 0:
         rho = fock.one_mode_density(s, args.cutoff)

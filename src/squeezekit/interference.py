@@ -285,13 +285,6 @@ class FitModel(enum.Enum):
     GENERAL = "general"
 
 
-_MODEL_COLUMNS = {
-    FitModel.IN_PHASE_ONLY: 3,
-    FitModel.IN_OUT: 5,
-    FitModel.GENERAL: 9,
-}
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares visibility estimates from sampled fringes."""
@@ -303,11 +296,15 @@ class FitResult:
 
 
 def _design_matrix(phi1: np.ndarray, phi2: np.ndarray, model: FitModel) -> np.ndarray:
+    """The fringe basis of ``model``.  The single-phase term
+    2·Re((e^{iφ₁} + e^{iφ₂})·t) gives φ₁ and φ₂ equal coefficients, so they
+    share two columns.  No state produces sin(φ₁−φ₂) (⟨a†b†ab⟩ is real);
+    its column stays as a residual check."""
     cols = [np.ones_like(phi1), np.cos(phi1 - phi2), np.sin(phi1 - phi2)]
     if model in (FitModel.IN_OUT, FitModel.GENERAL):
         cols += [np.cos(phi1 + phi2), np.sin(phi1 + phi2)]
     if model is FitModel.GENERAL:
-        cols += [np.cos(phi1), np.sin(phi1), np.cos(phi2), np.sin(phi2)]
+        cols += [np.cos(phi1) + np.cos(phi2), np.sin(phi1) + np.sin(phi2)]
     return np.column_stack(cols)
 
 
@@ -323,7 +320,11 @@ def fit_visibilities(samples: Sequence[FringeSample], model: FitModel, *,
     visibility; at λ₁+λ₂ = π those fringes vanish identically and v_m is
     not identifiable, which is reported as ill conditioning.
     """
-    n_params = _MODEL_COLUMNS[model]
+    phi1 = np.array([s.phi1 for s in samples], dtype=float)
+    phi2 = np.array([s.phi2 for s in samples], dtype=float)
+    y = np.array([s.value for s in samples], dtype=float)
+    design = _design_matrix(phi1, phi2, model)
+    n_params = design.shape[1]
     if len(samples) < 2 * n_params:
         raise ValueError(
             f"need at least {2 * n_params} samples for a {n_params}-parameter model, "
@@ -331,10 +332,6 @@ def fit_visibilities(samples: Sequence[FringeSample], model: FitModel, *,
         )
     if model is FitModel.GENERAL and known_phases is None:
         raise ValueError("the general model needs known_phases=(lam1, lam2)")
-    phi1 = np.array([s.phi1 for s in samples], dtype=float)
-    phi2 = np.array([s.phi2 for s in samples], dtype=float)
-    y = np.array([s.value for s in samples], dtype=float)
-    design = _design_matrix(phi1, phi2, model)
     cond = float(np.linalg.cond(design))
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedError(
@@ -347,9 +344,7 @@ def fit_visibilities(samples: Sequence[FringeSample], model: FitModel, *,
     residual = float(np.sqrt(np.mean((design @ coeffs - y) ** 2)))
 
     v_minus = float(np.hypot(coeffs[1], coeffs[2])) / amplitude
-    v_plus = 0.0
-    offset = 0.0
-    v_m = 0.0
+    v_plus = offset = v_m = 0.0
     if model in (FitModel.IN_OUT, FitModel.GENERAL):
         mag = float(np.hypot(coeffs[3], coeffs[4])) / amplitude
         if mag > 1e-12:
@@ -365,9 +360,7 @@ def fit_visibilities(samples: Sequence[FringeSample], model: FitModel, *,
                 "single-phase fringes vanish at lam1 + lam2 = pi; "
                 "v_m is not identifiable, use the in/out model"
             )
-        proj1 = float(coeffs[5:7] @ direction) / norm_sq
-        proj2 = float(coeffs[7:9] @ direction) / norm_sq
-        v_m = 0.5 * (proj1 + proj2) / amplitude
+        v_m = float(coeffs[5:7] @ direction) / norm_sq / amplitude
         if abs(v_m) < 1e-14:
             v_m = 0.0
     record = VisibilityRecord(v_minus, v_plus, v_m, offset)

@@ -10,7 +10,7 @@ Sampling stays within the oracle's truncation envelope.  The photon-number
 tail of a squeezed thermal state decays like ((2V−1)/(2V+1))^k with
 V = n + ½ + |m| the variance of the hottest quadrature, and length-six
 moments weight that tail by k³, so meeting 10⁻⁴ at cutoff 40 requires
-V ≲ 2.2.  The samplers therefore draw n up to 1.5 but cap squeezing and
+V ≲ 2.2.  The samplers therefore draw n up to N_MAX = 1.5 but cap squeezing and
 cross-correlation magnitudes at V = 2.1, additionally staying below 90%
 of the positivity boundary; boundary-pure states are covered by dedicated
 lower-order and entrywise checks in the test suite instead.
@@ -43,6 +43,7 @@ MOMENT_RTOL = 1e-4
 PPT_WINDOW = 0.02
 VARIANCE_CAP = 2.1  # hottest-quadrature variance the cutoff-40 oracle resolves
 BOUNDARY_FRACTION = 0.9
+N_MAX = 1.5  # largest mean photon number a sampler draws
 
 
 def relative_error(oracle_value, reference) -> float:
@@ -76,15 +77,15 @@ class SuiteReport:
         return all(c.ok for c in self.checks)
 
 
-def random_one_mode(rng: np.random.Generator, n_max: float = 1.5) -> OneModeGaussian:
+def random_one_mode(rng: np.random.Generator) -> OneModeGaussian:
     """Random physical one-mode state inside the truncation envelope."""
-    n = float(rng.uniform(0.05, n_max))
+    n = float(rng.uniform(0.05, N_MAX))
     m_abs = float(rng.uniform(0.0, 1.0)) * _magnitude_cap(n)
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     return OneModeGaussian(n, m_abs * cmath.exp(1j * phase))
 
 
-def random_two_mode(rng: np.random.Generator, n_max: float = 1.5):
+def random_two_mode(rng: np.random.Generator):
     """Random physical two-mode state, cycling through the state families.
 
     Families: product pairs with a relative squeezing phase, cross-correlated
@@ -93,20 +94,20 @@ def random_two_mode(rng: np.random.Generator, n_max: float = 1.5):
     """
     family = rng.integers(0, 4)
     if family == 0:
-        s = random_one_mode(rng, n_max)
+        s = random_one_mode(rng)
         return TwoModeGaussian.pair_with_phase(s, float(rng.uniform(0.0, 2.0 * math.pi)))
     if family == 1:
-        n = float(rng.uniform(0.05, n_max))
+        n = float(rng.uniform(0.05, N_MAX))
         mc_abs = float(rng.uniform(0.0, 1.0)) * _magnitude_cap(n)
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         return TwoModeGaussian.epr(n, mc_abs * cmath.exp(1j * phase))
     if family == 2:
-        n = float(rng.uniform(0.05, n_max))
+        n = float(rng.uniform(0.05, N_MAX))
         mc_abs = float(rng.uniform(0.1, 1.0)) * _magnitude_cap(n)
         p = float(rng.uniform(0.05, 0.95))
         return werner_mix(TwoModeGaussian.epr(n, complex(mc_abs)), p)
-    sa = random_one_mode(rng, n_max)
-    sb = random_one_mode(rng, n_max)
+    sa = random_one_mode(rng)
+    sb = random_one_mode(rng)
     out = beam_splitter(sa, sb, float(rng.uniform(0.0, 2.0 * math.pi)))
     return mode_rotation(
         out,

@@ -1,7 +1,8 @@
 """Analytic separability and classicality criteria for two-mode families,
 threshold curves for the thermal-diluted comparison, and the physicality
 test for general two-mode states.  Every closed form that takes a state, or
-the parameters of a cross-correlated one, decides physicality here.
+the parameters of a cross-correlated one, decides physicality here, by the
+one-mode closed form of ``states`` or by the eigensolve below.
 
 Boundary cases count as separable throughout: the analytic entanglement
 statements are strict inequalities, so thresholds sit on the separable side.
@@ -20,7 +21,7 @@ from .states import (
     NonPhysicalStateError,
     OneModeGaussian,
     TwoModeGaussian,
-    _require_physical as _require_one_mode_physical,
+    _require_lowest_eigenvalue,
     state_record,
 )
 
@@ -112,22 +113,19 @@ def is_physical_two_mode(state) -> bool:
 
 def _require_physical(state) -> None:
     """Raise NonPhysicalStateError unless the second moments describe a
-    state: |m|² ≤ n(n+1) for one mode, ``is_physical_two_mode`` otherwise."""
+    state: the smallest eigenvalue of ⟨ζζ†⟩ is at least −EPS_PHYS, in
+    closed form for one mode and by ``is_physical_two_mode`` for two."""
     if isinstance(state, OneModeGaussian):
-        _require_one_mode_physical(state)
+        _require_lowest_eigenvalue(state.n, abs(state.m))
     elif not is_physical_two_mode(state):
         raise NonPhysicalStateError("second moments do not describe a physical state")
 
 
 def _require_epr_physical(n: float, mc_abs: float) -> None:
     """``_require_physical`` of ``TwoModeGaussian.epr(n, m_c)`` in closed form:
-    ⟨ζζ†⟩ splits into two blocks [[n+1, −m_c], [−m_c*, n]], whose smaller
-    eigenvalue n + ½ − √(¼ + |m_c|²) is taken without cancellation."""
-    lowest = (n * (n + 1.0) - mc_abs ** 2) / (n + 0.5 + math.sqrt(0.25 + mc_abs ** 2))
-    if lowest < -EPS_PHYS:
-        raise NonPhysicalStateError(
-            f"|m_c|^2 = {mc_abs ** 2:.6g} exceeds n(n+1) = {n * (n + 1):.6g}"
-        )
+    ⟨ζζ†⟩ splits into two blocks [[n+1, −m_c], [−m_c*, n]], the one-mode
+    matrix with m_c in place of m, so the one-mode rule decides it."""
+    _require_lowest_eigenvalue(n, mc_abs, "m_c")
 
 
 def _require_werner_weight(p: float) -> None:

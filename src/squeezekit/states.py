@@ -31,7 +31,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-EPS_PHYS = 1e-9  # absolute tolerance on |m|^2 - n(n+1), and on the two-mode gate's eigenvalue
+EPS_PHYS = 1e-9  # how far the smallest eigenvalue of <zeta zeta^dag> may dip below zero, one mode or two
 EPS_CLS = 1e-9   # absolute tolerance on n - |m|
 
 _WORD_TOKEN_LIMIT = 16
@@ -115,9 +115,11 @@ class _RecordedState:
 class OneModeGaussian(_RecordedState):
     """One-mode zero-mean Gaussian state with ⟨a†a⟩ = n and ⟨aa⟩ = −m.
 
-    Construction only enforces n ≥ 0 and finiteness; physicality
-    (|m|² ≤ n(n+1)) is a predicate because several formulas are also
-    evaluated, flagged, for nonphysical parameter pairs.
+    Construction only enforces n ≥ 0 and finiteness; physicality is a
+    predicate because several formulas are also evaluated, flagged, for
+    nonphysical parameter pairs.  As for two modes, the smallest eigenvalue
+    of ⟨ζζ†⟩ (here ζ = (a, a†)) must be at least −EPS_PHYS; it is within
+    EPS_PHYS of zero exactly for pure states, |m|² = n(n+1).
     """
 
     n: float
@@ -137,11 +139,11 @@ class OneModeGaussian(_RecordedState):
     def thermal(cls, n: float) -> "OneModeGaussian":
         return cls(n, 0j)
 
-    def is_physical(self, tol: float = EPS_PHYS) -> bool:
-        return abs(self.m) ** 2 <= self.n * (self.n + 1.0) + tol
+    def is_physical(self) -> bool:
+        return _lowest_eigenvalue(self.n, abs(self.m)) >= -EPS_PHYS
 
-    def is_pure(self, tol: float = EPS_PHYS) -> bool:
-        return abs(abs(self.m) ** 2 - self.n * (self.n + 1.0)) <= tol
+    def is_pure(self) -> bool:
+        return abs(_lowest_eigenvalue(self.n, abs(self.m))) <= EPS_PHYS
 
 
 @dataclass(frozen=True)
@@ -326,30 +328,36 @@ class OperatorWord:
 
 # --- one-mode operations ----------------------------------------------------
 
-def is_physical_one_mode(s: OneModeGaussian, tol: float = EPS_PHYS) -> bool:
-    """Positivity of the density operator: |m|² ≤ n(n+1) within tolerance."""
-    return s.is_physical(tol)
+def _lowest_eigenvalue(n: float, m_abs: float) -> float:
+    """Smaller eigenvalue n + ½ − √(¼ + |m|²) of ⟨ζζ†⟩ = [[n+1, −m], [−m*, n]]
+    for ζ = (a, a†), taken without cancellation."""
+    return (n * (n + 1.0) - m_abs ** 2) / (n + 0.5 + math.sqrt(0.25 + m_abs ** 2))
 
 
-def _require_physical(s: OneModeGaussian):
-    if not s.is_physical():
+def _require_lowest_eigenvalue(n: float, m_abs: float, name: str = "m") -> None:
+    """Raise NonPhysicalStateError unless ``_lowest_eigenvalue`` ≥ −EPS_PHYS."""
+    if _lowest_eigenvalue(n, m_abs) < -EPS_PHYS:
         raise NonPhysicalStateError(
-            f"|m|^2 = {abs(s.m) ** 2:.6g} exceeds n(n+1) = {s.n * (s.n + 1):.6g}"
-        )
+            f"|{name}|^2 = {m_abs ** 2:.12g} exceeds n(n+1) = {n * (n + 1):.12g}")
 
 
-def is_p_representable(s: OneModeGaussian, tol: float = EPS_CLS) -> Classification:
+def is_physical_one_mode(s: OneModeGaussian) -> bool:
+    """Positivity of the density operator: ``OneModeGaussian.is_physical``."""
+    return s.is_physical()
+
+
+def is_p_representable(s: OneModeGaussian) -> Classification:
     """Classify against the classicality line n = |m|.
 
     Strictly above the line the state has a regular P density (CLASSICAL),
-    strictly below it does not (QUANTUM); within ±tol of the line the
+    strictly below it does not (QUANTUM); within ±EPS_CLS of the line the
     verdict is BOUNDARY.
     """
-    _require_physical(s)
+    _require_lowest_eigenvalue(s.n, abs(s.m))
     gap = s.n - abs(s.m)
-    if gap > tol:
+    if gap > EPS_CLS:
         return Classification.CLASSICAL
-    if gap < -tol:
+    if gap < -EPS_CLS:
         return Classification.QUANTUM
     return Classification.BOUNDARY
 
@@ -387,7 +395,7 @@ def weyl_characteristic(s: OneModeGaussian, alpha: complex) -> complex:
 
     Equals exp(−(n+½)|α|² − Re(m α*²)); exactly 1 at α = 0.
     """
-    _require_physical(s)
+    _require_lowest_eigenvalue(s.n, abs(s.m))
     alpha = complex(alpha)
     quad = (s.n + 0.5) * abs(alpha) ** 2 + (s.m * alpha.conjugate() ** 2).real
     return cmath.exp(-quad)
@@ -416,7 +424,7 @@ def g2(s: OneModeGaussian) -> float:
 
 def purity_one_mode(s: OneModeGaussian) -> float:
     """Tr ρ² = 1 / (2 √((n+½)² − |m|²)); equals 1 exactly for pure states."""
-    _require_physical(s)
+    _require_lowest_eigenvalue(s.n, abs(s.m))
     return 1.0 / (2.0 * math.sqrt((s.n + 0.5) ** 2 - abs(s.m) ** 2))
 
 

@@ -165,6 +165,41 @@ class TestPhysicalityGate:
             assert json.loads(out)["physical"] is True
 
 
+# |m|² exceeds n(n+1) = 2 by 2e-9 and by 4e-9.  The smallest eigenvalue of
+# ⟨ζζ†⟩, one mode or two, is a third of that: inside EPS_PHYS, then outside.
+_IN_BAND, _OUT_OF_BAND = "1.414213563080202", "1.4142135637873086"
+_ONE_MODE_EXCESS = "nonphysical state: |m|^2 = 2.000000004 exceeds n(n+1) = 2"
+_TWO_MODE_EXCESS = "nonphysical state: second moments do not describe a physical state"
+
+
+def _band_commands(m):
+    """Each command with the state at n = 1, |m| (or |m_c|) = m, and the
+    rejection it prints out of the band."""
+    return [
+        (("classify", "one-mode", "--n", "1", "--m", m), _ONE_MODE_EXCESS),
+        (("witness", "w2", "--n", "1", "--m", m), _ONE_MODE_EXCESS),
+        (("witness", "whbt", "--family", "pair", "--n", "1", "--m", m), _TWO_MODE_EXCESS),
+        (("classify", "epr", "--n", "1", "--mc", m), _TWO_MODE_EXCESS),
+    ]
+
+
+class TestOneModeBand:
+    """One verdict per state: the one-mode commands and the two-mode
+    commands built from the same numbers agree on either side of the band."""
+
+    def test_inside_the_band_every_command_takes_the_state(self, capsys):
+        for argv, _ in _band_commands(_IN_BAND):
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, ""), argv
+            if argv[0] == "classify":
+                assert json.loads(out)["physical"] is True
+
+    def test_outside_the_band_every_command_rejects_it(self, capsys):
+        for argv, message in _band_commands(_OUT_OF_BAND):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err.strip()) == (3, message), argv
+
+
 def _general_state(n, m, mc, lam1, lam2):
     return TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
 

@@ -271,9 +271,9 @@ def _band_constructors(delta):
 
 
 class TestGateBand:
-    # At n = 0.5 the one-mode gate admits |m|² − n(n+1) up to EPS_PHYS and
-    # the two-mode gate up to about 2·EPS_PHYS (its smallest eigenvalue is
-    # about a half of the excess); 5e-10 lies inside both, 4e-9 outside.
+    # At n = 0.5 the gate admits |m|² − n(n+1) up to about 2·EPS_PHYS, one
+    # mode or two (the smallest eigenvalue of ⟨ζζ†⟩ is about a half of the
+    # excess); 5e-10 lies inside, 4e-9 outside.
     @pytest.mark.parametrize("route", sorted(_band_constructors(0.0)))
     def test_the_gate_band_decides(self, route):
         rho = _band_constructors(5e-10)[route](30)
@@ -282,6 +282,14 @@ class TestGateBand:
         gate_messages = r"exceeds n\(n\+1\)|second moments do not describe a physical state"
         with pytest.raises(NonPhysicalStateError, match=gate_messages):
             _band_constructors(4e-9)[route](30)
+
+    def test_one_mode_band_at_n_one(self):
+        # 2e-9 and 4e-9 over n(n+1) = 2; the smallest eigenvalue of ⟨ζζ†⟩ is
+        # a third of the excess, inside EPS_PHYS and outside it.
+        rho = fock.one_mode_density(OneModeGaussian(1.0, 1.414213563080202 + 0j), 40)
+        assert rho.min_eigenvalue() >= -1e-12
+        with pytest.raises(NonPhysicalStateError, match=r"\|m\|\^2 = 2.000000004 exceeds"):
+            fock.one_mode_density(OneModeGaussian(1.0, 1.4142135637873086 + 0j), 40)
 
 
 class TestVacuumPorts:

@@ -368,6 +368,21 @@ class TestFitVisibilities:
         assert fit.record.v_plus == pytest.approx(ref.v_plus, abs=1e-10)
         assert fit.record.v_m == pytest.approx(ref.v_m, abs=1e-10)
 
+    def test_general_model_takes_fourteen_samples(self):
+        # Seven columns: φ₁ and φ₂ share the single-phase pair.
+        n, m, mc, lam1, lam2 = 1.0, 0.45, 0.5, 0.4, 1.2
+        state = TwoModeGaussian(
+            n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
+        phases = [(2.0 * math.pi * ((0.618034 * k) % 1.0), 2.0 * math.pi * ((0.414214 * k) % 1.0))
+                  for k in range(14)]
+        samples = [FringeSample(p1, p2, hbt_correlation(state, p1, p2)) for p1, p2 in phases]
+        fit = fit_visibilities(samples, FitModel.GENERAL, known_phases=(lam1, lam2))
+        ref = visibilities_general(n, m, mc, lam1, lam2)
+        assert fit.record.v_m == pytest.approx(ref.v_m, abs=1e-10)
+        assert fit.residual < 1e-10
+        with pytest.raises(ValueError, match="need at least 14 samples"):
+            fit_visibilities(samples[:13], FitModel.GENERAL, known_phases=(lam1, lam2))
+
     def test_underdetermined_rejected(self):
         samples = [FringeSample(0.0, 0.0, 1.0), FringeSample(1.0, 0.5, 1.1)]
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from squeezekit import (
     general_is_separable,
     hbt_correlation,
     is_physical_two_mode,
+    purity_one_mode,
     visibilities_uncorrelated,
     visibility_epr,
     visibility_werner,
@@ -113,6 +115,42 @@ class TestEprGateClosedForm:
                       lambda: werner_mix(TwoModeGaussian.epr(1.0, 1.2 + 0j), p)):
             with pytest.raises(NonPhysicalStateError, match=r"must lie in \[0, 1\], got"):
                 check()
+
+
+class TestOneModeRule:
+    """``OneModeGaussian.is_physical`` is the two-mode gate's rule on one
+    mode: a pair of copies, and the EPR state with m as its cross moment,
+    split ⟨ζζ†⟩ into blocks that are the one-mode matrix."""
+
+    def test_agrees_with_the_two_mode_gate_in_the_band(self):
+        # |m|² − n(n+1) spread over ±3(2n+1)·EPS_PHYS, three times the band
+        # both rules admit at n.  Only round-off may part the verdicts, where
+        # the eigenvalue is within 1e-13 of the tolerance.
+        draws = random.Random(3)
+        accepted = 0
+        for _ in range(10000):
+            n = draws.uniform(0.0, 100.0)
+            excess = draws.uniform(-3.0, 3.0) * (2.0 * n + 1.0) * EPS_PHYS
+            m = (math.sqrt(max(n * (n + 1.0) + excess, 0.0))
+                 * cmath.exp(1j * draws.uniform(0.0, 2.0 * math.pi)))
+            s = OneModeGaussian(n, m)
+            accepted += s.is_physical()
+            for state in (TwoModeGaussian.pair_with_phase(s, draws.uniform(0.0, 2.0 * math.pi)),
+                          TwoModeGaussian.epr(n, m)):
+                if is_physical_two_mode(state) != s.is_physical():
+                    lowest = np.linalg.eigvalsh(_moment_matrix(state))[0]
+                    assert abs(lowest + EPS_PHYS) < 1e-13, (n, m, lowest)
+        assert 5000 < accepted < 8000
+
+    def test_rejection_names_the_excess(self):
+        # 4e-9 over n(n+1) = 2: twelve digits show it.
+        m = 1.4142135637873086
+        with pytest.raises(NonPhysicalStateError,
+                           match=r"^\|m\|\^2 = 2.000000004 exceeds n\(n\+1\) = 2$"):
+            purity_one_mode(OneModeGaussian(1.0, m + 0j))
+        with pytest.raises(NonPhysicalStateError,
+                           match=r"^\|m_c\|\^2 = 2.000000004 exceeds n\(n\+1\) = 2$"):
+            epr_is_entangled(1.0, m)
 
 
 class TestBsOutputCriterion:

@@ -58,7 +58,7 @@ class TestAmplifier:
             H = float(rng.uniform(1.0, 3.0))
             s = amplifier_output(AmplifierGains(G, H))
             assert s.is_physical()
-            assert s.is_pure(tol=1e-9) == (abs(H - 1.0) < 1e-10)
+            assert s.is_pure() == (abs(H - 1.0) < 1e-10)
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
