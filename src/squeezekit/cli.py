@@ -9,7 +9,9 @@ radians.  CSV output is
 deterministic: 12 significant digits, '.' decimal separator, LF line
 endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
 4 oracle disagreement; an ``--oracle`` cutoff too small for the state's
-photon-number tail also exits 2.  Only ``classify``, ``sweep`` and
+photon-number tail also exits 2, as does a family parameter flag the family
+does not read or a required one left out: a family takes the same flags in
+``classify``, ``witness whbt`` and ``sweep``.  Only ``classify``, ``sweep`` and
 ``amplifier`` take ``--oracle``; with it they report the route, the cutoff
 and the trace deficit of the density they measured.  ``oracle-check`` takes
 ``--cutoff`` for its suite.
@@ -46,6 +48,7 @@ from .separability import (
     werner_ppt_threshold,
 )
 from .states import (
+    GaussianMixture,
     NonPhysicalStateError,
     OneModeGaussian,
     OperatorWord,
@@ -114,10 +117,58 @@ def _angle(value: float, radians: bool) -> float:
     return value if radians else value * math.pi
 
 
+# --- family parameters -----------------------------------------------------------
+# Each family's parameters in flag order, and the defaults of those ``classify``
+# does not require.  ``witness whbt`` and ``sweep`` read the same table, so a
+# family takes the same flags in every command.
+
+_PARAMETERS = {
+    "one-mode": (("n", "m", "m_phase"), {"m_phase": 0.0}),
+    "pair": (("n", "m", "m_phase", "lam"), {"m_phase": 0.0, "lam": 0.0}),
+    "epr": (("n", "mc"), {}),
+    "werner": (("n", "mc", "p"), {}),
+    "bs-output": (("n", "m", "lam"), {}),
+    "general": (("n", "m", "mc", "lam1", "lam2"), {}),
+}
+
+_HELP = {
+    "n": "mean photon number per mode",
+    "m": "squeezing magnitude |m|",
+    "m_phase": "phase of m (angle units)",
+    "mc": "cross correlation |m_c|",
+    "p": "mixing probability",
+    "lam": "phase between the two squeezing moments, before the splitter for bs-output",
+    "lam1": "phase of mode a squeezing",
+    "lam2": "phase of mode b squeezing",
+}
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _family_values(args, family, free=None) -> dict:
+    """The parameters of ``family`` read off the parsed ``args``, with the
+    defaults of the optional ones.  Raise ValueError for a parameter flag the
+    family does not read, and for one it needs that is left out, other than
+    ``free``."""
+    names, defaults = _PARAMETERS[family]
+    given = {name: value for name, value in vars(args).items()
+             if name in _HELP and value is not None}
+    unread = [name for name in given if name not in names]
+    if unread:
+        raise ValueError(f"family {family!r} does not read {_flags(unread)}")
+    missing = [name for name in names if name not in given and name not in defaults
+               and name != free]
+    if missing:
+        raise ValueError(f"family {family!r} needs {_flags(missing)}")
+    return {**defaults, **given}
+
+
 # --- state builders ------------------------------------------------------------
 # One per family, shared by ``classify``, ``sweep`` and ``witness``: each reads
-# the family's parameters by name from a mapping (describer parameters, or
-# ``vars`` of the parsed arguments).  Only ``werner_mix`` gates what it builds.
+# the family's parameters by name from a mapping (``_family_values``).  Only
+# ``werner_mix`` gates what it builds.
 
 def _build_one_mode(params, radians):
     phase = _angle(params["m_phase"], radians)
@@ -156,6 +207,14 @@ _TWO_MODE_BUILDERS = {"pair": _build_pair, "epr": _build_epr, "werner": _build_w
 # --- family descriptions -------------------------------------------------------
 # A describer returns the reported fields and, for a nonphysical state, the
 # gate's NonPhysicalStateError, otherwise whether the oracle disagrees.
+
+def _vacuum(state) -> bool:
+    """Whether a two-mode state or mixture is the vacuum, on which no fringe
+    or witness formula is defined."""
+    if isinstance(state, GaussianMixture):
+        return all(_vacuum(comp) for _, comp in state.components)
+    return state == TwoModeGaussian.thermal_pair(0.0)
+
 
 def _gate(out, state):
     """Record whether ``state`` is physical in ``out``; the gate's error if
@@ -233,6 +292,8 @@ def _describe_epr(params, radians, oracle, cutoff):
     if rejection:
         return out, rejection
     out["entangled"] = epr_is_entangled(n, mc)
+    if _vacuum(state):
+        return out, False
     out["v_minus"] = visibility_epr(n, mc).v_minus
     whbt = whbt_expectation(state)
     out["whbt"] = whbt.value
@@ -248,8 +309,11 @@ def _describe_werner(params, radians, oracle, cutoff):
     except NonPhysicalStateError as exc:
         return out, exc
     out["physical"] = True
-    out["hbt_threshold"] = werner_hbt_threshold(n)
-    out["ppt_threshold"] = werner_ppt_threshold(n)
+    if n > 0:
+        out["hbt_threshold"] = werner_hbt_threshold(n)
+        out["ppt_threshold"] = werner_ppt_threshold(n)
+    if _vacuum(mixture):
+        return out, False
     out["v_minus"] = visibility_werner(n, mc, p).v_minus
     whbt = whbt_expectation(mixture)
     out["whbt"] = whbt.value
@@ -266,6 +330,8 @@ def _describe_bs_output(params, radians, oracle, cutoff):
     out["m_out_abs"] = abs(state.m_a)
     out["mc_out_abs"] = abs(state.m_c)
     out["separable"] = bs_output_is_separable(n, m, lam)
+    if _vacuum(state):
+        return out, False
     vis = visibilities_bs_output(n, m, lam)
     out["v_minus"] = vis.v_minus
     out["v_plus"] = vis.v_plus
@@ -286,7 +352,7 @@ def _describe_general(params, radians, oracle, cutoff):
     state = _build_general(params, radians)
     rejection = _gate(out, state)
     out["separable"] = general_is_separable(n, m, mc, lam1, lam2)
-    if rejection:
+    if rejection or _vacuum(state):
         return out, rejection
     vis = visibilities_general(n, m, mc, lam1, lam2)
     out["v_minus"] = vis.v_minus
@@ -298,28 +364,20 @@ def _describe_general(params, radians, oracle, cutoff):
 
 
 _FAMILIES = {
-    "one-mode": (_describe_one_mode, ("n", "m", "m_phase")),
-    "epr": (_describe_epr, ("n", "mc")),
-    "werner": (_describe_werner, ("n", "mc", "p")),
-    "bs-output": (_describe_bs_output, ("n", "m", "lam")),
-    "general": (_describe_general, ("n", "m", "mc", "lam1", "lam2")),
+    "one-mode": _describe_one_mode,
+    "epr": _describe_epr,
+    "werner": _describe_werner,
+    "bs-output": _describe_bs_output,
+    "general": _describe_general,
 }
-
-
-def _family_params(args) -> dict:
-    params = {}
-    for name in _FAMILIES[args.family][1]:
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            params[name] = value
-    return params
 
 
 # --- command handlers -----------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    describe = _FAMILIES[args.family][0]
-    fields, outcome = describe(_family_params(args), args.radians, args.oracle, args.cutoff)
+    describe = _FAMILIES[args.family]
+    fields, outcome = describe(_family_values(args, args.family), args.radians, args.oracle,
+                               args.cutoff)
     _report(args, fields)
     if isinstance(outcome, NonPhysicalStateError):
         raise outcome
@@ -358,10 +416,10 @@ def _cmd_amplifier(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    params = vars(args)
     if args.kind == "w2":
-        report = w2_expectation(_build_one_mode(params, args.radians))
+        report = w2_expectation(_build_one_mode(vars(args), args.radians))
     else:
+        params = _family_values(args, args.family)
         report = whbt_expectation(_TWO_MODE_BUILDERS[args.family](params, args.radians))
     _report(args, {
         "witness": report.witness_kind.value,
@@ -532,25 +590,19 @@ def _cmd_figure(args) -> int:
 
 def _cmd_sweep(args) -> int:
     family = args.family
-    describe = _FAMILIES[family][0]
     name, lo, hi, num = args.vary
     name = name.replace("-", "_")
-    if name not in _FAMILIES[family][1]:
+    if name not in _PARAMETERS[family][0]:
         raise ValueError(f"family {family!r} has no parameter {name!r}")
-    grid = np.linspace(float(lo), float(hi), int(num))
-    params = {key: 0.0 for key in _FAMILIES[family][1]}
-    params.update(_family_params(args))
-    rows = []
-    columns = None
-    for value in grid:
+    params = _family_values(args, family, free=name)
+    points = []
+    for value in np.linspace(float(lo), float(hi), int(num)):
         params[name] = float(value)
-        try:
-            fields, _ = describe(params, args.radians, args.oracle, args.cutoff)
-        except (NonPhysicalStateError, ValueError):
-            fields = {name: float(value), "physical": False}
-        if columns is None:
-            columns = list(fields)
-        rows.append([fields.get(col, float("nan")) for col in columns])
+        points.append(_FAMILIES[family](params, args.radians, args.oracle, args.cutoff)[0])
+    # Every field any point reports, in the order of the fullest report.
+    columns = list(dict.fromkeys(key for fields in sorted(points, key=len, reverse=True)
+                                 for key in fields))
+    rows = [[fields.get(col, float("nan")) for col in columns] for fields in points]
     comment = f"sweep of {name} over [{lo}, {hi}] for family {family}"
     if args.format == "json":
         payload = {"columns": columns, "rows": [[_fmt(v) for v in row] for row in rows]}
@@ -613,22 +665,15 @@ def _add_oracle(parser):
                         help="Fock cutoff for oracle columns (default 40)")
 
 
-def _add_family_arguments(parser, family):
-    parser.add_argument("--n", type=float, required=True, help="mean photon number per mode")
-    if family in ("one-mode", "bs-output", "general"):
-        parser.add_argument("--m", type=float, required=True, help="squeezing magnitude |m|")
-    if family == "one-mode":
-        parser.add_argument("--m-phase", dest="m_phase", type=float, default=0.0,
-                            help="phase of m (angle units)")
-    if family in ("epr", "werner", "general"):
-        parser.add_argument("--mc", type=float, required=True, help="cross correlation |m_c|")
-    if family == "werner":
-        parser.add_argument("--p", type=float, required=True, help="mixing probability")
-    if family == "bs-output":
-        parser.add_argument("--lam", type=float, required=True, help="pre-splitter phase")
-    if family == "general":
-        parser.add_argument("--lam1", type=float, required=True, help="phase of mode a squeezing")
-        parser.add_argument("--lam2", type=float, required=True, help="phase of mode b squeezing")
+def _add_parameters(parser, names, defaults=None):
+    """One float flag per parameter.  Given ``defaults``, argparse requires
+    every flag without one; otherwise each defaults to None and the command
+    checks what it was given with ``_family_values``."""
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                            required=defaults is not None and name not in defaults,
+                            default=None if defaults is None else defaults.get(name),
+                            help=_HELP[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam = p_classify.add_subparsers(dest="family", required=True)
     for family in _FAMILIES:
         fam_parser = fam.add_parser(family)
-        _add_family_arguments(fam_parser, family)
+        _add_parameters(fam_parser, *_PARAMETERS[family])
         _add_common(fam_parser)
         _add_angles(fam_parser)
         _add_oracle(fam_parser)
@@ -666,14 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     w2p.set_defaults(func=_cmd_witness)
     whbtp = wit_sub.add_parser("whbt")
     whbtp.add_argument("--family", choices=tuple(_TWO_MODE_BUILDERS), default="pair")
-    whbtp.add_argument("--n", type=float, required=True)
-    whbtp.add_argument("--m", type=float, default=0.0)
-    whbtp.add_argument("--m-phase", dest="m_phase", type=float, default=0.0)
-    whbtp.add_argument("--mc", type=float, default=0.0)
-    whbtp.add_argument("--p", type=float, default=1.0)
-    whbtp.add_argument("--lam", type=float, default=0.0)
-    whbtp.add_argument("--lam1", type=float, default=0.0)
-    whbtp.add_argument("--lam2", type=float, default=0.0)
+    _add_parameters(whbtp, _HELP)
     _add_common(whbtp)
     _add_angles(whbtp)
     whbtp.set_defaults(func=_cmd_witness)
@@ -699,8 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_fam = p_sweep.add_subparsers(dest="family", required=True)
     for family in _FAMILIES:
         sp = sweep_fam.add_parser(family)
-        for nm in _FAMILIES[family][1]:
-            sp.add_argument(f"--{nm.replace('_', '-')}", dest=nm, type=float, default=None)
+        _add_parameters(sp, _PARAMETERS[family][0])
         sp.add_argument("--vary", nargs=4, metavar=("PARAM", "START", "STOP", "NUM"),
                         required=True, help="parameter name and linspace grid")
         _add_common(sp)

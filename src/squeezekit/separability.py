@@ -1,11 +1,12 @@
 """Analytic separability and classicality criteria for two-mode families,
 threshold curves for the thermal-diluted comparison, and the physicality
-test for general two-mode states.  Every closed form that takes a state, or
-the parameters of a cross-correlated one, decides physicality here, by the
-one-mode closed form of ``states`` or by the eigensolve below.
+and separability tests for general two-mode states.  Every closed form that
+takes a state, or the parameters of a cross-correlated one, decides
+physicality here, by the one-mode closed form of ``states`` or by the
+eigensolve below.
 
-Boundary cases count as separable throughout: the analytic entanglement
-statements are strict inequalities, so thresholds sit on the separable side.
+Separability is physicality of the partial transpose, band included; the
+family formulas decide it with ``_lowest_eigenvalue(n, √q) ≥ −EPS_PHYS``.
 """
 
 from __future__ import annotations
@@ -15,49 +16,51 @@ import math
 import numpy as np
 
 from .states import (
-    EPS_CLS,
     EPS_PHYS,
     GaussianMixture,
     NonPhysicalStateError,
     OneModeGaussian,
     TwoModeGaussian,
+    _lowest_eigenvalue,
     _require_lowest_eigenvalue,
     state_record,
 )
 
 
 def epr_is_entangled(n: float, mc_abs: float) -> bool:
-    """Cross-correlated family: entangled exactly when |m_c| > n."""
+    """Cross-correlated family: entangled exactly when |m_c| > n, i.e. when
+    |m_c|² + |m_c| > n(n+1)."""
     _require_epr_physical(n, mc_abs)
-    return mc_abs > n + EPS_CLS
+    return _lowest_eigenvalue(n, math.sqrt(mc_abs ** 2 + abs(mc_abs))) < -EPS_PHYS
 
 
 def bs_output_is_separable(n: float, m_abs: float, lam: float) -> bool:
     """Beam-splitter output of two equally squeezed inputs with phase λ.
 
-    Separable exactly when |m|² + √((1−cos 2λ)/2)·|m| ≤ n(n+1); the
+    Separable exactly when q = |m|² + √((1−cos 2λ)/2)·|m| ≤ n(n+1); the
     boundary counts as separable.  At λ = 0 this is the physicality bound
     itself, so physical inputs can never entangle there; at λ = π/2 it
     tightens to |m|² + |m| ≤ n(n+1).
     """
     coefficient = math.sqrt(max(0.0, (1.0 - math.cos(2.0 * lam)) / 2.0))
-    return m_abs ** 2 + coefficient * m_abs <= n * (n + 1.0) + EPS_PHYS
+    q = m_abs ** 2 + coefficient * abs(m_abs)
+    return _lowest_eigenvalue(n, math.sqrt(q)) >= -EPS_PHYS
 
 
 def general_is_separable(n: float, m: float, m_c: float, lam1: float, lam2: float) -> bool:
     """Equal-magnitude squeezing with phases λ₁, λ₂ plus a real cross moment.
 
     Separable exactly when
-    m² + m_c² + |m_c| √(1 + 2(1 + cos(λ₁+λ₂)) m²) ≤ n(n+1).
+    q = m² + m_c² + |m_c| √(1 + 2(1 + cos(λ₁+λ₂)) m²) ≤ n(n+1).
     With λ₁+λ₂ = π this reduces to the beam-splitter-output criterion on
     the overlapping sub-family.
     """
-    lhs = (
+    q = (
         m ** 2
         + m_c ** 2
         + abs(m_c) * math.sqrt(1.0 + 2.0 * (1.0 + math.cos(lam1 + lam2)) * m ** 2)
     )
-    return lhs <= n * (n + 1.0) + EPS_PHYS
+    return _lowest_eigenvalue(n, math.sqrt(q)) >= -EPS_PHYS
 
 
 def werner_hbt_threshold(n: float) -> float:
@@ -107,8 +110,29 @@ def is_physical_two_mode(state) -> bool:
         raise TypeError(f"unsupported state type {type(state).__name__}")
     record = state_record(state)
     if record.physical is None:
-        record.physical = bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)
+        record.physical = _admitted(state)
     return record.physical
+
+
+def _admitted(state: TwoModeGaussian) -> bool:
+    """The two-mode rule: the smallest eigenvalue of ⟨ζζ†⟩, read off the
+    stored moments, is at least −EPS_PHYS."""
+    return bool(np.linalg.eigvalsh(_moment_matrix(state))[0] >= -EPS_PHYS)
+
+
+def is_separable(state) -> bool:
+    """Simon's PPT criterion, necessary and sufficient for two-mode Gaussian
+    states (Simon, PRL 84, 2726 (2000)): the partial transpose, time
+    reversal of mode b, must be a state.  It maps m_b → m_b*,
+    m_c → −m_x* and m_x → −m_c*, and the transposed moments take the
+    physicality rule, band included.  A state the gate rejects raises
+    NonPhysicalStateError; a mixture or a one-mode state raises TypeError.
+    """
+    if not isinstance(state, TwoModeGaussian):
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    _require_physical(state)
+    return _admitted(TwoModeGaussian(state.n, state.m_a, state.m_b.conjugate(),
+                                     -state.m_x.conjugate(), -state.m_c.conjugate()))
 
 
 def _require_physical(state) -> None:

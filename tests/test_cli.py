@@ -200,6 +200,61 @@ class TestOneModeBand:
             assert (code, err.strip()) == (3, message), argv
 
 
+class TestSeparabilityBand:
+    """Separability takes physicality's band: the output of two equal inputs
+    at λ = 0 and the general family at m_c = 0, λ₁ = λ₂ = 0 are products of
+    two squeezed states, separable wherever the gate accepts them."""
+
+    _COMMANDS = [
+        ("classify", "bs-output", "--n", "1", "--lam", "0", "--m"),
+        ("classify", "general", "--n", "1", "--mc", "0", "--lam1", "0", "--lam2", "0", "--m"),
+    ]
+
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=lambda argv: argv[1])
+    def test_the_band_decides(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, _IN_BAND, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["physical"] is True and payload["separable"] is True
+        code, out, err = run_cli(capsys, *argv, _OUT_OF_BAND, "--format", "json")
+        assert (code, err.strip()) == (3, _TWO_MODE_EXCESS)
+        assert json.loads(out)["physical"] is False
+
+    def test_negative_cross_moment_reads_as_its_magnitude(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "epr", "--n", "1", "--mc", "-1.2",
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["entangled"] is True and payload["whbt_verdict"] == "quantum-or-entangled"
+
+
+class TestVacuum:
+    """The vacuum is a state: every family gives it a verdict and leaves out
+    the fields whose formula is undefined at n = 0."""
+
+    @pytest.mark.parametrize("argv, verdict", [
+        (("epr", "--n", "0", "--mc", "0"), {"entangled": False}),
+        (("werner", "--n", "0", "--mc", "0", "--p", "0.5"), {}),
+        (("bs-output", "--n", "0", "--m", "0", "--lam", "0"), {"separable": True}),
+        (("general", "--n", "0", "--m", "0", "--mc", "0", "--lam1", "0", "--lam2", "0"),
+         {"separable": True}),
+    ], ids=lambda value: value[0] if isinstance(value, tuple) else "")
+    def test_classify_reports_the_vacuum(self, capsys, argv, verdict):
+        code, out, err = run_cli(capsys, "classify", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["physical"] is True
+        assert {key: payload[key] for key in verdict} == verdict
+        assert not {"v_minus", "whbt", "hbt_threshold", "ppt_threshold"} & set(payload)
+
+    def test_sweep_marks_only_gate_rejections_nonphysical(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "epr", "--n", "0", "--vary", "mc", "0", "0", "1")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0])) == {"n": "0", "mc": "0", "physical": "true",
+                                              "entangled": "false"}
+
+
 def _general_state(n, m, mc, lam1, lam2):
     return TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
 
@@ -487,6 +542,78 @@ class TestSweep:
         assert code == 2
         assert "at cutoff 10" in err and "rerun with a larger --cutoff" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+_WHBT_FLAGS = {
+    # family -> the flags it needs, then one it does not read
+    "pair": (("--n", "1", "--m", "0.5"), ("--mc", "5")),
+    "epr": (("--n", "1", "--mc", "0.5"), ("--m", "0.5")),
+    "werner": (("--n", "1", "--mc", "0.5", "--p", "0.5"), ("--lam", "0.3")),
+    "bs-output": (("--n", "1", "--m", "0.5", "--lam", "0.3"), ("--m-phase", "0.5")),
+    "general": (("--n", "1", "--m", "0.5", "--mc", "0.2", "--lam1", "0", "--lam2", "0.3"),
+                ("--p", "0.5")),
+}
+
+
+class TestWitnessFlags:
+    """``witness whbt --family F`` reads F's parameters and only those;
+    pair's ``--m-phase`` and ``--lam`` default to 0."""
+
+    @pytest.mark.parametrize("family", list(_WHBT_FLAGS))
+    def test_each_needed_flag_is_required(self, capsys, family):
+        needed, _ = _WHBT_FLAGS[family]
+        code, _, err = run_cli(capsys, "witness", "whbt", "--family", family, *needed)
+        assert (code, err) == (0, "")
+        for k in range(0, len(needed), 2):
+            argv = needed[:k] + needed[k + 2:]
+            code, out, err = run_cli(capsys, "witness", "whbt", "--family", family, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.strip() == f"error: family {family!r} needs {needed[k]}"
+
+    @pytest.mark.parametrize("family", list(_WHBT_FLAGS))
+    def test_a_flag_the_family_does_not_read_exits_two(self, capsys, family):
+        needed, unread = _WHBT_FLAGS[family]
+        code, out, err = run_cli(capsys, "witness", "whbt", "--family", family, *needed, *unread)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: family {family!r} does not read {unread[0]}"
+
+
+class TestSweepFlags:
+    """``sweep F`` requires every parameter of F but the varied one."""
+
+    @pytest.mark.parametrize("argv, vary", [
+        (("one-mode", "--n", "1", "--m", "0.5"), "m-phase"),
+        (("epr", "--n", "1", "--mc", "0.5"), "mc"),
+        (("werner", "--n", "1", "--mc", "0.5", "--p", "0.5"), "p"),
+        (("bs-output", "--n", "1", "--m", "0.5", "--lam", "0.3"), "lam"),
+        (("general", "--n", "1", "--m", "0.5", "--mc", "0.2", "--lam1", "0", "--lam2", "0.3"),
+         "lam2"),
+    ], ids=lambda value: value[0] if isinstance(value, tuple) else value)
+    def test_every_other_parameter_is_required(self, capsys, argv, vary):
+        family, flags = argv[0], argv[1:]
+        grid = ("--vary", vary, "0", "1", "3")
+        assert run_cli(capsys, "sweep", family, *flags, *grid)[0] == 0
+        for k in range(0, len(flags), 2):
+            if flags[k] in ("--" + vary, "--m-phase"):
+                continue
+            code, out, err = run_cli(capsys, "sweep", family, *flags[:k], *flags[k + 2:], *grid)
+            assert (code, out) == (2, ""), flags[k]
+            assert err.strip() == f"error: family {family!r} needs {flags[k]}"
+
+    def test_an_invalid_point_is_invalid_input(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "epr", "--mc", "0.5",
+                                 "--vary", "n", "-1", "1", "3")
+        assert (code, out) == (2, "")
+        assert "mean photon number must be >= 0" in err
+
+    def test_a_rejected_first_point_keeps_every_column(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "epr", "--n", "1",
+                               "--vary", "mc", "1.6", "1.2", "2")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["n", "mc", "physical", "entangled", "v_minus", "whbt", "whbt_verdict"]
+        assert rows[0][2:] == ["false", "nan", "nan", "nan", "nan"]
+        assert rows[1][2:4] == ["true", "true"]
 
 
 class TestOracleCheckCommand:

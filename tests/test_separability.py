@@ -21,6 +21,7 @@ from squeezekit import (
     general_is_separable,
     hbt_correlation,
     is_physical_two_mode,
+    is_separable,
     purity_one_mode,
     visibilities_uncorrelated,
     visibility_epr,
@@ -33,6 +34,7 @@ from squeezekit import (
 )
 from squeezekit.fock import UnsupportedStateError
 from squeezekit.separability import _moment_matrix, _require_epr_physical
+from squeezekit.states import _lowest_eigenvalue
 
 from _fock_reference import candidate_weight_summary
 from conftest import random_physical_one_mode
@@ -253,6 +255,141 @@ class TestGeneralCriterion:
                 assert (fock.ppt_min_eigenvalue(rho) >= -1e-9) is verdict, state
 
 
+class TestIsSeparable:
+    """Simon's criterion: separable exactly when the partial transpose is a
+    state, judged by the physicality rule and band."""
+
+    def test_agrees_with_transposed_symplectic_spectrum(self):
+        # Random physical moments of every pattern (each moment kept or
+        # zeroed), complex ⟨a†b⟩ included.  The reference transposes the
+        # covariance matrix, p_b → −p_b, instead of the moments.
+        draws = np.random.default_rng(2726)
+        compared = entangled = 0
+        while compared < 4000:
+            n = float(draws.uniform(0.0, 2.0))
+            bound = math.sqrt(n * (n + 1.0))
+            keep = draws.integers(0, 2, size=4)
+            m_a, m_b, m_c = (keep[k] * float(draws.uniform(0.0, 1.0)) * bound
+                             * cmath.exp(1j * draws.uniform(0, 2 * math.pi)) for k in range(3))
+            m_x = keep[3] * float(draws.uniform(0.0, 0.6)) * n * cmath.exp(
+                1j * draws.uniform(0, 2 * math.pi))
+            state = TwoModeGaussian(n, m_a, m_b, m_c, m_x)
+            if not is_physical_two_mode(state):
+                continue
+            nu = _min_symplectic_eigenvalue(state, transpose=True)
+            if abs(nu - 0.5) < 1e-6:
+                continue
+            assert is_separable(state) == (nu >= 0.5), state
+            compared += 1
+            entangled += nu < 0.5
+        assert 200 < entangled < 1000
+
+    def test_agrees_with_oracle_partial_transpose(self):
+        # Seeded tensor, two-mode-squeezed and beam-splitter patterns, each
+        # at least 5% from the boundary ν̃₋ = ½, three of each verdict a
+        # pattern reaches (products are never entangled); the oracle's
+        # partial-transpose spectrum at cutoff 30 decides them independently.
+        draws = np.random.default_rng(2000)
+        found = {(pattern, verdict): [] for pattern in range(3) for verdict in (True, False)}
+        del found[(0, False)]
+        while min(len(states) for states in found.values()) < 3:
+            pattern = int(draws.integers(0, 3))
+            state = _oracle_pattern(draws, pattern, n_max=0.4)
+            if (not is_physical_two_mode(state)
+                    or abs(_min_symplectic_eigenvalue(state, transpose=True) / 0.5 - 1.0) < 0.05):
+                continue
+            states = found.get((pattern, is_separable(state)))
+            if states is not None and len(states) < 3:
+                states.append(state)
+        for (_, verdict), states in found.items():
+            for state in states:
+                lowest = fock.ppt_min_eigenvalue(fock.two_mode_density(state, 30))
+                if verdict:
+                    assert lowest >= -1e-9, state
+                else:
+                    assert lowest < -1e-6, state
+
+    def test_takes_physical_two_mode_states_only(self):
+        with pytest.raises(NonPhysicalStateError):
+            is_separable(TwoModeGaussian.epr(1.0, 1.5 + 0j))
+        mixture = GaussianMixture(((1.0, TwoModeGaussian.epr(1.0, 1.2 + 0j)),))
+        for state in (mixture, OneModeGaussian(1.0, 0.2 + 0j), OneModeGaussian(1.0, 5.0 + 0j)):
+            with pytest.raises(TypeError, match="unsupported state type"):
+                is_separable(state)
+
+
+class TestSeparabilityBand:
+    """The family formulas decide separability with the one-mode closed form
+    of the smallest eigenvalue, ``_lowest_eigenvalue(n, √q) ≥ −EPS_PHYS``,
+    and so agree with ``is_separable`` inside the band as well."""
+
+    @staticmethod
+    def _band_states(family):
+        # q − n(n+1) spread over ±3(2n+1)·EPS_PHYS, three times the band at
+        # n.  A quarter of the beam-splitter and general draws are products
+        # of two squeezed states (λ = 0, or m_c = 0 with λ₁ = λ₂ = 0), whose
+        # q is |m|²: there the boundary is physicality's own.
+        draws = random.Random(15)
+        for k in range(10000):
+            n = draws.uniform(0.0, 100.0)
+            q = max(n * (n + 1.0) + draws.uniform(-3.0, 3.0) * (2.0 * n + 1.0) * EPS_PHYS, 0.0)
+            product = k % 4 == 0
+            if family == "epr":
+                mc = math.sqrt(0.25 + q) - 0.5
+                yield (TwoModeGaussian.epr(n, mc * cmath.exp(1j * draws.uniform(0, 2 * math.pi))),
+                       not epr_is_entangled(n, mc))
+            elif family == "bs-output":
+                lam = 0.0 if product else draws.uniform(0.0, 2.0 * math.pi)
+                c = abs(math.sin(lam))
+                m = 0.5 * (math.sqrt(c * c + 4.0 * q) - c)
+                s = OneModeGaussian(n, m + 0j)
+                yield beam_splitter(s, s, lam), bs_output_is_separable(n, m, lam)
+            else:
+                lam1, lam2 = ((0.0, 0.0) if product
+                              else (draws.uniform(0.0, 2.0 * math.pi),
+                                    draws.uniform(0.0, 2.0 * math.pi)))
+                m = (1.0 if product else draws.uniform(0.0, 1.0)) * math.sqrt(q)
+                k_c = math.sqrt(1.0 + 2.0 * (1.0 + math.cos(lam1 + lam2)) * m * m)
+                mc = (0.5 * (math.sqrt(max(k_c * k_c + 4.0 * (q - m * m), 0.0)) - k_c)
+                      * draws.choice((-1.0, 1.0)))
+                yield (_general_state(n, m, mc, lam1, lam2),
+                       general_is_separable(n, m, mc, lam1, lam2))
+
+    @pytest.mark.parametrize("family", ["epr", "bs-output", "general"])
+    def test_family_formula_agrees_with_is_separable(self, family):
+        # Only round-off may part the verdicts, where the eigenvalue of the
+        # transposed moments is within 1e-13 of the tolerance.
+        compared = entangled = 0
+        for state, formula in self._band_states(family):
+            if not is_physical_two_mode(state):
+                continue
+            verdict = is_separable(state)
+            if verdict != formula:
+                lowest = np.linalg.eigvalsh(_moment_matrix(_transposed(state)))[0]
+                assert abs(lowest + EPS_PHYS) < 1e-13, (state, lowest)
+            compared += 1
+            entangled += not verdict
+        assert compared > 9000
+        assert 2000 < entangled < compared - 2000
+
+    def test_formulas_use_the_one_mode_closed_form(self):
+        # At n = 1 the bound is q = 2.  2e-9 above it the smallest
+        # eigenvalue is -2e-9/3, inside the band; 4e-9 above, outside.
+        for q, separable in ((2.000000002, True), (2.000000004, False)):
+            assert (_lowest_eigenvalue(1.0, math.sqrt(q)) >= -EPS_PHYS) is separable
+            assert bs_output_is_separable(1.0, math.sqrt(q), 0.0) is separable
+            assert general_is_separable(1.0, math.sqrt(q), 0.0, 0.0, 0.0) is separable
+        # With q = |m_c|² + |m_c| the eigenvalue is n − |m_c|.
+        for excess, entangled in ((0.5e-9, False), (2e-9, True)):
+            assert epr_is_entangled(1.0, 1.0 + excess) is entangled
+
+    def test_negative_magnitudes_read_as_magnitudes(self):
+        # A negative m or m_c is a phase of π, which no verdict sees.
+        assert epr_is_entangled(1.0, -1.2) is epr_is_entangled(1.0, 1.2) is True
+        assert bs_output_is_separable(1.0, -1.2, math.pi / 2) is False
+        assert is_separable(TwoModeGaussian.epr(1.0, -1.2 + 0j)) is False
+
+
 class TestWernerThresholds:
     def test_hbt_values(self):
         assert werner_hbt_threshold(1.0) == pytest.approx(0.5, abs=1e-15)
@@ -447,8 +584,14 @@ def _covariance(state) -> np.ndarray:
     return rr.real
 
 
-def _min_symplectic_eigenvalue(state) -> float:
+def _min_symplectic_eigenvalue(state, transpose=False) -> float:
+    """Smallest symplectic eigenvalue of the covariance matrix, or with
+    ``transpose`` of its partial transpose, p_b → −p_b (Simon, PRL 84, 2726
+    (2000))."""
     v = _covariance(state)
+    if transpose:
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        v = flip @ v @ flip
     omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     return float(np.min(np.abs(np.linalg.eigvals(1j * omega @ v))))
 
@@ -459,10 +602,20 @@ def _symplectic_verdict(state) -> bool:
                 and _min_symplectic_eigenvalue(state) >= 0.5)
 
 
-def _oracle_pattern(draws, family: int) -> TwoModeGaussian:
+def _transposed(state: TwoModeGaussian) -> TwoModeGaussian:
+    """The moments of the partial transpose: time reversal of mode b."""
+    return TwoModeGaussian(state.n, state.m_a, state.m_b.conjugate(),
+                           -state.m_x.conjugate(), -state.m_c.conjugate())
+
+
+def _general_state(n, m, mc, lam1, lam2) -> TwoModeGaussian:
+    return TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2), complex(mc))
+
+
+def _oracle_pattern(draws, family: int, n_max: float = 1.5) -> TwoModeGaussian:
     """A moment set of a pattern the oracle can plan: product, two-mode
     squeezed, or equal magnitudes with a phase-compatible ⟨a†b⟩."""
-    n = float(draws.uniform(0.02, 1.5))
+    n = float(draws.uniform(0.02, n_max))
     bound = math.sqrt(n * (n + 1.0))
 
     def magnitude():
