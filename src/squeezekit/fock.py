@@ -9,7 +9,8 @@ exp(g) = G V e^{−i|z|Λ} Vᵀ G* with G a diagonal of phases and (Λ, V) the
 real spectrum of the couplings' symmetric tridiagonal matrix.  That
 spectrum is computed once per sector and working size and cached
 read-only; no state needs an eigendecomposition of its own.  The
-mixer's sector blocks are cached at λ = 0, and λ enters as phases.
+mixer's sector blocks are cached at λ = 0, in the mode-swap basis below,
+and λ enters as phases.
 Correctness is defined by moment matching against the stored second
 moments, not by matching any normally ordered operator expansion entrywise.
 
@@ -31,6 +32,12 @@ conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
   block, and builds one block per total parity.  Its input ρ₁ ⊗ ρ₂ is zero
   between states whose n_a differ in parity, since each factor conserves
   its own parity, so it is mixed as two classes, on its nonzero half only.
+  The λ = 0 mixer block obeys B₀[N − p, j] = (−1)^j B₀[p, j], so class c
+  feeds only the swap-even (c = 0) or swap-odd (c = 1) combinations of
+  |p, N−p⟩ and its mirror image |N−p, p⟩: each class is mixed on the
+  representatives p ≤ N − p alone, by the real rows of that mode-swap
+  basis, and the block is [[Y₀ + Y₁, Y₀ − Y₁], [Y₀ − Y₁, Y₀ + Y₁]] over
+  the representatives and their images (``_mix_on_beam_splitter``).
 
 The tests check each route against dense exponentials of the full
 truncated generator, which share no code with the sector exponentials.
@@ -44,19 +51,29 @@ state.
 
 A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
 states; every entry outside them is a structural zero, and a dense matrix
-is the one-block case.  No constructor forms a dense matrix.  Constructors
-check only the trace deficit; ``FockDensity`` checks Hermiticity and sums
-the trace block by block, once per block, and stores the blocks
-symmetrized.  A mixture sums its components block by block when they share
-their blocks, and otherwise on the two total-parity blocks, which every
-route refines.
+is the one-block case.  No constructor forms a dense matrix.  Hermiticity
+is checked where the data is small.  The tensor and bs routes check their
+two factors (``_checked``; the bs route on twice the cutoff, where it
+mixes them) and write their blocks exactly Hermitian into the density's
+packed buffer: the tensor blocks as the kron of the checked factors, the
+bs blocks phased on their upper triangle and mirrored.  The mixer's swap-basis rows are checked
+once, when cached, for orthogonality and the swap identity.
+``FockDensity`` takes those blocks as written (``_Written``); it checks
+every other block (tms, mixtures, a dense matrix), once per block, and
+stores it symmetrized.  Constructors check the trace deficit, summed
+block by block.  A mixture sums its components block by block when they
+share their blocks, and otherwise on the two total-parity blocks, which
+every route refines.
 
-Measurements have one path: a lookup that gives, per basis state, its
-block, its position in the block and the offset of its row in the packed
-blocks.  The explicit ladder product a†^i a^k has a single nonzero band, at
+Measurements have one path: a lookup of two keys per basis state, whose
+sum is the packed offset of an entry between two states of one block
+copy, and falls off the ends of the packed buffer, onto a zero, for any
+other pair.  The explicit ladder product a†^i a^k has a single nonzero band, at
 row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an O(cutoff²) gather of ρ
-along the two bands; ``moment``, ``moment_table`` (one gather per band
-pair) and ``expectation_of_witness`` all read it that way.  Purity,
+along the two bands.  ``moment``, ``moment_table`` and
+``expectation_of_witness`` read it through one contraction
+(``_moments``): every band shift the words need in one gather, and all
+words in one batched product.  Purity,
 spectrum, trace and diagonal are read from the blocks; ``matrix`` is a
 dense view built only when asked for.
 
@@ -163,31 +180,32 @@ def _sector_couplings(kind: str, size: int, sector: int) -> np.ndarray:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
+def _tridiagonal_spectrum(kind: str, size: int, sector: int):
+    """(Λ, V): eigendecomposition of the real symmetric tridiagonal matrix A
+    with off-diagonal a_k of the sector generator."""
+    a = _sector_couplings(kind, size, sector)
+    return np.linalg.eigh(np.diag(a, -1) + np.diag(a, 1))
+
+
 @functools.lru_cache(maxsize=256)
 def _sector_spectrum(kind: str, size: int, sector: int):
-    """(Λ, V), read-only: eigendecomposition of the real symmetric
-    tridiagonal matrix A with off-diagonal a_k of the sector generator.
+    """``_tridiagonal_spectrum``, cached read-only.
 
-    The bound holds every sector the concordance suite uses (cutoffs 40
-    and 30: 151 entries, about 3 MB).
+    The bound holds every squeezer and tms sector the concordance suite
+    uses (cutoffs 40 and 30).  The mixer keeps no spectra: its sectors are
+    cached once, in the mode-swap basis, by ``_swap_rows``.
     """
-    a = _sector_couplings(kind, size, sector)
-    lam, v = np.linalg.eigh(np.diag(a, -1) + np.diag(a, 1))
+    lam, v = _tridiagonal_spectrum(kind, size, sector)
     lam.flags.writeable = False
     v.flags.writeable = False
     return lam, v
 
 
-def _sector_exponential(kind: str, size: int, sector: int, z: complex,
-                        rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Rows ``rows`` and columns ``cols`` of exp(g) for the sector generator
-    with coupling z (see ``_sector_couplings``).
-
-    g = G (−i|z| A) G* with G = diag(e^{ik(arg z + π/2)}), so
-    exp(g) = G V e^{−i|z|Λ} Vᵀ G*, exactly unitary up to round-off.  Only
-    the phases depend on z, so every state shares the cached spectrum.
-    """
-    lam, v = _sector_spectrum(kind, size, sector)
+def _spectral_exponential(lam: np.ndarray, v: np.ndarray, z: complex,
+                          rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of exp(g) = G V e^{−i|z|Λ} Vᵀ G*
+    for the sector generator with spectrum (Λ, V) and coupling z, where
+    G = diag(e^{ik(arg z + π/2)}): exactly unitary up to round-off."""
     left = v[rows]
     angle = abs(z) * lam
     # The real and the imaginary part in one real product [V cos; V sin] Vᵀ.
@@ -198,6 +216,18 @@ def _sector_exponential(kind: str, size: int, sector: int, z: complex,
     out *= np.exp(1j * tilt * k[rows])[:, None]
     out *= np.exp(-1j * tilt * k[cols])
     return out
+
+
+def _sector_exponential(kind: str, size: int, sector: int, z: complex,
+                        rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of exp(g) for the sector generator
+    with coupling z (see ``_sector_couplings``).
+
+    g = G (−i|z| A) G* with G = diag(e^{ik(arg z + π/2)}), so
+    exp(g) = G V e^{−i|z|Λ} Vᵀ G*.  Only the phases depend on z, so every
+    state shares the cached spectrum.
+    """
+    return _spectral_exponential(*_sector_spectrum(kind, size, sector), z, rows, cols)
 
 
 def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
@@ -213,16 +243,54 @@ def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     return u
 
 
-@functools.lru_cache(maxsize=4)
-def _mixer_blocks(max_total: int) -> tuple:
-    """Mixer blocks at λ = 0, without the output rotation, of the sectors
-    N = 0 .. max_total, untruncated: row and column j of block N belong to
-    |j, N−j⟩."""
-    blocks = tuple(_sector_exponential("mixer", max_total + 1, total, math.pi / 4.0)
-                   for total in range(max_total + 1))
-    for block in blocks:
-        block.flags.writeable = False
-    return blocks
+def _check_swap_block(block: np.ndarray) -> None:
+    """Require a λ = 0 mixer sector block B₀ to be real orthogonal and to
+    obey the mode-swap identity B₀[N − p, j] = (−1)^j B₀[p, j], each to the
+    Hermiticity tolerance."""
+    real = block.real
+    sign = (-1.0) ** np.arange(block.shape[1])
+    residual = max(_max_abs(block.imag),
+                   _max_abs(real @ real.T - np.eye(block.shape[0])),
+                   _max_abs(real[::-1] - real * sign))
+    if residual > _HERMITICITY_TOL:
+        raise ValueError(f"mixer sector {block.shape[0] - 1} fails its swap-basis check "
+                         f"(residual {residual:.3g})")
+
+
+class _SwapRows(NamedTuple):
+    """Sector N of the λ = 0 mixer B₀ (without the output rotation) in the
+    mode-swap basis, real and read-only.  Row p and column j belong to the
+    output state |p, N−p⟩ and the input state |j, N−j⟩.
+
+    ``strict[c]`` holds the rows p < N − p and the columns of class c, the
+    input states with j ≡ c (mod 2); ``middle`` holds the class-0 part of
+    the row p = N/2 of an even sector, and None for an odd one.  The
+    class-1 part of that row vanishes by the swap identity.
+    """
+
+    strict: tuple
+    middle: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_rows(total: int) -> _SwapRows:
+    """The swap-basis rows of mixer sector N = ``total``, checked once here
+    by ``_check_swap_block``.  A sector's block does not depend on the
+    cutoff, so every cutoff shares one entry per sector: a cutoff-40
+    density fills the sectors of every smaller cutoff (0.67 MB in all)."""
+    block = _spectral_exponential(*_tridiagonal_spectrum("mixer", total + 1, total),
+                                  math.pi / 4.0)
+    _check_swap_block(block)
+    real = block.real
+    half = (total + 1) // 2
+
+    def frozen(rows):
+        rows = np.ascontiguousarray(rows)
+        rows.flags.writeable = False
+        return rows
+
+    return _SwapRows(tuple(frozen(real[:half, c::2]) for c in (0, 1)),
+                     frozen(real[half:half + 1, 0::2]) if total % 2 == 0 else None)
 
 
 # --- squeezed-thermal decompositions -----------------------------------------
@@ -270,88 +338,185 @@ def _factor_matrix(st: _SqueezedThermal, dim: int) -> np.ndarray:
     return (s * w) @ s.conj().T
 
 
+def _checked(mat: np.ndarray) -> np.ndarray:
+    """(M + M†)/2, exactly Hermitian; raises unless M is Hermitian to the
+    tolerance.  The tensor and bs routes build their blocks from factors
+    checked here, by products that keep them exactly Hermitian, so their
+    blocks need no check of their own."""
+    out = np.empty_like(mat)
+    _require_hermitian(_hermitian_part(mat, out))
+    return out
+
+
 def _one_mode_matrix(st: _SqueezedThermal, cutoff: int) -> np.ndarray:
     """Restricted matrix of the squeezed thermal state, assembled at twice
-    the cutoff so the retained block carries no truncation junk."""
-    return _factor_matrix(st, _working_cutoff(cutoff))[:cutoff, :cutoff]
+    the cutoff so the retained block carries no truncation junk, and
+    checked (``_checked``)."""
+    return _checked(_factor_matrix(st, _working_cutoff(cutoff))[:cutoff, :cutoff])
+
+
+class _SwapLayout:
+    """One total parity of a bs density at ``cutoff``: its mixer sectors
+    N ≤ 2(cutoff − 1), the retained representatives of each, and its
+    output states in block order.
+
+    The block lists the strict representatives |p, N−p⟩ (p < N − p),
+    sector by sector, then the middle states |N/2, N/2⟩ of the even
+    sectors, then the mirror images |N−p, p⟩ of the strict
+    representatives in their order.  Sector N retains p ≥ N − cutoff + 1.
+    """
+
+    def __init__(self, cutoff: int, parity: int):
+        self.totals = list(range(parity, 2 * cutoff - 1, 2))
+        self.lows = [max(0, total - cutoff + 1) for total in self.totals]
+        strict = [np.arange(lo, (total + 1) // 2) for total, lo in zip(self.totals, self.lows)]
+        self.starts = np.cumsum([0] + [p.size for p in strict])
+        self.n_strict = int(self.starts[-1])
+        # Every sector of even parity is even and has a middle state.
+        middle = np.array(self.totals if parity == 0 else [], dtype=int) // 2
+        self.n_reps = self.n_strict + middle.size
+        p = np.concatenate(strict)
+        mirror = np.repeat(self.totals, [q.size for q in strict]) - p
+        self.ja = np.concatenate((p, middle, mirror))
+        self.jb = np.concatenate((mirror, middle, p))
+        self.members = (self.ja * cutoff + self.jb)[None, :]
+
+    def middle(self, index: int) -> int | None:
+        """Row of the middle state of the ``index``-th sector, if any."""
+        return self.n_strict + index if self.totals[index] % 2 == 0 else None
+
+
+def _swap_products(rho1: np.ndarray, rho2: np.ndarray, layout: _SwapLayout, c: int):
+    """Y_c = B̃_c ρ_in⁽ᶜ⁾ B̃_cᵀ on the representatives of ``layout``, for the
+    input class c.  Only the upper block triangle is formed: rows of
+    sectors up to the column's sector, and the middle columns; the rest is
+    zero.  For c = 1 the middle rows and columns are zero.
+
+    ρ_in⁽ᶜ⁾ holds the input states |j, N−j⟩ with j ≡ c (mod 2), sector by
+    sector, with ρ_in[(N, j), (M, j')] = ρ₁[j, j'] ρ₂[N − j, M − j'], and
+    B̃_c the real swap-basis rows of ``_swap_rows`` on its columns.  Both
+    products run sector by sector: the first, H = B̃ ρ_in, as real rows
+    times the real view of ρ_in's rows; the second, B̃ Hᵀ = Yᵀ, on H's
+    columns.  The factors come in conjugated, so that this is Y of the
+    unconjugated ones (Y is Hermitian).
+    """
+    totals = layout.totals
+    counts = [len(range(c, total + 1, 2)) for total in totals]
+    first = np.cumsum([0] + counts)
+    j_in = np.concatenate([np.arange(c, total + 1, 2) for total in totals])
+    k_in = np.repeat(totals, counts) - j_in
+    top = totals[-1] - c
+    # ρ₁'s rows j ≡ c and ρ₂'s rows in decreasing k, so that the class rows
+    # of sector N are the product of two contiguous row slices.
+    g1 = rho1[np.ix_(np.arange(c, totals[-1] + 1, 2), j_in)]
+    g2 = rho2[np.ix_(np.arange(top, -1, -2), k_in)]
+    n_in, n_reps, n_strict = j_in.size, layout.n_reps, layout.n_strict
+    h = np.empty((n_reps, n_in), dtype=complex)
+    h_real = h.view(float)
+    if c:
+        h[n_strict:] = 0.0
+    buf = np.empty((max(counts), n_in), dtype=complex)
+    sectors = [(i, _swap_rows(total)) for i, total in enumerate(totals) if counts[i]]
+    for i, rows in sectors:
+        count = counts[i]
+        k0 = (top - totals[i] + c) // 2
+        x = np.multiply(g1[:count], g2[k0:k0 + count], out=buf[:count]).view(float)
+        a, b = layout.starts[i], layout.starts[i + 1]
+        np.matmul(rows.strict[c][layout.lows[i]:], x, out=h_real[a:b])
+        mid = layout.middle(i)
+        if c == 0 and mid is not None:
+            np.matmul(rows.middle, x, out=h_real[mid:mid + 1])
+    # The second product takes H's columns, one sector's input states at a
+    # time, from the transposed view.
+    ht = h.T
+    y = np.zeros((n_reps, n_reps), dtype=complex)
+    for i, rows in sectors:
+        a, b = layout.starts[i], layout.starts[i + 1]
+        block = ht[first[i]:first[i + 1]]
+        np.matmul(rows.strict[c][layout.lows[i]:], block[:, a:], out=y[a:b, a:])
+        mid = layout.middle(i)
+        if c == 0 and mid is not None:
+            np.matmul(rows.middle, block[:, mid:], out=y[mid:mid + 1, mid:])
+    return y
+
+
+def _mirror_tile(tile: np.ndarray) -> None:
+    """Make a square tile exactly Hermitian from its upper triangle: the
+    strict lower triangle becomes the adjoint of the strict upper one, and
+    the diagonal its real part."""
+    size = tile.shape[0]
+    np.copyto(tile, tile.conj().T, where=np.tri(size, k=-1, dtype=bool))
+    np.fill_diagonal(tile.imag, 0.0)
+
+
+def _mirror_upper(mat: np.ndarray) -> None:
+    """``_mirror_tile`` on a whole matrix, in mirrored square tiles."""
+    dim = mat.shape[0]
+    for i in range(0, dim, _TILE):
+        _mirror_tile(mat[i:i + _TILE, i:i + _TILE])
+        for j in range(i + _TILE, dim, _TILE):
+            np.conjugate(mat[i:i + _TILE, j:j + _TILE].T, out=mat[j:j + _TILE, i:i + _TILE])
 
 
 def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal,
-                          theta_c: float, theta_d: float, cutoff: int) -> list:
+                          theta_c: float, theta_d: float, cutoff: int) -> "_Written":
     """Blocks of the restricted density of R(θc, θd) · V₀ (ρ₁ ⊗ ρ₂) V₀† · R†,
-    with V₀ the λ = 0 beam splitter of ``bs_output_density``.
+    with V₀ the λ = 0 beam splitter of ``bs_output_density``, one per total
+    parity, written exactly Hermitian.
 
     The mixer conserves N = n_a + n_b, so a retained state (both photon
     numbers below the cutoff) only receives weight from the input sectors
     N ≤ 2(cutoff − 1), which the doubled working space holds untruncated.
     The factors conserve parity, so input and output split by total
-    parity, one block each.  Within one parity the output is
-    Σ B_N ρ_in[N, N'] B_N'†, where B_N holds the retained rows of the
-    sector-N mixer block with the rotation R folded in.
+    parity.  Each factor also conserves its own parity, so within one total
+    parity the input splits into two classes by the parity c of n_a, with
+    no entry between them.
 
-    Each factor also conserves its own parity, so the input entry
-    ρ_in[(N, j), (N', j')] = ρ₁[j, j'] ρ₂[N − j, N' − j'] of the states
-    |j, N − j⟩ and |j', N' − j'⟩ vanishes unless j ≡ j' (mod 2): within one
-    total parity the input splits into two classes by the parity c of n_a.
-    The first product runs per class.  The class's columns of ρ₁'s rows
-    j ≡ c, and of ρ₂'s rows in decreasing k = N − j, are gathered once, so
-    the class rows of sector N are the product of two contiguous row
-    slices.  ``half`` holds B ρ_in with the class-0 columns first; the
-    second product joins a sector's two class column ranges against B_N's
-    columns in the same class order.
+    The λ = 0 mixer block B₀ of sector N obeys B₀[N − p, j] = (−1)^j B₀[p, j]:
+    class c feeds only the swap-even (c = 0) or swap-odd (c = 1)
+    combinations of |p, N−p⟩ and its mirror image |N−p, p⟩.  With
+    Y_c = B̃_c ρ_in⁽ᶜ⁾ B̃_cᵀ on the representatives p ≤ N − p
+    (``_swap_products``), the block before the rotation is
+    [[Y₀ + Y₁, Y₀ − Y₁], [Y₀ − Y₁, Y₀ + Y₁]] over the representatives and
+    their mirror images (a middle state |k, k⟩ is its own image and takes
+    Y₀ alone).  The rotation phases are applied to the upper triangle,
+    which is then mirrored, so the block is exactly Hermitian; its
+    validity rests on the two factors (``_checked``) and on the mixer
+    rows, checked once when cached (``_swap_rows``).
     """
     cw = _working_cutoff(cutoff)
-    rho1 = _factor_matrix(f1, cw)
-    rho2 = _factor_matrix(f2, cw)
-    max_total = 2 * (cutoff - 1)
-    blocks = _mixer_blocks(max_total)
-    out_blocks = []
-    for parity in (0, 1):
-        totals = range(parity, max_total + 1, 2)
-        # B_N with its columns j in class order: even j, then odd j.
-        mixers, outs, flat = [], [], []
-        n_out = 0
-        for total in totals:
-            js = _mixer_states(cutoff, total)
-            phases = np.exp(1j * (theta_c * js + (theta_d + math.pi) * (total - js)))
-            b = phases[:, None] * blocks[total][js]
-            mixers.append(np.concatenate((b[:, 0::2], b[:, 1::2]), axis=1))
-            flat.append(js * cutoff + (total - js))
-            outs.append(slice(n_out, n_out + js.size))
-            n_out += js.size
-        # Class c of sector N holds the states j = c, c + 2, .., ≤ N.  Its
-        # columns of ``half``: class 0's sector by sector, then class 1's.
-        counts = [[len(range(c, total + 1, 2)) for total in totals] for c in (0, 1)]
-        stops = np.cumsum(counts[0] + counts[1]).reshape(2, -1)
-        columns = [[slice(stop - n, stop) for stop, n in zip(stops[c], counts[c])]
-                   for c in (0, 1)]
-        half = np.empty((n_out, int(stops[1, -1])), dtype=complex)
-        for c in (0, 1):
-            j_in = np.concatenate([np.arange(c, total + 1, 2) for total in totals])
-            k_in = np.repeat(totals, counts[c]) - j_in
-            top = totals[-1] - c
-            g1 = rho1[np.ix_(np.arange(c, totals[-1] + 1, 2), j_in)]
-            g2 = rho2[np.ix_(np.arange(top, -1, -2), k_in)]
-            cols = slice(columns[c][0].start, columns[c][-1].stop)
-            buf = np.empty((max(counts[c]), j_in.size), dtype=complex)
-            for total, count, b, sl_out in zip(totals, counts[c], mixers, outs):
-                if not count:
-                    # Sector 0 has no odd-j state.
-                    half[sl_out, cols] = 0.0
-                    continue
-                k0 = (top - total + c) // 2
-                rho_in = np.multiply(g1[:count], g2[k0:k0 + count], out=buf[:count])
-                np.matmul(b[:, :count] if c == 0 else b[:, -count:], rho_in,
-                          out=half[sl_out, cols])
-        out = np.empty((n_out, n_out), dtype=complex)
-        joined = np.empty((n_out, totals[-1] + 1), dtype=complex)
-        for b, sl_out, even, odd in zip(mixers, outs, *columns):
-            n_even = even.stop - even.start
-            joined[:, :n_even] = half[:, even]
-            joined[:, n_even:b.shape[1]] = half[:, odd]
-            np.matmul(joined[:, :b.shape[1]], b.conj().T, out=out[:, sl_out])
-        out_blocks.append(_Block(np.concatenate(flat)[None, :], out))
-    return out_blocks
+    rho1 = _checked(_factor_matrix(f1, cw)).conj()
+    rho2 = _checked(_factor_matrix(f2, cw)).conj()
+    layouts = [_SwapLayout(cutoff, parity) for parity in (0, 1)]
+    out = _Written([layout.members for layout in layouts])
+    for layout, block in zip(layouts, out):
+        same, odd = (_swap_products(rho1, rho2, layout, c) for c in (0, 1))
+        other = same - odd
+        same += odd
+        del odd
+        reps, strict = layout.n_reps, layout.n_strict
+        _mirror_upper(other)
+        phase = np.exp(1j * (theta_c * layout.ja + (theta_d + math.pi) * layout.jb))
+        values = block.values
+        # Tiles of the upper triangle, none across the representatives'
+        # edge; each is phased once and written with its mirror image.
+        edges = [*range(0, reps, _TILE), *range(reps, values.shape[0], _TILE),
+                 values.shape[0]]
+        for i, (r0, r1) in enumerate(zip(edges, edges[1:])):
+            for c0, c1 in zip(edges[i:], edges[i + 1:]):
+                if c0 < reps:
+                    src = same[r0:r1, c0:c1]
+                elif r0 < reps:
+                    src = other[r0:r1, c0 - reps:c1 - reps]
+                else:
+                    src = same[r0 - reps:r1 - reps, c0 - reps:c1 - reps]
+                tile = values[r0:r1, c0:c1]
+                np.multiply(src, np.multiply.outer(phase[r0:r1], phase[c0:c1].conj()), out=tile)
+                if c0 == r0:
+                    _mirror_tile(tile)
+                else:
+                    np.conjugate(tile.T, out=values[c0:c1, r0:r1])
+    return out
 
 
 def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> list:
@@ -388,19 +553,32 @@ def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -
     return out
 
 
-def _tensor_blocks(f1: _SqueezedThermal, f2: _SqueezedThermal, cutoff: int) -> list:
-    """Blocks of ρ₁ ⊗ ρ₂, one per class (parity of n_a, parity of n_b).
+def _write_kron(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write a ⊗ b of two exactly Hermitian matrices into ``out``, exactly
+    Hermitian: each row i of a gives the sub-blocks j ≥ i, and the
+    sub-blocks below are their adjoints.  A diagonal sub-block a_ii b is
+    exactly Hermitian by itself, a_ii being real."""
+    n = a.shape[0]
+    out4 = out.reshape(n, b.shape[0], n, b.shape[0])
+    for i in range(n):
+        np.multiply(a[i, i:, None], b[:, None, :], out=out4[i, :, i:, :])
+        np.conjugate(out4[i, :, i + 1:, :].transpose(1, 2, 0), out=out4[i + 1:, :, i, :])
+
+
+def _tensor_blocks(f1: _SqueezedThermal, f2: _SqueezedThermal, cutoff: int) -> "_Written":
+    """Blocks of ρ₁ ⊗ ρ₂, one per class (parity of n_a, parity of n_b),
+    written exactly Hermitian from the two validated factors.
 
     Each factor conserves its own photon-number parity, so the product is
     exactly zero between different classes.
     """
     m1 = _one_mode_matrix(f1, cutoff)
     m2 = _one_mode_matrix(f2, cutoff)
-    out = []
-    for ia in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
-        for ib in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2)):
-            members = (ia[:, None] * cutoff + ib[None, :]).reshape(1, -1)
-            out.append(_Block(members, np.kron(m1[np.ix_(ia, ia)], m2[np.ix_(ib, ib)])))
+    classes = [(ia, ib) for ia in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2))
+               for ib in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2))]
+    out = _Written([(ia[:, None] * cutoff + ib[None, :]).reshape(1, -1) for ia, ib in classes])
+    for (ia, ib), block in zip(classes, out):
+        _write_kron(m1[np.ix_(ia, ia)], m2[np.ix_(ib, ib)], block.values)
     return out
 
 
@@ -428,7 +606,35 @@ class _Origin(NamedTuple):
     swap_phase: float | None = None
 
 
+def _packed_buffer(members) -> np.ndarray:
+    """Room for blocks on ``members`` back to back, between two zeros: the
+    entries the lookup reads for a pair of states in no common block."""
+    buffer = np.empty(sum(m.shape[1] ** 2 for m in members) + 2, dtype=complex)
+    buffer[0] = buffer[-1] = 0.0
+    return buffer
+
+
+class _Written(list):
+    """Blocks (``_Block``) on ``members`` whose values lie back to back in
+    one ``_packed_buffer``.  A route writes them exactly Hermitian, and
+    ``FockDensity`` adopts the buffer as its packed values without checking
+    the blocks again."""
+
+    def __init__(self, members):
+        self.buffer = _packed_buffer(members)
+        offset = 1
+        for m in members:
+            size = m.shape[1]
+            self.append(_Block(m, self.buffer[offset:offset + size * size].reshape(size, size)))
+            offset += size * size
+
+
 _TILE = 64
+
+
+def _require_hermitian(deviation: float) -> None:
+    if deviation > _HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (deviation {deviation:.3g})")
 
 
 def _hermitian_part(mat: np.ndarray, out: np.ndarray) -> float:
@@ -469,14 +675,16 @@ class FockDensity:
     store only the blocks of the gradings their states conserve, and every
     entry outside the blocks is a structural zero.  Each block must be
     Hermitian to 1e-12; it is validated once (mirror copies share it) and
-    stored symmetrized and read-only.  Measurements read the blocks through
+    stored symmetrized and read-only.  Blocks that the tensor and bs routes
+    wrote exactly Hermitian from checked factors are stored as written.
+    Measurements read the blocks through
     a per-state lookup; ``matrix`` is a dense read-only view built on first
     use.  A density from this module's constructors records how it was
     built (``route``); a dense one records nothing.  The value is immutable.
     """
 
-    __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_copy",
-                 "_row_start", "_pos", "_trace", "_matrix", "_origin")
+    __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_row_key",
+                 "_col_key", "_trace", "_matrix", "_origin")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
         self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit, None)
@@ -485,7 +693,8 @@ class FockDensity:
     def _graded(cls, modes: int, cutoff: int, blocks, trace_deficit: float,
                 origin: _Origin | None = None) -> "FockDensity":
         rho = cls.__new__(cls)
-        rho._set(modes, cutoff, tuple(blocks), trace_deficit, origin)
+        rho._set(modes, cutoff, blocks if isinstance(blocks, _Written) else tuple(blocks),
+                 trace_deficit, origin)
         return rho
 
     def _set(self, modes, cutoff, blocks, trace_deficit, origin) -> None:
@@ -503,9 +712,11 @@ class FockDensity:
 
     def __post_init__(self):
         """Validate and symmetrize each block, pack the blocks into one
-        buffer and build the lookup: per basis state its block copy (−1
-        when no block covers it), the packed offset of its row and its
-        position in the block."""
+        buffer and build the lookup from each basis state's block copy, the
+        packed offset of its row and its position in the block (see
+        ``_entries``).  Blocks a route has written exactly
+        Hermitian (``_Written``) are already packed and are not checked
+        again."""
         if self.modes not in (1, 2):
             raise ValueError("only one- or two-mode densities are supported")
         if self.cutoff < 2:
@@ -527,19 +738,19 @@ class FockDensity:
                 raise ValueError(f"block members outside the {dim} basis states")
             members.flags.writeable = False
             raw.append((members, values))
-        zero_slot = sum(m.shape[1] ** 2 for m, _ in raw)
-        packed = np.empty(zero_slot + 1, dtype=complex)
-        packed[zero_slot] = 0.0
+        written = isinstance(self._blocks, _Written)
+        packed = self._blocks.buffer if written else _packed_buffer([m for m, _ in raw])
         copy = np.full(dim, -1, dtype=np.intp)
-        row_start = np.full(dim, zero_slot, dtype=np.intp)
+        row_start = np.zeros(dim, dtype=np.intp)
         pos = np.zeros(dim, dtype=np.intp)
         blocks = []
         deviation = 0.0
-        offset = copies = 0
+        offset, copies = 1, 0
         for members, values in raw:
             size = members.shape[1]
             sym = packed[offset:offset + size * size].reshape(size, size)
-            deviation = max(deviation, _hermitian_part(values, sym))
+            if not written:
+                deviation = max(deviation, _hermitian_part(values, sym))
             sym.flags.writeable = False
             blocks.append(_Block(members, sym))
             for row in members:
@@ -550,11 +761,18 @@ class FockDensity:
             offset += size * size
         if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in raw):
             raise ValueError("blocks overlap")
-        if deviation > _HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (deviation {deviation:.3g})")
+        _require_hermitian(deviation)
         packed.flags.writeable = False
-        for name, value in (("_blocks", tuple(blocks)), ("_values", packed), ("_copy", copy),
-                            ("_row_start", row_start), ("_pos", pos),
+        # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
+        # the same block copy, and off the buffer's ends otherwise: a
+        # different copy shifts it by a multiple of the buffer's size, and
+        # a state no block covers takes −size as row key and 2·size as
+        # column key.
+        span = packed.size
+        row_key = np.where(copy >= 0, row_start + copy * span, -span)
+        col_key = pos - np.where(copy >= 0, copy, -2) * span
+        for name, value in (("_blocks", tuple(blocks)), ("_values", packed),
+                            ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", _blocks_trace(blocks)),
                             ("trace_deficit", float(self.trace_deficit))):
             object.__setattr__(self, name, value)
@@ -594,7 +812,7 @@ class FockDensity:
         state that no block covers contributes the eigenvalue 0."""
         lowest = min(float(np.linalg.eigvalsh(values / self._trace)[0])
                      for _, values in self._blocks)
-        if np.any(self._copy < 0):
+        if np.any(self._row_key < 0):
             lowest = min(lowest, 0.0)
         return lowest
 
@@ -607,12 +825,9 @@ class FockDensity:
 
 def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """ρ[rows, cols] elementwise for flat basis indices: the packed entry
-    where both states lie in the same block copy, else the trailing zero of
-    the buffer."""
-    index = rho._row_start.take(rows)
-    index += rho._pos.take(cols)
-    index[rho._copy.take(rows) != rho._copy.take(cols)] = rho._values.size - 1
-    return rho._values.take(index)
+    where both states lie in the same block copy, else one of the zeros at
+    the ends of the buffer, where the clipped sum of their keys lands."""
+    return rho._values.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
 
 
 def _trace_deficit(cutoff: int, blocks, eps_tr: float) -> float:
@@ -764,8 +979,9 @@ def _on_total_parity(blocks, cutoff: int) -> list:
 
 
 def _two_mode_blocks(state, cutoff: int, eps_tr: float):
-    """Assembled, not yet validated blocks of a two-mode state or mixture,
-    and the record of how they were built.
+    """Assembled blocks of a two-mode state or mixture, and the record of
+    how they were built.  The tensor and bs routes return ``_Written``
+    blocks; a mixture's sum is a plain list, checked by ``FockDensity``.
 
     A mixture is the weighted sum of its components, each of which must
     meet the trace tolerance on its own.  Components with the same blocks
@@ -811,53 +1027,107 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
 
 # --- measurements -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _annihilation_power(cutoff: int, power: int) -> np.ndarray:
+    """a^power, truncated, as a real matrix (a† is its transpose)."""
+    if power == 0:
+        return np.eye(cutoff)
+    return _annihilation_power(cutoff, power - 1) @ annihilation(cutoff).real
+
+
 @functools.lru_cache(maxsize=512)
 def _ladder_band(cutoff: int, n_create: int, n_annihilate: int) -> np.ndarray:
     """The one nonzero band of the explicit product a†^i a^k: its entries
     (s + i − k, s) in order of s."""
-    ad = creation(cutoff)
-    a = annihilation(cutoff)
-    product = np.linalg.matrix_power(ad, n_create) @ np.linalg.matrix_power(a, n_annihilate)
+    product = (_annihilation_power(cutoff, n_create).T
+               @ _annihilation_power(cutoff, n_annihilate))
     band = np.diagonal(product, n_annihilate - n_create).copy()
     band.flags.writeable = False
     return band
-
-
-@functools.lru_cache(maxsize=1024)
-def _band_indices(ca: int, cb: int, da: int, db: int):
-    """Flat indices of the states (s_a, s_b) and (s_a + δa, s_b + δb), both
-    retained, as (s_a, s_b) grids; ``cb`` is 1 on one mode."""
-    sa = np.arange(max(0, -da), ca - max(0, da))
-    sb = np.arange(max(0, -db), cb - max(0, db))
-    rows = sa[:, None] * cb + sb[None, :]
-    cols = rows + (da * cb + db)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
 
 
 def _mode_b_cutoff(rho: FockDensity) -> int:
     return rho.cutoff if rho.modes == 2 else 1
 
 
-def _band_gather(rho: FockDensity, da: int, db: int) -> np.ndarray:
-    """The entries ρ[(s_a, s_b), (s_a + δa, s_b + δb)] with both ends
-    retained, as an (s_a, s_b) grid."""
-    return _entries(rho, *_band_indices(rho.cutoff, _mode_b_cutoff(rho), da, db))
+def _band_rows(cutoff: int, shift: int, size: int) -> np.ndarray:
+    """``size`` × ``cutoff``: row t holds the band of a†^i a^k with
+    i − k = ``shift`` and k = t + max(0, −shift), each entry at the photon
+    number s of its gather row (see ``_band_plan``); rows past the words
+    of length cutoff // 2 are zero."""
+    out = np.zeros((size, cutoff))
+    k0 = max(0, -shift)
+    for t in range(size):
+        k = k0 + t
+        if 2 * k + shift > cutoff // 2:
+            break
+        band = _ladder_band(cutoff, k + shift, k)
+        out[t, k0:k0 + band.size] = band
+    return out
 
 
-def _band_trace(rho: FockDensity, gathered: np.ndarray, counts) -> complex:
-    """Tr{ρ · a†^i a^k ⊗ b†^j b^l} for counts (i, j, k, l), from the band
-    gather at (δa, δb) = (i − k, j − l).
+class _BandPlan(NamedTuple):
+    """One gather and one contraction for the band shifts (δa, δb)."""
+
+    rows: np.ndarray     # flat basis indices (s_a, s_b) of every gathered entry
+    cols: np.ndarray     # and (s_a + δa, s_b + δb)
+    slots: np.ndarray    # their places in the zero-padded grid (shift, s_a, s_b)
+    mode_a: np.ndarray   # (shift, band, s_a): a-bands, as ``_band_rows``
+    mode_b: np.ndarray   # (shift, 2 s_b + part, 2 band + part): b-bands, acting
+                         # on the real and the imaginary part alike
+
+
+@functools.lru_cache(maxsize=64)
+def _band_plan(ca: int, cb: int, shifts: tuple) -> _BandPlan:
+    """The gather and the band matrices of ``_moments`` for ``shifts`` on
+    cutoffs (ca, cb); cb is 1 on one mode.  Each shift gets every band a
+    truncation-safe word can use (i + k ≤ ca // 2), so its slice of the
+    contraction does not depend on the other shifts."""
+    size_a = ca // 4 + 1
+    size_b = cb // 4 + 1
+    rows, cols, slots = [], [], []
+    mode_a = np.zeros((len(shifts), size_a, ca))
+    mode_b = np.zeros((len(shifts), 2 * cb, 2 * size_b))
+    for n, (da, db) in enumerate(shifts):
+        sa = np.arange(max(0, -da), ca - max(0, da))
+        sb = np.arange(max(0, -db), cb - max(0, db))
+        grid = sa[:, None] * cb + sb[None, :]
+        rows.append(grid.ravel())
+        cols.append(grid.ravel() + (da * cb + db))
+        slots.append(n * ca * cb + grid.ravel())
+        mode_a[n] = _band_rows(ca, da, size_a)
+        b = _band_rows(cb, db, size_b) if cb > 1 else np.ones((1, 1))
+        for part in (0, 1):
+            mode_b[n, part::2, part::2] = b.T
+    plan = _BandPlan(*(np.concatenate(x) for x in (rows, cols, slots)), mode_a, mode_b)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _moments(rho: FockDensity, words) -> list:
+    """Tr{ρ · a†^i a^k ⊗ b†^j b^l} for each counts tuple (i, j, k, l) in
+    ``words``.
 
     The explicit product a†^i a^k is nonzero only on the band of entries
-    (s + δ, s) with δ = i − k, so the trace only reads the entries
-    ρ[(s_a, s_b), (s_a + δ_a, s_b + δ_b)], weighted by the two bands: an
-    O(cutoff²) contraction.
+    (s + δ, s) with δ = i − k, so a word reads only the entries
+    ρ[(s_a, s_b), (s_a + δa, s_b + δb)], weighted by its two bands.  Every
+    band the words need is gathered in one lookup, into a zero-padded grid
+    per shift (δa, δb), and contracted with that shift's bands in two
+    batched real products: the a-bands with the real view of the grid, then
+    the b-bands.  A word's value depends only on its own shift's slice, so
+    ``moment``, ``moment_table`` and ``expectation_of_witness`` agree bit
+    for bit.
     """
-    i, j, k, l = counts
-    return complex(_ladder_band(rho.cutoff, i, k) @ gathered
-                   @ _ladder_band(_mode_b_cutoff(rho), j, l))
+    ca, cb = rho.cutoff, _mode_b_cutoff(rho)
+    shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words}))
+    plan = _band_plan(ca, cb, shifts)
+    grid = np.zeros((len(shifts), ca, cb), dtype=complex)
+    grid.ravel()[plan.slots] = _entries(rho, plan.rows, plan.cols)
+    half = np.matmul(plan.mode_a, grid.view(float))
+    full = np.matmul(half, plan.mode_b).view(complex)
+    index = {shift: n for n, shift in enumerate(shifts)}
+    return [complex(full[index[(i - k, j - l)], min(i, k), min(j, l)]) for i, j, k, l in words]
 
 
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
@@ -869,34 +1139,28 @@ def moment(rho: FockDensity, word: OperatorWord) -> complex:
     counts = word.counts()
     if rho.modes == 1 and (counts[1] or counts[3]):
         raise ValueError("one-mode density cannot take words containing mode b")
-    i, j, k, l = counts
-    return _band_trace(rho, _band_gather(rho, i - k, j - l), counts)
+    return _moments(rho, [counts])[0]
 
 
 def moment_table(rho: FockDensity, max_len: int) -> dict:
     """All normally ordered ladder moments with total length 1 .. max_len.
 
     Keys are exponent tuples (i, j, k, l) for a†^i b†^j a^k b^l (j = l = 0
-    on one-mode densities).  Each value is read like a single ``moment``;
-    words with the same (i − k, j − l) share one band gather.
+    on one-mode densities).  One gather and one batched contraction
+    (``_moments``) give every value, each equal to its ``moment``.
     """
     if max_len > rho.cutoff // 2:
         raise ValueError(
             f"words of length {max_len} are truncation-unsafe at cutoff {rho.cutoff}"
         )
     two_mode = rho.modes == 2
-    gathered = {}
-    out = {}
-    for i in range(max_len + 1):
-        for k in range(max_len + 1 - i):
-            for j in range(max_len + 1 - i - k if two_mode else 1):
-                for l in range(max_len + 1 - i - k - j if two_mode else 1):
-                    if i + j + k + l >= 1:
-                        shift = (i - k, j - l)
-                        if shift not in gathered:
-                            gathered[shift] = _band_gather(rho, *shift)
-                        out[(i, j, k, l)] = _band_trace(rho, gathered[shift], (i, j, k, l))
-    return out
+    words = [(i, j, k, l)
+             for i in range(max_len + 1)
+             for k in range(max_len + 1 - i)
+             for j in range(max_len + 1 - i - k if two_mode else 1)
+             for l in range(max_len + 1 - i - k - j if two_mode else 1)
+             if i + j + k + l >= 1]
+    return dict(zip(words, _moments(rho, words)))
 
 
 def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarray:
@@ -1015,9 +1279,9 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
 def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
     """Witness expectation from ladder-matrix moments of this density alone.
 
-    Both witnesses read words of length at most 4: W2 from one band gather
-    (n and ⟨a†²a²⟩ lie on the diagonal), WHBT from three, at
-    (δa, δb) = (0, 0), (−2, 2) and (2, −2).
+    Both witnesses read words of length at most 4 through ``_moments``: W2
+    from one band shift (n and ⟨a†²a²⟩ lie on the diagonal), WHBT from
+    three, (δa, δb) = (0, 0), (−2, 2) and (2, −2).
     """
     if kind is WitnessKind.W2:
         if rho.modes != 1:
@@ -1029,20 +1293,15 @@ def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
         raise ValueError(f"unknown witness kind {kind!r}")
     if 4 > rho.cutoff // 2:
         raise ValueError(f"word of length 4 is truncation-unsafe at cutoff {rho.cutoff}")
-    diagonal = _band_gather(rho, 0, 0)
     if kind is WitnessKind.W2:
-        n1 = _band_trace(rho, diagonal, (1, 0, 1, 0)).real
+        n1, n2 = (value.real for value in _moments(rho, [(1, 0, 1, 0), (2, 0, 2, 0)]))
         if abs(n1) < 1e-12:
             raise ZeroDivisionError("witness normalization vanishes (vacuum)")
-        n2 = _band_trace(rho, diagonal, (2, 0, 2, 0)).real
         return 3.0 - n2 / n1 ** 2
-    cross = _band_trace(rho, diagonal, (1, 1, 1, 1)).real
-    i2a = _band_trace(rho, diagonal, (2, 0, 2, 0)).real
-    i2b = _band_trace(rho, diagonal, (0, 2, 0, 2)).real
-    denominator = i2a + i2b + 2.0 * cross
+    cross, i2a, i2b, sq_ba, sq_ab = _moments(
+        rho, [(1, 1, 1, 1), (2, 0, 2, 0), (0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2)])
+    denominator = i2a.real + i2b.real + 2.0 * cross.real
     if abs(denominator) < 1e-12:
         raise ZeroDivisionError("witness normalization vanishes (vacuum)")
-    sq_ba = _band_trace(rho, _band_gather(rho, -2, 2), (0, 2, 2, 0))
-    sq_ab = _band_trace(rho, _band_gather(rho, 2, -2), (2, 0, 0, 2))
-    numerator = 2.0 * cross + (sq_ba + sq_ab).real
+    numerator = 2.0 * cross.real + (sq_ba + sq_ab).real
     return 0.5 - numerator / denominator

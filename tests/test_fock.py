@@ -817,64 +817,29 @@ class TestValidation:
         assert not rho.matrix.flags.writeable
 
 
-def _dense_bs(f1, f2, lam, theta_c, theta_d, cutoff):
-    # The bs route's products, scattered into a dense matrix: the λ = 0
-    # mixer blocks, factor 1 squeezed at φ − 2λ, λ in the row phases, and
-    # the input of each total parity split into classes by the parity of
-    # n_a, each class multiplied by the mixer columns of its own states.
-    cw = 2 * cutoff
-    rho1 = fock._factor_matrix(fock._SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam), cw)
-    rho2 = fock._factor_matrix(f2, cw)
-    max_total = 2 * (cutoff - 1)
-    mixer = fock._mixer_blocks(max_total)
+def _scatter(blocks, cutoff):
     dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-    for parity in (0, 1):
-        totals = range(parity, max_total + 1, 2)
-        rows, flat = [], []
-        for total in totals:
-            js = np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
-            phases = np.exp(1j * ((theta_c + lam) * js + (theta_d + lam + math.pi) * (total - js)))
-            b = phases[:, None] * mixer[total][js]
-            # Columns in class order: even j, then odd j.
-            rows.append(np.concatenate((b[:, 0::2], b[:, 1::2]), axis=1))
-            flat.append(js * cutoff + (total - js))
-        n_out = sum(b.shape[0] for b in rows)
-        sectors, halves = [], []
-        for c in (0, 1):
-            states = [(total, j) for total in totals for j in range(c, total + 1, 2)]
-            sector = np.array([total for total, _ in states])
-            ja = np.array([j for _, j in states])
-            jb = sector - ja
-            parts = []
-            for total, b in zip(totals, rows):
-                mine = sector == total
-                count = int(np.count_nonzero(mine))
-                if not count:
-                    parts.append(np.zeros((b.shape[0], sector.size), dtype=complex))
-                    continue
-                rho_in = rho1[np.ix_(ja[mine], ja)] * rho2[np.ix_(jb[mine], jb)]
-                parts.append((b[:, :count] if c == 0 else b[:, b.shape[1] - count:]) @ rho_in)
-            sectors.append(sector)
-            halves.append(np.concatenate(parts))
-        out = np.empty((n_out, n_out), dtype=complex)
-        at = 0
-        for total, b in zip(totals, rows):
-            # In C order, as the route's buffer: a mask-indexed gather comes
-            # out in Fortran order, and BLAS then takes another path that
-            # differs in the last bits.
-            joined = np.ascontiguousarray(
-                np.concatenate([h[:, s == total] for h, s in zip(halves, sectors)], axis=1))
-            out[:, at:at + b.shape[0]] = joined @ b.conj().T
-            at += b.shape[0]
-        idx = np.concatenate(flat)
-        dense[np.ix_(idx, idx)] = out
+    for members, values in blocks:
+        for row in members:
+            dense[np.ix_(row, row)] = values
     return dense
+
+
+def _unsplit_dense(f1, f2, lam, theta_c, theta_d, cutoff):
+    # ``_unsplit_bs`` scattered into the two-mode basis: the bs products
+    # without the class split and without the mode-swap basis.
+    cw = 2 * cutoff
+    parts = _unsplit_bs(fock._factor_matrix(f1, cw), fock._factor_matrix(f2, cw), lam,
+                        theta_c, theta_d, cutoff)
+    return _scatter([(idx[None, :], block) for idx, block in parts], cutoff)
 
 
 def _dense_assembly(state, cutoff):
     # Dense matrix of a state or mixture, scattered sector by sector from
     # the same factor and sector products as the graded routes, and summed
-    # entrywise: the reference for the block bookkeeping.
+    # entrywise: the reference for the block bookkeeping.  A bs state is
+    # scattered from its route's blocks; ``TestSwapBasisAssembly`` checks
+    # their values against the unsplit products.
     if isinstance(state, GaussianMixture):
         return sum(w * _dense_assembly(comp, cutoff) for w, comp in state.components)
     plan = fock._plan_two_mode(state)
@@ -882,7 +847,8 @@ def _dense_assembly(state, cutoff):
         return np.kron(fock._one_mode_matrix(plan.factor1, cutoff),
                        fock._one_mode_matrix(plan.factor2, cutoff))
     if plan.route == "bs":
-        return _dense_bs(plan.factor1, plan.factor2, 0.0, plan.theta_c, plan.theta_d, cutoff)
+        return _scatter(fock._mix_on_beam_splitter(plan.factor1, plan.factor2, plan.theta_c,
+                                                   plan.theta_d, cutoff), cutoff)
     cw = 2 * cutoff
     w = fock._thermal_weights(plan.factor1.nbar, cw)
     z = -plan.tms_r * cmath.exp(1j * plan.tms_phi)
@@ -927,11 +893,6 @@ class TestGradedStorage:
             assert len(rho._blocks) == blocks[name], name
             assert np.array_equal(rho.matrix, (dense + dense.conj().T) / 2.0), name
             assert rho.trace() == pytest.approx(float(np.trace(dense).real), abs=1e-14), name
-        sa, sb, lam = _BS_OUTPUT_INPUTS
-        rho = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0)
-        factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
-        dense = _dense_bs(*factors, lam, 0.0, 0.0, cutoff)
-        assert np.array_equal(rho.matrix, (dense + dense.conj().T) / 2.0)
 
     def test_mirror_sectors_share_one_block(self):
         rho = fock.two_mode_density(_TMS_STATE, 12, eps_tr=1.0)
@@ -983,6 +944,17 @@ class TestGradedStorage:
         assert partial.min_eigenvalue() == 0.0
         assert np.array_equal(partial.diagonal(), [0.6, 0.4, 0.0])
 
+    def test_lookup_reads_every_entry_of_the_dense_view(self):
+        # Pairs in one block copy, in two copies of one block, in two
+        # blocks, and with a state that no block covers.
+        block = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
+        partial = fock.FockDensity._graded(1, 3, [fock._Block(np.array([[2, 0]]), block)], 0.0)
+        densities = [partial, *_graded_densities(6).values()]
+        for rho in densities:
+            x, y = np.divmod(np.arange(rho.dim ** 2), rho.dim)
+            got = fock._entries(rho, x, y).reshape(rho.dim, rho.dim)
+            assert np.array_equal(got, rho.matrix)
+
     def test_non_hermitian_block_is_rejected_with_its_deviation(self):
         rho = fock.two_mode_density(_TMS_STATE, 8, eps_tr=1.0)
         blocks = [fock._Block(members, np.array(values)) for members, values in rho._blocks]
@@ -1027,6 +999,129 @@ class TestGradedStorage:
         for rho, kind in ((one, WitnessKind.W2), (two, WitnessKind.WHBT)):
             with pytest.raises(ValueError, match="truncation-unsafe at cutoff 7"):
                 fock.expectation_of_witness(rho, kind)
+
+
+def _swap_residual(rho, delta):
+    # max |T ρ T† − ρ| for T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩, by
+    # permutation: (T ρ T†)[s x, s y] = t_x ρ[x, y] t_y*.
+    c = rho.cutoff
+    na, nb = _labels(c)
+    t = (-1.0) ** (na + nb) * np.exp(1j * delta * (na - nb))
+    swap = nb * c + na
+    moved = np.empty_like(rho.matrix)
+    moved[np.ix_(swap, swap)] = t[:, None] * rho.matrix * t.conj()
+    return float(np.max(np.abs(moved - rho.matrix)))
+
+
+class _HermitianPartSpy:
+    def __init__(self, monkeypatch):
+        self.shapes = []
+        original = fock._hermitian_part
+
+        def spy(mat, out):
+            self.shapes.append(mat.shape)
+            return original(mat, out)
+
+        monkeypatch.setattr(fock, "_hermitian_part", spy)
+
+
+class TestSwapBasisAssembly:
+    """The bs route builds its blocks in the mode-swap basis and writes them
+    exactly Hermitian; the tensor route writes the kron of its factors the
+    same way.  Neither block is checked again, so these pin the values and
+    the checks that moved to the factors and the mixer cache."""
+
+    @pytest.mark.parametrize("cutoff", [10, 40])
+    def test_bs_blocks_match_the_unsplit_products(self, cutoff):
+        plan = fock._plan_two_mode(_BS_STATE)
+        sa, sb, lam = _BS_OUTPUT_INPUTS
+        factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
+        cases = [
+            (fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0),
+             _unsplit_dense(plan.factor1, plan.factor2, 0.0, plan.theta_c, plan.theta_d, cutoff)),
+            (fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0),
+             _unsplit_dense(*factors, lam, 0.0, 0.0, cutoff)),
+        ]
+        for rho, dense in cases:
+            assert np.max(np.abs(rho.matrix - dense)) <= 1e-15
+            for _, values in rho._blocks:
+                assert np.array_equal(values, values.conj().T)
+            # The rotation phases are rounded, so the symmetry holds to
+            # round-off, not bit for bit.
+            assert _swap_residual(rho, rho._origin.swap_phase) <= 1e-15
+
+    def test_constructor_blocks_are_exactly_hermitian(self):
+        one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
+        for name, rho in (*_graded_densities(12).items(), ("one-mode", one)):
+            for _, values in rho._blocks:
+                assert np.array_equal(values, values.conj().T), name
+
+    def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
+        # The tensor and bs routes check their two factors (the bs route at
+        # twice the cutoff) and write their blocks; every other block is
+        # checked.
+        spy = _HermitianPartSpy(monkeypatch)
+        for name, rho in _graded_densities(12).items():
+            spy.shapes.clear()
+            fock.FockDensity._graded(2, 12, [fock._Block(m, np.array(v)) for m, v in rho._blocks],
+                                     rho.trace_deficit)
+            assert len(spy.shapes) == len(rho._blocks), name
+        for state, size in ((_ROUTE_STATES["tensor"], 12), (_BS_STATE, 24)):
+            spy.shapes.clear()
+            fock.two_mode_density(state, 12, eps_tr=1.0)
+            assert spy.shapes == [(size, size), (size, size)]
+        spy.shapes.clear()
+        fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0)
+        assert spy.shapes == [(24, 24), (24, 24)]
+
+    def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
+        original = fock._factor_matrix
+
+        def skewed(st, dim):
+            mat = original(st, dim)
+            mat[0, 2] += 1e-9
+            return mat
+
+        monkeypatch.setattr(fock, "_factor_matrix", skewed)
+        for build in (lambda: fock.two_mode_density(_ROUTE_STATES["tensor"], 10, eps_tr=1.0),
+                      lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
+                      lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)):
+            with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):
+                build()
+
+    def test_flipped_mixer_sign_fails_the_cache_fill(self, monkeypatch):
+        original = fock._spectral_exponential
+
+        def flipped(*args, **kwargs):
+            block = original(*args, **kwargs)
+            block[2, 1] *= -1.0
+            return block
+
+        fock._swap_rows.cache_clear()
+        try:
+            monkeypatch.setattr(fock, "_spectral_exponential", flipped)
+            with pytest.raises(ValueError, match="mixer sector 6 fails its swap-basis check"):
+                fock._swap_rows(6)
+            monkeypatch.undo()
+            assert fock._swap_rows(6).middle.shape == (1, 4)
+        finally:
+            fock._swap_rows.cache_clear()
+
+    def test_swap_rows_obey_the_mixer_block(self):
+        for total in (0, 1, 6, 7, 40):
+            block = fock._sector_exponential("mixer", total + 1, total, math.pi / 4.0).real
+            rows = fock._swap_rows(total)
+            half = (total + 1) // 2
+            assert np.allclose(rows.strict[0], block[:half, 0::2], rtol=0.0, atol=1e-15)
+            assert np.allclose(rows.strict[1], block[:half, 1::2], rtol=0.0, atol=1e-15)
+            # The mirror rows repeat the representatives' up to (−1)^j.
+            assert np.allclose(block[::-1][:half, 0::2], rows.strict[0], rtol=0.0, atol=1e-13)
+            assert np.allclose(block[::-1][:half, 1::2], -rows.strict[1], rtol=0.0, atol=1e-13)
+            if total % 2:
+                assert rows.middle is None
+            else:
+                assert np.allclose(rows.middle, block[half:half + 1, 0::2], rtol=0.0, atol=1e-15)
+                assert np.max(np.abs(block[half, 1::2]), initial=0.0) < 1e-13
 
 
 def _explicit_sector_generator(kind, n_states, sector, z):
@@ -1084,14 +1179,30 @@ class TestSectorExponential:
     def test_cached_spectra_are_read_only(self):
         fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0)
         lam, v = fock._sector_spectrum("tms", 20, 3)
-        for arr in (lam, v, *fock._mixer_blocks(18)):
+        rows = [fock._swap_rows(total) for total in range(19)]
+        swap = [arr for r in rows for arr in (*r.strict, r.middle) if arr is not None]
+        assert len(swap) == 3 * 10 + 2 * 9
+        for arr in (lam, v, *swap):
             assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            v[0, 0] = 1.0
+        for arr in (v, rows[8].strict[1]):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_one_cache_serves_every_cutoff(self):
+        fock._swap_rows.cache_clear()
+        try:
+            fock.two_mode_density(_BS_STATE, 12, eps_tr=1.0)
+            assert fock._swap_rows.cache_info().currsize == 23
+            fock.two_mode_density(_BS_STATE, 8, eps_tr=1.0)
+            fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)
+            info = fock._swap_rows.cache_info()
+            assert (info.currsize, info.misses) == (23, 23)
+        finally:
+            fock._swap_rows.cache_clear()
 
     def test_assembly_leaves_the_caches_unchanged(self):
         fock._sector_spectrum.cache_clear()
-        fock._mixer_blocks.cache_clear()
+        fock._swap_rows.cache_clear()
         other_bs = mode_rotation(
             beam_splitter(OneModeGaussian(0.3, -0.2j), OneModeGaussian(0.9, 0.6 + 0j), 0.0),
             1.3, -0.2)
@@ -1113,6 +1224,17 @@ class TestSectorExponential:
             for b1, b2 in zip(before._blocks, after._blocks):
                 assert np.array_equal(b1.members, b2.members), name
                 assert np.array_equal(b1.values, b2.values), name
+        # The swap-basis mixer rows are the same objects with the same
+        # values after further densities at every cutoff up to 12.
+        cached = [fock._swap_rows(total) for total in range(23)]
+        saved = [[np.array(a) for a in (*r.strict, r.middle) if a is not None] for r in cached]
+        for build, _, second in pairs.values():
+            build(second)
+        fock.two_mode_density(other_bs, 9, eps_tr=1.0)
+        for total, (rows, copies) in enumerate(zip(cached, saved)):
+            assert fock._swap_rows(total) is rows
+            arrays = [a for a in (*rows.strict, rows.middle) if a is not None]
+            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies)), total
 
 
 def test_fock_imports_no_wick_symbols():
