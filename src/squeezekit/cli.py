@@ -48,7 +48,6 @@ from .separability import (
     werner_ppt_threshold,
 )
 from .states import (
-    GaussianMixture,
     NonPhysicalStateError,
     OneModeGaussian,
     OperatorWord,
@@ -65,7 +64,8 @@ from .transforms import (
     is_classical_threshold,
     werner_mix,
 )
-from .witnesses import WitnessKind, w2_expectation, whbt_closed_form_uncorrelated, whbt_expectation
+from .witnesses import (WitnessKind, fourth_order, w2_expectation,
+                        whbt_closed_form_uncorrelated, whbt_expectation)
 
 ORACLE_RTOL = 1e-4
 
@@ -209,11 +209,9 @@ _TWO_MODE_BUILDERS = {"pair": _build_pair, "epr": _build_epr, "werner": _build_w
 # gate's NonPhysicalStateError, otherwise whether the oracle disagrees.
 
 def _vacuum(state) -> bool:
-    """Whether a two-mode state or mixture is the vacuum, on which no fringe
-    or witness formula is defined."""
-    if isinstance(state, GaussianMixture):
-        return all(_vacuum(comp) for _, comp in state.components)
-    return state == TwoModeGaussian.thermal_pair(0.0)
+    """Whether a physical two-mode state or mixture is the vacuum, the one
+    state whose I₂ is zero: no fringe or witness formula is defined on it."""
+    return fourth_order(state).i2 == 0.0
 
 
 def _gate(out, state):
@@ -275,7 +273,14 @@ def _oracle_run_fields(rho, out):
     out["oracle_trace_deficit"] = rho.trace_deficit
 
 
-def _two_mode_oracle_fields(state, out, cutoff):
+def _witness_tail(state, out, oracle, cutoff):
+    """Add the intensity witness, its verdict and, under ``--oracle``, the
+    oracle's fields to ``out``; return whether the oracle disagrees."""
+    whbt = whbt_expectation(state)
+    out["whbt"] = whbt.value
+    out["whbt_verdict"] = whbt.verdict.value
+    if not oracle:
+        return False
     rho = fock.two_mode_density(state, cutoff)
     _oracle_run_fields(rho, out)
     out["oracle_ppt_min_eig"] = fock.ppt_min_eigenvalue(rho)
@@ -295,10 +300,7 @@ def _describe_epr(params, radians, oracle, cutoff):
     if _vacuum(state):
         return out, False
     out["v_minus"] = visibility_epr(n, mc).v_minus
-    whbt = whbt_expectation(state)
-    out["whbt"] = whbt.value
-    out["whbt_verdict"] = whbt.verdict.value
-    return out, oracle and _two_mode_oracle_fields(state, out, cutoff)
+    return out, _witness_tail(state, out, oracle, cutoff)
 
 
 def _describe_werner(params, radians, oracle, cutoff):
@@ -315,10 +317,7 @@ def _describe_werner(params, radians, oracle, cutoff):
     if _vacuum(mixture):
         return out, False
     out["v_minus"] = visibility_werner(n, mc, p).v_minus
-    whbt = whbt_expectation(mixture)
-    out["whbt"] = whbt.value
-    out["whbt_verdict"] = whbt.verdict.value
-    return out, oracle and _two_mode_oracle_fields(mixture, out, cutoff)
+    return out, _witness_tail(mixture, out, oracle, cutoff)
 
 
 def _describe_bs_output(params, radians, oracle, cutoff):
@@ -330,7 +329,7 @@ def _describe_bs_output(params, radians, oracle, cutoff):
     out["m_out_abs"] = abs(state.m_a)
     out["mc_out_abs"] = abs(state.m_c)
     out["separable"] = bs_output_is_separable(n, m, lam)
-    if _vacuum(state):
+    if not rejection and _vacuum(state):
         return out, False
     vis = visibilities_bs_output(n, m, lam)
     out["v_minus"] = vis.v_minus
@@ -339,9 +338,7 @@ def _describe_bs_output(params, radians, oracle, cutoff):
     out["fringe_classical"] = report.classical
     if rejection:
         return out, rejection
-    whbt = whbt_expectation(state)
-    out["whbt"] = whbt.value
-    return out, oracle and _two_mode_oracle_fields(state, out, cutoff)
+    return out, _witness_tail(state, out, oracle, cutoff)
 
 
 def _describe_general(params, radians, oracle, cutoff):
@@ -358,9 +355,7 @@ def _describe_general(params, radians, oracle, cutoff):
     out["v_minus"] = vis.v_minus
     out["v_plus"] = vis.v_plus
     out["v_m"] = vis.v_m
-    whbt = whbt_expectation(state)
-    out["whbt"] = whbt.value
-    return out, oracle and _two_mode_oracle_fields(state, out, cutoff)
+    return out, _witness_tail(state, out, oracle, cutoff)
 
 
 _FAMILIES = {

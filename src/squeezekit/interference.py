@@ -9,7 +9,8 @@ both squeezing and cross correlation, four single-phase cosines.
 ``hbt_correlation`` returns the raw (unnormalized) correlation so it can be
 compared against the Fock oracle exactly; the visibility records hold the
 normalized fringe decomposition and ``fringe_prefactor`` exposes the
-normalization separately.
+normalization separately; both read ``witnesses.fourth_order``'s record,
+as the intensity witness does.
 """
 
 from __future__ import annotations
@@ -23,18 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .separability import _require_epr_physical, _require_physical, _require_werner_weight
-from .states import OperatorWord, TwoModeGaussian, wick_moment
-from .witnesses import intensity_square_moment
+from .states import TwoModeGaussian
+from .witnesses import fourth_order
 
 _VIS_TOL = 1e-9
 _COND_LIMIT = 1e6
-
-_W_CROSS = OperatorWord.from_counts(1, 1, 1, 1)
-# The two words of ⟨a†:(I_a+I_b):b⟩, a†a†ab and a†b†bb, as the adjoints of
-# b†a†aa and b†b†ab.
-_W_ADAD_AB = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_a=2).conjugate()
-_W_ADBD_BB = OperatorWord.from_counts(create_b=2, annihilate_a=1, annihilate_b=1).conjugate()
-_W_SQ_UP = OperatorWord.from_counts(create_a=2, annihilate_b=2)
 
 
 class IllConditionedError(ValueError):
@@ -89,33 +83,26 @@ class FringeSample:
 
 
 def hbt_correlation(state, phi1: float, phi2: float) -> float:
-    """Unnormalized correlation ⟨:I(φ₁)I(φ₂):⟩ of the two detector intensities.
-
-    Evaluated through the Wick engine term group by term group; mixtures
-    average by weight automatically.  The value is real and nonnegative for
-    physical states.
+    """Unnormalized correlation ⟨:I(φ₁)I(φ₂):⟩ of the two detector intensities,
+    ¼[I₂ + 2C·cos(φ₁−φ₂) + 2·Re((e^{iφ₁} + e^{iφ₂})·t) + 2·Re(e^{i(φ₁+φ₂)}·s)]
+    on the state's ``witnesses.fourth_order`` record; mixtures average by
+    weight.  The value is real and nonnegative for physical states.
     """
-    _require_physical(state)
-    i2 = intensity_square_moment(state)
-    cross = wick_moment(state, _W_CROSS).real
-    # ⟨a†:(I_a+I_b):b⟩; its partner group is the complex conjugate.
-    t_up = wick_moment(state, _W_ADAD_AB) + wick_moment(state, _W_ADBD_BB)
-    sq_up = wick_moment(state, _W_SQ_UP)
+    record = fourth_order(state)
     esum = cmath.exp(1j * phi1) + cmath.exp(1j * phi2)
     value = (
-        i2
-        + 2.0 * cross * math.cos(phi1 - phi2)
-        + 2.0 * (esum * t_up).real
-        + 2.0 * (cmath.exp(1j * (phi1 + phi2)) * sq_up).real
+        record.i2
+        + 2.0 * record.c * math.cos(phi1 - phi2)
+        + 2.0 * (esum * record.t).real
+        + 2.0 * (cmath.exp(1j * (phi1 + phi2)) * record.s).real
     )
     return 0.25 * value
 
 
 def fringe_prefactor(state) -> float:
-    """Constant part ¼⟨:(I_a+I_b)²:⟩ of the correlation; the visibility
+    """Constant part ¼I₂ = ¼⟨:(I_a+I_b)²:⟩ of the correlation; the visibility
     records are the fringe divided by this value."""
-    _require_physical(state)
-    return 0.25 * intensity_square_moment(state)
+    return 0.25 * fourth_order(state).i2
 
 
 def fringe_value(record: VisibilityRecord, phi1: float, phi2: float,

@@ -3,25 +3,29 @@
 
 Both witnesses normalize their fourth-order numerators with expectations
 taken on the same state, so Tr{Wρ} reduces to a ratio of normally ordered
-moments; the generic path below evaluates that ratio through the Wick
-engine for any state family, and the closed forms the standard families admit
-are exposed separately so tests can pin their equality.
+Wick moments.  On two modes these are ``fourth_order``'s record, the one
+place that builds the fourth-order words; ``interference`` reads it too.
+The closed forms the standard families admit are exposed separately so
+tests can pin their equality.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .separability import _require_physical
-from .states import OneModeGaussian, OperatorWord, wick_moment
+from .states import EPS_PHYS, OneModeGaussian, OperatorWord, wick_moment
 
 EPS_VERDICT = 1e-9
 
 _W_ADAD_AA = OperatorWord.from_counts(create_a=2, annihilate_a=2)
 _W_AD_A = OperatorWord.from_counts(create_a=1, annihilate_a=1)
 _W_ADBD_AB = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_a=1, annihilate_b=1)
-_W_BDBD_AA = OperatorWord.from_counts(create_b=2, annihilate_a=2)
+_W_ADAD_AB = OperatorWord.from_counts(create_a=2, annihilate_a=1, annihilate_b=1)
+_W_ADBD_BB = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_b=2)
 _W_ADAD_BB = OperatorWord.from_counts(create_a=2, annihilate_b=2)
 _W_BDBD_BB = OperatorWord.from_counts(create_b=2, annihilate_b=2)
 
@@ -70,37 +74,49 @@ def w2_expectation(s: OneModeGaussian) -> WitnessReport:
     return WitnessReport(value, _verdict(value), WitnessKind.W2)
 
 
-def intensity_square_moment(state) -> float:
-    """Normally ordered ⟨:(I_a + I_b)²:⟩ = ⟨a†²a²⟩ + ⟨b†²b²⟩ + 2⟨a†b†ab⟩."""
-    total = (
-        wick_moment(state, _W_ADAD_AA)
-        + wick_moment(state, _W_BDBD_BB)
-        + 2.0 * wick_moment(state, _W_ADBD_AB)
-    )
-    return total.real
+class FourthOrder(NamedTuple):
+    """The fourth moments behind intensity interference and its witness (a
+    named tuple, built once per fringe sample): ``i2`` = I₂ = ⟨:(I_a+I_b)²:⟩
+    = ⟨a†²a²⟩ + ⟨b†²b²⟩ + 2C, zero only at the vacuum; ``c`` = C = ⟨a†b†ab⟩
+    (real); ``t`` = ⟨a†a†ab⟩ + ⟨a†b†bb⟩; ``s`` = ⟨a†²b²⟩ = ⟨b†²a²⟩*."""
+
+    i2: float
+    c: float
+    t: complex
+    s: complex
+
+
+def fourth_order(state) -> FourthOrder:
+    """The fourth-order record of a physical two-mode state or mixture
+    (mixtures average by weight).  Nonphysical second moments raise
+    NonPhysicalStateError, a one-mode state TypeError."""
+    if isinstance(state, OneModeGaussian):
+        raise TypeError("fourth-order moments need a two-mode state; build a pair first")
+    _require_physical(state)
+    c = wick_moment(state, _W_ADBD_AB)
+    i2 = (wick_moment(state, _W_ADAD_AA) + wick_moment(state, _W_BDBD_BB) + 2.0 * c).real
+    t = wick_moment(state, _W_ADAD_AB) + wick_moment(state, _W_ADBD_BB)
+    return FourthOrder(i2, c.real, t, wick_moment(state, _W_ADAD_BB))
 
 
 def whbt_expectation(state) -> WitnessReport:
-    """Expectation of the intensity-interference witness
-    ½ − (2a†b†ab + b†²a² + a†²b²) / ⟨:(I_a+I_b)²:⟩.
+    """Expectation of the intensity witness ½ − (2a†b†ab + b†²a² + a†²b²)/I₂
+    = ½ − (2C + 2·Re s)/I₂ on ``fourth_order``'s record, for any physical
+    two-mode state or mixture; the vacuum (I₂ = 0) raises ZeroDivisionError.
 
-    Evaluated through the Wick engine for any physical two-mode state or
-    mixture.  Negative values certify nonclassicality of an uncorrelated
-    pair and entanglement of a cross-correlated pair.
+    W·√I₂ is second order, like the gate's eigenvalue, so the verdict is
+    ``boundary`` where |W| ≤ max(EPS_VERDICT, EPS_PHYS/√I₂).  A negative
+    verdict certifies nonclassicality on an uncorrelated pair and
+    entanglement on the cross-correlated and Werner families; on other
+    states it certifies nonclassicality only (over half of whbt-negative
+    random states are PPT-separable).
     """
-    if isinstance(state, OneModeGaussian):
-        raise TypeError("intensity witness needs a two-mode state; build a pair first")
-    _require_physical(state)
-    numerator = (
-        2.0 * wick_moment(state, _W_ADBD_AB)
-        + wick_moment(state, _W_BDBD_AA)
-        + wick_moment(state, _W_ADAD_BB)
-    ).real
-    denominator = intensity_square_moment(state)
-    if abs(denominator) < 1e-30:
+    i2, c, _, s = fourth_order(state)
+    if i2 == 0.0:
         raise ZeroDivisionError("witness normalization vanishes (vacuum-like state)")
-    value = 0.5 - numerator / denominator
-    return WitnessReport(value, _verdict(value), WitnessKind.WHBT)
+    value = 0.5 - (2.0 * c + s.conjugate().real + s.real) / i2
+    band = max(EPS_VERDICT, EPS_PHYS / math.sqrt(i2))
+    return WitnessReport(value, _verdict(value, band), WitnessKind.WHBT)
 
 
 def whbt_closed_form_uncorrelated(n: float, m_abs: float) -> float:

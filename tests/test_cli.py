@@ -616,6 +616,49 @@ class TestSweepFlags:
         assert rows[1][2:4] == ["true", "true"]
 
 
+class TestNearVacuumWitness:
+    """The witness verdict takes the gate's band, so a band state next to the
+    vacuum gets ``boundary`` beside ``entangled false`` instead of an error
+    or an entanglement certificate."""
+
+    def _classify(self, capsys, mc):
+        code, out, err = run_cli(capsys, "classify", "epr", "--n", "0", "--mc", mc,
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        return json.loads(out)
+
+    def test_band_state_is_boundary(self, capsys):
+        payload = self._classify(capsys, "1e-16")
+        assert (payload["whbt"], payload["whbt_verdict"]) == (-0.5, "boundary")
+        payload = self._classify(capsys, "1e-10")
+        assert (payload["entangled"], payload["whbt_verdict"]) == (False, "boundary")
+
+    def test_entangled_state_keeps_its_certificate(self, capsys):
+        payload = self._classify(capsys, "1e-8")
+        assert (payload["entangled"], payload["whbt_verdict"]) == (True, "quantum-or-entangled")
+
+    def test_witness_and_sweep_exit_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "whbt", "--family", "epr", "--n", "0",
+                               "--mc", "1e-16", "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"] == "boundary"
+        code, out, _ = run_cli(capsys, "sweep", "epr", "--n", "0", "--vary", "mc", "0", "1e-15", "3")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [row[header.index("whbt_verdict")] for row in rows] == ["nan", "boundary", "boundary"]
+
+    @pytest.mark.parametrize("argv", [
+        ("bs-output", "--n", "1", "--m", "1.2", "--lam", "0.5"),
+        ("general", "--n", "1", "--m", "0.3", "--mc", "0.9", "--lam1", "0", "--lam2", "0.5"),
+    ], ids=lambda argv: argv[0])
+    def test_every_two_mode_family_reports_the_verdict(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "classify", *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[-2:] == ["whbt", "whbt_verdict"]
+        assert payload["whbt_verdict"] == ("quantum-or-entangled" if payload["whbt"] < 0
+                                           else "classical-or-separable")
+
+
 class TestOracleCheckCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--states", "4",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -12,8 +13,15 @@ from squeezekit import (
     TwoModeGaussian,
     Verdict,
     amplifier_output,
+    beam_splitter,
     g2,
     is_p_representable,
+    is_separable,
+    visibilities_bs_output,
+    visibilities_general,
+    visibilities_uncorrelated,
+    visibility_epr,
+    visibility_werner,
     w2_expectation,
     werner_mix,
     whbt_closed_form_epr,
@@ -23,7 +31,7 @@ from squeezekit import (
     wick_moment,
 )
 from squeezekit.states import OperatorWord
-from squeezekit.witnesses import intensity_square_moment
+from squeezekit.witnesses import FourthOrder, fourth_order
 
 from conftest import random_physical_one_mode
 
@@ -172,12 +180,126 @@ class TestWhbtVerdicts:
                 whbt_expectation(state)
 
 
+class TestWhbtBand:
+    """W·√I₂ is a second-order quantity, so the verdict takes the gate's band:
+    a state within EPS_PHYS of the witness's zero gets ``boundary``.  Near
+    the vacuum the ratio alone reads −½ for band states; the band keeps a
+    ``quantum-or-entangled`` verdict a certificate at every scale of n."""
+
+    _DRAWS = 10_000
+    _SCALES = (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 100.0)
+
+    def _draws(self):
+        # |m| (or |m_c|) within 3e-9 of n, with n uniform on [0, scale].
+        rng = random.Random(23)
+        for _ in range(self._DRAWS):
+            n = rng.uniform(0.0, rng.choice(self._SCALES))
+            yield n, abs(n + rng.uniform(-3.0, 3.0) * 1e-9)
+
+    def _count(self, judge):
+        verdicts, wrong = {v: 0 for v in Verdict}, 0
+        for n, mag in self._draws():
+            verdict, certified = judge(n, mag)
+            verdicts[verdict] += 1
+            wrong += verdict is Verdict.QUANTUM_OR_ENTANGLED and not certified()
+        # Every verdict occurs, so the probe straddles the band.
+        assert min(verdicts.values()) > 100, verdicts
+        return wrong
+
+    def test_pair_verdict_certifies_nonclassicality(self):
+        def judge(n, mag):
+            s = OneModeGaussian(n, complex(mag))
+            verdict = whbt_expectation(TwoModeGaussian.pair_with_phase(s, 0.0)).verdict
+            return verdict, lambda: is_p_representable(s) is Classification.QUANTUM
+        assert self._count(judge) == 0
+
+    def test_epr_verdict_certifies_entanglement(self):
+        def judge(n, mag):
+            state = TwoModeGaussian.epr(n, complex(mag))
+            return whbt_expectation(state).verdict, lambda: not is_separable(state)
+        assert self._count(judge) == 0
+
+    def test_near_vacuum_band_state_is_boundary(self):
+        # I₂ = 2e-32: the ratio is −½, but the state is in the gate's band.
+        report = whbt_expectation(TwoModeGaussian.epr(0.0, 1e-16 + 0j))
+        assert report.value == -0.5 and report.verdict is Verdict.BOUNDARY
+        assert whbt_expectation(TwoModeGaussian.epr(0.0, 1e-10 + 0j)).verdict is Verdict.BOUNDARY
+        report = whbt_expectation(TwoModeGaussian.epr(0.0, 1e-8 + 0j))
+        assert report.verdict is Verdict.QUANTUM_OR_ENTANGLED
+
+    def test_unit_scale_band_is_eps_verdict(self):
+        # Where √I₂ ≥ 1 the band is EPS_VERDICT, as for the single-mode
+        # witness.  At n = 1, W ≈ (1 − |m_c|)/4.
+        for mc, verdict in ((1.0 + 1e-8, Verdict.QUANTUM_OR_ENTANGLED),
+                            (1.0 + 2e-9, Verdict.BOUNDARY),
+                            (1.0 - 1e-8, Verdict.CLASSICAL_OR_SEPARABLE)):
+            assert whbt_expectation(TwoModeGaussian.epr(1.0, complex(mc))).verdict is verdict
+
+
+class TestFourthOrderRecord:
+    def test_intensity_square_closed_form(self, rng):
+        # I₂ = 6n² + |m_a|² + |m_b|² + 2|m_c|² + 2|m_x|² on any physical state.
+        checked = 0
+        while checked < 50:
+            n = float(rng.uniform(0.05, 2.0))
+            moments = [float(rng.uniform(0, 0.6)) * math.sqrt(n * (n + 1.0))
+                       * cmath.exp(1j * float(rng.uniform(0, 7))) for _ in range(4)]
+            state = TwoModeGaussian(n, *moments)
+            try:
+                record = fourth_order(state)
+            except NonPhysicalStateError:
+                continue
+            expected = 6 * n ** 2 + sum(abs(m) ** 2 for m in moments[:2]) \
+                + 2 * sum(abs(m) ** 2 for m in moments[2:])
+            assert record.i2 == pytest.approx(expected, rel=1e-13)
+            checked += 1
+
+    def test_family_visibilities_read_off_the_record(self, rng):
+        # v₋ = 2C/I₂ and v₊ = 2|s|/I₂ on every family's published formula.
+        for _ in range(20):
+            n = float(rng.uniform(0.1, 2.0))
+            bound = math.sqrt(n * (n + 1.0))
+            m, mc = (float(rng.uniform(0.05, 0.95)) * bound for _ in range(2))
+            lam, p = float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0, 1))
+            s = OneModeGaussian(n, complex(m))
+            cases = [
+                (TwoModeGaussian.pair_with_phase(s, lam), visibilities_uncorrelated(n, m, lam)),
+                (TwoModeGaussian.epr(n, complex(mc)), visibility_epr(n, mc)),
+                (werner_mix(TwoModeGaussian.epr(n, complex(mc)), p), visibility_werner(n, mc, p)),
+                (beam_splitter(s, s, lam), visibilities_bs_output(n, m, lam)),
+            ]
+            small = 0.3 * bound
+            general = TwoModeGaussian(n, small * cmath.exp(1j * lam), small, complex(small))
+            cases.append((general, visibilities_general(n, small, small, lam, 0.0)))
+            for state, vis in cases:
+                record = fourth_order(state)
+                assert 2 * record.c / record.i2 == pytest.approx(vis.v_minus, rel=1e-12)
+                assert 2 * abs(record.s) / record.i2 == pytest.approx(vis.v_plus, abs=1e-13)
+
+    def test_one_mode_and_nonphysical_inputs_rejected(self):
+        with pytest.raises(TypeError):
+            fourth_order(OneModeGaussian(1.0, 0j))
+        with pytest.raises(NonPhysicalStateError):
+            fourth_order(TwoModeGaussian.epr(1.0, 1.5 + 0j))
+
+
 class TestMixtureAffinity:
     def test_numerator_and_denominator_are_affine(self):
+        # Every field of the fourth-order record, and with it the witness
+        # numerator 2C + 2·Re s and its denominator I₂, is the weighted sum
+        # of the components' fields: on the Werner mixture, where t and s
+        # vanish, and on a mixture whose components carry all four.
         epr = TwoModeGaussian.epr(1.0, 1.2 + 0j)
         thermal = TwoModeGaussian.thermal_pair(1.0)
+        general = TwoModeGaussian(1.0, 0.4 + 0j, 0.3j, 0.5 + 0j, 0.1 + 0j)
+        bs = beam_splitter(OneModeGaussian(0.8, 0.5 + 0j), OneModeGaussian(0.8, 0.5 + 0j), 0.3)
         for p in (0.2, 0.5, 0.9):
-            mixture = werner_mix(epr, p)
-            mixed = intensity_square_moment(mixture)
-            expected = p * intensity_square_moment(epr) + (1 - p) * intensity_square_moment(thermal)
-            assert mixed == pytest.approx(expected, rel=1e-13)
+            for mixture, (first, second) in (
+                (werner_mix(epr, p), (epr, thermal)),
+                (GaussianMixture(((p, general), (1 - p, bs))), (general, bs)),
+            ):
+                mixed, a, b = fourth_order(mixture), fourth_order(first), fourth_order(second)
+                for name in FourthOrder._fields:
+                    expected = p * getattr(a, name) + (1 - p) * getattr(b, name)
+                    assert getattr(mixed, name) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+        assert fourth_order(general).t != 0 and fourth_order(bs).s != 0
