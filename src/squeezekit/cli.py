@@ -12,8 +12,9 @@ endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
 photon-number tail also exits 2, as does a family parameter flag the family
 does not read or a required one left out: a family takes the same flags in
 ``classify``, ``witness whbt`` and ``sweep``.  Only ``classify``, ``sweep`` and
-``amplifier`` take ``--oracle``; with it they report the route, the cutoff
-and the trace deficit of the density they measured.  ``oracle-check`` takes
+``amplifier`` take ``--oracle``; with it they report the route, the cutoff,
+the trace deficit and the packed size (``oracle_density_mb``) of the density
+they measured.  ``oracle-check`` takes
 ``--cutoff`` for its suite.
 """
 
@@ -266,11 +267,12 @@ def _describe_one_mode(params, radians, oracle, cutoff):
 
 
 def _oracle_run_fields(rho, out):
-    """The route, the cutoff and the trace deficit of the density the oracle
-    measured."""
+    """The route, the cutoff, the trace deficit and the packed size in MB
+    of the density the oracle measured."""
     out["oracle_route"] = rho.route
     out["oracle_cutoff"] = rho.cutoff
     out["oracle_trace_deficit"] = rho.trace_deficit
+    out["oracle_density_mb"] = rho.nbytes / 1e6
 
 
 def _witness_tail(state, out, oracle, cutoff):

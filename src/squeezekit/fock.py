@@ -187,15 +187,31 @@ def _tridiagonal_spectrum(kind: str, size: int, sector: int):
     return np.linalg.eigh(np.diag(a, -1) + np.diag(a, 1))
 
 
+def _check_spectrum(kind: str, size: int, sector: int, lam: np.ndarray, v: np.ndarray) -> None:
+    """Require V to be orthogonal and A V = V Λ, relative to the largest
+    coupling of A, each to the Hermiticity tolerance."""
+    a = _sector_couplings(kind, size, sector)
+    av = np.zeros_like(v)
+    av[1:] += a[:, None] * v[:-1]
+    av[:-1] += a[:, None] * v[1:]
+    residual = max(_max_abs(v.T @ v - np.eye(lam.size)),
+                   _max_abs(av - v * lam) / np.max(a, initial=1.0))
+    if residual > _HERMITICITY_TOL:
+        raise ValueError(f"{kind} sector {sector} of size {size} fails its spectrum check "
+                         f"(residual {residual:.3g})")
+
+
 @functools.lru_cache(maxsize=256)
 def _sector_spectrum(kind: str, size: int, sector: int):
-    """``_tridiagonal_spectrum``, cached read-only.
+    """``_tridiagonal_spectrum``, checked once here by ``_check_spectrum``
+    and cached read-only.
 
     The bound holds every squeezer and tms sector the concordance suite
     uses (cutoffs 40 and 30).  The mixer keeps no spectra: its sectors are
     cached once, in the mode-swap basis, by ``_swap_rows``.
     """
     lam, v = _tridiagonal_spectrum(kind, size, sector)
+    _check_spectrum(kind, size, sector, lam, v)
     lam.flags.writeable = False
     v.flags.writeable = False
     return lam, v
@@ -386,19 +402,23 @@ class _SwapLayout:
         return self.n_strict + index if self.totals[index] % 2 == 0 else None
 
 
-def _swap_products(rho1: np.ndarray, rho2: np.ndarray, layout: _SwapLayout, c: int):
+def _swap_products(rho1: np.ndarray, rho2: np.ndarray, layout: _SwapLayout, c: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Y_c = B̃_c ρ_in⁽ᶜ⁾ B̃_cᵀ on the representatives of ``layout``, for the
-    input class c.  Only the upper block triangle is formed: rows of
-    sectors up to the column's sector, and the middle columns; the rest is
-    zero.  For c = 1 the middle rows and columns are zero.
+    input class c, written into ``out`` (zero on entry), or else into a new
+    array.  Only the upper block triangle is formed: rows of sectors up to
+    the column's sector, and the middle columns; the rest is left as it
+    is.  For c = 1 the middle rows and columns are zero, and a new array
+    holds only the strict rows.
 
     ρ_in⁽ᶜ⁾ holds the input states |j, N−j⟩ with j ≡ c (mod 2), sector by
     sector, with ρ_in[(N, j), (M, j')] = ρ₁[j, j'] ρ₂[N − j, M − j'], and
     B̃_c the real swap-basis rows of ``_swap_rows`` on its columns.  Both
     products run sector by sector: the first, H = B̃ ρ_in, as real rows
     times the real view of ρ_in's rows; the second, B̃ Hᵀ = Yᵀ, on H's
-    columns.  The factors come in conjugated, so that this is Y of the
-    unconjugated ones (Y is Hermitian).
+    columns.  Each array goes at its last use, so H alone is alive beside
+    Y in the second product.  The factors come in conjugated, so that this
+    is Y of the unconjugated ones (Y is Hermitian).
     """
     totals = layout.totals
     counts = [len(range(c, total + 1, 2)) for total in totals]
@@ -410,12 +430,12 @@ def _swap_products(rho1: np.ndarray, rho2: np.ndarray, layout: _SwapLayout, c: i
     # of sector N are the product of two contiguous row slices.
     g1 = rho1[np.ix_(np.arange(c, totals[-1] + 1, 2), j_in)]
     g2 = rho2[np.ix_(np.arange(top, -1, -2), k_in)]
-    n_in, n_reps, n_strict = j_in.size, layout.n_reps, layout.n_strict
-    h = np.empty((n_reps, n_in), dtype=complex)
+    n_reps, n_strict = layout.n_reps, layout.n_strict
+    h = np.empty((n_reps, j_in.size), dtype=complex)
     h_real = h.view(float)
     if c:
         h[n_strict:] = 0.0
-    buf = np.empty((max(counts), n_in), dtype=complex)
+    buf = np.empty((max(counts), j_in.size), dtype=complex)
     sectors = [(i, _swap_rows(total)) for i, total in enumerate(totals) if counts[i]]
     for i, rows in sectors:
         count = counts[i]
@@ -426,10 +446,11 @@ def _swap_products(rho1: np.ndarray, rho2: np.ndarray, layout: _SwapLayout, c: i
         mid = layout.middle(i)
         if c == 0 and mid is not None:
             np.matmul(rows.middle, x, out=h_real[mid:mid + 1])
+    del g1, g2, buf, x
     # The second product takes H's columns, one sector's input states at a
     # time, from the transposed view.
     ht = h.T
-    y = np.zeros((n_reps, n_reps), dtype=complex)
+    y = np.zeros((n_strict if c else n_reps, n_reps), dtype=complex) if out is None else out
     for i, rows in sectors:
         a, b = layout.starts[i], layout.starts[i + 1]
         block = ht[first[i]:first[i + 1]]
@@ -490,33 +511,49 @@ def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal,
     layouts = [_SwapLayout(cutoff, parity) for parity in (0, 1)]
     out = _Written([layout.members for layout in layouts])
     for layout, block in zip(layouts, out):
-        same, odd = (_swap_products(rho1, rho2, layout, c) for c in (0, 1))
-        other = same - odd
-        same += odd
+        reps, strict = layout.n_reps, slice(layout.n_strict)
+        # Y₀ is formed in place, in the block's own representative quadrant.
+        same = block.values[:reps, :reps]
+        same[...] = 0.0
+        _swap_products(rho1, rho2, layout, 0, same)
+        odd = _swap_products(rho1, rho2, layout, 1)
+        other = same.copy()
+        other[strict] -= odd
+        same[strict] += odd
         del odd
-        reps, strict = layout.n_reps, layout.n_strict
         _mirror_upper(other)
         phase = np.exp(1j * (theta_c * layout.ja + (theta_d + math.pi) * layout.jb))
-        values = block.values
-        # Tiles of the upper triangle, none across the representatives'
-        # edge; each is phased once and written with its mirror image.
-        edges = [*range(0, reps, _TILE), *range(reps, values.shape[0], _TILE),
-                 values.shape[0]]
-        for i, (r0, r1) in enumerate(zip(edges, edges[1:])):
-            for c0, c1 in zip(edges[i:], edges[i + 1:]):
-                if c0 < reps:
-                    src = same[r0:r1, c0:c1]
-                elif r0 < reps:
-                    src = other[r0:r1, c0 - reps:c1 - reps]
-                else:
-                    src = same[r0 - reps:r1 - reps, c0 - reps:c1 - reps]
-                tile = values[r0:r1, c0:c1]
-                np.multiply(src, np.multiply.outer(phase[r0:r1], phase[c0:c1].conj()), out=tile)
-                if c0 == r0:
-                    _mirror_tile(tile)
-                else:
-                    np.conjugate(tile.T, out=values[c0:c1, r0:r1])
+        _write_swap_block(block.values, other, phase, reps)
+        del other
     return out
+
+
+def _write_swap_block(values: np.ndarray, other: np.ndarray, phase: np.ndarray,
+                      reps: int) -> None:
+    """Write the block [[same, other], [other, same]] over the ``reps``
+    representatives and their mirror images (a middle state takes ``same``
+    alone), phased by ``phase``, where ``same`` is held in
+    ``values[:reps, :reps]`` on entry: its upper triangle is read, and
+    ``other`` is whole.  Tiles of the upper triangle, none across the
+    representatives' edge, are each phased once and written with their
+    mirror image, so the block is exactly Hermitian.  The mirror images'
+    quadrant is written first, from ``same`` before it is phased in place."""
+    edges = [*range(0, reps, _TILE), *range(reps, values.shape[0], _TILE), values.shape[0]]
+    tiles = [(r0, r1, c0, c1) for i, (r0, r1) in enumerate(zip(edges, edges[1:]))
+             for c0, c1 in zip(edges[i:], edges[i + 1:])]
+    for r0, r1, c0, c1 in sorted(tiles, key=lambda t: t[0] < reps):
+        if c0 < reps:
+            src = values[r0:r1, c0:c1]
+        elif r0 < reps:
+            src = other[r0:r1, c0 - reps:c1 - reps]
+        else:
+            src = values[r0 - reps:r1 - reps, c0 - reps:c1 - reps]
+        tile = values[r0:r1, c0:c1]
+        np.multiply(src, np.multiply.outer(phase[r0:r1], phase[c0:c1].conj()), out=tile)
+        if c0 == r0:
+            _mirror_tile(tile)
+        else:
+            np.conjugate(tile.T, out=values[c0:c1, r0:r1])
 
 
 def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> list:
@@ -684,7 +721,7 @@ class FockDensity:
     """
 
     __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_row_key",
-                 "_col_key", "_trace", "_matrix", "_origin")
+                 "_col_key", "_trace", "_matrix", "_origin", "_parity_graded")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
         self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit, None)
@@ -761,6 +798,10 @@ class FockDensity:
             offset += size * size
         if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in raw):
             raise ValueError("blocks overlap")
+        # Whether every block copy lies in one total parity of its photon
+        # numbers (n on one mode, n_a + n_b on two).
+        parity = [np.add(*np.divmod(members, self.cutoff)) % 2 for members, _ in raw]
+        graded = all(np.all(p == p[:, :1]) for p in parity)
         _require_hermitian(deviation)
         packed.flags.writeable = False
         # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
@@ -774,12 +815,19 @@ class FockDensity:
         for name, value in (("_blocks", tuple(blocks)), ("_values", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", _blocks_trace(blocks)),
-                            ("trace_deficit", float(self.trace_deficit))):
+                            ("trace_deficit", float(self.trace_deficit)),
+                            ("_parity_graded", graded)):
             object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.cutoff ** self.modes
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the packed block values, one per block: mirror copies
+        share theirs, and structural zeros take none."""
+        return sum(values.nbytes for _, values in self._blocks)
 
     @property
     def route(self) -> str | None:
@@ -1118,16 +1166,26 @@ def _moments(rho: FockDensity, words) -> list:
     the b-bands.  A word's value depends only on its own shift's slice, so
     ``moment``, ``moment_table`` and ``expectation_of_witness`` agree bit
     for bit.
+
+    When every block copy lies in one total parity, as on every density a
+    constructor builds, a word of odd length joins states of different
+    total parity and reads only structural zeros: its shift, with δa + δb
+    odd, is not gathered, and its value is exactly 0.  A dense density
+    keeps every shift.
     """
     ca, cb = rho.cutoff, _mode_b_cutoff(rho)
-    shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words}))
+    shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words
+                           if not (rho._parity_graded and (i + j + k + l) % 2)}))
+    if not shifts:
+        return [0j] * len(words)
     plan = _band_plan(ca, cb, shifts)
     grid = np.zeros((len(shifts), ca, cb), dtype=complex)
     grid.ravel()[plan.slots] = _entries(rho, plan.rows, plan.cols)
     half = np.matmul(plan.mode_a, grid.view(float))
     full = np.matmul(half, plan.mode_b).view(complex)
     index = {shift: n for n, shift in enumerate(shifts)}
-    return [complex(full[index[(i - k, j - l)], min(i, k), min(j, l)]) for i, j, k, l in words]
+    return [complex(full[index[(i - k, j - l)], min(i, k), min(j, l)])
+            if (i - k, j - l) in index else 0j for i, j, k, l in words]
 
 
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
@@ -1163,12 +1221,28 @@ def moment_table(rho: FockDensity, max_len: int) -> dict:
     return dict(zip(words, _moments(rho, words)))
 
 
+_PANEL = 32  # rows per gathered panel of a partial-transpose block
+
+
+def _partial_transpose_entries(rho: FockDensity, rows: np.ndarray,
+                               cols: np.ndarray) -> np.ndarray:
+    """PT[rows, cols] for flat two-mode indices, straight from the packed
+    buffer: PT[(x_a, x_b), (y_a, y_b)] = ρ[(x_a, y_b), (y_a, x_b)]."""
+    c = rho.cutoff
+    ra, rb = np.divmod(rows, c)
+    ca, cb = np.divmod(cols, c)
+    return _entries(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
+
+
 def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarray:
-    """Rows and columns ``members`` (flat two-mode indices) of the partial
-    transpose, PT[(x_a, x_b), (y_a, y_b)] = ρ[(x_a, y_b), (y_a, x_b)]."""
-    na, nb = np.divmod(members, rho.cutoff)
-    rows = na[:, None] * rho.cutoff + nb[None, :]
-    return _entries(rho, rows, rows.T)
+    """Rows and columns ``members`` of the partial transpose, gathered in
+    panels of ``_PANEL`` rows, so that the lookup's index arrays stay a
+    panel's size."""
+    out = np.empty((members.size, members.size), dtype=complex)
+    for start in range(0, members.size, _PANEL):
+        out[start:start + _PANEL] = _partial_transpose_entries(
+            rho, members[start:start + _PANEL], members)
+    return out
 
 
 def _partial_transpose_labels(rho: FockDensity) -> np.ndarray:
@@ -1213,36 +1287,53 @@ def _symmetric_block_min(rho: FockDensity, members: np.ndarray, swap_phase: floa
     PT[sx, sy] = e^{iδ(N_y − N_x)} conj(PT[x, y]), so M = D PT D† with
     D = diag(e^{iδN/2}) has M[sx, sy] = conj(M[x, y]) and is real in the
     basis {|j, j⟩, (|j, k⟩ + |k, j⟩)/√2, i(|j, k⟩ − |k, j⟩)/√2 : j < k}.
-    The block is gathered in the order (diagonal, upper j < k, their swap
-    images), and the symmetry is checked on its quadrants to the density's
-    Hermiticity tolerance; the complex block is released before the
-    eigensolve.
+    The states are ordered (diagonal, upper j < k, their swap images), and
+    the real form is filled in row panels read straight from the packed
+    buffer: panels of diagonal rows, then panels of upper rows with the
+    panels of their images.  The symmetry is checked on every quadrant of
+    M to the density's Hermiticity tolerance.  No complex block is formed;
+    the real one, half its size, is the only array of the block's size.
     """
-    na, nb = np.divmod(members, rho.cutoff)
+    c = rho.cutoff
+    na, nb = np.divmod(members, c)
     upper = na < nb
-    order = np.concatenate((members[na == nb], members[upper], nb[upper] * rho.cutoff + na[upper]))
-    m = _partial_transpose_block(rho, order)
-    if swap_phase:
-        phase = np.exp(0.5j * swap_phase * np.add(*np.divmod(order, rho.cutoff)))
-        m *= phase[:, None]
-        m *= phase.conj()
+    order = np.concatenate((members[na == nb], members[upper], nb[upper] * c + na[upper]))
+    phase = np.exp(0.5j * swap_phase * np.add(*np.divmod(order, c))) if swap_phase else None
+
+    def panel(start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of M."""
+        m = _partial_transpose_entries(rho, order[start:stop], order)
+        if phase is not None:
+            m *= phase[start:stop, None]
+            m *= phase.conj()
+        return m
+
     n_pairs = int(np.count_nonzero(upper))
     n_diag = order.size - 2 * n_pairs
     dg, up, lo = slice(n_diag), slice(n_diag, n_diag + n_pairs), slice(n_diag + n_pairs, None)
-    residual = max(_max_abs(m[dg, dg].imag), _max_abs(m[dg, lo] - m[dg, up].conj()),
-                   _max_abs(m[lo, lo] - m[up, up].conj()), _max_abs(m[lo, up] - m[up, lo].conj()))
+    real = np.empty((order.size, order.size))
+    residual = 0.0
+    for start in range(0, n_diag, _PANEL):
+        rows = slice(start, min(start + _PANEL, n_diag))
+        m = panel(rows.start, rows.stop)
+        residual = max(residual, _max_abs(m[:, dg].imag), _max_abs(m[:, lo] - m[:, up].conj()))
+        real[rows, dg] = m[:, dg].real
+        real[rows, up] = math.sqrt(2.0) * m[:, up].real
+        real[rows, lo] = -math.sqrt(2.0) * m[:, up].imag
+    for start in range(n_diag, n_diag + n_pairs, _PANEL):
+        rows = slice(start, min(start + _PANEL, n_diag + n_pairs))
+        images = slice(rows.start + n_pairs, rows.stop + n_pairs)
+        mu = panel(rows.start, rows.stop)
+        ml = panel(images.start, images.stop)
+        residual = max(residual, _max_abs(ml[:, lo] - mu[:, up].conj()),
+                       _max_abs(ml[:, up] - mu[:, lo].conj()))
+        real[rows, up] = mu[:, up].real + mu[:, lo].real
+        real[rows, lo] = mu[:, lo].imag - mu[:, up].imag
+        real[images, lo] = mu[:, up].real - mu[:, lo].real
     if residual > _HERMITICITY_TOL:
         return None
-    real = np.empty(m.shape)
-    real[dg, dg] = m[dg, dg].real
-    real[dg, up] = math.sqrt(2.0) * m[dg, up].real
-    real[dg, lo] = -math.sqrt(2.0) * m[dg, up].imag
-    real[up, up] = m[up, up].real + m[up, lo].real
-    real[up, lo] = m[up, lo].imag - m[up, up].imag
-    real[lo, lo] = m[up, up].real - m[up, lo].real
     for rows, cols in ((up, dg), (lo, dg), (lo, up)):
         real[rows, cols] = real[cols, rows].T
-    del m
     real /= rho.trace()
     return float(np.linalg.eigvalsh(real)[0])
 
@@ -1271,7 +1362,10 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
         members = np.flatnonzero(labels == g)
         value = None if swap_phase is None else _symmetric_block_min(rho, members, swap_phase)
         if value is None:
-            value = float(np.linalg.eigvalsh(_partial_transpose_block(rho, members) / trace)[0])
+            block = _partial_transpose_block(rho, members)
+            block /= trace
+            value = float(np.linalg.eigvalsh(block)[0])
+            del block
         lowest = min(lowest, value)
     return lowest
 

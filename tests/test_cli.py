@@ -305,11 +305,23 @@ class TestOracleRunFields:
         assert payload["oracle_route"] == route
         assert density(30).route == route
 
+    @pytest.mark.parametrize("name", list(_ORACLE_RUNS))
+    def test_packed_size_of_the_measured_density(self, capsys, name):
+        argv, density = _ORACLE_RUNS[name]
+        code, out, _ = run_cli(capsys, *argv, "--oracle", "--cutoff", "30", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["oracle_density_mb"] == density(30).nbytes / 1e6
+        # Two total-parity blocks of 450 states each on the bs route.
+        if payload["oracle_route"] == "bs":
+            assert payload["oracle_density_mb"] == 6.48
+
     def test_fields_absent_without_oracle(self, capsys):
         code, out, _ = run_cli(capsys, *_ORACLE_RUNS["epr"][0], "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert not {"oracle_route", "oracle_cutoff", "oracle_trace_deficit"} & set(payload)
+        assert not {"oracle_route", "oracle_cutoff", "oracle_trace_deficit",
+                    "oracle_density_mb"} & set(payload)
 
 
 class TestOracleFlags:

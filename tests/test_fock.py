@@ -384,6 +384,49 @@ class TestPartialTranspose:
         assert not bs_output_is_separable(n, m_star + 0.01, math.pi / 2)
 
 
+def _werner_pt_minimum(n, p, cutoff):
+    """Exact smallest eigenvalue of the truncated, renormalized partial
+    transpose of p·EPR(n, √(n(n+1))) + (1−p)·thermal⊗thermal.  The pure
+    part's transpose is Σ c_j c_k |jk⟩⟨kj|, and the thermal part is
+    diagonal, so the spectrum splits into the pairs {|jk⟩, |kj⟩}, j ≠ k,
+    and the states |jj⟩."""
+    q = n / (n + 1.0)
+    j = np.arange(cutoff)
+    w = (1.0 - q) * q ** j
+    c = math.sqrt(1.0 - q) * q ** (0.5 * j)
+    trace = (1.0 - p) * w.sum() ** 2 + p * np.sum(c ** 2)
+    pairs = (1.0 - p) * np.outer(w, w) - p * np.outer(c, c)
+    pairs[j, j] = (1.0 - p) * w ** 2 + p * c ** 2
+    return float(pairs.min()) / trace
+
+
+class TestWernerPartialTranspose:
+    """The Werner mixture's partial transpose against its exact spectrum."""
+
+    @pytest.mark.parametrize("cutoff", [30, 40])
+    @pytest.mark.parametrize("n", [0.3, 1.0])
+    def test_matches_the_exact_truncated_minimum(self, n, cutoff):
+        for p in (0.05, 0.2, 0.5, 0.9):
+            state = werner_mix(TwoModeGaussian.epr(n, complex(math.sqrt(n * (n + 1.0)))), p)
+            rho = fock.two_mode_density(state, cutoff)
+            assert fock.ppt_min_eigenvalue(rho) == pytest.approx(
+                _werner_pt_minimum(n, p, cutoff), abs=1e-14), p
+
+    def test_infimum_is_reached_only_on_the_grid(self):
+        # The pair {|jk⟩, |kj⟩} gives (1−p)x² − p·x with x = q^{(j+k)/2}/(n+1),
+        # whose infimum −p²/(4(1−p)) sits at x* = p/(2(1−p)).  At n = 1,
+        # x* = 1/8 is on the grid for p = 0.2 (j + k = 4) but not for p = 0.05.
+        for p, on_grid in ((0.2, True), (0.05, False)):
+            state = werner_mix(TwoModeGaussian.epr(1.0, complex(math.sqrt(2.0))), p)
+            value = fock.ppt_min_eigenvalue(fock.two_mode_density(state, 40))
+            infimum = -p * p / (4.0 * (1.0 - p))
+            if on_grid:
+                assert value == pytest.approx(infimum, abs=1e-9)
+            else:
+                assert value == pytest.approx(-6.4099e-4, abs=1e-8)
+                assert value > infimum + 1e-5
+
+
 class TestWitnessExpectations:
     def test_w2_of_experimental_state(self):
         s = OneModeGaussian(0.12041666666666662, 0.28708333333333336 + 0j)
@@ -716,6 +759,65 @@ def _seeded_bs_route(cutoff, seed=20261018):
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
             out.append((f"bs {k}", rho, _swap_phase(state)))
     return out
+
+
+class TestParityGradedMoments:
+    """A density graded by total parity gathers only the even band shifts;
+    its odd words are exact zeros."""
+
+    def test_constructors_grade_by_total_parity(self):
+        for name, rho in _graded_densities(10).items():
+            assert rho._parity_graded, name
+        bs = _graded_densities(10)["bs"]
+        dense = fock.FockDensity(2, 10, bs.matrix, bs.trace_deficit)
+        one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 10, eps_tr=1.0)
+        assert not dense._parity_graded
+        assert not one._parity_graded
+
+    def test_tables_equal_the_dense_copy_and_skip_odd_shifts(self, monkeypatch):
+        original = fock._band_plan
+        seen = []
+
+        def spy(ca, cb, shifts):
+            seen.append(shifts)
+            return original(ca, cb, shifts)
+
+        monkeypatch.setattr(fock, "_band_plan", spy)
+        for name, rho in _graded_densities(12).items():
+            dense = fock.FockDensity(2, 12, rho.matrix, rho.trace_deficit)
+            seen.clear()
+            table = fock.moment_table(rho, 6)
+            assert seen and all((da + db) % 2 == 0 for da, db in seen[0]), name
+            seen.clear()
+            dense_table = fock.moment_table(dense, 6)
+            assert any((da + db) % 2 for da, db in seen[0]), name
+            # Bit for bit: the even words read the same entries, and the
+            # odd ones are zero on both.
+            assert table == dense_table, name
+            odd = [value for counts, value in table.items() if sum(counts) % 2]
+            assert odd and all(value == 0j for value in odd), name
+
+    def test_single_odd_word_is_zero(self):
+        rho = _graded_densities(10)["bs"]
+        assert fock.moment(rho, OperatorWord.from_counts(1, 0, 0, 0)) == 0j
+        assert fock.moment(rho, OperatorWord.from_counts(1, 1, 1, 0)) == 0j
+
+
+class TestPackedSize:
+    def test_packed_bytes_per_route_at_cutoff_40(self):
+        mb = {route: fock.two_mode_density(state, 40).nbytes / 1e6
+              for route, state in (("tms", _TMS_STATE), ("bs", _BS_STATE),
+                                   ("tensor", _ROUTE_STATES["tensor"]))}
+        assert mb == {"tms": 0.35424, "tensor": 10.24, "bs": 20.48}
+
+    def test_dense_and_one_mode(self):
+        one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 10, eps_tr=1.0)
+        assert one.nbytes == 10 * 10 * 16
+        bs = _graded_densities(6)["bs"]
+        assert fock.FockDensity(2, 6, bs.matrix, bs.trace_deficit).nbytes == 36 * 36 * 16
+        # Mirror copies share one block: the tms blocks of d and −d.
+        tms = _graded_densities(6)["tms"]
+        assert tms.nbytes == 16 * sum(k * k for k in range(1, 7))
 
 
 class _EigvalshSpy:
@@ -1106,6 +1208,32 @@ class TestSwapBasisAssembly:
             assert fock._swap_rows(6).middle.shape == (1, 4)
         finally:
             fock._swap_rows.cache_clear()
+
+    def test_corrupted_spectrum_fails_the_cache_fill(self, monkeypatch):
+        original = fock._tridiagonal_spectrum
+
+        def skewed_vectors(*args):
+            lam, v = original(*args)
+            v[1, 2] += 1e-9
+            return lam, v
+
+        def skewed_values(*args):
+            lam, v = original(*args)
+            lam[3] *= 1.0 + 1e-9
+            return lam, v
+
+        fock._sector_spectrum.cache_clear()
+        try:
+            for corrupt in (skewed_vectors, skewed_values):
+                monkeypatch.setattr(fock, "_tridiagonal_spectrum", corrupt)
+                with pytest.raises(ValueError, match="tms sector 2 of size 20 fails its spectrum"):
+                    fock._sector_spectrum("tms", 20, 2)
+                monkeypatch.undo()
+            assert fock._sector_spectrum.cache_info().currsize == 0
+            lam, v = fock._sector_spectrum("tms", 20, 2)
+            assert lam.shape == (18,)
+        finally:
+            fock._sector_spectrum.cache_clear()
 
     def test_swap_rows_obey_the_mixer_block(self):
         for total in (0, 1, 6, 7, 40):

@@ -1,0 +1,83 @@
+"""Working memory of the Fock oracle at cutoff 40, measured in process with
+tracemalloc: one density at a time, and temporaries of about half a
+beam-splitter (bs) density, 20.48 MB of packed blocks.
+
+Every cache a measurement touches is filled before it is traced, so the
+numbers are the call's own.  tracemalloc sees numpy's array data but not
+LAPACK's workspace.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from squeezekit import OneModeGaussian, beam_splitter, mode_rotation
+from squeezekit import fock
+from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
+
+MB = 1e6
+CUTOFF = 40
+# Bounds on the temporaries above what a call leaves alive.  At cutoff 40
+# they measure about 8.0 MB (assembly) and 7.1 MB (partial transpose); the
+# margin is for numpy's own temporaries.
+BS_ASSEMBLY_TRANSIENT_MB = 11.0
+BS_PPT_TRANSIENT_MB = 9.0
+
+_BS_STATE = mode_rotation(
+    beam_splitter(OneModeGaussian(0.8, 0.5 + 0j), OneModeGaussian(0.6, 0.3j), 0.4), 0.3, 0.7)
+
+
+def _traced(call):
+    """(result, live MB the call left, peak MB above the memory before it)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (current - base) / MB, (peak - base) / MB
+
+
+@pytest.fixture(scope="module")
+def bs_density():
+    rho = fock.two_mode_density(_BS_STATE, CUTOFF)
+    fock.ppt_min_eigenvalue(rho)
+    fock.moment_table(rho, 6)
+    return rho
+
+
+def test_bs_density_is_its_packed_blocks(bs_density):
+    assert bs_density.route == "bs"
+    assert bs_density.nbytes == 2 * 800 * 800 * 16
+
+
+def test_bs_assembly_temporaries(bs_density):
+    rho, live, peak = _traced(lambda: fock.two_mode_density(_BS_STATE, CUTOFF))
+    assert live == pytest.approx(rho.nbytes / MB, abs=0.2)
+    assert peak - live <= BS_ASSEMBLY_TRANSIENT_MB
+
+
+def test_bs_partial_transpose_temporaries(bs_density):
+    _, live, peak = _traced(lambda: fock.ppt_min_eigenvalue(bs_density))
+    assert abs(live) < 0.1
+    assert peak <= BS_PPT_TRANSIENT_MB
+
+
+def test_moment_table_temporaries(bs_density):
+    # Only the even band shifts are gathered on a density graded by total
+    # parity: about 3 MB at cutoff 40, against 5.1 MB for every shift.
+    _, _, peak = _traced(lambda: fock.moment_table(bs_density, 6))
+    assert peak <= 4.0
+
+
+def test_concordance_suite_holds_one_density_at_a_time(bs_density):
+    # At the default seed, 16 states give two bs states in a row.  The
+    # first call fills the caches; the second is traced.
+    kwargs = {"n_states": 16, "seed": DEFAULT_SEED}
+    assert run_concordance_suite(**kwargs).ok
+    report, _, peak = _traced(lambda: run_concordance_suite(**kwargs))
+    assert report.ok
+    assert peak <= bs_density.nbytes / MB + BS_ASSEMBLY_TRANSIENT_MB
