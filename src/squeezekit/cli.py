@@ -14,8 +14,11 @@ does not read or a required one left out: a family takes the same flags in
 ``classify``, ``witness whbt`` and ``sweep``.  Only ``classify``, ``sweep`` and
 ``amplifier`` take ``--oracle``; with it they report the route, the cutoff,
 the trace deficit and the packed size (``oracle_density_mb``) of the density
-they measured.  ``oracle-check`` takes
-``--cutoff`` for its suite.
+they measured.  ``amplifier`` reports its gains and classicality threshold,
+then the ``classify one-mode`` fields of its output state.  ``sweep`` exits 4
+when the oracle disagrees at any point; a point the gate rejects is a row
+with ``physical`` false and does not change the exit code.  ``oracle-check``
+takes ``--cutoff`` for its suite.
 """
 
 from __future__ import annotations
@@ -168,46 +171,67 @@ def _family_values(args, family, free=None) -> dict:
 
 # --- state builders ------------------------------------------------------------
 # One per family, shared by ``classify``, ``sweep`` and ``witness``: each reads
-# the family's parameters by name from a mapping (``_family_values``).  Only
-# ``werner_mix`` gates what it builds.
+# the family's parameters by name from a mapping (``_family_values``), its
+# angles in radians (``_in_radians``).  Only ``werner_mix`` gates what it builds.
 
-def _build_one_mode(params, radians):
-    phase = _angle(params["m_phase"], radians)
-    return OneModeGaussian(params["n"], params["m"] * cmath.exp(1j * phase))
+_ANGLES = ("m_phase", "lam", "lam1", "lam2")
 
 
-def _build_pair(params, radians):
-    return TwoModeGaussian.pair_with_phase(_build_one_mode(params, radians),
-                                           _angle(params["lam"], radians))
+def _in_radians(params, radians) -> dict:
+    """``params`` with every angle in radians."""
+    return {name: _angle(value, radians) if name in _ANGLES else value
+            for name, value in params.items()}
 
 
-def _build_epr(params, radians):
-    return TwoModeGaussian.epr(params["n"], complex(params["mc"]))
+def _build_one_mode(q):
+    return OneModeGaussian(q["n"], q["m"] * cmath.exp(1j * q["m_phase"]))
 
 
-def _build_werner(params, radians):
-    return werner_mix(_build_epr(params, radians), params["p"])
+def _build_pair(q):
+    return TwoModeGaussian.pair_with_phase(_build_one_mode(q), q["lam"])
 
 
-def _build_bs_output(params, radians):
-    s = OneModeGaussian(params["n"], complex(params["m"]))
-    return beam_splitter(s, s, _angle(params["lam"], radians))
+def _build_epr(q):
+    return TwoModeGaussian.epr(q["n"], complex(q["mc"]))
 
 
-def _build_general(params, radians):
-    m = params["m"]
-    return TwoModeGaussian(params["n"], m * cmath.exp(1j * _angle(params["lam1"], radians)),
-                           m * cmath.exp(1j * _angle(params["lam2"], radians)),
-                           complex(params["mc"]))
+def _build_werner(q):
+    return werner_mix(_build_epr(q), q["p"])
+
+
+def _build_bs_output(q):
+    s = OneModeGaussian(q["n"], complex(q["m"]))
+    return beam_splitter(s, s, q["lam"])
+
+
+def _build_general(q):
+    m = q["m"]
+    return TwoModeGaussian(q["n"], m * cmath.exp(1j * q["lam1"]), m * cmath.exp(1j * q["lam2"]),
+                           complex(q["mc"]))
 
 
 _TWO_MODE_BUILDERS = {"pair": _build_pair, "epr": _build_epr, "werner": _build_werner,
                       "bs-output": _build_bs_output, "general": _build_general}
 
+# Each family's closed-form visibilities and the parameters they read, in order.
+_VISIBILITIES = {
+    "uncorrelated": (visibilities_uncorrelated, ("n", "m", "lam")),
+    "epr": (visibility_epr, ("n", "mc")),
+    "werner": (visibility_werner, ("n", "mc", "p")),
+    "bs-output": (visibilities_bs_output, ("n", "m", "lam")),
+    "general": (visibilities_general, ("n", "m", "mc", "lam1", "lam2")),
+}
+
+
+def _visibilities(family, q):
+    formula, names = _VISIBILITIES[family]
+    return formula(*(q[name] for name in names))
+
 
 # --- family descriptions -------------------------------------------------------
-# A describer returns the reported fields and, for a nonphysical state, the
-# gate's NonPhysicalStateError, otherwise whether the oracle disagrees.
+# ``_describe`` returns the reported fields and, for a nonphysical state, the
+# gate's NonPhysicalStateError, otherwise whether the oracle disagrees, as
+# ``_one_mode_report`` does for the state it reports.
 
 def _vacuum(state) -> bool:
     """Whether a physical two-mode state or mixture is the vacuum, the one
@@ -227,13 +251,17 @@ def _gate(out, state):
     return None
 
 
-def _describe_one_mode(params, radians, oracle, cutoff):
-    s = _build_one_mode(params, radians)
-    out = {"n": s.n, "m": abs(s.m), "m_phase": params["m_phase"]}
+def _one_mode_report(s, out, oracle, cutoff):
+    """Add the report of the one-mode state ``s`` to ``out``: the gate, the
+    classification, the quadrature variances, purity, g2, w2 with its
+    verdict, the visibilities and the witness of a pair of copies, and
+    under ``--oracle`` the oracle's g2, purity and w2 deltas.  Return the
+    gate's error for a nonphysical state, else whether the oracle
+    disagrees."""
     rejection = _gate(out, s)
     if rejection:
         out["classification"] = "nonphysical"
-        return out, rejection
+        return rejection
     out["classification"] = is_p_representable(s).value
     out["pure"] = s.is_pure()
     dx1, dx2 = quadrature_variances(s)
@@ -263,7 +291,7 @@ def _describe_one_mode(params, radians, oracle, cutoff):
             fock.expectation_of_witness(rho, WitnessKind.W2), out["w2"])
         disagree = any(out[k] > ORACLE_RTOL for k in
                        ("oracle_g2_delta", "oracle_purity_delta", "oracle_w2_delta"))
-    return out, disagree
+    return disagree
 
 
 def _oracle_run_fields(rho, out):
@@ -291,133 +319,109 @@ def _witness_tail(state, out, oracle, cutoff):
     return out["oracle_whbt_delta"] > ORACLE_RTOL
 
 
-def _describe_epr(params, radians, oracle, cutoff):
-    n, mc = params["n"], params["mc"]
-    out = {"n": n, "mc": mc}
-    state = _build_epr(params, radians)
-    rejection = _gate(out, state)
-    if rejection:
-        return out, rejection
-    out["entangled"] = epr_is_entangled(n, mc)
-    if _vacuum(state):
-        return out, False
-    out["v_minus"] = visibility_epr(n, mc).v_minus
-    return out, _witness_tail(state, out, oracle, cutoff)
+def _epr_verdict(q, state):
+    return {"entangled": epr_is_entangled(q["n"], q["mc"])}
 
 
-def _describe_werner(params, radians, oracle, cutoff):
-    n, mc, p = params["n"], params["mc"], params["p"]
-    out = {"n": n, "mc": mc, "p": p, "physical": False}
-    try:
-        mixture = _build_werner(params, radians)
-    except NonPhysicalStateError as exc:
-        return out, exc
-    out["physical"] = True
-    if n > 0:
-        out["hbt_threshold"] = werner_hbt_threshold(n)
-        out["ppt_threshold"] = werner_ppt_threshold(n)
-    if _vacuum(mixture):
-        return out, False
-    out["v_minus"] = visibility_werner(n, mc, p).v_minus
-    return out, _witness_tail(mixture, out, oracle, cutoff)
+def _werner_verdict(q, state):
+    """The witness and partial-transpose thresholds, defined for n > 0."""
+    if q["n"] <= 0:
+        return {}
+    return {"hbt_threshold": werner_hbt_threshold(q["n"]),
+            "ppt_threshold": werner_ppt_threshold(q["n"])}
 
 
-def _describe_bs_output(params, radians, oracle, cutoff):
-    n, m = params["n"], params["m"]
-    lam = _angle(params["lam"], radians)
-    out = {"n": n, "m": m, "lam": params["lam"]}
-    state = _build_bs_output(params, radians)
-    rejection = _gate(out, state)
-    out["m_out_abs"] = abs(state.m_a)
-    out["mc_out_abs"] = abs(state.m_c)
-    out["separable"] = bs_output_is_separable(n, m, lam)
-    if not rejection and _vacuum(state):
-        return out, False
-    vis = visibilities_bs_output(n, m, lam)
-    out["v_minus"] = vis.v_minus
-    out["v_plus"] = vis.v_plus
-    report = classical_inequality_report(vis, InequalityContext.BEAM_SPLITTER_OUTPUT)
-    out["fringe_classical"] = report.classical
-    if rejection:
-        return out, rejection
-    return out, _witness_tail(state, out, oracle, cutoff)
+def _bs_output_verdict(q, state):
+    return {"m_out_abs": abs(state.m_a), "mc_out_abs": abs(state.m_c),
+            "separable": bs_output_is_separable(q["n"], q["m"], q["lam"])}
 
 
-def _describe_general(params, radians, oracle, cutoff):
-    n, m, mc = params["n"], params["m"], params["mc"]
-    lam1 = _angle(params["lam1"], radians)
-    lam2 = _angle(params["lam2"], radians)
-    out = {"n": n, "m": m, "mc": mc, "lam1": params["lam1"], "lam2": params["lam2"]}
-    state = _build_general(params, radians)
-    rejection = _gate(out, state)
-    out["separable"] = general_is_separable(n, m, mc, lam1, lam2)
-    if rejection or _vacuum(state):
-        return out, rejection
-    vis = visibilities_general(n, m, mc, lam1, lam2)
-    out["v_minus"] = vis.v_minus
-    out["v_plus"] = vis.v_plus
-    out["v_m"] = vis.v_m
-    return out, _witness_tail(state, out, oracle, cutoff)
+def _general_verdict(q, state):
+    return {"separable": general_is_separable(q["n"], q["m"], q["mc"], q["lam1"], q["lam2"])}
 
 
-_FAMILIES = {
-    "one-mode": _describe_one_mode,
-    "epr": _describe_epr,
-    "werner": _describe_werner,
-    "bs-output": _describe_bs_output,
-    "general": _describe_general,
+# Each two-mode family's published-formula fields: its verdict, the
+# visibilities its fringe reports and the classical bound they are held to,
+# where the paper gives one.
+_TWO_MODE = {
+    "epr": (_epr_verdict, ("v_minus",), None),
+    "werner": (_werner_verdict, ("v_minus",), None),
+    "bs-output": (_bs_output_verdict, ("v_minus", "v_plus"),
+                  InequalityContext.BEAM_SPLITTER_OUTPUT),
+    "general": (_general_verdict, ("v_minus", "v_plus", "v_m"), None),
 }
+
+_FAMILIES = ("one-mode", *_TWO_MODE)
+
+
+def _describe(family, params, radians, oracle, cutoff):
+    """The report of ``family`` at ``params``: the parameters, then the
+    one-mode report, or the gate, the family's verdict and, on a physical
+    two-mode state other than the vacuum, its fringe and the intensity
+    witness.  On a state the gate rejects, the published fields stop at the
+    first formula that gates its own parameters; a Werner mixture that
+    cannot be built reports only that it is not physical."""
+    q = _in_radians(params, radians)
+    if family == "one-mode":
+        s = _build_one_mode(q)
+        out = {"n": s.n, "m": abs(s.m), "m_phase": params["m_phase"]}
+        return out, _one_mode_report(s, out, oracle, cutoff)
+    out = {name: params[name] for name in _PARAMETERS[family][0]}
+    try:
+        state = _TWO_MODE_BUILDERS[family](q)
+    except NonPhysicalStateError as exc:
+        out["physical"] = False
+        return out, exc
+    rejection = _gate(out, state)
+    verdict, shown, bound = _TWO_MODE[family]
+    try:
+        out.update(verdict(q, state))
+        if rejection is None and _vacuum(state):
+            return out, False
+        vis = _visibilities(family, q)
+        out.update((name, getattr(vis, name)) for name in shown)
+        if bound:
+            out["fringe_classical"] = classical_inequality_report(vis, bound).classical
+    except NonPhysicalStateError:
+        if rejection is None:
+            raise
+    if rejection:
+        return out, rejection
+    return out, _witness_tail(state, out, oracle, cutoff)
 
 
 # --- command handlers -----------------------------------------------------------
 
-def _cmd_classify(args) -> int:
-    describe = _FAMILIES[args.family]
-    fields, outcome = describe(_family_values(args, args.family), args.radians, args.oracle,
-                               args.cutoff)
+def _conclude(args, fields, outcome) -> int:
+    """Report ``fields``; raise the gate's error for a nonphysical state,
+    else exit 4 when the oracle disagrees."""
     _report(args, fields)
     if isinstance(outcome, NonPhysicalStateError):
         raise outcome
     return 4 if outcome else 0
 
 
+def _cmd_classify(args) -> int:
+    params = _family_values(args, args.family)
+    return _conclude(args, *_describe(args.family, params, args.radians, args.oracle,
+                                      args.cutoff))
+
+
 def _cmd_amplifier(args) -> int:
     gains = AmplifierGains(args.G, args.H)
     s = amplifier_output(gains)
-    fields = {
-        "G": gains.G,
-        "H": gains.H,
-        "n": s.n,
-        "m": abs(s.m),
-        "classical_threshold": is_classical_threshold(gains),
-        "classification": is_p_representable(s).value,
-        "purity": purity_one_mode(s),
-    }
-    if s.n > 0:
-        fields["g2"] = g2(s)
-        fields["w2"] = w2_expectation(s).value
-        vis = visibilities_uncorrelated(s.n, abs(s.m))
-        fields["v_minus"] = vis.v_minus
-        fields["v_plus"] = vis.v_plus
-        fields["whbt_pair"] = whbt_closed_form_uncorrelated(s.n, abs(s.m))
-    disagree = False
-    if args.oracle and s.n > 0:
-        rho = fock.one_mode_density(s, args.cutoff)
-        _oracle_run_fields(rho, fields)
-        fields["oracle_purity_delta"] = oracle_check.relative_error(rho.purity(), fields["purity"])
-        fields["oracle_w2_delta"] = oracle_check.relative_error(
-            fock.expectation_of_witness(rho, WitnessKind.W2), fields["w2"])
-        disagree = max(fields["oracle_purity_delta"], fields["oracle_w2_delta"]) > ORACLE_RTOL
-    _report(args, fields)
-    return 4 if disagree else 0
+    fields = {"G": gains.G, "H": gains.H, "n": s.n, "m": abs(s.m),
+              "classical_threshold": is_classical_threshold(gains)}
+    return _conclude(args, fields, _one_mode_report(s, fields, args.oracle, args.cutoff))
 
 
 def _cmd_witness(args) -> int:
+    family = "one-mode" if args.kind == "w2" else args.family
+    q = _in_radians(_family_values(args, family), args.radians)
     if args.kind == "w2":
-        report = w2_expectation(_build_one_mode(vars(args), args.radians))
+        report = w2_expectation(_build_one_mode(q))
     else:
-        params = _family_values(args, args.family)
-        report = whbt_expectation(_TWO_MODE_BUILDERS[args.family](params, args.radians))
+        report = whbt_expectation(_TWO_MODE_BUILDERS[family](q))
     _report(args, {
         "witness": report.witness_kind.value,
         "value": report.value,
@@ -426,19 +430,8 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-_VISIBILITIES = {
-    "uncorrelated": (visibilities_uncorrelated, ("n", "m", "lam")),
-    "epr": (visibility_epr, ("n", "mc")),
-    "werner": (visibility_werner, ("n", "mc", "p")),
-    "bs-output": (visibilities_bs_output, ("n", "m", "lam")),
-    "general": (visibilities_general, ("n", "m", "mc", "lam1", "lam2")),
-}
-
-
 def _cmd_visibility(args) -> int:
-    formula, names = _VISIBILITIES[args.family]
-    vis = formula(*(_angle(getattr(args, nm), args.radians) if nm.startswith("lam")
-                    else getattr(args, nm) for nm in names))
+    vis = _visibilities(args.family, _in_radians(vars(args), args.radians))
     _report(args, {
         "v_minus": vis.v_minus,
         "v_plus": vis.v_plus,
@@ -592,10 +585,12 @@ def _cmd_sweep(args) -> int:
     if name not in _PARAMETERS[family][0]:
         raise ValueError(f"family {family!r} has no parameter {name!r}")
     params = _family_values(args, family, free=name)
-    points = []
+    points, disagree = [], False
     for value in np.linspace(float(lo), float(hi), int(num)):
         params[name] = float(value)
-        points.append(_FAMILIES[family](params, args.radians, args.oracle, args.cutoff)[0])
+        fields, outcome = _describe(family, params, args.radians, args.oracle, args.cutoff)
+        points.append(fields)
+        disagree = disagree or not isinstance(outcome, NonPhysicalStateError) and outcome
     # Every field any point reports, in the order of the fullest report.
     columns = list(dict.fromkeys(key for fields in sorted(points, key=len, reverse=True)
                                  for key in fields))
@@ -606,7 +601,7 @@ def _cmd_sweep(args) -> int:
         _emit(args, json.dumps(payload, indent=2) + "\n")
     else:
         _emit(args, _csv(columns, rows, comment))
-    return 0
+    return 4 if disagree else 0
 
 
 def _cmd_oracle_check(args) -> int:
@@ -700,9 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="witness expectation value and verdict")
     wit_sub = p_wit.add_subparsers(dest="kind", required=True)
     w2p = wit_sub.add_parser("w2")
-    w2p.add_argument("--n", type=float, required=True)
-    w2p.add_argument("--m", type=float, required=True)
-    w2p.add_argument("--m-phase", dest="m_phase", type=float, default=0.0)
+    _add_parameters(w2p, *_PARAMETERS["one-mode"])
     _add_common(w2p)
     _add_angles(w2p)
     w2p.set_defaults(func=_cmd_witness)

@@ -81,10 +81,11 @@ The partial-transpose spectrum is taken one block at a time under the
 finest grading (n_a + n_b, then total parity, then none) whose blocks hold
 the whole partial transpose.  PT[x, y] = ρ[p, q] with p = (x_a, y_b) and
 q = (y_a, x_b), so N_x − N_y = d_p − d_q with d = n_a − n_b; the grading is
-verified on ρ's own blocks, which must join only states of equal d (of
-equal d mod 2 for total parity).  Each constructor records its route on
-the density.  A bs-route density R B₀(ρ₁ ⊗ ρ₂) B₀† R†, with B₀ the real
-λ = 0 mixer and R = e^{iα n_a + iβ n_b} the local phases, also records
+read once, when the density is made, off its block members: blocks that
+each join states of one d give n_a + n_b, of one d mod 2 total parity.
+Each constructor records its route on the density.  A bs-route density
+R B₀(ρ₁ ⊗ ρ₂) B₀† R†, with B₀ the real λ = 0 mixer and
+R = e^{iα n_a + iβ n_b} the local phases, also records
 δ = θ_d − θ_c: B₀ maps the input parity (−1)^{n_a} to a signed mode swap,
 so ρ commutes with T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩.  Under partial
 transposition that symmetry becomes antiunitary, and with the phases
@@ -717,11 +718,15 @@ class FockDensity:
     Measurements read the blocks through
     a per-state lookup; ``matrix`` is a dense read-only view built on first
     use.  A density from this module's constructors records how it was
-    built (``route``); a dense one records nothing.  The value is immutable.
+    built (``route``); a dense one records nothing.  Every density records
+    its grading once, from its block members alone: the modulus k such that
+    each block copy joins states of one d = n_a − n_b mod k (see
+    ``__post_init__``); a dense one has k = 1, no grading.  The value is
+    immutable.
     """
 
     __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_row_key",
-                 "_col_key", "_trace", "_matrix", "_origin", "_parity_graded")
+                 "_col_key", "_trace", "_matrix", "_origin", "_d_modulus")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
         self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit, None)
@@ -798,10 +803,13 @@ class FockDensity:
             offset += size * size
         if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in raw):
             raise ValueError("blocks overlap")
-        # Whether every block copy lies in one total parity of its photon
-        # numbers (n on one mode, n_a + n_b on two).
-        parity = [np.add(*np.divmod(members, self.cutoff)) % 2 for members, _ in raw]
-        graded = all(np.all(p == p[:, :1]) for p in parity)
+        # The grading: the largest modulus k among 2·cutoff, 2 and 1 such
+        # that every block copy joins states of one d = n_a − n_b mod k (−n
+        # on one mode).  No two states differ in d by 2·cutoff, so that k is
+        # d itself; k = 2 is total parity, and k = 1 no grading.
+        d = [np.subtract(*np.divmod(members, self.cutoff)) for members, _ in raw]
+        modulus = next(k for k in (2 * self.cutoff, 2, 1)
+                       if all(np.all((x - x[:, :1]) % k == 0) for x in d))
         _require_hermitian(deviation)
         packed.flags.writeable = False
         # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
@@ -816,7 +824,7 @@ class FockDensity:
                             ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", _blocks_trace(blocks)),
                             ("trace_deficit", float(self.trace_deficit)),
-                            ("_parity_graded", graded)):
+                            ("_d_modulus", modulus)):
             object.__setattr__(self, name, value)
 
     @property
@@ -1167,15 +1175,17 @@ def _moments(rho: FockDensity, words) -> list:
     ``moment``, ``moment_table`` and ``expectation_of_witness`` agree bit
     for bit.
 
-    When every block copy lies in one total parity, as on every density a
-    constructor builds, a word of odd length joins states of different
-    total parity and reads only structural zeros: its shift, with δa + δb
-    odd, is not gathered, and its value is exactly 0.  A dense density
-    keeps every shift.
+    When every block copy lies in one total parity (an even grading
+    modulus, see ``FockDensity``), as on every density a constructor
+    builds, a word of odd length joins states of different total parity
+    and reads only structural zeros: its shift, with δa + δb odd, is not
+    gathered, and its value is exactly 0.  A dense density keeps every
+    shift.
     """
     ca, cb = rho.cutoff, _mode_b_cutoff(rho)
+    parity_graded = rho._d_modulus % 2 == 0
     shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words
-                           if not (rho._parity_graded and (i + j + k + l) % 2)}))
+                           if not (parity_graded and (i + j + k + l) % 2)}))
     if not shifts:
         return [0j] * len(words)
     plan = _band_plan(ca, cb, shifts)
@@ -1243,34 +1253,6 @@ def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarra
         out[start:start + _PANEL] = _partial_transpose_entries(
             rho, members[start:start + _PANEL], members)
     return out
-
-
-def _partial_transpose_labels(rho: FockDensity) -> np.ndarray:
-    """Per basis state, its label in the finest grading among n_a + n_b,
-    total parity and none whose blocks hold the whole partial transpose.
-
-    PT[x, y] = ρ[p, q] with p = (x_a, y_b) and q = (y_a, x_b), so
-    N_x − N_y = d_p − d_q with d = n_a − n_b: the partial transpose is block
-    diagonal in N (in N mod 2) exactly when every nonzero entry of ρ's
-    blocks joins states of equal d (of equal d mod 2).  That is checked on
-    the density itself.
-    """
-    c = rho.cutoff
-    na, nb = np.divmod(np.arange(c * c), c)
-    d = na - nb
-
-    def holds(key) -> bool:
-        for members, values in rho._blocks:
-            k = key[members]    # one row per copy of the block
-            if np.any((values != 0) & (k[:, :, None] != k[:, None])):
-                return False
-        return True
-
-    if holds(d):
-        return na + nb
-    if holds(d % 2):
-        return (na + nb) % 2
-    return np.zeros(c * c, dtype=int)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -1344,17 +1326,19 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
     Nonnegative (up to truncation noise) for separable states; strictly
     negative values certify entanglement.
 
-    The spectrum is the union of the spectra of the blocks of the finest
-    grading, among n_a + n_b, total parity and none, whose blocks hold the
-    whole partial transpose (see ``_partial_transpose_labels``), taken one
-    block at a time.  A bs-route density commutes with a phased mode swap,
+    The spectrum is the union of the spectra of the blocks of N = n_a + n_b
+    modulo the density's grading modulus k, taken one block at a time.
+    PT[x, y] = ρ[p, q] with p = (x_a, y_b) and q = (y_a, x_b), so
+    N_x − N_y = d_p − d_q with d = n_a − n_b, and ρ joins only states of
+    equal d mod k: the partial transpose joins only states of equal N mod
+    k.  A bs-route density commutes with a phased mode swap,
     which makes each block real symmetric up to known phases
     (``_symmetric_block_min``); a block that fails that check, and every
     other density, takes the complex Hermitian eigensolver.
     """
     if rho.modes != 2:
         raise ValueError("partial transpose needs a two-mode density")
-    labels = _partial_transpose_labels(rho)
+    labels = np.add(*np.divmod(np.arange(rho.dim), rho.cutoff)) % rho._d_modulus
     swap_phase = None if rho._origin is None else rho._origin.swap_phase
     trace = rho.trace()
     lowest = math.inf

@@ -13,6 +13,7 @@ from squeezekit import (
     fock,
     werner_mix,
 )
+from squeezekit import cli
 from squeezekit.cli import build_parser, main
 
 
@@ -415,6 +416,23 @@ class TestAmplifier:
         assert float(payload["w2"]) == pytest.approx(-4.68, abs=0.05)
         assert payload["classical_threshold"] is False
 
+    def test_reports_the_classify_fields_of_its_output_state(self, capsys):
+        code, out, _ = run_cli(capsys, "amplifier", "--G", "1.65", "--H", "1.05", "--oracle",
+                               "--format", "json")
+        assert code == 0
+        amplifier = json.loads(out)
+        assert list(amplifier)[:5] == ["G", "H", "n", "m", "classical_threshold"]
+        for key in ("G", "H", "classical_threshold"):
+            del amplifier[key]
+        s = amplifier_output(AmplifierGains(1.65, 1.05))
+        code, out, _ = run_cli(capsys, "classify", "one-mode", "--n", repr(s.n),
+                               "--m", repr(abs(s.m)), "--oracle", "--format", "json")
+        assert code == 0
+        classify = json.loads(out)
+        del classify["m_phase"]
+        assert amplifier == classify
+        assert {"physical", "w2_verdict", "oracle_g2_delta"} <= set(amplifier)
+
     def test_invalid_gain_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "amplifier", "--G", "0.5", "--H", "1.0")
         assert code == 2
@@ -547,6 +565,30 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "epr", "--n", "1",
                                "--vary", "zzz", "0", "1", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("one-mode", "--n", "0.5", "--vary", "m", "0.3", "0.9", "3"),
+        ("epr", "--n", "0.5", "--vary", "mc", "0.3", "0.9", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_oracle_disagreement_exits_four(self, capsys, monkeypatch, argv):
+        # With no tolerance every oracle delta disagrees; the last point is
+        # not a state, and its row does not hide the disagreement.
+        code, _, _ = run_cli(capsys, "sweep", *argv, "--oracle", "--cutoff", "30")
+        assert code == 0
+        monkeypatch.setattr(cli, "ORACLE_RTOL", 0.0)
+        code, out, _ = run_cli(capsys, "sweep", *argv, "--oracle", "--cutoff", "30")
+        assert code == 4
+        header, rows = parse_csv(out)
+        physical = [row[header.index("physical")] for row in rows]
+        assert physical == ["true", "true", "false"]
+
+    def test_gate_rejected_rows_exit_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_RTOL", 0.0)
+        code, out, _ = run_cli(capsys, "sweep", "epr", "--n", "1", "--vary", "mc", "1.5", "1.6",
+                               "2", "--oracle")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert [row[header.index("physical")] for row in rows] == ["false", "false"]
 
     def test_unconverged_oracle_point_exits_two_with_remedy(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "epr", "--n", "1", "--vary", "mc", "0", "1", "3",
@@ -682,3 +724,75 @@ class TestOracleCheckCommand:
             "one-mode moments", "one-mode purity", "single-mode witness",
             "two-mode moments", "intensity witness", "partial-transpose boundary",
         }
+
+
+_ONE_MODE_KEYS = ["n", "m", "m_phase", "physical", "classification", "pure", "var_x1",
+                  "var_x2", "purity"]
+_WITNESS_KEYS = ["whbt", "whbt_verdict"]
+_TWO_MODE_ORACLE_KEYS = ["oracle_route", "oracle_cutoff", "oracle_trace_deficit",
+                         "oracle_density_mb", "oracle_ppt_min_eig", "oracle_whbt_delta"]
+_REPORT_KEYS = {
+    # family -> (physical state, its keys), (nonphysical state, its keys),
+    # (the vacuum, its keys); under --oracle the physical state's keys are
+    # followed by the oracle's
+    "one-mode": (
+        (("--n", "0.3", "--m", "0.4"),
+         _ONE_MODE_KEYS + ["g2", "w2", "w2_verdict", "v_minus", "v_plus", "whbt_pair"]),
+        (("--n", "0.5", "--m", "1"), _ONE_MODE_KEYS[:5]),
+        (("--n", "0", "--m", "0"), _ONE_MODE_KEYS),
+    ),
+    "epr": (
+        (("--n", "0.3", "--mc", "0.4"),
+         ["n", "mc", "physical", "entangled", "v_minus"] + _WITNESS_KEYS),
+        (("--n", "1", "--mc", "1.5"), ["n", "mc", "physical"]),
+        (("--n", "0", "--mc", "0"), ["n", "mc", "physical", "entangled"]),
+    ),
+    "werner": (
+        (("--n", "0.3", "--mc", "0.4", "--p", "0.6"),
+         ["n", "mc", "p", "physical", "hbt_threshold", "ppt_threshold", "v_minus"]
+         + _WITNESS_KEYS),
+        (("--n", "1", "--mc", "1.5", "--p", "0.5"), ["n", "mc", "p", "physical"]),
+        (("--n", "0", "--mc", "0", "--p", "0.5"), ["n", "mc", "p", "physical"]),
+    ),
+    "bs-output": (
+        (("--n", "0.3", "--m", "0.4", "--lam", "0.3"),
+         ["n", "m", "lam", "physical", "m_out_abs", "mc_out_abs", "separable", "v_minus",
+          "v_plus", "fringe_classical"] + _WITNESS_KEYS),
+        (("--n", "0.5", "--m", "1", "--lam", "0.3"),
+         ["n", "m", "lam", "physical", "m_out_abs", "mc_out_abs", "separable", "v_minus",
+          "v_plus", "fringe_classical"]),
+        (("--n", "0", "--m", "0", "--lam", "0"),
+         ["n", "m", "lam", "physical", "m_out_abs", "mc_out_abs", "separable"]),
+    ),
+    "general": (
+        (("--n", "0.3", "--m", "0.2", "--mc", "0.3", "--lam1", "0", "--lam2", "0.5"),
+         ["n", "m", "mc", "lam1", "lam2", "physical", "separable", "v_minus", "v_plus", "v_m"]
+         + _WITNESS_KEYS),
+        (("--n", "1", "--m", "1.5", "--mc", "0.9", "--lam1", "0", "--lam2", "0.5"),
+         ["n", "m", "mc", "lam1", "lam2", "physical", "separable"]),
+        (("--n", "0", "--m", "0", "--mc", "0", "--lam1", "0", "--lam2", "0"),
+         ["n", "m", "mc", "lam1", "lam2", "physical", "separable"]),
+    ),
+}
+
+
+class TestReportOrder:
+    """The ordered keys of ``classify --format json`` for every family, on a
+    physical state (with and without the oracle), a nonphysical one and the
+    vacuum."""
+
+    @pytest.mark.parametrize("family", list(_REPORT_KEYS))
+    def test_keys_in_order(self, capsys, family):
+        (physical, keys), (nonphysical, rejected_keys), (vacuum, vacuum_keys) = \
+            _REPORT_KEYS[family]
+        oracle_keys = (["oracle_route", "oracle_cutoff", "oracle_trace_deficit",
+                        "oracle_density_mb", "oracle_g2_delta", "oracle_purity_delta",
+                        "oracle_w2_delta"] if family == "one-mode" else _TWO_MODE_ORACLE_KEYS)
+        for argv, expected, exit_code in (
+                (physical, keys, 0),
+                ((*physical, "--oracle", "--cutoff", "20"), keys + oracle_keys, 0),
+                (nonphysical, rejected_keys, 3),
+                (vacuum, vacuum_keys, 0)):
+            code, out, _ = run_cli(capsys, "classify", family, *argv, "--format", "json")
+            assert code == exit_code, argv
+            assert list(json.loads(out)) == expected, argv

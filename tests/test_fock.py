@@ -697,6 +697,20 @@ class TestBandMeasurement:
 
 
 class TestBlockPartialTranspose:
+    def test_grading_is_the_finest_the_entries_allow(self):
+        # The modulus read off the block members equals the finest one that
+        # the nonzero entries of the dense matrix allow.
+        cutoff = 10
+        na, nb = _labels(cutoff)
+        d = na - nb
+        expected = {"tensor": 2, "tms": 2 * cutoff, "bs": 2, "bs-output": 2,
+                    "mixture": 2 * cutoff, "bs+tms mixture": 2}
+        for name, rho in _graded_densities(cutoff).items():
+            joined = rho.matrix != 0.0
+            finest = next(k for k in (2 * cutoff, 2, 1)
+                          if np.all(((d[:, None] - d[None, :]) % k == 0)[joined]))
+            assert rho._d_modulus == finest == expected[name], name
+
     def test_graded_densities_match_dense_spectrum(self):
         for name, rho in _graded_densities(12).items():
             assert fock.ppt_min_eigenvalue(rho) == pytest.approx(
@@ -767,12 +781,12 @@ class TestParityGradedMoments:
 
     def test_constructors_grade_by_total_parity(self):
         for name, rho in _graded_densities(10).items():
-            assert rho._parity_graded, name
+            assert rho._d_modulus % 2 == 0, name
         bs = _graded_densities(10)["bs"]
         dense = fock.FockDensity(2, 10, bs.matrix, bs.trace_deficit)
         one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 10, eps_tr=1.0)
-        assert not dense._parity_graded
-        assert not one._parity_graded
+        assert dense._d_modulus == 1
+        assert one._d_modulus == 1
 
     def test_tables_equal_the_dense_copy_and_skip_odd_shifts(self, monkeypatch):
         original = fock._band_plan
