@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -442,129 +443,61 @@ def _cmd_visibility(args) -> int:
     return 0
 
 
-def _grid(lo: float, hi: float, points: int, landmarks=()) -> np.ndarray:
-    base = np.linspace(lo, hi, points)
-    if landmarks:
-        base = np.unique(np.concatenate([base, np.asarray(landmarks, dtype=float)]))
-    return base
+_SQRT2 = math.sqrt(2.0)
+_FRINGE = operator.attrgetter("v_minus", "v_plus")
+_FRINGE_M = operator.attrgetter("v_minus", "v_plus", "v_m")
 
-
-def _figure_rows(fig_id: str, points: int):
-    sqrt2 = math.sqrt(2.0)
-    if fig_id == "1":
-        ms = _grid(0.0, 3.0, points, landmarks=(1.0, sqrt2))
-        rows = [(m, 0.5 * (math.sqrt(1.0 + 4.0 * m * m) - 1.0), m) for m in ms]
-        return (
-            "physical boundary n(n+1) = m^2 and classicality line n = m",
-            ("m", "n_physical_boundary", "n_classical_line"),
-            rows,
-        )
-    if fig_id == "3":
-        ms = _grid(0.0, sqrt2, points, landmarks=(1.0, sqrt2))
-        rows = []
-        for m in ms:
-            vis = visibilities_uncorrelated(1.0, m)
-            rows.append((m, vis.v_minus, vis.v_plus))
-        return (
-            "n = 1: v_minus = n^2/(3n^2+m^2), v_plus = m^2/(3n^2+m^2)",
-            ("m", "v_minus", "v_plus"),
-            rows,
-        )
-    if fig_id == "4":
-        ms = _grid(0.0, sqrt2, points, landmarks=(1.0, sqrt2))
-        rows = []
-        for m in ms:
-            vis = visibilities_uncorrelated(1.0, m)
-            rows.append((m, vis.total))
-        return (
-            "n = 1: v_minus + v_plus = (n^2+m^2)/(3n^2+m^2)",
-            ("m", "v_sum"),
-            rows,
-        )
-    if fig_id == "5":
-        mcs = _grid(0.0, sqrt2, points, landmarks=(1.0, sqrt2))
-        rows = [(mc, visibility_epr(1.0, mc).v_minus) for mc in mcs]
-        return (
-            "n = 1: v_minus = (n^2+mc^2)/(3n^2+mc^2)",
-            ("mc", "v_minus"),
-            rows,
-        )
-    if fig_id == "6":
-        ns = _grid(0.05, 5.0, points, landmarks=(1.0,))
-        rows = [(n, werner_hbt_threshold(n), werner_ppt_threshold(n)) for n in ns]
-        return (
-            "one-sided entanglement-detection thresholds (no separability proof "
-            "exists for the mixture): witness p = n/(n+1); partial transpose "
-            "p = 1/(1+sqrt((1+n)/n)*(1+2n^2)^2/(n(1+2n)(1+n^2)))",
-            ("n", "p_hbt", "p_ppt"),
-            rows,
-        )
-    if fig_id == "8":
-        ms = _grid(0.0, 3.0, points, landmarks=(1.0, sqrt2))
-        rows = []
-        for m in ms:
-            row = [m]
-            for lam in (0.0, math.pi / 4.0, math.pi / 2.0):
-                s = math.sin(lam)
-                row.append(0.5 * (math.sqrt(1.0 + 4.0 * (m * m + s * m)) - 1.0))
-            rows.append(tuple(row))
-        return (
-            "separability boundary m^2 + sin(lam)*m = n(n+1) solved for n, "
-            "at lam = 0, pi/4, pi/2",
-            ("m", "n_boundary_lam0", "n_boundary_lam_pi4", "n_boundary_lam_pi2"),
-            rows,
-        )
-    if fig_id == "8.1":
-        lams = _grid(0.0, 1.0, points, landmarks=(0.25, 0.5))
-        rows = []
-        for lam_over_pi in lams:
-            lam = lam_over_pi * math.pi
-            rows.append((
-                lam_over_pi,
-                visibilities_bs_output(1.0, sqrt2, lam).v_minus,
-                visibilities_bs_output(1.0, 1.0, lam).v_minus,
-                visibilities_bs_output(1.0, 0.5, lam).v_minus,
-            ))
-        return (
-            "n = 1: output v_minus = (n^2+(1-cos 2 lam)m^2/2)/(3n^2+m^2) for "
+# Each figure's CSV comment, its columns, its abscissa grid (low, high and
+# the landmarks added to it) and its row at one abscissa, which calls each
+# closed form once.
+_FIGURES = {
+    "1": ("physical boundary n(n+1) = m^2 and classicality line n = m",
+          ("m", "n_physical_boundary", "n_classical_line"), (0.0, 3.0, (1.0, _SQRT2)),
+          lambda m: (m, 0.5 * (math.sqrt(1.0 + 4.0 * m * m) - 1.0), m)),
+    "3": ("n = 1: v_minus = n^2/(3n^2+m^2), v_plus = m^2/(3n^2+m^2)",
+          ("m", "v_minus", "v_plus"), (0.0, _SQRT2, (1.0, _SQRT2)),
+          lambda m: (m, *_FRINGE(visibilities_uncorrelated(1.0, m)))),
+    "4": ("n = 1: v_minus + v_plus = (n^2+m^2)/(3n^2+m^2)",
+          ("m", "v_sum"), (0.0, _SQRT2, (1.0, _SQRT2)),
+          lambda m: (m, visibilities_uncorrelated(1.0, m).total)),
+    "5": ("n = 1: v_minus = (n^2+mc^2)/(3n^2+mc^2)",
+          ("mc", "v_minus"), (0.0, _SQRT2, (1.0, _SQRT2)),
+          lambda mc: (mc, visibility_epr(1.0, mc).v_minus)),
+    "6": ("one-sided entanglement-detection thresholds (no separability proof "
+          "exists for the mixture): witness p = n/(n+1); partial transpose "
+          "p = 1/(1+sqrt((1+n)/n)*(1+2n^2)^2/(n(1+2n)(1+n^2)))",
+          ("n", "p_hbt", "p_ppt"), (0.05, 5.0, (1.0,)),
+          lambda n: (n, werner_hbt_threshold(n), werner_ppt_threshold(n))),
+    "8": ("separability boundary m^2 + sin(lam)*m = n(n+1) solved for n, "
+          "at lam = 0, pi/4, pi/2",
+          ("m", "n_boundary_lam0", "n_boundary_lam_pi4", "n_boundary_lam_pi2"),
+          (0.0, 3.0, (1.0, _SQRT2)),
+          lambda m: (m, *(0.5 * (math.sqrt(1.0 + 4.0 * (m * m + math.sin(lam) * m)) - 1.0)
+                          for lam in (0.0, math.pi / 4.0, math.pi / 2.0)))),
+    "8.1": ("n = 1: output v_minus = (n^2+(1-cos 2 lam)m^2/2)/(3n^2+m^2) for "
             "quantum (m=sqrt(2)), border (m=1) and classical (m=0.5) inputs",
             ("lam_over_pi", "v_minus_quantum", "v_minus_border", "v_minus_classical"),
-            rows,
-        )
-    if fig_id == "10":
-        lams = _grid(0.0, 1.0, points, landmarks=(0.25, 0.5))
-        rows = []
-        for lam_over_pi in lams:
-            vis = visibilities_bs_output(1.0, sqrt2, lam_over_pi * math.pi)
-            rows.append((lam_over_pi, vis.v_minus, vis.v_plus))
-        return (
-            "n = 1, m = sqrt(2): v_minus = (n^2+(1-cos 2 lam)m^2/2)/(3n^2+m^2), "
-            "v_plus = (1+cos 2 lam)m^2/(2(3n^2+m^2))",
-            ("lam_over_pi", "v_minus", "v_plus"),
-            rows,
-        )
-    if fig_id == "11":
-        mcs = _grid(0.0, sqrt2, points, landmarks=(1.0 / sqrt2, sqrt2))
-        rows = []
-        for mc in mcs:
-            m = sqrt2 - mc
-            vis = visibilities_general(1.0, m, mc, 0.0, math.pi / 2.0)
-            rows.append((
-                mc, vis.v_minus, vis.v_plus, vis.v_m,
-                general_is_separable(1.0, m, mc, 0.0, math.pi / 2.0),
-            ))
-        return (
-            "n = 1, m = sqrt(2)-mc, lam1 = 0, lam2 = pi/2: v_minus = (n^2+mc^2)/D, "
-            "v_plus = m^2/D, v_m = m*mc/D with D = 3n^2+m^2+mc^2; "
-            "separable iff m^2+mc^2+mc*sqrt(1+2m^2) <= n(n+1)",
-            ("mc", "v_minus", "v_plus", "v_m", "separable"),
-            rows,
-        )
-    raise ValueError(f"unknown figure id {fig_id!r}")
+            (0.0, 1.0, (0.25, 0.5)),
+            lambda x: (x, *(visibilities_bs_output(1.0, m, x * math.pi).v_minus
+                            for m in (_SQRT2, 1.0, 0.5)))),
+    "10": ("n = 1, m = sqrt(2): v_minus = (n^2+(1-cos 2 lam)m^2/2)/(3n^2+m^2), "
+           "v_plus = (1+cos 2 lam)m^2/(2(3n^2+m^2))",
+           ("lam_over_pi", "v_minus", "v_plus"), (0.0, 1.0, (0.25, 0.5)),
+           lambda x: (x, *_FRINGE(visibilities_bs_output(1.0, _SQRT2, x * math.pi)))),
+    "11": ("n = 1, m = sqrt(2)-mc, lam1 = 0, lam2 = pi/2: v_minus = (n^2+mc^2)/D, "
+           "v_plus = m^2/D, v_m = m*mc/D with D = 3n^2+m^2+mc^2; "
+           "separable iff m^2+mc^2+mc*sqrt(1+2m^2) <= n(n+1)",
+           ("mc", "v_minus", "v_plus", "v_m", "separable"), (0.0, _SQRT2, (1.0 / _SQRT2, _SQRT2)),
+           lambda mc: (mc, *_FRINGE_M(visibilities_general(1.0, _SQRT2 - mc, mc, 0.0,
+                                                           math.pi / 2.0)),
+                       general_is_separable(1.0, _SQRT2 - mc, mc, 0.0, math.pi / 2.0))),
+}
 
 
 def _cmd_figure(args) -> int:
-    comment, columns, rows = _figure_rows(args.id, args.points)
+    comment, columns, (lo, hi, landmarks), row_at = _FIGURES[args.id]
+    grid = np.unique(np.concatenate([np.linspace(lo, hi, args.points), landmarks]))
+    rows = [row_at(x) for x in grid]
     if args.format == "json":
         payload = {
             "figure": args.id,
@@ -718,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
         vp.set_defaults(func=_cmd_visibility)
 
     p_fig = sub.add_parser("figure", help="write figure-reproduction CSV data")
-    p_fig.add_argument("id", choices=("1", "3", "4", "5", "6", "8", "8.1", "10", "11"))
+    p_fig.add_argument("id", choices=tuple(_FIGURES))
     p_fig.add_argument("--points", type=int, default=101, help="grid points (landmarks are added)")
     _add_common(p_fig)
     p_fig.set_defaults(func=_cmd_figure)

@@ -51,19 +51,25 @@ state.
 
 A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
 states; every entry outside them is a structural zero, and a dense matrix
-is the one-block case.  No constructor forms a dense matrix.  Hermiticity
-is checked where the data is small.  The tensor and bs routes check their
-two factors (``_checked``; the bs route on twice the cutoff, where it
-mixes them) and write their blocks exactly Hermitian into the density's
-packed buffer: the tensor blocks as the kron of the checked factors, the
-bs blocks phased on their upper triangle and mirrored.  The mixer's swap-basis rows are checked
-once, when cached, for orthogonality and the swap identity.
-``FockDensity`` takes those blocks as written (``_Written``); it checks
-every other block (tms, mixtures, a dense matrix), once per block, and
-stores it symmetrized.  Constructors check the trace deficit, summed
-block by block.  A mixture sums its components block by block when they
-share their blocks, and otherwise on the two total-parity blocks, which
-every route refines.
+is the one-block case.  No constructor forms a dense matrix.  Every route
+writes each entry of its blocks, exactly Hermitian, into one packed
+buffer (``_Written``), which ``FockDensity`` adopts as it is.
+Hermiticity is checked where the data is small:
+
+- the tensor and bs routes check their two factors (``_checked``; the bs
+  route on twice the cutoff, where it mixes them) and write the kron of
+  the checked factors, or the bs blocks phased on their upper triangle
+  and mirrored.  The mixer's swap-basis rows are checked once, when
+  cached, for orthogonality and the swap identity;
+- the tms route checks each d sector and writes it symmetrized
+  (``_hermitian_part``), the one-mode route its one checked factor;
+- a mixture sums its components' blocks in place, block by block when
+  they share their blocks, and otherwise on the two total-parity blocks,
+  which every route refines.  Real weights keep the sum exactly Hermitian;
+- ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
+  matrix and writes it symmetrized.
+
+Constructors check the trace deficit, summed block by block.
 
 Measurements have one path: a lookup of two keys per basis state, whose
 sum is the packed offset of an entry between two states of one block
@@ -557,9 +563,10 @@ def _write_swap_block(values: np.ndarray, other: np.ndarray, phase: np.ndarray,
             np.conjugate(tile.T, out=values[c0:c1, r0:r1])
 
 
-def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> list:
+def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> "_Written":
     """Blocks of the restricted density of S₂(r, φ) (ρ_th ⊗ ρ_th) S₂†, one
-    per d = n_a − n_b sector pair.
+    per d = n_a − n_b sector pair, each checked and written exactly
+    Hermitian (``_hermitian_part``).
 
     The thermal input is diagonal and S₂ conserves d, so sector d is
     C_d W_d C_d†: W_d holds the input weights of the sector's states and
@@ -572,22 +579,21 @@ def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -
     # As in ``_factor_matrix``: n̄ just below zero is built pure.
     w = _thermal_weights(max(nbar, 0.0), cw)
     z = -r * cmath.exp(1j * phi)
-    out = []
-    for d in range(cutoff):
-        # States are listed by increasing j, so the retained ones come first.
-        ja = np.arange(d, cutoff)
-        members = [ja * cutoff + (ja - d)]
-        if d:
-            members.append((ja - d) * cutoff + ja)
+    # States are listed by increasing j, so the retained ones come first.
+    sectors = [np.arange(d, cutoff) for d in range(cutoff)]
+    out = _Written([np.array([ja * cutoff + (ja - d), (ja - d) * cutoff + ja] if d
+                             else [ja * cutoff + ja]) for d, ja in enumerate(sectors)])
+    for d, (ja, block) in enumerate(zip(sectors, out)):
         if r == 0.0:
             # A thermal pair: S₂ is the identity, and the sector is its
             # diagonal of weights, exactly as the tensor route has it.
-            out.append(_Block(np.array(members), np.diag(w[ja] * w[ja - d]).astype(complex)))
-            continue
-        weights = w[d:] * w[:cw - d]
-        keep = np.abs(weights) > _WEIGHT_FLOOR
-        c_d = _sector_exponential("tms", cw, d, z, rows=slice(ja.size), cols=keep)
-        out.append(_Block(np.array(members), (c_d * weights[keep]) @ c_d.conj().T))
+            sector = np.diag(w[ja] * w[ja - d]).astype(complex)
+        else:
+            weights = w[d:] * w[:cw - d]
+            keep = np.abs(weights) > _WEIGHT_FLOOR
+            c_d = _sector_exponential("tms", cw, d, z, rows=slice(ja.size), cols=keep)
+            sector = (c_d * weights[keep]) @ c_d.conj().T
+        _require_hermitian(_hermitian_part(sector, block.values))
     return out
 
 
@@ -627,10 +633,10 @@ class _Block(NamedTuple):
     states that carry the same matrix.
 
     ``members`` has one row of flat basis indices per copy, in the order of
-    the block's rows; None stands for the whole basis in its natural order.
+    the block's rows.
     """
 
-    members: np.ndarray | None
+    members: np.ndarray
     values: np.ndarray
 
 
@@ -644,22 +650,16 @@ class _Origin(NamedTuple):
     swap_phase: float | None = None
 
 
-def _packed_buffer(members) -> np.ndarray:
-    """Room for blocks on ``members`` back to back, between two zeros: the
-    entries the lookup reads for a pair of states in no common block."""
-    buffer = np.empty(sum(m.shape[1] ** 2 for m in members) + 2, dtype=complex)
-    buffer[0] = buffer[-1] = 0.0
-    return buffer
-
-
 class _Written(list):
     """Blocks (``_Block``) on ``members`` whose values lie back to back in
-    one ``_packed_buffer``.  A route writes them exactly Hermitian, and
-    ``FockDensity`` adopts the buffer as its packed values without checking
-    the blocks again."""
+    one buffer, between two zeros: the entries the lookup reads for a pair
+    of states in no common block.  The values start uninitialised; a route
+    writes every entry, exactly Hermitian, and ``FockDensity`` adopts the
+    buffer as its packed values."""
 
     def __init__(self, members):
-        self.buffer = _packed_buffer(members)
+        self.buffer = np.empty(sum(m.shape[1] ** 2 for m in members) + 2, dtype=complex)
+        self.buffer[0] = self.buffer[-1] = 0.0
         offset = 1
         for m in members:
             size = m.shape[1]
@@ -668,6 +668,13 @@ class _Written(list):
 
 
 _TILE = 64
+
+
+def _require_dims(modes: int, cutoff: int) -> None:
+    if modes not in (1, 2):
+        raise ValueError("only one- or two-mode densities are supported")
+    if cutoff < 2:
+        raise ValueError("cutoff must be at least 2")
 
 
 def _require_hermitian(deviation: float) -> None:
@@ -697,46 +704,47 @@ def _hermitian_part(mat: np.ndarray, out: np.ndarray) -> float:
 
 def _blocks_trace(blocks) -> float:
     """Σ Re ρ_ss over every copy of every block."""
-    total = 0.0
-    for members, values in blocks:
-        copies = 1 if members is None else len(members)
-        total += copies * float(np.trace(values).real)
-    return total
+    return sum(len(members) * float(np.trace(values).real) for members, values in blocks)
 
 
 class FockDensity:
     """Truncated Fock-basis density matrix with cutoff metadata.
 
     ``trace_deficit`` is 1 − Tr ρ, the photon-number weight of the state
-    beyond the cutoff.  ``FockDensity(modes, cutoff, matrix, trace_deficit)``
-    stores a dense matrix as a single block; the constructors of this module
-    store only the blocks of the gradings their states conserve, and every
-    entry outside the blocks is a structural zero.  Each block must be
-    Hermitian to 1e-12; it is validated once (mirror copies share it) and
-    stored symmetrized and read-only.  Blocks that the tensor and bs routes
-    wrote exactly Hermitian from checked factors are stored as written.
-    Measurements read the blocks through
-    a per-state lookup; ``matrix`` is a dense read-only view built on first
-    use.  A density from this module's constructors records how it was
-    built (``route``); a dense one records nothing.  Every density records
-    its grading once, from its block members alone: the modulus k such that
-    each block copy joins states of one d = n_a − n_b mod k (see
-    ``__post_init__``); a dense one has k = 1, no grading.  The value is
-    immutable.
+    beyond the cutoff.  Every density is a set of blocks written into one
+    packed buffer (``_Written``), each exactly Hermitian, and every entry
+    outside the blocks is a structural zero.  The constructors of this
+    module write only the blocks of the gradings their states conserve;
+    ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
+    matrix to be Hermitian to 1e-12 and writes it symmetrized as a single
+    block.  The blocks are stored read-only, mirror copies sharing one.
+    Measurements read the blocks through a per-state lookup; ``matrix`` is
+    a dense read-only view built on first use.  A density from this
+    module's constructors records how it was built (``route``); a dense one
+    records nothing.  Every density records its grading once, from its
+    block members alone: the modulus k such that each block copy joins
+    states of one d = n_a − n_b mod k (see ``__post_init__``); a dense one
+    has k = 1, no grading.  The value is immutable.
     """
 
     __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_row_key",
                  "_col_key", "_trace", "_matrix", "_origin", "_d_modulus")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
-        self._set(modes, cutoff, (_Block(None, matrix),), trace_deficit, None)
+        _require_dims(modes, cutoff)
+        dim = cutoff ** modes
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match cutoff^modes = {dim}")
+        blocks = _Written([np.arange(dim)[None, :]])
+        _require_hermitian(_hermitian_part(matrix, blocks[0].values))
+        self._set(modes, cutoff, blocks, trace_deficit, None)
 
     @classmethod
-    def _graded(cls, modes: int, cutoff: int, blocks, trace_deficit: float,
+    def _graded(cls, modes: int, cutoff: int, blocks: _Written, trace_deficit: float,
                 origin: _Origin | None = None) -> "FockDensity":
         rho = cls.__new__(cls)
-        rho._set(modes, cutoff, blocks if isinstance(blocks, _Written) else tuple(blocks),
-                 trace_deficit, origin)
+        rho._set(modes, cutoff, blocks, trace_deficit, origin)
         return rho
 
     def _set(self, modes, cutoff, blocks, trace_deficit, origin) -> None:
@@ -753,64 +761,38 @@ class FockDensity:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __post_init__(self):
-        """Validate and symmetrize each block, pack the blocks into one
-        buffer and build the lookup from each basis state's block copy, the
-        packed offset of its row and its position in the block (see
-        ``_entries``).  Blocks a route has written exactly
-        Hermitian (``_Written``) are already packed and are not checked
-        again."""
-        if self.modes not in (1, 2):
-            raise ValueError("only one- or two-mode densities are supported")
-        if self.cutoff < 2:
-            raise ValueError("cutoff must be at least 2")
+        """Adopt the packed buffer of the written blocks, read-only, and
+        build the lookup from each basis state's block copy, the packed
+        offset of its row and its position in the block (see
+        ``_entries``)."""
+        _require_dims(self.modes, self.cutoff)
         dim = self.cutoff ** self.modes
-        raw = []
-        for members, values in self._blocks:
-            values = np.asarray(values, dtype=complex)
-            if members is None:
-                if values.shape != (dim, dim):
-                    raise ValueError(
-                        f"matrix shape {values.shape} does not match cutoff^modes = {dim}")
-                members = np.arange(dim)[None, :]
-            members = np.array(members, dtype=np.intp)
-            size = members.shape[1]
-            if values.shape != (size, size):
-                raise ValueError(f"block shape {values.shape} does not match its {size} states")
-            if members.min() < 0 or members.max() >= dim:
-                raise ValueError(f"block members outside the {dim} basis states")
-            members.flags.writeable = False
-            raw.append((members, values))
-        written = isinstance(self._blocks, _Written)
-        packed = self._blocks.buffer if written else _packed_buffer([m for m, _ in raw])
+        packed = self._blocks.buffer
         copy = np.full(dim, -1, dtype=np.intp)
         row_start = np.zeros(dim, dtype=np.intp)
         pos = np.zeros(dim, dtype=np.intp)
-        blocks = []
-        deviation = 0.0
         offset, copies = 1, 0
-        for members, values in raw:
+        for members, values in self._blocks:
+            if members.min() < 0 or members.max() >= dim:
+                raise ValueError(f"block members outside the {dim} basis states")
+            members.flags.writeable = False
+            values.flags.writeable = False
             size = members.shape[1]
-            sym = packed[offset:offset + size * size].reshape(size, size)
-            if not written:
-                deviation = max(deviation, _hermitian_part(values, sym))
-            sym.flags.writeable = False
-            blocks.append(_Block(members, sym))
             for row in members:
                 copy[row] = copies
                 row_start[row] = offset + size * np.arange(size)
                 pos[row] = np.arange(size)
                 copies += 1
             offset += size * size
-        if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in raw):
+        if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in self._blocks):
             raise ValueError("blocks overlap")
         # The grading: the largest modulus k among 2·cutoff, 2 and 1 such
         # that every block copy joins states of one d = n_a − n_b mod k (−n
         # on one mode).  No two states differ in d by 2·cutoff, so that k is
         # d itself; k = 2 is total parity, and k = 1 no grading.
-        d = [np.subtract(*np.divmod(members, self.cutoff)) for members, _ in raw]
+        d = [np.subtract(*np.divmod(members, self.cutoff)) for members, _ in self._blocks]
         modulus = next(k for k in (2 * self.cutoff, 2, 1)
                        if all(np.all((x - x[:, :1]) % k == 0) for x in d))
-        _require_hermitian(deviation)
         packed.flags.writeable = False
         # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
         # the same block copy, and off the buffer's ends otherwise: a
@@ -820,7 +802,8 @@ class FockDensity:
         span = packed.size
         row_key = np.where(copy >= 0, row_start + copy * span, -span)
         col_key = pos - np.where(copy >= 0, copy, -2) * span
-        for name, value in (("_blocks", tuple(blocks)), ("_values", packed),
+        blocks = tuple(self._blocks)
+        for name, value in (("_blocks", blocks), ("_values", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", _blocks_trace(blocks)),
                             ("trace_deficit", float(self.trace_deficit)),
@@ -913,9 +896,9 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
     _require_physical(s)
-    st = _solve_squeezed_thermal(s.n, s.m)
-    return _finish(1, cutoff, [_Block(None, _one_mode_matrix(st, cutoff))], eps_tr,
-                   _Origin("one-mode"))
+    blocks = _Written([np.arange(cutoff)[None, :]])
+    blocks[0].values[...] = _one_mode_matrix(_solve_squeezed_thermal(s.n, s.m), cutoff)
+    return _finish(1, cutoff, blocks, eps_tr, _Origin("one-mode"))
 
 
 def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
@@ -1014,35 +997,48 @@ def _assemble_two_mode(plan: _TwoModePlan, cutoff: int):
             _Origin("bs", plan.theta_d - plan.theta_c))
 
 
-def _on_total_parity(blocks, cutoff: int) -> list:
-    """The same density as two blocks, one per total parity of n_a + n_b.
+def _mixture_sum(parts, cutoff: int) -> _Written:
+    """Σ w · blocks over the weighted components ``parts``, summed in place.
 
-    Every route's blocks refine total parity, so each copy lands inside one
-    of the two.
+    Components with the same blocks are summed block by block; otherwise
+    every copy of every component block is added onto one of two blocks,
+    one per total parity of n_a + n_b, which every route's blocks refine.
+    Real weights and entrywise sums keep the components' exactly Hermitian
+    blocks exactly Hermitian.
     """
+    first = parts[0][1]
+    if all(len(blocks) == len(first)
+           and all(np.array_equal(b.members, f.members) for b, f in zip(blocks, first))
+           for _, blocks in parts):
+        out = _Written([b.members for b in first])
+        out.buffer[1:-1] = 0.0
+        for w, blocks in parts:
+            for (_, acc), (_, values) in zip(out, blocks):
+                acc += values * w
+        return out
     na, nb = np.divmod(np.arange(cutoff * cutoff), cutoff)
     parity = (na + nb) % 2
     groups = [np.flatnonzero(parity == p) for p in (0, 1)]
     position = np.empty(cutoff * cutoff, dtype=np.intp)
     for group in groups:
         position[group] = np.arange(group.size)
-    out = [np.zeros((group.size, group.size), dtype=complex) for group in groups]
-    for members, values in blocks:
-        for row in members:
-            at = position[row]
-            out[parity[row[0]]][np.ix_(at, at)] = values
-    return [_Block(group[None, :], mat) for group, mat in zip(groups, out)]
+    out = _Written([group[None, :] for group in groups])
+    out.buffer[1:-1] = 0.0
+    for w, blocks in parts:
+        for members, values in blocks:
+            scaled = values * w
+            for row in members:
+                at = position[row]
+                out[parity[row[0]]].values[np.ix_(at, at)] += scaled
+    return out
 
 
 def _two_mode_blocks(state, cutoff: int, eps_tr: float):
-    """Assembled blocks of a two-mode state or mixture, and the record of
-    how they were built.  The tensor and bs routes return ``_Written``
-    blocks; a mixture's sum is a plain list, checked by ``FockDensity``.
+    """Blocks of a two-mode state or mixture, written exactly Hermitian
+    (``_Written``) by its route, and the record of how they were built.
 
-    A mixture is the weighted sum of its components, each of which must
-    meet the trace tolerance on its own.  Components with the same blocks
-    are summed block by block; otherwise every component is first put on
-    the two total-parity blocks.
+    A mixture is the weighted sum of its components (``_mixture_sum``),
+    each of which must meet the trace tolerance on its own.
     """
     if isinstance(state, GaussianMixture):
         parts = []
@@ -1050,17 +1046,7 @@ def _two_mode_blocks(state, cutoff: int, eps_tr: float):
             blocks, _ = _two_mode_blocks(comp, cutoff, eps_tr)
             _trace_deficit(cutoff, blocks, eps_tr)
             parts.append((w, blocks))
-        first = parts[0][1]
-        shared = all(len(blocks) == len(first)
-                     and all(np.array_equal(b.members, f.members) for b, f in zip(blocks, first))
-                     for _, blocks in parts)
-        if not shared:
-            parts = [(w, _on_total_parity(blocks, cutoff)) for w, blocks in parts]
-        summed = [_Block(b.members, b.values * parts[0][0]) for b in parts[0][1]]
-        for w, blocks in parts[1:]:
-            for (_, acc), b in zip(summed, blocks):
-                acc += b.values * w
-        return summed, _Origin("mixture")
+        return _mixture_sum(parts, cutoff), _Origin("mixture")
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     return _assemble_two_mode(_plan_two_mode(state), cutoff)
@@ -1176,11 +1162,13 @@ def _moments(rho: FockDensity, words) -> list:
     for bit.
 
     When every block copy lies in one total parity (an even grading
-    modulus, see ``FockDensity``), as on every density a constructor
-    builds, a word of odd length joins states of different total parity
-    and reads only structural zeros: its shift, with δa + δb odd, is not
-    gathered, and its value is exactly 0.  A dense density keeps every
-    shift.
+    modulus, see ``FockDensity``), as on every two-mode density a
+    constructor builds, a word of odd length joins states of different
+    total parity and reads only structural zeros: its shift, with δa + δb
+    odd, is not gathered, and its value is exactly 0.  A one-mode density
+    (one dense block, modulus 1) and a dense one keep every shift; the
+    one-mode density reads its odd words off the exact zeros it stores
+    between the two parities.
     """
     ca, cb = rho.cutoff, _mode_b_cutoff(rho)
     parity_graded = rho._d_modulus % 2 == 0

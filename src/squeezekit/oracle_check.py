@@ -142,7 +142,15 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
     are released before the next state is assembled, so the suite's peak
     memory is one density and its assembly temporaries (about 29 MB for a
     beam-splitter state at cutoff 40).
+
+    Raises ValueError for fewer than 2 states, where one half holds no
+    state, and for words shorter than 2, of which none is even: either
+    check would compare nothing and pass.
     """
+    if n_states < 2:
+        raise ValueError(f"n_states must be at least 2, got {n_states}")
+    if max_word_len < 2:
+        raise ValueError(f"max_word_len must be at least 2, got {max_word_len}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     # The word of each moment-table key, built once per call.

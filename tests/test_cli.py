@@ -485,7 +485,38 @@ class TestWitnessAndVisibility:
         assert code == 3
 
 
+def _figure_row(capsys, fig, key):
+    code, out, _ = run_cli(capsys, "figure", fig, "--points", "11")
+    assert code == 0
+    _, rows = parse_csv(out)
+    return [float(v) for v in next(row for row in rows if row[0] == key)[1:]]
+
+
 class TestFigures:
+    def test_figure_1_landmarks(self, capsys):
+        # The second column is the classicality line n = m, printed to 12
+        # significant digits.
+        sqrt2_key = f"{math.sqrt(2):.12g}"
+        assert _figure_row(capsys, "1", "1") == pytest.approx([(math.sqrt(5) - 1) / 2, 1.0],
+                                                              abs=1e-11)
+        assert _figure_row(capsys, "1", sqrt2_key) == pytest.approx([1.0, math.sqrt(2)],
+                                                                    abs=1e-11)
+
+    def test_figure_4_landmarks(self, capsys):
+        assert _figure_row(capsys, "4", "1") == pytest.approx([0.5], abs=1e-12)
+        assert _figure_row(capsys, "4", f"{math.sqrt(2):.12g}") == pytest.approx([0.6], abs=1e-12)
+
+    def test_figure_8_landmarks(self, capsys):
+        assert _figure_row(capsys, "8", "1") == pytest.approx(
+            [0.61803398875, 0.898966325966, 1.0], abs=1e-11)
+
+    def test_figure_8_1_landmarks(self, capsys):
+        assert _figure_row(capsys, "8.1", "0.5") == pytest.approx([0.6, 0.5, 5.0 / 13.0],
+                                                                  abs=1e-12)
+
+    def test_figure_10_landmarks(self, capsys):
+        assert _figure_row(capsys, "10", "0.25") == pytest.approx([0.4, 0.2], abs=1e-12)
+
     def test_figure_5_landmarks(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "5", "--points", "11")
         assert code == 0
@@ -714,6 +745,19 @@ class TestNearVacuumWitness:
 
 
 class TestOracleCheckCommand:
+    @pytest.mark.parametrize("flags, message", [
+        (("--states", "-3"), "n_states must be at least 2, got -3"),
+        (("--states", "1"), "n_states must be at least 2, got 1"),
+        (("--states", "4", "--max-word-len", "0"), "max_word_len must be at least 2, got 0"),
+        (("--states", "4", "--max-word-len", "-2"), "max_word_len must be at least 2, got -2"),
+    ])
+    def test_a_suite_that_compares_nothing_exits_2(self, capsys, flags, message):
+        # One half of the states would be empty, or no word even: every
+        # check would pass having compared nothing.
+        code, out, err = run_cli(capsys, "oracle-check", *flags)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--states", "4",
                                "--ppt-cutoff", "25", "--format", "json")

@@ -873,7 +873,7 @@ class TestSwapSymmetricPartialTranspose:
     def test_wrong_phase_takes_the_complex_path(self, monkeypatch):
         spy = _EigvalshSpy(monkeypatch)
         for name, rho, _ in _seeded_bs_route(12)[:4]:
-            wrong = fock.FockDensity._graded(2, 12, rho._blocks, rho.trace_deficit,
+            wrong = fock.FockDensity._graded(2, 12, _written(rho._blocks), rho.trace_deficit,
                                              fock._Origin("bs", rho._origin.swap_phase + 0.3))
             spy.dtypes.clear()
             assert fock.ppt_min_eigenvalue(wrong) == pytest.approx(
@@ -915,10 +915,6 @@ class TestValidation:
         mat[0, 1] += 1e-9
         return mat
 
-    def test_finish_rejects_non_hermitian_assembly(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            fock._finish(2, 8, [fock._Block(None, self._skewed())], 1.0)
-
     def test_density_rejects_non_hermitian_matrix(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             fock.FockDensity(2, 8, self._skewed(), 0.0)
@@ -931,6 +927,15 @@ class TestValidation:
         assert np.array_equal(rho.matrix, rho.matrix.conj().T)
         assert np.allclose(rho.matrix, (mat + mat.conj().T) / 2.0, rtol=0.0, atol=1e-30)
         assert not rho.matrix.flags.writeable
+
+
+def _written(blocks):
+    # (members, values) pairs written into one packed buffer, as a route
+    # writes its blocks.
+    out = fock._Written([np.asarray(members) for members, _ in blocks])
+    for block, (_, values) in zip(out, blocks):
+        block.values[...] = values
+    return out
 
 
 def _scatter(blocks, cutoff):
@@ -950,14 +955,20 @@ def _unsplit_dense(f1, f2, lam, theta_c, theta_d, cutoff):
     return _scatter([(idx[None, :], block) for idx, block in parts], cutoff)
 
 
+def _symmetrized(mat):
+    return (mat + mat.conj().T) / 2.0
+
+
 def _dense_assembly(state, cutoff):
     # Dense matrix of a state or mixture, scattered sector by sector from
-    # the same factor and sector products as the graded routes, and summed
-    # entrywise: the reference for the block bookkeeping.  A bs state is
-    # scattered from its route's blocks; ``TestSwapBasisAssembly`` checks
-    # their values against the unsplit products.
+    # the same factor and sector products as the graded routes, a mixture's
+    # components summed entrywise, each symmetrized as its route writes
+    # it: the reference for the block bookkeeping.  A bs state is scattered
+    # from its route's blocks; ``TestSwapBasisAssembly`` checks their
+    # values against the unsplit products.
     if isinstance(state, GaussianMixture):
-        return sum(w * _dense_assembly(comp, cutoff) for w, comp in state.components)
+        return sum(w * _symmetrized(_dense_assembly(comp, cutoff))
+                   for w, comp in state.components)
     plan = fock._plan_two_mode(state)
     if plan.route == "tensor" or (plan.route == "tms" and plan.tms_r == 0.0):
         return np.kron(fock._one_mode_matrix(plan.factor1, cutoff),
@@ -1007,7 +1018,7 @@ class TestGradedStorage:
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
             dense = _dense_assembly(state, cutoff)
             assert len(rho._blocks) == blocks[name], name
-            assert np.array_equal(rho.matrix, (dense + dense.conj().T) / 2.0), name
+            assert np.array_equal(rho.matrix, _symmetrized(dense)), name
             assert rho.trace() == pytest.approx(float(np.trace(dense).real), abs=1e-14), name
 
     def test_mirror_sectors_share_one_block(self):
@@ -1054,9 +1065,9 @@ class TestGradedStorage:
 
     def test_uncovered_state_contributes_eigenvalue_zero(self):
         block = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
-        covered = fock.FockDensity._graded(1, 2, [fock._Block(np.array([[0, 1]]), block)], 0.0)
+        covered = fock.FockDensity._graded(1, 2, _written([([[0, 1]], block)]), 0.0)
         assert covered.min_eigenvalue() > 0.3
-        partial = fock.FockDensity._graded(1, 3, [fock._Block(np.array([[0, 1]]), block)], 0.0)
+        partial = fock.FockDensity._graded(1, 3, _written([([[0, 1]], block)]), 0.0)
         assert partial.min_eigenvalue() == 0.0
         assert np.array_equal(partial.diagonal(), [0.6, 0.4, 0.0])
 
@@ -1064,7 +1075,7 @@ class TestGradedStorage:
         # Pairs in one block copy, in two copies of one block, in two
         # blocks, and with a state that no block covers.
         block = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
-        partial = fock.FockDensity._graded(1, 3, [fock._Block(np.array([[2, 0]]), block)], 0.0)
+        partial = fock.FockDensity._graded(1, 3, _written([([[2, 0]], block)]), 0.0)
         densities = [partial, *_graded_densities(6).values()]
         for rho in densities:
             x, y = np.divmod(np.arange(rho.dim ** 2), rho.dim)
@@ -1073,18 +1084,18 @@ class TestGradedStorage:
 
     def test_non_hermitian_block_is_rejected_with_its_deviation(self):
         rho = fock.two_mode_density(_TMS_STATE, 8, eps_tr=1.0)
-        blocks = [fock._Block(members, np.array(values)) for members, values in rho._blocks]
-        blocks[3].values[0, 1] += 3e-9
+        mat = np.array(rho.matrix)
+        row = rho._blocks[3].members[0]
+        mat[row[0], row[1]] += 3e-9
         with pytest.raises(ValueError, match=r"not Hermitian \(deviation 3e-09\)"):
-            fock.FockDensity._graded(2, 8, blocks, 0.0)
+            fock.FockDensity(2, 8, mat, 0.0)
 
     def test_overlapping_or_foreign_members_are_rejected(self):
         eye = np.eye(2, dtype=complex) / 2.0
         with pytest.raises(ValueError, match="overlap"):
-            fock.FockDensity._graded(1, 3, [fock._Block(np.array([[0, 1]]), eye),
-                                            fock._Block(np.array([[1, 2]]), eye)], 0.0)
+            fock.FockDensity._graded(1, 3, _written([([[0, 1]], eye), ([[1, 2]], eye)]), 0.0)
         with pytest.raises(ValueError, match="outside"):
-            fock.FockDensity._graded(1, 3, [fock._Block(np.array([[2, 3]]), eye)], 0.0)
+            fock.FockDensity._graded(1, 3, _written([([[2, 3]], eye)]), 0.0)
 
     def test_dense_view_is_read_only(self):
         rho = fock.two_mode_density(_BS_STATE, 8, eps_tr=1.0)
@@ -1173,22 +1184,30 @@ class TestSwapBasisAssembly:
                 assert np.array_equal(values, values.conj().T), name
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
-        # The tensor and bs routes check their two factors (the bs route at
-        # twice the cutoff) and write their blocks; every other block is
-        # checked.
+        # Every route checks what it writes where the data is small, and
+        # ``FockDensity`` adopts the written blocks unchecked: the tensor and
+        # bs routes check their two factors (the bs route at twice the
+        # cutoff), the tms route each d sector, the one-mode route its
+        # factor and a mixture nothing of its own.  Only a dense matrix is
+        # checked by ``FockDensity``.
         spy = _HermitianPartSpy(monkeypatch)
-        for name, rho in _graded_densities(12).items():
-            spy.shapes.clear()
-            fock.FockDensity._graded(2, 12, [fock._Block(m, np.array(v)) for m, v in rho._blocks],
-                                     rho.trace_deficit)
-            assert len(spy.shapes) == len(rho._blocks), name
-        for state, size in ((_ROUTE_STATES["tensor"], 12), (_BS_STATE, 24)):
+        tms = [(12 - d, 12 - d) for d in range(12)]
+        bs = [(24, 24), (24, 24)]
+        expected = {"tensor": [(12, 12), (12, 12)], "tms": tms, "bs": bs, "werner": tms * 2,
+                    "bs+tms mixture": bs + tms}
+        for name, state in _ROUTE_STATES.items():
             spy.shapes.clear()
             fock.two_mode_density(state, 12, eps_tr=1.0)
-            assert spy.shapes == [(size, size), (size, size)]
+            assert spy.shapes == expected[name], name
         spy.shapes.clear()
-        fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0)
-        assert spy.shapes == [(24, 24), (24, 24)]
+        rho = fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0)
+        assert spy.shapes == bs
+        spy.shapes.clear()
+        fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
+        assert spy.shapes == [(12, 12)]
+        spy.shapes.clear()
+        fock.FockDensity(2, 12, rho.matrix, rho.trace_deficit)
+        assert spy.shapes == [(144, 144)]
 
     def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
         original = fock._factor_matrix
