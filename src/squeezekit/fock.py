@@ -1,75 +1,68 @@
 """Truncated Fock-basis brute force for Gaussian states.
 
-Densities are assembled constructively: a (quasi-)thermal diagonal is
-conjugated by exactly unitary truncated squeeze, two-mode squeeze, beam
-splitter and phase operators.  Within one conserved sector every
-generator is tridiagonal, g[k+1, k] = z a_k and g[k, k+1] = −z̄ a_k, with
-real couplings a_k fixed by the sector and only z set by the state, so
-exp(g) = G V e^{−i|z|Λ} Vᵀ G* with G a diagonal of phases and (Λ, V) the
-real spectrum of the couplings' symmetric tridiagonal matrix.  That
-spectrum is computed once per sector and working size and cached
-read-only; no state needs an eigendecomposition of its own.  The
-mixer's sector blocks are cached at λ = 0, in the mode-swap basis below,
-and λ enters as phases.
-Correctness is defined by moment matching against the stored second
-moments, not by matching any normally ordered operator expansion entrywise.
+Densities are assembled constructively, with two routes:
 
-Every step works per conserved sector of the Fock basis, using the
-conservation laws of the Gaussian unitaries (Weedbrook et al., RMP 84, 621
-(2012), arXiv:1110.3234), with one constructive route per law:
-
-- the squeezer conserves photon-number parity.  It is exponentiated per
-  parity block; a product density is built as its four (parity of n_a,
-  parity of n_b) blocks, and every density is exactly zero between states
-  of different total parity;
+- the Gaussian recurrence for Fock entries (Hamilton et al., PRL 119,
+  170501 (2017); Miatto & Quesada, Quantum 4, 366 (2020),
+  arXiv:2004.11002).  With Γ = ⟨ζζ†⟩ for ζ = (a, b, a†, b†) (one mode:
+  ζ = (a, a†)), read off the stored moments by
+  ``separability._moment_matrix``, and K = [ζ, ζ†] = diag(I, −I),
+  σ_Q = Γ − K/2 + I/2, A = X(I − σ_Q⁻¹)* with X the swap of ζ's two
+  halves, and T = det(σ_Q)^(−1/2), the entries ρ[m, n] = G(m, n) obey
+  G(0) = T and G(k + e_i) = Σ_j A_ij √k_j G(k − e_j)/√(k_i + 1).  Every
+  entry is that of the untruncated state, so the recurrence needs no
+  working space beyond the cutoff.  It builds the one-mode density, the
+  two factors of a product state (route ``tensor``, written as their
+  kron) and every two-mode state that is neither a product nor a tms
+  pattern (route ``recurrence``);
 - the two-mode squeezer conserves d = n_a − n_b.  The tms density is built
   as one block per d sector; sectors d and −d share one block.  A thermal
   pair takes this route with no squeezing, so a Werner mixture sums block
-  by block.  Only the retained rows and the columns of non-negligible
-  input weight of each sector exponential are formed;
-- the beam splitter conserves N = n_a + n_b.  The bs route runs only the
-  mixer sectors N ≤ 2(cutoff − 1), the only ones that reach the retained
-  block, and builds one block per total parity.  Its input ρ₁ ⊗ ρ₂ is zero
-  between states whose n_a differ in parity, since each factor conserves
-  its own parity, so it is mixed as two classes, on its nonzero half only.
-  The λ = 0 mixer block obeys B₀[N − p, j] = (−1)^j B₀[p, j], so class c
-  feeds only the swap-even (c = 0) or swap-odd (c = 1) combinations of
-  |p, N−p⟩ and its mirror image |N−p, p⟩: each class is mixed on the
-  representatives p ≤ N − p alone, by the real rows of that mode-swap
-  basis, and the block is [[Y₀ + Y₁, Y₀ − Y₁], [Y₀ − Y₁, Y₀ + Y₁]] over
-  the representatives and their images (``_mix_on_beam_splitter``).
+  by block.  Each sector's generator is tridiagonal, g[k+1, k] = z a_k and
+  g[k, k+1] = −z̄ a_k, with real couplings a_k fixed by the sector and only
+  z set by the state, so exp(g) = G V e^{−i|z|Λ} Vᵀ G* with G a diagonal
+  of phases and (Λ, V) the real spectrum of the couplings' symmetric
+  tridiagonal matrix, computed once per sector and working size and
+  cached read-only.  Only the retained rows and the columns of
+  non-negligible input weight of each sector exponential are formed.
 
+The tms route exponentiates each sector in a working space of twice the
+cutoff and projects the result down.  That bounds its truncation error
+but does not remove it: on EPR(1.5, 1.8) the tms density differs from the
+recurrence by 1.5e-8 at cutoff 10 and by 3.1e-15 at cutoff 20, and the
+tests pin the two to 1e-14 at cutoffs 20, 30 and 40.  The trace deficit
+measures the genuine photon-number tail of the state.
+
+Correctness is defined by moment matching against the stored second
+moments, not by matching any normally ordered operator expansion entrywise.
 The tests check each route against dense exponentials of the full
-truncated generator, which share no code with the sector exponentials.
-
-Every constructor works in an enlarged space of twice the requested cutoff
-and projects the result down.  Because of these conservation laws no
-truncation junk can reach the retained block: the returned entries are
-those of the untruncated state up to the (tiny) weight beyond the working
-space, and the trace deficit measures the genuine photon-number tail of the
-state.
+truncated generators, which share no code with either route.
 
 A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
 states; every entry outside them is a structural zero, and a dense matrix
 is the one-block case.  No constructor forms a dense matrix.  Every route
 writes each entry of its blocks, exactly Hermitian, into one packed
-buffer (``_Written``), which ``FockDensity`` adopts as it is.
-Hermiticity is checked where the data is small:
+buffer (``_Written``), which ``FockDensity`` adopts as it is.  A state of
+zero mean conserves total parity, so every two-mode density is exactly
+zero between states of different total parity.  Hermiticity is checked
+where the data is small:
 
-- the tensor and bs routes check their two factors (``_checked``; the bs
-  route on twice the cutoff, where it mixes them) and write the kron of
-  the checked factors, or the bs blocks phased on their upper triangle
-  and mirrored.  The mixer's swap-basis rows are checked once, when
-  cached, for orthogonality and the swap identity;
+- the recurrence route computes the entries with n_a ≥ m_a and mirrors
+  the rest; it checks the blocks it computes twice, n_a = m_a, and writes
+  them symmetrized (``_checked``), in its two total-parity blocks;
+- the tensor route writes the kron of its two checked factors, one block
+  per class (parity of n_a, parity of n_b), the one-mode route its one
+  checked factor;
 - the tms route checks each d sector and writes it symmetrized
-  (``_hermitian_part``), the one-mode route its one checked factor;
+  (``_hermitian_part``);
 - a mixture sums its components' blocks in place, block by block when
   they share their blocks, and otherwise on the two total-parity blocks,
   which every route refines.  Real weights keep the sum exactly Hermitian;
 - ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
   matrix and writes it symmetrized.
 
-Constructors check the trace deficit, summed block by block.
+Constructors check the cutoff on entry and the trace deficit, summed block
+by block, at the end.
 
 Measurements have one path: a lookup of two keys per basis state, whose
 sum is the packed offset of an entry between two states of one block
@@ -89,15 +82,14 @@ the whole partial transpose.  PT[x, y] = ρ[p, q] with p = (x_a, y_b) and
 q = (y_a, x_b), so N_x − N_y = d_p − d_q with d = n_a − n_b; the grading is
 read once, when the density is made, off its block members: blocks that
 each join states of one d give n_a + n_b, of one d mod 2 total parity.
-Each constructor records its route on the density.  A bs-route density
-R B₀(ρ₁ ⊗ ρ₂) B₀† R†, with B₀ the real λ = 0 mixer and
-R = e^{iα n_a + iβ n_b} the local phases, also records
-δ = θ_d − θ_c: B₀ maps the input parity (−1)^{n_a} to a signed mode swap,
-so ρ commutes with T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩.  Under partial
-transposition that symmetry becomes antiunitary, and with the phases
-e^{iδN/2} each block is real symmetric in the basis of |j, j⟩ and the
-symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩.  Its
-spectrum then comes from the real eigensolver, about a quarter of the
+Each constructor records its route on the density.  A recurrence-route
+state with |m_a| = |m_b| and m_x e^{−iδ} real, δ = ½(arg m_b − arg m_a),
+such as every rotated beam-splitter image, also records δ: its moments,
+and so ρ, are invariant under T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩.
+Under partial transposition that symmetry becomes antiunitary, and with
+the phases e^{iδN/2} each block is real symmetric in the basis of |j, j⟩
+and the symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩.
+Its spectrum then comes from the real eigensolver, about a quarter of the
 complex cost.  The symmetry is checked on every block to the Hermiticity
 tolerance; a block that fails it, and every density without δ, takes the
 complex eigensolver.
@@ -107,11 +99,11 @@ witness expectations and partial-transpose spectra computed from these
 matrices are independent checks of every closed form in the package.
 
 Each constructor calls ``separability._require_physical``, the gate of
-every closed form, once on entry and builds every state it accepts.  The
-planner keeps each factor's formal occupation n̄, negative (with
-alternating-sign weights) for moments beyond the physical bound, so tests
-can read physicality off it independently.  An accepted factor with n̄
-just below zero (a vacuum port, a boundary state) is built pure.
+every closed form, once on entry and builds every state it accepts.  A
+gated state in the gate's band, the smallest eigenvalue λ of Γ in
+[−EPS_PHYS, 0), is built with n raised by |λ|, from Γ − λI, so that its
+density stays positive; the tms route builds a thermal factor with n̄ just
+below zero pure, which does the same.
 """
 
 from __future__ import annotations
@@ -119,13 +111,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import NamedTuple
 
 import numpy as np
 
-from .separability import _require_physical
+from .separability import _moment_matrix, _require_physical
 from .states import GaussianMixture, OneModeGaussian, OperatorWord, TwoModeGaussian
+from .transforms import beam_splitter
 from .witnesses import WitnessKind
 
 EPS_TR = 1e-6
@@ -142,11 +135,7 @@ class ConvergenceError(RuntimeError):
         self.deficit = deficit
 
 
-class UnsupportedStateError(ValueError):
-    """Second-moment pattern outside the families this oracle can assemble."""
-
-
-# --- ladder matrices and exact-unitary exponentials --------------------------
+# --- ladder matrices and the tms sector exponentials -------------------------
 
 def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
@@ -156,79 +145,60 @@ def creation(cutoff: int) -> np.ndarray:
     return annihilation(cutoff).conj().T
 
 
-def _mixer_states(cutoff: int, total: int) -> np.ndarray:
-    """Mode-a photon numbers j of the retained states |j, N−j⟩ of sector N."""
-    return np.arange(max(0, total - cutoff + 1), min(total, cutoff - 1) + 1)
+def _sector_couplings(size: int, sector: int) -> np.ndarray:
+    """Real couplings a_k of the two-mode squeezer's generator
+    g[k+1, k] = z a_k, g[k, k+1] = −z̄ a_k on sector |d| = ``sector`` of
+    two modes with cutoff ``size``, its states |j, j−d⟩ in increasing j.
+    ξ* ab − ξ a†b† has z = −ξ; a†b† takes the k-th state to the next with
+    √((k+1)(k+|d|+1)), the same for d and −d."""
+    k = np.arange(size - sector - 1, dtype=float)
+    return np.sqrt((k + 1.0) * (k + sector + 1.0))
 
 
-def _sector_couplings(kind: str, size: int, sector: int) -> np.ndarray:
-    """Real couplings a_k of a sector generator g[k+1, k] = z a_k,
-    g[k, k+1] = −z̄ a_k, its states listed in increasing order.
-
-    - ``squeeze``: parity ``sector`` of one mode with ``size`` states.
-      ½(ξ* a² − ξ a†²) has z = −ξ/2; a†² takes |n⟩ to |n+2⟩ with
-      √((n+1)(n+2)).
-    - ``tms``: sector |d| = ``sector`` of two modes with cutoff ``size``,
-      states |j, j−d⟩.  ξ* ab − ξ a†b† has z = −ξ; a†b† takes the k-th state
-      to the next with √((k+1)(k+|d|+1)), the same for d and −d.
-    - ``mixer``: sector N = ``sector`` of two modes with cutoff ``size``,
-      states |j, N−j⟩.  (π/4)(e^{iλ} a†b − e^{−iλ} ab†) has z = (π/4)e^{iλ};
-      a†b takes |j, N−j⟩ to |j+1, N−j−1⟩ with √((j+1)(N−j)).
-    """
-    if kind == "squeeze":
-        n = np.arange(sector, size - 2, 2, dtype=float)
-        return np.sqrt((n + 1.0) * (n + 2.0))
-    if kind == "tms":
-        k = np.arange(size - sector - 1, dtype=float)
-        return np.sqrt((k + 1.0) * (k + sector + 1.0))
-    if kind == "mixer":
-        js = _mixer_states(size, sector)[:-1]
-        return np.sqrt((js + 1.0) * (sector - js))
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def _tridiagonal_spectrum(kind: str, size: int, sector: int):
+def _tridiagonal_spectrum(size: int, sector: int):
     """(Λ, V): eigendecomposition of the real symmetric tridiagonal matrix A
     with off-diagonal a_k of the sector generator."""
-    a = _sector_couplings(kind, size, sector)
+    a = _sector_couplings(size, sector)
     return np.linalg.eigh(np.diag(a, -1) + np.diag(a, 1))
 
 
-def _check_spectrum(kind: str, size: int, sector: int, lam: np.ndarray, v: np.ndarray) -> None:
+def _check_spectrum(size: int, sector: int, lam: np.ndarray, v: np.ndarray) -> None:
     """Require V to be orthogonal and A V = V Λ, relative to the largest
     coupling of A, each to the Hermiticity tolerance."""
-    a = _sector_couplings(kind, size, sector)
+    a = _sector_couplings(size, sector)
     av = np.zeros_like(v)
     av[1:] += a[:, None] * v[:-1]
     av[:-1] += a[:, None] * v[1:]
     residual = max(_max_abs(v.T @ v - np.eye(lam.size)),
                    _max_abs(av - v * lam) / np.max(a, initial=1.0))
     if residual > _HERMITICITY_TOL:
-        raise ValueError(f"{kind} sector {sector} of size {size} fails its spectrum check "
+        raise ValueError(f"tms sector {sector} of size {size} fails its spectrum check "
                          f"(residual {residual:.3g})")
 
 
 @functools.lru_cache(maxsize=256)
-def _sector_spectrum(kind: str, size: int, sector: int):
+def _sector_spectrum(size: int, sector: int):
     """``_tridiagonal_spectrum``, checked once here by ``_check_spectrum``
-    and cached read-only.
-
-    The bound holds every squeezer and tms sector the concordance suite
-    uses (cutoffs 40 and 30).  The mixer keeps no spectra: its sectors are
-    cached once, in the mode-swap basis, by ``_swap_rows``.
-    """
-    lam, v = _tridiagonal_spectrum(kind, size, sector)
-    _check_spectrum(kind, size, sector, lam, v)
+    and cached read-only.  The bound holds every tms sector the concordance
+    suite uses (cutoffs 40 and 30)."""
+    lam, v = _tridiagonal_spectrum(size, sector)
+    _check_spectrum(size, sector, lam, v)
     lam.flags.writeable = False
     v.flags.writeable = False
     return lam, v
 
 
-def _spectral_exponential(lam: np.ndarray, v: np.ndarray, z: complex,
-                          rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Rows ``rows`` and columns ``cols`` of exp(g) = G V e^{−i|z|Λ} Vᵀ G*
-    for the sector generator with spectrum (Λ, V) and coupling z, where
-    G = diag(e^{ik(arg z + π/2)}): exactly unitary up to round-off."""
+def _sector_exponential(size: int, sector: int, z: complex,
+                        rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of exp(g) for the sector generator
+    with coupling z (see ``_sector_couplings``): exactly unitary up to
+    round-off.
+
+    g = G (−i|z| A) G* with G = diag(e^{ik(arg z + π/2)}), so
+    exp(g) = G V e^{−i|z|Λ} Vᵀ G*.  Only the phases depend on z, so every
+    state shares the cached spectrum.
+    """
+    lam, v = _sector_spectrum(size, sector)
     left = v[rows]
     angle = abs(z) * lam
     # The real and the imaginary part in one real product [V cos; V sin] Vᵀ.
@@ -241,94 +211,151 @@ def _spectral_exponential(lam: np.ndarray, v: np.ndarray, z: complex,
     return out
 
 
-def _sector_exponential(kind: str, size: int, sector: int, z: complex,
-                        rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Rows ``rows`` and columns ``cols`` of exp(g) for the sector generator
-    with coupling z (see ``_sector_couplings``).
+# --- the Gaussian recurrence ---------------------------------------------------
 
-    g = G (−i|z| A) G* with G = diag(e^{ik(arg z + π/2)}), so
-    exp(g) = G V e^{−i|z|Λ} Vᵀ G*.  Only the phases depend on z, so every
-    state shares the cached spectrum.
+def _recurrence_start(gamma: np.ndarray):
+    """(A, T) of the recurrence for the state with ⟨ζζ†⟩ = Γ (see the
+    module docstring); X swaps the two row halves of I − σ_Q⁻¹.  A state in
+    the gate's band, smallest eigenvalue λ of Γ below zero, is built from
+    Γ − λI, which keeps its density positive."""
+    half = gamma.shape[0] // 2
+    sigma_q = gamma - min(float(np.linalg.eigvalsh(gamma)[0]), 0.0) * np.eye(2 * half)
+    sigma_q[half:, half:] += np.eye(half)
+    a = np.roll(np.eye(2 * half) - np.linalg.inv(sigma_q), half, axis=0).conj()
+    return a, 1.0 / math.sqrt(np.linalg.det(sigma_q).real)
+
+
+def _recurrence_slabs(a: np.ndarray, t: float, cutoff: int, upper: bool = False):
+    """Yield G(k, ·) for k = 0 .. cutoff − 1, each a flat C-ordered array
+    over the remaining indices, each below ``cutoff``.
+
+    Slab 0 is the recurrence on the remaining indices (``_recurrence_entries``);
+    slab k + 1 is formed from slabs k and k − 1.  A step back along an index
+    is a flat shift by its stride, and the factor √k_j = 0 cancels every
+    entry the shift wraps.  With ``upper`` slab k holds only the entries
+    whose first remaining index is at least k, which read no others; the
+    rest of its buffer holds stale values, which nothing reads.  Three
+    buffers take turns, so a yielded slab is overwritten two steps later.
     """
-    return _spectral_exponential(*_sector_spectrum(kind, size, sector), z, rows, cols)
+    rest = a.shape[0] - 1
+    size = cutoff ** rest
+    slab = _recurrence_entries(a[1:, 1:], t, cutoff)
+    roots = np.sqrt(np.arange(cutoff))
+    strides = [cutoff ** (rest - 1 - j) for j in range(rest)]
+    # A_0j √k_j at every flat position, one array per remaining index j.
+    weights = [a[0, j + 1] * np.tile(np.repeat(roots, s), size // (s * cutoff))
+               for j, s in enumerate(strides)]
+    previous, spare, term = (np.zeros(size, dtype=complex) for _ in range(3))
+    for k in range(cutoff):
+        yield slab
+        if k + 1 == cutoff:
+            return
+        lo = (k + 1) * strides[0] if upper else 0
+        part = spare[lo:]
+        np.multiply(previous[lo:], a[0, 0] * roots[k], out=part)
+        for j, s in enumerate(strides):
+            start = max(lo, s)
+            np.multiply(weights[j][start:], slab[start - s:size - s], out=term[start:])
+            part[start - lo:] += term[start:]
+        part *= 1.0 / roots[k + 1]
+        previous, slab, spare = slab, spare, previous
 
 
-def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
-    """exp(½(ξ* a² − ξ a†²)) with ξ = r e^{iφ}, truncated.
+def _recurrence_entries(a: np.ndarray, t: float, cutoff: int) -> np.ndarray:
+    """Every G(k) with each index below ``cutoff``, flat in C order.  On one
+    index G(k + 1) = A_00 √(k/(k + 1)) G(k − 1), so the even entries are a
+    running product and the odd ones vanish."""
+    if a.shape[0] == 1:
+        out = np.zeros(cutoff, dtype=complex)
+        out[0] = t
+        odd = np.arange(1, cutoff - 1, 2)
+        out[2::2] = t * np.cumprod(a[0, 0] * np.sqrt(odd / (odd + 1.0)))
+        return out
+    size = cutoff ** (a.shape[0] - 1)
+    out = np.empty(cutoff * size, dtype=complex)
+    for k, slab in enumerate(_recurrence_slabs(a, t, cutoff)):
+        out[k * size:(k + 1) * size] = slab
+    return out
 
-    The generator changes the photon number by two, so it is exponentiated
-    on the even and the odd Fock states separately.
+
+def _checked(mat: np.ndarray) -> np.ndarray:
+    """(M + M†)/2, exactly Hermitian; raises unless M is Hermitian to the
+    tolerance."""
+    out = np.empty_like(mat)
+    _require_hermitian(_hermitian_part(mat, out))
+    return out
+
+
+def _one_mode_matrix(n: float, m: complex, cutoff: int) -> np.ndarray:
+    """The one-mode density with ⟨a†a⟩ = n and ⟨aa⟩ = −m on the first
+    ``cutoff`` Fock states, from the recurrence, checked (``_checked``).
+    Its Γ is the (a, a†) block of a product state's."""
+    gamma = _moment_matrix(TwoModeGaussian(n, m))[np.ix_([0, 2], [0, 2])]
+    return _checked(_recurrence_entries(*_recurrence_start(gamma), cutoff)
+                    .reshape(cutoff, cutoff))
+
+
+def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
+    """Blocks of the restricted density of a two-mode state, one per total
+    parity, each listing its states in increasing flat index, written
+    exactly Hermitian.
+
+    The slabs run along m_a over (n_a, m_b, n_b), so ``upper`` computes the
+    entries with n_a ≥ m_a.  Within a block the rows of one m_a are
+    contiguous, and the columns with n_a ≥ m_a follow from them on: slab
+    m_a gives that row band and its mirror image below it.  Its n_a = m_a
+    part is computed twice; it is checked, and written symmetrized.
     """
-    z = -0.5 * r * cmath.exp(1j * phi)
-    u = np.zeros((cutoff, cutoff), dtype=complex)
-    for parity in range(min(2, cutoff)):
-        u[parity::2, parity::2] = _sector_exponential("squeeze", cutoff, parity, z)
-    return u
+    a, t = _recurrence_start(_moment_matrix(state))
+    order = [0, 2, 1, 3]
+    a = a[np.ix_(order, order)]
+    c = cutoff
+    na, nb = np.divmod(np.arange(c * c), c)
+    members = [np.flatnonzero((na + nb) % 2 == parity) for parity in (0, 1)]
+    out = _Written([m[None, :] for m in members])
+    # The slab offset of each block column (n_a, n_b) in the row m_b = 0.
+    offsets = [na[m] * c * c + nb[m] for m in members]
+    for m_a, slab in enumerate(_recurrence_slabs(a, t, c, upper=True)):
+        same = _checked(slab[m_a * c * c:(m_a + 1) * c * c].reshape(c, c))
+        for parity, (states, columns, (_, values)) in enumerate(zip(members, offsets, out)):
+            r0, r1 = np.searchsorted(states, [m_a * c, (m_a + 1) * c])
+            start = (parity - m_a) % 2
+            values[r0:r1, r0:r1] = same[start::2, start::2]
+            values[r0:r1, r1:] = slab[columns[r1:] + c * np.arange(start, c, 2)[:, None]]
+            np.conjugate(values[r0:r1, r1:].T, out=values[r1:, r0:r1])
+    return out
 
 
-def _check_swap_block(block: np.ndarray) -> None:
-    """Require a λ = 0 mixer sector block B₀ to be real orthogonal and to
-    obey the mode-swap identity B₀[N − p, j] = (−1)^j B₀[p, j], each to the
-    Hermiticity tolerance."""
-    real = block.real
-    sign = (-1.0) ** np.arange(block.shape[1])
-    residual = max(_max_abs(block.imag),
-                   _max_abs(real @ real.T - np.eye(block.shape[0])),
-                   _max_abs(real[::-1] - real * sign))
-    if residual > _HERMITICITY_TOL:
-        raise ValueError(f"mixer sector {block.shape[0] - 1} fails its swap-basis check "
-                         f"(residual {residual:.3g})")
+def _moment_scale(state: TwoModeGaussian) -> float:
+    return 1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c) + abs(state.m_x)
 
 
-class _SwapRows(NamedTuple):
-    """Sector N of the λ = 0 mixer B₀ (without the output rotation) in the
-    mode-swap basis, real and read-only.  Row p and column j belong to the
-    output state |p, N−p⟩ and the input state |j, N−j⟩.
-
-    ``strict[c]`` holds the rows p < N − p and the columns of class c, the
-    input states with j ≡ c (mod 2); ``middle`` holds the class-0 part of
-    the row p = N/2 of an even sector, and None for an odd one.  The
-    class-1 part of that row vanishes by the swap identity.
-    """
-
-    strict: tuple
-    middle: np.ndarray | None
-
-
-@functools.lru_cache(maxsize=None)
-def _swap_rows(total: int) -> _SwapRows:
-    """The swap-basis rows of mixer sector N = ``total``, checked once here
-    by ``_check_swap_block``.  A sector's block does not depend on the
-    cutoff, so every cutoff shares one entry per sector: a cutoff-40
-    density fills the sectors of every smaller cutoff (0.67 MB in all)."""
-    block = _spectral_exponential(*_tridiagonal_spectrum("mixer", total + 1, total),
-                                  math.pi / 4.0)
-    _check_swap_block(block)
-    real = block.real
-    half = (total + 1) // 2
-
-    def frozen(rows):
-        rows = np.ascontiguousarray(rows)
-        rows.flags.writeable = False
-        return rows
-
-    return _SwapRows(tuple(frozen(real[:half, c::2]) for c in (0, 1)),
-                     frozen(real[half:half + 1, 0::2]) if total % 2 == 0 else None)
+def _swap_phase(state: TwoModeGaussian) -> float | None:
+    """δ = ½(arg m_b − arg m_a) when |m_a| = |m_b| and m_x e^{−iδ} is real,
+    else None.  A vanishing m_a or m_b counts as phase 0.  Such a state's
+    density commutes with T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩ (see
+    ``_symmetric_block_min``)."""
+    fa, fb = abs(state.m_a), abs(state.m_b)
+    if abs(fa - fb) > 1e-9 * max(1.0, fa, fb):
+        return None
+    tol = 1e-12 * _moment_scale(state)
+    delta = 0.5 * ((cmath.phase(state.m_b) if fb > tol else 0.0)
+                   - (cmath.phase(state.m_a) if fa > tol else 0.0))
+    x = state.m_x * cmath.exp(-1j * delta)
+    return delta if abs(x.imag) <= 1e-9 * max(1.0, abs(x)) else None
 
 
-# --- squeezed-thermal decompositions -----------------------------------------
+# --- the tms and tensor routes --------------------------------------------------
 
-@dataclass(frozen=True)
-class _SqueezedThermal:
-    """Factorization ρ = S(r, φ) ρ_thermal(n̄) S†; n̄ < 0 marks a quasi state."""
-
-    nbar: float
-    r: float
-    phi: float
+def _thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
+    q = nbar / (nbar + 1.0)
+    return (1.0 - q) * q ** np.arange(cutoff)
 
 
 def _solve_squeezed_thermal(n: float, m: complex):
-    """Solve (n̄, r, φ) from n + ½ = (n̄+½) cosh 2r and m = e^{iφ}(n̄+½) sinh 2r.
+    """(n̄, r, φ) of S₂(r, φ)(ρ_th(n̄) ⊗ ρ_th(n̄))S₂† from
+    n + ½ = (n̄+½) cosh 2r and m = e^{iφ}(n̄+½) sinh 2r, with m the cross
+    moment m_c.
 
     A solution exists exactly when n + ½ > |m| (which excludes n < −½),
     else None.  n̄ is the formal one, negative beyond |m|² ≤ n(n+1).
@@ -338,229 +365,7 @@ def _solve_squeezed_thermal(n: float, m: complex):
     half_width = math.sqrt((n + 0.5) ** 2 - abs(m) ** 2)
     r = 0.5 * math.asinh(abs(m) / half_width)
     phi = cmath.phase(m) if abs(m) > 0.0 else 0.0
-    return _SqueezedThermal(half_width - 0.5, r, phi)
-
-
-def _thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
-    q = nbar / (nbar + 1.0)
-    return (1.0 - q) * q ** np.arange(cutoff)
-
-
-def _working_cutoff(cutoff: int) -> int:
-    return 2 * cutoff
-
-
-def _factor_matrix(st: _SqueezedThermal, dim: int) -> np.ndarray:
-    """S ρ_thermal S† on the first ``dim`` Fock states.  S has exact zeros
-    between the parities, so the product has them too.  A gated state's
-    factor with n̄ just below zero is built pure."""
-    w = _thermal_weights(max(st.nbar, 0.0), dim)
-    if st.r == 0.0:
-        return np.diag(w).astype(complex)
-    s = squeeze_unitary(dim, st.r, st.phi)
-    return (s * w) @ s.conj().T
-
-
-def _checked(mat: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, exactly Hermitian; raises unless M is Hermitian to the
-    tolerance.  The tensor and bs routes build their blocks from factors
-    checked here, by products that keep them exactly Hermitian, so their
-    blocks need no check of their own."""
-    out = np.empty_like(mat)
-    _require_hermitian(_hermitian_part(mat, out))
-    return out
-
-
-def _one_mode_matrix(st: _SqueezedThermal, cutoff: int) -> np.ndarray:
-    """Restricted matrix of the squeezed thermal state, assembled at twice
-    the cutoff so the retained block carries no truncation junk, and
-    checked (``_checked``)."""
-    return _checked(_factor_matrix(st, _working_cutoff(cutoff))[:cutoff, :cutoff])
-
-
-class _SwapLayout:
-    """One total parity of a bs density at ``cutoff``: its mixer sectors
-    N ≤ 2(cutoff − 1), the retained representatives of each, and its
-    output states in block order.
-
-    The block lists the strict representatives |p, N−p⟩ (p < N − p),
-    sector by sector, then the middle states |N/2, N/2⟩ of the even
-    sectors, then the mirror images |N−p, p⟩ of the strict
-    representatives in their order.  Sector N retains p ≥ N − cutoff + 1.
-    """
-
-    def __init__(self, cutoff: int, parity: int):
-        self.totals = list(range(parity, 2 * cutoff - 1, 2))
-        self.lows = [max(0, total - cutoff + 1) for total in self.totals]
-        strict = [np.arange(lo, (total + 1) // 2) for total, lo in zip(self.totals, self.lows)]
-        self.starts = np.cumsum([0] + [p.size for p in strict])
-        self.n_strict = int(self.starts[-1])
-        # Every sector of even parity is even and has a middle state.
-        middle = np.array(self.totals if parity == 0 else [], dtype=int) // 2
-        self.n_reps = self.n_strict + middle.size
-        p = np.concatenate(strict)
-        mirror = np.repeat(self.totals, [q.size for q in strict]) - p
-        self.ja = np.concatenate((p, middle, mirror))
-        self.jb = np.concatenate((mirror, middle, p))
-        self.members = (self.ja * cutoff + self.jb)[None, :]
-
-    def middle(self, index: int) -> int | None:
-        """Row of the middle state of the ``index``-th sector, if any."""
-        return self.n_strict + index if self.totals[index] % 2 == 0 else None
-
-
-def _swap_products(rho1: np.ndarray, rho2: np.ndarray, layout: _SwapLayout, c: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Y_c = B̃_c ρ_in⁽ᶜ⁾ B̃_cᵀ on the representatives of ``layout``, for the
-    input class c, written into ``out`` (zero on entry), or else into a new
-    array.  Only the upper block triangle is formed: rows of sectors up to
-    the column's sector, and the middle columns; the rest is left as it
-    is.  For c = 1 the middle rows and columns are zero, and a new array
-    holds only the strict rows.
-
-    ρ_in⁽ᶜ⁾ holds the input states |j, N−j⟩ with j ≡ c (mod 2), sector by
-    sector, with ρ_in[(N, j), (M, j')] = ρ₁[j, j'] ρ₂[N − j, M − j'], and
-    B̃_c the real swap-basis rows of ``_swap_rows`` on its columns.  Both
-    products run sector by sector: the first, H = B̃ ρ_in, as real rows
-    times the real view of ρ_in's rows; the second, B̃ Hᵀ = Yᵀ, on H's
-    columns.  Each array goes at its last use, so H alone is alive beside
-    Y in the second product.  The factors come in conjugated, so that this
-    is Y of the unconjugated ones (Y is Hermitian).
-    """
-    totals = layout.totals
-    counts = [len(range(c, total + 1, 2)) for total in totals]
-    first = np.cumsum([0] + counts)
-    j_in = np.concatenate([np.arange(c, total + 1, 2) for total in totals])
-    k_in = np.repeat(totals, counts) - j_in
-    top = totals[-1] - c
-    # ρ₁'s rows j ≡ c and ρ₂'s rows in decreasing k, so that the class rows
-    # of sector N are the product of two contiguous row slices.
-    g1 = rho1[np.ix_(np.arange(c, totals[-1] + 1, 2), j_in)]
-    g2 = rho2[np.ix_(np.arange(top, -1, -2), k_in)]
-    n_reps, n_strict = layout.n_reps, layout.n_strict
-    h = np.empty((n_reps, j_in.size), dtype=complex)
-    h_real = h.view(float)
-    if c:
-        h[n_strict:] = 0.0
-    buf = np.empty((max(counts), j_in.size), dtype=complex)
-    sectors = [(i, _swap_rows(total)) for i, total in enumerate(totals) if counts[i]]
-    for i, rows in sectors:
-        count = counts[i]
-        k0 = (top - totals[i] + c) // 2
-        x = np.multiply(g1[:count], g2[k0:k0 + count], out=buf[:count]).view(float)
-        a, b = layout.starts[i], layout.starts[i + 1]
-        np.matmul(rows.strict[c][layout.lows[i]:], x, out=h_real[a:b])
-        mid = layout.middle(i)
-        if c == 0 and mid is not None:
-            np.matmul(rows.middle, x, out=h_real[mid:mid + 1])
-    del g1, g2, buf, x
-    # The second product takes H's columns, one sector's input states at a
-    # time, from the transposed view.
-    ht = h.T
-    y = np.zeros((n_strict if c else n_reps, n_reps), dtype=complex) if out is None else out
-    for i, rows in sectors:
-        a, b = layout.starts[i], layout.starts[i + 1]
-        block = ht[first[i]:first[i + 1]]
-        np.matmul(rows.strict[c][layout.lows[i]:], block[:, a:], out=y[a:b, a:])
-        mid = layout.middle(i)
-        if c == 0 and mid is not None:
-            np.matmul(rows.middle, block[:, mid:], out=y[mid:mid + 1, mid:])
-    return y
-
-
-def _mirror_tile(tile: np.ndarray) -> None:
-    """Make a square tile exactly Hermitian from its upper triangle: the
-    strict lower triangle becomes the adjoint of the strict upper one, and
-    the diagonal its real part."""
-    size = tile.shape[0]
-    np.copyto(tile, tile.conj().T, where=np.tri(size, k=-1, dtype=bool))
-    np.fill_diagonal(tile.imag, 0.0)
-
-
-def _mirror_upper(mat: np.ndarray) -> None:
-    """``_mirror_tile`` on a whole matrix, in mirrored square tiles."""
-    dim = mat.shape[0]
-    for i in range(0, dim, _TILE):
-        _mirror_tile(mat[i:i + _TILE, i:i + _TILE])
-        for j in range(i + _TILE, dim, _TILE):
-            np.conjugate(mat[i:i + _TILE, j:j + _TILE].T, out=mat[j:j + _TILE, i:i + _TILE])
-
-
-def _mix_on_beam_splitter(f1: _SqueezedThermal, f2: _SqueezedThermal,
-                          theta_c: float, theta_d: float, cutoff: int) -> "_Written":
-    """Blocks of the restricted density of R(θc, θd) · V₀ (ρ₁ ⊗ ρ₂) V₀† · R†,
-    with V₀ the λ = 0 beam splitter of ``bs_output_density``, one per total
-    parity, written exactly Hermitian.
-
-    The mixer conserves N = n_a + n_b, so a retained state (both photon
-    numbers below the cutoff) only receives weight from the input sectors
-    N ≤ 2(cutoff − 1), which the doubled working space holds untruncated.
-    The factors conserve parity, so input and output split by total
-    parity.  Each factor also conserves its own parity, so within one total
-    parity the input splits into two classes by the parity c of n_a, with
-    no entry between them.
-
-    The λ = 0 mixer block B₀ of sector N obeys B₀[N − p, j] = (−1)^j B₀[p, j]:
-    class c feeds only the swap-even (c = 0) or swap-odd (c = 1)
-    combinations of |p, N−p⟩ and its mirror image |N−p, p⟩.  With
-    Y_c = B̃_c ρ_in⁽ᶜ⁾ B̃_cᵀ on the representatives p ≤ N − p
-    (``_swap_products``), the block before the rotation is
-    [[Y₀ + Y₁, Y₀ − Y₁], [Y₀ − Y₁, Y₀ + Y₁]] over the representatives and
-    their mirror images (a middle state |k, k⟩ is its own image and takes
-    Y₀ alone).  The rotation phases are applied to the upper triangle,
-    which is then mirrored, so the block is exactly Hermitian; its
-    validity rests on the two factors (``_checked``) and on the mixer
-    rows, checked once when cached (``_swap_rows``).
-    """
-    cw = _working_cutoff(cutoff)
-    rho1 = _checked(_factor_matrix(f1, cw)).conj()
-    rho2 = _checked(_factor_matrix(f2, cw)).conj()
-    layouts = [_SwapLayout(cutoff, parity) for parity in (0, 1)]
-    out = _Written([layout.members for layout in layouts])
-    for layout, block in zip(layouts, out):
-        reps, strict = layout.n_reps, slice(layout.n_strict)
-        # Y₀ is formed in place, in the block's own representative quadrant.
-        same = block.values[:reps, :reps]
-        same[...] = 0.0
-        _swap_products(rho1, rho2, layout, 0, same)
-        odd = _swap_products(rho1, rho2, layout, 1)
-        other = same.copy()
-        other[strict] -= odd
-        same[strict] += odd
-        del odd
-        _mirror_upper(other)
-        phase = np.exp(1j * (theta_c * layout.ja + (theta_d + math.pi) * layout.jb))
-        _write_swap_block(block.values, other, phase, reps)
-        del other
-    return out
-
-
-def _write_swap_block(values: np.ndarray, other: np.ndarray, phase: np.ndarray,
-                      reps: int) -> None:
-    """Write the block [[same, other], [other, same]] over the ``reps``
-    representatives and their mirror images (a middle state takes ``same``
-    alone), phased by ``phase``, where ``same`` is held in
-    ``values[:reps, :reps]`` on entry: its upper triangle is read, and
-    ``other`` is whole.  Tiles of the upper triangle, none across the
-    representatives' edge, are each phased once and written with their
-    mirror image, so the block is exactly Hermitian.  The mirror images'
-    quadrant is written first, from ``same`` before it is phased in place."""
-    edges = [*range(0, reps, _TILE), *range(reps, values.shape[0], _TILE), values.shape[0]]
-    tiles = [(r0, r1, c0, c1) for i, (r0, r1) in enumerate(zip(edges, edges[1:]))
-             for c0, c1 in zip(edges[i:], edges[i + 1:])]
-    for r0, r1, c0, c1 in sorted(tiles, key=lambda t: t[0] < reps):
-        if c0 < reps:
-            src = values[r0:r1, c0:c1]
-        elif r0 < reps:
-            src = other[r0:r1, c0 - reps:c1 - reps]
-        else:
-            src = values[r0 - reps:r1 - reps, c0 - reps:c1 - reps]
-        tile = values[r0:r1, c0:c1]
-        np.multiply(src, np.multiply.outer(phase[r0:r1], phase[c0:c1].conj()), out=tile)
-        if c0 == r0:
-            _mirror_tile(tile)
-        else:
-            np.conjugate(tile.T, out=values[c0:c1, r0:r1])
+    return half_width - 0.5, r, phi
 
 
 def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> "_Written":
@@ -569,14 +374,15 @@ def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -
     Hermitian (``_hermitian_part``).
 
     The thermal input is diagonal and S₂ conserves d, so sector d is
-    C_d W_d C_d†: W_d holds the input weights of the sector's states and
-    C_d the retained rows and the kept (non-negligible weight) columns of
-    its block.  Swapping the modes maps sector d onto sector −d with the
-    same generator block and input weights, so the two sectors share one
-    block.  Sectors with |d| ≥ cutoff hold no retained state.
+    C_d W_d C_d†: W_d holds the input weights of the sector's states in a
+    working space of twice the cutoff and C_d the retained rows and the
+    kept (non-negligible weight) columns of its block.  Swapping the modes
+    maps sector d onto sector −d with the same generator block and input
+    weights, so the two sectors share one block.  Sectors with
+    |d| ≥ cutoff hold no retained state.
     """
-    cw = _working_cutoff(cutoff)
-    # As in ``_factor_matrix``: n̄ just below zero is built pure.
+    cw = 2 * cutoff
+    # n̄ just below zero is built pure.
     w = _thermal_weights(max(nbar, 0.0), cw)
     z = -r * cmath.exp(1j * phi)
     # States are listed by increasing j, so the retained ones come first.
@@ -586,12 +392,12 @@ def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -
     for d, (ja, block) in enumerate(zip(sectors, out)):
         if r == 0.0:
             # A thermal pair: S₂ is the identity, and the sector is its
-            # diagonal of weights, exactly as the tensor route has it.
+            # diagonal of weights.
             sector = np.diag(w[ja] * w[ja - d]).astype(complex)
         else:
             weights = w[d:] * w[:cw - d]
             keep = np.abs(weights) > _WEIGHT_FLOOR
-            c_d = _sector_exponential("tms", cw, d, z, rows=slice(ja.size), cols=keep)
+            c_d = _sector_exponential(cw, d, z, rows=slice(ja.size), cols=keep)
             sector = (c_d * weights[keep]) @ c_d.conj().T
         _require_hermitian(_hermitian_part(sector, block.values))
     return out
@@ -609,15 +415,16 @@ def _write_kron(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.conjugate(out4[i, :, i + 1:, :].transpose(1, 2, 0), out=out4[i + 1:, :, i, :])
 
 
-def _tensor_blocks(f1: _SqueezedThermal, f2: _SqueezedThermal, cutoff: int) -> "_Written":
-    """Blocks of ρ₁ ⊗ ρ₂, one per class (parity of n_a, parity of n_b),
-    written exactly Hermitian from the two validated factors.
+def _tensor_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
+    """Blocks of ρ₁ ⊗ ρ₂ of a product state, one per class (parity of n_a,
+    parity of n_b), written exactly Hermitian from the two checked factors
+    (``_one_mode_matrix``).
 
     Each factor conserves its own photon-number parity, so the product is
     exactly zero between different classes.
     """
-    m1 = _one_mode_matrix(f1, cutoff)
-    m2 = _one_mode_matrix(f2, cutoff)
+    m1 = _one_mode_matrix(state.n, state.m_a, cutoff)
+    m2 = _one_mode_matrix(state.n, state.m_b, cutoff)
     classes = [(ia, ib) for ia in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2))
                for ib in (np.arange(0, cutoff, 2), np.arange(1, cutoff, 2))]
     out = _Written([(ia[:, None] * cutoff + ib[None, :]).reshape(1, -1) for ia, ib in classes])
@@ -642,9 +449,9 @@ class _Block(NamedTuple):
 
 class _Origin(NamedTuple):
     """How a constructor of this module built a density: its route
-    (``one-mode``, ``tensor``, ``tms``, ``bs`` or ``mixture``) and, for the
-    bs route, the phase δ of its mode-exchange symmetry (see
-    ``ppt_min_eigenvalue``); None on every other route."""
+    (``one-mode``, ``tensor``, ``tms``, ``recurrence`` or ``mixture``) and,
+    for the recurrence route, the phase δ of its mode-exchange symmetry
+    when it has one (``_swap_phase``); None otherwise."""
 
     route: str
     swap_phase: float | None = None
@@ -823,7 +630,7 @@ class FockDensity:
     @property
     def route(self) -> str | None:
         """The constructor route that built the density (``one-mode``,
-        ``tensor``, ``tms``, ``bs`` or ``mixture``); None for a dense one."""
+        ``tensor``, ``tms``, ``recurrence`` or ``mixture``); None for a dense one."""
         return None if self._origin is None else self._origin.route
 
     @property
@@ -888,113 +695,42 @@ def _finish(modes: int, cutoff: int, blocks, eps_tr: float,
 # --- constructors -------------------------------------------------------------
 
 def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
-    """Assemble a one-mode state as a squeeze-conjugated thermal diagonal.
+    """Assemble a one-mode state by the recurrence.
 
     The second moments of the result match (n, m) up to the cutoff tail,
     and the trace deficit reports exactly that tail.
     """
-    if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
+    _require_dims(1, cutoff)
     _require_physical(s)
     blocks = _Written([np.arange(cutoff)[None, :]])
-    blocks[0].values[...] = _one_mode_matrix(_solve_squeezed_thermal(s.n, s.m), cutoff)
+    blocks[0].values[...] = _one_mode_matrix(s.n, s.m, cutoff)
     return _finish(1, cutoff, blocks, eps_tr, _Origin("one-mode"))
 
 
 def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
                       cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
-    """Tensor the two input states and conjugate by the beam splitter V_λ.
-
-    V_λ is the λ = 0 mixer between the rotations e^{iλ n_a}, followed by
-    e^{i(λ+π) n_b}.  The input rotation e^{−iλ n_a} turns S(r, φ) into
-    S(r, φ − 2λ), so factor 1 is squeezed at φ − 2λ, and the output
-    rotations e^{iλ n_a} e^{iλ n_b} are the rotations θc = θd = λ.
-    """
+    """The output of the beam splitter ``transforms.beam_splitter(sa, sb, lam)``,
+    built by the recurrence from its moments.  The inputs are gated."""
+    _require_dims(2, cutoff)
     for s in (sa, sb):
         _require_physical(s)
-    f1 = _solve_squeezed_thermal(sa.n, sa.m)
-    f2 = _solve_squeezed_thermal(sb.n, sb.m)
-    f1 = _SqueezedThermal(f1.nbar, f1.r, f1.phi - 2.0 * lam)
-    return _finish(2, cutoff, _mix_on_beam_splitter(f1, f2, lam, lam, cutoff), eps_tr,
-                   _Origin("bs", 0.0))
+    state = beam_splitter(sa, sb, lam)
+    return _finish(2, cutoff, _recurrence_blocks(state, cutoff), eps_tr,
+                   _Origin("recurrence", _swap_phase(state)))
 
 
-@dataclass(frozen=True)
-class _TwoModePlan:
-    """Constructive recipe whose unitary part leaves the spectrum alone.
-
-    route ``tensor``:  kron of the two factors.
-    route ``tms``:     thermal ⊗ thermal conjugated by a two-mode squeezer;
-                       a thermal pair takes it with r = 0, so that it has the
-                       d blocks of the cross-correlated states it is mixed with.
-    route ``bs``:      factors mixed on a 50/50 splitter, then local rotations.
-    """
-
-    route: str
-    factor1: _SqueezedThermal
-    factor2: _SqueezedThermal
-    tms_r: float = 0.0
-    tms_phi: float = 0.0
-    theta_c: float = 0.0
-    theta_d: float = 0.0
-
-
-def _plan_two_mode(state: TwoModeGaussian):
-    """Pick a constructive route for the state's moment pattern.
-
-    The factors keep their formal n̄.  Returns None when one has no
-    squeezed-thermal solution, which no gated state lacks.  Raises
-    UnsupportedStateError for patterns outside the supported families:
-    unequal |⟨aa⟩| and |⟨bb⟩| alongside cross correlations, or a cross
-    moment ⟨a†b⟩ whose phase is incompatible with the per-mode squeezing
-    phases.
-    """
-    scale = 1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c) + abs(state.m_x)
-    tol = 1e-12 * scale
+def _assemble_two_mode(state: TwoModeGaussian, cutoff: int):
+    """Blocks and record of a two-mode state by the route its moment pattern
+    takes: a cross-correlated state without local squeezing (a thermal
+    pair included) through the two-mode squeezer, a product state as the
+    kron of its factors, every other state by the recurrence."""
+    tol = 1e-12 * _moment_scale(state)
     if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
-        st = _solve_squeezed_thermal(state.n, state.m_c)
-        if st is None:
-            return None
-        thermal = _SqueezedThermal(st.nbar, 0.0, 0.0)
-        return _TwoModePlan("tms", thermal, thermal, tms_r=st.r, tms_phi=st.phi)
+        return _two_mode_squeezed_thermal(*_solve_squeezed_thermal(state.n, state.m_c),
+                                          cutoff), _Origin("tms")
     if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
-        f1 = _solve_squeezed_thermal(state.n, state.m_a)
-        f2 = _solve_squeezed_thermal(state.n, state.m_b)
-        if f1 is None or f2 is None:
-            return None
-        return _TwoModePlan("tensor", f1, f2)
-    fa, fb = abs(state.m_a), abs(state.m_b)
-    if abs(fa - fb) > 1e-9 * max(1.0, fa, fb):
-        raise UnsupportedStateError(
-            "general construction needs equal per-mode squeezing magnitudes"
-        )
-    f = 0.5 * (fa + fb)
-    theta_c = 0.5 * cmath.phase(state.m_a) if fa > tol else 0.0
-    theta_d = 0.5 * cmath.phase(state.m_b) if fb > tol else 0.0
-    z = state.m_c * cmath.exp(-1j * (theta_c + theta_d))
-    x = state.m_x * cmath.exp(-1j * (theta_d - theta_c))
-    if abs(x.imag) > 1e-9 * max(1.0, abs(x)):
-        raise UnsupportedStateError(
-            "cross moment ⟨a†b⟩ phase is incompatible with the squeezing phases"
-        )
-    f1 = _solve_squeezed_thermal(state.n + x.real, f + z)
-    f2 = _solve_squeezed_thermal(state.n - x.real, f - z)
-    if f1 is None or f2 is None:
-        return None
-    return _TwoModePlan("bs", f1, f2, theta_c=theta_c, theta_d=theta_d)
-
-
-def _assemble_two_mode(plan: _TwoModePlan, cutoff: int):
-    """The plan's blocks and its record; the bs route's symmetry phase is
-    δ = θ_d − θ_c."""
-    if plan.route == "tensor":
-        return _tensor_blocks(plan.factor1, plan.factor2, cutoff), _Origin("tensor")
-    if plan.route == "tms":
-        return (_two_mode_squeezed_thermal(plan.factor1.nbar, plan.tms_r, plan.tms_phi, cutoff),
-                _Origin("tms"))
-    return (_mix_on_beam_splitter(plan.factor1, plan.factor2, plan.theta_c, plan.theta_d,
-                                  cutoff),
-            _Origin("bs", plan.theta_d - plan.theta_c))
+        return _tensor_blocks(state, cutoff), _Origin("tensor")
+    return _recurrence_blocks(state, cutoff), _Origin("recurrence", _swap_phase(state))
 
 
 def _mixture_sum(parts, cutoff: int) -> _Written:
@@ -1049,19 +785,18 @@ def _two_mode_blocks(state, cutoff: int, eps_tr: float):
         return _mixture_sum(parts, cutoff), _Origin("mixture")
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return _assemble_two_mode(_plan_two_mode(state), cutoff)
+    return _assemble_two_mode(state, cutoff)
 
 
 def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
     """Assemble a two-mode state or mixture in the truncated Fock basis.
 
-    Dispatches on the moment pattern: product states are tensored,
-    cross-correlated unsqueezed states go through the two-mode squeezer,
-    and states with both per-mode squeezing and cross correlations are
-    realized as a rotated beam-splitter image of two factor states (every
-    such state with equal per-mode squeezing magnitudes is one).  Mixtures
-    are weighted sums, validated once.
+    Dispatches on the moment pattern (``_assemble_two_mode``): product
+    states are tensored, cross-correlated unsqueezed states go through the
+    two-mode squeezer, and every other state the gate accepts is built by
+    the recurrence.  Mixtures are weighted sums, validated once.
     """
+    _require_dims(2, cutoff)
     _require_physical(state)
     blocks, origin = _two_mode_blocks(state, cutoff, eps_tr)
     return _finish(2, cutoff, blocks, eps_tr, origin)
@@ -1319,8 +1054,9 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
     PT[x, y] = ρ[p, q] with p = (x_a, y_b) and q = (y_a, x_b), so
     N_x − N_y = d_p − d_q with d = n_a − n_b, and ρ joins only states of
     equal d mod k: the partial transpose joins only states of equal N mod
-    k.  A bs-route density commutes with a phased mode swap,
-    which makes each block real symmetric up to known phases
+    k.  A density that records a swap phase (``_swap_phase``) commutes
+    with a phased mode swap, which makes each block real symmetric up to
+    known phases
     (``_symmetric_block_min``); a block that fails that check, and every
     other density, takes the complex Hermitian eigensolver.
     """

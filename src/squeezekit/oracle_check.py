@@ -140,7 +140,7 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
 
     One density is alive at a time: each state's density and moment table
     are released before the next state is assembled, so the suite's peak
-    memory is one density and its assembly temporaries (about 29 MB for a
+    memory is one density and its assembly temporaries (about 28 MB for a
     beam-splitter state at cutoff 40).
 
     Raises ValueError for fewer than 2 states, where one half holds no

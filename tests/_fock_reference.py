@@ -1,14 +1,16 @@
 """Dense reference operators for tests of the Fock oracle.
 
-They are independent of the oracle's sector-by-sector construction: each
-exponential comes from one eigendecomposition of the full truncated
-generator.  Two small helpers reproduce pieces of the oracle that tests
-compare against bit for bit: one beam-splitter sector block, and the
-weight summary of the working-space candidate.
+They are independent of the oracle's constructions: each exponential
+comes from one eigendecomposition of the full truncated generator.  The
+factor solve of ``plan_two_mode`` writes a tensor, two-mode-squeezed or
+beam-splitter moment pattern as unitaries acting on (quasi-)thermal
+factors, for the dense references and for the weight summary of that
+candidate density.
 """
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,18 +54,85 @@ def two_mode_squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     return expm_antihermitian(np.conj(xi) * np.kron(a, a) - xi * np.kron(ad, ad))
 
 
-def mixer_block(cutoff: int, total: int, lam: float):
-    """Sector N = ``total`` of the beam splitter from the oracle's sector
-    exponential: the mode-a photon numbers j of its states |j, N−j⟩ and its
-    block, output rotation e^{i(λ+π) n_b} included."""
-    js = fock._mixer_states(cutoff, total)
-    block = fock._sector_exponential("mixer", cutoff, total, (math.pi / 4.0) * cmath.exp(1j * lam))
-    rotation = np.exp(1j * (lam + math.pi) * (total - js))
-    return js, rotation[:, None] * block
+def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
+    """Dense exp(½(ξ* a² − ξ a†²)) with ξ = r e^{iφ}, truncated."""
+    a = fock.annihilation(cutoff)
+    xi = r * cmath.exp(1j * phi)
+    return expm_antihermitian(0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T)))
+
+
+class Factor(NamedTuple):
+    """ρ = S(r, φ) ρ_thermal(n̄) S†; n̄ < 0 marks a quasi state."""
+
+    nbar: float
+    r: float
+    phi: float
+
+
+class Plan(NamedTuple):
+    """A moment pattern as unitaries acting on two factors.
+
+    ``tensor``: factor1 ⊗ factor2.  ``tms``: two thermal factors under the
+    two-mode squeezer S₂(tms_r, tms_phi).  ``bs``: the factors mixed on the
+    λ = 0 splitter of ``beam_splitter_unitary``, then rotated by
+    e^{i(θc n_a + θd n_b)}.
+    """
+
+    route: str
+    factor1: Factor
+    factor2: Factor
+    tms_r: float = 0.0
+    tms_phi: float = 0.0
+    theta_c: float = 0.0
+    theta_d: float = 0.0
+
+
+def solve_squeezed_thermal(n: float, m: complex):
+    """Factor from n + ½ = (n̄+½) cosh 2r and m = e^{iφ}(n̄+½) sinh 2r; None
+    unless n + ½ > |m|.  n̄ is negative beyond |m|² ≤ n(n+1)."""
+    if n + 0.5 <= abs(m):
+        return None
+    half_width = math.sqrt((n + 0.5) ** 2 - abs(m) ** 2)
+    return Factor(half_width - 0.5, 0.5 * math.asinh(abs(m) / half_width),
+                  cmath.phase(m) if abs(m) > 0.0 else 0.0)
+
+
+def plan_two_mode(state):
+    """The ``Plan`` of a two-mode state with a tensor, tms or bs pattern;
+    None when a factor has no solution.  Raises ValueError for any other
+    pattern: unequal |m_a| and |m_b| beside cross correlations, or an m_x
+    whose phase the squeezing phases do not allow."""
+    scale = 1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c) + abs(state.m_x)
+    tol = 1e-12 * scale
+    if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
+        st = solve_squeezed_thermal(state.n, state.m_c)
+        if st is None:
+            return None
+        thermal = Factor(st.nbar, 0.0, 0.0)
+        return Plan("tms", thermal, thermal, tms_r=st.r, tms_phi=st.phi)
+    if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
+        f1 = solve_squeezed_thermal(state.n, state.m_a)
+        f2 = solve_squeezed_thermal(state.n, state.m_b)
+        return None if f1 is None or f2 is None else Plan("tensor", f1, f2)
+    fa, fb = abs(state.m_a), abs(state.m_b)
+    if abs(fa - fb) > 1e-9 * max(1.0, fa, fb):
+        raise ValueError("no bs pattern: unequal per-mode squeezing magnitudes")
+    theta_c = 0.5 * cmath.phase(state.m_a) if fa > tol else 0.0
+    theta_d = 0.5 * cmath.phase(state.m_b) if fb > tol else 0.0
+    z = state.m_c * cmath.exp(-1j * (theta_c + theta_d))
+    x = state.m_x * cmath.exp(-1j * (theta_d - theta_c))
+    if abs(x.imag) > 1e-9 * max(1.0, abs(x)):
+        raise ValueError("no bs pattern: m_x phase incompatible with the squeezing phases")
+    f = 0.5 * (fa + fb)
+    f1 = solve_squeezed_thermal(state.n + x.real, f + z)
+    f2 = solve_squeezed_thermal(state.n - x.real, f - z)
+    if f1 is None or f2 is None:
+        return None
+    return Plan("bs", f1, f2, theta_c=theta_c, theta_d=theta_d)
 
 
 def candidate_weight_summary(state, cutoff: int):
-    """(min eigenvalue, trace deficit) of the oracle's two-mode candidate at
+    """(min eigenvalue, trace deficit) of the ``plan_two_mode`` candidate at
     ``cutoff``, read off its factors' (quasi-)thermal weights; None when the
     moments admit no candidate.
 
@@ -73,7 +142,7 @@ def candidate_weight_summary(state, cutoff: int):
     moments at any cutoff, since truncation only drops tail entries of the
     exact spectrum.
     """
-    plan = fock._plan_two_mode(state)
+    plan = plan_two_mode(state)
     if plan is None:
         return None
     w1 = fock._thermal_weights(plan.factor1.nbar, cutoff)

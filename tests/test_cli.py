@@ -117,6 +117,16 @@ class TestClassify:
         assert "rerun with a larger --cutoff" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("cutoff", ["0", "1"])
+    @pytest.mark.parametrize("name", ["one-mode", "epr", "werner", "bs-output", "general",
+                                      "amplifier"])
+    def test_oracle_cutoff_below_two_exits_two(self, capsys, name, cutoff):
+        # Every oracle route checks the cutoff before it assembles anything.
+        code, out, err = run_cli(capsys, *_ORACLE_RUNS[name][0], "--oracle", "--cutoff", cutoff)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: cutoff must be at least 2"
+
 
 _NONPHYSICAL = [
     ("witness", "w2", "--n", "1", "--m", "5"),
@@ -296,7 +306,7 @@ class TestOracleRunFields:
 
     @pytest.mark.parametrize("name, route", [
         ("one-mode", "one-mode"), ("epr", "tms"), ("werner", "mixture"),
-        ("bs-output", "bs"), ("general", "bs"), ("amplifier", "one-mode"),
+        ("bs-output", "recurrence"), ("general", "recurrence"), ("amplifier", "one-mode"),
     ])
     def test_route_of_the_measured_density(self, capsys, name, route):
         argv, density = _ORACLE_RUNS[name]
@@ -313,8 +323,8 @@ class TestOracleRunFields:
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle_density_mb"] == density(30).nbytes / 1e6
-        # Two total-parity blocks of 450 states each on the bs route.
-        if payload["oracle_route"] == "bs":
+        # Two total-parity blocks of 450 states each on the recurrence route.
+        if payload["oracle_route"] == "recurrence":
             assert payload["oracle_density_mb"] == 6.48
 
     def test_fields_absent_without_oracle(self, capsys):

@@ -25,13 +25,16 @@ from squeezekit import (
 )
 from squeezekit import fock
 from squeezekit.oracle_check import MOMENT_RTOL, relative_error
+from squeezekit.separability import _moment_matrix
 
 from _fock_reference import (
     beam_splitter_unitary,
     candidate_weight_summary,
     displacement_unitary,
     expm_antihermitian,
-    mixer_block,
+    plan_two_mode,
+    solve_squeezed_thermal,
+    squeeze_unitary,
     two_mode_squeeze_unitary,
 )
 from conftest import random_physical_one_mode
@@ -68,8 +71,11 @@ class TestLadderOperators:
 
 
 class TestUnitaries:
+    """The dense reference unitaries against an independent exponential,
+    and the oracle's tms sector exponentials."""
+
     def test_squeeze_is_exactly_unitary(self):
-        u = fock.squeeze_unitary(40, 0.7, 0.8)
+        u = squeeze_unitary(40, 0.7, 0.8)
         assert np.max(np.abs(u.conj().T @ u - np.eye(40))) < 1e-12
 
     def test_squeeze_matches_taylor_series(self):
@@ -77,23 +83,18 @@ class TestUnitaries:
         a = fock.annihilation(cutoff)
         xi = r * cmath.exp(1j * phi)
         g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
-        assert np.max(np.abs(fock.squeeze_unitary(cutoff, r, phi) - _expm_taylor(g))) < 1e-10
+        assert np.max(np.abs(squeeze_unitary(cutoff, r, phi) - _expm_taylor(g))) < 1e-10
 
     def test_beam_splitter_matches_taylor_series(self):
-        # Each sector block of the 50/50 mixer equals the sector restriction
-        # of the dense exponential of the full generator.
+        # The dense 50/50 mixer with its output rotation e^{i(λ+π) n_b}.
         cutoff, lam = 8, 0.9
         a = fock.annihilation(cutoff)
         ad = a.conj().T
         phase = cmath.exp(1j * lam)
         g = (math.pi / 4.0) * (phase * np.kron(ad, a) - np.conj(phase) * np.kron(a, ad))
-        expected = _expm_taylor(g)
-        z = (math.pi / 4.0) * phase
-        for total in range(2 * cutoff - 1):
-            js = fock._mixer_states(cutoff, total)
-            flat = js * cutoff + (total - js)
-            block = fock._sector_exponential("mixer", cutoff, total, z)
-            assert np.max(np.abs(block - expected[np.ix_(flat, flat)])) < 1e-9, total
+        _, nb = _labels(cutoff)
+        expected = np.exp(1j * (lam + math.pi) * nb)[:, None] * _expm_taylor(g)
+        assert np.max(np.abs(beam_splitter_unitary(cutoff, lam) - expected)) < 1e-9
 
     def test_two_mode_squeeze_matches_taylor_series(self):
         # Sector d of the two-mode squeezer holds |j, j−d⟩ in increasing j;
@@ -108,19 +109,15 @@ class TestUnitaries:
         for d in range(-(cutoff - 1), cutoff):
             js = np.arange(max(0, d), cutoff + min(0, d))
             flat = js * cutoff + (js - d)
-            block = fock._sector_exponential("tms", cutoff, abs(d), z)
+            block = fock._sector_exponential(cutoff, abs(d), z)
             assert np.max(np.abs(block - expected[np.ix_(flat, flat)])) < 1e-10, d
 
     def test_truncated_unitarity_on_retained_block(self):
         # Every sector block is exactly unitary, so the defect stays far
         # below 1e-8.
         cutoff = 20
-        blocks = [fock._sector_exponential("mixer", cutoff, total,
-                                           (math.pi / 4.0) * cmath.exp(1.3j))
-                  for total in range(2 * cutoff - 1)]
-        blocks += [fock._sector_exponential("tms", cutoff, d, -0.5 * cmath.exp(0.2j))
-                   for d in range(cutoff)]
-        for u in blocks:
+        for u in (fock._sector_exponential(cutoff, d, -0.5 * cmath.exp(0.2j))
+                  for d in range(cutoff)):
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8
 
 
@@ -243,10 +240,27 @@ class TestTwoModeDensity:
         with pytest.raises(NonPhysicalStateError):
             fock.two_mode_density(TwoModeGaussian.epr(1.0, 1.5 + 0j), 25)
 
-    def test_unsupported_pattern_raises(self):
-        bad = TwoModeGaussian(1.0, 0.5 + 0j, 0.1 + 0j, 0.2 + 0j, 0j)
-        with pytest.raises(fock.UnsupportedStateError):
-            fock.two_mode_density(bad, 20)
+    def test_generic_pattern_builds(self):
+        # Unequal squeezing magnitudes beside a cross correlation: no
+        # product, tms or beam-splitter pattern, and no mode-swap symmetry.
+        state = TwoModeGaussian(1.0, 0.5 + 0j, 0.1 + 0j, 0.2 + 0j, 0.1j)
+        rho = fock.two_mode_density(state, 40)
+        assert rho.route == "recurrence" and rho._origin.swap_phase is None
+        for text, expected in (("ad a", state.n), ("bd b", state.n), ("a a", -state.m_a),
+                               ("b b", -state.m_b), ("a b", -state.m_c), ("ad b", state.m_x)):
+            assert fock.moment(rho, OperatorWord.parse(text)) == pytest.approx(expected, abs=1e-6)
+        assert rho.min_eigenvalue() >= -1e-14
+
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    def test_cutoff_is_checked_on_entry(self, cutoff):
+        # Every route, the bs output included, rejects the cutoff before it
+        # assembles anything.
+        builds = [lambda c: fock.one_mode_density(OneModeGaussian(0.5, 0.2j), c),
+                  lambda c: fock.bs_output_density(*_BS_OUTPUT_INPUTS, c),
+                  *(lambda c, s=s: fock.two_mode_density(s, c) for s in _ROUTE_STATES.values())]
+        for build in builds:
+            with pytest.raises(ValueError, match="cutoff must be at least 2"):
+                build(cutoff)
 
 
 def _band_constructors(delta):
@@ -277,7 +291,8 @@ class TestGateBand:
     @pytest.mark.parametrize("route", sorted(_band_constructors(0.0)))
     def test_the_gate_band_decides(self, route):
         rho = _band_constructors(5e-10)[route](30)
-        assert rho.route == {"bs_output_density": "bs"}.get(route, route)
+        recurrence = {"bs": "recurrence", "bs_output_density": "recurrence"}
+        assert rho.route == recurrence.get(route, route)
         assert rho.min_eigenvalue() >= -1e-12
         gate_messages = r"exceeds n\(n\+1\)|second moments do not describe a physical state"
         with pytest.raises(NonPhysicalStateError, match=gate_messages):
@@ -308,7 +323,7 @@ class TestVacuumPorts:
             sa, sb = (s, vacuum) if k % 2 == 0 else (vacuum, s)
             state = mode_rotation(beam_splitter(sa, sb, lam), theta_a, theta_b)
             rho = fock.two_mode_density(state, 40)
-            assert rho.route == "bs", state
+            assert rho.route == "recurrence", state
             for counts, value in fock.moment_table(rho, 6).items():
                 err = relative_error(value, wick_moment(state, word(counts)))
                 assert err < MOMENT_RTOL, (state, counts, err)
@@ -469,11 +484,11 @@ class TestPhysicalitySummary:
         state = TwoModeGaussian(0.9, 0.5 * cmath.exp(0.3j), 0.5 * cmath.exp(1.2j),
                                 0.4 * cmath.exp(-0.5j), 0j)
         cutoff = 12
-        plan = fock._plan_two_mode(state)
+        plan = plan_two_mode(state)
         made = []
         for factor in (plan.factor1, plan.factor2):
             w = fock._thermal_weights(factor.nbar, cutoff)
-            u = fock.squeeze_unitary(cutoff, factor.r, factor.phi)
+            u = squeeze_unitary(cutoff, factor.r, factor.phi)
             made.append((u * w) @ u.conj().T)
         mixer = beam_splitter_unitary(cutoff, 0.0)
         candidate = mixer @ np.kron(made[0], made[1]) @ mixer.conj().T
@@ -570,16 +585,31 @@ class TestGradedAssembly:
     def test_tms_matches_dense_reference(self):
         cutoff, working = 10, 20
         state = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
-        plan = fock._plan_two_mode(state)
+        plan = plan_two_mode(state)
         w = fock._thermal_weights(plan.factor1.nbar, working)
         u = two_mode_squeeze_unitary(working, plan.tms_r, plan.tms_phi)
         dense = u @ np.diag(np.kron(w, w)) @ u.conj().T
         got = fock.two_mode_density(state, cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - _restrict(dense, cutoff, working))) < 1e-13
 
+    @pytest.mark.parametrize("cutoff", [20, 30, 40])
+    def test_tms_route_matches_the_recurrence(self, cutoff):
+        # The tms route's sector exponentials work in twice the cutoff, whose
+        # truncation reaches the retained block: 1.5e-8 on EPR(1.5, 1.8) at
+        # cutoff 10.  From cutoff 20 on it stays below 1e-14 of the exact
+        # entries of the recurrence.
+        for state in (TwoModeGaussian.epr(1.5, 1.8 + 0j), _TMS_STATE):
+            rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            assert rho.route == "tms"
+            exact = _scatter(fock._recurrence_blocks(state, cutoff), cutoff)
+            assert np.max(np.abs(rho.matrix - exact)) <= 1e-14, state
+
+    # The dense beam-splitter references work at 32 states per mode, where
+    # their own truncation is 2.6e-15 (bs) and 1.6e-14 (bs output) against
+    # the exact entries; at 20 states it was 7.9e-8.
     def test_bs_route_matches_dense_reference(self):
-        cutoff, working = 10, 20
-        plan = fock._plan_two_mode(_BS_STATE)
+        cutoff, working = 10, 32
+        plan = plan_two_mode(_BS_STATE)
         assert plan.route == "bs"
         mixer = beam_splitter_unitary(working, 0.0)
         rho_in = np.kron(_dense_factor(plan.factor1, working), _dense_factor(plan.factor2, working))
@@ -590,82 +620,14 @@ class TestGradedAssembly:
         assert np.max(np.abs(got - dense)) < 1e-13
 
     def test_bs_output_matches_dense_reference(self):
-        cutoff, working, lam = 10, 20, 0.9
+        cutoff, working, lam = 10, 32, 0.9
         sa, sb = OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j)
-        factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
+        factors = [solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
         mixer = beam_splitter_unitary(working, lam)
         rho_in = np.kron(_dense_factor(factors[0], working), _dense_factor(factors[1], working))
         dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
         got = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - dense)) < 1e-13
-
-
-def _unsplit_bs(rho1, rho2, lam, theta_c, theta_d, cutoff):
-    # Per total parity, the dense product B ρ_in B† over the input sectors
-    # N ≤ 2(cutoff − 1), zero half included: ρ_in[(N, j), (M, j')] =
-    # ρ₁[j, j'] ρ₂[N − j, M − j'], and B holds the retained rows of the
-    # sector blocks of the beam splitter at λ, rotated by R(θc, θd).
-    # Returns (flat indices, block) per parity.
-    cw = 2 * cutoff
-    out = []
-    for parity in (0, 1):
-        totals = range(parity, 2 * cutoff - 1, 2)
-        ja = np.concatenate([np.arange(total + 1) for total in totals])
-        jb = np.concatenate([total - np.arange(total + 1) for total in totals])
-        rho_in = rho1[np.ix_(ja, ja)] * rho2[np.ix_(jb, jb)]
-        rows, flat = [], []
-        col = 0
-        for total in totals:
-            js, block = mixer_block(cw, total, lam)
-            keep = js[(js < cutoff) & (total - js < cutoff)]
-            rotation = np.exp(1j * (theta_c * keep + theta_d * (total - keep)))
-            row = np.zeros((keep.size, ja.size), dtype=complex)
-            row[:, col:col + total + 1] = rotation[:, None] * block[keep]
-            rows.append(row)
-            flat.append(keep * cutoff + (total - keep))
-            col += total + 1
-        b = np.concatenate(rows)
-        out.append((np.concatenate(flat), b @ rho_in @ b.conj().T))
-    return out
-
-
-class TestBeamSplitterClassSplit:
-    """The bs route mixes the input class by class (parity of n_a); these
-    pin the premise and the result against the unsplit product."""
-
-    @pytest.mark.parametrize("size", [20, 80])
-    def test_factor_matrix_is_exactly_zero_between_parities(self, size, rng):
-        parity = np.arange(size) % 2
-        off = parity[:, None] != parity[None, :]
-        for _ in range(6):
-            st = fock._SqueezedThermal(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.2)),
-                                       float(rng.uniform(-math.pi, math.pi)))
-            mat = fock._factor_matrix(st, size)
-            assert np.all(mat[off] == 0.0)
-            assert np.count_nonzero(mat[~off]) > size
-
-    @pytest.mark.parametrize("cutoff", [10, 40])
-    def test_bs_density_equals_unsplit_product(self, cutoff):
-        plan = fock._plan_two_mode(_BS_STATE)
-        cw = 2 * cutoff
-        rho = fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0)
-        parts = _unsplit_bs(fock._factor_matrix(plan.factor1, cw),
-                            fock._factor_matrix(plan.factor2, cw), 0.0,
-                            plan.theta_c, plan.theta_d, cutoff)
-        for idx, expected in parts:
-            assert np.max(np.abs(rho.matrix[np.ix_(idx, idx)] - expected)) < 1e-15
-
-    @pytest.mark.parametrize("cutoff", [10, 40])
-    def test_bs_output_density_equals_unsplit_product(self, cutoff):
-        sa, sb, lam = _BS_OUTPUT_INPUTS
-        assert lam != 0.0
-        cw = 2 * cutoff
-        rho = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0)
-        f1, f2 = (fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb))
-        parts = _unsplit_bs(fock._factor_matrix(f1, cw), fock._factor_matrix(f2, cw), lam,
-                            0.0, 0.0, cutoff)
-        for idx, expected in parts:
-            assert np.max(np.abs(rho.matrix[np.ix_(idx, idx)] - expected)) < 1e-15
 
 
 class TestBandMeasurement:
@@ -752,7 +714,7 @@ def _swap_phase(state):
 
 
 def _seeded_bs_route(cutoff, seed=20261018):
-    """(name, density, δ) of seeded bs-route states: rotated beam-splitter
+    """(name, density, δ) of seeded beam-splitter states: rotated beam-splitter
     images through ``two_mode_density`` and ``bs_output_density`` outputs,
     every splitter phase λ ≠ 0."""
     rng = np.random.default_rng(seed)
@@ -847,14 +809,15 @@ class _EigvalshSpy:
 
 
 class TestSwapSymmetricPartialTranspose:
-    """A bs-route density R B₀(ρ₁ ⊗ ρ₂)B₀† R† commutes with a phased mode
-    swap, so each of its partial-transpose blocks is real symmetric up to
-    known phases and takes the real eigensolver."""
+    """A beam-splitter image R B₀(ρ₁ ⊗ ρ₂)B₀† R† commutes with a phased
+    mode swap, so each of its partial-transpose blocks is real symmetric up
+    to known phases and takes the real eigensolver."""
 
     def test_bs_densities_commute_with_the_phased_swap(self):
         cutoff = 12
         for name, rho, delta in _seeded_bs_route(cutoff):
-            assert rho.route == "bs", name
+            assert rho.route == "recurrence", name
+            assert rho._origin.swap_phase == pytest.approx(delta, abs=1e-15), name
             t = _swap_operator(cutoff, delta)
             assert np.max(np.abs(t @ rho.matrix - rho.matrix @ t)) < 1e-14, name
             # The phase is pinned: a wrong one breaks the symmetry.
@@ -874,7 +837,8 @@ class TestSwapSymmetricPartialTranspose:
         spy = _EigvalshSpy(monkeypatch)
         for name, rho, _ in _seeded_bs_route(12)[:4]:
             wrong = fock.FockDensity._graded(2, 12, _written(rho._blocks), rho.trace_deficit,
-                                             fock._Origin("bs", rho._origin.swap_phase + 0.3))
+                                             fock._Origin("recurrence",
+                                                          rho._origin.swap_phase + 0.3))
             spy.dtypes.clear()
             assert fock.ppt_min_eigenvalue(wrong) == pytest.approx(
                 _dense_partial_transpose_min(rho), abs=1e-13), name
@@ -888,20 +852,42 @@ class TestSwapSymmetricPartialTranspose:
             expected = np.float64 if name in ("bs", "bs-output") else np.complex128
             assert spy.dtypes and all(dt == expected for dt in spy.dtypes), name
 
+    def test_bs_output_and_general_families_take_the_real_solver(self, monkeypatch):
+        # The CLI's bs-output and general families, through the recurrence:
+        # the swap phase read off their moments gives every block the real
+        # eigensolver, and the value is the dense one.
+        s = OneModeGaussian(1.0, 0.6 + 0j)
+        general = TwoModeGaussian(1.0, 0.3 + 0j, 0.3 * cmath.exp(0.5j), 0.9 * cmath.exp(0.25j), 0j)
+        densities = [fock.bs_output_density(s, s, 0.3, 20, eps_tr=1.0),
+                     fock.two_mode_density(general, 20, eps_tr=1.0)]
+        dense = [_dense_partial_transpose_min(rho) for rho in densities]
+        spy = _EigvalshSpy(monkeypatch)
+        for rho, expected in zip(densities, dense):
+            assert rho.route == "recurrence"
+            spy.dtypes.clear()
+            assert fock.ppt_min_eigenvalue(rho) == pytest.approx(expected, abs=1e-13)
+            assert spy.dtypes and all(dt == np.float64 for dt in spy.dtypes)
+
 
 class TestRoute:
     def test_each_constructor_records_its_route(self):
+        routes = {"bs": "recurrence", "bs-output": "recurrence", "bs+tms mixture": "mixture"}
         for name, rho in _graded_densities(8).items():
-            expected = {"bs-output": "bs", "bs+tms mixture": "mixture"}.get(name, name)
+            expected = routes.get(name, name)
             assert rho.route == expected, name
         assert fock.one_mode_density(OneModeGaussian(0.3, 0.1j), 8, eps_tr=1.0).route == "one-mode"
         thermal = fock.two_mode_density(TwoModeGaussian.thermal_pair(0.3), 8, eps_tr=1.0)
         assert thermal.route == "tms"
 
     def test_only_the_bs_route_records_a_swap_phase(self):
+        # Only the beam-splitter images: a recurrence state without the
+        # symmetry, unequal squeezing magnitudes here, records None.
         for name, rho in _graded_densities(8).items():
             assert (rho._origin.swap_phase is not None) == (name in ("bs", "bs-output")), name
         assert _graded_densities(8)["bs-output"]._origin.swap_phase == 0.0
+        generic = TwoModeGaussian(0.5, 0.3 + 0j, 0.1j, 0.2 + 0j, 0j)
+        rho = fock.two_mode_density(generic, 8, eps_tr=1.0)
+        assert rho.route == "recurrence" and rho._origin.swap_phase is None
 
     def test_dense_density_records_none(self):
         rho = fock.FockDensity(1, 3, np.diag([0.5, 0.3, 0.2]), 0.0)
@@ -946,46 +932,48 @@ def _scatter(blocks, cutoff):
     return dense
 
 
-def _unsplit_dense(f1, f2, lam, theta_c, theta_d, cutoff):
-    # ``_unsplit_bs`` scattered into the two-mode basis: the bs products
-    # without the class split and without the mode-swap basis.
-    cw = 2 * cutoff
-    parts = _unsplit_bs(fock._factor_matrix(f1, cw), fock._factor_matrix(f2, cw), lam,
-                        theta_c, theta_d, cutoff)
-    return _scatter([(idx[None, :], block) for idx, block in parts], cutoff)
-
-
 def _symmetrized(mat):
     return (mat + mat.conj().T) / 2.0
 
 
 def _dense_assembly(state, cutoff):
-    # Dense matrix of a state or mixture, scattered sector by sector from
-    # the same factor and sector products as the graded routes, a mixture's
-    # components summed entrywise, each symmetrized as its route writes
-    # it: the reference for the block bookkeeping.  A bs state is scattered
-    # from its route's blocks; ``TestSwapBasisAssembly`` checks their
-    # values against the unsplit products.
+    # Dense matrix of a state or mixture, scattered from the same factor,
+    # sector and recurrence products as the graded routes, a mixture's
+    # components summed entrywise, each written as its route writes it:
+    # the reference for the block bookkeeping.  A recurrence state takes
+    # every entry of the full recurrence, with no working space and no
+    # truncation, in the routes' order of indices (m_a, n_a, m_b, n_b); the
+    # entries with n_a ≥ m_a are kept, the rest mirrored, and the blocks of
+    # n_a = m_a symmetrized.
     if isinstance(state, GaussianMixture):
         return sum(w * _symmetrized(_dense_assembly(comp, cutoff))
                    for w, comp in state.components)
-    plan = fock._plan_two_mode(state)
-    if plan.route == "tensor" or (plan.route == "tms" and plan.tms_r == 0.0):
-        return np.kron(fock._one_mode_matrix(plan.factor1, cutoff),
-                       fock._one_mode_matrix(plan.factor2, cutoff))
+    plan = plan_two_mode(state)
+    if plan.route == "tensor":
+        return np.kron(fock._one_mode_matrix(state.n, state.m_a, cutoff),
+                       fock._one_mode_matrix(state.n, state.m_b, cutoff))
     if plan.route == "bs":
-        return _scatter(fock._mix_on_beam_splitter(plan.factor1, plan.factor2, plan.theta_c,
-                                                   plan.theta_d, cutoff), cutoff)
+        order = [0, 2, 1, 3]
+        a, t = fock._recurrence_start(_moment_matrix(state))
+        full = fock._recurrence_entries(a[np.ix_(order, order)], t, cutoff)
+        g = full.reshape((cutoff,) * 4).transpose(0, 2, 1, 3).reshape(cutoff ** 2, cutoff ** 2)
+        na, _ = _labels(cutoff)
+        below = na[:, None] > na[None, :]
+        same = na[:, None] == na[None, :]
+        return np.where(below, g.conj().T, np.where(same, _symmetrized(g), g))
+    nbar, r, phi = fock._solve_squeezed_thermal(state.n, state.m_c)
     cw = 2 * cutoff
-    w = fock._thermal_weights(plan.factor1.nbar, cw)
-    z = -plan.tms_r * cmath.exp(1j * plan.tms_phi)
+    w = fock._thermal_weights(nbar, cw)
+    if r == 0.0:
+        return np.diag(np.kron(w[:cutoff], w[:cutoff])).astype(complex)
+    z = -r * cmath.exp(1j * phi)
     dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for d in range(cutoff):
         js = np.arange(d, cw)
         weights = w[js] * w[js - d]
         keep = np.abs(weights) > fock._WEIGHT_FLOOR
         ja = js[:cutoff - d]
-        c_d = fock._sector_exponential("tms", cw, d, z, rows=slice(ja.size), cols=keep)
+        c_d = fock._sector_exponential(cw, d, z, rows=slice(ja.size), cols=keep)
         sector = (c_d * weights[keep]) @ c_d.conj().T
         for idx in (ja * cutoff + (ja - d), (ja - d) * cutoff + ja):
             dense[np.ix_(idx, idx)] = sector
@@ -1128,18 +1116,6 @@ class TestGradedStorage:
                 fock.expectation_of_witness(rho, kind)
 
 
-def _swap_residual(rho, delta):
-    # max |T ρ T† − ρ| for T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩, by
-    # permutation: (T ρ T†)[s x, s y] = t_x ρ[x, y] t_y*.
-    c = rho.cutoff
-    na, nb = _labels(c)
-    t = (-1.0) ** (na + nb) * np.exp(1j * delta * (na - nb))
-    swap = nb * c + na
-    moved = np.empty_like(rho.matrix)
-    moved[np.ix_(swap, swap)] = t[:, None] * rho.matrix * t.conj()
-    return float(np.max(np.abs(moved - rho.matrix)))
-
-
 class _HermitianPartSpy:
     def __init__(self, monkeypatch):
         self.shapes = []
@@ -1152,30 +1128,22 @@ class _HermitianPartSpy:
         monkeypatch.setattr(fock, "_hermitian_part", spy)
 
 
-class TestSwapBasisAssembly:
-    """The bs route builds its blocks in the mode-swap basis and writes them
-    exactly Hermitian; the tensor route writes the kron of its factors the
-    same way.  Neither block is checked again, so these pin the values and
-    the checks that moved to the factors and the mixer cache."""
+class TestWrittenBlocks:
+    """Every route writes its blocks exactly Hermitian and checks what it
+    writes where the data is small; ``FockDensity`` adopts the written
+    blocks unchecked, so these pin the checks."""
 
-    @pytest.mark.parametrize("cutoff", [10, 40])
-    def test_bs_blocks_match_the_unsplit_products(self, cutoff):
-        plan = fock._plan_two_mode(_BS_STATE)
-        sa, sb, lam = _BS_OUTPUT_INPUTS
-        factors = [fock._solve_squeezed_thermal(s.n, s.m) for s in (sa, sb)]
-        cases = [
-            (fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0),
-             _unsplit_dense(plan.factor1, plan.factor2, 0.0, plan.theta_c, plan.theta_d, cutoff)),
-            (fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0),
-             _unsplit_dense(*factors, lam, 0.0, 0.0, cutoff)),
-        ]
-        for rho, dense in cases:
-            assert np.max(np.abs(rho.matrix - dense)) <= 1e-15
-            for _, values in rho._blocks:
-                assert np.array_equal(values, values.conj().T)
-            # The rotation phases are rounded, so the symmetry holds to
-            # round-off, not bit for bit.
-            assert _swap_residual(rho, rho._origin.swap_phase) <= 1e-15
+    @pytest.mark.parametrize("size", [20, 80])
+    def test_factor_matrix_is_exactly_zero_between_parities(self, size, rng):
+        # The tensor route writes the kron of its factors as four class
+        # blocks, (parity of n_a, parity of n_b), with nothing between them.
+        parity = np.arange(size) % 2
+        off = parity[:, None] != parity[None, :]
+        for _ in range(6):
+            s = random_physical_one_mode(rng, n_max=2.0)
+            mat = fock._one_mode_matrix(s.n, s.m, size)
+            assert np.all(mat[off] == 0.0)
+            assert np.count_nonzero(mat[~off]) > size
 
     def test_constructor_blocks_are_exactly_hermitian(self):
         one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
@@ -1184,24 +1152,22 @@ class TestSwapBasisAssembly:
                 assert np.array_equal(values, values.conj().T), name
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
-        # Every route checks what it writes where the data is small, and
-        # ``FockDensity`` adopts the written blocks unchecked: the tensor and
-        # bs routes check their two factors (the bs route at twice the
-        # cutoff), the tms route each d sector, the one-mode route its
-        # factor and a mixture nothing of its own.  Only a dense matrix is
-        # checked by ``FockDensity``.
+        # The tensor route checks its two factors, the recurrence route the
+        # n_a = m_a block of each slab, the tms route each d sector, the
+        # one-mode route its factor and a mixture nothing of its own.  Only
+        # a dense matrix is checked by ``FockDensity``.
         spy = _HermitianPartSpy(monkeypatch)
         tms = [(12 - d, 12 - d) for d in range(12)]
-        bs = [(24, 24), (24, 24)]
-        expected = {"tensor": [(12, 12), (12, 12)], "tms": tms, "bs": bs, "werner": tms * 2,
-                    "bs+tms mixture": bs + tms}
+        slabs = [(12, 12)] * 12
+        expected = {"tensor": [(12, 12), (12, 12)], "tms": tms, "bs": slabs, "werner": tms * 2,
+                    "bs+tms mixture": slabs + tms}
         for name, state in _ROUTE_STATES.items():
             spy.shapes.clear()
             fock.two_mode_density(state, 12, eps_tr=1.0)
             assert spy.shapes == expected[name], name
         spy.shapes.clear()
         rho = fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0)
-        assert spy.shapes == bs
+        assert spy.shapes == slabs
         spy.shapes.clear()
         fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
         assert spy.shapes == [(12, 12)]
@@ -1210,37 +1176,76 @@ class TestSwapBasisAssembly:
         assert spy.shapes == [(144, 144)]
 
     def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
-        original = fock._factor_matrix
+        # A skew of 1e-9 in ρ[0, 2] of a one-mode factor (the tensor and
+        # one-mode routes), and in ρ[(0, 0), (0, 2)] of the first slab of the
+        # recurrence route, whose n_a = m_a block is checked.
+        entries, slabs = fock._recurrence_entries, fock._recurrence_slabs
 
-        def skewed(st, dim):
-            mat = original(st, dim)
-            mat[0, 2] += 1e-9
-            return mat
+        def skewed_factor(a, t, cutoff):
+            out = entries(a, t, cutoff)
+            if a.shape == (2, 2):
+                out[2] += 1e-9
+            return out
 
-        monkeypatch.setattr(fock, "_factor_matrix", skewed)
-        for build in (lambda: fock.two_mode_density(_ROUTE_STATES["tensor"], 10, eps_tr=1.0),
-                      lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
-                      lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)):
-            with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):
-                build()
+        def skewed_slabs(a, t, cutoff, upper=False):
+            for k, slab in enumerate(slabs(a, t, cutoff, upper)):
+                if upper and k == 0:
+                    slab[2] += 1e-9
+                yield slab
 
-    def test_flipped_mixer_sign_fails_the_cache_fill(self, monkeypatch):
-        original = fock._spectral_exponential
-
-        def flipped(*args, **kwargs):
-            block = original(*args, **kwargs)
-            block[2, 1] *= -1.0
-            return block
-
-        fock._swap_rows.cache_clear()
-        try:
-            monkeypatch.setattr(fock, "_spectral_exponential", flipped)
-            with pytest.raises(ValueError, match="mixer sector 6 fails its swap-basis check"):
-                fock._swap_rows(6)
+        for name, patched, builds in (
+                ("_recurrence_entries", skewed_factor,
+                 (lambda: fock.two_mode_density(_ROUTE_STATES["tensor"], 10, eps_tr=1.0),
+                  lambda: fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 10,
+                                                eps_tr=1.0))),
+                ("_recurrence_slabs", skewed_slabs,
+                 (lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
+                  lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)))):
+            monkeypatch.setattr(fock, name, patched)
+            for build in builds:
+                with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):
+                    build()
             monkeypatch.undo()
-            assert fock._swap_rows(6).middle.shape == (1, 4)
-        finally:
-            fock._swap_rows.cache_clear()
+
+
+def _explicit_sector_generator(n_states, d, z):
+    # Sector block of z L − z̄ L†, L = a†b† the raising part of the
+    # two-mode squeezer's generator, read from the ladder matrices.  The
+    # cutoff is chosen so that the sector holds ``n_states`` states.
+    size = n_states + abs(d)
+    ad = fock.creation(size)
+    ja = np.arange(max(0, d), size + min(0, d))
+    raising = ad[np.ix_(ja, ja)] * ad[np.ix_(ja - d, ja - d)]
+    assert raising.shape == (n_states, n_states)
+    return size, z * raising - np.conj(z) * raising.conj().T
+
+
+class TestSectorExponential:
+    @pytest.mark.parametrize("n_states", [1, 2, 41, 80])
+    def test_matches_dense_exponential_of_the_explicit_generator(self, n_states):
+        rng = np.random.default_rng(n_states)
+        draws = [float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * float(rng.uniform(-3.0, 3.0)))
+                 for _ in range(2)]
+        for z in (*draws, 0.7):
+            for d in (0, 3, -3):
+                size, g = _explicit_sector_generator(n_states, d, z)
+                got = fock._sector_exponential(size, abs(d), z)
+                assert np.max(np.abs(got - expm_antihermitian(g))) < 1e-13, (d, z)
+
+    def test_rows_and_columns_select_from_the_full_block(self):
+        z = 0.4 * cmath.exp(-2.1j)
+        full = fock._sector_exponential(20, 2, z)
+        keep = np.arange(18) % 3 != 1
+        part = fock._sector_exponential(20, 2, z, rows=slice(7), cols=keep)
+        assert np.allclose(part, full[:7, keep], rtol=0.0, atol=1e-15)
+
+    def test_cached_spectra_are_read_only(self):
+        fock.two_mode_density(_TMS_STATE, 10, eps_tr=1.0)
+        lam, v = fock._sector_spectrum(20, 3)
+        for arr in (lam, v):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
 
     def test_corrupted_spectrum_fails_the_cache_fill(self, monkeypatch):
         original = fock._tridiagonal_spectrum
@@ -1260,110 +1265,16 @@ class TestSwapBasisAssembly:
             for corrupt in (skewed_vectors, skewed_values):
                 monkeypatch.setattr(fock, "_tridiagonal_spectrum", corrupt)
                 with pytest.raises(ValueError, match="tms sector 2 of size 20 fails its spectrum"):
-                    fock._sector_spectrum("tms", 20, 2)
+                    fock._sector_spectrum(20, 2)
                 monkeypatch.undo()
             assert fock._sector_spectrum.cache_info().currsize == 0
-            lam, v = fock._sector_spectrum("tms", 20, 2)
+            lam, v = fock._sector_spectrum(20, 2)
             assert lam.shape == (18,)
         finally:
             fock._sector_spectrum.cache_clear()
 
-    def test_swap_rows_obey_the_mixer_block(self):
-        for total in (0, 1, 6, 7, 40):
-            block = fock._sector_exponential("mixer", total + 1, total, math.pi / 4.0).real
-            rows = fock._swap_rows(total)
-            half = (total + 1) // 2
-            assert np.allclose(rows.strict[0], block[:half, 0::2], rtol=0.0, atol=1e-15)
-            assert np.allclose(rows.strict[1], block[:half, 1::2], rtol=0.0, atol=1e-15)
-            # The mirror rows repeat the representatives' up to (−1)^j.
-            assert np.allclose(block[::-1][:half, 0::2], rows.strict[0], rtol=0.0, atol=1e-13)
-            assert np.allclose(block[::-1][:half, 1::2], -rows.strict[1], rtol=0.0, atol=1e-13)
-            if total % 2:
-                assert rows.middle is None
-            else:
-                assert np.allclose(rows.middle, block[half:half + 1, 0::2], rtol=0.0, atol=1e-15)
-                assert np.max(np.abs(block[half, 1::2]), initial=0.0) < 1e-13
-
-
-def _explicit_sector_generator(kind, n_states, sector, z):
-    # Sector block of z L − z̄ L†, L the raising part of the generator, read
-    # from the ladder matrices: a†² on one mode, a†b† or a†b on two.  The
-    # cutoff is chosen so that the sector holds ``n_states`` states.
-    if kind == "squeeze":
-        size = 2 * n_states
-        ad = fock.creation(size)
-        idx = np.arange(sector, size, 2)
-        raising = (ad @ ad)[np.ix_(idx, idx)]
-    elif kind == "tms":
-        d = sector
-        size = n_states + abs(d)
-        ad = fock.creation(size)
-        ja = np.arange(max(0, d), size + min(0, d))
-        raising = ad[np.ix_(ja, ja)] * ad[np.ix_(ja - d, ja - d)]
-    else:
-        size, total = sector
-        ad = fock.creation(size)
-        ja = fock._mixer_states(size, total)
-        raising = ad[np.ix_(ja, ja)] * ad.conj().T[np.ix_(total - ja, total - ja)]
-    assert raising.shape == (n_states, n_states)
-    return size, z * raising - np.conj(z) * raising.conj().T
-
-
-class TestSectorExponential:
-    @pytest.mark.parametrize("n_states", [1, 2, 41, 80])
-    def test_matches_dense_exponential_of_the_explicit_generator(self, n_states):
-        rng = np.random.default_rng(n_states)
-        draws = [float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * float(rng.uniform(-3.0, 3.0)))
-                 for _ in range(2)]
-        lams = [0.0, float(rng.uniform(-math.pi, math.pi))]
-        cases = []
-        for z in (*draws, 0.7):
-            cases += [("squeeze", parity, parity, z) for parity in (0, 1)]
-            cases += [("tms", d, abs(d), z) for d in (0, 3, -3)]
-        for lam in lams:
-            z = (math.pi / 4.0) * cmath.exp(1j * lam)
-            # An untruncated sector and one cut by the cutoff.
-            for size, total in ((n_states + 1, n_states - 1), (n_states + 2, n_states + 3)):
-                cases.append(("mixer", (size, total), total, z))
-        for kind, spec, sector, z in cases:
-            size, g = _explicit_sector_generator(kind, n_states, spec, z)
-            got = fock._sector_exponential(kind, size, sector, z)
-            assert np.max(np.abs(got - expm_antihermitian(g))) < 1e-13, (kind, spec, z)
-
-    def test_rows_and_columns_select_from_the_full_block(self):
-        z = 0.4 * cmath.exp(-2.1j)
-        full = fock._sector_exponential("tms", 20, 2, z)
-        keep = np.arange(18) % 3 != 1
-        part = fock._sector_exponential("tms", 20, 2, z, rows=slice(7), cols=keep)
-        assert np.allclose(part, full[:7, keep], rtol=0.0, atol=1e-15)
-
-    def test_cached_spectra_are_read_only(self):
-        fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0)
-        lam, v = fock._sector_spectrum("tms", 20, 3)
-        rows = [fock._swap_rows(total) for total in range(19)]
-        swap = [arr for r in rows for arr in (*r.strict, r.middle) if arr is not None]
-        assert len(swap) == 3 * 10 + 2 * 9
-        for arr in (lam, v, *swap):
-            assert not arr.flags.writeable
-        for arr in (v, rows[8].strict[1]):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
-
-    def test_one_cache_serves_every_cutoff(self):
-        fock._swap_rows.cache_clear()
-        try:
-            fock.two_mode_density(_BS_STATE, 12, eps_tr=1.0)
-            assert fock._swap_rows.cache_info().currsize == 23
-            fock.two_mode_density(_BS_STATE, 8, eps_tr=1.0)
-            fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)
-            info = fock._swap_rows.cache_info()
-            assert (info.currsize, info.misses) == (23, 23)
-        finally:
-            fock._swap_rows.cache_clear()
-
     def test_assembly_leaves_the_caches_unchanged(self):
         fock._sector_spectrum.cache_clear()
-        fock._swap_rows.cache_clear()
         other_bs = mode_rotation(
             beam_splitter(OneModeGaussian(0.3, -0.2j), OneModeGaussian(0.9, 0.6 + 0j), 0.0),
             1.3, -0.2)
@@ -1385,17 +1296,6 @@ class TestSectorExponential:
             for b1, b2 in zip(before._blocks, after._blocks):
                 assert np.array_equal(b1.members, b2.members), name
                 assert np.array_equal(b1.values, b2.values), name
-        # The swap-basis mixer rows are the same objects with the same
-        # values after further densities at every cutoff up to 12.
-        cached = [fock._swap_rows(total) for total in range(23)]
-        saved = [[np.array(a) for a in (*r.strict, r.middle) if a is not None] for r in cached]
-        for build, _, second in pairs.values():
-            build(second)
-        fock.two_mode_density(other_bs, 9, eps_tr=1.0)
-        for total, (rows, copies) in enumerate(zip(cached, saved)):
-            assert fock._swap_rows(total) is rows
-            arrays = [a for a in (*rows.strict, rows.middle) if a is not None]
-            assert all(np.array_equal(a, c) for a, c in zip(arrays, copies)), total
 
 
 def test_fock_imports_no_wick_symbols():

@@ -1,6 +1,7 @@
 """Working memory of the Fock oracle at cutoff 40, measured in process with
-tracemalloc: one density at a time, and temporaries of about half a
-beam-splitter (bs) density, 20.48 MB of packed blocks.
+tracemalloc: one density at a time, and temporaries of about a third of a
+beam-splitter (bs) density, 20.48 MB of packed blocks, which the
+recurrence route builds.
 
 Every cache a measurement touches is filled before it is traced, so the
 numbers are the call's own.  tracemalloc sees numpy's array data but not
@@ -10,6 +11,7 @@ LAPACK's workspace.
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from squeezekit import OneModeGaussian, beam_splitter, mode_rotation
@@ -19,7 +21,7 @@ from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 MB = 1e6
 CUTOFF = 40
 # Bounds on the temporaries above what a call leaves alive.  At cutoff 40
-# they measure about 8.0 MB (assembly) and 7.1 MB (partial transpose); the
+# they measure about 7.6 MB (assembly) and 7.1 MB (partial transpose); the
 # margin is for numpy's own temporaries.
 BS_ASSEMBLY_TRANSIENT_MB = 11.0
 BS_PPT_TRANSIENT_MB = 9.0
@@ -50,7 +52,7 @@ def bs_density():
 
 
 def test_bs_density_is_its_packed_blocks(bs_density):
-    assert bs_density.route == "bs"
+    assert bs_density.route == "recurrence"
     assert bs_density.nbytes == 2 * 800 * 800 * 16
 
 
@@ -64,6 +66,21 @@ def test_bs_partial_transpose_temporaries(bs_density):
     _, live, peak = _traced(lambda: fock.ppt_min_eigenvalue(bs_density))
     assert abs(live) < 0.1
     assert peak <= BS_PPT_TRANSIENT_MB
+
+
+def test_bs_partial_transpose_takes_the_real_solver(bs_density, monkeypatch):
+    # The swap phase read off the moments gives both 800-state blocks the
+    # real symmetric eigensolver.
+    dtypes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        dtypes.append((np.asarray(a).dtype, np.asarray(a).shape))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    fock.ppt_min_eigenvalue(bs_density)
+    assert dtypes == [(np.dtype(np.float64), (800, 800))] * 2
 
 
 def test_moment_table_temporaries(bs_density):

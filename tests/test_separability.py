@@ -32,11 +32,11 @@ from squeezekit import (
     whbt_expectation,
     wick_moment,
 )
-from squeezekit.fock import UnsupportedStateError
+from squeezekit.oracle_check import MOMENT_RTOL, relative_error
 from squeezekit.separability import _moment_matrix, _require_epr_physical
 from squeezekit.states import _lowest_eigenvalue
 
-from _fock_reference import candidate_weight_summary
+from _fock_reference import candidate_weight_summary, plan_two_mode
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -309,6 +309,29 @@ class TestIsSeparable:
                 else:
                     assert lowest < -1e-6, state
 
+    def test_generic_states_agree_with_the_oracle_partial_transpose(self):
+        # Every moment complex, with a magnitude up to sqrt(n(n+1)), so the
+        # physical draws take no family's pattern.  Each one the oracle
+        # builds within EPS_TR at cutoff 30 gets the verdict of
+        # ``is_separable`` from its partial-transpose sign; the rest are
+        # too hot for that cutoff.
+        draws = np.random.default_rng(3)
+        agreed = unconverged = 0
+        for _ in range(599):
+            state = _generic_state(draws)
+            if not is_physical_two_mode(state):
+                continue
+            try:
+                rho = fock.two_mode_density(state, 30)
+            except fock.ConvergenceError:
+                unconverged += 1
+                continue
+            assert rho.route == "recurrence", state
+            lowest = fock.ppt_min_eigenvalue(rho)
+            assert (lowest > -1e-10) if is_separable(state) else (lowest < -1e-8), state
+            agreed += 1
+        assert (agreed, unconverged) == (94, 31)
+
     def test_takes_physical_two_mode_states_only(self):
         with pytest.raises(NonPhysicalStateError):
             is_separable(TwoModeGaussian.epr(1.0, 1.5 + 0j))
@@ -452,11 +475,19 @@ class TestIsPhysicalTwoMode:
         assert not is_physical_two_mode(GaussianMixture(((0.5, good), (0.5, bad))))
 
     def test_unequal_magnitudes_get_a_verdict(self):
-        # The oracle has no construction for |m_a| != |m_b| alongside cross
-        # correlations; the uncertainty relation needs none.
+        # |m_a| != |m_b| alongside cross correlations: the uncertainty
+        # relation decides it, and the oracle builds it, with the moments of
+        # the Wick engine and the partial-transpose sign of is_separable.
+        # The moments are read at the suite's cutoff 40: at cutoff 30 the
+        # tail moves the worst length-6 word by 1e-3.
         state = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, 0.3 + 0j, 0j)
-        with pytest.raises(UnsupportedStateError):
-            fock.two_mode_density(state, 10)
+        rho = fock.two_mode_density(state, 40)
+        assert rho.route == "recurrence"
+        for counts, value in fock.moment_table(rho, 6).items():
+            err = relative_error(value, wick_moment(state, OperatorWord.from_counts(*counts)))
+            assert err < MOMENT_RTOL, (counts, err)
+        lowest = fock.ppt_min_eigenvalue(fock.two_mode_density(state, 30))
+        assert (lowest > -1e-10) if is_separable(state) else (lowest < -1e-8)
         assert is_physical_two_mode(state)
         assert _symplectic_verdict(state)
         overcorrelated = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, 1.35 + 0j, 0j)
@@ -503,7 +534,7 @@ class TestIsPhysicalTwoMode:
         compared = physical = 0
         for k in range(1500):
             state = _oracle_pattern(draws, k % 3)
-            plan = fock._plan_two_mode(state)
+            plan = plan_two_mode(state)
             if plan is not None and min(abs(plan.factor1.nbar), abs(plan.factor2.nbar)) < 1e-6:
                 continue   # within round-off of the boundary
             summary = candidate_weight_summary(state, 40)
@@ -634,6 +665,16 @@ def _oracle_pattern(draws, family: int, n_max: float = 1.5) -> TwoModeGaussian:
     m_c = magnitude() * cmath.exp(1j * (theta_c + theta_d + phase()))
     m_x = float(draws.uniform(-0.5, 0.5)) * n * cmath.exp(1j * (theta_d - theta_c))
     return TwoModeGaussian(n, f * cmath.exp(1j * lam1), f * cmath.exp(1j * lam2), m_c, m_x)
+
+
+def _generic_state(draws) -> TwoModeGaussian:
+    """n in [0.05, 1.5] and every complex moment with a magnitude uniform up
+    to sqrt(n(n+1)) and a uniform phase."""
+    n = float(draws.uniform(0.05, 1.5))
+    bound = math.sqrt(n * (n + 1.0))
+    return TwoModeGaussian(n, *(float(draws.uniform(0.0, bound))
+                                * cmath.exp(1j * float(draws.uniform(0.0, 2.0 * math.pi)))
+                                for _ in range(4)))
 
 
 class TestCrossModuleConsistency:
