@@ -1,42 +1,32 @@
 """Truncated Fock-basis brute force for Gaussian states.
 
-Densities are assembled constructively, with two routes:
+Every density comes from one construction, the Gaussian recurrence for
+Fock entries (Hamilton et al., PRL 119, 170501 (2017); Miatto & Quesada,
+Quantum 4, 366 (2020), arXiv:2004.11002).  With Γ = ⟨ζζ†⟩ for
+ζ = (a, b, a†, b†) (one mode: ζ = (a, a†)), read off the stored moments
+by ``separability._moment_matrix``, and K = [ζ, ζ†] = diag(I, −I),
+σ_Q = Γ − K/2 + I/2, A = X(I − σ_Q⁻¹)* with X the swap of ζ's two halves,
+and T = det(σ_Q)^(−1/2), the entries ρ[m, n] = G(m, n) obey G(0) = T and
+G(k + e_i) = Σ_j A_ij √k_j G(k − e_j)/√(k_i + 1).  Every entry is that of
+the untruncated state, so the recurrence needs no working space beyond
+the cutoff.  Three writers lay its entries out by the grading the state
+conserves:
 
-- the Gaussian recurrence for Fock entries (Hamilton et al., PRL 119,
-  170501 (2017); Miatto & Quesada, Quantum 4, 366 (2020),
-  arXiv:2004.11002).  With Γ = ⟨ζζ†⟩ for ζ = (a, b, a†, b†) (one mode:
-  ζ = (a, a†)), read off the stored moments by
-  ``separability._moment_matrix``, and K = [ζ, ζ†] = diag(I, −I),
-  σ_Q = Γ − K/2 + I/2, A = X(I − σ_Q⁻¹)* with X the swap of ζ's two
-  halves, and T = det(σ_Q)^(−1/2), the entries ρ[m, n] = G(m, n) obey
-  G(0) = T and G(k + e_i) = Σ_j A_ij √k_j G(k − e_j)/√(k_i + 1).  Every
-  entry is that of the untruncated state, so the recurrence needs no
-  working space beyond the cutoff.  It builds the one-mode density, the
-  two factors of a product state (route ``tensor``, written as their
-  kron) and every two-mode state that is neither a product nor a tms
-  pattern (route ``recurrence``);
-- the two-mode squeezer conserves d = n_a − n_b.  The tms density is built
-  as one block per d sector; sectors d and −d share one block.  A thermal
-  pair takes this route with no squeezing, so a Werner mixture sums block
-  by block.  Each sector's generator is tridiagonal, g[k+1, k] = z a_k and
-  g[k, k+1] = −z̄ a_k, with real couplings a_k fixed by the sector and only
-  z set by the state, so exp(g) = G V e^{−i|z|Λ} Vᵀ G* with G a diagonal
-  of phases and (Λ, V) the real spectrum of the couplings' symmetric
-  tridiagonal matrix, computed once per sector and working size and
-  cached read-only.  Only the retained rows and the columns of
-  non-negligible input weight of each sector exponential are formed.
-
-The tms route exponentiates each sector in a working space of twice the
-cutoff and projects the result down.  That bounds its truncation error
-but does not remove it: on EPR(1.5, 1.8) the tms density differs from the
-recurrence by 1.5e-8 at cutoff 10 and by 3.1e-15 at cutoff 20, and the
-tests pin the two to 1e-14 at cutoffs 20, 30 and 40.  The trace deficit
-measures the genuine photon-number tail of the state.
+- kron: a product state's two factors, each a one-mode density (route
+  ``tensor``); the one-mode density is the one-factor case;
+- d-graded: a tms pattern, cross correlations without local squeezing (a
+  thermal pair included), whose A couples only a with b and a†, and b†
+  with b and a†, and so keeps d = n_a − n_b at every step (route
+  ``tms``).  It runs the recurrence on the d sectors alone, one block per
+  sector pair d and −d, so a Werner mixture sums block by block;
+- parity-graded: every other two-mode state, in its two total-parity
+  blocks (route ``recurrence``).
 
 Correctness is defined by moment matching against the stored second
 moments, not by matching any normally ordered operator expansion entrywise.
-The tests check each route against dense exponentials of the full
-truncated generators, which share no code with either route.
+The tests check every route against dense exponentials of the full
+truncated generators, which share no code with the recurrence, and the
+d-graded writer against the parity-graded one.
 
 A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
 states; every entry outside them is a structural zero, and a dense matrix
@@ -47,14 +37,13 @@ zero mean conserves total parity, so every two-mode density is exactly
 zero between states of different total parity.  Hermiticity is checked
 where the data is small:
 
-- the recurrence route computes the entries with n_a ≥ m_a and mirrors
-  the rest; it checks the blocks it computes twice, n_a = m_a, and writes
-  them symmetrized (``_checked``), in its two total-parity blocks;
+- the parity-graded writer computes the entries with n_a ≥ m_a and
+  mirrors the rest; it checks the blocks it computes twice, n_a = m_a, and
+  writes them symmetrized (``_checked``); the d-graded writer checks each
+  d sector whole and writes it symmetrized (``_hermitian_part``);
 - the tensor route writes the kron of its two checked factors, one block
   per class (parity of n_a, parity of n_b), the one-mode route its one
   checked factor;
-- the tms route checks each d sector and writes it symmetrized
-  (``_hermitian_part``);
 - a mixture sums its components' blocks in place, block by block when
   they share their blocks, and otherwise on the two total-parity blocks,
   which every route refines.  Real weights keep the sum exactly Hermitian;
@@ -102,8 +91,7 @@ Each constructor calls ``separability._require_physical``, the gate of
 every closed form, once on entry and builds every state it accepts.  A
 gated state in the gate's band, the smallest eigenvalue λ of Γ in
 [−EPS_PHYS, 0), is built with n raised by |λ|, from Γ − λI, so that its
-density stays positive; the tms route builds a thermal factor with n̄ just
-below zero pure, which does the same.
+density stays positive.
 """
 
 from __future__ import annotations
@@ -124,7 +112,6 @@ from .witnesses import WitnessKind
 EPS_TR = 1e-6
 
 _HERMITICITY_TOL = 1e-12
-_WEIGHT_FLOOR = 1e-18
 
 
 class ConvergenceError(RuntimeError):
@@ -135,83 +122,13 @@ class ConvergenceError(RuntimeError):
         self.deficit = deficit
 
 
-# --- ladder matrices and the tms sector exponentials -------------------------
+# --- ladder matrices ----------------------------------------------------------
 
 def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
 
 
-def creation(cutoff: int) -> np.ndarray:
-    return annihilation(cutoff).conj().T
-
-
-def _sector_couplings(size: int, sector: int) -> np.ndarray:
-    """Real couplings a_k of the two-mode squeezer's generator
-    g[k+1, k] = z a_k, g[k, k+1] = −z̄ a_k on sector |d| = ``sector`` of
-    two modes with cutoff ``size``, its states |j, j−d⟩ in increasing j.
-    ξ* ab − ξ a†b† has z = −ξ; a†b† takes the k-th state to the next with
-    √((k+1)(k+|d|+1)), the same for d and −d."""
-    k = np.arange(size - sector - 1, dtype=float)
-    return np.sqrt((k + 1.0) * (k + sector + 1.0))
-
-
-def _tridiagonal_spectrum(size: int, sector: int):
-    """(Λ, V): eigendecomposition of the real symmetric tridiagonal matrix A
-    with off-diagonal a_k of the sector generator."""
-    a = _sector_couplings(size, sector)
-    return np.linalg.eigh(np.diag(a, -1) + np.diag(a, 1))
-
-
-def _check_spectrum(size: int, sector: int, lam: np.ndarray, v: np.ndarray) -> None:
-    """Require V to be orthogonal and A V = V Λ, relative to the largest
-    coupling of A, each to the Hermiticity tolerance."""
-    a = _sector_couplings(size, sector)
-    av = np.zeros_like(v)
-    av[1:] += a[:, None] * v[:-1]
-    av[:-1] += a[:, None] * v[1:]
-    residual = max(_max_abs(v.T @ v - np.eye(lam.size)),
-                   _max_abs(av - v * lam) / np.max(a, initial=1.0))
-    if residual > _HERMITICITY_TOL:
-        raise ValueError(f"tms sector {sector} of size {size} fails its spectrum check "
-                         f"(residual {residual:.3g})")
-
-
-@functools.lru_cache(maxsize=256)
-def _sector_spectrum(size: int, sector: int):
-    """``_tridiagonal_spectrum``, checked once here by ``_check_spectrum``
-    and cached read-only.  The bound holds every tms sector the concordance
-    suite uses (cutoffs 40 and 30)."""
-    lam, v = _tridiagonal_spectrum(size, sector)
-    _check_spectrum(size, sector, lam, v)
-    lam.flags.writeable = False
-    v.flags.writeable = False
-    return lam, v
-
-
-def _sector_exponential(size: int, sector: int, z: complex,
-                        rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Rows ``rows`` and columns ``cols`` of exp(g) for the sector generator
-    with coupling z (see ``_sector_couplings``): exactly unitary up to
-    round-off.
-
-    g = G (−i|z| A) G* with G = diag(e^{ik(arg z + π/2)}), so
-    exp(g) = G V e^{−i|z|Λ} Vᵀ G*.  Only the phases depend on z, so every
-    state shares the cached spectrum.
-    """
-    lam, v = _sector_spectrum(size, sector)
-    left = v[rows]
-    angle = abs(z) * lam
-    # The real and the imaginary part in one real product [V cos; V sin] Vᵀ.
-    parts = np.concatenate((left * np.cos(angle), left * np.sin(angle))) @ v[cols].T
-    out = parts[:left.shape[0]] - 1j * parts[left.shape[0]:]
-    tilt = cmath.phase(z) + 0.5 * math.pi
-    k = np.arange(lam.size)
-    out *= np.exp(1j * tilt * k[rows])[:, None]
-    out *= np.exp(-1j * tilt * k[cols])
-    return out
-
-
-# --- the Gaussian recurrence ---------------------------------------------------
+# --- the Gaussian recurrence --------------------------------------------------
 
 def _recurrence_start(gamma: np.ndarray):
     """(A, T) of the recurrence for the state with ⟨ζζ†⟩ = Γ (see the
@@ -345,61 +262,61 @@ def _swap_phase(state: TwoModeGaussian) -> float | None:
     return delta if abs(x.imag) <= 1e-9 * max(1.0, abs(x)) else None
 
 
-# --- the tms and tensor routes --------------------------------------------------
+# --- the d-graded and kron writers --------------------------------------------
 
-def _thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
-    q = nbar / (nbar + 1.0)
-    return (1.0 - q) * q ** np.arange(cutoff)
+def _sector_slabs(a: np.ndarray, t: float, cutoff: int):
+    """Yield V_j[m_b, n_a] = G(j, m_b, n_a, n_a − j + m_b) for
+    j = 0 .. cutoff − 1, each cutoff × cutoff, with A and G in ζ's order
+    (m_a, m_b, n_a, n_b) (``_recurrence_start``), for a state whose A couples
+    only m_a with m_b and n_a, and n_b with m_b and n_a (a tms pattern, the
+    thermal pair included): every step then keeps d = m_a − m_b =
+    n_a − n_b, and V_j holds the rows m_a = j of every sector.
 
-
-def _solve_squeezed_thermal(n: float, m: complex):
-    """(n̄, r, φ) of S₂(r, φ)(ρ_th(n̄) ⊗ ρ_th(n̄))S₂† from
-    n + ½ = (n̄+½) cosh 2r and m = e^{iφ}(n̄+½) sinh 2r, with m the cross
-    moment m_c.
-
-    A solution exists exactly when n + ½ > |m| (which excludes n < −½),
-    else None.  n̄ is the formal one, negative beyond |m|² ≤ n(n+1).
+    On m_a = 0 the recurrence has the closed form
+    V_0[m_b, n_a] = T A_23^n_a A_13^m_b √C(n_a + m_b, m_b), and a step along
+    m_a reads V_{j+1}[m_b, n_a] = (A_01 √m_b V_j[m_b − 1, n_a]
+    + A_02 √n_a V_j[m_b, n_a − 1]) / √(j + 1).  The entries with n_b < 0,
+    n_a < j − m_b, come out zero.
     """
-    if n + 0.5 <= abs(m):
-        return None
-    half_width = math.sqrt((n + 0.5) ** 2 - abs(m) ** 2)
-    r = 0.5 * math.asinh(abs(m) / half_width)
-    phi = cmath.phase(m) if abs(m) > 0.0 else 0.0
-    return half_width - 0.5, r, phi
+    k = np.arange(cutoff)
+    # C(n_a + m_b, m_b) as a running product over m_b of (n_a + m_b)/m_b.
+    ratios = (k[None, :] + k[:, None]) / np.maximum(k[:, None], 1)
+    ratios[0] = 1.0
+    slab = t * np.outer(a[1, 3] ** k, a[2, 3] ** k) * np.sqrt(np.cumprod(ratios, axis=0))
+    roots = np.sqrt(k)
+    along_m, along_n = a[0, 1] * roots[1:, None], a[0, 2] * roots[1:]
+    for j in range(cutoff):
+        yield slab
+        if j + 1 == cutoff:
+            return
+        scale = 1.0 / roots[j + 1]
+        step = np.zeros_like(slab)
+        np.multiply(slab[:, :-1], along_n * scale, out=step[:, 1:])
+        step[1:] += slab[:-1] * (along_m * scale)
+        slab = step
 
 
-def _two_mode_squeezed_thermal(nbar: float, r: float, phi: float, cutoff: int) -> "_Written":
-    """Blocks of the restricted density of S₂(r, φ) (ρ_th ⊗ ρ_th) S₂†, one
-    per d = n_a − n_b sector pair, each checked and written exactly
-    Hermitian (``_hermitian_part``).
+def _tms_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
+    """Blocks of the restricted density of a tms-pattern state, one per
+    d = n_a − n_b sector pair, each checked and written exactly Hermitian
+    (``_hermitian_part``).
 
-    The thermal input is diagonal and S₂ conserves d, so sector d is
-    C_d W_d C_d†: W_d holds the input weights of the sector's states in a
-    working space of twice the cutoff and C_d the retained rows and the
-    kept (non-negligible weight) columns of its block.  Swapping the modes
-    maps sector d onto sector −d with the same generator block and input
-    weights, so the two sectors share one block.  Sectors with
-    |d| ≥ cutoff hold no retained state.
+    Sector d holds ρ[(j, j−d), (k, k−d)] = V_j[j − d, k] (``_sector_slabs``),
+    so slab j gives row j − d of every sector d ≤ j.  Swapping the modes
+    maps sector d onto sector −d with the same entries, so the two share
+    one block.  Sectors with |d| ≥ cutoff hold no retained state.
     """
-    cw = 2 * cutoff
-    # n̄ just below zero is built pure.
-    w = _thermal_weights(max(nbar, 0.0), cw)
-    z = -r * cmath.exp(1j * phi)
-    # States are listed by increasing j, so the retained ones come first.
-    sectors = [np.arange(d, cutoff) for d in range(cutoff)]
-    out = _Written([np.array([ja * cutoff + (ja - d), (ja - d) * cutoff + ja] if d
-                             else [ja * cutoff + ja]) for d, ja in enumerate(sectors)])
-    for d, (ja, block) in enumerate(zip(sectors, out)):
-        if r == 0.0:
-            # A thermal pair: S₂ is the identity, and the sector is its
-            # diagonal of weights.
-            sector = np.diag(w[ja] * w[ja - d]).astype(complex)
-        else:
-            weights = w[d:] * w[:cw - d]
-            keep = np.abs(weights) > _WEIGHT_FLOOR
-            c_d = _sector_exponential(cw, d, z, rows=slice(ja.size), cols=keep)
-            sector = (c_d * weights[keep]) @ c_d.conj().T
-        _require_hermitian(_hermitian_part(sector, block.values))
+    c = cutoff
+    # Sector d lists its states |j, j−d⟩ (and their mirrors) in increasing j.
+    starts = [np.arange(d, c) for d in range(c)]
+    out = _Written([np.array([ja * c + (ja - d), (ja - d) * c + ja] if d else [ja * c + ja])
+                    for d, ja in enumerate(starts)])
+    sectors = [values for _, values in out]
+    for j, slab in enumerate(_sector_slabs(*_recurrence_start(_moment_matrix(state)), c)):
+        for m_b in range(j + 1):
+            sectors[j - m_b][m_b] = slab[m_b, j - m_b:]
+    for values in sectors:
+        _require_hermitian(_hermitian_part(values, values))
     return out
 
 
@@ -490,10 +407,12 @@ def _require_hermitian(deviation: float) -> None:
 
 
 def _hermitian_part(mat: np.ndarray, out: np.ndarray) -> float:
-    """Write (M + M†)/2, exactly Hermitian, into ``out``; return max |M − M†|.
+    """Write (M + M†)/2, exactly Hermitian, into ``out``, which may be M
+    itself; return max |M − M†|.
 
-    Works on pairs of mirrored square tiles, which stay in cache; the
-    transposed reads of a whole-matrix M − M† and M + M† would not.
+    Works on pairs of mirrored square tiles, which stay in cache, each
+    pair read before it is written; the transposed reads of a whole-matrix
+    M − M† and M + M† would not.
     """
     dim = mat.shape[0]
     deviation = 0.0
@@ -720,14 +639,13 @@ def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
 
 
 def _assemble_two_mode(state: TwoModeGaussian, cutoff: int):
-    """Blocks and record of a two-mode state by the route its moment pattern
-    takes: a cross-correlated state without local squeezing (a thermal
-    pair included) through the two-mode squeezer, a product state as the
-    kron of its factors, every other state by the recurrence."""
+    """Blocks and record of a two-mode state by the writer its moment
+    pattern takes: a cross-correlated state without local squeezing (a
+    thermal pair included) on its d sectors, a product state as the kron
+    of its factors, every other state on its total parities."""
     tol = 1e-12 * _moment_scale(state)
     if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
-        return _two_mode_squeezed_thermal(*_solve_squeezed_thermal(state.n, state.m_c),
-                                          cutoff), _Origin("tms")
+        return _tms_blocks(state, cutoff), _Origin("tms")
     if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
         return _tensor_blocks(state, cutoff), _Origin("tensor")
     return _recurrence_blocks(state, cutoff), _Origin("recurrence", _swap_phase(state))
@@ -791,10 +709,11 @@ def _two_mode_blocks(state, cutoff: int, eps_tr: float):
 def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
     """Assemble a two-mode state or mixture in the truncated Fock basis.
 
-    Dispatches on the moment pattern (``_assemble_two_mode``): product
-    states are tensored, cross-correlated unsqueezed states go through the
-    two-mode squeezer, and every other state the gate accepts is built by
-    the recurrence.  Mixtures are weighted sums, validated once.
+    Every state the gate accepts is built by the recurrence, laid out by
+    its moment pattern (``_assemble_two_mode``): product states are
+    tensored, cross-correlated unsqueezed states graded by d = n_a − n_b,
+    and every other state by total parity.  Mixtures are weighted sums,
+    validated once.
     """
     _require_dims(2, cutoff)
     _require_physical(state)

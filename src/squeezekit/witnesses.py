@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .separability import _require_physical
-from .states import EPS_PHYS, OneModeGaussian, OperatorWord, wick_moment
+from .states import EPS_PHYS, OneModeGaussian, OperatorWord, g2, wick_moment
 
 EPS_VERDICT = 1e-9
 
 _W_ADAD_AA = OperatorWord.from_counts(create_a=2, annihilate_a=2)
-_W_AD_A = OperatorWord.from_counts(create_a=1, annihilate_a=1)
 _W_ADBD_AB = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_a=1, annihilate_b=1)
 _W_ADAD_AB = OperatorWord.from_counts(create_a=2, annihilate_a=1, annihilate_b=1)
 _W_ADBD_BB = OperatorWord.from_counts(create_a=1, create_b=1, annihilate_b=2)
@@ -61,16 +60,15 @@ def _verdict(value: float, tol: float = EPS_VERDICT) -> Verdict:
 def w2_expectation(s: OneModeGaussian) -> WitnessReport:
     """Expectation of the single-mode witness 3 − a†a†aa/⟨a†a⟩².
 
-    Equals (n² − |m|²)/n², i.e. 3 − g², positive exactly for states with a
-    regular P density and −1/n on pure states.  Nonphysical second moments
-    raise NonPhysicalStateError.
+    Equals (n² − |m|²)/n², i.e. 3 − g⁽²⁾ with g⁽²⁾ = 2 + (|m|/n)² from
+    ``g2``, positive exactly for states with a regular P density and −1/n
+    on pure states.  The ratio |m|/n keeps it finite where n² underflows.
+    Nonphysical second moments raise NonPhysicalStateError.
     """
     _require_physical(s)
     if s.n == 0:
         raise ZeroDivisionError("witness normalization undefined at zero photon number")
-    numerator = wick_moment(s, _W_ADAD_AA).real
-    n1 = wick_moment(s, _W_AD_A).real
-    value = 3.0 - numerator / n1 ** 2
+    value = 3.0 - g2(s)
     return WitnessReport(value, _verdict(value), WitnessKind.W2)
 
 

@@ -61,6 +61,13 @@ def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     return expm_antihermitian(0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T)))
 
 
+def thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
+    """The first ``cutoff`` photon-number weights (1 − q) q^k, q = n̄/(n̄ + 1),
+    of a thermal state; n̄ < 0 gives the formal weights of a quasi state."""
+    q = nbar / (nbar + 1.0)
+    return (1.0 - q) * q ** np.arange(cutoff)
+
+
 class Factor(NamedTuple):
     """ρ = S(r, φ) ρ_thermal(n̄) S†; n̄ < 0 marks a quasi state."""
 
@@ -145,7 +152,7 @@ def candidate_weight_summary(state, cutoff: int):
     plan = plan_two_mode(state)
     if plan is None:
         return None
-    w1 = fock._thermal_weights(plan.factor1.nbar, cutoff)
-    w2 = fock._thermal_weights(plan.factor2.nbar, cutoff)
+    w1 = thermal_weights(plan.factor1.nbar, cutoff)
+    w2 = thermal_weights(plan.factor2.nbar, cutoff)
     min_eig = min(e1 * e2 for e1 in (w1.min(), w1.max()) for e2 in (w2.min(), w2.max()))
     return float(min_eig), 1.0 - float(w1.sum() * w2.sum())

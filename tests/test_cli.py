@@ -741,6 +741,15 @@ class TestNearVacuumWitness:
         header, rows = parse_csv(out)
         assert [row[header.index("whbt_verdict")] for row in rows] == ["nan", "boundary", "boundary"]
 
+    @pytest.mark.parametrize("m, value, verdict", [
+        ("0", 1.0, "classical-or-separable"), ("1e-170", 0.0, "boundary")])
+    def test_one_mode_witness_survives_an_underflowing_n(self, capsys, m, value, verdict):
+        code, out, err = run_cli(capsys, "witness", "w2", "--n", "1e-170", "--m", m,
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["value"], payload["verdict"]) == (value, verdict)
+
     @pytest.mark.parametrize("argv", [
         ("bs-output", "--n", "1", "--m", "1.2", "--lam", "0.5"),
         ("general", "--n", "1", "--m", "0.3", "--mc", "0.9", "--lam1", "0", "--lam2", "0.5"),

@@ -35,6 +35,7 @@ from _fock_reference import (
     plan_two_mode,
     solve_squeezed_thermal,
     squeeze_unitary,
+    thermal_weights,
     two_mode_squeeze_unitary,
 )
 from conftest import random_physical_one_mode
@@ -71,8 +72,8 @@ class TestLadderOperators:
 
 
 class TestUnitaries:
-    """The dense reference unitaries against an independent exponential,
-    and the oracle's tms sector exponentials."""
+    """The dense reference unitaries of ``_fock_reference`` against an
+    independent exponential."""
 
     def test_squeeze_is_exactly_unitary(self):
         u = squeeze_unitary(40, 0.7, 0.8)
@@ -97,28 +98,14 @@ class TestUnitaries:
         assert np.max(np.abs(beam_splitter_unitary(cutoff, lam) - expected)) < 1e-9
 
     def test_two_mode_squeeze_matches_taylor_series(self):
-        # Sector d of the two-mode squeezer holds |j, j−d⟩ in increasing j;
-        # sectors d and −d share one block.
+        # The reference of ``test_tms_matches_dense_reference``.
         cutoff, r, phi = 8, 0.4, -0.7
         a = fock.annihilation(cutoff)
         ad = a.conj().T
         xi = r * cmath.exp(1j * phi)
         g = np.conj(xi) * np.kron(a, a) - xi * np.kron(ad, ad)
-        expected = _expm_taylor(g)
-        z = -xi
-        for d in range(-(cutoff - 1), cutoff):
-            js = np.arange(max(0, d), cutoff + min(0, d))
-            flat = js * cutoff + (js - d)
-            block = fock._sector_exponential(cutoff, abs(d), z)
-            assert np.max(np.abs(block - expected[np.ix_(flat, flat)])) < 1e-10, d
-
-    def test_truncated_unitarity_on_retained_block(self):
-        # Every sector block is exactly unitary, so the defect stays far
-        # below 1e-8.
-        cutoff = 20
-        for u in (fock._sector_exponential(cutoff, d, -0.5 * cmath.exp(0.2j))
-                  for d in range(cutoff)):
-            assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-8
+        got = two_mode_squeeze_unitary(cutoff, r, phi)
+        assert np.max(np.abs(got - _expm_taylor(g))) < 1e-10
 
 
 class TestOneModeDensity:
@@ -309,7 +296,7 @@ class TestGateBand:
 
 class TestVacuumPorts:
     def test_rotated_bs_outputs_with_a_vacuum_input_build(self):
-        # The plan reads the vacuum factor's occupation as about −1e-16;
+        # A vacuum input leaves Γ's smallest eigenvalue at about −1e-16;
         # the gate accepts every such state, and so must the assembly.
         draws = np.random.default_rng(5)
         vacuum = OneModeGaussian(0.0, 0j)
@@ -487,7 +474,7 @@ class TestPhysicalitySummary:
         plan = plan_two_mode(state)
         made = []
         for factor in (plan.factor1, plan.factor2):
-            w = fock._thermal_weights(factor.nbar, cutoff)
+            w = thermal_weights(factor.nbar, cutoff)
             u = squeeze_unitary(cutoff, factor.r, factor.phi)
             made.append((u * w) @ u.conj().T)
         mixer = beam_splitter_unitary(cutoff, 0.0)
@@ -526,7 +513,7 @@ def _dense_factor(factor, dim):
     xi = factor.r * cmath.exp(1j * factor.phi)
     g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
     s = expm_antihermitian(g)
-    return (s * fock._thermal_weights(factor.nbar, dim)) @ s.conj().T
+    return (s * thermal_weights(factor.nbar, dim)) @ s.conj().T
 
 
 def _restrict(rho, cutoff, working):
@@ -586,21 +573,23 @@ class TestGradedAssembly:
         cutoff, working = 10, 20
         state = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
         plan = plan_two_mode(state)
-        w = fock._thermal_weights(plan.factor1.nbar, working)
+        w = thermal_weights(plan.factor1.nbar, working)
         u = two_mode_squeeze_unitary(working, plan.tms_r, plan.tms_phi)
         dense = u @ np.diag(np.kron(w, w)) @ u.conj().T
         got = fock.two_mode_density(state, cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - _restrict(dense, cutoff, working))) < 1e-13
 
-    @pytest.mark.parametrize("cutoff", [20, 30, 40])
+    @pytest.mark.parametrize("cutoff", [2, 10, 20, 30, 40])
     def test_tms_route_matches_the_recurrence(self, cutoff):
-        # The tms route's sector exponentials work in twice the cutoff, whose
-        # truncation reaches the retained block: 1.5e-8 on EPR(1.5, 1.8) at
-        # cutoff 10.  From cutoff 20 on it stays below 1e-14 of the exact
-        # entries of the recurrence.
-        for state in (TwoModeGaussian.epr(1.5, 1.8 + 0j), _TMS_STATE):
+        # The d-graded writer against the parity-graded one, on a hot
+        # state, the pure boundary state, a state inside the gate's band
+        # (|m_c|² = n(n+1) + 5e-10 at n = 0.5) and a thermal pair.
+        band = math.sqrt(0.75 + 5e-10) * cmath.exp(-0.2j)
+        for state in (TwoModeGaussian.epr(1.5, 1.8 + 0j), TwoModeGaussian.epr(1.0, SQRT2 + 0j),
+                      TwoModeGaussian.epr(0.5, band), TwoModeGaussian.thermal_pair(0.8),
+                      _TMS_STATE):
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
-            assert rho.route == "tms"
+            assert rho.route == "tms" and len(rho._blocks) == cutoff
             exact = _scatter(fock._recurrence_blocks(state, cutoff), cutoff)
             assert np.max(np.abs(rho.matrix - exact)) <= 1e-14, state
 
@@ -961,22 +950,15 @@ def _dense_assembly(state, cutoff):
         below = na[:, None] > na[None, :]
         same = na[:, None] == na[None, :]
         return np.where(below, g.conj().T, np.where(same, _symmetrized(g), g))
-    nbar, r, phi = fock._solve_squeezed_thermal(state.n, state.m_c)
-    cw = 2 * cutoff
-    w = fock._thermal_weights(nbar, cw)
-    if r == 0.0:
-        return np.diag(np.kron(w[:cutoff], w[:cutoff])).astype(complex)
-    z = -r * cmath.exp(1j * phi)
+    # A tms state takes the rows of the d-graded recurrence: slab j gives
+    # row (j, j − d) of sector d and row (j − d, j) of its mirror −d.
     dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
-    for d in range(cutoff):
-        js = np.arange(d, cw)
-        weights = w[js] * w[js - d]
-        keep = np.abs(weights) > fock._WEIGHT_FLOOR
-        ja = js[:cutoff - d]
-        c_d = fock._sector_exponential(cw, d, z, rows=slice(ja.size), cols=keep)
-        sector = (c_d * weights[keep]) @ c_d.conj().T
-        for idx in (ja * cutoff + (ja - d), (ja - d) * cutoff + ja):
-            dense[np.ix_(idx, idx)] = sector
+    a, t = fock._recurrence_start(_moment_matrix(state))
+    for j, slab in enumerate(fock._sector_slabs(a, t, cutoff)):
+        for m_b in range(j + 1):
+            k = np.arange(j - m_b, cutoff)
+            dense[j * cutoff + m_b, k * cutoff + k - j + m_b] = slab[m_b, j - m_b:]
+            dense[m_b * cutoff + j, (k - j + m_b) * cutoff + k] = slab[m_b, j - m_b:]
     return dense
 
 
@@ -1013,6 +995,31 @@ class TestGradedStorage:
         rho = fock.two_mode_density(_TMS_STATE, 12, eps_tr=1.0)
         copies = sorted(len(members) for members, _ in rho._blocks)
         assert copies == [1] + [2] * 11
+
+    def test_rebuilding_a_state_is_bit_identical(self):
+        # No route keeps state between builds: a state built before and
+        # after another one comes out the same, bit for bit.
+        other_bs = mode_rotation(
+            beam_splitter(OneModeGaussian(0.3, -0.2j), OneModeGaussian(0.9, 0.6 + 0j), 0.0),
+            1.3, -0.2)
+        pairs = {
+            "tms": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
+                    _TMS_STATE, TwoModeGaussian.epr(1.1, 0.4 - 0.9j)),
+            "bs": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0), _BS_STATE, other_bs),
+            "tensor": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
+                       _ROUTE_STATES["tensor"],
+                       TwoModeGaussian.pair_with_phase(OneModeGaussian(0.9, -0.5j), 2.0)),
+            "bs-output": (lambda lam: fock.bs_output_density(*_BS_OUTPUT_INPUTS[:2], lam, 12,
+                                                             eps_tr=1.0), 0.9, -2.3),
+        }
+        for name, (build, first, second) in pairs.items():
+            before = build(first)
+            build(second)
+            after = build(first)
+            assert len(before._blocks) == len(after._blocks), name
+            for b1, b2 in zip(before._blocks, after._blocks):
+                assert np.array_equal(b1.members, b2.members), name
+                assert np.array_equal(b1.values, b2.values), name
 
     def test_moments_match_dense_trace_on_every_short_word(self):
         cutoff = 12
@@ -1206,96 +1213,6 @@ class TestWrittenBlocks:
                 with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):
                     build()
             monkeypatch.undo()
-
-
-def _explicit_sector_generator(n_states, d, z):
-    # Sector block of z L − z̄ L†, L = a†b† the raising part of the
-    # two-mode squeezer's generator, read from the ladder matrices.  The
-    # cutoff is chosen so that the sector holds ``n_states`` states.
-    size = n_states + abs(d)
-    ad = fock.creation(size)
-    ja = np.arange(max(0, d), size + min(0, d))
-    raising = ad[np.ix_(ja, ja)] * ad[np.ix_(ja - d, ja - d)]
-    assert raising.shape == (n_states, n_states)
-    return size, z * raising - np.conj(z) * raising.conj().T
-
-
-class TestSectorExponential:
-    @pytest.mark.parametrize("n_states", [1, 2, 41, 80])
-    def test_matches_dense_exponential_of_the_explicit_generator(self, n_states):
-        rng = np.random.default_rng(n_states)
-        draws = [float(rng.uniform(0.05, 1.0)) * cmath.exp(1j * float(rng.uniform(-3.0, 3.0)))
-                 for _ in range(2)]
-        for z in (*draws, 0.7):
-            for d in (0, 3, -3):
-                size, g = _explicit_sector_generator(n_states, d, z)
-                got = fock._sector_exponential(size, abs(d), z)
-                assert np.max(np.abs(got - expm_antihermitian(g))) < 1e-13, (d, z)
-
-    def test_rows_and_columns_select_from_the_full_block(self):
-        z = 0.4 * cmath.exp(-2.1j)
-        full = fock._sector_exponential(20, 2, z)
-        keep = np.arange(18) % 3 != 1
-        part = fock._sector_exponential(20, 2, z, rows=slice(7), cols=keep)
-        assert np.allclose(part, full[:7, keep], rtol=0.0, atol=1e-15)
-
-    def test_cached_spectra_are_read_only(self):
-        fock.two_mode_density(_TMS_STATE, 10, eps_tr=1.0)
-        lam, v = fock._sector_spectrum(20, 3)
-        for arr in (lam, v):
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            v[0, 0] = 1.0
-
-    def test_corrupted_spectrum_fails_the_cache_fill(self, monkeypatch):
-        original = fock._tridiagonal_spectrum
-
-        def skewed_vectors(*args):
-            lam, v = original(*args)
-            v[1, 2] += 1e-9
-            return lam, v
-
-        def skewed_values(*args):
-            lam, v = original(*args)
-            lam[3] *= 1.0 + 1e-9
-            return lam, v
-
-        fock._sector_spectrum.cache_clear()
-        try:
-            for corrupt in (skewed_vectors, skewed_values):
-                monkeypatch.setattr(fock, "_tridiagonal_spectrum", corrupt)
-                with pytest.raises(ValueError, match="tms sector 2 of size 20 fails its spectrum"):
-                    fock._sector_spectrum(20, 2)
-                monkeypatch.undo()
-            assert fock._sector_spectrum.cache_info().currsize == 0
-            lam, v = fock._sector_spectrum(20, 2)
-            assert lam.shape == (18,)
-        finally:
-            fock._sector_spectrum.cache_clear()
-
-    def test_assembly_leaves_the_caches_unchanged(self):
-        fock._sector_spectrum.cache_clear()
-        other_bs = mode_rotation(
-            beam_splitter(OneModeGaussian(0.3, -0.2j), OneModeGaussian(0.9, 0.6 + 0j), 0.0),
-            1.3, -0.2)
-        pairs = {
-            "tms": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
-                    _TMS_STATE, TwoModeGaussian.epr(1.1, 0.4 - 0.9j)),
-            "bs": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0), _BS_STATE, other_bs),
-            "tensor": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
-                       _ROUTE_STATES["tensor"],
-                       TwoModeGaussian.pair_with_phase(OneModeGaussian(0.9, -0.5j), 2.0)),
-            "bs-output": (lambda lam: fock.bs_output_density(*_BS_OUTPUT_INPUTS[:2], lam, 12,
-                                                             eps_tr=1.0), 0.9, -2.3),
-        }
-        for name, (build, first, second) in pairs.items():
-            before = build(first)
-            build(second)
-            after = build(first)
-            assert len(before._blocks) == len(after._blocks), name
-            for b1, b2 in zip(before._blocks, after._blocks):
-                assert np.array_equal(b1.members, b2.members), name
-                assert np.array_equal(b1.values, b2.values), name
 
 
 def test_fock_imports_no_wick_symbols():

@@ -64,6 +64,13 @@ class TestW2:
         with pytest.raises(ZeroDivisionError):
             w2_expectation(OneModeGaussian(0.0, 0j))
 
+    def test_underflowing_photon_number_keeps_its_value(self):
+        # n² underflows to 0 at n = 1e-170; the value reads |m|/n, not n².
+        thermal = w2_expectation(OneModeGaussian(1e-170, 0j))
+        assert (thermal.value, thermal.verdict) == (1.0, Verdict.CLASSICAL_OR_SEPARABLE)
+        squeezed = w2_expectation(OneModeGaussian(1e-170, 1e-170 + 0j))
+        assert (squeezed.value, squeezed.verdict) == (0.0, Verdict.BOUNDARY)
+
     def test_nonphysical_state_rejected(self):
         # |m|^2 = 25 > n(n+1) = 2 would read -24, "quantum".  At n = 0 the
         # gate speaks before the normalization does.
