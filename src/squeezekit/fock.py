@@ -20,13 +20,15 @@ conserves:
   ``tms``).  It runs the recurrence on the d sectors alone, one block per
   sector pair d and −d, so a Werner mixture sums block by block;
 - parity-graded: every other two-mode state, in its two total-parity
-  blocks (route ``recurrence``).
+  blocks (route ``recurrence``).  It computes only the entries of even
+  total parity, in a layout that stores no other (``_parity_slabs``).
 
 Correctness is defined by moment matching against the stored second
 moments, not by matching any normally ordered operator expansion entrywise.
 The tests check every route against dense exponentials of the full
-truncated generators, which share no code with the recurrence, and the
-d-graded writer against the parity-graded one.
+truncated generators, which share no code with the recurrence, the
+parity-graded writer entry by entry against a plain recurrence over a
+dict, and the d-graded writer against the parity-graded one.
 
 A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
 states; every entry outside them is a structural zero, and a dense matrix
@@ -37,13 +39,15 @@ zero mean conserves total parity, so every two-mode density is exactly
 zero between states of different total parity.  Hermiticity is checked
 where the data is small:
 
-- the parity-graded writer computes the entries with n_a ≥ m_a and
-  mirrors the rest; it checks the blocks it computes twice, n_a = m_a, and
-  writes them symmetrized (``_checked``); the d-graded writer checks each
-  d sector whole and writes it symmetrized (``_hermitian_part``);
-- the tensor route writes the kron of its two checked factors, one block
-  per class (parity of n_a, parity of n_b), the one-mode route its one
-  checked factor;
+- the parity-graded writer computes the entries of even total parity
+  with n_a ≥ m_a, copies each row band of a block in slices, with no
+  gather, and mirrors the rest in one tiled pass; it checks the squares it computes
+  twice, n_a = m_a, two per slab, and writes them symmetrized
+  (``_hermitian_part``); the d-graded writer checks each d sector whole
+  and writes it symmetrized;
+- the tensor route writes the kron of its two checked factors
+  (``_checked``), one block per class (parity of n_a, parity of n_b), each
+  one broadcast product; the one-mode route writes its one checked factor;
 - a mixture sums its components' blocks in place, block by block when
   they share their blocks, and otherwise on the two total-parity blocks,
   which every route refines.  Real weights keep the sum exactly Hermitian;
@@ -142,17 +146,16 @@ def _recurrence_start(gamma: np.ndarray):
     return a, 1.0 / math.sqrt(np.linalg.det(sigma_q).real)
 
 
-def _recurrence_slabs(a: np.ndarray, t: float, cutoff: int, upper: bool = False):
+def _recurrence_slabs(a: np.ndarray, t: float, cutoff: int):
     """Yield G(k, ·) for k = 0 .. cutoff − 1, each a flat C-ordered array
     over the remaining indices, each below ``cutoff``.
 
     Slab 0 is the recurrence on the remaining indices (``_recurrence_entries``);
     slab k + 1 is formed from slabs k and k − 1.  A step back along an index
     is a flat shift by its stride, and the factor √k_j = 0 cancels every
-    entry the shift wraps.  With ``upper`` slab k holds only the entries
-    whose first remaining index is at least k, which read no others; the
-    rest of its buffer holds stale values, which nothing reads.  Three
-    buffers take turns, so a yielded slab is overwritten two steps later.
+    entry the shift wraps.  Three buffers take turns, so a yielded slab is
+    overwritten two steps later.  The one-mode density and the first slab
+    of ``_parity_slabs`` run it, on two and three indices.
     """
     rest = a.shape[0] - 1
     size = cutoff ** rest
@@ -167,13 +170,58 @@ def _recurrence_slabs(a: np.ndarray, t: float, cutoff: int, upper: bool = False)
         yield slab
         if k + 1 == cutoff:
             return
-        lo = (k + 1) * strides[0] if upper else 0
+        np.multiply(previous, a[0, 0] * roots[k], out=spare)
+        for j, s in enumerate(strides):
+            np.multiply(weights[j][s:], slab[:size - s], out=term[s:])
+            spare[s:] += term[s:]
+        spare *= 1.0 / roots[k + 1]
+        previous, slab, spare = slab, spare, previous
+
+
+def _parity_slabs(a: np.ndarray, t: float, cutoff: int):
+    """Yield, for m_a = 0 .. cutoff − 1, the entries of even total parity
+    of G(m_a, n_a, m_b, n_b), with A in that order of indices, as a flat
+    C-ordered array over (n_a, m_b, q) with n_b = 2q + (m_a + n_a + m_b)
+    mod 2; ``cutoff`` is even, so q runs below cutoff / 2.  A zero-mean
+    state's entries of odd total parity vanish, and none is computed.
+
+    Slab 0 is the even entries of the three-index recurrence
+    (``_recurrence_entries``).  Slab m_a holds only the entries with
+    n_a ≥ m_a, which read no others; the rest of its buffer holds stale
+    values, which nothing reads.  A step back along n_a or m_b, or to the
+    previous slab, keeps q: a flat shift by its stride.  A step back
+    along n_b flips r = (m_a + n_a + m_b) mod 2: an entry with r = 1 reads
+    the entry at its own q, one with r = 0 the entry at q − 1.  That is two
+    flat shifts, by 0 and 1, each weighted by A_03 √n_b on the entries of
+    its r and by 0 on the others, so that the one that does not apply adds
+    an exact zero; √n_b = 0 cancels the entry the shift by 1 wraps.
+    Three buffers take turns, so a yielded slab is overwritten two steps
+    later.
+    """
+    c, h = cutoff, cutoff // 2
+    size = c * c * h
+    na, mb, q = (x.ravel() for x in np.indices((c, c, h)))
+    offset = (na + mb) % 2
+    slab = _recurrence_entries(a[1:, 1:], t, c)[(na * c + mb) * c + 2 * q + offset]
+    roots = np.sqrt(np.arange(c))
+    # (A_0j √k_j at every flat position, flat shift) of each step back, for
+    # a slab m_a of either parity; r = 1 where the offset differs from m_a's.
+    along = [(a[0, 1] * roots[na], c * h), (a[0, 2] * roots[mb], h)]
+    steps = [along + [(np.where(offset != parity, a[0, 3] * roots[2 * q + 1], 0.0), 0),
+                      (np.where(offset == parity, a[0, 3] * roots[2 * q], 0.0), 1)]
+             for parity in (0, 1)]
+    del na, mb, q, offset
+    previous, spare, term = (np.zeros(size, dtype=complex) for _ in range(3))
+    for k in range(c):
+        yield slab
+        if k + 1 == c:
+            return
+        lo = (k + 1) * c * h
         part = spare[lo:]
         np.multiply(previous[lo:], a[0, 0] * roots[k], out=part)
-        for j, s in enumerate(strides):
-            start = max(lo, s)
-            np.multiply(weights[j][start:], slab[start - s:size - s], out=term[start:])
-            part[start - lo:] += term[start:]
+        for weight, shift in steps[(k + 1) % 2]:
+            np.multiply(weight[lo:], slab[lo - shift:size - shift], out=term[lo:])
+            part += term[lo:]
         part *= 1.0 / roots[k + 1]
         previous, slab, spare = slab, spare, previous
 
@@ -217,29 +265,40 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     parity, each listing its states in increasing flat index, written
     exactly Hermitian.
 
-    The slabs run along m_a over (n_a, m_b, n_b), so ``upper`` computes the
-    entries with n_a ≥ m_a.  Within a block the rows of one m_a are
-    contiguous, and the columns with n_a ≥ m_a follow from them on: slab
-    m_a gives that row band and its mirror image below it.  Its n_a = m_a
-    part is computed twice; it is checked, and written symmetrized.
+    The slabs run along m_a over (n_a, m_b, q) (``_parity_slabs``), at the
+    even cutoff c or c + 1: the entries do not depend on the cutoff.  The
+    rows m_b < c of slab m_a of one parity are the block's row band m_a,
+    and each n_a < c gives its columns n_b < c in member order, the first
+    ⌈c/2⌉ or ⌊c/2⌋ entries of a run of q.  Two consecutive n_a give c
+    columns, so the band's columns with n_a > m_a are pairs of runs, two
+    slice copies, and an unpaired last run.  Each band's n_a = m_a square
+    is computed twice; it is checked and written symmetrized.  The lower
+    triangle is the adjoint of the upper one (``_mirror_upper``).
     """
     a, t = _recurrence_start(_moment_matrix(state))
     order = [0, 2, 1, 3]
     a = a[np.ix_(order, order)]
-    c = cutoff
+    c, even = cutoff, cutoff + cutoff % 2
     na, nb = np.divmod(np.arange(c * c), c)
-    members = [np.flatnonzero((na + nb) % 2 == parity) for parity in (0, 1)]
-    out = _Written([m[None, :] for m in members])
-    # The slab offset of each block column (n_a, n_b) in the row m_b = 0.
-    offsets = [na[m] * c * c + nb[m] for m in members]
-    for m_a, slab in enumerate(_recurrence_slabs(a, t, c, upper=True)):
-        same = _checked(slab[m_a * c * c:(m_a + 1) * c * c].reshape(c, c))
-        for parity, (states, columns, (_, values)) in enumerate(zip(members, offsets, out)):
-            r0, r1 = np.searchsorted(states, [m_a * c, (m_a + 1) * c])
-            start = (parity - m_a) % 2
-            values[r0:r1, r0:r1] = same[start::2, start::2]
-            values[r0:r1, r1:] = slab[columns[r1:] + c * np.arange(start, c, 2)[:, None]]
-            np.conjugate(values[r0:r1, r1:].T, out=values[r1:, r0:r1])
+    out = _Written([np.flatnonzero((na + nb) % 2 == parity)[None, :] for parity in (0, 1)])
+    # An odd cutoff stops before the last slab of the even one.
+    for m_a, slab in zip(range(c), _parity_slabs(a, t, even)):
+        slab = slab.reshape(even, even, even // 2)
+        for parity, (members, values) in enumerate(out):
+            r0, r1 = np.searchsorted(members[0], [m_a * c, (m_a + 1) * c])
+            band = slab[:, (parity - m_a) % 2:c:2].transpose(1, 0, 2)
+            _require_hermitian(_hermitian_part(band[:, m_a, :r1 - r0], values[r0:r1, r0:r1]))
+            # Runs of n_a = m_a + 1, m_a + 3, ... (width w) and of the n_a
+            # between them (c − w), c columns per pair.
+            w = (c + (parity - m_a) % 2) // 2
+            pairs = (c - 1 - m_a) // 2
+            paired = values[r0:r1, r1:r1 + pairs * c].reshape(r1 - r0, pairs, c)
+            paired[:, :, :w] = band[:, m_a + 1:c - 1:2, :w]
+            paired[:, :, w:] = band[:, m_a + 2:c:2, :c - w]
+            if (c - 1 - m_a) % 2:
+                values[r0:r1, r1 + pairs * c:] = band[:, c - 1, :w]
+    for _, values in out:
+        _mirror_upper(values)
     return out
 
 
@@ -321,15 +380,11 @@ def _tms_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
 
 
 def _write_kron(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Write a ⊗ b of two exactly Hermitian matrices into ``out``, exactly
-    Hermitian: each row i of a gives the sub-blocks j ≥ i, and the
-    sub-blocks below are their adjoints.  A diagonal sub-block a_ii b is
-    exactly Hermitian by itself, a_ii being real."""
-    n = a.shape[0]
-    out4 = out.reshape(n, b.shape[0], n, b.shape[0])
-    for i in range(n):
-        np.multiply(a[i, i:, None], b[:, None, :], out=out4[i, :, i:, :])
-        np.conjugate(out4[i, :, i + 1:, :].transpose(1, 2, 0), out=out4[i + 1:, :, i, :])
+    """Write a ⊗ b of two exactly Hermitian matrices into ``out``, one
+    broadcast product.  It is exactly Hermitian: conj(x)·conj(y) rounds to
+    conj(x·y), so a_ij b_kl is the conjugate of a_ji b_lk bit for bit."""
+    na, nb = a.shape[0], b.shape[0]
+    np.multiply(a[:, None, :, None], b[None, :, None, :], out=out.reshape(na, nb, na, nb))
 
 
 def _tensor_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
@@ -426,6 +481,20 @@ def _hermitian_part(mat: np.ndarray, out: np.ndarray) -> float:
             out[i:i + _TILE, j:j + _TILE] = tile
             out[j:j + _TILE, i:i + _TILE] = tile.conj().T
     return deviation
+
+
+_LOWER = np.tri(_TILE, k=-1, dtype=bool)
+
+
+def _mirror_upper(mat: np.ndarray) -> None:
+    """Write the adjoint of the upper triangle of ``mat`` into its lower
+    one, in pairs of mirrored square tiles, which stay in cache."""
+    dim = mat.shape[0]
+    for i in range(0, dim, _TILE):
+        tile = mat[i:i + _TILE, i:i + _TILE]
+        np.copyto(tile, tile.conj().T, where=_LOWER[:tile.shape[0], :tile.shape[0]])
+        for j in range(i + _TILE, dim, _TILE):
+            np.conjugate(mat[i:i + _TILE, j:j + _TILE].T, out=mat[j:j + _TILE, i:i + _TILE])
 
 
 def _blocks_trace(blocks) -> float:

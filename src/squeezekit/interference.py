@@ -10,7 +10,9 @@ both squeezing and cross correlation, four single-phase cosines.
 compared against the Fock oracle exactly; the visibility records hold the
 normalized fringe decomposition and ``fringe_prefactor`` exposes the
 normalization separately; both read ``witnesses.fourth_order``'s record,
-as the intensity witness does.
+as the intensity witness does.  The closed-form records are ratios of
+quadratic forms, evaluated on n and the moduli over the largest of them,
+so that no square underflows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .separability import _require_epr_physical, _require_physical, _require_werner_weight
 from .states import TwoModeGaussian
-from .witnesses import fourth_order
+from .witnesses import _over_larger, fourth_order
 
 _VIS_TOL = 1e-9
 _COND_LIMIT = 1e6
@@ -138,6 +140,7 @@ def visibilities_uncorrelated(n: float, m_abs: float, lam: float = 0.0) -> Visib
     """
     if n == 0.0 and m_abs == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
+    n, m_abs = _over_larger(n, m_abs)
     denom = 3.0 * n ** 2 + m_abs ** 2
     return VisibilityRecord(n ** 2 / denom, m_abs ** 2 / denom, 0.0, lam)
 
@@ -151,6 +154,7 @@ def visibility_epr(n: float, mc_abs: float) -> VisibilityRecord:
     _require_epr_physical(n, mc_abs)
     if n == 0.0 and mc_abs == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
+    n, mc_abs = _over_larger(n, mc_abs)
     denom = 3.0 * n ** 2 + mc_abs ** 2
     return VisibilityRecord((n ** 2 + mc_abs ** 2) / denom, 0.0, 0.0, 0.0)
 
@@ -161,6 +165,7 @@ def visibility_werner(n: float, mc_abs: float, p: float) -> VisibilityRecord:
     _require_epr_physical(n, mc_abs)
     if n == 0.0 and (p == 0.0 or mc_abs == 0.0):
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
+    n, mc_abs = _over_larger(n, mc_abs)
     denom = 3.0 * n ** 2 + p * mc_abs ** 2
     return VisibilityRecord((n ** 2 + p * mc_abs ** 2) / denom, 0.0, 0.0, 0.0)
 
@@ -174,6 +179,7 @@ def visibilities_bs_output(n: float, m_abs: float, lam: float) -> VisibilityReco
     """
     if n == 0.0 and m_abs == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
+    n, m_abs = _over_larger(n, m_abs)
     denom = 3.0 * n ** 2 + m_abs ** 2
     c2 = math.cos(2.0 * lam)
     v_minus = (n ** 2 + 0.5 * (1.0 - c2) * m_abs ** 2) / denom
@@ -199,9 +205,11 @@ def visibilities_general(n: float, m: float, m_c: float,
         0j,
     )
     _require_physical(state)
-    denom = 3.0 * n ** 2 + m ** 2 + m_c ** 2
-    if denom == 0.0:
+    if n == 0.0 and m == 0.0 and m_c == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
+    scale = max(n, abs(m), abs(m_c))
+    n, m, m_c = n / scale, m / scale, m_c / scale
+    denom = 3.0 * n ** 2 + m ** 2 + m_c ** 2
     return VisibilityRecord(
         (n ** 2 + m_c ** 2) / denom,
         m ** 2 / denom,

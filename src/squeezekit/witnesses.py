@@ -117,16 +117,27 @@ def whbt_expectation(state) -> WitnessReport:
     return WitnessReport(value, _verdict(value, band), WitnessKind.WHBT)
 
 
+def _over_larger(x: float, y: float) -> tuple:
+    """(x, y) over the larger of the two moduli x, y ≥ 0.  A ratio of
+    quadratic forms in them keeps its value, and no square underflows, as
+    in ``states.g2``; the vacuum, x = y = 0, raises ZeroDivisionError."""
+    scale = x if x > y else y
+    return x / scale, y / scale
+
+
 def whbt_closed_form_uncorrelated(n: float, m_abs: float) -> float:
     """Closed form for an uncorrelated equal pair: (n²−|m|²) / (2(3n²+|m|²))."""
+    n, m_abs = _over_larger(n, m_abs)
     return (n ** 2 - m_abs ** 2) / (2.0 * (3.0 * n ** 2 + m_abs ** 2))
 
 
 def whbt_closed_form_epr(n: float, mc_abs: float) -> float:
     """Closed form for the cross-correlated family: (n²−|m_c|²) / (2(3n²+|m_c|²))."""
+    n, mc_abs = _over_larger(n, mc_abs)
     return (n ** 2 - mc_abs ** 2) / (2.0 * (3.0 * n ** 2 + mc_abs ** 2))
 
 
 def whbt_closed_form_werner(n: float, mc_abs: float, p: float) -> float:
     """Closed form for the thermal-diluted family; sign flips when p|m_c|² > n²."""
+    n, mc_abs = _over_larger(n, mc_abs)
     return (n ** 2 - p * mc_abs ** 2) / (2.0 * (3.0 * n ** 2 + p * mc_abs ** 2))

@@ -5,16 +5,19 @@ comes from one eigendecomposition of the full truncated generator.  The
 factor solve of ``plan_two_mode`` writes a tensor, two-mode-squeezed or
 beam-splitter moment pattern as unitaries acting on (quasi-)thermal
 factors, for the dense references and for the weight summary of that
-candidate density.
+candidate density.  ``recurrence_entries`` runs the Gaussian recurrence
+entry by entry in plain Python, with none of the oracle's array layouts.
 """
 
 import cmath
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from squeezekit import fock
+from squeezekit.separability import _moment_matrix
 
 
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
@@ -156,3 +159,37 @@ def candidate_weight_summary(state, cutoff: int):
     w2 = thermal_weights(plan.factor2.nbar, cutoff)
     min_eig = min(e1 * e2 for e1 in (w1.min(), w1.max()) for e2 in (w2.min(), w2.max()))
     return float(min_eig), 1.0 - float(w1.sum() * w2.sum())
+
+
+def recurrence_entries(state, cutoff: int) -> dict:
+    """Every G(k) of a two-mode state with each index below ``cutoff``, keyed
+    by k = (m_a, m_b, n_a, n_b), so that ρ[(m_a, m_b), (n_a, n_b)] = G(k).
+
+    Straight from G(0) = T and G(k + e_i) = Σ_j A_ij √k_j G(k − e_j)/√(k_i + 1),
+    stepping each k along its first nonzero index: lexicographic order
+    meets every k − e_j first.  Γ = ⟨ζζ†⟩ for ζ = (a, b, a†, b†), lowered by
+    its smallest eigenvalue when that is negative (the gate's band);
+    σ_Q = Γ + diag(0, 0, 1, 1), A = X(I − σ_Q⁻¹)* with X the swap of ζ's two
+    halves, and T = det(σ_Q)^(−1/2).
+    """
+    gamma = _moment_matrix(state)
+    sigma_q = gamma - min(float(np.linalg.eigvalsh(gamma)[0]), 0.0) * np.eye(4)
+    sigma_q += np.diag([0.0, 0.0, 1.0, 1.0])
+    m = np.eye(4) - np.linalg.inv(sigma_q)
+    a = [[complex(m[(i + 2) % 4, j]).conjugate() for j in range(4)] for i in range(4)]
+    g = {}
+    for k in itertools.product(range(cutoff), repeat=4):
+        if not any(k):
+            g[k] = complex(1.0 / math.sqrt(np.linalg.det(sigma_q).real))
+            continue
+        i = next(j for j, kj in enumerate(k) if kj)
+        prev = list(k)
+        prev[i] -= 1
+        total = 0j
+        for j in range(4):
+            if prev[j]:
+                below = list(prev)
+                below[j] -= 1
+                total += a[i][j] * math.sqrt(prev[j]) * g[tuple(below)]
+        g[k] = total / math.sqrt(prev[i] + 1)
+    return g

@@ -750,6 +750,14 @@ class TestNearVacuumWitness:
         payload = json.loads(out)
         assert (payload["value"], payload["verdict"]) == (value, verdict)
 
+    def test_one_mode_classify_survives_an_underflowing_n(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "one-mode", "--n", "1e-170", "--m", "0",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["v_minus"], payload["v_plus"]) == (1.0 / 3.0, 0.0)
+        assert payload["whbt_pair"] == 1.0 / 6.0
+
     @pytest.mark.parametrize("argv", [
         ("bs-output", "--n", "1", "--m", "1.2", "--lam", "0.5"),
         ("general", "--n", "1", "--m", "0.3", "--mc", "0.9", "--lam1", "0", "--lam2", "0.5"),

@@ -33,6 +33,7 @@ from _fock_reference import (
     displacement_unitary,
     expm_antihermitian,
     plan_two_mode,
+    recurrence_entries,
     solve_squeezed_thermal,
     squeeze_unitary,
     thermal_weights,
@@ -619,6 +620,50 @@ class TestGradedAssembly:
         assert np.max(np.abs(got - dense)) < 1e-13
 
 
+class TestRecurrenceRoute:
+    """The parity-graded writer against ``recurrence_entries``, a plain
+    recurrence over a dict, and against itself at the next cutoff."""
+
+    _NO_FAMILY = TwoModeGaussian(1.0, 0.5, 0.2, 1.0)
+
+    @staticmethod
+    def _band_state():
+        # Two inputs with |m|² = n(n+1) + 5e-10 at n = 0.5: Γ's smallest
+        # eigenvalue lies in the gate's band, below zero.
+        m = math.sqrt(0.75 + 5e-10)
+        return mode_rotation(beam_splitter(OneModeGaussian(0.5, m * cmath.exp(0.4j)),
+                                           OneModeGaussian(0.5, m * cmath.exp(1.1j)), 0.7),
+                             0.2, -0.5)
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 5, 8])
+    def test_every_entry_matches_the_plain_recurrence(self, cutoff):
+        band = self._band_state()
+        assert np.linalg.eigvalsh(_moment_matrix(band))[0] < 0.0
+        for state in (self._NO_FAMILY, _BS_STATE, band):
+            rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            assert rho.route == "recurrence", state
+            g = recurrence_entries(state, cutoff)
+            expected = np.array([[g[(ma, mb, na, nb)] for na in range(cutoff)
+                                  for nb in range(cutoff)]
+                                 for ma in range(cutoff) for mb in range(cutoff)])
+            assert np.max(np.abs(rho.matrix - expected)) <= 1e-14, state
+
+    @pytest.mark.parametrize("cutoff", [11, 39, 40])
+    def test_a_density_is_the_next_cutoff_restricted(self, cutoff):
+        # The entries do not depend on the cutoff, odd or even, so each
+        # block is the next cutoff's block on the retained states, bit for
+        # bit.
+        small, big = (fock.two_mode_density(self._NO_FAMILY, c, eps_tr=1.0)
+                      for c in (cutoff, cutoff + 1))
+        assert small.route == big.route == "recurrence"
+        assert len(small._blocks) == len(big._blocks) == 2
+        for (members, values), (big_members, big_values) in zip(small._blocks, big._blocks):
+            x_a, x_b = np.divmod(big_members[0], cutoff + 1)
+            keep = np.flatnonzero((x_a < cutoff) & (x_b < cutoff))
+            assert np.array_equal(members[0], x_a[keep] * cutoff + x_b[keep])
+            assert np.array_equal(values, big_values[np.ix_(keep, keep)])
+
+
 class TestBandMeasurement:
     def test_moment_matches_dense_trace(self, rng):
         cutoff = 12
@@ -1160,12 +1205,13 @@ class TestWrittenBlocks:
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
         # The tensor route checks its two factors, the recurrence route the
-        # n_a = m_a block of each slab, the tms route each d sector, the
-        # one-mode route its factor and a mixture nothing of its own.  Only
-        # a dense matrix is checked by ``FockDensity``.
+        # two n_a = m_a squares of each slab, one per total parity, the tms
+        # route each d sector, the one-mode route its factor and a mixture
+        # nothing of its own.  Only a dense matrix is checked by
+        # ``FockDensity``.
         spy = _HermitianPartSpy(monkeypatch)
         tms = [(12 - d, 12 - d) for d in range(12)]
-        slabs = [(12, 12)] * 12
+        slabs = [(6, 6)] * 24
         expected = {"tensor": [(12, 12), (12, 12)], "tms": tms, "bs": slabs, "werner": tms * 2,
                     "bs+tms mixture": slabs + tms}
         for name, state in _ROUTE_STATES.items():
@@ -1185,8 +1231,9 @@ class TestWrittenBlocks:
     def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
         # A skew of 1e-9 in ρ[0, 2] of a one-mode factor (the tensor and
         # one-mode routes), and in ρ[(0, 0), (0, 2)] of the first slab of the
-        # recurrence route, whose n_a = m_a block is checked.
-        entries, slabs = fock._recurrence_entries, fock._recurrence_slabs
+        # recurrence route, whose n_a = m_a squares are checked: flat entry
+        # 1 of that slab, (n_a, m_b, q) = (0, 0, 1) with n_b = 2q.
+        entries, slabs = fock._recurrence_entries, fock._parity_slabs
 
         def skewed_factor(a, t, cutoff):
             out = entries(a, t, cutoff)
@@ -1194,10 +1241,10 @@ class TestWrittenBlocks:
                 out[2] += 1e-9
             return out
 
-        def skewed_slabs(a, t, cutoff, upper=False):
-            for k, slab in enumerate(slabs(a, t, cutoff, upper)):
-                if upper and k == 0:
-                    slab[2] += 1e-9
+        def skewed_slabs(a, t, cutoff):
+            for k, slab in enumerate(slabs(a, t, cutoff)):
+                if k == 0:
+                    slab[1] += 1e-9
                 yield slab
 
         for name, patched, builds in (
@@ -1205,7 +1252,7 @@ class TestWrittenBlocks:
                  (lambda: fock.two_mode_density(_ROUTE_STATES["tensor"], 10, eps_tr=1.0),
                   lambda: fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 10,
                                                 eps_tr=1.0))),
-                ("_recurrence_slabs", skewed_slabs,
+                ("_parity_slabs", skewed_slabs,
                  (lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
                   lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)))):
             monkeypatch.setattr(fock, name, patched)

@@ -130,6 +130,32 @@ class TestClosedFormVisibilities:
             visibilities_general(1.0, SQRT2, 0.5, 0.0, math.pi / 2)
 
 
+class TestUnderflowingMoments:
+    """Every closed-form record is a ratio of quadratic forms in n and the
+    squeezing moduli; squares that underflow on their own must not turn
+    it into a division by zero."""
+
+    def test_records_keep_their_values_at_an_underflowing_scale(self):
+        scale = 1e-170
+        cases = ((visibilities_uncorrelated, (1.0, 0.5), (0.3,)),
+                 (visibility_epr, (1.0, 0.5), ()),
+                 (visibility_werner, (1.0, 0.5), (0.6,)),
+                 (visibilities_bs_output, (1.0, 0.5), (0.3,)))
+        for record, moduli, rest in cases:
+            expected = record(*moduli, *rest)
+            got = record(*(x * scale for x in moduli), *rest)
+            for name in ("v_minus", "v_plus", "v_m"):
+                assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-15,
+                                                           abs=1e-300), (record.__name__, name)
+
+    def test_one_photon_scale_state_is_a_thermal_record(self):
+        assert visibilities_uncorrelated(1e-170, 0.0).v_minus == pytest.approx(1.0 / 3.0)
+        assert visibility_epr(1e-170, 0.0).v_minus == pytest.approx(1.0 / 3.0)
+        assert visibility_werner(1e-170, 0.0, 0.5).v_minus == pytest.approx(1.0 / 3.0)
+        assert visibilities_bs_output(1e-170, 0.0, 0.3).v_minus == pytest.approx(1.0 / 3.0)
+        assert visibilities_general(1e-170, 0.0, 0.0, 0.0, 0.0).v_minus == pytest.approx(1.0 / 3.0)
+
+
 class TestHbtCorrelation:
     def test_fringe_on_one_state_takes_one_eigensolve(self, monkeypatch):
         calls = []

@@ -21,7 +21,7 @@ from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 MB = 1e6
 CUTOFF = 40
 # Bounds on the temporaries above what a call leaves alive.  At cutoff 40
-# they measure about 7.6 MB (assembly) and 7.1 MB (partial transpose); the
+# they measure about 5.3 MB (assembly) and 7.1 MB (partial transpose); the
 # margin is for numpy's own temporaries.
 BS_ASSEMBLY_TRANSIENT_MB = 11.0
 BS_PPT_TRANSIENT_MB = 9.0

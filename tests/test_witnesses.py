@@ -120,6 +120,18 @@ class TestWhbtClosedForms:
             closed = whbt_closed_form_werner(n, mc, p)
             assert generic == pytest.approx(closed, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_closed_forms_survive_underflowing_squares(self, scale):
+        # n² and |m|² underflow (or overflow) on their own; each closed form
+        # is a ratio of quadratic forms and keeps its value at unit scale.
+        for closed, args in ((whbt_closed_form_uncorrelated, (1.0, 0.5)),
+                             (whbt_closed_form_epr, (1.0, 0.5)),
+                             (whbt_closed_form_werner, (1.0, 0.5, 0.6))):
+            scaled = (args[0] * scale, args[1] * scale, *args[2:])
+            assert closed(*scaled) == pytest.approx(closed(*args), rel=1e-15), closed.__name__
+        assert whbt_closed_form_uncorrelated(1e-170, 0.0) == 1.0 / 6.0
+        assert whbt_closed_form_epr(0.0, 1e-170) == -0.5
+
     def test_epr_single_mode_squeeze_terms_vanish(self, rng):
         # The two squeezing terms of the witness contribute nothing on the
         # cross-correlated family.
