@@ -643,9 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     vis_sub = p_vis.add_subparsers(dest="family", required=True)
     for family, (_, names) in _VISIBILITIES.items():
         vp = vis_sub.add_parser(family)
-        for nm in names:
-            default = 0.0 if nm.startswith("lam") else None
-            vp.add_argument(f"--{nm}", type=float, required=default is None, default=default)
+        _add_parameters(vp, names, {name: 0.0 for name in names if name.startswith("lam")})
         _add_common(vp)
         _add_angles(vp)
         vp.set_defaults(func=_cmd_visibility)

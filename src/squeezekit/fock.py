@@ -48,9 +48,10 @@ where the data is small:
 - the tensor route writes the kron of its two checked factors
   (``_checked``), one block per class (parity of n_a, parity of n_b), each
   one broadcast product; the one-mode route writes its one checked factor;
-- a mixture sums its components' blocks in place, block by block when
-  they share their blocks, and otherwise on the two total-parity blocks,
-  which every route refines.  Real weights keep the sum exactly Hermitian;
+- a mixture writes all its components with one writer, that of their
+  common moment pattern, else the parity-graded one, whose two blocks
+  every route refines, and sums each component in place, block by block,
+  as it is built.  Real weights keep the sum exactly Hermitian;
 - ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
   matrix and writes it symmetrized.
 
@@ -707,87 +708,51 @@ def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
                    _Origin("recurrence", _swap_phase(state)))
 
 
-def _assemble_two_mode(state: TwoModeGaussian, cutoff: int):
-    """Blocks and record of a two-mode state by the writer its moment
-    pattern takes: a cross-correlated state without local squeezing (a
-    thermal pair included) on its d sectors, a product state as the kron
-    of its factors, every other state on its total parities."""
-    tol = 1e-12 * _moment_scale(state)
-    if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
-        return _tms_blocks(state, cutoff), _Origin("tms")
-    if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
-        return _tensor_blocks(state, cutoff), _Origin("tensor")
-    return _recurrence_blocks(state, cutoff), _Origin("recurrence", _swap_phase(state))
-
-
-def _mixture_sum(parts, cutoff: int) -> _Written:
-    """Σ w · blocks over the weighted components ``parts``, summed in place.
-
-    Components with the same blocks are summed block by block; otherwise
-    every copy of every component block is added onto one of two blocks,
-    one per total parity of n_a + n_b, which every route's blocks refine.
-    Real weights and entrywise sums keep the components' exactly Hermitian
-    blocks exactly Hermitian.
-    """
-    first = parts[0][1]
-    if all(len(blocks) == len(first)
-           and all(np.array_equal(b.members, f.members) for b, f in zip(blocks, first))
-           for _, blocks in parts):
-        out = _Written([b.members for b in first])
-        out.buffer[1:-1] = 0.0
-        for w, blocks in parts:
-            for (_, acc), (_, values) in zip(out, blocks):
-                acc += values * w
-        return out
-    na, nb = np.divmod(np.arange(cutoff * cutoff), cutoff)
-    parity = (na + nb) % 2
-    groups = [np.flatnonzero(parity == p) for p in (0, 1)]
-    position = np.empty(cutoff * cutoff, dtype=np.intp)
-    for group in groups:
-        position[group] = np.arange(group.size)
-    out = _Written([group[None, :] for group in groups])
-    out.buffer[1:-1] = 0.0
-    for w, blocks in parts:
-        for members, values in blocks:
-            scaled = values * w
-            for row in members:
-                at = position[row]
-                out[parity[row[0]]].values[np.ix_(at, at)] += scaled
-    return out
-
-
-def _two_mode_blocks(state, cutoff: int, eps_tr: float):
-    """Blocks of a two-mode state or mixture, written exactly Hermitian
-    (``_Written``) by its route, and the record of how they were built.
-
-    A mixture is the weighted sum of its components (``_mixture_sum``),
-    each of which must meet the trace tolerance on its own.
-    """
-    if isinstance(state, GaussianMixture):
-        parts = []
-        for w, comp in state.components:
-            blocks, _ = _two_mode_blocks(comp, cutoff, eps_tr)
-            _trace_deficit(cutoff, blocks, eps_tr)
-            parts.append((w, blocks))
-        return _mixture_sum(parts, cutoff), _Origin("mixture")
+def _writer(state: TwoModeGaussian):
+    """The writer of a two-mode state's blocks and its route, by moment
+    pattern: a cross-correlated state without local squeezing (a thermal
+    pair included) on its d sectors, a product state as the kron of its
+    factors, every other state on its total parities."""
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    return _assemble_two_mode(state, cutoff)
+    tol = 1e-12 * _moment_scale(state)
+    if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
+        return _tms_blocks, "tms"
+    if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
+        return _tensor_blocks, "tensor"
+    return _recurrence_blocks, "recurrence"
 
 
 def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
     """Assemble a two-mode state or mixture in the truncated Fock basis.
 
     Every state the gate accepts is built by the recurrence, laid out by
-    its moment pattern (``_assemble_two_mode``): product states are
+    the writer of its moment pattern (``_writer``): product states are
     tensored, cross-correlated unsqueezed states graded by d = n_a − n_b,
-    and every other state by total parity.  Mixtures are weighted sums,
-    validated once.
+    and every other state by total parity.  A mixture's components are all
+    written by one writer, their common pattern's, else the total-parity
+    writer, whose two blocks every route refines; each component must meet
+    the trace tolerance on its own, and is summed into the mixture block by
+    block as it is built.  Real weights keep the sum exactly Hermitian.
     """
     _require_dims(2, cutoff)
     _require_physical(state)
-    blocks, origin = _two_mode_blocks(state, cutoff, eps_tr)
-    return _finish(2, cutoff, blocks, eps_tr, origin)
+    if not isinstance(state, GaussianMixture):
+        write, route = _writer(state)
+        origin = _Origin(route, _swap_phase(state) if route == "recurrence" else None)
+        return _finish(2, cutoff, write(state, cutoff), eps_tr, origin)
+    writers = {_writer(comp)[0] for _, comp in state.components}
+    write = writers.pop() if len(writers) == 1 else _recurrence_blocks
+    out = None
+    for w, comp in state.components:
+        blocks = write(comp, cutoff)
+        _trace_deficit(cutoff, blocks, eps_tr)
+        if out is None:
+            out = _Written([b.members for b in blocks])
+            out.buffer[1:-1] = 0.0
+        for (_, acc), (_, values) in zip(out, blocks):
+            acc += values * w
+    return _finish(2, cutoff, out, eps_tr, _Origin("mixture"))
 
 
 # --- measurements -------------------------------------------------------------

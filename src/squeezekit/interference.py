@@ -149,14 +149,10 @@ def visibility_epr(n: float, mc_abs: float) -> VisibilityRecord:
     """Cross-correlated pair without single-mode squeezing.
 
     v₋ = (n² + |m_c|²)/(3n² + |m_c|²); there is no out-of-phase fringe.
-    Values above ½ occur exactly for entangled parameters |m_c| > n.
+    Values above ½ occur exactly for entangled parameters |m_c| > n.  It is
+    the Werner record at p = 1.
     """
-    _require_epr_physical(n, mc_abs)
-    if n == 0.0 and mc_abs == 0.0:
-        raise ValueError("vacuum produces no fringes; visibilities are undefined")
-    n, mc_abs = _over_larger(n, mc_abs)
-    denom = 3.0 * n ** 2 + mc_abs ** 2
-    return VisibilityRecord((n ** 2 + mc_abs ** 2) / denom, 0.0, 0.0, 0.0)
+    return visibility_werner(n, mc_abs, 1.0)
 
 
 def visibility_werner(n: float, mc_abs: float, p: float) -> VisibilityRecord:

@@ -74,10 +74,18 @@ def werner_hbt_threshold(n: float) -> float:
 def werner_ppt_threshold(n: float) -> float:
     """Mixing probability above which the partial transpose gains a negative
     eigenvalue for a maximally correlated component:
-    p > (1 + √((1+n)/n) · (1+2n²)² / (n(1+2n)(1+n²)))⁻¹."""
+    p > (1 + √((1+n)/n) · (1+2n²)² / (n(1+2n)(1+n²)))⁻¹.  Above n = 1e50,
+    where n⁴ is still far from overflow, the factor is evaluated on u = 1/n,
+    as √(1+u) · (2+u²)² / ((2+u)(1+u²)), so that no power of n overflows;
+    it tends to 2, and p to ⅓.  Every value up to 1e50 keeps the form in n."""
     if n <= 0:
         raise ValueError("threshold defined for n > 0")
-    factor = math.sqrt((1.0 + n) / n) * (1.0 + 2.0 * n ** 2) ** 2 / (n * (1.0 + 2.0 * n) * (1.0 + n ** 2))
+    if n > 1e50:
+        u = 1.0 / n
+        factor = math.sqrt(1.0 + u) * (2.0 + u * u) ** 2 / ((2.0 + u) * (1.0 + u * u))
+    else:
+        factor = (math.sqrt((1.0 + n) / n) * (1.0 + 2.0 * n ** 2) ** 2
+                  / (n * (1.0 + 2.0 * n) * (1.0 + n ** 2)))
     return 1.0 / (1.0 + factor)
 
 

@@ -33,6 +33,10 @@ from dataclasses import dataclass, field
 
 EPS_PHYS = 1e-9  # how far the smallest eigenvalue of <zeta zeta^dag> may dip below zero, one mode or two
 EPS_CLS = 1e-9   # absolute tolerance on n - |m|
+# The largest modulus a state's moments may take: fourth moments are
+# quadratic in them, and stay finite, with every field the CLI prints, up
+# to this power of ten; NaN and infinities fail the same comparison.
+MOMENT_BOUND = 1e153
 
 _WORD_TOKEN_LIMIT = 16
 _WEIGHT_SUM_TOL = 1e-9
@@ -66,15 +70,17 @@ class Classification(enum.Enum):
 
 def _finite_real(x: float, name: str) -> float:
     x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
+    if not abs(x) <= MOMENT_BOUND:
+        raise ValueError(f"{name} must be finite and at most {MOMENT_BOUND:.0e} "
+                         f"in modulus, got {x!r}")
     return x
 
 
 def _finite_complex(z: complex, name: str) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"{name} must be finite, got {z!r}")
+    if not (abs(z.real) <= MOMENT_BOUND and abs(z.imag) <= MOMENT_BOUND):
+        raise ValueError(f"{name} must be finite and at most {MOMENT_BOUND:.0e} "
+                         f"in each part, got {z!r}")
     return z
 
 
@@ -330,15 +336,23 @@ class OperatorWord:
 
 def _lowest_eigenvalue(n: float, m_abs: float) -> float:
     """Smaller eigenvalue n + ½ − √(¼ + |m|²) of ⟨ζζ†⟩ = [[n+1, −m], [−m*, n]]
-    for ζ = (a, a†), taken without cancellation."""
-    return (n * (n + 1.0) - m_abs ** 2) / (n + 0.5 + math.sqrt(0.25 + m_abs ** 2))
+    for ζ = (a, a†), taken without cancellation.  Where n or |m| exceeds 1
+    it is evaluated on the moduli over the larger of the two, so that no
+    square overflows; below, the scale is 1 and every operation exact."""
+    m_abs = abs(m_abs)
+    scale = n if n > m_abs else m_abs
+    if scale < 1.0:
+        scale = 1.0
+    n, m_abs, half = n / scale, m_abs / scale, 0.5 / scale
+    return (scale * (n * (n + 2.0 * half) - m_abs ** 2)
+            / (n + half + math.sqrt(half ** 2 + m_abs ** 2)))
 
 
 def _require_lowest_eigenvalue(n: float, m_abs: float, name: str = "m") -> None:
     """Raise NonPhysicalStateError unless ``_lowest_eigenvalue`` ≥ −EPS_PHYS."""
     if _lowest_eigenvalue(n, m_abs) < -EPS_PHYS:
         raise NonPhysicalStateError(
-            f"|{name}|^2 = {m_abs ** 2:.12g} exceeds n(n+1) = {n * (n + 1):.12g}")
+            f"|{name}|^2 = {m_abs * m_abs:.12g} exceeds n(n+1) = {n * (n + 1):.12g}")
 
 
 def is_physical_one_mode(s: OneModeGaussian) -> bool:

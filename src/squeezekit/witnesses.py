@@ -126,18 +126,19 @@ def _over_larger(x: float, y: float) -> tuple:
 
 
 def whbt_closed_form_uncorrelated(n: float, m_abs: float) -> float:
-    """Closed form for an uncorrelated equal pair: (n²−|m|²) / (2(3n²+|m|²))."""
-    n, m_abs = _over_larger(n, m_abs)
-    return (n ** 2 - m_abs ** 2) / (2.0 * (3.0 * n ** 2 + m_abs ** 2))
+    """Closed form for an uncorrelated equal pair: (n²−|m|²) / (2(3n²+|m|²)),
+    the Werner form at p = 1 with |m| in place of |m_c|."""
+    return whbt_closed_form_werner(n, m_abs, 1.0)
 
 
 def whbt_closed_form_epr(n: float, mc_abs: float) -> float:
-    """Closed form for the cross-correlated family: (n²−|m_c|²) / (2(3n²+|m_c|²))."""
-    n, mc_abs = _over_larger(n, mc_abs)
-    return (n ** 2 - mc_abs ** 2) / (2.0 * (3.0 * n ** 2 + mc_abs ** 2))
+    """Closed form for the cross-correlated family: (n²−|m_c|²) / (2(3n²+|m_c|²)),
+    the Werner form at p = 1."""
+    return whbt_closed_form_werner(n, mc_abs, 1.0)
 
 
 def whbt_closed_form_werner(n: float, mc_abs: float, p: float) -> float:
-    """Closed form for the thermal-diluted family; sign flips when p|m_c|² > n²."""
+    """Closed form for the thermal-diluted family,
+    (n²−p|m_c|²) / (2(3n²+p|m_c|²)); sign flips when p|m_c|² > n²."""
     n, mc_abs = _over_larger(n, mc_abs)
     return (n ** 2 - p * mc_abs ** 2) / (2.0 * (3.0 * n ** 2 + p * mc_abs ** 2))

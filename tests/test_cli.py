@@ -490,6 +490,21 @@ class TestWitnessAndVisibility:
         assert code == 0
         assert float(json.loads(out)["v_minus"]) == pytest.approx(0.6, abs=1e-6)
 
+    def test_visibility_flags_are_the_family_parameters(self):
+        # Each family's flags in ``_VISIBILITIES`` order, with their help
+        # texts; only the angles are optional, defaulting to 0.
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        families = next(a for a in commands["visibility"]._actions
+                        if a.dest == "family").choices
+        for family, (_, names) in cli._VISIBILITIES.items():
+            flags = [a for a in families[family]._actions if a.dest in names]
+            assert [a.dest for a in flags] == list(names), family
+            for a in flags:
+                angle = a.dest.startswith("lam")
+                assert (a.required, a.default, a.type) == (not angle, 0.0 if angle else None,
+                                                           float), (family, a.dest)
+                assert a.option_strings == ["--" + a.dest] and a.help == cli._HELP[a.dest]
+
     def test_nonphysical_visibility_exits_three(self, capsys):
         code, _, err = run_cli(capsys, "visibility", "epr", "--n", "1", "--mc", "1.5")
         assert code == 3
@@ -769,6 +784,59 @@ class TestNearVacuumWitness:
         assert list(payload)[-2:] == ["whbt", "whbt_verdict"]
         assert payload["whbt_verdict"] == ("quantum-or-entangled" if payload["whbt"] < 0
                                            else "classical-or-separable")
+
+
+def _strict_json(text):
+    # json.loads accepts the NaN and Infinity tokens; a report holds neither.
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestHugeMoments:
+    """Moments enter bounded by 1e153 in modulus (``states.MOMENT_BOUND``):
+    up to it every family prints finite fields, and beyond it a command
+    that builds a state exits 2 naming the bound, with no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "epr", "--n", "1e170", "--mc", "5e169"),
+        ("classify", "one-mode", "--n", "1e170", "--m", "5e169"),
+        ("witness", "w2", "--n", "1e170", "--m", "5e169"),
+        ("classify", "werner", "--n", "1e154", "--mc", "5e153", "--p", "0.5"),
+        ("classify", "general", "--n", "1e154", "--m", "1", "--mc", "1", "--lam1", "0",
+         "--lam2", "0"),
+        ("witness", "whbt", "--family", "bs-output", "--n", "1e154", "--m", "1", "--lam", "0"),
+    ], ids=lambda argv: "-".join(argv[:2]) + "-" + argv[3])
+    def test_moments_beyond_the_bound_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n must be finite and at most 1e+153 in modulus")
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "one-mode", "--n", "1e153", "--m", "5e152"),
+        ("classify", "epr", "--n", "1e153", "--mc", "1e153"),
+        ("classify", "werner", "--n", "1e153", "--mc", "1e153", "--p", "0.5"),
+        ("classify", "bs-output", "--n", "1e153", "--m", "1e153", "--lam", "0.5"),
+        ("classify", "general", "--n", "1e153", "--m", "5e152", "--mc", "5e152",
+         "--lam1", "0", "--lam2", "0.5"),
+        ("witness", "w2", "--n", "1e153", "--m", "5e152"),
+        ("witness", "whbt", "--family", "pair", "--n", "1e153", "--m", "1e153"),
+        ("visibility", "epr", "--n", "1e170", "--mc", "5e169"),
+    ], ids=lambda argv: "-".join(argv[:2]) + "-" + argv[3])
+    def test_moments_up_to_the_bound_print_finite_fields(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert all(isinstance(v, (str, bool)) or math.isfinite(v)
+                   for v in _strict_json(out).values())
+
+    def test_werner_thresholds_at_a_huge_n(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "werner", "--n", "1e100", "--mc", "5e99",
+                                 "--p", "0.5", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = _strict_json(out)
+        assert payload["ppt_threshold"] == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert payload["whbt_verdict"] == "classical-or-separable"
 
 
 class TestOracleCheckCommand:

@@ -535,8 +535,13 @@ _BS_STATE = mode_rotation(
 )
 _TMS_STATE = TwoModeGaussian.epr(0.8, 0.7 * cmath.exp(0.4j))
 _BS_OUTPUT_INPUTS = (OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j), 0.9)
-# Its components have different blocks, so it is summed on total parity.
+# Their components have different patterns, so both mixtures write every
+# component on total parity, by the recurrence.
 _BS_TMS_MIXTURE = GaussianMixture(((0.3, _BS_STATE), (0.7, _TMS_STATE)))
+_BS_TENSOR_MIXTURE = GaussianMixture((
+    (0.4, _BS_STATE),
+    (0.6, TwoModeGaussian.pair_with_phase(OneModeGaussian(0.6, 0.3 + 0.4j), 0.8)),
+))
 
 
 def _graded_densities(cutoff):
@@ -593,6 +598,26 @@ class TestGradedAssembly:
             assert rho.route == "tms" and len(rho._blocks) == cutoff
             exact = _scatter(fock._recurrence_blocks(state, cutoff), cutoff)
             assert np.max(np.abs(rho.matrix - exact)) <= 1e-14, state
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 40])
+    def test_mixture_is_the_weighted_sum_of_one_writers_blocks(self, cutoff):
+        # A mixture writes all its components with one writer, that of
+        # their common pattern (tms on a Werner mixture), else the
+        # total-parity recurrence, and sums w · blocks in component order:
+        # bit for bit the same sum taken here.
+        werner = werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6)
+        for mixture, write in ((_BS_TMS_MIXTURE, fock._recurrence_blocks),
+                               (_BS_TENSOR_MIXTURE, fock._recurrence_blocks),
+                               (werner, fock._tms_blocks)):
+            rho = fock.two_mode_density(mixture, cutoff, eps_tr=1.0)
+            parts = [(w, write(comp, cutoff)) for w, comp in mixture.components]
+            assert rho.route == "mixture" and len(rho._blocks) == len(parts[0][1])
+            for k, (members, values) in enumerate(rho._blocks):
+                expected = np.zeros_like(values)
+                for w, blocks in parts:
+                    assert np.array_equal(blocks[k].members, members)
+                    expected += blocks[k].values * w
+                assert np.array_equal(values, expected), (write.__name__, k)
 
     # The dense beam-splitter references work at 32 states per mode, where
     # their own truncation is 2.6e-15 (bs) and 1.6e-14 (bs output) against
@@ -970,23 +995,26 @@ def _symmetrized(mat):
     return (mat + mat.conj().T) / 2.0
 
 
-def _dense_assembly(state, cutoff):
+def _dense_assembly(state, cutoff, route=None):
     # Dense matrix of a state or mixture, scattered from the same factor,
     # sector and recurrence products as the graded routes, a mixture's
     # components summed entrywise, each written as its route writes it:
-    # the reference for the block bookkeeping.  A recurrence state takes
-    # every entry of the full recurrence, with no working space and no
-    # truncation, in the routes' order of indices (m_a, n_a, m_b, n_b); the
-    # entries with n_a ≥ m_a are kept, the rest mirrored, and the blocks of
-    # n_a = m_a symmetrized.
+    # the reference for the block bookkeeping.  A mixture's components all
+    # take their common route, else the recurrence.  A recurrence state
+    # takes every entry of the full recurrence, with no working space and
+    # no truncation, in the routes' order of indices (m_a, n_a, m_b, n_b);
+    # the entries with n_a ≥ m_a are kept, the rest mirrored, and the
+    # blocks of n_a = m_a symmetrized.
     if isinstance(state, GaussianMixture):
-        return sum(w * _symmetrized(_dense_assembly(comp, cutoff))
+        routes = {plan_two_mode(comp).route for _, comp in state.components}
+        route = routes.pop() if len(routes) == 1 else "bs"
+        return sum(w * _symmetrized(_dense_assembly(comp, cutoff, route))
                    for w, comp in state.components)
-    plan = plan_two_mode(state)
-    if plan.route == "tensor":
+    route = route or plan_two_mode(state).route
+    if route == "tensor":
         return np.kron(fock._one_mode_matrix(state.n, state.m_a, cutoff),
                        fock._one_mode_matrix(state.n, state.m_b, cutoff))
-    if plan.route == "bs":
+    if route == "bs":
         order = [0, 2, 1, 3]
         a, t = fock._recurrence_start(_moment_matrix(state))
         full = fock._recurrence_entries(a[np.ix_(order, order)], t, cutoff)
@@ -1013,6 +1041,7 @@ _ROUTE_STATES = {
     "bs": _BS_STATE,
     "werner": werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6),
     "bs+tms mixture": _BS_TMS_MIXTURE,
+    "bs+tensor mixture": _BS_TENSOR_MIXTURE,
 }
 
 
@@ -1028,7 +1057,8 @@ class TestGradedStorage:
     def test_dense_view_equals_dense_assembly(self, cutoff):
         # Symmetrizing entrywise is exact arithmetic on mirrored pairs, so
         # the graded density must reproduce the dense assembly bit for bit.
-        blocks = {"tensor": 4, "tms": cutoff, "bs": 2, "werner": cutoff, "bs+tms mixture": 2}
+        blocks = {"tensor": 4, "tms": cutoff, "bs": 2, "werner": cutoff, "bs+tms mixture": 2,
+                  "bs+tensor mixture": 2}
         for name, state in _ROUTE_STATES.items():
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
             dense = _dense_assembly(state, cutoff)
@@ -1207,13 +1237,14 @@ class TestWrittenBlocks:
         # The tensor route checks its two factors, the recurrence route the
         # two n_a = m_a squares of each slab, one per total parity, the tms
         # route each d sector, the one-mode route its factor and a mixture
-        # nothing of its own.  Only a dense matrix is checked by
-        # ``FockDensity``.
+        # nothing of its own: its components take one writer, so the bs+tms
+        # mixture checks the slabs of both on the recurrence.  Only a dense
+        # matrix is checked by ``FockDensity``.
         spy = _HermitianPartSpy(monkeypatch)
         tms = [(12 - d, 12 - d) for d in range(12)]
         slabs = [(6, 6)] * 24
         expected = {"tensor": [(12, 12), (12, 12)], "tms": tms, "bs": slabs, "werner": tms * 2,
-                    "bs+tms mixture": slabs + tms}
+                    "bs+tms mixture": slabs + slabs, "bs+tensor mixture": slabs + slabs}
         for name, state in _ROUTE_STATES.items():
             spy.shapes.clear()
             fock.two_mode_density(state, 12, eps_tr=1.0)

@@ -130,6 +130,33 @@ class TestClosedFormVisibilities:
             visibilities_general(1.0, SQRT2, 0.5, 0.0, math.pi / 2)
 
 
+class TestEprIsWernerAtPOne:
+    def test_records_and_errors_match_bit_for_bit(self, rng):
+        # visibility_epr is visibility_werner at p = 1: the same record,
+        # v₋ = (n² + |m_c|²)/(3n² + |m_c|²) on the moduli over the larger,
+        # and the same error on a nonphysical or vacuum input.
+        for _ in range(500):
+            n = float(rng.uniform(0.0, 3.0))
+            mc = float(rng.uniform(0.0, 1.2)) * math.sqrt(n * (n + 1.0))
+            outcomes = []
+            for record in (visibility_epr, lambda n, mc: visibility_werner(n, mc, 1.0)):
+                try:
+                    outcomes.append(record(n, mc))
+                except ValueError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (n, mc)
+            if isinstance(outcomes[0], tuple):
+                continue
+            a, b = n / max(n, mc), mc / max(n, mc)
+            assert outcomes[0].v_minus == (a ** 2 + b ** 2) / (3.0 * a ** 2 + b ** 2)
+        for n, mc in ((0.0, 0.0), (1.0, 1.5)):
+            with pytest.raises(ValueError) as epr:
+                visibility_epr(n, mc)
+            with pytest.raises(ValueError) as werner:
+                visibility_werner(n, mc, 1.0)
+            assert (epr.type, str(epr.value)) == (werner.type, str(werner.value))
+
+
 class TestUnderflowingMoments:
     """Every closed-form record is a ratio of quadratic forms in n and the
     squeezing moduli; squares that underflow on their own must not turn

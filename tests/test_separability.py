@@ -428,6 +428,11 @@ class TestWernerThresholds:
             1.0 / (1.0 + math.sqrt(3.0) * 2.25 / 1.25), rel=1e-12
         )
 
+    @pytest.mark.parametrize("n", [1e77, 1e100, 1e154, 1e300])
+    def test_ppt_threshold_tends_to_a_third_without_overflow(self, n):
+        # (1 + 2n²)² overflows from n = 1e77; the form in 1/n does not.
+        assert werner_ppt_threshold(n) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             werner_hbt_threshold(0.0)

@@ -31,7 +31,7 @@ from squeezekit import (
     wick_moment,
 )
 from squeezekit import fock, is_physical_two_mode
-from squeezekit.states import _counts_moment, state_record
+from squeezekit.states import MOMENT_BOUND, _counts_moment, _lowest_eigenvalue, state_record
 
 from _fock_reference import displacement_unitary
 from conftest import random_physical_one_mode
@@ -149,6 +149,32 @@ class TestPhysicality:
     def test_pure_detection(self):
         assert OneModeGaussian(1.0, complex(SQRT2)).is_pure()
         assert not OneModeGaussian(1.0, 1.0 + 0j).is_pure()
+
+    def test_moments_are_bounded_where_they_enter(self):
+        # Fourth moments are quadratic in the stored ones; past 1e153 they
+        # would overflow, so a value beyond it is rejected on entry.
+        assert MOMENT_BOUND == 1e153
+        OneModeGaussian(MOMENT_BOUND, complex(-MOMENT_BOUND, MOMENT_BOUND))
+        TwoModeGaussian(MOMENT_BOUND, m_x=complex(MOMENT_BOUND, -MOMENT_BOUND))
+        for build in (lambda: OneModeGaussian(1e154),
+                      lambda: OneModeGaussian(1.0, complex(0.0, -2e153)),
+                      lambda: TwoModeGaussian(1.0, m_c=complex(1e170, 0.0)),
+                      lambda: TwoModeGaussian.epr(1e170, 5e169)):
+            with pytest.raises(ValueError, match=r"must be finite and at most 1e\+153"):
+                build()
+
+    def test_lowest_eigenvalue_below_unit_moduli_is_the_unscaled_form(self, rng):
+        # At scale 1 every operation of the scaled form is exact.
+        for _ in range(2000):
+            n, m = (float(x) for x in rng.uniform(0.0, 1.0, size=2))
+            unscaled = (n * (n + 1.0) - m ** 2) / (n + 0.5 + math.sqrt(0.25 + m ** 2))
+            assert _lowest_eigenvalue(n, m) == unscaled, (n, m)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e170, 1e300])
+    def test_lowest_eigenvalue_survives_huge_moduli(self, scale):
+        # n + ½ − √(¼ + |m|²) is n − |m| to within ½ here.
+        assert _lowest_eigenvalue(scale, 0.5 * scale) == pytest.approx(0.5 * scale, rel=1e-15)
+        assert _lowest_eigenvalue(scale, 1.5 * scale) == pytest.approx(-0.5 * scale, rel=1e-15)
 
 
 class TestClassification:

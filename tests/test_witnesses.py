@@ -143,6 +143,28 @@ class TestWhbtClosedForms:
             assert abs(sq) < 1e-14
 
 
+class TestWernerFormAtPOne:
+    """The uncorrelated and cross-correlated closed forms are the Werner
+    form at p = 1; 1.0 · x is exact, so they agree bit for bit."""
+
+    def test_forms_are_the_werner_form_at_p_one(self, rng):
+        for _ in range(500):
+            n, x = (float(rng.uniform(0.0, 3.0)) * 10.0 ** int(rng.integers(-200, 200))
+                    for _ in range(2))
+            scale = max(n, x)
+            a, b = n / scale, x / scale
+            expected = (a ** 2 - b ** 2) / (2.0 * (3.0 * a ** 2 + b ** 2))
+            assert whbt_closed_form_werner(n, x, 1.0) == expected, (n, x)
+            assert whbt_closed_form_epr(n, x) == expected, (n, x)
+            assert whbt_closed_form_uncorrelated(n, x) == expected, (n, x)
+
+    def test_the_vacuum_raises_alike(self):
+        for closed in (whbt_closed_form_epr, whbt_closed_form_uncorrelated,
+                       lambda n, x: whbt_closed_form_werner(n, x, 1.0)):
+            with pytest.raises(ZeroDivisionError):
+                closed(0.0, 0.0)
+
+
 class TestWhbtVerdicts:
     def test_experimental_pair_value(self):
         s = amplifier_output(AmplifierGains(1.65, 1.05))
