@@ -43,15 +43,17 @@ where the data is small:
   with n_a ≥ m_a, copies each row band of a block in slices, with no
   gather, and mirrors the rest in one tiled pass; it checks the squares it computes
   twice, n_a = m_a, two per slab, and writes them symmetrized
-  (``_hermitian_part``); the d-graded writer checks each d sector whole
-  and writes it symmetrized;
+  (``_hermitian_part``); the d-graded writer fills all its d sectors in
+  one gather from its stacked slabs, checks them in one step and writes
+  them symmetrized;
 - the tensor route writes the kron of its two checked factors
   (``_checked``), one block per class (parity of n_a, parity of n_b), each
   one broadcast product; the one-mode route writes its one checked factor;
 - a mixture writes all its components with one writer, that of their
   common moment pattern, else the parity-graded one, whose two blocks
-  every route refines, and sums each component in place, block by block,
-  as it is built.  Real weights keep the sum exactly Hermitian;
+  every route refines, and sums each component in place as it is built,
+  in one step over the packed buffer its components share.  Real weights
+  keep the sum exactly Hermitian;
 - ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
   matrix and writes it symmetrized.
 
@@ -65,8 +67,9 @@ other pair.  The explicit ladder product a†^i a^k has a single nonzero band, a
 row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an O(cutoff²) gather of ρ
 along the two bands.  ``moment``, ``moment_table`` and
 ``expectation_of_witness`` read it through one contraction
-(``_moments``): every band shift the words need in one gather, and all
-words in one batched product.  Purity,
+(``_moments``): every band shift the words need in one gather, but for
+the shifts the density's grading makes structural zeros, and all words
+in one batched product.  Purity,
 spectrum, trace and diagonal are read from the blocks; ``matrix`` is a
 dense view built only when asked for.
 
@@ -324,9 +327,9 @@ def _swap_phase(state: TwoModeGaussian) -> float | None:
 
 # --- the d-graded and kron writers --------------------------------------------
 
-def _sector_slabs(a: np.ndarray, t: float, cutoff: int):
-    """Yield V_j[m_b, n_a] = G(j, m_b, n_a, n_a − j + m_b) for
-    j = 0 .. cutoff − 1, each cutoff × cutoff, with A and G in ζ's order
+def _sector_slabs(a: np.ndarray, t: float, cutoff: int) -> np.ndarray:
+    """V_j[m_b, n_a] = G(j, m_b, n_a, n_a − j + m_b) for j = 0 .. cutoff − 1,
+    stacked along j into one cutoff³ array, with A and G in ζ's order
     (m_a, m_b, n_a, n_b) (``_recurrence_start``), for a state whose A couples
     only m_a with m_b and n_a, and n_b with m_b and n_a (a tms pattern, the
     thermal pair included): every step then keeps d = m_a − m_b =
@@ -342,41 +345,65 @@ def _sector_slabs(a: np.ndarray, t: float, cutoff: int):
     # C(n_a + m_b, m_b) as a running product over m_b of (n_a + m_b)/m_b.
     ratios = (k[None, :] + k[:, None]) / np.maximum(k[:, None], 1)
     ratios[0] = 1.0
-    slab = t * np.outer(a[1, 3] ** k, a[2, 3] ** k) * np.sqrt(np.cumprod(ratios, axis=0))
+    out = np.zeros((cutoff, cutoff, cutoff), dtype=complex)
+    out[0] = t * np.outer(a[1, 3] ** k, a[2, 3] ** k) * np.sqrt(np.cumprod(ratios, axis=0))
     roots = np.sqrt(k)
     along_m, along_n = a[0, 1] * roots[1:, None], a[0, 2] * roots[1:]
-    for j in range(cutoff):
-        yield slab
-        if j + 1 == cutoff:
-            return
+    for j in range(cutoff - 1):
         scale = 1.0 / roots[j + 1]
-        step = np.zeros_like(slab)
-        np.multiply(slab[:, :-1], along_n * scale, out=step[:, 1:])
-        step[1:] += slab[:-1] * (along_m * scale)
-        slab = step
+        np.multiply(out[j, :, :-1], along_n * scale, out=out[j + 1, :, 1:])
+        out[j + 1, 1:] += out[j, :-1] * (along_m * scale)
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _sector_plan(cutoff: int):
+    """The d-graded layout at one cutoff: per sector d its members, the
+    states |j, j−d⟩ and their mirrors; per packed entry its flat place in
+    the stacked slabs (``_sector_slabs``) and the packed place of its
+    transpose.  Sector d's entry at (row i, column p) is
+    ρ[(d + i, i), (d + p, p)] = V_{d+i}[i, d + p], at flat place
+    (d + i)·c² + i·c + (d + p); the sectors lie back to back in d, each
+    row-major."""
+    c = cutoff
+    members, source, adjoint = [], [], []
+    offset = 0
+    for d in range(c):
+        ja = np.arange(d, c)
+        members.append(np.array([ja * c + (ja - d), (ja - d) * c + ja]) if d
+                       else (ja * c + ja)[None, :])
+        i, p = np.divmod(np.arange((c - d) ** 2), c - d)
+        source.append((d + i) * c * c + i * c + d + p)
+        adjoint.append(offset + p * (c - d) + i)
+        offset += (c - d) ** 2
+    plan = tuple(members), np.concatenate(source), np.concatenate(adjoint)
+    for arr in (*plan[0], *plan[1:]):
+        arr.flags.writeable = False
+    return plan
 
 
 def _tms_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     """Blocks of the restricted density of a tms-pattern state, one per
-    d = n_a − n_b sector pair, each checked and written exactly Hermitian
-    (``_hermitian_part``).
+    d = n_a − n_b sector pair, checked and written exactly Hermitian.
 
-    Sector d holds ρ[(j, j−d), (k, k−d)] = V_j[j − d, k] (``_sector_slabs``),
-    so slab j gives row j − d of every sector d ≤ j.  Swapping the modes
-    maps sector d onto sector −d with the same entries, so the two share
-    one block.  Sectors with |d| ≥ cutoff hold no retained state.
+    Sector d holds ρ[(j, j−d), (k, k−d)] = V_j[j − d, k] (``_sector_slabs``).
+    Swapping the modes maps sector d onto sector −d with the same entries,
+    so the two share one block.  Sectors with |d| ≥ cutoff hold no retained
+    state.  Every sector is filled in one gather from the stacked slabs
+    (``_sector_plan``), checked in one step to be Hermitian to the
+    tolerance and written as (M + M†)/2 in ``_hermitian_part``'s arithmetic
+    on a tile of the diagonal, conj((Mᵀ + M*)/2), signed zeros included.
     """
-    c = cutoff
-    # Sector d lists its states |j, j−d⟩ (and their mirrors) in increasing j.
-    starts = [np.arange(d, c) for d in range(c)]
-    out = _Written([np.array([ja * c + (ja - d), (ja - d) * c + ja] if d else [ja * c + ja])
-                    for d, ja in enumerate(starts)])
-    sectors = [values for _, values in out]
-    for j, slab in enumerate(_sector_slabs(*_recurrence_start(_moment_matrix(state)), c)):
-        for m_b in range(j + 1):
-            sectors[j - m_b][m_b] = slab[m_b, j - m_b:]
-    for values in sectors:
-        _require_hermitian(_hermitian_part(values, values))
+    members, source, adjoint = _sector_plan(cutoff)
+    out = _Written(members)
+    values = out.buffer[1:-1]
+    np.take(_sector_slabs(*_recurrence_start(_moment_matrix(state)), cutoff), source, out=values)
+    transposed = values[adjoint]
+    np.conjugate(values, out=values)
+    _require_hermitian(float(np.max(np.abs(values - transposed))))
+    values += transposed
+    values *= 0.5
+    np.conjugate(values, out=values)
     return out
 
 
@@ -564,31 +591,41 @@ class FockDensity:
         _require_dims(self.modes, self.cutoff)
         dim = self.cutoff ** self.modes
         packed = self._blocks.buffer
-        copy = np.full(dim, -1, dtype=np.intp)
-        row_start = np.zeros(dim, dtype=np.intp)
-        pos = np.zeros(dim, dtype=np.intp)
-        offset, copies = 1, 0
-        for members, values in self._blocks:
-            if members.min() < 0 or members.max() >= dim:
-                raise ValueError(f"block members outside the {dim} basis states")
+        blocks = tuple(self._blocks)
+        flat = np.concatenate([members.ravel() for members, _ in blocks])
+        if flat.min() < 0 or flat.max() >= dim:
+            raise ValueError(f"block members outside the {dim} basis states")
+        for members, values in blocks:
             members.flags.writeable = False
             values.flags.writeable = False
-            size = members.shape[1]
-            for row in members:
-                copy[row] = copies
-                row_start[row] = offset + size * np.arange(size)
-                pos[row] = np.arange(size)
-                copies += 1
-            offset += size * size
-        if np.count_nonzero(copy >= 0) != sum(m.size for m, _ in self._blocks):
+        # Per block copy (one row of members): its size, the packed offset
+        # of its block and the place of its first state in ``flat``; per
+        # state of ``flat``: its copy and its position in the block.
+        copies, sizes = np.array([members.shape for members, _ in blocks]).T
+        size = np.repeat(sizes, copies)
+        base = np.repeat(np.cumsum(sizes * sizes) - sizes * sizes + 1, copies)
+        first = np.cumsum(size) - size
+        row = np.repeat(np.arange(size.size), size)
+        at = np.arange(flat.size) - first[row]
+        copy = np.full(dim, -1, dtype=np.intp)
+        copy[flat] = row
+        if np.count_nonzero(copy >= 0) != flat.size:
             raise ValueError("blocks overlap")
+        row_start = np.zeros(dim, dtype=np.intp)
+        pos = np.zeros(dim, dtype=np.intp)
+        row_start[flat] = base[row] + size[row] * at
+        pos[flat] = at
         # The grading: the largest modulus k among 2·cutoff, 2 and 1 such
         # that every block copy joins states of one d = n_a − n_b mod k (−n
         # on one mode).  No two states differ in d by 2·cutoff, so that k is
         # d itself; k = 2 is total parity, and k = 1 no grading.
-        d = [np.subtract(*np.divmod(members, self.cutoff)) for members, _ in self._blocks]
-        modulus = next(k for k in (2 * self.cutoff, 2, 1)
-                       if all(np.all((x - x[:, :1]) % k == 0) for x in d))
+        d = np.subtract(*np.divmod(flat, self.cutoff))
+        d -= d[first][row]
+        modulus = next(k for k in (2 * self.cutoff, 2, 1) if np.all(d % k == 0))
+        # Freed before the keys, which live as long as the density, are
+        # allocated: keys above these in the heap left it fragmented, and a
+        # later density's buffer took fresh memory, up to 14 MB of peak RSS.
+        del flat, size, base, first, row, at, d
         packed.flags.writeable = False
         # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
         # the same block copy, and off the buffer's ends otherwise: a
@@ -598,7 +635,6 @@ class FockDensity:
         span = packed.size
         row_key = np.where(copy >= 0, row_start + copy * span, -span)
         col_key = pos - np.where(copy >= 0, copy, -2) * span
-        blocks = tuple(self._blocks)
         for name, value in (("_blocks", blocks), ("_values", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", _blocks_trace(blocks)),
@@ -732,8 +768,9 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     and every other state by total parity.  A mixture's components are all
     written by one writer, their common pattern's, else the total-parity
     writer, whose two blocks every route refines; each component must meet
-    the trace tolerance on its own, and is summed into the mixture block by
-    block as it is built.  Real weights keep the sum exactly Hermitian.
+    the trace tolerance on its own, and is summed into the mixture as it is
+    built, in one step over the packed buffer the components share.  Real
+    weights keep the sum exactly Hermitian.
     """
     _require_dims(2, cutoff)
     _require_physical(state)
@@ -750,8 +787,9 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
         if out is None:
             out = _Written([b.members for b in blocks])
             out.buffer[1:-1] = 0.0
-        for (_, acc), (_, values) in zip(out, blocks):
-            acc += values * w
+        values = blocks.buffer[1:-1]
+        values *= w  # in place: no temporary of the buffer's size
+        out.buffer[1:-1] += values
     return _finish(2, cutoff, out, eps_tr, _Origin("mixture"))
 
 
@@ -849,19 +887,18 @@ def _moments(rho: FockDensity, words) -> list:
     ``moment``, ``moment_table`` and ``expectation_of_witness`` agree bit
     for bit.
 
-    When every block copy lies in one total parity (an even grading
-    modulus, see ``FockDensity``), as on every two-mode density a
-    constructor builds, a word of odd length joins states of different
-    total parity and reads only structural zeros: its shift, with δa + δb
-    odd, is not gathered, and its value is exactly 0.  A one-mode density
-    (one dense block, modulus 1) and a dense one keep every shift; the
-    one-mode density reads its odd words off the exact zeros it stores
-    between the two parities.
+    One grading rule skips the shifts that read only structural zeros.
+    Entry (s, s + δ) joins states whose d = n_a − n_b differ by δa − δb,
+    and every block copy joins states of one d mod k, the density's grading
+    modulus (see ``FockDensity``).  A shift is gathered only when
+    (δa − δb) mod k = 0; a word of any other shift has the value exactly 0.
+    On a total-parity grading (k = 2) that skips the words of odd length;
+    on the d-graded one (k = 2·cutoff, tms and Werner) every shift with
+    δa ≠ δb; a one-mode density and a dense one (k = 1) keep every shift.
     """
     ca, cb = rho.cutoff, _mode_b_cutoff(rho)
-    parity_graded = rho._d_modulus % 2 == 0
     shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words
-                           if not (parity_graded and (i + j + k + l) % 2)}))
+                           if (i - k - j + l) % rho._d_modulus == 0}))
     if not shifts:
         return [0j] * len(words)
     plan = _band_plan(ca, cb, shifts)

@@ -7,6 +7,8 @@ eigensolve below.
 
 Separability is physicality of the partial transpose, band included; the
 family formulas decide it with ``_lowest_eigenvalue(n, √q) ≥ −EPS_PHYS``.
+They form √q as s·√(q/s²) with s the largest of 1 and the moduli, so that
+no modulus above 1 is squared; with s = 1 that is the plain form.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ def epr_is_entangled(n: float, mc_abs: float) -> bool:
     """Cross-correlated family: entangled exactly when |m_c| > n, i.e. when
     |m_c|² + |m_c| > n(n+1)."""
     _require_epr_physical(n, mc_abs)
-    return _lowest_eigenvalue(n, math.sqrt(mc_abs ** 2 + abs(mc_abs))) < -EPS_PHYS
+    s = max(1.0, abs(mc_abs))
+    x = mc_abs / s
+    return _lowest_eigenvalue(n, s * math.sqrt(x ** 2 + abs(x) / s)) < -EPS_PHYS
 
 
 def bs_output_is_separable(n: float, m_abs: float, lam: float) -> bool:
@@ -43,8 +47,9 @@ def bs_output_is_separable(n: float, m_abs: float, lam: float) -> bool:
     tightens to |m|² + |m| ≤ n(n+1).
     """
     coefficient = math.sqrt(max(0.0, (1.0 - math.cos(2.0 * lam)) / 2.0))
-    q = m_abs ** 2 + coefficient * abs(m_abs)
-    return _lowest_eigenvalue(n, math.sqrt(q)) >= -EPS_PHYS
+    s = max(1.0, abs(m_abs))
+    x = m_abs / s
+    return _lowest_eigenvalue(n, s * math.sqrt(x ** 2 + coefficient * abs(x) / s)) >= -EPS_PHYS
 
 
 def general_is_separable(n: float, m: float, m_c: float, lam1: float, lam2: float) -> bool:
@@ -55,12 +60,14 @@ def general_is_separable(n: float, m: float, m_c: float, lam1: float, lam2: floa
     With λ₁+λ₂ = π this reduces to the beam-splitter-output criterion on
     the overlapping sub-family.
     """
+    s = max(1.0, abs(m), abs(m_c))
+    x, y = m / s, m_c / s
     q = (
-        m ** 2
-        + m_c ** 2
-        + abs(m_c) * math.sqrt(1.0 + 2.0 * (1.0 + math.cos(lam1 + lam2)) * m ** 2)
+        x ** 2
+        + y ** 2
+        + abs(y) * math.sqrt((1.0 / s) ** 2 + 2.0 * (1.0 + math.cos(lam1 + lam2)) * x ** 2)
     )
-    return _lowest_eigenvalue(n, math.sqrt(q)) >= -EPS_PHYS
+    return _lowest_eigenvalue(n, s * math.sqrt(q)) >= -EPS_PHYS
 
 
 def werner_hbt_threshold(n: float) -> float:

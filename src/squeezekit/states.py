@@ -437,9 +437,14 @@ def g2(s: OneModeGaussian) -> float:
 
 
 def purity_one_mode(s: OneModeGaussian) -> float:
-    """Tr ρ² = 1 / (2 √((n+½)² − |m|²)); equals 1 exactly for pure states."""
+    """Tr ρ² = 1 / (2ν) with ν² = (n+½)² − |m|², evaluated as
+    ((n − |m|) + ½)(n + |m| + ½), which does not cancel.  A pure state has
+    ν² = ¼ and purity 1; so has a state in the gate's band (ν² < ¼), whose
+    density the Fock oracle builds from Γ − λI, a pure state's."""
     _require_lowest_eigenvalue(s.n, abs(s.m))
-    return 1.0 / (2.0 * math.sqrt((s.n + 0.5) ** 2 - abs(s.m) ** 2))
+    m_abs = abs(s.m)
+    nu2 = ((s.n - m_abs) + 0.5) * (s.n + m_abs + 0.5)
+    return 1.0 if nu2 <= 0.25 else 1.0 / (2.0 * math.sqrt(nu2))
 
 
 # --- Wick moment engine -----------------------------------------------------

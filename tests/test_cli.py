@@ -830,6 +830,22 @@ class TestHugeMoments:
         assert all(isinstance(v, (str, bool)) or math.isfinite(v)
                    for v in _strict_json(out).values())
 
+    @pytest.mark.parametrize("argv, purity", [
+        (("classify", "one-mode", "--n", "1e9", "--m", "1000000000.5"), 1.0),
+        (("classify", "one-mode", "--n", "1e153", "--m", "1e153", "--m-phase", "0.3"),
+         0.5 / math.sqrt(1e153)),
+        (("amplifier", "--G", "1e153", "--H", "1"), None),
+    ], ids=["one-mode-1e9-band", "one-mode-1e153", "amplifier-1e153"])
+    def test_nearly_pure_huge_states_keep_their_purity(self, capsys, argv, purity):
+        # (n + ½)² − |m|² cancelled to 0 on these, a division by zero.  The
+        # first lies in the gate's band above n(n+1), purity 1.
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        value = _strict_json(out)["purity"]
+        assert 0.0 < value <= 1.0
+        if purity is not None:
+            assert value == pytest.approx(purity, rel=1e-15)
+
     def test_werner_thresholds_at_a_huge_n(self, capsys):
         code, out, err = run_cli(capsys, "classify", "werner", "--n", "1e100", "--mc", "5e99",
                                  "--p", "0.5", "--format", "json")

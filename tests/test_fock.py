@@ -797,8 +797,9 @@ def _seeded_bs_route(cutoff, seed=20261018):
 
 
 class TestParityGradedMoments:
-    """A density graded by total parity gathers only the even band shifts;
-    its odd words are exact zeros."""
+    """A density graded by total parity gathers only the even band shifts,
+    and one graded by d = n_a − n_b (tms, Werner) only the shifts with
+    δa = δb; the words of every other shift are exact zeros."""
 
     def test_constructors_grade_by_total_parity(self):
         for name, rho in _graded_densities(10).items():
@@ -823,6 +824,9 @@ class TestParityGradedMoments:
             seen.clear()
             table = fock.moment_table(rho, 6)
             assert seen and all((da + db) % 2 == 0 for da, db in seen[0]), name
+            if name in ("tms", "mixture"):
+                assert rho._d_modulus == 24, name
+                assert all(da == db for da, db in seen[0]), name
             seen.clear()
             dense_table = fock.moment_table(dense, 6)
             assert any((da + db) % 2 for da, db in seen[0]), name
@@ -1143,10 +1147,20 @@ class TestGradedStorage:
 
     def test_lookup_reads_every_entry_of_the_dense_view(self):
         # Pairs in one block copy, in two copies of one block, in two
-        # blocks, and with a state that no block covers.
+        # blocks, and with a state that no block covers, on every route at
+        # an even and an odd cutoff, the dense and one-mode densities
+        # included.
         block = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
         partial = fock.FockDensity._graded(1, 3, _written([([[2, 0]], block)]), 0.0)
-        densities = [partial, *_graded_densities(6).values()]
+        densities = [partial]
+        for cutoff in (6, 7):
+            graded = _graded_densities(cutoff)
+            bs = graded["bs"]
+            densities += [*graded.values(),
+                          fock.two_mode_density(_BS_TENSOR_MIXTURE, cutoff, eps_tr=1.0),
+                          fock.FockDensity(2, cutoff, bs.matrix, bs.trace_deficit),
+                          fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), cutoff,
+                                                eps_tr=1.0)]
         for rho in densities:
             x, y = np.divmod(np.arange(rho.dim ** 2), rho.dim)
             got = fock._entries(rho, x, y).reshape(rho.dim, rho.dim)
@@ -1235,15 +1249,16 @@ class TestWrittenBlocks:
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
         # The tensor route checks its two factors, the recurrence route the
-        # two n_a = m_a squares of each slab, one per total parity, the tms
-        # route each d sector, the one-mode route its factor and a mixture
-        # nothing of its own: its components take one writer, so the bs+tms
-        # mixture checks the slabs of both on the recurrence.  Only a dense
+        # two n_a = m_a squares of each slab, one per total parity, the
+        # one-mode route its factor and a mixture nothing of its own: its
+        # components take one writer, so the bs+tms mixture checks the slabs
+        # of both on the recurrence.  The tms route checks all its d sectors
+        # in one step of its own, with no ``_hermitian_part`` call (see
+        # ``test_skewed_factor_is_rejected_on_both_routes``).  Only a dense
         # matrix is checked by ``FockDensity``.
         spy = _HermitianPartSpy(monkeypatch)
-        tms = [(12 - d, 12 - d) for d in range(12)]
         slabs = [(6, 6)] * 24
-        expected = {"tensor": [(12, 12), (12, 12)], "tms": tms, "bs": slabs, "werner": tms * 2,
+        expected = {"tensor": [(12, 12), (12, 12)], "tms": [], "bs": slabs, "werner": [],
                     "bs+tms mixture": slabs + slabs, "bs+tensor mixture": slabs + slabs}
         for name, state in _ROUTE_STATES.items():
             spy.shapes.clear()
@@ -1261,10 +1276,12 @@ class TestWrittenBlocks:
 
     def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
         # A skew of 1e-9 in ρ[0, 2] of a one-mode factor (the tensor and
-        # one-mode routes), and in ρ[(0, 0), (0, 2)] of the first slab of the
+        # one-mode routes), in ρ[(0, 0), (0, 2)] of the first slab of the
         # recurrence route, whose n_a = m_a squares are checked: flat entry
-        # 1 of that slab, (n_a, m_b, q) = (0, 0, 1) with n_b = 2q.
-        entries, slabs = fock._recurrence_entries, fock._parity_slabs
+        # 1 of that slab, (n_a, m_b, q) = (0, 0, 1) with n_b = 2q, and in
+        # ρ[(0, 0), (1, 1)] of the tms route, V_0[0, 1] of its first sector
+        # slab, on an EPR state and on both components of a Werner mixture.
+        entries, slabs, sectors = fock._recurrence_entries, fock._parity_slabs, fock._sector_slabs
 
         def skewed_factor(a, t, cutoff):
             out = entries(a, t, cutoff)
@@ -1278,6 +1295,11 @@ class TestWrittenBlocks:
                     slab[1] += 1e-9
                 yield slab
 
+        def skewed_sectors(a, t, cutoff):
+            out = sectors(a, t, cutoff)
+            out[0, 0, 1] += 1e-9
+            return out
+
         for name, patched, builds in (
                 ("_recurrence_entries", skewed_factor,
                  (lambda: fock.two_mode_density(_ROUTE_STATES["tensor"], 10, eps_tr=1.0),
@@ -1285,7 +1307,10 @@ class TestWrittenBlocks:
                                                 eps_tr=1.0))),
                 ("_parity_slabs", skewed_slabs,
                  (lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
-                  lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0)))):
+                  lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0))),
+                ("_sector_slabs", skewed_sectors,
+                 (lambda: fock.two_mode_density(_TMS_STATE, 10, eps_tr=1.0),
+                  lambda: fock.two_mode_density(_ROUTE_STATES["werner"], 10, eps_tr=1.0)))):
             monkeypatch.setattr(fock, name, patched)
             for build in builds:
                 with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):

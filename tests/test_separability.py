@@ -413,6 +413,47 @@ class TestSeparabilityBand:
         assert is_separable(TwoModeGaussian.epr(1.0, -1.2 + 0j)) is False
 
 
+class TestHugeModuli:
+    """The family criteria form √q without squaring a modulus above 1."""
+
+    def test_moduli_beyond_the_range_of_their_squares(self):
+        assert epr_is_entangled(1e170, 5e169) is False
+        assert bs_output_is_separable(1e170, 5e169, 0.3) is True
+        assert general_is_separable(1e170, 5e169, 1e169, 0.1, 0.2) is True
+
+    def test_verdicts_are_those_of_the_squared_forms(self):
+        # The plain forms of q on 20,000 seeded draws per family with
+        # n ≤ 100, spread over a few percent around each boundary.
+        def lowest(n, q):
+            return _lowest_eigenvalue(n, math.sqrt(q))
+
+        draws = random.Random(25)
+        verdicts = {"epr": set(), "bs-output": set(), "general": set()}
+        for _ in range(20000):
+            n = draws.uniform(0.0, 100.0)
+            bound = n * (n + 1.0)
+            mc = n + draws.uniform(-1.0, 1.0) * (math.sqrt(bound) - n)
+            entangled = lowest(n, mc ** 2 + abs(mc)) < -EPS_PHYS
+            assert epr_is_entangled(n, mc) is entangled, (n, mc)
+            verdicts["epr"].add(entangled)
+            lam = draws.uniform(0.0, 2.0 * math.pi)
+            c = math.sqrt(max(0.0, (1.0 - math.cos(2.0 * lam)) / 2.0))
+            m = 0.5 * (math.sqrt(c * c + 4.0 * bound) - c) * draws.uniform(0.98, 1.02)
+            separable = lowest(n, m ** 2 + c * abs(m)) >= -EPS_PHYS
+            assert bs_output_is_separable(n, m, lam) is separable, (n, m, lam)
+            verdicts["bs-output"].add(separable)
+            lam1, lam2 = draws.uniform(0.0, 2.0 * math.pi), draws.uniform(0.0, 2.0 * math.pi)
+            m = draws.uniform(0.0, 1.0) * math.sqrt(bound)
+            k_c = math.sqrt(1.0 + 2.0 * (1.0 + math.cos(lam1 + lam2)) * m ** 2)
+            q = bound * draws.uniform(0.98, 1.02)
+            mc = (0.5 * (math.sqrt(max(k_c * k_c + 4.0 * (q - m * m), 0.0)) - k_c)
+                  * draws.choice((-1.0, 1.0)))
+            separable = lowest(n, m ** 2 + mc ** 2 + abs(mc) * k_c) >= -EPS_PHYS
+            assert general_is_separable(n, m, mc, lam1, lam2) is separable, (n, m, mc)
+            verdicts["general"].add(separable)
+        assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+
 class TestWernerThresholds:
     def test_hbt_values(self):
         assert werner_hbt_threshold(1.0) == pytest.approx(0.5, abs=1e-15)

@@ -6,6 +6,8 @@ import math
 import pickle
 import sys
 import threading
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,6 +322,25 @@ class TestG2AndPurity:
 
     def test_thermal_purity(self):
         assert purity_one_mode(OneModeGaussian(1.0, 0j)) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    def test_purity_is_within_two_ulp_of_the_exact_value(self, rng):
+        # ((n − |m|) + ½)(n + |m| + ½) does not cancel; (n + ½)² − |m|²
+        # strayed up to 10 ulp from the exact value on these draws.
+        with localcontext() as context:
+            context.prec = 50
+            for _ in range(2000):
+                s = random_physical_one_mode(rng, n_max=100.0)
+                nu2 = (Fraction(s.n) + Fraction(1, 2)) ** 2 - Fraction(abs(s.m)) ** 2
+                nu = (Decimal(nu2.numerator) / Decimal(nu2.denominator)).sqrt()
+                exact = float(1 / (2 * nu))
+                assert abs(purity_one_mode(s) - exact) <= 2 * math.ulp(exact), s
+
+    def test_band_and_huge_states_have_a_purity(self):
+        # In the gate's band above n(n+1) the state is built from Γ − λI,
+        # a pure state; at 1e153 the squares no longer cancel to 0.
+        assert purity_one_mode(OneModeGaussian(1e9, 1000000000.5 + 0j)) == 1.0
+        assert purity_one_mode(OneModeGaussian(1e153, cmath.rect(1e153, 0.3))) == (
+            pytest.approx(0.5 / math.sqrt(1e153), rel=1e-15))
 
     def test_pure_states_have_unit_purity(self, rng):
         for _ in range(50):
