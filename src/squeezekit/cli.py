@@ -69,7 +69,7 @@ from .transforms import (
     is_classical_threshold,
     werner_mix,
 )
-from .witnesses import (WitnessKind, fourth_order, w2_expectation,
+from .witnesses import (WitnessKind, _moment_scale, fourth_order, w2_expectation,
                         whbt_closed_form_uncorrelated, whbt_expectation)
 
 ORACLE_RTOL = 1e-4
@@ -235,9 +235,11 @@ def _visibilities(family, q):
 # ``_one_mode_report`` does for the state it reports.
 
 def _vacuum(state) -> bool:
-    """Whether a physical two-mode state or mixture is the vacuum, the one
-    state whose I₂ is zero: no fringe or witness formula is defined on it."""
-    return fourth_order(state).i2 == 0.0
+    """Whether a physical two-mode state or mixture is the vacuum, every
+    second moment exactly zero: no fringe or witness formula is defined on
+    it.  I₂ is zero there, but also where every modulus is below about
+    1e-162, so the moments themselves decide."""
+    return fourth_order(state).i2 == 0.0 and _moment_scale(state) == 0.0
 
 
 def _gate(out, state):

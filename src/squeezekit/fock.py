@@ -565,15 +565,17 @@ class FockDensity:
 
     @classmethod
     def _graded(cls, modes: int, cutoff: int, blocks: _Written, trace_deficit: float,
-                origin: _Origin | None = None) -> "FockDensity":
+                origin: _Origin | None = None, trace: float | None = None) -> "FockDensity":
+        """The density of written ``blocks``; ``trace``, where the caller
+        has already summed it with ``_blocks_trace``, is adopted as is."""
         rho = cls.__new__(cls)
-        rho._set(modes, cutoff, blocks, trace_deficit, origin)
+        rho._set(modes, cutoff, blocks, trace_deficit, origin, trace)
         return rho
 
-    def _set(self, modes, cutoff, blocks, trace_deficit, origin) -> None:
+    def _set(self, modes, cutoff, blocks, trace_deficit, origin, trace=None) -> None:
         for name, value in (("modes", modes), ("cutoff", cutoff), ("_blocks", blocks),
                             ("trace_deficit", trace_deficit), ("_matrix", None),
-                            ("_origin", origin)):
+                            ("_origin", origin), ("_trace", trace)):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -587,7 +589,7 @@ class FockDensity:
         """Adopt the packed buffer of the written blocks, read-only, and
         build the lookup from each basis state's block copy, the packed
         offset of its row and its position in the block (see
-        ``_entries``)."""
+        ``_entries``).  The trace is summed here unless it was handed on."""
         _require_dims(self.modes, self.cutoff)
         dim = self.cutoff ** self.modes
         packed = self._blocks.buffer
@@ -637,7 +639,8 @@ class FockDensity:
         col_key = pos - np.where(copy >= 0, copy, -2) * span
         for name, value in (("_blocks", blocks), ("_values", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
-                            ("_trace", _blocks_trace(blocks)),
+                            ("_trace", _blocks_trace(blocks) if self._trace is None
+                             else self._trace),
                             ("trace_deficit", float(self.trace_deficit)),
                             ("_d_modulus", modulus)):
             object.__setattr__(self, name, value)
@@ -701,8 +704,8 @@ def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray
     return rho._values.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
 
 
-def _trace_deficit(cutoff: int, blocks, eps_tr: float) -> float:
-    deficit = 1.0 - _blocks_trace(blocks)
+def _trace_deficit(cutoff: int, trace: float, eps_tr: float) -> float:
+    deficit = 1.0 - trace
     if abs(deficit) >= eps_tr:
         raise ConvergenceError(
             f"trace deficit {deficit:.3g} at cutoff {cutoff} exceeds {eps_tr:.3g}",
@@ -713,8 +716,11 @@ def _trace_deficit(cutoff: int, blocks, eps_tr: float) -> float:
 
 def _finish(modes: int, cutoff: int, blocks, eps_tr: float,
             origin: _Origin | None = None) -> FockDensity:
-    return FockDensity._graded(modes, cutoff, blocks, _trace_deficit(cutoff, blocks, eps_tr),
-                               origin)
+    """The density of written ``blocks``, whose trace is summed once, for
+    the deficit and the density alike."""
+    trace = _blocks_trace(blocks)
+    return FockDensity._graded(modes, cutoff, blocks, _trace_deficit(cutoff, trace, eps_tr),
+                               origin, trace)
 
 
 # --- constructors -------------------------------------------------------------
@@ -783,7 +789,7 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     out = None
     for w, comp in state.components:
         blocks = write(comp, cutoff)
-        _trace_deficit(cutoff, blocks, eps_tr)
+        _trace_deficit(cutoff, _blocks_trace(blocks), eps_tr)
         if out is None:
             out = _Written([b.members for b in blocks])
             out.buffer[1:-1] = 0.0

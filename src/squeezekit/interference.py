@@ -10,9 +10,11 @@ both squeezing and cross correlation, four single-phase cosines.
 compared against the Fock oracle exactly; the visibility records hold the
 normalized fringe decomposition and ``fringe_prefactor`` exposes the
 normalization separately; both read ``witnesses.fourth_order``'s record,
-as the intensity witness does.  The closed-form records are ratios of
-quadratic forms, evaluated on n and the moduli over the largest of them,
-so that no square underflows.
+as the intensity witness does.  That record is built once per state value
+and kept with it, so a fringe scan of any number of phase pairs reads the
+state's six fourth-order Wick words once.  The closed-form records are
+ratios of quadratic forms, evaluated on n and the moduli over the largest
+of them, so that no square underflows.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .separability import _require_epr_physical, _require_physical, _require_werner_weight
-from .states import TwoModeGaussian
+from .separability import (_require_epr_physical, _require_general_physical,
+                           _require_werner_weight)
 from .witnesses import _over_larger, fourth_order
 
 _VIS_TOL = 1e-9
@@ -191,16 +193,10 @@ def visibilities_general(n: float, m: float, m_c: float,
     v₋ = (n²+m_c²)/D, v₊ = m²/D, v_m = m·m_c/D with D = 3n²+m²+m_c²,
     the out-of-phase cosine sits at φ₁+φ₂−λ₁+λ₂ and the four single-phase
     cosines at φ₁−λ₁, φ₂+λ₂, φ₁+λ₂, φ₂−λ₁.  Physicality of the parameter
-    set is checked by ``is_physical_two_mode`` before evaluation.
+    set is checked before evaluation, by the family's closed form of the
+    gate (``separability._require_general_physical``).
     """
-    state = TwoModeGaussian(
-        n,
-        m * cmath.exp(1j * lam1),
-        m * cmath.exp(1j * lam2),
-        complex(m_c),
-        0j,
-    )
-    _require_physical(state)
+    _require_general_physical(n, m, m_c, lam1, lam2)
     if n == 0.0 and m == 0.0 and m_c == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
     scale = max(n, abs(m), abs(m_c))

@@ -1,9 +1,9 @@
 """Analytic separability and classicality criteria for two-mode families,
 threshold curves for the thermal-diluted comparison, and the physicality
 and separability tests for general two-mode states.  Every closed form that
-takes a state, or the parameters of a cross-correlated one, decides
-physicality here, by the one-mode closed form of ``states`` or by the
-eigensolve below.
+takes a state, or the parameters of a cross-correlated or general-family
+one, decides physicality here, by the one-mode closed form of ``states``
+or by the eigensolve below.
 
 Separability is physicality of the partial transpose, band included; the
 family formulas decide it with ``_lowest_eigenvalue(n, √q) ≥ −EPS_PHYS``.
@@ -23,6 +23,7 @@ from .states import (
     NonPhysicalStateError,
     OneModeGaussian,
     TwoModeGaussian,
+    _finite_real,
     _lowest_eigenvalue,
     _require_lowest_eigenvalue,
     state_record,
@@ -165,6 +166,25 @@ def _require_epr_physical(n: float, mc_abs: float) -> None:
     ⟨ζζ†⟩ splits into two blocks [[n+1, −m_c], [−m_c*, n]], the one-mode
     matrix with m_c in place of m, so the one-mode rule decides it."""
     _require_lowest_eigenvalue(n, mc_abs, "m_c")
+
+
+def _require_general_physical(n: float, m: float, m_c: float, lam1: float, lam2: float) -> None:
+    """``_require_physical`` of the general family's state
+    ``TwoModeGaussian(n, m e^{iλ₁}, m e^{iλ₂}, m_c)`` in closed form, with
+    the constructor's ValueError for parameters no state takes.  The
+    smallest eigenvalue of its ⟨ζζ†⟩ is n + ½ − √(¼ + q), with
+    q = m² + m_c² + 2|m||m_c||cos((λ₁+λ₂)/2)|: the one-mode matrix's at
+    |m| = √q, so the one-mode rule decides it.  √q is formed as s·√(q/s²),
+    s = max(1, |m|, |m_c|), as in the family criteria."""
+    n, m, m_c = _finite_real(n, "n"), _finite_real(m, "m"), _finite_real(m_c, "m_c")
+    if n < 0:
+        raise ValueError(f"mean photon number must be >= 0, got {n}")
+    if not (math.isfinite(lam1) and math.isfinite(lam2)):
+        raise ValueError(f"squeezing phases must be finite, got {lam1!r} and {lam2!r}")
+    s = max(1.0, abs(m), abs(m_c))
+    x, y = abs(m) / s, abs(m_c) / s
+    q = x ** 2 + y ** 2 + 2.0 * x * y * abs(math.cos(0.5 * (lam1 + lam2)))
+    _require_lowest_eigenvalue(n, s * math.sqrt(q), "√q")
 
 
 def _require_werner_weight(p: float) -> None:

@@ -13,15 +13,19 @@ ordered word, so the moment depends only on the counts (i, j, k, l) of
 a†^i b†^j a^k b^l.  Pairing the first token with each remaining class gives
 a recursion on those counts: a word visits at most (i+1)(j+1)(k+1)(l+1)
 count tuples, 625 for a 16-token word, with at most four terms each.  The
-memo of that recursion belongs to the state value, so every word, fringe
-sample and witness evaluated on one instance reuses the count tuples its
-earlier words filled in.  It dies with the state and holds at most
-C(20,4) = 4845 tuples, one per count tuple of 16 tokens or fewer.
+memo of that recursion belongs to the state value, so every word and
+witness evaluated on one instance reuses the count tuples its earlier words
+filled in.  It dies with the state and holds at most C(20,4) = 4845
+tuples, one per count tuple of 16 tokens or fewer.  Beside it the value
+keeps what the other layers derive from its fields once: the physicality
+verdict and the fourth-order record behind every fringe sample and the
+intensity witness.  A mixture keeps a record of its own for these, while
+its components keep their Wick memos.
 
 The fields of every value are immutable after construction and every
-operation is a pure function of them.  The per-state memo only ever gains
-entries that any evaluation would compute bit for bit alike, so states are
-safe to share between threads: a race can only repeat work.
+operation is a pure function of them.  The per-state record only ever
+gains entries that any evaluation would compute bit for bit alike, so
+states are safe to share between threads: a race can only repeat work.
 """
 
 from __future__ import annotations
@@ -88,18 +92,23 @@ class _Record:
     """What is known about one state value beyond its fields.
 
     ``moments`` is (n, m_a, m_b, m_c, m_x) as the Wick recursion reads them,
-    ``one_mode`` marks a state that takes no mode-b word, ``counts`` maps
-    each count tuple evaluated so far to its moment, and ``physical`` holds
-    the verdict of ``separability.is_physical_two_mode`` once it is known.
+    None for a mixture, whose components keep their own; ``one_mode`` marks
+    a state that takes no mode-b word; ``counts`` maps each count tuple
+    evaluated so far to its moment; ``physical`` holds a two-mode state's
+    verdict of ``separability.is_physical_two_mode`` once it is known (a
+    mixture's is read off its components'), and ``fourth`` the record of
+    ``witnesses.fourth_order``, set only once the gate has accepted the
+    state or mixture.
     """
 
-    __slots__ = ("moments", "one_mode", "counts", "physical")
+    __slots__ = ("moments", "one_mode", "counts", "physical", "fourth")
 
-    def __init__(self, moments: tuple, one_mode: bool):
+    def __init__(self, moments: tuple | None, one_mode: bool):
         self.moments = moments
         self.one_mode = one_mode
         self.counts: dict = {}
         self.physical: bool | None = None
+        self.fourth = None
 
 
 class _RecordedState:
@@ -204,7 +213,7 @@ class TwoModeGaussian(_RecordedState):
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(_RecordedState):
     """Finite convex combination of two-mode Gaussian states.
 
     Weights must lie in (0, 1] and sum to one.  Moment queries on a mixture
@@ -503,16 +512,17 @@ def _counts_moment(moments, memo: dict, i: int, j: int, k: int, l: int) -> compl
 
 
 def state_record(state) -> _Record:
-    """The record of a one- or two-mode state value, made on first use.
-
-    Mixtures have none: each component keeps its own.
-    """
+    """The record of a state value or mixture, made on first use.  A
+    mixture's holds no moments and fills no memo: each component keeps
+    its own."""
     record = getattr(state, "_record", None)
     if record is None:
         if isinstance(state, OneModeGaussian):
             record = _Record((state.n, state.m, 0j, 0j, 0j), True)
         elif isinstance(state, TwoModeGaussian):
             record = _Record((state.n, state.m_a, state.m_b, state.m_c, state.m_x), False)
+        elif isinstance(state, GaussianMixture):
+            record = _Record(None, False)
         else:
             raise TypeError(f"unsupported state type {type(state).__name__}")
         object.__setattr__(state, "_record", record)

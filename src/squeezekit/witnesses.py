@@ -5,19 +5,24 @@ Both witnesses normalize their fourth-order numerators with expectations
 taken on the same state, so Tr{Wρ} reduces to a ratio of normally ordered
 Wick moments.  On two modes these are ``fourth_order``'s record, the one
 place that builds the fourth-order words; ``interference`` reads it too.
-The closed forms the standard families admit are exposed separately so
-tests can pin their equality.
+The record is built once per state value, after the gate, and kept with
+the value's other derived data (``states.state_record``), so a fringe scan
+and the witness on one state read its six words once.  The closed forms
+the standard families admit are exposed separately so tests can pin their
+equality.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .separability import _require_physical
-from .states import EPS_PHYS, OneModeGaussian, OperatorWord, g2, wick_moment
+from .states import (EPS_PHYS, GaussianMixture, OneModeGaussian, OperatorWord,
+                     TwoModeGaussian, g2, state_record, wick_moment)
 
 EPS_VERDICT = 1e-9
 
@@ -74,9 +79,10 @@ def w2_expectation(s: OneModeGaussian) -> WitnessReport:
 
 class FourthOrder(NamedTuple):
     """The fourth moments behind intensity interference and its witness (a
-    named tuple, built once per fringe sample): ``i2`` = I₂ = ⟨:(I_a+I_b)²:⟩
-    = ⟨a†²a²⟩ + ⟨b†²b²⟩ + 2C, zero only at the vacuum; ``c`` = C = ⟨a†b†ab⟩
-    (real); ``t`` = ⟨a†a†ab⟩ + ⟨a†b†bb⟩; ``s`` = ⟨a†²b²⟩ = ⟨b†²a²⟩*."""
+    named tuple, built once per state value): ``i2`` = I₂ = ⟨:(I_a+I_b)²:⟩
+    = ⟨a†²a²⟩ + ⟨b†²b²⟩ + 2C, zero at the vacuum and where it underflows;
+    ``c`` = C = ⟨a†b†ab⟩ (real); ``t`` = ⟨a†a†ab⟩ + ⟨a†b†bb⟩;
+    ``s`` = ⟨a†²b²⟩ = ⟨b†²a²⟩*."""
 
     i2: float
     c: float
@@ -86,21 +92,51 @@ class FourthOrder(NamedTuple):
 
 def fourth_order(state) -> FourthOrder:
     """The fourth-order record of a physical two-mode state or mixture
-    (mixtures average by weight).  Nonphysical second moments raise
-    NonPhysicalStateError, a one-mode state TypeError."""
+    (mixtures average by weight), built once per state value, after the
+    gate, and kept in the value's record.  Nonphysical second moments raise
+    NonPhysicalStateError on every call, a one-mode state TypeError."""
     if isinstance(state, OneModeGaussian):
         raise TypeError("fourth-order moments need a two-mode state; build a pair first")
-    _require_physical(state)
+    record = state_record(state)
+    if record.fourth is None:
+        _require_physical(state)
+        record.fourth = _fourth_order_words(state)
+    return record.fourth
+
+
+def _fourth_order_words(state) -> FourthOrder:
+    """The record from its six Wick words, ungated."""
     c = wick_moment(state, _W_ADBD_AB)
     i2 = (wick_moment(state, _W_ADAD_AA) + wick_moment(state, _W_BDBD_BB) + 2.0 * c).real
     t = wick_moment(state, _W_ADAD_AB) + wick_moment(state, _W_ADBD_BB)
     return FourthOrder(i2, c.real, t, wick_moment(state, _W_ADAD_BB))
 
 
+def _moment_scale(state) -> float:
+    """The largest modulus among the second moments of a two-mode state,
+    or of a mixture's components; zero only at the vacuum."""
+    if isinstance(state, GaussianMixture):
+        return max(_moment_scale(comp) for _, comp in state.components)
+    return max(state.n, abs(state.m_a), abs(state.m_b), abs(state.m_c), abs(state.m_x))
+
+
+def _scaled(state, scale: float):
+    """The state, or mixture, whose second moments are ``state``'s over
+    ``scale``; it need not be physical, and is only fed to the words."""
+    if isinstance(state, GaussianMixture):
+        return GaussianMixture(tuple((w, _scaled(comp, scale)) for w, comp in state.components))
+    return TwoModeGaussian(state.n / scale, state.m_a / scale, state.m_b / scale,
+                           state.m_c / scale, state.m_x / scale)
+
+
 def whbt_expectation(state) -> WitnessReport:
     """Expectation of the intensity witness ½ − (2a†b†ab + b†²a² + a†²b²)/I₂
     = ½ − (2C + 2·Re s)/I₂ on ``fourth_order``'s record, for any physical
-    two-mode state or mixture; the vacuum (I₂ = 0) raises ZeroDivisionError.
+    two-mode state or mixture; the vacuum raises ZeroDivisionError.  Where
+    I₂ underflows below the smallest normal float (every modulus below
+    about 1e-154), the ratio is taken on the words of the moments over
+    their largest modulus s: W is homogeneous of degree 4 in the moments,
+    so it keeps its value, and √I₂ is formed as s·√I₂(moments/s).
 
     W·√I₂ is second order, like the gate's eigenvalue, so the verdict is
     ``boundary`` where |W| ≤ max(EPS_VERDICT, EPS_PHYS/√I₂).  A negative
@@ -110,10 +146,15 @@ def whbt_expectation(state) -> WitnessReport:
     random states are PPT-separable).
     """
     i2, c, _, s = fourth_order(state)
-    if i2 == 0.0:
-        raise ZeroDivisionError("witness normalization vanishes (vacuum-like state)")
+    root = math.sqrt(i2)
+    if i2 < sys.float_info.min:
+        scale = _moment_scale(state)
+        if scale == 0.0:
+            raise ZeroDivisionError("witness normalization vanishes (vacuum)")
+        i2, c, _, s = _fourth_order_words(_scaled(state, scale))
+        root = scale * math.sqrt(i2)
     value = 0.5 - (2.0 * c + s.conjugate().real + s.real) / i2
-    band = max(EPS_VERDICT, EPS_PHYS / math.sqrt(i2))
+    band = max(EPS_VERDICT, EPS_PHYS / root if root else math.inf)
     return WitnessReport(value, _verdict(value, band), WitnessKind.WHBT)
 
 

@@ -13,8 +13,9 @@ from squeezekit import (
     fock,
     werner_mix,
 )
-from squeezekit import cli
+from squeezekit import cli, interference
 from squeezekit.cli import build_parser, main
+from squeezekit.separability import _require_physical
 
 
 def run_cli(capsys, *argv):
@@ -576,6 +577,21 @@ class TestFigures:
         beyond = [row for row in rows if float(row[0]) > 1 / math.sqrt(2) + 1e-9]
         assert all(row[4] == "false" for row in beyond if float(row[0]) < math.sqrt(2) - 1e-9)
 
+    def test_figure_11_is_that_of_the_eigensolve_gate(self, capsys, tmp_path, monkeypatch):
+        # The family's closed form of the gate leaves every byte of the
+        # figure as the 4x4 eigensolve on the built state leaves it.
+        closed = tmp_path / "closed.csv"
+        solved = tmp_path / "solved.csv"
+        assert main(["figure", "11", "--out", str(closed)]) == 0
+
+        def eigensolve_gate(n, m, m_c, lam1, lam2):
+            _require_physical(_general_state(n, m, m_c, lam1, lam2))
+
+        monkeypatch.setattr(interference, "_require_general_physical", eigensolve_gate)
+        assert main(["figure", "11", "--out", str(solved)]) == 0
+        capsys.readouterr()
+        assert closed.read_bytes() == solved.read_bytes()
+
     def test_figure_csv_is_deterministic(self, capsys, tmp_path):
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
@@ -772,6 +788,24 @@ class TestNearVacuumWitness:
         payload = json.loads(out)
         assert (payload["v_minus"], payload["v_plus"]) == (1.0 / 3.0, 0.0)
         assert payload["whbt_pair"] == 1.0 / 6.0
+
+    def test_tiny_two_mode_state_is_not_the_vacuum(self, capsys):
+        # I₂ underflows to 0 at n = 1e-170, yet the state reports every
+        # field it reports at n = 1e-100; the vacuum still reports none.
+        reports = {}
+        for n in ("1e-100", "1e-170", "0"):
+            code, out, err = run_cli(capsys, "classify", "epr", "--n", n, "--mc", "0",
+                                     "--format", "json")
+            assert (code, err) == (0, "")
+            reports[n] = json.loads(out)
+        assert list(reports["1e-170"]) == list(reports["1e-100"])
+        assert abs(reports["1e-170"]["whbt"] - 1.0 / 6.0) <= 1e-15
+        assert reports["1e-170"]["whbt_verdict"] == "boundary"
+        assert reports["1e-170"]["v_minus"] == reports["1e-100"]["v_minus"]
+        assert list(reports["0"]) == ["n", "mc", "physical", "entangled"]
+        code, out, _ = run_cli(capsys, "witness", "whbt", "--family", "werner", "--n", "1e-170",
+                               "--mc", "5e-171", "--p", "0.5", "--format", "json")
+        assert code == 0 and json.loads(out)["verdict"] == "boundary"
 
     @pytest.mark.parametrize("argv", [
         ("bs-output", "--n", "1", "--m", "1.2", "--lam", "0.5"),

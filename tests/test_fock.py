@@ -1274,6 +1274,35 @@ class TestWrittenBlocks:
         fock.FockDensity(2, 12, rho.matrix, rho.trace_deficit)
         assert spy.shapes == [(144, 144)]
 
+    def test_each_written_block_set_is_summed_once(self, monkeypatch):
+        # One trace per block set a writer fills: one per mixture component
+        # and one for their sum, which the deficit and the density share.
+        # The address of a set's first block tells the sets apart.
+        summed = []
+        original = fock._blocks_trace
+
+        def spy(blocks):
+            summed.append(next(iter(blocks)).values.ctypes.data)
+            return original(blocks)
+
+        monkeypatch.setattr(fock, "_blocks_trace", spy)
+        for name, state in _ROUTE_STATES.items():
+            summed.clear()
+            rho = fock.two_mode_density(state, 12, eps_tr=1.0)
+            sets = 1 + len(state.components) if isinstance(state, GaussianMixture) else 1
+            assert len(summed) == len(set(summed)) == sets, name
+            assert rho.trace() == original(rho._blocks), name
+            assert rho.trace_deficit == 1.0 - rho.trace(), name
+        for build in (lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0),
+                      lambda: fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12,
+                                                    eps_tr=1.0)):
+            summed.clear()
+            rho = build()
+            assert len(summed) == 1 and rho.trace() == original(rho._blocks)
+        summed.clear()
+        dense = fock.FockDensity(2, 12, np.eye(144) / 144, 0.0)
+        assert len(summed) == 1 and dense.trace() == original(dense._blocks)
+
     def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
         # A skew of 1e-9 in ρ[0, 2] of a one-mode factor (the tensor and
         # one-mode routes), in ρ[(0, 0), (0, 2)] of the first slab of the

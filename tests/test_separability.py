@@ -23,6 +23,7 @@ from squeezekit import (
     is_physical_two_mode,
     is_separable,
     purity_one_mode,
+    visibilities_general,
     visibilities_uncorrelated,
     visibility_epr,
     visibility_werner,
@@ -33,7 +34,8 @@ from squeezekit import (
     wick_moment,
 )
 from squeezekit.oracle_check import MOMENT_RTOL, relative_error
-from squeezekit.separability import _moment_matrix, _require_epr_physical
+from squeezekit.separability import (_moment_matrix, _require_epr_physical,
+                                     _require_general_physical)
 from squeezekit.states import _lowest_eigenvalue
 
 from _fock_reference import candidate_weight_summary, plan_two_mode
@@ -117,6 +119,82 @@ class TestEprGateClosedForm:
                       lambda: werner_mix(TwoModeGaussian.epr(1.0, 1.2 + 0j), p)):
             with pytest.raises(NonPhysicalStateError, match=r"must lie in \[0, 1\], got"):
                 check()
+
+
+class TestGeneralGateClosedForm:
+    """``_require_general_physical`` is the two-mode gate of the general
+    family, TwoModeGaussian(n, m e^{iλ₁}, m e^{iλ₂}, m_c), in closed form."""
+
+    @staticmethod
+    def _closed_form_accepts(*params):
+        try:
+            _require_general_physical(*params)
+        except NonPhysicalStateError:
+            return False
+        return True
+
+    def test_agrees_with_gate(self):
+        # Half the draws put the smallest eigenvalue of <zeta zeta^dag>
+        # within 3e-9 of -EPS_PHYS, on either side; the rest spread over
+        # the whole range.  m and m_c take either sign.  Only round-off may
+        # part the verdicts, where the eigenvalue is within 1e-13 of the
+        # tolerance.
+        draws = np.random.default_rng(20270101)
+        near = {True: 0, False: 0}
+        signs = set()
+        disagreements = 0
+        for k in range(6000):
+            n = float(draws.uniform(0.0, 50.0 if k % 3 == 0 else 2.0))
+            lam1, lam2 = (float(x) for x in draws.uniform(-7.0, 7.0, size=2))
+            m0, mc0 = (float(x) for x in draws.uniform(-1.0, 1.0, size=2))
+            q0 = m0 ** 2 + mc0 ** 2 + 2.0 * abs(m0 * mc0) * abs(math.cos(0.5 * (lam1 + lam2)))
+            on_boundary = k % 2 == 0
+            if on_boundary:
+                lowest = -EPS_PHYS + float(draws.uniform(-3e-9, 3e-9))
+                q = (n + 0.5 - lowest) ** 2 - 0.25
+            else:
+                q = float(draws.uniform(0.0, 1.5)) ** 2 * n * (n + 1.0)
+            m, m_c = (x * math.sqrt(q / q0) for x in (m0, mc0))
+            signs.add((m > 0, m_c > 0))
+            state = TwoModeGaussian(n, m * cmath.exp(1j * lam1), m * cmath.exp(1j * lam2),
+                                    complex(m_c))
+            gate = is_physical_two_mode(state)
+            if on_boundary:
+                near[gate] += 1
+            if self._closed_form_accepts(n, m, m_c, lam1, lam2) != gate:
+                lowest = np.linalg.eigvalsh(_moment_matrix(state))[0]
+                assert abs(lowest + EPS_PHYS) < 1e-13, (n, m, m_c, lam1, lam2, lowest)
+                disagreements += 1
+        assert near[True] > 1000 and near[False] > 1000
+        assert len(signs) == 4
+        assert disagreements < 20
+
+    def test_visibilities_take_no_eigensolve_and_build_no_state(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("visibilities_general reached the 4x4 gate")
+
+        checks = [(1.0, 0.5, -0.4, 0.3, 1.1, True), (1.0, -SQRT2, 0.5, 0.0, math.pi / 2, False),
+                  (0.0, 0.0, 0.0, 0.0, 0.0, None)]
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(TwoModeGaussian, "__post_init__", forbidden)
+        for *params, physical in checks:
+            if physical is None:
+                with pytest.raises(ValueError, match="vacuum"):
+                    visibilities_general(*params)
+            elif physical:
+                assert visibilities_general(*params).v_m < 0
+            else:
+                with pytest.raises(NonPhysicalStateError):
+                    visibilities_general(*params)
+
+    @pytest.mark.parametrize("params", [
+        (math.nan, 0.5, 0.1, 0.0, 0.0), (1.0, math.inf, 0.1, 0.0, 0.0),
+        (1.0, 0.5, 2e153, 0.0, 0.0), (-1.0, 0.5, 0.1, 0.0, 0.0), (1.0, 0.5, 0.1, math.nan, 0.0),
+    ])
+    def test_parameters_no_state_takes_are_value_errors(self, params):
+        with pytest.raises(ValueError) as exc:
+            visibilities_general(*params)
+        assert not isinstance(exc.value, NonPhysicalStateError)
 
 
 class TestOneModeRule:

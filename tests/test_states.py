@@ -24,6 +24,7 @@ from squeezekit import (
     TwoModeGaussian,
     WordOrderError,
     g2,
+    hbt_correlation,
     is_p_representable,
     is_physical_one_mode,
     p_function_params,
@@ -629,12 +630,17 @@ class TestStateRecord:
         state = TwoModeGaussian(1.1, 0.6 * cmath.exp(0.3j), 0.5 * cmath.exp(1.7j),
                                 0.4 * cmath.exp(-0.8j), 0.2 * cmath.exp(2.2j))
         expected = {c: _bits(_fresh_moment(state, c)) for c in _shuffled_counts(10, 0)}
+        # The fourth-order record the fringe reads is kept with the value too.
+        fringe = {seed: hbt_correlation(dataclasses.replace(state), 0.1 * seed, 0.7).hex()
+                  for seed in range(6)}
         mismatches = []
 
         def evaluate(seed):
             for counts in _shuffled_counts(10, seed):
                 if _bits(wick_moment(state, OperatorWord.from_counts(*counts))) != expected[counts]:
                     mismatches.append(counts)
+                if hbt_correlation(state, 0.1 * seed, 0.7).hex() != fringe[seed]:
+                    mismatches.append(("fringe", seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

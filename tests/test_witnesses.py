@@ -1,10 +1,14 @@
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
 from squeezekit import (
+    EPS_PHYS,
     AmplifierGains,
     Classification,
     GaussianMixture,
@@ -14,8 +18,11 @@ from squeezekit import (
     Verdict,
     amplifier_output,
     beam_splitter,
+    fringe_prefactor,
     g2,
+    hbt_correlation,
     is_p_representable,
+    is_physical_two_mode,
     is_separable,
     visibilities_bs_output,
     visibilities_general,
@@ -30,8 +37,10 @@ from squeezekit import (
     whbt_expectation,
     wick_moment,
 )
-from squeezekit.states import OperatorWord
-from squeezekit.witnesses import FourthOrder, fourth_order
+from squeezekit import states, witnesses
+from squeezekit.states import OperatorWord, state_record
+from squeezekit.witnesses import (EPS_VERDICT, FourthOrder, _fourth_order_words, _moment_scale,
+                                  _scaled, _verdict, fourth_order)
 
 from conftest import random_physical_one_mode
 
@@ -344,3 +353,208 @@ class TestMixtureAffinity:
                     expected = p * getattr(a, name) + (1 - p) * getattr(b, name)
                     assert getattr(mixed, name) == pytest.approx(expected, rel=1e-13, abs=1e-15)
         assert fourth_order(general).t != 0 and fourth_order(bs).s != 0
+
+
+_PHASES = tuple((0.1 + 0.4 * math.pi * a, 0.3 + 0.4 * math.pi * b)
+                for a in range(5) for b in range(5))
+
+# One value per family, built from literal moments with arithmetic only, and
+# the record (I₂, C, Re t, Im t, Re s, Im s) and witness value they read
+# before the record was kept with the value.
+_PINNED = {
+    "pair": (lambda: TwoModeGaussian(0.8, 0.3 + 0.4j, 0.4 - 0.3j),
+             ("0x1.15c28f5c28f5dp+2", "0x1.47ae147ae147cp-1", "0x0.0p+0", "0x0.0p+0",
+              "0x0.0p+0", "-0x1.0000000000000p-2"), "0x1.a3fb47f68fed2p-3"),
+    "epr": (lambda: TwoModeGaussian.epr(0.9, 0.6 - 0.5j),
+            ("0x1.851eb851eb852p+2", "0x1.6b851eb851eb8p+0", "0x0.0p+0", "0x0.0p+0",
+             "0x0.0p+0", "0x0.0p+0"), "0x1.0d79435e50d80p-5"),
+    "werner": (lambda: werner_mix(TwoModeGaussian.epr(0.9, 0.75 + 0j), 0.35),
+               ("0x1.503d70a3d70a4p+2", "0x1.01c28f5c28f5cp+0", "0x0.0p+0", "0x0.0p+0",
+                "0x0.0p+0", "0x0.0p+0"), "0x1.de034a0118ab4p-4"),
+    "bs": (lambda: TwoModeGaussian(1.1, 0.2 + 0.3j, -0.25 + 0.1j, 0.4 - 0.2j, 0.1 + 0.15j),
+           ("0x1.fb5c28f5c28f6p+2", "0x1.7147ae147ae15p+0", "0x1.5c28f5c28f5c4p-2",
+            "0x1.f5c28f5c28f5cp-2", "-0x1.70a3d70a3d70ap-5", "0x1.3d70a3d70a3d7p-3"),
+           "0x1.2defb134b7beap-3"),
+    "general": (lambda: TwoModeGaussian(0.7, 0.36 + 0.27j, -0.27 + 0.36j, 0.3 + 0j),
+                ("0x1.c333333333332p+1", "0x1.28f5c28f5c28fp-1", "0x1.ba5e353f7ced8p-6",
+                 "0x1.ba5e353f7ced8p-6", "0x0.0p+0", "0x1.9eb851eb851ecp-3"),
+                "0x1.5e0c5899f68f0p-3"),
+}
+
+
+def _record_hex(record):
+    return tuple(x.hex() for x in (record.i2, record.c, record.t.real, record.t.imag,
+                                   record.s.real, record.s.imag))
+
+
+def _scan(state):
+    """A fringe scan as the witness layer's readers take it: the record, 25
+    samples, the prefactor and the witness."""
+    record = fourth_order(state)
+    samples = [hbt_correlation(state, p1, p2) for p1, p2 in _PHASES]
+    return record, samples, fringe_prefactor(state), whbt_expectation(state)
+
+
+class TestFourthOrderOncePerValue:
+    """``fourth_order`` reads its six words once per state value and keeps
+    the record beside the Wick memo: every reader gets the values a fresh
+    evaluation gives, and the value's semantics stay those of its fields."""
+
+    @pytest.fixture
+    def wick_calls(self, monkeypatch):
+        # Both names of the engine: the witnesses' import and the one the
+        # mixture's sum over its components reads.
+        calls = []
+        original = states.wick_moment
+
+        def spy(state, word):
+            calls.append(state)
+            return original(state, word)
+
+        monkeypatch.setattr(states, "wick_moment", spy)
+        monkeypatch.setattr(witnesses, "wick_moment", spy)
+        return calls
+
+    @pytest.mark.parametrize("family", list(_PINNED))
+    def test_a_scan_reads_six_words(self, wick_calls, family):
+        state = _PINNED[family][0]()
+        _scan(state)
+        if isinstance(state, GaussianMixture):
+            assert sum(s is state for s in wick_calls) == 6
+            for _, comp in state.components:
+                assert sum(s is comp for s in wick_calls) == 6
+            assert len(wick_calls) == 6 * (1 + len(state.components))
+        else:
+            assert wick_calls == [state] * 6
+
+    @pytest.mark.parametrize("family", list(_PINNED))
+    def test_values_are_bit_for_bit_those_of_a_fresh_value(self, family):
+        make, record_hex, whbt_hex = _PINNED[family]
+        state = make()
+        record, samples, prefactor, report = _scan(state)
+        assert _record_hex(record) == record_hex
+        assert report.value.hex() == whbt_hex
+        assert _record_hex(_fourth_order_words(make())) == record_hex
+        assert fourth_order(state) is record
+        for (p1, p2), value in zip(_PHASES, samples):
+            assert value.hex() == hbt_correlation(make(), p1, p2).hex()
+        assert prefactor.hex() == fringe_prefactor(make()).hex()
+        fresh = whbt_expectation(make())
+        assert (report.value.hex(), report.verdict) == (fresh.value.hex(), fresh.verdict)
+
+    @pytest.mark.parametrize("family", ["bs", "werner"])
+    def test_value_semantics_survive_a_scan(self, family):
+        make = _PINNED[family][0]
+        state, twin = make(), make()
+        before = (pickle.dumps(state), repr(state), hash(state),
+                  [f.name for f in dataclasses.fields(state)])
+        _scan(state)
+        assert state_record(state).fourth is not None
+        after = (pickle.dumps(state), repr(state), hash(state),
+                 [f.name for f in dataclasses.fields(state)])
+        assert after == before
+        assert state == twin and hash(state) == hash(twin)
+        for clone in (pickle.loads(after[0]), copy.copy(state), dataclasses.replace(state)):
+            assert clone == state and "_record" not in vars(clone)
+        assert _record_hex(fourth_order(pickle.loads(after[0]))) == _PINNED[family][1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: TwoModeGaussian.epr(1.0, 1.5 + 0j),
+        lambda: GaussianMixture(((0.5, TwoModeGaussian.epr(1.0, 1.5 + 0j)),
+                                 (0.5, TwoModeGaussian.thermal_pair(1.0)))),
+    ], ids=["two-mode", "mixture"])
+    def test_nonphysical_state_caches_nothing(self, make):
+        state = make()
+        for _ in range(2):
+            for reader in (fourth_order, fringe_prefactor, whbt_expectation,
+                           lambda s: hbt_correlation(s, 0.1, 0.2)):
+                with pytest.raises(NonPhysicalStateError):
+                    reader(state)
+        assert state_record(state).fourth is None
+
+
+class TestUnderflowingIntensitySquare:
+    """Where I₂ underflows, the witness is the ratio of the words of the
+    moments over their largest modulus; every other state keeps its value."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-300])
+    def test_tiny_states_keep_their_witness(self, scale):
+        cases = [(TwoModeGaussian.epr(scale, 0j), 1.0 / 6.0),
+                 (TwoModeGaussian.epr(scale, 0.5 * scale + 0j), whbt_closed_form_epr(1.0, 0.5)),
+                 (werner_mix(TwoModeGaussian.epr(scale, 0.8 * scale + 0j), 0.3),
+                  whbt_closed_form_werner(1.0, 0.8, 0.3)),
+                 (TwoModeGaussian.pair_with_phase(OneModeGaussian(scale, 0.4 * scale + 0j), 0.0),
+                  whbt_closed_form_uncorrelated(1.0, 0.4))]
+        for state, expected in cases:
+            assert fourth_order(state).i2 < 1e-300
+            report = whbt_expectation(state)
+            assert report.value == pytest.approx(expected, abs=1e-15)
+            assert report.verdict is Verdict.BOUNDARY
+        # The record keeps the values the fringe reads, unscaled.
+        assert fringe_prefactor(cases[0][0]) == 0.25 * fourth_order(cases[0][0]).i2
+
+    def test_band_reaches_infinity(self):
+        # EPS_PHYS/√I₂ overflows to +inf at the smallest subnormal n, and
+        # √I₂ itself underflows to 0 on a 1e-300 share of a 1e-200 state
+        # beside the vacuum: the band covers every value in both.
+        tiny = TwoModeGaussian.epr(1e-200, 0j)
+        for state in (TwoModeGaussian.epr(5e-324, 0j),
+                      GaussianMixture(((1e-300, tiny), (1.0, TwoModeGaussian.thermal_pair(0.0))))):
+            report = whbt_expectation(state)
+            assert report.value == pytest.approx(1.0 / 6.0, abs=1e-15)
+            assert report.verdict is Verdict.BOUNDARY
+
+    def test_vacuum_still_raises(self):
+        for state in (TwoModeGaussian.thermal_pair(0.0),
+                      werner_mix(TwoModeGaussian.epr(0.0, 0j), 0.5)):
+            with pytest.raises(ZeroDivisionError):
+                whbt_expectation(state)
+
+    def test_scaled_ratio_equals_the_unscaled_one(self):
+        # Homogeneity: where both are defined, the ratio on the moments over
+        # their largest modulus agrees with the direct one to round-off.
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.uniform(0.0, 2.0)
+            bound = math.sqrt(n * (n + 1.0))
+            state = TwoModeGaussian(n, *(rng.uniform(0, 0.45) * bound
+                                         * cmath.exp(1j * rng.uniform(0, 7)) for _ in range(4)))
+            if not is_physical_two_mode(state):
+                continue
+            i2, c, _, s = _fourth_order_words(_scaled(state, _moment_scale(state)))
+            direct = whbt_expectation(state).value
+            assert 0.5 - (2.0 * c + 2.0 * s.real) / i2 == pytest.approx(direct, abs=1e-14)
+
+    def test_states_above_the_underflow_keep_value_and_verdict(self):
+        # 2,000 seeded draws of the five families over forty decades of n:
+        # the witness is the unscaled ratio and band, bit for bit.
+        rng = random.Random(11)
+        checked = 0
+        for k in range(2000):
+            n = 10.0 ** rng.uniform(-150.0, 1.0)
+            bound = math.sqrt(n * (n + 1.0))
+            mag = rng.uniform(0.0, 0.95) * bound
+            phase = cmath.exp(1j * rng.uniform(0, 7))
+            family = k % 5
+            if family == 0:
+                state = TwoModeGaussian.pair_with_phase(OneModeGaussian(n, mag * phase),
+                                                        rng.uniform(0, 7))
+            elif family == 1:
+                state = TwoModeGaussian.epr(n, mag * phase)
+            elif family == 2:
+                state = werner_mix(TwoModeGaussian.epr(n, mag + 0j), rng.uniform(0, 1))
+            elif family == 3:
+                s = OneModeGaussian(n, mag * phase)
+                state = beam_splitter(s, s, rng.uniform(0, 4))
+            else:
+                small = mag / 2.0
+                state = TwoModeGaussian(n, small * phase, small * phase.conjugate(),
+                                        complex(small))
+            i2, c, _, s = fourth_order(state)
+            value = 0.5 - (2.0 * c + s.conjugate().real + s.real) / i2
+            band = max(EPS_VERDICT, EPS_PHYS / math.sqrt(i2))
+            report = whbt_expectation(state)
+            assert report.value.hex() == value.hex()
+            assert report.verdict is _verdict(value, band)
+            checked += 1
+        assert checked == 2000
