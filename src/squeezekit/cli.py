@@ -519,9 +519,12 @@ def _cmd_sweep(args) -> int:
     name = name.replace("-", "_")
     if name not in _PARAMETERS[family][0]:
         raise ValueError(f"family {family!r} has no parameter {name!r}")
+    count = int(num)
+    if count < 1:
+        raise ValueError(f"--vary needs at least one point, got {num}")
     params = _family_values(args, family, free=name)
     points, disagree = [], False
-    for value in np.linspace(float(lo), float(hi), int(num)):
+    for value in np.linspace(float(lo), float(hi), count):
         params[name] = float(value)
         fields, outcome = _describe(family, params, args.radians, args.oracle, args.cutoff)
         points.append(fields)

@@ -65,7 +65,9 @@ sum is the packed offset of an entry between two states of one block
 copy, and falls off the ends of the packed buffer, onto a zero, for any
 other pair.  The explicit ladder product a†^i a^k has a single nonzero band, at
 row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an O(cutoff²) gather of ρ
-along the two bands.  ``moment``, ``moment_table`` and
+along the two bands.  Each band comes in closed form, with no ladder
+matrix formed: its entry at column s is R[s − k, k]·R[s − k, i] with
+R[b, p] = √(b+1)···√(b+p) (``_ladder_band``).  ``moment``, ``moment_table`` and
 ``expectation_of_witness`` read it through one contraction
 (``_moments``): every band shift the words need in one gather, but for
 the shifts the density's grading makes structural zeros, and all words
@@ -95,7 +97,10 @@ None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
 matrices are independent checks of every closed form in the package.
 
-Each constructor calls ``separability._require_physical``, the gate of
+Two constructors build every density: ``one_mode_density`` and
+``two_mode_density``, for a state or a mixture.  A beam-splitter output
+is built like any other state, ``two_mode_density(beam_splitter(sa, sb,
+λ), cutoff)``.  Each calls ``separability._require_physical``, the gate of
 every closed form, once on entry and builds every state it accepts.  A
 gated state in the gate's band, the smallest eigenvalue λ of Γ in
 [−EPS_PHYS, 0), is built with n raised by |λ|, from Γ − λI, so that its
@@ -114,7 +119,6 @@ import numpy as np
 
 from .separability import _moment_matrix, _require_physical
 from .states import GaussianMixture, OneModeGaussian, OperatorWord, TwoModeGaussian
-from .transforms import beam_splitter
 from .witnesses import WitnessKind
 
 EPS_TR = 1e-6
@@ -130,12 +134,6 @@ class ConvergenceError(RuntimeError):
         self.deficit = deficit
 
 
-# --- ladder matrices ----------------------------------------------------------
-
-def annihilation(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
-
-
 # --- the Gaussian recurrence --------------------------------------------------
 
 def _recurrence_start(gamma: np.ndarray):
@@ -148,38 +146,6 @@ def _recurrence_start(gamma: np.ndarray):
     sigma_q[half:, half:] += np.eye(half)
     a = np.roll(np.eye(2 * half) - np.linalg.inv(sigma_q), half, axis=0).conj()
     return a, 1.0 / math.sqrt(np.linalg.det(sigma_q).real)
-
-
-def _recurrence_slabs(a: np.ndarray, t: float, cutoff: int):
-    """Yield G(k, ·) for k = 0 .. cutoff − 1, each a flat C-ordered array
-    over the remaining indices, each below ``cutoff``.
-
-    Slab 0 is the recurrence on the remaining indices (``_recurrence_entries``);
-    slab k + 1 is formed from slabs k and k − 1.  A step back along an index
-    is a flat shift by its stride, and the factor √k_j = 0 cancels every
-    entry the shift wraps.  Three buffers take turns, so a yielded slab is
-    overwritten two steps later.  The one-mode density and the first slab
-    of ``_parity_slabs`` run it, on two and three indices.
-    """
-    rest = a.shape[0] - 1
-    size = cutoff ** rest
-    slab = _recurrence_entries(a[1:, 1:], t, cutoff)
-    roots = np.sqrt(np.arange(cutoff))
-    strides = [cutoff ** (rest - 1 - j) for j in range(rest)]
-    # A_0j √k_j at every flat position, one array per remaining index j.
-    weights = [a[0, j + 1] * np.tile(np.repeat(roots, s), size // (s * cutoff))
-               for j, s in enumerate(strides)]
-    previous, spare, term = (np.zeros(size, dtype=complex) for _ in range(3))
-    for k in range(cutoff):
-        yield slab
-        if k + 1 == cutoff:
-            return
-        np.multiply(previous, a[0, 0] * roots[k], out=spare)
-        for j, s in enumerate(strides):
-            np.multiply(weights[j][s:], slab[:size - s], out=term[s:])
-            spare[s:] += term[s:]
-        spare *= 1.0 / roots[k + 1]
-        previous, slab, spare = slab, spare, previous
 
 
 def _parity_slabs(a: np.ndarray, t: float, cutoff: int):
@@ -231,20 +197,39 @@ def _parity_slabs(a: np.ndarray, t: float, cutoff: int):
 
 
 def _recurrence_entries(a: np.ndarray, t: float, cutoff: int) -> np.ndarray:
-    """Every G(k) with each index below ``cutoff``, flat in C order.  On one
-    index G(k + 1) = A_00 √(k/(k + 1)) G(k − 1), so the even entries are a
-    running product and the odd ones vanish."""
+    """Every G(k) with each index below ``cutoff``, flat in C order.
+
+    On one index G(k + 1) = A_00 √(k/(k + 1)) G(k − 1), so the even entries
+    are a running product and the odd ones vanish.  On more, slab 0 (k_0 = 0)
+    is the recurrence on the other indices, and slab k + 1 is written in
+    place from slabs k and k − 1: a step back along an index is a flat
+    shift by its stride, and √k_j = 0 cancels every entry the shift wraps.
+    The one-mode density and the first slab of ``_parity_slabs`` run it.
+    """
     if a.shape[0] == 1:
         out = np.zeros(cutoff, dtype=complex)
         out[0] = t
         odd = np.arange(1, cutoff - 1, 2)
         out[2::2] = t * np.cumprod(a[0, 0] * np.sqrt(odd / (odd + 1.0)))
         return out
-    size = cutoff ** (a.shape[0] - 1)
-    out = np.empty(cutoff * size, dtype=complex)
-    for k, slab in enumerate(_recurrence_slabs(a, t, cutoff)):
-        out[k * size:(k + 1) * size] = slab
-    return out
+    rest = a.shape[0] - 1
+    size = cutoff ** rest
+    out = np.empty((cutoff, size), dtype=complex)
+    out[0] = _recurrence_entries(a[1:, 1:], t, cutoff)
+    roots = np.sqrt(np.arange(cutoff))
+    strides = [cutoff ** (rest - 1 - j) for j in range(rest)]
+    # A_0j √k_j at every flat position, one array per remaining index j.
+    weights = [a[0, j + 1] * np.tile(np.repeat(roots, s), size // (s * cutoff))
+               for j, s in enumerate(strides)]
+    before, term = np.zeros(size, dtype=complex), np.empty(size, dtype=complex)  # G(−1, ·) = 0
+    for k in range(cutoff - 1):
+        step = out[k + 1]
+        np.multiply(out[k - 1] if k else before, a[0, 0] * roots[k], out=step)
+        for j, s in enumerate(strides):
+            np.multiply(weights[j][s:], out[k, :size - s], out=term[s:])
+            step[s:] += term[s:]
+        step *= 1.0 / roots[k + 1]
+    return out.ravel()
 
 
 def _checked(mat: np.ndarray) -> np.ndarray:
@@ -306,8 +291,10 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     return out
 
 
-def _moment_scale(state: TwoModeGaussian) -> float:
-    return 1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c) + abs(state.m_x)
+def _pattern_tolerance(state: TwoModeGaussian) -> float:
+    """A moment of modulus up to this counts as zero in a moment pattern."""
+    return 1e-12 * (1.0 + state.n + abs(state.m_a) + abs(state.m_b) + abs(state.m_c)
+                    + abs(state.m_x))
 
 
 def _swap_phase(state: TwoModeGaussian) -> float | None:
@@ -318,7 +305,7 @@ def _swap_phase(state: TwoModeGaussian) -> float | None:
     fa, fb = abs(state.m_a), abs(state.m_b)
     if abs(fa - fb) > 1e-9 * max(1.0, fa, fb):
         return None
-    tol = 1e-12 * _moment_scale(state)
+    tol = _pattern_tolerance(state)
     delta = 0.5 * ((cmath.phase(state.m_b) if fb > tol else 0.0)
                    - (cmath.phase(state.m_a) if fa > tol else 0.0))
     x = state.m_x * cmath.exp(-1j * delta)
@@ -738,18 +725,6 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
     return _finish(1, cutoff, blocks, eps_tr, _Origin("one-mode"))
 
 
-def bs_output_density(sa: OneModeGaussian, sb: OneModeGaussian, lam: float,
-                      cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensity:
-    """The output of the beam splitter ``transforms.beam_splitter(sa, sb, lam)``,
-    built by the recurrence from its moments.  The inputs are gated."""
-    _require_dims(2, cutoff)
-    for s in (sa, sb):
-        _require_physical(s)
-    state = beam_splitter(sa, sb, lam)
-    return _finish(2, cutoff, _recurrence_blocks(state, cutoff), eps_tr,
-                   _Origin("recurrence", _swap_phase(state)))
-
-
 def _writer(state: TwoModeGaussian):
     """The writer of a two-mode state's blocks and its route, by moment
     pattern: a cross-correlated state without local squeezing (a thermal
@@ -757,7 +732,7 @@ def _writer(state: TwoModeGaussian):
     factors, every other state on its total parities."""
     if not isinstance(state, TwoModeGaussian):
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    tol = 1e-12 * _moment_scale(state)
+    tol = _pattern_tolerance(state)
     if abs(state.m_a) <= tol and abs(state.m_b) <= tol and abs(state.m_x) <= tol:
         return _tms_blocks, "tms"
     if abs(state.m_c) <= tol and abs(state.m_x) <= tol:
@@ -801,27 +776,21 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
 
 # --- measurements -------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _annihilation_power(cutoff: int, power: int) -> np.ndarray:
-    """a^power, truncated, as a real matrix (a† is its transpose)."""
-    if power == 0:
-        return np.eye(cutoff)
-    return _annihilation_power(cutoff, power - 1) @ annihilation(cutoff).real
-
-
 @functools.lru_cache(maxsize=512)
 def _ladder_band(cutoff: int, n_create: int, n_annihilate: int) -> np.ndarray:
-    """The one nonzero band of the explicit product a†^i a^k: its entries
-    (s + i − k, s) in order of s."""
-    product = (_annihilation_power(cutoff, n_create).T
-               @ _annihilation_power(cutoff, n_annihilate))
-    band = np.diagonal(product, n_annihilate - n_create).copy()
+    """The one nonzero band of the explicit product a†^i a^k on the first
+    ``cutoff`` Fock states, its entries (s + i − k, s) in order of s:
+    R[s − k, k]·R[s − k, i] for k ≤ s and s − k + i < cutoff, else 0, with
+    R[b, p] = √(b+1)···√(b+p) multiplied from the lowest factor up, as the
+    truncated matrix powers form it."""
+    i, k = n_create, n_annihilate
+    b = np.arange(cutoff - max(i, k))  # s − k of the nonzero entries
+    weights = np.ones((b.size, max(i, k) + 1))  # R[b, p]
+    np.cumprod(np.sqrt(b[:, None] + np.arange(1.0, max(i, k) + 1)), axis=1, out=weights[:, 1:])
+    band = np.zeros(cutoff - abs(i - k))
+    band[min(i, k):] = weights[:, k] * weights[:, i]
     band.flags.writeable = False
     return band
-
-
-def _mode_b_cutoff(rho: FockDensity) -> int:
-    return rho.cutoff if rho.modes == 2 else 1
 
 
 def _band_rows(cutoff: int, shift: int, size: int) -> np.ndarray:
@@ -902,7 +871,7 @@ def _moments(rho: FockDensity, words) -> list:
     on the d-graded one (k = 2·cutoff, tms and Werner) every shift with
     δa ≠ δb; a one-mode density and a dense one (k = 1) keep every shift.
     """
-    ca, cb = rho.cutoff, _mode_b_cutoff(rho)
+    ca, cb = rho.cutoff, rho.cutoff if rho.modes == 2 else 1
     shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words
                            if (i - k - j + l) % rho._d_modulus == 0}))
     if not shifts:
@@ -918,7 +887,7 @@ def _moments(rho: FockDensity, words) -> list:
 
 
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
-    """Tr{ρ · a†^i b†^j a^k b^l} from explicit ladder-matrix products."""
+    """Tr{ρ · a†^i b†^j a^k b^l} from the bands of the explicit ladder products."""
     if len(word) > rho.cutoff // 2:
         raise ValueError(
             f"word of length {len(word)} is truncation-unsafe at cutoff {rho.cutoff}"
@@ -1075,7 +1044,7 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
 
 
 def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
-    """Witness expectation from ladder-matrix moments of this density alone.
+    """Witness expectation from ladder moments of this density alone.
 
     Both witnesses read words of length at most 4 through ``_moments``: W2
     from one band shift (n and ⟨a†²a²⟩ lie on the diagonal), WHBT from

@@ -159,10 +159,10 @@ def whbt_expectation(state) -> WitnessReport:
 
 
 def _over_larger(x: float, y: float) -> tuple:
-    """(x, y) over the larger of the two moduli x, y ≥ 0.  A ratio of
+    """(x, y) over the larger of their moduli |x|, |y|.  A ratio of
     quadratic forms in them keeps its value, and no square underflows, as
     in ``states.g2``; the vacuum, x = y = 0, raises ZeroDivisionError."""
-    scale = x if x > y else y
+    scale = abs(x) if abs(x) > abs(y) else abs(y)
     return x / scale, y / scale
 
 

@@ -1,7 +1,8 @@
 """Dense reference operators for tests of the Fock oracle.
 
 They are independent of the oracle's constructions: each exponential
-comes from one eigendecomposition of the full truncated generator.  The
+comes from one eigendecomposition of the full truncated generator, built
+from this module's own truncated ladder matrix (``annihilation``).  The
 factor solve of ``plan_two_mode`` writes a tensor, two-mode-squeezed or
 beam-splitter moment pattern as unitaries acting on (quasi-)thermal
 factors, for the dense references and for the weight summary of that
@@ -16,8 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from squeezekit import fock
 from squeezekit.separability import _moment_matrix
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """The truncated annihilation operator: √k on the first superdiagonal."""
+    return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
 
 
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
@@ -32,7 +37,7 @@ def expm_antihermitian(g: np.ndarray) -> np.ndarray:
 
 def displacement_unitary(cutoff: int, alpha: complex) -> np.ndarray:
     """exp(α a† − α* a), truncated."""
-    a = fock.annihilation(cutoff)
+    a = annihilation(cutoff)
     g = alpha * a.conj().T - np.conj(alpha) * a
     return expm_antihermitian(g)
 
@@ -41,7 +46,7 @@ def beam_splitter_unitary(cutoff: int, lam: float) -> np.ndarray:
     """Dense V with V†aV = (a + b e^{iλ})/√2 and V†bV = (a − b e^{iλ})/√2,
     truncated: exp((π/4)(e^{iλ} a†b − e^{−iλ} ab†)) followed by the output
     rotation e^{i(λ+π) n_b}.  Flat index n_a·cutoff + n_b."""
-    a = fock.annihilation(cutoff)
+    a = annihilation(cutoff)
     ad = a.conj().T
     phase = cmath.exp(1j * lam)
     g = (math.pi / 4.0) * (phase * np.kron(ad, a) - np.conj(phase) * np.kron(a, ad))
@@ -51,7 +56,7 @@ def beam_splitter_unitary(cutoff: int, lam: float) -> np.ndarray:
 
 def two_mode_squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     """Dense exp(ξ* ab − ξ a†b†) with ξ = r e^{iφ}, truncated."""
-    a = fock.annihilation(cutoff)
+    a = annihilation(cutoff)
     ad = a.conj().T
     xi = r * cmath.exp(1j * phi)
     return expm_antihermitian(np.conj(xi) * np.kron(a, a) - xi * np.kron(ad, ad))
@@ -59,7 +64,7 @@ def two_mode_squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
 
 def squeeze_unitary(cutoff: int, r: float, phi: float) -> np.ndarray:
     """Dense exp(½(ξ* a² − ξ a†²)) with ξ = r e^{iφ}, truncated."""
-    a = fock.annihilation(cutoff)
+    a = annihilation(cutoff)
     xi = r * cmath.exp(1j * phi)
     return expm_antihermitian(0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T)))
 

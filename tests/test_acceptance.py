@@ -39,6 +39,8 @@ from squeezekit import (
 )
 from squeezekit import fock, oracle_check
 
+from conftest import parity_graded_density
+
 SQRT2 = math.sqrt(2.0)
 GAINS = AmplifierGains(1.65, 1.05)
 
@@ -181,7 +183,9 @@ def test_criterion_07_oracle_concordance():
 
 def test_criterion_08_beam_splitter_identities():
     pure = OneModeGaussian(1.0, complex(SQRT2))
-    rho_bs = fock.bs_output_density(pure, pure, math.pi / 2.0, 40)
+    # Built by the total-parity writer, so that the EPR state's d-graded
+    # density is checked against a second writer.
+    rho_bs = parity_graded_density(beam_splitter(pure, pure, math.pi / 2.0), 40)
     rho_epr = fock.two_mode_density(TwoModeGaussian.epr(1.0, complex(SQRT2)), 40)
     entrywise = float(np.max(np.abs(rho_bs.matrix - rho_epr.matrix)))
     assert entrywise <= 1e-6

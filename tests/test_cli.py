@@ -475,6 +475,13 @@ class TestWitnessAndVisibility:
         assert float(payload["v_minus"]) == pytest.approx(0.25)
         assert float(payload["v_plus"]) == pytest.approx(0.25)
 
+    def test_visibility_of_a_negative_photon_number(self, capsys):
+        # The formulas evaluate any input; n = −1 is scaled by its modulus.
+        code, out, _ = run_cli(capsys, "visibility", "uncorrelated", "--n", "-1", "--m", "0",
+                               "--format", "json")
+        assert code == 0
+        assert float(json.loads(out)["v_minus"]) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
     def test_visibility_angle_units(self, capsys):
         # --lam 0.5 means pi/2.
         code, out, _ = run_cli(capsys, "visibility", "bs-output", "--n", "1",
@@ -632,6 +639,13 @@ class TestSweep:
         physical_col = header.index("physical")
         assert rows[0][physical_col] == "true"
         assert rows[-1][physical_col] == "false"
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_a_grid_without_points_exits_two(self, capsys, count):
+        code, out, err = run_cli(capsys, "sweep", "epr", "--n", "1",
+                                 "--vary", "mc", "0", "1", count)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: --vary needs at least one point, got {count}"
 
     def test_unknown_parameter_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "epr", "--n", "1",

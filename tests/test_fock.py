@@ -27,7 +27,9 @@ from squeezekit import fock
 from squeezekit.oracle_check import MOMENT_RTOL, relative_error
 from squeezekit.separability import _moment_matrix
 
+import _fock_reference
 from _fock_reference import (
+    annihilation,
     beam_splitter_unitary,
     candidate_weight_summary,
     displacement_unitary,
@@ -39,7 +41,7 @@ from _fock_reference import (
     thermal_weights,
     two_mode_squeeze_unitary,
 )
-from conftest import random_physical_one_mode
+from conftest import parity_graded_density, random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,17 +61,37 @@ def _expm_taylor(g, scalings=12, terms=40):
 
 
 class TestLadderOperators:
+    """The reference's truncated ladder matrix, and the oracle's closed-form
+    bands against its products."""
+
     def test_annihilation_matrix(self):
-        a = fock.annihilation(4)
+        a = annihilation(4)
         assert a[0, 1] == pytest.approx(1.0)
         assert a[1, 2] == pytest.approx(math.sqrt(2.0))
         assert a[2, 3] == pytest.approx(math.sqrt(3.0))
         assert np.count_nonzero(a) == 3
 
     def test_commutator_on_retained_block(self):
-        a = fock.annihilation(30)
+        a = annihilation(30)
         comm = a @ a.conj().T - a.conj().T @ a
         assert np.allclose(comm[:29, :29], np.eye(29)[:29, :29] * 1.0)
+
+    def test_closed_form_bands_are_the_matrix_products(self):
+        # Every band a truncation-safe word can use, i + k ≤ cutoff/2, at
+        # cutoffs 2–80 is the band of the truncated product (a†)^i a^k of
+        # the reference's matrix powers, bit for bit.
+        band = fock._ladder_band.__wrapped__
+        for cutoff in range(2, 81):
+            a = annihilation(cutoff).real
+            powers = [np.eye(cutoff)]
+            for _ in range(cutoff // 2):
+                powers.append(powers[-1] @ a)
+            for i in range(cutoff // 2 + 1):
+                for k in range(cutoff // 2 + 1 - i):
+                    expected = np.diagonal(powers[i].T @ powers[k], k - i)
+                    got = band(cutoff, i, k)
+                    assert got.shape == expected.shape, (cutoff, i, k)
+                    assert got.tobytes() == expected.tobytes(), (cutoff, i, k)
 
 
 class TestUnitaries:
@@ -82,7 +104,7 @@ class TestUnitaries:
 
     def test_squeeze_matches_taylor_series(self):
         cutoff, r, phi = 14, 0.35, 1.1
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         xi = r * cmath.exp(1j * phi)
         g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
         assert np.max(np.abs(squeeze_unitary(cutoff, r, phi) - _expm_taylor(g))) < 1e-10
@@ -90,7 +112,7 @@ class TestUnitaries:
     def test_beam_splitter_matches_taylor_series(self):
         # The dense 50/50 mixer with its output rotation e^{i(λ+π) n_b}.
         cutoff, lam = 8, 0.9
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         ad = a.conj().T
         phase = cmath.exp(1j * lam)
         g = (math.pi / 4.0) * (phase * np.kron(ad, a) - np.conj(phase) * np.kron(a, ad))
@@ -101,7 +123,7 @@ class TestUnitaries:
     def test_two_mode_squeeze_matches_taylor_series(self):
         # The reference of ``test_tms_matches_dense_reference``.
         cutoff, r, phi = 8, 0.4, -0.7
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         ad = a.conj().T
         xi = r * cmath.exp(1j * phi)
         g = np.conj(xi) * np.kron(a, a) - xi * np.kron(ad, ad)
@@ -186,13 +208,13 @@ class TestTwoModeDensity:
         # squeezer and as a beam-splitter image of opposite squeezed states.
         mc = 0.9
         tms = fock.two_mode_density(TwoModeGaussian.epr(1.0, complex(mc)), 30)
-        bs = fock.bs_output_density(OneModeGaussian(1.0, complex(mc)),
-                                    OneModeGaussian(1.0, complex(-mc)), 0.0, 30)
+        bs = parity_graded_density(beam_splitter(OneModeGaussian(1.0, complex(mc)),
+                                                 OneModeGaussian(1.0, complex(-mc)), 0.0), 30)
         assert np.max(np.abs(tms.matrix - bs.matrix)) < 1e-8
 
     def test_bs_output_matches_epr_entrywise(self):
         s = OneModeGaussian(1.0, complex(SQRT2))
-        rho_bs = fock.bs_output_density(s, s, math.pi / 2, 40)
+        rho_bs = parity_graded_density(beam_splitter(s, s, math.pi / 2), 40)
         rho_epr = fock.two_mode_density(TwoModeGaussian.epr(1.0, complex(SQRT2)), 40)
         assert np.max(np.abs(rho_bs.matrix - rho_epr.matrix)) < 1e-6
 
@@ -244,7 +266,7 @@ class TestTwoModeDensity:
         # Every route, the bs output included, rejects the cutoff before it
         # assembles anything.
         builds = [lambda c: fock.one_mode_density(OneModeGaussian(0.5, 0.2j), c),
-                  lambda c: fock.bs_output_density(*_BS_OUTPUT_INPUTS, c),
+                  lambda c: fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), c),
                   *(lambda c, s=s: fock.two_mode_density(s, c) for s in _ROUTE_STATES.values())]
         for build in builds:
             with pytest.raises(ValueError, match="cutoff must be at least 2"):
@@ -268,7 +290,8 @@ def _band_constructors(delta):
         "tms": lambda c: fock.two_mode_density(epr, c),
         "mixture": lambda c: fock.two_mode_density(werner, c),
         "bs": lambda c: fock.two_mode_density(bs, c),
-        "bs_output_density": lambda c: fock.bs_output_density(s, OneModeGaussian(0.3, 0.2j), 0.7, c),
+        "bs-output": lambda c: fock.two_mode_density(
+            beam_splitter(s, OneModeGaussian(0.3, 0.2j), 0.7), c),
     }
 
 
@@ -279,7 +302,7 @@ class TestGateBand:
     @pytest.mark.parametrize("route", sorted(_band_constructors(0.0)))
     def test_the_gate_band_decides(self, route):
         rho = _band_constructors(5e-10)[route](30)
-        recurrence = {"bs": "recurrence", "bs_output_density": "recurrence"}
+        recurrence = {"bs": "recurrence", "bs-output": "recurrence"}
         assert rho.route == recurrence.get(route, route)
         assert rho.min_eigenvalue() >= -1e-12
         gate_messages = r"exceeds n\(n\+1\)|second moments do not describe a physical state"
@@ -293,6 +316,29 @@ class TestGateBand:
         assert rho.min_eigenvalue() >= -1e-12
         with pytest.raises(NonPhysicalStateError, match=r"\|m\|\^2 = 2.000000004 exceeds"):
             fock.one_mode_density(OneModeGaussian(1.0, 1.4142135637873086 + 0j), 40)
+
+
+class TestBeamSplitterOutputs:
+    """A beam-splitter output is built like any other state: its moments
+    choose the writer."""
+
+    @pytest.mark.parametrize("inputs, lam, route", [
+        ((OneModeGaussian(1.0, 0.9 + 0j),) * 2, math.pi / 2, "tms"),
+        ((OneModeGaussian(0.5, 0j),) * 2, 0.3, "tms"),
+        ((OneModeGaussian(0.6, 0.3 + 0.4j),) * 2, 0.0, "tensor"),
+        ((OneModeGaussian(0.6, 0.5 + 0j), OneModeGaussian(0.4, 0.2j)), 0.9, "recurrence"),
+    ])
+    def test_the_moment_pattern_picks_the_writer(self, inputs, lam, route):
+        # Each density equals the total-parity writer's to 1e-14, and the
+        # recurrence route's is that writer's, swap phase included.
+        state = beam_splitter(*inputs, lam)
+        rho = fock.two_mode_density(state, 30)
+        exact = parity_graded_density(state, 30)
+        assert rho.route == route
+        assert np.max(np.abs(rho.matrix - exact.matrix)) <= 1e-14
+        if route == "recurrence":
+            assert rho._origin == exact._origin
+            assert np.array_equal(rho._values, exact._values)
 
 
 class TestVacuumPorts:
@@ -379,8 +425,8 @@ class TestPartialTranspose:
         assert m_star == pytest.approx(1.0, abs=1e-12)
         s_below = OneModeGaussian(n, complex(m_star - 0.01))
         s_above = OneModeGaussian(n, complex(m_star + 0.01))
-        rho_below = fock.bs_output_density(s_below, s_below, math.pi / 2, 30)
-        rho_above = fock.bs_output_density(s_above, s_above, math.pi / 2, 30)
+        rho_below = parity_graded_density(beam_splitter(s_below, s_below, math.pi / 2), 30)
+        rho_above = parity_graded_density(beam_splitter(s_above, s_above, math.pi / 2), 30)
         assert fock.ppt_min_eigenvalue(rho_below) >= -1e-6
         assert fock.ppt_min_eigenvalue(rho_above) < -1e-6
         assert bs_output_is_separable(n, m_star - 0.01, math.pi / 2)
@@ -510,7 +556,7 @@ def _rotation_phases(cutoff, theta_a, theta_b):
 def _dense_factor(factor, dim):
     # Squeezed thermal factor from one dense exponential of the full
     # generator, without the per-parity split.
-    a = fock.annihilation(dim)
+    a = annihilation(dim)
     xi = factor.r * cmath.exp(1j * factor.phi)
     g = 0.5 * (np.conj(xi) * (a @ a) - xi * (a.conj().T @ a.conj().T))
     s = expm_antihermitian(g)
@@ -551,9 +597,7 @@ def _graded_densities(cutoff):
             eps_tr=1.0),
         "tms": fock.two_mode_density(_TMS_STATE, cutoff, eps_tr=1.0),
         "bs": fock.two_mode_density(_BS_STATE, cutoff, eps_tr=1.0),
-        "bs-output": fock.bs_output_density(OneModeGaussian(0.6, 0.5 + 0j),
-                                            OneModeGaussian(0.4, 0.2j), 0.9, cutoff,
-                                            eps_tr=1.0),
+        "bs-output": fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), cutoff, eps_tr=1.0),
         "mixture": fock.two_mode_density(werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6),
                                          cutoff, eps_tr=1.0),
         "bs+tms mixture": fock.two_mode_density(_BS_TMS_MIXTURE, cutoff, eps_tr=1.0),
@@ -641,7 +685,7 @@ class TestGradedAssembly:
         mixer = beam_splitter_unitary(working, lam)
         rho_in = np.kron(_dense_factor(factors[0], working), _dense_factor(factors[1], working))
         dense = _restrict(mixer @ rho_in @ mixer.conj().T, cutoff, working)
-        got = fock.bs_output_density(sa, sb, lam, cutoff, eps_tr=1.0).matrix
+        got = fock.two_mode_density(beam_splitter(sa, sb, lam), cutoff, eps_tr=1.0).matrix
         assert np.max(np.abs(got - dense)) < 1e-13
 
 
@@ -692,7 +736,7 @@ class TestRecurrenceRoute:
 class TestBandMeasurement:
     def test_moment_matches_dense_trace(self, rng):
         cutoff = 12
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         ad = a.conj().T
 
         def ladder(n_create, n_annihilate):
@@ -773,9 +817,9 @@ def _swap_phase(state):
 
 
 def _seeded_bs_route(cutoff, seed=20261018):
-    """(name, density, δ) of seeded beam-splitter states: rotated beam-splitter
-    images through ``two_mode_density`` and ``bs_output_density`` outputs,
-    every splitter phase λ ≠ 0."""
+    """(name, density, δ) of seeded beam-splitter states, all through
+    ``two_mode_density``: rotated beam-splitter images and unrotated outputs
+    of equal inputs, every splitter phase λ ≠ 0."""
     rng = np.random.default_rng(seed)
     out = []
     for k in range(8):
@@ -784,8 +828,9 @@ def _seeded_bs_route(cutoff, seed=20261018):
         lam = float(rng.uniform(0.15, 0.85)) * math.pi
         if k % 2:
             sa = OneModeGaussian(n, m * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi))))
-            rho = fock.bs_output_density(sa, sa, lam, cutoff, eps_tr=1.0)
-            out.append((f"bs-output {k}", rho, _swap_phase(beam_splitter(sa, sa, lam))))
+            state = beam_splitter(sa, sa, lam)
+            rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            out.append((f"bs-output {k}", rho, _swap_phase(state)))
         else:
             sa = OneModeGaussian(n, complex(m))
             sb = random_physical_one_mode(rng, n_max=0.7)
@@ -921,7 +966,7 @@ class TestSwapSymmetricPartialTranspose:
         # eigensolver, and the value is the dense one.
         s = OneModeGaussian(1.0, 0.6 + 0j)
         general = TwoModeGaussian(1.0, 0.3 + 0j, 0.3 * cmath.exp(0.5j), 0.9 * cmath.exp(0.25j), 0j)
-        densities = [fock.bs_output_density(s, s, 0.3, 20, eps_tr=1.0),
+        densities = [fock.two_mode_density(beam_splitter(s, s, 0.3), 20, eps_tr=1.0),
                      fock.two_mode_density(general, 20, eps_tr=1.0)]
         dense = [_dense_partial_transpose_min(rho) for rho in densities]
         spy = _EigvalshSpy(monkeypatch)
@@ -1088,8 +1133,8 @@ class TestGradedStorage:
             "tensor": (lambda s: fock.two_mode_density(s, 12, eps_tr=1.0),
                        _ROUTE_STATES["tensor"],
                        TwoModeGaussian.pair_with_phase(OneModeGaussian(0.9, -0.5j), 2.0)),
-            "bs-output": (lambda lam: fock.bs_output_density(*_BS_OUTPUT_INPUTS[:2], lam, 12,
-                                                             eps_tr=1.0), 0.9, -2.3),
+            "bs-output": (lambda lam: fock.two_mode_density(
+                beam_splitter(*_BS_OUTPUT_INPUTS[:2], lam), 12, eps_tr=1.0), 0.9, -2.3),
         }
         for name, (build, first, second) in pairs.items():
             before = build(first)
@@ -1102,7 +1147,7 @@ class TestGradedStorage:
 
     def test_moments_match_dense_trace_on_every_short_word(self):
         cutoff = 12
-        a = fock.annihilation(cutoff)
+        a = annihilation(cutoff)
         ad = a.conj().T
 
         def ladder(n_create, n_annihilate):
@@ -1265,7 +1310,7 @@ class TestWrittenBlocks:
             fock.two_mode_density(state, 12, eps_tr=1.0)
             assert spy.shapes == expected[name], name
         spy.shapes.clear()
-        rho = fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0)
+        rho = fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 12, eps_tr=1.0)
         assert spy.shapes == slabs
         spy.shapes.clear()
         fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
@@ -1293,7 +1338,8 @@ class TestWrittenBlocks:
             assert len(summed) == len(set(summed)) == sets, name
             assert rho.trace() == original(rho._blocks), name
             assert rho.trace_deficit == 1.0 - rho.trace(), name
-        for build in (lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 12, eps_tr=1.0),
+        for build in (lambda: fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 12,
+                                                    eps_tr=1.0),
                       lambda: fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12,
                                                     eps_tr=1.0)):
             summed.clear()
@@ -1336,7 +1382,8 @@ class TestWrittenBlocks:
                                                 eps_tr=1.0))),
                 ("_parity_slabs", skewed_slabs,
                  (lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
-                  lambda: fock.bs_output_density(*_BS_OUTPUT_INPUTS, 10, eps_tr=1.0))),
+                  lambda: fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 10,
+                                                eps_tr=1.0))),
                 ("_sector_slabs", skewed_sectors,
                  (lambda: fock.two_mode_density(_TMS_STATE, 10, eps_tr=1.0),
                   lambda: fock.two_mode_density(_ROUTE_STATES["werner"], 10, eps_tr=1.0)))):
@@ -1345,6 +1392,35 @@ class TestWrittenBlocks:
                 with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):
                     build()
             monkeypatch.undo()
+
+
+def _imports(module):
+    """(module imported from, names) of every import statement of ``module``."""
+    tree = ast.parse(inspect.getsource(module))
+    return tree, [("." * node.level + (node.module or ""), {a.name for a in node.names})
+                  if isinstance(node, ast.ImportFrom) else ("", {a.name for a in node.names})
+                  for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_fock_imports_only_states_the_gate_and_the_witness_kind():
+    # A beam-splitter output is built from its moments, so ``fock`` needs
+    # nothing of ``transforms``.
+    _, imports = _imports(fock)
+    internal = dict(imp for imp in imports if imp[0].startswith("."))
+    assert set(internal) == {".separability", ".states", ".witnesses"}
+    assert internal[".witnesses"] == {"WitnessKind"}
+    assert not any("transforms" in source or any("transforms" in name for name in names)
+                   for source, names in imports)
+
+
+def test_reference_unitaries_share_no_ladder_matrix_with_fock():
+    # The dense references build their own truncated ladder matrix, so a
+    # fault in the oracle's band weights cannot reach them.
+    tree, imports = _imports(_fock_reference)
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "annihilation"
+                   and isinstance(node.value, ast.Name) and node.value.id == "fock"
+                   for node in ast.walk(tree))
+    assert not any("fock" in names or "squeezekit.fock" in names for _, names in imports)
 
 
 def test_fock_imports_no_wick_symbols():

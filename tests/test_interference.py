@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from squeezekit import (
     visibility_epr,
     visibility_werner,
     werner_mix,
+    whbt_closed_form_uncorrelated,
 )
 
 from conftest import random_physical_one_mode
@@ -174,6 +176,17 @@ class TestUnderflowingMoments:
             for name in ("v_minus", "v_plus", "v_m"):
                 assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-15,
                                                            abs=1e-300), (record.__name__, name)
+
+    def test_a_negative_photon_number_is_scaled_by_its_modulus(self):
+        # The uncorrelated and bs-output formulas evaluate any input: n < 0
+        # is scaled by the larger modulus, not divided by the smaller value.
+        assert visibilities_uncorrelated(-1.0, 0.0).v_minus == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert whbt_closed_form_uncorrelated(-1.0, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        for record in (visibilities_uncorrelated(-1e200, 1e-200),
+                       visibilities_bs_output(-1e200, 1e-200, 0.3)):
+            assert record.v_minus == pytest.approx(1.0 / 3.0, rel=1e-15)
+            assert all(math.isfinite(v) for v in dataclasses.astuple(record))
+        assert whbt_closed_form_uncorrelated(-1e200, 1e-200) == pytest.approx(1.0 / 6.0, rel=1e-15)
 
     def test_one_photon_scale_state_is_a_thermal_record(self):
         assert visibilities_uncorrelated(1e-170, 0.0).v_minus == pytest.approx(1.0 / 3.0)
