@@ -11,7 +11,11 @@ endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
 4 oracle disagreement; an ``--oracle`` cutoff too small for the state's
 photon-number tail also exits 2, as does a family parameter flag the family
 does not read or a required one left out: a family takes the same flags in
-``classify``, ``witness whbt`` and ``sweep``.  Only ``classify``, ``sweep`` and
+``classify``, ``witness whbt`` and ``sweep``, which read each family's
+parameters, state and published fields from one table (``_FAMILIES``).  A
+negative value may be written in exponent notation (``--mc -1e-3``); a
+``--vary`` START or STOP that is not a finite number, or NUM not an
+integer, exits 2 and names the field.  Only ``classify``, ``sweep`` and
 ``amplifier`` take ``--oracle``; with it they report the route, the cutoff,
 the trace deficit and the packed size (``oracle_density_mb``) of the density
 they measured.  ``amplifier`` reports its gains and classicality threshold,
@@ -30,7 +34,9 @@ import functools
 import json
 import math
 import operator
+import re
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -69,7 +75,7 @@ from .transforms import (
     is_classical_threshold,
     werner_mix,
 )
-from .witnesses import (WitnessKind, _moment_scale, fourth_order, w2_expectation,
+from .witnesses import (WitnessKind, _moment_scale, w2_expectation,
                         whbt_closed_form_uncorrelated, whbt_expectation)
 
 ORACLE_RTOL = 1e-4
@@ -109,7 +115,7 @@ def _csv(columns, rows, comment: str | None = None) -> str:
 def _report(args, fields: dict) -> None:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
-        _emit(args, json.dumps({k: v for k, v in fields.items()}, default=_fmt, indent=2) + "\n")
+        _emit(args, json.dumps(fields, default=_fmt, indent=2) + "\n")
     elif fmt == "csv":
         _emit(args, _csv(list(fields), [list(fields.values())]))
     else:
@@ -118,23 +124,40 @@ def _report(args, fields: dict) -> None:
         _emit(args, "\n".join(lines) + "\n")
 
 
+def _table(args, columns, rows, comment: str, head: dict | None = None) -> None:
+    """Emit a table of ``rows`` under ``columns``: JSON with the keys of
+    ``head`` first and every value formatted, else CSV under ``comment``."""
+    if args.format == "json":
+        payload = {**(head or {}), "columns": list(columns),
+                   "rows": [[_fmt(v) for v in row] for row in rows]}
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        _emit(args, _csv(columns, rows, comment))
+
+
 def _angle(value: float, radians: bool) -> float:
     return value if radians else value * math.pi
 
 
-# --- family parameters -----------------------------------------------------------
-# Each family's parameters in flag order, and the defaults of those ``classify``
-# does not require.  ``witness whbt`` and ``sweep`` read the same table, so a
-# family takes the same flags in every command.
+# --- families -------------------------------------------------------------------
+# One record per paper family, read by ``classify``, ``sweep``, ``witness`` and
+# the parser, so a family takes the same flags in every command.  ``build``
+# reads the parameters by name from a mapping (``_family_values``), its angles
+# in radians (``_in_radians``); only ``werner_mix`` gates what it builds.  A
+# family with a ``verdict`` is one ``classify`` reports on two modes: the
+# verdict gives its published fields from the parameters and the state,
+# ``shown`` the visibilities its fringe reports and ``bound`` the classical
+# bound they are held to, where the paper gives one.
 
-_PARAMETERS = {
-    "one-mode": (("n", "m", "m_phase"), {"m_phase": 0.0}),
-    "pair": (("n", "m", "m_phase", "lam"), {"m_phase": 0.0, "lam": 0.0}),
-    "epr": (("n", "mc"), {}),
-    "werner": (("n", "mc", "p"), {}),
-    "bs-output": (("n", "m", "lam"), {}),
-    "general": (("n", "m", "mc", "lam1", "lam2"), {}),
-}
+@dataclasses.dataclass(frozen=True)
+class _Family:
+    names: tuple
+    defaults: dict
+    build: Callable
+    verdict: Callable | None = None
+    shown: tuple = ()
+    bound: InequalityContext | None = None
+
 
 _HELP = {
     "n": "mean photon number per mode",
@@ -147,6 +170,50 @@ _HELP = {
     "lam2": "phase of mode b squeezing",
 }
 
+_ANGLES = ("m_phase", "lam", "lam1", "lam2")
+
+
+def _werner_verdict(q, state):
+    """The witness and partial-transpose thresholds, defined for n > 0."""
+    if q["n"] <= 0:
+        return {}
+    return {"hbt_threshold": werner_hbt_threshold(q["n"]),
+            "ppt_threshold": werner_ppt_threshold(q["n"])}
+
+
+_FAMILIES = {
+    "one-mode": _Family(
+        ("n", "m", "m_phase"), {"m_phase": 0.0},
+        lambda q: OneModeGaussian(q["n"], q["m"] * cmath.exp(1j * q["m_phase"]))),
+    "pair": _Family(
+        ("n", "m", "m_phase", "lam"), {"m_phase": 0.0, "lam": 0.0},
+        lambda q: TwoModeGaussian.pair_with_phase(_FAMILIES["one-mode"].build(q), q["lam"])),
+    "epr": _Family(
+        ("n", "mc"), {}, lambda q: TwoModeGaussian.epr(q["n"], complex(q["mc"])),
+        lambda q, state: {"entangled": epr_is_entangled(q["n"], q["mc"])}, ("v_minus",)),
+    "werner": _Family(
+        ("n", "mc", "p"), {}, lambda q: werner_mix(_FAMILIES["epr"].build(q), q["p"]),
+        _werner_verdict, ("v_minus",)),
+    "bs-output": _Family(
+        ("n", "m", "lam"), {},
+        lambda q: beam_splitter(*[OneModeGaussian(q["n"], complex(q["m"]))] * 2, q["lam"]),
+        lambda q, state: {"m_out_abs": abs(state.m_a), "mc_out_abs": abs(state.m_c),
+                          "separable": bs_output_is_separable(q["n"], q["m"], q["lam"])},
+        ("v_minus", "v_plus"), InequalityContext.BEAM_SPLITTER_OUTPUT),
+    "general": _Family(
+        ("n", "m", "mc", "lam1", "lam2"), {},
+        lambda q: TwoModeGaussian(q["n"], q["m"] * cmath.exp(1j * q["lam1"]),
+                                  q["m"] * cmath.exp(1j * q["lam2"]), complex(q["mc"])),
+        lambda q, state: {"separable": general_is_separable(q["n"], q["m"], q["mc"],
+                                                            q["lam1"], q["lam2"])},
+        ("v_minus", "v_plus", "v_m")),
+}
+
+# The families ``classify`` and ``sweep`` report, and those ``witness whbt``
+# builds, in the order of their choices.
+_REPORTED = ("one-mode", *(name for name, family in _FAMILIES.items() if family.verdict))
+_PAIRED = tuple(name for name in _FAMILIES if name != "one-mode")
+
 
 def _flags(names) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
@@ -157,7 +224,7 @@ def _family_values(args, family, free=None) -> dict:
     defaults of the optional ones.  Raise ValueError for a parameter flag the
     family does not read, and for one it needs that is left out, other than
     ``free``."""
-    names, defaults = _PARAMETERS[family]
+    names, defaults = _FAMILIES[family].names, _FAMILIES[family].defaults
     given = {name: value for name, value in vars(args).items()
              if name in _HELP and value is not None}
     unread = [name for name in given if name not in names]
@@ -170,49 +237,11 @@ def _family_values(args, family, free=None) -> dict:
     return {**defaults, **given}
 
 
-# --- state builders ------------------------------------------------------------
-# One per family, shared by ``classify``, ``sweep`` and ``witness``: each reads
-# the family's parameters by name from a mapping (``_family_values``), its
-# angles in radians (``_in_radians``).  Only ``werner_mix`` gates what it builds.
-
-_ANGLES = ("m_phase", "lam", "lam1", "lam2")
-
-
 def _in_radians(params, radians) -> dict:
     """``params`` with every angle in radians."""
     return {name: _angle(value, radians) if name in _ANGLES else value
             for name, value in params.items()}
 
-
-def _build_one_mode(q):
-    return OneModeGaussian(q["n"], q["m"] * cmath.exp(1j * q["m_phase"]))
-
-
-def _build_pair(q):
-    return TwoModeGaussian.pair_with_phase(_build_one_mode(q), q["lam"])
-
-
-def _build_epr(q):
-    return TwoModeGaussian.epr(q["n"], complex(q["mc"]))
-
-
-def _build_werner(q):
-    return werner_mix(_build_epr(q), q["p"])
-
-
-def _build_bs_output(q):
-    s = OneModeGaussian(q["n"], complex(q["m"]))
-    return beam_splitter(s, s, q["lam"])
-
-
-def _build_general(q):
-    m = q["m"]
-    return TwoModeGaussian(q["n"], m * cmath.exp(1j * q["lam1"]), m * cmath.exp(1j * q["lam2"]),
-                           complex(q["mc"]))
-
-
-_TWO_MODE_BUILDERS = {"pair": _build_pair, "epr": _build_epr, "werner": _build_werner,
-                      "bs-output": _build_bs_output, "general": _build_general}
 
 # Each family's closed-form visibilities and the parameters they read, in order.
 _VISIBILITIES = {
@@ -237,9 +266,9 @@ def _visibilities(family, q):
 def _vacuum(state) -> bool:
     """Whether a physical two-mode state or mixture is the vacuum, every
     second moment exactly zero: no fringe or witness formula is defined on
-    it.  I₂ is zero there, but also where every modulus is below about
-    1e-162, so the moments themselves decide."""
-    return fourth_order(state).i2 == 0.0 and _moment_scale(state) == 0.0
+    it.  I₂ underflows to zero where every modulus is below about 1e-162,
+    so the moments themselves decide."""
+    return _moment_scale(state) == 0.0
 
 
 def _gate(out, state):
@@ -322,41 +351,6 @@ def _witness_tail(state, out, oracle, cutoff):
     return out["oracle_whbt_delta"] > ORACLE_RTOL
 
 
-def _epr_verdict(q, state):
-    return {"entangled": epr_is_entangled(q["n"], q["mc"])}
-
-
-def _werner_verdict(q, state):
-    """The witness and partial-transpose thresholds, defined for n > 0."""
-    if q["n"] <= 0:
-        return {}
-    return {"hbt_threshold": werner_hbt_threshold(q["n"]),
-            "ppt_threshold": werner_ppt_threshold(q["n"])}
-
-
-def _bs_output_verdict(q, state):
-    return {"m_out_abs": abs(state.m_a), "mc_out_abs": abs(state.m_c),
-            "separable": bs_output_is_separable(q["n"], q["m"], q["lam"])}
-
-
-def _general_verdict(q, state):
-    return {"separable": general_is_separable(q["n"], q["m"], q["mc"], q["lam1"], q["lam2"])}
-
-
-# Each two-mode family's published-formula fields: its verdict, the
-# visibilities its fringe reports and the classical bound they are held to,
-# where the paper gives one.
-_TWO_MODE = {
-    "epr": (_epr_verdict, ("v_minus",), None),
-    "werner": (_werner_verdict, ("v_minus",), None),
-    "bs-output": (_bs_output_verdict, ("v_minus", "v_plus"),
-                  InequalityContext.BEAM_SPLITTER_OUTPUT),
-    "general": (_general_verdict, ("v_minus", "v_plus", "v_m"), None),
-}
-
-_FAMILIES = ("one-mode", *_TWO_MODE)
-
-
 def _describe(family, params, radians, oracle, cutoff):
     """The report of ``family`` at ``params``: the parameters, then the
     one-mode report, or the gate, the family's verdict and, on a physical
@@ -365,26 +359,26 @@ def _describe(family, params, radians, oracle, cutoff):
     first formula that gates its own parameters; a Werner mixture that
     cannot be built reports only that it is not physical."""
     q = _in_radians(params, radians)
+    record = _FAMILIES[family]
     if family == "one-mode":
-        s = _build_one_mode(q)
+        s = record.build(q)
         out = {"n": s.n, "m": abs(s.m), "m_phase": params["m_phase"]}
         return out, _one_mode_report(s, out, oracle, cutoff)
-    out = {name: params[name] for name in _PARAMETERS[family][0]}
+    out = {name: params[name] for name in record.names}
     try:
-        state = _TWO_MODE_BUILDERS[family](q)
+        state = record.build(q)
     except NonPhysicalStateError as exc:
         out["physical"] = False
         return out, exc
     rejection = _gate(out, state)
-    verdict, shown, bound = _TWO_MODE[family]
     try:
-        out.update(verdict(q, state))
+        out.update(record.verdict(q, state))
         if rejection is None and _vacuum(state):
             return out, False
         vis = _visibilities(family, q)
-        out.update((name, getattr(vis, name)) for name in shown)
-        if bound:
-            out["fringe_classical"] = classical_inequality_report(vis, bound).classical
+        out.update((name, getattr(vis, name)) for name in record.shown)
+        if record.bound:
+            out["fringe_classical"] = classical_inequality_report(vis, record.bound).classical
     except NonPhysicalStateError:
         if rejection is None:
             raise
@@ -419,12 +413,8 @@ def _cmd_amplifier(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    family = "one-mode" if args.kind == "w2" else args.family
-    q = _in_radians(_family_values(args, family), args.radians)
-    if args.kind == "w2":
-        report = w2_expectation(_build_one_mode(q))
-    else:
-        report = whbt_expectation(_TWO_MODE_BUILDERS[family](q))
+    q = _in_radians(_family_values(args, args.family), args.radians)
+    report = args.expectation(_FAMILIES[args.family].build(q))
     _report(args, {
         "witness": report.witness_kind.value,
         "value": report.value,
@@ -499,32 +489,37 @@ _FIGURES = {
 def _cmd_figure(args) -> int:
     comment, columns, (lo, hi, landmarks), row_at = _FIGURES[args.id]
     grid = np.unique(np.concatenate([np.linspace(lo, hi, args.points), landmarks]))
-    rows = [row_at(x) for x in grid]
-    if args.format == "json":
-        payload = {
-            "figure": args.id,
-            "comment": comment,
-            "columns": list(columns),
-            "rows": [[_fmt(v) for v in row] for row in rows],
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(args, _csv(columns, rows, comment))
+    _table(args, columns, [row_at(x) for x in grid], comment,
+           {"figure": args.id, "comment": comment})
     return 0
+
+
+def _vary_field(field, text, kind):
+    """The ``--vary`` field ``field`` read as ``kind``; ValueError naming
+    ``--vary`` and the field if it is not a finite one."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"--vary {field} must be {what}, got {text!r}")
+    return value
 
 
 def _cmd_sweep(args) -> int:
     family = args.family
     name, lo, hi, num = args.vary
     name = name.replace("-", "_")
-    if name not in _PARAMETERS[family][0]:
+    if name not in _FAMILIES[family].names:
         raise ValueError(f"family {family!r} has no parameter {name!r}")
-    count = int(num)
+    start, stop, count = (_vary_field(*field) for field in
+                          (("START", lo, float), ("STOP", hi, float), ("NUM", num, int)))
     if count < 1:
         raise ValueError(f"--vary needs at least one point, got {num}")
     params = _family_values(args, family, free=name)
     points, disagree = [], False
-    for value in np.linspace(float(lo), float(hi), count):
+    for value in np.linspace(start, stop, count):
         params[name] = float(value)
         fields, outcome = _describe(family, params, args.radians, args.oracle, args.cutoff)
         points.append(fields)
@@ -533,12 +528,7 @@ def _cmd_sweep(args) -> int:
     columns = list(dict.fromkeys(key for fields in sorted(points, key=len, reverse=True)
                                  for key in fields))
     rows = [[fields.get(col, float("nan")) for col in columns] for fields in points]
-    comment = f"sweep of {name} over [{lo}, {hi}] for family {family}"
-    if args.format == "json":
-        payload = {"columns": columns, "rows": [[_fmt(v) for v in row] for row in rows]}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        _emit(args, _csv(columns, rows, comment))
+    _table(args, columns, rows, f"sweep of {name} over [{lo}, {hi}] for family {family}")
     return 4 if disagree else 0
 
 
@@ -606,8 +596,18 @@ def _add_parameters(parser, names, defaults=None):
                             help=_HELP[name])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent notation,
+    such as ``--mc -1e-3``, as a value: argparse's own test takes it for an
+    option.  Every subparser is built with the class of its parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squeezekit",
         description="Gaussian squeezed states: classification, interference, witnesses, oracle checks.",
     )
@@ -615,9 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="classify a state and print its key quantities")
     fam = p_classify.add_subparsers(dest="family", required=True)
-    for family in _FAMILIES:
+    for family in _REPORTED:
         fam_parser = fam.add_parser(family)
-        _add_parameters(fam_parser, *_PARAMETERS[family])
+        _add_parameters(fam_parser, _FAMILIES[family].names, _FAMILIES[family].defaults)
         _add_common(fam_parser)
         _add_angles(fam_parser)
         _add_oracle(fam_parser)
@@ -633,16 +633,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="witness expectation value and verdict")
     wit_sub = p_wit.add_subparsers(dest="kind", required=True)
     w2p = wit_sub.add_parser("w2")
-    _add_parameters(w2p, *_PARAMETERS["one-mode"])
+    _add_parameters(w2p, _FAMILIES["one-mode"].names, _FAMILIES["one-mode"].defaults)
     _add_common(w2p)
     _add_angles(w2p)
-    w2p.set_defaults(func=_cmd_witness)
+    w2p.set_defaults(func=_cmd_witness, family="one-mode", expectation=w2_expectation)
     whbtp = wit_sub.add_parser("whbt")
-    whbtp.add_argument("--family", choices=tuple(_TWO_MODE_BUILDERS), default="pair")
+    whbtp.add_argument("--family", choices=_PAIRED, default="pair")
     _add_parameters(whbtp, _HELP)
     _add_common(whbtp)
     _add_angles(whbtp)
-    whbtp.set_defaults(func=_cmd_witness)
+    whbtp.set_defaults(func=_cmd_witness, expectation=whbt_expectation)
 
     p_vis = sub.add_parser("visibility", help="closed-form fringe visibilities")
     vis_sub = p_vis.add_subparsers(dest="family", required=True)
@@ -661,9 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter of a family, emit CSV rows")
     sweep_fam = p_sweep.add_subparsers(dest="family", required=True)
-    for family in _FAMILIES:
+    for family in _REPORTED:
         sp = sweep_fam.add_parser(family)
-        _add_parameters(sp, _PARAMETERS[family][0])
+        _add_parameters(sp, _FAMILIES[family].names)
         sp.add_argument("--vary", nargs=4, metavar=("PARAM", "START", "STOP", "NUM"),
                         required=True, help="parameter name and linspace grid")
         _add_common(sp)

@@ -2,9 +2,10 @@
 brute force.
 
 The suite draws random physical states, assembles their truncated densities,
-and compares ladder-matrix moments, witness expectations and purity against
-the Wick-engine closed forms, then brackets the partial-transpose sign flip
-of the cross-correlated family around its analytic boundary.
+and compares their moments, taken on ladder bands formed in closed form,
+their witness expectations and purity against the Wick-engine closed forms,
+then brackets the partial-transpose sign flip of the cross-correlated family
+around its analytic boundary.
 
 Sampling stays within the oracle's truncation envelope.  The photon-number
 tail of a squeezed thermal state decays like ((2V−1)/(2V+1))^k with
@@ -140,8 +141,9 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
 
     One density is alive at a time: each state's density and moment table
     are released before the next state is assembled, so the suite's peak
-    memory is one density and its assembly temporaries (about 28 MB for a
-    beam-splitter state at cutoff 40).
+    memory is one density and its assembly temporaries: at cutoff 40 a
+    recurrence-route density is 20.48 MB of packed blocks, and its assembly
+    temporaries about 5.3 MB more (``tests/test_memory.py``).
 
     Raises ValueError for fewer than 2 states, where one half holds no
     state, and for words shorter than 2, of which none is even: either

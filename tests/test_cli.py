@@ -652,6 +652,20 @@ class TestSweep:
                                "--vary", "zzz", "0", "1", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("grid, message", [
+        (("a", "1", "3"), "--vary START must be a finite number, got 'a'"),
+        (("0", "b", "3"), "--vary STOP must be a finite number, got 'b'"),
+        (("nan", "1", "3"), "--vary START must be a finite number, got 'nan'"),
+        (("0", "inf", "3"), "--vary STOP must be a finite number, got 'inf'"),
+        (("0", "1", "2.5"), "--vary NUM must be an integer, got '2.5'"),
+        (("0", "1", "1e3"), "--vary NUM must be an integer, got '1e3'"),
+        (("0", "1", "c"), "--vary NUM must be an integer, got 'c'"),
+    ], ids=["start", "stop", "nan", "inf", "fraction", "exponent", "word"])
+    def test_a_malformed_field_names_vary_and_the_field(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "sweep", "epr", "--n", "1", "--vary", "mc", *grid)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: {message}"
+
     @pytest.mark.parametrize("argv", [
         ("one-mode", "--n", "0.5", "--vary", "m", "0.3", "0.9", "3"),
         ("epr", "--n", "0.5", "--vary", "mc", "0.3", "0.9", "3"),
@@ -682,6 +696,84 @@ class TestSweep:
         assert code == 2
         assert "at cutoff 10" in err and "rerun with a larger --cutoff" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+class TestExponentNotation:
+    """A negative value in exponent notation is a value, not an option."""
+
+    def test_visibility_of_a_huge_negative_photon_number(self, capsys):
+        code, out, err = run_cli(capsys, "visibility", "uncorrelated", "--n", "-1e200",
+                                 "--m", "1e-200", "--format", "json")
+        assert (code, err) == (0, "")
+        assert float(json.loads(out)["v_minus"]) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_a_separate_value_reads_as_the_attached_one(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "epr", "--n", "1", "--mc", "-1e-3")
+        assert (code, err) == (0, "")
+        assert "mc            -0.001\n" in out
+        assert run_cli(capsys, "classify", "epr", "--n", "1", "--mc=-1e-3") == (code, out, err)
+
+    def test_a_sweep_starts_at_a_negative_exponent(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "epr", "--n", "1",
+                                 "--vary", "mc", "-1e-3", "1", "3")
+        assert (code, err) == (0, "")
+        header, rows = parse_csv(out)
+        assert [row[header.index("mc")] for row in rows] == ["-0.001", "0.4995", "1"]
+
+    def test_a_word_after_a_flag_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "epr", "--n", "-x", "--mc", "1"])
+        assert exc.value.code == 2
+        assert "argument --n: expected one argument" in capsys.readouterr().err
+
+
+class TestFamilyTable:
+    """``classify``, ``sweep`` and ``witness`` take their families, in order,
+    and each family's flags from ``cli._FAMILIES``."""
+
+    @staticmethod
+    def _choices(parser, dest):
+        return next(a for a in parser._actions if a.dest == dest).choices
+
+    @staticmethod
+    def _flags(parser):
+        return [a for a in parser._actions if a.dest in cli._HELP]
+
+    def _check_flags(self, parser, names, defaults):
+        # ``defaults`` None: every flag optional, defaulting to None, for the
+        # command to check with ``_family_values``.
+        flags = self._flags(parser)
+        assert [a.dest for a in flags] == list(names)
+        for a in flags:
+            required = defaults is not None and a.dest not in defaults
+            default = None if defaults is None else defaults.get(a.dest)
+            assert (a.required, a.default, a.type) == (required, default, float), a.dest
+            assert a.option_strings == ["--" + a.dest.replace("_", "-")]
+            assert a.help == cli._HELP[a.dest]
+
+    def test_classify_and_sweep_families(self):
+        commands = self._choices(build_parser(), "command")
+        reported = ["one-mode", "epr", "werner", "bs-output", "general"]
+        assert reported == [name for name, family in cli._FAMILIES.items()
+                            if name == "one-mode" or family.verdict]
+        for command, required in (("classify", True), ("sweep", False)):
+            families = self._choices(commands[command], "family")
+            assert list(families) == reported, command
+            for name in reported:
+                record = cli._FAMILIES[name]
+                self._check_flags(families[name], record.names,
+                                  record.defaults if required else None)
+
+    def test_witness_families(self):
+        kinds = self._choices(self._choices(build_parser(), "command")["witness"], "kind")
+        one_mode = cli._FAMILIES["one-mode"]
+        self._check_flags(kinds["w2"], one_mode.names, one_mode.defaults)
+        family = next(a for a in kinds["whbt"]._actions if a.dest == "family")
+        assert family.choices == ("pair", "epr", "werner", "bs-output", "general")
+        assert list(family.choices) == [name for name in cli._FAMILIES if name != "one-mode"]
+        assert family.default == "pair"
+        self._check_flags(kinds["whbt"], cli._HELP, None)
+        assert all(set(record.names) <= set(cli._HELP) for record in cli._FAMILIES.values())
 
 
 _WHBT_FLAGS = {
