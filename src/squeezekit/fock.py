@@ -33,27 +33,34 @@ dict, and the d-graded writer against the parity-graded one.
 A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
 states; every entry outside them is a structural zero, and a dense matrix
 is the one-block case.  No constructor forms a dense matrix.  Every route
-writes each entry of its blocks, exactly Hermitian, into one packed
+writes the entries of its blocks, exactly Hermitian, into one packed
 buffer (``_Written``), which ``FockDensity`` adopts as it is.  A state of
 zero mean conserves total parity, so every two-mode density is exactly
 zero between states of different total parity.  Hermiticity is checked
 where the data is small:
 
 - the parity-graded writer computes the entries of even total parity
-  with n_a ≥ m_a, copies each row band of a block in slices, with no
-  gather, and mirrors the rest in one tiled pass; it checks the squares it computes
-  twice, n_a = m_a, two per slab, and writes them symmetrized
-  (``_hermitian_part``); the d-graded writer fills all its d sectors in
-  one gather from its stacked slabs, checks them in one step and writes
-  them symmetrized;
+  with n_a ≥ m_a and copies them into the upper triangles of its blocks
+  in slices, with no gather: at an even cutoff one slice copy per row
+  band.  It checks the squares it computes twice, n_a = m_a, and writes
+  them symmetrized: at an even cutoff all the squares of a block in one
+  step, at an odd one per slab (``_hermitian_part``).  The lower
+  triangles are the adjoint of the upper ones; they stay unwritten until
+  the first read that needs one, which writes them all in one tiled pass
+  (``_Written.complete``).  Moments, the witnesses, the trace and the
+  diagonal read none of them, so the concordance suite never pays that
+  pass; ``matrix``, ``purity``, the spectra and ``_entries`` complete the
+  density first;
+- the d-graded writer fills all its d sectors in one gather from its
+  stacked slabs, checks them in one step and writes them symmetrized;
 - the tensor route writes the kron of its two checked factors
   (``_checked``), one block per class (parity of n_a, parity of n_b), each
   one broadcast product; the one-mode route writes its one checked factor;
 - a mixture writes all its components with one writer, that of their
   common moment pattern, else the parity-graded one, whose two blocks
-  every route refines, and sums each component in place as it is built,
-  in one step over the packed buffer its components share.  Real weights
-  keep the sum exactly Hermitian;
+  every route refines, completes each, and sums it in place as it is
+  built, in one step over the packed buffer its components share.  Real
+  weights keep the sum exactly Hermitian;
 - ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
   matrix and writes it symmetrized.
 
@@ -71,9 +78,11 @@ R[b, p] = √(b+1)···√(b+p) (``_ladder_band``).  ``moment``, ``moment_table
 ``expectation_of_witness`` read it through one contraction
 (``_moments``): every band shift the words need in one gather, but for
 the shifts the density's grading makes structural zeros, and all words
-in one batched product.  Purity,
-spectrum, trace and diagonal are read from the blocks; ``matrix`` is a
-dense view built only when asked for.
+in one batched product.  Only the shifts on or above the diagonal are
+gathered: a word W whose entries lie below it takes conj Tr(ρW†), equal
+to Tr(ρW) for Hermitian ρ, so a moment table reads half the bands and
+no lower triangle.  Purity, spectrum, trace and diagonal are read from
+the blocks; ``matrix`` is a dense view built only when asked for.
 
 The partial-transpose spectrum is taken one block at a time under the
 finest grading (n_a + n_b, then total parity, then none) whose blocks hold
@@ -251,43 +260,67 @@ def _one_mode_matrix(n: float, m: complex, cutoff: int) -> np.ndarray:
 
 def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     """Blocks of the restricted density of a two-mode state, one per total
-    parity, each listing its states in increasing flat index, written
-    exactly Hermitian.
+    parity, each listing its states in increasing flat index.  Only the
+    entries with n_a ≥ m_a are written, exactly Hermitian on the squares
+    n_a = m_a; the lower triangles are left for ``_Written.complete``.
 
     The slabs run along m_a over (n_a, m_b, q) (``_parity_slabs``), at the
     even cutoff c or c + 1: the entries do not depend on the cutoff.  The
     rows m_b < c of slab m_a of one parity are the block's row band m_a,
     and each n_a < c gives its columns n_b < c in member order, the first
-    ⌈c/2⌉ or ⌊c/2⌋ entries of a run of q.  Two consecutive n_a give c
-    columns, so the band's columns with n_a > m_a are pairs of runs, two
-    slice copies, and an unpaired last run.  Each band's n_a = m_a square
-    is computed twice; it is checked and written symmetrized.  The lower
-    triangle is the adjoint of the upper one (``_mirror_upper``).
+    ⌈c/2⌉ or ⌊c/2⌋ entries of a run of q.  The n_a = m_a square of each
+    band is computed twice; it is checked and written symmetrized.
+
+    At an even cutoff every run has c/2 entries, so a block is the array
+    (m_a, m_b/2, n_a, n_b/2) and the slab's rows of one parity, transposed,
+    are its band m_a: one slice copy per band.  All the squares of a block
+    are then checked in one step, and written as (M + M†)/2 in
+    ``_hermitian_part``'s arithmetic, conj((Mᵀ + M*)/2), signed zeros
+    included.  At an odd cutoff the runs alternate between ⌈c/2⌉ and
+    ⌊c/2⌋ entries: two consecutive n_a give c columns, so the band's
+    columns with n_a > m_a are pairs of runs, two slice copies, and an
+    unpaired last run, and each band's square is checked on its own.
     """
     a, t = _recurrence_start(_moment_matrix(state))
     order = [0, 2, 1, 3]
     a = a[np.ix_(order, order)]
     c, even = cutoff, cutoff + cutoff % 2
     na, nb = np.divmod(np.arange(c * c), c)
-    out = _Written([np.flatnonzero((na + nb) % 2 == parity)[None, :] for parity in (0, 1)])
-    # An odd cutoff stops before the last slab of the even one.
-    for m_a, slab in zip(range(c), _parity_slabs(a, t, even)):
-        slab = slab.reshape(even, even, even // 2)
-        for parity, (members, values) in enumerate(out):
-            r0, r1 = np.searchsorted(members[0], [m_a * c, (m_a + 1) * c])
-            band = slab[:, (parity - m_a) % 2:c:2].transpose(1, 0, 2)
-            _require_hermitian(_hermitian_part(band[:, m_a, :r1 - r0], values[r0:r1, r0:r1]))
-            # Runs of n_a = m_a + 1, m_a + 3, ... (width w) and of the n_a
-            # between them (c − w), c columns per pair.
-            w = (c + (parity - m_a) % 2) // 2
-            pairs = (c - 1 - m_a) // 2
-            paired = values[r0:r1, r1:r1 + pairs * c].reshape(r1 - r0, pairs, c)
-            paired[:, :, :w] = band[:, m_a + 1:c - 1:2, :w]
-            paired[:, :, w:] = band[:, m_a + 2:c:2, :c - w]
-            if (c - 1 - m_a) % 2:
-                values[r0:r1, r1 + pairs * c:] = band[:, c - 1, :w]
-    for _, values in out:
-        _mirror_upper(values)
+    out = _Written([np.flatnonzero((na + nb) % 2 == parity)[None, :] for parity in (0, 1)],
+                   lower_pending=True)
+    if c % 2:
+        # An odd cutoff stops before the last slab of the even one.
+        for m_a, slab in zip(range(c), _parity_slabs(a, t, even)):
+            slab = slab.reshape(even, even, even // 2)
+            for parity, (members, values) in enumerate(out):
+                r0, r1 = np.searchsorted(members[0], [m_a * c, (m_a + 1) * c])
+                band = slab[:, (parity - m_a) % 2:c:2].transpose(1, 0, 2)
+                _require_hermitian(_hermitian_part(band[:, m_a, :r1 - r0],
+                                                   values[r0:r1, r0:r1]))
+                # Runs of n_a = m_a + 1, m_a + 3, ... (width w) and of the
+                # n_a between them (c − w), c columns per pair.
+                w = (c + (parity - m_a) % 2) // 2
+                pairs = (c - 1 - m_a) // 2
+                paired = values[r0:r1, r1:r1 + pairs * c].reshape(r1 - r0, pairs, c)
+                paired[:, :, :w] = band[:, m_a + 1:c - 1:2, :w]
+                paired[:, :, w:] = band[:, m_a + 2:c:2, :c - w]
+                if (c - 1 - m_a) % 2:
+                    values[r0:r1, r1 + pairs * c:] = band[:, c - 1, :w]
+        return out
+    h = c // 2
+    blocks = [values.reshape(c, h, c, h) for _, values in out]
+    for m_a, slab in enumerate(_parity_slabs(a, t, c)):
+        slab = slab.reshape(c, c, h)
+        for parity, block in enumerate(blocks):
+            block[m_a, :, m_a:] = slab[m_a:, (parity - m_a) % 2::2].transpose(1, 0, 2)
+    diagonal = np.arange(c)
+    for block in blocks:
+        squares = block[diagonal, :, diagonal]  # (m_a, m_b/2, n_b/2), a copy
+        mirrored = squares.transpose(0, 2, 1)
+        _require_hermitian(float(np.max(np.abs(squares - mirrored.conj()))))
+        symmetric = mirrored + squares.conj()
+        symmetric *= 0.5
+        block[diagonal, :, diagonal] = np.conjugate(symmetric, out=symmetric)
     return out
 
 
@@ -449,16 +482,31 @@ class _Written(list):
     one buffer, between two zeros: the entries the lookup reads for a pair
     of states in no common block.  The values start uninitialised; a route
     writes every entry, exactly Hermitian, and ``FockDensity`` adopts the
-    buffer as its packed values."""
+    buffer as its packed values.
 
-    def __init__(self, members):
+    A writer that sets ``lower_pending`` writes only what a block's upper
+    triangle needs, and lists each block's members in increasing flat
+    index; its lower triangles stay unwritten until ``complete``."""
+
+    def __init__(self, members, lower_pending: bool = False):
         self.buffer = np.empty(sum(m.shape[1] ** 2 for m in members) + 2, dtype=complex)
         self.buffer[0] = self.buffer[-1] = 0.0
+        self.lower_pending = lower_pending
         offset = 1
         for m in members:
             size = m.shape[1]
             self.append(_Block(m, self.buffer[offset:offset + size * size].reshape(size, size)))
             offset += size * size
+
+    def complete(self) -> None:
+        """Write each block's lower triangle as the adjoint of its upper
+        one, once.  The flag clears only after every triangle is written,
+        so a second thread that still finds it set writes the same bits
+        again."""
+        if self.lower_pending:
+            for _, values in self:
+                _mirror_upper(values)
+            self.lower_pending = False
 
 
 _TILE = 64
@@ -528,6 +576,10 @@ class FockDensity:
     ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
     matrix to be Hermitian to 1e-12 and writes it symmetrized as a single
     block.  The blocks are stored read-only, mirror copies sharing one.
+    A writer may leave the lower triangles unwritten (the ``recurrence``
+    route); ``_stored`` and ``_packed`` then hold them unwritten, and only
+    the readers of the upper triangles read them.  Every other read goes
+    through ``_blocks`` or ``_values``, which write them first, once.
     Measurements read the blocks through a per-state lookup; ``matrix`` is
     a dense read-only view built on first use.  A density from this
     module's constructors records how it was built (``route``); a dense one
@@ -537,8 +589,8 @@ class FockDensity:
     has k = 1, no grading.  The value is immutable.
     """
 
-    __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_values", "_row_key",
-                 "_col_key", "_trace", "_matrix", "_origin", "_d_modulus")
+    __slots__ = ("modes", "cutoff", "trace_deficit", "_written", "_stored", "_packed",
+                 "_row_key", "_col_key", "_trace", "_matrix", "_origin", "_d_modulus")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
         _require_dims(modes, cutoff)
@@ -560,7 +612,7 @@ class FockDensity:
         return rho
 
     def _set(self, modes, cutoff, blocks, trace_deficit, origin, trace=None) -> None:
-        for name, value in (("modes", modes), ("cutoff", cutoff), ("_blocks", blocks),
+        for name, value in (("modes", modes), ("cutoff", cutoff), ("_written", blocks),
                             ("trace_deficit", trace_deficit), ("_matrix", None),
                             ("_origin", origin), ("_trace", trace)):
             object.__setattr__(self, name, value)
@@ -573,14 +625,18 @@ class FockDensity:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __post_init__(self):
-        """Adopt the packed buffer of the written blocks, read-only, and
-        build the lookup from each basis state's block copy, the packed
-        offset of its row and its position in the block (see
-        ``_entries``).  The trace is summed here unless it was handed on."""
+        """Adopt the packed buffer of the written blocks through read-only
+        views, and build the lookup from each basis state's block copy, the
+        packed offset of its row and its position in the block (see
+        ``_entries``).  The written blocks themselves stay writable, for
+        the lower triangles a writer may have left (``_blocks``).  The
+        trace is summed here, from the diagonals, unless it was handed
+        on."""
         _require_dims(self.modes, self.cutoff)
         dim = self.cutoff ** self.modes
-        packed = self._blocks.buffer
-        blocks = tuple(self._blocks)
+        written = self._written
+        packed = written.buffer.view()
+        blocks = tuple(_Block(members, values.view()) for members, values in written)
         flat = np.concatenate([members.ravel() for members, _ in blocks])
         if flat.min() < 0 or flat.max() >= dim:
             raise ValueError(f"block members outside the {dim} basis states")
@@ -624,13 +680,26 @@ class FockDensity:
         span = packed.size
         row_key = np.where(copy >= 0, row_start + copy * span, -span)
         col_key = pos - np.where(copy >= 0, copy, -2) * span
-        for name, value in (("_blocks", blocks), ("_values", packed),
+        for name, value in (("_stored", blocks), ("_packed", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", _blocks_trace(blocks) if self._trace is None
                              else self._trace),
                             ("trace_deficit", float(self.trace_deficit)),
                             ("_d_modulus", modulus)):
             object.__setattr__(self, name, value)
+
+    @property
+    def _blocks(self) -> tuple:
+        """The blocks, every entry written: the first read writes the lower
+        triangles that the writer left (``_Written.complete``)."""
+        self._written.complete()
+        return self._stored
+
+    @property
+    def _values(self) -> np.ndarray:
+        """The packed buffer that ``_entries`` reads, every entry written."""
+        self._written.complete()
+        return self._packed
 
     @property
     def dim(self) -> int:
@@ -640,7 +709,7 @@ class FockDensity:
     def nbytes(self) -> int:
         """Bytes of the packed block values, one per block: mirror copies
         share theirs, and structural zeros take none."""
-        return sum(values.nbytes for _, values in self._blocks)
+        return sum(values.nbytes for _, values in self._stored)
 
     @property
     def route(self) -> str | None:
@@ -679,7 +748,7 @@ class FockDensity:
 
     def diagonal(self) -> np.ndarray:
         out = np.zeros(self.dim)
-        for members, values in self._blocks:
+        for members, values in self._stored:
             out[members] = values.diagonal().real
         return out
 
@@ -768,6 +837,7 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
         if out is None:
             out = _Written([b.members for b in blocks])
             out.buffer[1:-1] = 0.0
+        blocks.complete()  # the sum reads every entry
         values = blocks.buffer[1:-1]
         values *= w  # in place: no temporary of the buffer's size
         out.buffer[1:-1] += values
@@ -825,13 +895,17 @@ def _band_plan(ca: int, cb: int, shifts: tuple) -> _BandPlan:
     """The gather and the band matrices of ``_moments`` for ``shifts`` on
     cutoffs (ca, cb); cb is 1 on one mode.  Each shift gets every band a
     truncation-safe word can use (i + k ≤ ca // 2), so its slice of the
-    contraction does not depend on the other shifts."""
+    contraction does not depend on the other shifts.  Every gathered
+    entry (s, s + δ) has a column of flat index at least its row's, so
+    it lies on or above the diagonal of a block whose members increase."""
     size_a = ca // 4 + 1
     size_b = cb // 4 + 1
     rows, cols, slots = [], [], []
     mode_a = np.zeros((len(shifts), size_a, ca))
     mode_b = np.zeros((len(shifts), 2 * cb, 2 * size_b))
     for n, (da, db) in enumerate(shifts):
+        if da * cb + db < 0:
+            raise ValueError(f"band shift {(da, db)} reads below the diagonal")
         sa = np.arange(max(0, -da), ca - max(0, da))
         sb = np.arange(max(0, -db), cb - max(0, db))
         grid = sa[:, None] * cb + sb[None, :]
@@ -862,6 +936,14 @@ def _moments(rho: FockDensity, words) -> list:
     ``moment``, ``moment_table`` and ``expectation_of_witness`` agree bit
     for bit.
 
+    Only shifts on or above the diagonal are gathered, δa·c_b + δb ≥ 0
+    (c_b = 1 on one mode): a word W below it takes the conjugate of its
+    adjoint's value, Tr(ρW) = conj Tr(ρW†) for Hermitian ρ, so that
+    moment(ρ, W†) = conj(moment(ρ, W)) exactly.  That halves the gather and
+    the contraction, and reads no entry below a block's diagonal, so a
+    density whose lower triangles are unwritten is not completed: the
+    gather reads the packed buffer directly, not through ``_entries``.
+
     One grading rule skips the shifts that read only structural zeros.
     Entry (s, s + δ) joins states whose d = n_a − n_b differ by δa − δb,
     and every block copy joins states of one d mod k, the density's grading
@@ -872,18 +954,29 @@ def _moments(rho: FockDensity, words) -> list:
     δa ≠ δb; a one-mode density and a dense one (k = 1) keep every shift.
     """
     ca, cb = rho.cutoff, rho.cutoff if rho.modes == 2 else 1
-    shifts = tuple(sorted({(i - k, j - l) for i, j, k, l in words
+    # (counts read, conjugate?) per word: W itself, or W† = a†^k b†^l a^i b^j
+    # where W's entries lie below the diagonal.
+    folded = [((i, j, k, l), False) if (i - k) * cb + (j - l) >= 0 else ((k, l, i, j), True)
+              for i, j, k, l in words]
+    shifts = tuple(sorted({(i - k, j - l) for (i, j, k, l), _ in folded
                            if (i - k - j + l) % rho._d_modulus == 0}))
     if not shifts:
         return [0j] * len(words)
     plan = _band_plan(ca, cb, shifts)
     grid = np.zeros((len(shifts), ca, cb), dtype=complex)
-    grid.ravel()[plan.slots] = _entries(rho, plan.rows, plan.cols)
+    grid.ravel()[plan.slots] = rho._packed.take(
+        rho._row_key.take(plan.rows) + rho._col_key.take(plan.cols), mode="clip")
     half = np.matmul(plan.mode_a, grid.view(float))
     full = np.matmul(half, plan.mode_b).view(complex)
     index = {shift: n for n, shift in enumerate(shifts)}
-    return [complex(full[index[(i - k, j - l)], min(i, k), min(j, l)])
-            if (i - k, j - l) in index else 0j for i, j, k, l in words]
+    values = []
+    for (i, j, k, l), adjoint in folded:
+        if (i - k, j - l) not in index:
+            values.append(0j)
+            continue
+        value = complex(full[index[(i - k, j - l)], min(i, k), min(j, l)])
+        values.append(value.conjugate() if adjoint else value)
+    return values
 
 
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
@@ -1048,7 +1141,8 @@ def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
 
     Both witnesses read words of length at most 4 through ``_moments``: W2
     from one band shift (n and ⟨a†²a²⟩ lie on the diagonal), WHBT from
-    three, (δa, δb) = (0, 0), (−2, 2) and (2, −2).
+    two, (δa, δb) = (0, 0) and (2, −2): ⟨b†²a²⟩ is the conjugate of
+    ⟨a†²b²⟩, read on the same shift.
     """
     if kind is WitnessKind.W2:
         if rho.modes != 1:

@@ -133,6 +133,15 @@ def fringe_value(record: VisibilityRecord, phi1: float, phi2: float,
 
 # --- closed-form visibilities -------------------------------------------------
 
+def _require_finite(**params: float) -> None:
+    """Raise ValueError naming the first parameter that is not a finite
+    number, in the words of ``states._finite_real``.  The formulas below
+    take any finite value, also beyond ``states.MOMENT_BOUND``."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def visibilities_uncorrelated(n: float, m_abs: float, lam: float = 0.0) -> VisibilityRecord:
     """Two independent equally populated modes whose squeezing moments differ
     by the phase λ (⟨bb⟩ = −m e^{iλ}).
@@ -140,6 +149,7 @@ def visibilities_uncorrelated(n: float, m_abs: float, lam: float = 0.0) -> Visib
     v₋ = n²/(3n²+|m|²) and v₊ = |m|²/(3n²+|m|²); the out-of-phase fringe
     sits at cos(φ₁+φ₂+λ).
     """
+    _require_finite(n=n, m=m_abs, lam=lam)
     if n == 0.0 and m_abs == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
     n, m_abs = _over_larger(n, m_abs)
@@ -159,6 +169,7 @@ def visibility_epr(n: float, mc_abs: float) -> VisibilityRecord:
 
 def visibility_werner(n: float, mc_abs: float, p: float) -> VisibilityRecord:
     """Thermal-diluted correlated pair: v₋ = (n² + p|m_c|²)/(3n² + p|m_c|²)."""
+    _require_finite(n=n, m_c=mc_abs)
     _require_werner_weight(p)
     _require_epr_physical(n, mc_abs)
     if n == 0.0 and (p == 0.0 or mc_abs == 0.0):
@@ -175,6 +186,7 @@ def visibilities_bs_output(n: float, m_abs: float, lam: float) -> VisibilityReco
     v₊ = ½(1+cos 2λ)|m|²/(3n²+|m|²).  The formulas are evaluated for any
     parameter pair, physical or not; callers flag nonphysical inputs.
     """
+    _require_finite(n=n, m=m_abs, lam=lam)
     if n == 0.0 and m_abs == 0.0:
         raise ValueError("vacuum produces no fringes; visibilities are undefined")
     n, m_abs = _over_larger(n, m_abs)

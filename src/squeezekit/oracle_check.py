@@ -143,7 +143,9 @@ def run_concordance_suite(n_states: int = 50, cutoff: int = 40, max_word_len: in
     are released before the next state is assembled, so the suite's peak
     memory is one density and its assembly temporaries: at cutoff 40 a
     recurrence-route density is 20.48 MB of packed blocks, and its assembly
-    temporaries about 5.3 MB more (``tests/test_memory.py``).
+    temporaries about 5.2 MB more (``tests/test_memory.py``).  No check
+    reads below a block's diagonal, so no recurrence-route density has its
+    lower triangles written (see ``fock._Written.complete``).
 
     Raises ValueError for fewer than 2 states, where one half holds no
     state, and for words shorter than 2, of which none is even: either

@@ -517,6 +517,17 @@ class TestWitnessAndVisibility:
         code, _, err = run_cli(capsys, "visibility", "epr", "--n", "1", "--mc", "1.5")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, name", [
+        (("uncorrelated", "--n=nan", "--m", "1"), "n"),
+        (("epr", "--n=nan", "--mc", "1"), "n"),
+        (("werner", "--n", "1", "--mc=-inf", "--p", "0.5"), "m_c"),
+        (("bs-output", "--n", "1", "--m=inf"), "m"),
+    ], ids=["uncorrelated", "epr", "werner", "bs-output"])
+    def test_non_finite_visibility_parameter_exits_two(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, "visibility", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name} must be finite, got ")
+
 
 def _figure_row(capsys, fig, key):
     code, out, _ = run_cli(capsys, "figure", fig, "--points", "11")

@@ -3,6 +3,8 @@ import cmath
 import functools
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from squeezekit import (
     wick_moment,
 )
 from squeezekit import fock
-from squeezekit.oracle_check import MOMENT_RTOL, relative_error
+from squeezekit.oracle_check import (
+    DEFAULT_SEED,
+    MOMENT_RTOL,
+    relative_error,
+    run_concordance_suite,
+)
 from squeezekit.separability import _moment_matrix
 
 import _fock_reference
@@ -640,21 +647,21 @@ class TestGradedAssembly:
                       _TMS_STATE):
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
             assert rho.route == "tms" and len(rho._blocks) == cutoff
-            exact = _scatter(fock._recurrence_blocks(state, cutoff), cutoff)
+            exact = _scatter(_completed(fock._recurrence_blocks(state, cutoff)), cutoff)
             assert np.max(np.abs(rho.matrix - exact)) <= 1e-14, state
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 40])
     def test_mixture_is_the_weighted_sum_of_one_writers_blocks(self, cutoff):
         # A mixture writes all its components with one writer, that of
         # their common pattern (tms on a Werner mixture), else the
-        # total-parity recurrence, and sums w · blocks in component order:
-        # bit for bit the same sum taken here.
+        # total-parity recurrence, completes each, and sums w · blocks in
+        # component order: bit for bit the same sum taken here.
         werner = werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6)
         for mixture, write in ((_BS_TMS_MIXTURE, fock._recurrence_blocks),
                                (_BS_TENSOR_MIXTURE, fock._recurrence_blocks),
                                (werner, fock._tms_blocks)):
             rho = fock.two_mode_density(mixture, cutoff, eps_tr=1.0)
-            parts = [(w, write(comp, cutoff)) for w, comp in mixture.components]
+            parts = [(w, _completed(write(comp, cutoff))) for w, comp in mixture.components]
             assert rho.route == "mixture" and len(rho._blocks) == len(parts[0][1])
             for k, (members, values) in enumerate(rho._blocks):
                 expected = np.zeros_like(values)
@@ -1032,6 +1039,12 @@ def _written(blocks):
     return out
 
 
+def _completed(blocks):
+    # A writer's blocks with every lower triangle written.
+    blocks.complete()
+    return blocks
+
+
 def _scatter(blocks, cutoff):
     dense = np.zeros((cutoff * cutoff, cutoff * cutoff), dtype=complex)
     for members, values in blocks:
@@ -1293,25 +1306,31 @@ class TestWrittenBlocks:
                 assert np.array_equal(values, values.conj().T), name
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
-        # The tensor route checks its two factors, the recurrence route the
-        # two n_a = m_a squares of each slab, one per total parity, the
-        # one-mode route its factor and a mixture nothing of its own: its
-        # components take one writer, so the bs+tms mixture checks the slabs
-        # of both on the recurrence.  The tms route checks all its d sectors
-        # in one step of its own, with no ``_hermitian_part`` call (see
-        # ``test_skewed_factor_is_rejected_on_both_routes``).  Only a dense
-        # matrix is checked by ``FockDensity``.
+        # The tensor route checks its two factors, the one-mode route its
+        # factor and a mixture nothing of its own: its components take one
+        # writer.  The tms route checks all its d sectors in one step of
+        # its own, and the recurrence route at an even cutoff all the
+        # n_a = m_a squares of a block, with no ``_hermitian_part`` call
+        # (see ``test_skewed_factor_is_rejected_on_both_routes``).  At an
+        # odd cutoff the recurrence route checks the two squares of each
+        # slab, one per total parity, of 6 and 5 states at cutoff 11, so
+        # the bs+tms mixture checks the slabs of both its components.  Only
+        # a dense matrix is checked by ``FockDensity``.
         spy = _HermitianPartSpy(monkeypatch)
-        slabs = [(6, 6)] * 24
-        expected = {"tensor": [(12, 12), (12, 12)], "tms": [], "bs": slabs, "werner": [],
-                    "bs+tms mixture": slabs + slabs, "bs+tensor mixture": slabs + slabs}
+        expected = {"tensor": [(12, 12), (12, 12)], "tms": [], "bs": [], "werner": [],
+                    "bs+tms mixture": [], "bs+tensor mixture": []}
         for name, state in _ROUTE_STATES.items():
             spy.shapes.clear()
             fock.two_mode_density(state, 12, eps_tr=1.0)
             assert spy.shapes == expected[name], name
+        slabs = [(6, 6), (5, 5), (5, 5), (6, 6)] * 5 + [(6, 6), (5, 5)]
+        for name, calls in (("bs", slabs), ("bs+tms mixture", slabs + slabs)):
+            spy.shapes.clear()
+            fock.two_mode_density(_ROUTE_STATES[name], 11, eps_tr=1.0)
+            assert spy.shapes == calls, name
         spy.shapes.clear()
         rho = fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 12, eps_tr=1.0)
-        assert spy.shapes == slabs
+        assert spy.shapes == []
         spy.shapes.clear()
         fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
         assert spy.shapes == [(12, 12)]
@@ -1352,8 +1371,10 @@ class TestWrittenBlocks:
     def test_skewed_factor_is_rejected_on_both_routes(self, monkeypatch):
         # A skew of 1e-9 in ρ[0, 2] of a one-mode factor (the tensor and
         # one-mode routes), in ρ[(0, 0), (0, 2)] of the first slab of the
-        # recurrence route, whose n_a = m_a squares are checked: flat entry
-        # 1 of that slab, (n_a, m_b, q) = (0, 0, 1) with n_b = 2q, and in
+        # recurrence route, whose n_a = m_a squares are checked, all of a
+        # block in one step at an even cutoff and one per slab at an odd
+        # one: flat entry 1 of that slab, (n_a, m_b, q) = (0, 0, 1) with
+        # n_b = 2q, and in
         # ρ[(0, 0), (1, 1)] of the tms route, V_0[0, 1] of its first sector
         # slab, on an EPR state and on both components of a Werner mixture.
         entries, slabs, sectors = fock._recurrence_entries, fock._parity_slabs, fock._sector_slabs
@@ -1382,6 +1403,7 @@ class TestWrittenBlocks:
                                                 eps_tr=1.0))),
                 ("_parity_slabs", skewed_slabs,
                  (lambda: fock.two_mode_density(_BS_STATE, 10, eps_tr=1.0),
+                  lambda: fock.two_mode_density(_BS_STATE, 9, eps_tr=1.0),
                   lambda: fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 10,
                                                 eps_tr=1.0))),
                 ("_sector_slabs", skewed_sectors,
@@ -1392,6 +1414,160 @@ class TestWrittenBlocks:
                 with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1e-09\)"):
                     build()
             monkeypatch.undo()
+
+
+def _nan_below(blocks):
+    # NaN in every entry below each block's diagonal: the entries a lazy
+    # writer leaves unwritten, or writes twice on its n_a = m_a squares.
+    for _, values in blocks:
+        values[np.tril_indices(values.shape[0], -1)] = np.nan
+    return blocks
+
+
+class _MirrorSpy:
+    def __init__(self, monkeypatch):
+        self.addresses = []
+        original = fock._mirror_upper
+
+        def spy(mat):
+            self.addresses.append(mat.ctypes.data)
+            return original(mat)
+
+        monkeypatch.setattr(fock, "_mirror_upper", spy)
+
+
+class TestLowerTrianglesOnDemand:
+    """The recurrence route writes each block's upper triangle only, and
+    its lower triangles on the first read that needs one: moments, the
+    witnesses, the trace and the diagonal read none of them."""
+
+    _STATES = {"bs": _BS_STATE, "bs-output": beam_splitter(*_BS_OUTPUT_INPUTS),
+               "no family": TwoModeGaussian(1.0, 0.5, 0.2, 1.0)}
+
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_upper_readers_never_read_below_the_diagonal(self, cutoff):
+        for name, state in self._STATES.items():
+            origin = fock._Origin("recurrence", fock._swap_phase(state))
+            lazy = fock._finish(2, cutoff, _nan_below(fock._recurrence_blocks(state, cutoff)),
+                                1.0, origin)
+            built = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            eager = _completed(fock._recurrence_blocks(state, cutoff))
+            assert not eager.lower_pending
+            eager = fock._finish(2, cutoff, eager, 1.0, origin)
+            assert fock.moment_table(lazy, 6) == fock.moment_table(built, 6), name
+            assert (fock.expectation_of_witness(lazy, WitnessKind.WHBT)
+                    == fock.expectation_of_witness(built, WitnessKind.WHBT)), name
+            assert lazy.trace() == built.trace() and lazy.nbytes == built.nbytes, name
+            assert np.array_equal(lazy.diagonal(), built.diagonal()), name
+            assert lazy._written.lower_pending, name
+            assert np.array_equal(lazy.matrix, eager.matrix), name
+            assert not lazy._written.lower_pending, name
+            assert lazy.purity() == eager.purity(), name
+            assert lazy.min_eigenvalue() == eager.min_eigenvalue(), name
+            assert fock.ppt_min_eigenvalue(lazy) == fock.ppt_min_eigenvalue(eager), name
+
+    def test_one_mode_moments_read_the_upper_triangle(self):
+        # Every one-mode word a†^i a^k with i < k takes its adjoint's
+        # value, so W2 and the table read the upper triangle alone.
+        s = OneModeGaussian(0.6, 0.3 - 0.4j)
+        built = fock.one_mode_density(s, 12, eps_tr=1.0)
+        blocks = fock._Written([np.arange(12)[None, :]], lower_pending=True)
+        blocks[0].values[...] = fock._one_mode_matrix(s.n, s.m, 12)
+        lazy = fock._finish(1, 12, _nan_below(blocks), 1.0, fock._Origin("one-mode"))
+        assert fock.moment_table(lazy, 6) == fock.moment_table(built, 6)
+        assert (fock.expectation_of_witness(lazy, WitnessKind.W2)
+                == fock.expectation_of_witness(built, WitnessKind.W2))
+        assert lazy._written.lower_pending
+        assert np.array_equal(lazy.matrix, built.matrix)
+
+    def test_the_suite_completes_no_recurrence_density(self, monkeypatch):
+        # At the default seed, 16 states give two recurrence-route states.
+        spy = _MirrorSpy(monkeypatch)
+        written = []
+        original = fock._recurrence_blocks
+
+        def recurrence_blocks(state, cutoff):
+            written.append(state)
+            return original(state, cutoff)
+
+        monkeypatch.setattr(fock, "_recurrence_blocks", recurrence_blocks)
+        assert run_concordance_suite(n_states=16, seed=DEFAULT_SEED).ok
+        assert len(written) >= 2 and spy.addresses == []
+
+    def test_the_partial_transpose_completes_each_density_once(self, monkeypatch):
+        spy = _MirrorSpy(monkeypatch)
+        for name, state in self._STATES.items():
+            spy.addresses.clear()
+            rho = fock.two_mode_density(state, 12, eps_tr=1.0)
+            fock.ppt_min_eigenvalue(rho)
+            fock.ppt_min_eigenvalue(rho)
+            rho.matrix, rho.purity()
+            assert sorted(spy.addresses) == sorted(
+                values.ctypes.data for _, values in rho._stored), name
+
+
+    def test_threads_racing_to_complete_a_density_read_it_whole(self):
+        # Eight threads on two cores read every entry of one density whose
+        # lower triangles are unwritten: each sees them written, whichever
+        # thread writes them.
+        eager = fock.two_mode_density(_BS_STATE, 12, eps_tr=1.0)
+        x, y = np.divmod(np.arange(eager.dim ** 2), eager.dim)
+        expected = eager.matrix.ravel()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                rho = fock.two_mode_density(_BS_STATE, 12, eps_tr=1.0)
+                assert rho._written.lower_pending
+                barrier = threading.Barrier(8)
+                seen, errors = [], []
+
+                def read():
+                    try:
+                        barrier.wait(timeout=10)
+                        seen.append(fock._entries(rho, x, y))
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads) and errors == []
+                assert len(seen) == 8 and all(np.array_equal(e, expected) for e in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestAdjointWords:
+    def test_adjoint_words_take_conjugate_values_on_every_route(self):
+        # moment(ρ, W†) = conj(moment(ρ, W)) exactly, and the table, the
+        # single moment and the witnesses agree bit for bit.  A word and
+        # its adjoint read one band, so no summation order can part them
+        # (at cutoff 40 they did on one mode, by an ulp).
+        densities = dict(_graded_densities(12))
+        for cutoff in (12, 40):
+            densities[f"one-mode {cutoff}"] = fock.one_mode_density(
+                OneModeGaussian(0.6, 0.3 - 0.4j), cutoff, eps_tr=1.0)
+        bs = densities["bs"]
+        densities["dense"] = fock.FockDensity(2, 12, bs.matrix, bs.trace_deficit)
+        for name, rho in densities.items():
+            table = fock.moment_table(rho, 6)
+            for (i, j, k, l), value in table.items():
+                got = fock.moment(rho, OperatorWord.from_counts(i, j, k, l))
+                adjoint = fock.moment(rho, OperatorWord.from_counts(k, l, i, j))
+                assert got == value and table[(k, l, i, j)] == adjoint, (name, i, j, k, l)
+                assert adjoint == value.conjugate(), (name, i, j, k, l)
+            if rho.modes == 1:
+                expected = 3.0 - table[(2, 0, 2, 0)].real / table[(1, 0, 1, 0)].real ** 2
+                assert fock.expectation_of_witness(rho, WitnessKind.W2) == expected, name
+                continue
+            cross = table[(1, 1, 1, 1)].real
+            numerator = 2.0 * cross + (table[(0, 2, 2, 0)] + table[(2, 0, 0, 2)]).real
+            denominator = table[(2, 0, 2, 0)].real + table[(0, 2, 0, 2)].real + 2.0 * cross
+            assert fock.expectation_of_witness(rho, WitnessKind.WHBT) == (
+                0.5 - numerator / denominator), name
 
 
 def _imports(module):

@@ -196,6 +196,27 @@ class TestUnderflowingMoments:
         assert visibilities_general(1e-170, 0.0, 0.0, 0.0, 0.0).v_minus == pytest.approx(1.0 / 3.0)
 
 
+class TestNonFiniteParameters:
+    """A parameter that is not a finite number is named in the error, not
+    carried into a visibility that no bound then accepts."""
+
+    @pytest.mark.parametrize("record, args, name", [
+        (visibilities_uncorrelated, (math.nan, 0.5, 0.3), "n"),
+        (visibilities_uncorrelated, (1.0, math.inf, 0.3), "m"),
+        (visibilities_uncorrelated, (1.0, 0.5, -math.inf), "lam"),
+        (visibility_epr, (math.nan, 0.5), "n"),
+        (visibility_epr, (1.0, math.inf), "m_c"),
+        (visibility_werner, (-math.inf, 0.5, 0.6), "n"),
+        (visibility_werner, (1.0, math.nan, 0.6), "m_c"),
+        (visibilities_bs_output, (1.0, math.inf, 0.3), "m"),
+        (visibilities_bs_output, (math.nan, 0.5, 0.3), "n"),
+        (visibilities_bs_output, (1.0, 0.5, math.nan), "lam"),
+    ])
+    def test_the_parameter_is_named(self, record, args, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got "):
+            record(*args)
+
+
 class TestHbtCorrelation:
     def test_fringe_on_one_state_takes_one_eigensolve(self, monkeypatch):
         calls = []

@@ -21,8 +21,9 @@ from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 MB = 1e6
 CUTOFF = 40
 # Bounds on the temporaries above what a call leaves alive.  At cutoff 40
-# they measure about 5.3 MB (assembly) and 7.1 MB (partial transpose); the
-# margin is for numpy's own temporaries.
+# they measure about 5.2 MB (assembly) and 7.1 MB (partial transpose, the
+# first call's completion of the lower triangles included); the margin is
+# for numpy's own temporaries.
 BS_ASSEMBLY_TRANSIENT_MB = 11.0
 BS_PPT_TRANSIENT_MB = 9.0
 
@@ -84,8 +85,9 @@ def test_bs_partial_transpose_takes_the_real_solver(bs_density, monkeypatch):
 
 
 def test_moment_table_temporaries(bs_density):
-    # Only the even band shifts are gathered on a density graded by total
-    # parity: about 3 MB at cutoff 40, against 5.1 MB for every shift.
+    # Only the even band shifts on or above the diagonal are gathered on a
+    # density graded by total parity: about 1.5 MB at cutoff 40, against
+    # 2.9 MB for the even shifts on both sides.
     _, _, peak = _traced(lambda: fock.moment_table(bs_density, 6))
     assert peak <= 4.0
 
