@@ -15,7 +15,8 @@ does not read or a required one left out: a family takes the same flags in
 parameters, state and published fields from one table (``_FAMILIES``).  A
 negative value may be written in exponent notation (``--mc -1e-3``); a
 ``--vary`` START or STOP that is not a finite number, or NUM not an
-integer, exits 2 and names the field.  Only ``classify``, ``sweep`` and
+integer, exits 2 and names the field, and so does a ``figure --points``
+or ``--vary`` NUM below 1.  Only ``classify``, ``sweep`` and
 ``amplifier`` take ``--oracle``; with it they report the route, the cutoff,
 the trace deficit and the packed size (``oracle_density_mb``) of the density
 they measured.  ``amplifier`` reports its gains and classicality threshold,
@@ -488,6 +489,8 @@ _FIGURES = {
 
 def _cmd_figure(args) -> int:
     comment, columns, (lo, hi, landmarks), row_at = _FIGURES[args.id]
+    if args.points < 1:
+        raise ValueError(f"--points needs at least one point, got {args.points}")
     grid = np.unique(np.concatenate([np.linspace(lo, hi, args.points), landmarks]))
     _table(args, columns, [row_at(x) for x in grid], comment,
            {"figure": args.id, "comment": comment})

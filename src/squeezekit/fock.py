@@ -586,7 +586,8 @@ class FockDensity:
     records nothing.  Every density records its grading once, from its
     block members alone: the modulus k such that each block copy joins
     states of one d = n_a − n_b mod k (see ``__post_init__``); a dense one
-    has k = 1, no grading.  The value is immutable.
+    has k = 1, no grading.  The value is immutable; a copy or a pickle
+    rebuilds it with every entry written (``__reduce__``).
     """
 
     __slots__ = ("modes", "cutoff", "trace_deficit", "_written", "_stored", "_packed",
@@ -623,6 +624,16 @@ class FockDensity:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the density through ``_graded`` from
+        each block's members and the packed values, every entry written
+        first, so that no pickle holds unwritten memory.  The trace deficit,
+        the trace and the origin, swap phase included, are kept as they
+        are."""
+        self._written.complete()
+        return (_rebuilt, (self.modes, self.cutoff, [members for members, _ in self._stored],
+                           self._packed, self.trace_deficit, self._origin, self._trace))
 
     def __post_init__(self):
         """Adopt the packed buffer of the written blocks through read-only
@@ -751,6 +762,14 @@ class FockDensity:
         for members, values in self._stored:
             out[members] = values.diagonal().real
         return out
+
+
+def _rebuilt(modes, cutoff, members, packed, trace_deficit, origin, trace) -> FockDensity:
+    """The density ``FockDensity.__reduce__`` describes, in a buffer of its
+    own."""
+    blocks = _Written(members)
+    blocks.buffer[...] = packed
+    return FockDensity._graded(modes, cutoff, blocks, trace_deficit, origin, trace)
 
 
 def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

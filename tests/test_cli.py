@@ -1,6 +1,12 @@
 import cmath
 import json
 import math
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -328,6 +334,22 @@ class TestOracleRunFields:
         if payload["oracle_route"] == "recurrence":
             assert payload["oracle_density_mb"] == 6.48
 
+    @pytest.mark.parametrize("argv, route", [
+        (("general", "--n", "1", "--m", "0.3", "--mc", "0.9", "--lam1", "0", "--lam2", "0.5"),
+         "recurrence"),
+        (("bs-output", "--n", "1", "--m", "0.6", "--lam", "0.3"), "recurrence"),
+        (("werner", "--n", "1", "--mc", "0.9", "--p", "0.6"), "mixture"),
+    ], ids=lambda value: value[0] if isinstance(value, tuple) else value)
+    def test_separable_states_at_the_default_cutoff(self, capsys, argv, route):
+        # At cutoff 40 the witness matches and the partial transpose of a
+        # separable state stays above -1e-12.
+        code, out, err = run_cli(capsys, "classify", *argv, "--oracle", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["oracle_route"], payload["oracle_cutoff"]) == (route, 40)
+        assert payload["oracle_whbt_delta"] < 1e-4
+        assert payload["oracle_ppt_min_eig"] > -1e-12
+
     def test_fields_absent_without_oracle(self, capsys):
         code, out, _ = run_cli(capsys, *_ORACLE_RUNS["epr"][0], "--format", "json")
         assert code == 0
@@ -626,6 +648,12 @@ class TestFigures:
         assert lines[0].startswith("# ")
         assert lines[1] == "m,v_minus,v_plus"
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_a_grid_without_points_exits_two(self, capsys, points):
+        code, out, err = run_cli(capsys, "figure", "1", "--points", points)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: --points needs at least one point, got {points}"
+
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "7"])
@@ -642,14 +670,18 @@ class TestSweep:
         assert header[0] == "n"
         assert len(rows) == 8
 
-    def test_sweep_handles_nonphysical_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "epr", "--n", "1",
-                               "--vary", "mc", "1.3", "1.6", "4")
+    @pytest.mark.parametrize("argv", [
+        ("epr", "--n", "1", "--vary", "mc", "1.3", "1.6", "4"),
+        # Across the bound the general family's closed form of the gate sets.
+        ("general", "--n", "1", "--m", "0.5", "--lam1", "0", "--lam2", "0.5",
+         "--vary", "mc", "1.0", "1.03", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_sweep_handles_nonphysical_rows(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "sweep", *argv)
         assert code == 0
         header, rows = parse_csv(out)
-        physical_col = header.index("physical")
-        assert rows[0][physical_col] == "true"
-        assert rows[-1][physical_col] == "false"
+        physical = [row[header.index("physical")] for row in rows]
+        assert physical == ["true", "true", "false", "false"]
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_a_grid_without_points_exits_two(self, capsys, count):
@@ -917,6 +949,7 @@ class TestNearVacuumWitness:
             reports[n] = json.loads(out)
         assert list(reports["1e-170"]) == list(reports["1e-100"])
         assert abs(reports["1e-170"]["whbt"] - 1.0 / 6.0) <= 1e-15
+        assert abs(reports["1e-170"]["v_minus"] - 1.0 / 3.0) <= 1e-15
         assert reports["1e-170"]["whbt_verdict"] == "boundary"
         assert reports["1e-170"]["v_minus"] == reports["1e-100"]["v_minus"]
         assert list(reports["0"]) == ["n", "mc", "physical", "entangled"]
@@ -994,7 +1027,9 @@ class TestHugeMoments:
         assert (code, err) == (0, "")
         value = _strict_json(out)["purity"]
         assert 0.0 < value <= 1.0
-        if purity is not None:
+        if purity == 1.0:
+            assert value == 1.0
+        elif purity is not None:
             assert value == pytest.approx(purity, rel=1e-15)
 
     def test_werner_thresholds_at_a_huge_n(self, capsys):
@@ -1102,3 +1137,50 @@ class TestReportOrder:
             code, out, _ = run_cli(capsys, "classify", family, *argv, "--format", "json")
             assert code == exit_code, argv
             assert list(json.loads(out)) == expected, argv
+
+
+_README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    """The ``squeezekit`` lines of README's "Command line" block, as argv."""
+    text = _README.read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", text, re.S | re.M).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("squeezekit ")]
+
+
+def test_readme_command_examples(capsys, tmp_path, monkeypatch):
+    # Each example runs as written, in a scratch directory for its --out
+    # file, and the claims of its comments hold.
+    monkeypatch.chdir(tmp_path)
+    claims = set()
+    for argv in _readme_commands():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[:2] == ["classify", "epr"] and "--oracle" in argv:
+            fields = dict(line.split(None, 1) for line in out.strip().split("\n"))
+            assert float(fields["oracle_ppt_min_eig"]) < 0
+            claims.add("ppt")
+        elif argv[:2] == ["classify", "general"]:
+            fields = dict(line.split(None, 1) for line in out.strip().split("\n"))
+            assert fields["v_minus"] == f"{26 / 77:.12g}"
+            claims.add("v_minus")
+    assert claims == {"ppt", "v_minus"}
+    assert (tmp_path / "fig5.csv").is_file()
+
+
+def test_no_command_imports_scipy():
+    # numpy is the package's only dependency; scipy, present on development
+    # hosts, must not creep in.  A fresh interpreter, so that no other
+    # test's imports count, runs an oracle classification and a small suite.
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    script = ("import sys; from squeezekit.cli import main; "
+              "codes = [main(['classify', 'bs-output', '--n', '1', '--m', '0.6', '--lam', '0.3', "
+              "'--oracle']), main(['oracle-check', '--states', '4'])]; "
+              "print(codes, 'scipy' in sys.modules)")
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"

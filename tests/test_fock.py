@@ -1,10 +1,13 @@
 import ast
 import cmath
+import copy
 import functools
 import inspect
 import math
+import pickle
 import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -650,14 +653,17 @@ class TestGradedAssembly:
             exact = _scatter(_completed(fock._recurrence_blocks(state, cutoff)), cutoff)
             assert np.max(np.abs(rho.matrix - exact)) <= 1e-14, state
 
-    @pytest.mark.parametrize("cutoff", [2, 3, 10, 40])
+    @pytest.mark.parametrize("cutoff", [2, 3, 10, 12, 40])
     def test_mixture_is_the_weighted_sum_of_one_writers_blocks(self, cutoff):
         # A mixture writes all its components with one writer, that of
         # their common pattern (tms on a Werner mixture), else the
         # total-parity recurrence, completes each, and sums w · blocks in
         # component order: bit for bit the same sum taken here.
         werner = werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6)
+        other_tms = GaussianMixture(((0.3, _BS_STATE),
+                                     (0.7, TwoModeGaussian.epr(0.8, 0.7 + 0.2j))))
         for mixture, write in ((_BS_TMS_MIXTURE, fock._recurrence_blocks),
+                               (other_tms, fock._recurrence_blocks),
                                (_BS_TENSOR_MIXTURE, fock._recurrence_blocks),
                                (werner, fock._tms_blocks)):
             rho = fock.two_mode_density(mixture, cutoff, eps_tr=1.0)
@@ -1538,6 +1544,40 @@ class TestLowerTrianglesOnDemand:
                 assert len(seen) == 8 and all(np.array_equal(e, expected) for e in seen)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _copied_densities(cutoff):
+    """Builders of a fresh density of each route, the recurrence route's
+    (``bs``, with a swap phase) lower triangles still unwritten, and of a
+    dense one."""
+    builders = {name: functools.partial(fock.two_mode_density, state, cutoff, eps_tr=1.0)
+                for name, state in _ROUTE_STATES.items()}
+    bs = builders["bs"]()
+    builders["one-mode"] = functools.partial(
+        fock.one_mode_density, OneModeGaussian(0.6, 0.3 - 0.4j), cutoff, eps_tr=1.0)
+    builders["dense"] = functools.partial(fock.FockDensity, 2, cutoff, bs.matrix,
+                                          bs.trace_deficit)
+    return builders
+
+
+class TestCopies:
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda rho: pickle.loads(pickle.dumps(rho))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_is_the_density_bit_for_bit(self, clone):
+        for name, build in _copied_densities(12).items():
+            rho = build()
+            assert rho._written.lower_pending is (rho.route == "recurrence"), name
+            twin = clone(rho)
+            assert twin is not rho and not twin._written.lower_pending, name
+            assert np.array_equal(twin.matrix, rho.matrix), name
+            assert fock.moment_table(twin, 6) == fock.moment_table(rho, 6), name
+            if rho.modes == 2:
+                assert fock.ppt_min_eigenvalue(twin) == fock.ppt_min_eigenvalue(rho), name
+            assert (twin.route, twin._origin, twin.trace_deficit, twin.trace(), twin.nbytes) == (
+                rho.route, rho._origin, rho.trace_deficit, rho.trace(), rho.nbytes), name
+            with pytest.raises(FrozenInstanceError):
+                twin.cutoff = 3
 
 
 class TestAdjointWords:

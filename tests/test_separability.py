@@ -598,20 +598,22 @@ class TestIsPhysicalTwoMode:
         assert is_physical_two_mode(GaussianMixture(((1.0, good),)))
         assert not is_physical_two_mode(GaussianMixture(((0.5, good), (0.5, bad))))
 
-    def test_unequal_magnitudes_get_a_verdict(self):
+    @pytest.mark.parametrize("m_c, separable", [(0.3, True), (1.0, False)])
+    def test_unequal_magnitudes_get_a_verdict(self, m_c, separable):
         # |m_a| != |m_b| alongside cross correlations: the uncertainty
         # relation decides it, and the oracle builds it, with the moments of
         # the Wick engine and the partial-transpose sign of is_separable.
         # The moments are read at the suite's cutoff 40: at cutoff 30 the
         # tail moves the worst length-6 word by 1e-3.
-        state = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, 0.3 + 0j, 0j)
+        state = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, m_c + 0j, 0j)
         rho = fock.two_mode_density(state, 40)
         assert rho.route == "recurrence"
         for counts, value in fock.moment_table(rho, 6).items():
             err = relative_error(value, wick_moment(state, OperatorWord.from_counts(*counts)))
             assert err < MOMENT_RTOL, (counts, err)
+        assert is_separable(state) is separable
         lowest = fock.ppt_min_eigenvalue(fock.two_mode_density(state, 30))
-        assert (lowest > -1e-10) if is_separable(state) else (lowest < -1e-8)
+        assert (lowest > -1e-10) if separable else (lowest < -1e-8)
         assert is_physical_two_mode(state)
         assert _symplectic_verdict(state)
         overcorrelated = TwoModeGaussian(1.0, 0.5 + 0j, 0.2 + 0j, 1.35 + 0j, 0j)
