@@ -96,11 +96,36 @@ such as every rotated beam-splitter image, also records δ: its moments,
 and so ρ, are invariant under T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩.
 Under partial transposition that symmetry becomes antiunitary, and with
 the phases e^{iδN/2} each block is real symmetric in the basis of |j, j⟩
-and the symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩.
-Its spectrum then comes from the real eigensolver, about a quarter of the
-complex cost.  The symmetry is checked on every block to the Hermiticity
-tolerance; a block that fails it, and every density without δ, takes the
-complex eigensolver.
+and the symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩,
+and is decided in real arithmetic, at about a quarter of the complex
+cost.  The symmetry is checked on every block to the Hermiticity
+tolerance; a block that fails it, and every density without δ, is
+gathered complex.
+
+A block need not be diagonalized to be decided
+(``_block_lowest_eigenvalue``).  With h the block divided by the trace,
+δ = dim·ε·‖h‖_F (ε the float64 machine epsilon) and t the smallest
+diagonal entry of h, a block with t ≤ δ whose shift h + δI has a
+Cholesky factorization contributes t; every other block, an entangled one
+among them, contributes the smallest eigenvalue ``np.linalg.eigvalsh``
+finds in the unchanged block.  A diagonal entry is a Rayleigh quotient,
+so t ≥ λ_min always.  The computed factorization shows only that
+h + δI + E is positive semidefinite for its backward error E (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 10), so
+λ_min ≥ −δ − ‖E‖₂.  In the worst case ‖E‖₂ is bounded only by about
+dim²·ε·‖h‖₂, up to dim times δ, and the solve against the leading factor
+adds an error that grows with that factor's condition number.  So no
+proof puts a certified t within 2δ of λ_min, the eigensolver's own error
+scale; the tests pin that margin on planted blocks instead: one with
+λ_min = −2δ, its negative direction on two states or spread over all of
+them, is rejected (``tests/test_fock.py``).  A truncated separable
+state's partial transpose is positive semidefinite, so its blocks pass
+wherever their smallest corner weights lie below δ; at cutoff 40 the
+factorization takes about half the time of a real 800-state spectrum and
+a quarter of a complex one.  It runs in two halves on the block's own
+storage (``_shifted_factorizes``), so no second array of the block's size
+is made.  ``FockDensity.min_eigenvalue`` decides each density block the
+same way.
 
 None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
@@ -334,7 +359,7 @@ def _swap_phase(state: TwoModeGaussian) -> float | None:
     """δ = ½(arg m_b − arg m_a) when |m_a| = |m_b| and m_x e^{−iδ} is real,
     else None.  A vanishing m_a or m_b counts as phase 0.  Such a state's
     density commutes with T|j, k⟩ = (−1)^{j+k} e^{iδ(j−k)}|k, j⟩ (see
-    ``_symmetric_block_min``)."""
+    ``_symmetric_form``)."""
     fa, fb = abs(state.m_a), abs(state.m_b)
     if abs(fa - fb) > 1e-9 * max(1.0, fa, fb):
         return None
@@ -749,9 +774,10 @@ class FockDensity:
                    for members, values in self._blocks)
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the trace-renormalized matrix.  A basis
-        state that no block covers contributes the eigenvalue 0."""
-        lowest = min(float(np.linalg.eigvalsh(values / self._trace)[0])
+        """Smallest eigenvalue of the trace-renormalized matrix, each block
+        decided by ``_block_lowest_eigenvalue`` (see the module docstring).
+        A basis state that no block covers contributes the eigenvalue 0."""
+        lowest = min(_block_lowest_eigenvalue(values / self._trace)
                      for _, values in self._blocks)
         if np.any(self._row_key < 0):
             lowest = min(lowest, 0.0)
@@ -1059,10 +1085,10 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def _symmetric_block_min(rho: FockDensity, members: np.ndarray, swap_phase: float):
-    """Smallest eigenvalue of the partial-transpose block on ``members`` (a
-    set closed under the mode swap s), from a real symmetric form; None when
-    the block lacks the symmetry.
+def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
+    """The partial-transpose block on ``members`` (a set closed under the
+    mode swap s) in a real symmetric form of the same spectrum, divided by
+    the trace; None when the block lacks the symmetry.
 
     A density that commutes with T|j, k⟩ = e^{iδ(j−k)}|k, j⟩ (with or
     without the sign (−1)^{j+k}: it conserves total parity) has
@@ -1074,7 +1100,8 @@ def _symmetric_block_min(rho: FockDensity, members: np.ndarray, swap_phase: floa
     buffer: panels of diagonal rows, then panels of upper rows with the
     panels of their images.  The symmetry is checked on every quadrant of
     M to the density's Hermiticity tolerance.  No complex block is formed;
-    the real one, half its size, is the only array of the block's size.
+    the real one, half its size, is the only array of the block's size, and
+    the last panels go with this call, before the block is decided.
     """
     c = rho.cutoff
     na, nb = np.divmod(members, c)
@@ -1117,7 +1144,43 @@ def _symmetric_block_min(rho: FockDensity, members: np.ndarray, swap_phase: floa
     for rows, cols in ((up, dg), (lo, dg), (lo, up)):
         real[rows, cols] = real[cols, rows].T
     real /= rho.trace()
-    return float(np.linalg.eigvalsh(real)[0])
+    return real
+
+
+def _block_lowest_eigenvalue(block: np.ndarray) -> float:
+    """Smallest eigenvalue of a trace-normalized Hermitian block, or the
+    upper bound on it that one factorization certifies; the module
+    docstring states the rule and its accuracy.  The block leaves
+    unchanged."""
+    lowest = float(block.diagonal().real.min())
+    delta = block.shape[0] * np.finfo(float).eps * math.sqrt(np.vdot(block, block).real)
+    if lowest <= delta and _shifted_factorizes(block, delta):
+        return lowest
+    return float(np.linalg.eigvalsh(block)[0])
+
+
+def _shifted_factorizes(block: np.ndarray, delta: float) -> bool:
+    """Whether block + δI has a Cholesky factorization, with temporaries of
+    a quarter of the block each: the leading half is factorized as L, the
+    panel W = L⁻¹·block[lead, trail] solved, and the Schur complement
+    block[trail, trail] + δI − WᴴW factorized.  The shift is written on the
+    block's diagonal and the diagonal restored after, so the block leaves
+    unchanged, bit for bit."""
+    n = block.shape[0]
+    lead, trail = slice(n // 2), slice(n // 2, n)
+    diagonal = block.diagonal().copy()
+    np.fill_diagonal(block, diagonal + delta)
+    try:
+        panel = np.linalg.solve(np.linalg.cholesky(block[lead, lead]), block[lead, trail])
+        schur = panel.conj().T @ panel
+        del panel
+        np.subtract(block[trail, trail], schur, out=schur)
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(block, diagonal)
+    return True
 
 
 def ppt_min_eigenvalue(rho: FockDensity) -> float:
@@ -1133,25 +1196,26 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
     equal d mod k: the partial transpose joins only states of equal N mod
     k.  A density that records a swap phase (``_swap_phase``) commutes
     with a phased mode swap, which makes each block real symmetric up to
-    known phases
-    (``_symmetric_block_min``); a block that fails that check, and every
-    other density, takes the complex Hermitian eigensolver.
+    known phases (``_symmetric_form``); a block that fails that check, and
+    every other density, is gathered complex.
+
+    Each block, divided by the trace, is decided by
+    ``_block_lowest_eigenvalue``: by one factorization where that is
+    enough, else by the eigensolver (see the module docstring).
     """
     if rho.modes != 2:
         raise ValueError("partial transpose needs a two-mode density")
     labels = np.add(*np.divmod(np.arange(rho.dim), rho.cutoff)) % rho._d_modulus
     swap_phase = None if rho._origin is None else rho._origin.swap_phase
-    trace = rho.trace()
     lowest = math.inf
     for g in np.unique(labels):
         members = np.flatnonzero(labels == g)
-        value = None if swap_phase is None else _symmetric_block_min(rho, members, swap_phase)
-        if value is None:
+        block = None if swap_phase is None else _symmetric_form(rho, members, swap_phase)
+        if block is None:
             block = _partial_transpose_block(rho, members)
-            block /= trace
-            value = float(np.linalg.eigvalsh(block)[0])
-            del block
-        lowest = min(lowest, value)
+            block /= rho.trace()
+        lowest = min(lowest, _block_lowest_eigenvalue(block))
+        del block
     return lowest
 
 

@@ -21,6 +21,7 @@ from squeezekit import (
     WitnessKind,
     beam_splitter,
     bs_output_is_separable,
+    is_separable,
     mode_rotation,
     purity_one_mode,
     w2_expectation,
@@ -917,22 +918,25 @@ class TestPackedSize:
         assert tms.nbytes == 16 * sum(k * k for k in range(1, 7))
 
 
-class _EigvalshSpy:
+class _BlockSolverSpy:
+    """The dtype of every block handed to the routine that decides it, by
+    factorization or eigensolve (``fock._block_lowest_eigenvalue``)."""
+
     def __init__(self, monkeypatch):
         self.dtypes = []
-        original = np.linalg.eigvalsh
+        original = fock._block_lowest_eigenvalue
 
-        def spy(a, *args, **kwargs):
-            self.dtypes.append(np.asarray(a).dtype)
-            return original(a, *args, **kwargs)
+        def spy(block):
+            self.dtypes.append(block.dtype)
+            return original(block)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(fock, "_block_lowest_eigenvalue", spy)
 
 
 class TestSwapSymmetricPartialTranspose:
     """A beam-splitter image R B₀(ρ₁ ⊗ ρ₂)B₀† R† commutes with a phased
     mode swap, so each of its partial-transpose blocks is real symmetric up
-    to known phases and takes the real eigensolver."""
+    to known phases and is decided in real arithmetic."""
 
     def test_bs_densities_commute_with_the_phased_swap(self):
         cutoff = 12
@@ -955,7 +959,7 @@ class TestSwapSymmetricPartialTranspose:
         assert sum(v < -1e-4 for v in values) >= 3
 
     def test_wrong_phase_takes_the_complex_path(self, monkeypatch):
-        spy = _EigvalshSpy(monkeypatch)
+        spy = _BlockSolverSpy(monkeypatch)
         for name, rho, _ in _seeded_bs_route(12)[:4]:
             wrong = fock.FockDensity._graded(2, 12, _written(rho._blocks), rho.trace_deficit,
                                              fock._Origin("recurrence",
@@ -966,7 +970,7 @@ class TestSwapSymmetricPartialTranspose:
             assert spy.dtypes and all(dt == np.complex128 for dt in spy.dtypes), name
 
     def test_eigensolver_input_type_per_route(self, monkeypatch):
-        spy = _EigvalshSpy(monkeypatch)
+        spy = _BlockSolverSpy(monkeypatch)
         for name, rho in _graded_densities(12).items():
             spy.dtypes.clear()
             fock.ppt_min_eigenvalue(rho)
@@ -975,19 +979,188 @@ class TestSwapSymmetricPartialTranspose:
 
     def test_bs_output_and_general_families_take_the_real_solver(self, monkeypatch):
         # The CLI's bs-output and general families, through the recurrence:
-        # the swap phase read off their moments gives every block the real
-        # eigensolver, and the value is the dense one.
+        # the swap phase read off their moments gives every block its real
+        # form, and the value is the dense one.
         s = OneModeGaussian(1.0, 0.6 + 0j)
         general = TwoModeGaussian(1.0, 0.3 + 0j, 0.3 * cmath.exp(0.5j), 0.9 * cmath.exp(0.25j), 0j)
         densities = [fock.two_mode_density(beam_splitter(s, s, 0.3), 20, eps_tr=1.0),
                      fock.two_mode_density(general, 20, eps_tr=1.0)]
         dense = [_dense_partial_transpose_min(rho) for rho in densities]
-        spy = _EigvalshSpy(monkeypatch)
+        spy = _BlockSolverSpy(monkeypatch)
         for rho, expected in zip(densities, dense):
             assert rho.route == "recurrence"
             spy.dtypes.clear()
             assert fock.ppt_min_eigenvalue(rho) == pytest.approx(expected, abs=1e-13)
             assert spy.dtypes and all(dt == np.float64 for dt in spy.dtypes)
+
+
+def _shift(block):
+    # δ = dim·ε·‖block‖_F, the margin of ``fock._block_lowest_eigenvalue``.
+    return block.shape[0] * np.finfo(float).eps * float(np.linalg.norm(block))
+
+
+def _planted_density(lowest, cutoff=10, x=3, y=77, seed=11):
+    """A dense two-mode density whose partial transpose, one block of
+    cutoff² states under no grading, is P = [[0, b], [b, c]] on states x
+    (leading half) and y (trailing half), with smallest eigenvalue
+    ``lowest`` < 0, beside a random positive definite part on the rest:
+    every diagonal entry of P is positive but P[x, x] = 0."""
+    dim = cutoff * cutoff
+    rng = np.random.default_rng(seed)
+    rest = np.setdiff1d(np.arange(dim), [x, y])
+    z = rng.standard_normal((rest.size, rest.size)) + 1j * rng.standard_normal((rest.size,) * 2)
+    q, _ = np.linalg.qr(z)
+    c = 0.01
+    pt = np.zeros((dim, dim), dtype=complex)
+    positive = (q * rng.uniform(0.5, 1.5, rest.size) * (1.0 - c) / rest.size) @ q.conj().T
+    pt[np.ix_(rest, rest)] = (positive + positive.conj().T) / 2.0
+    pt[y, y] = c
+    pt[x, y] = pt[y, x] = math.sqrt(-lowest * (c - lowest))
+    matrix = pt.reshape((cutoff,) * 4).transpose(0, 3, 2, 1).reshape(dim, dim)
+    return fock.FockDensity(2, cutoff, matrix, 0.0)
+
+
+class TestFactorizationCertificate:
+    """Each block is decided by one factorization where that is enough: with
+    δ = dim·ε·‖block‖_F and t its smallest diagonal entry, a block with
+    t ≤ δ whose shift by δI factorizes contributes t; every other block
+    contributes the eigensolver's value, bit for bit.  A block planted with
+    λ_min = −2δ is rejected, which pins the 2δ margin on these blocks."""
+
+    @pytest.mark.parametrize("planted", ["2 delta", "10 delta", "1e-12"])
+    def test_a_planted_negative_eigenvalue_takes_the_eigensolver(self, planted):
+        # δ is read off the block with no planted entry, whose norm the
+        # planted pair changes far below δ's own precision.
+        delta = _shift(fock._partial_transpose_block(_planted_density(-1e-300), np.arange(100)))
+        lowest = {"2 delta": -2.0 * delta, "10 delta": -10.0 * delta, "1e-12": -1e-12}[planted]
+        rho = _planted_density(lowest)
+        block = fock._partial_transpose_block(rho, np.arange(100))
+        block /= rho.trace()
+        assert rho._d_modulus == 1
+        assert block.diagonal().real.min() <= _shift(block)
+        expected = float(np.linalg.eigvalsh(block)[0])
+        assert expected == pytest.approx(lowest, rel=1e-3)
+        assert fock.ppt_min_eigenvalue(rho) == expected
+
+    def test_a_planted_eigenvalue_inside_the_margin_is_certified(self):
+        delta = _shift(fock._partial_transpose_block(_planted_density(-1e-300), np.arange(100)))
+        rho = _planted_density(-0.1 * delta)
+        block = fock._partial_transpose_block(rho, np.arange(100)) / rho.trace()
+        value = fock.ppt_min_eigenvalue(rho)
+        assert value == block.diagonal().real.min() == 0.0
+        assert abs(value - float(np.linalg.eigvalsh(block)[0])) <= 2.0 * _shift(block)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("margins", [0.5, 2.0])
+    def test_a_spread_negative_direction_is_pinned_at_the_margin(self, dtype, margins):
+        # An 800-state block h = [[0, b·vᴴ], [b·v, C]] with C positive
+        # definite and v spread over every other state, so the negative
+        # direction crosses both halves of the split factorization.  b is
+        # set so that λ_min = −margins·δ exactly, from the secular equation
+        # λ = b²·Σ|w_k|²/(λ − μ_k), w = Qᴴv, over C's spectrum μ.
+        n, x = 800, 257
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal((n - 1, n - 1))
+        v = rng.standard_normal(n - 1)
+        if dtype is np.complex128:
+            z = z + 1j * rng.standard_normal((n - 1, n - 1))
+            v = v + 1j * rng.standard_normal(n - 1)
+        q, _ = np.linalg.qr(z)
+        mu = rng.uniform(0.5, 1.5, n - 1) / n
+        v /= np.linalg.norm(v)
+        w2 = np.abs(q.conj().T @ v) ** 2
+        rest = np.delete(np.arange(n), x)
+        block = np.zeros((n, n), dtype=dtype)
+        c = (q * mu) @ q.conj().T
+        block[np.ix_(rest, rest)] = (c + c.conj().T) / 2.0
+        delta = _shift(block)
+        lowest = -margins * delta
+        b = math.sqrt(-lowest / float(np.sum(w2 / (mu - lowest))))
+        block[rest, x] = b * v
+        block[x, rest] = b * v.conj()
+        assert _shift(block) == pytest.approx(delta, rel=1e-9)
+        expected = float(np.linalg.eigvalsh(block)[0])
+        assert expected == pytest.approx(lowest, rel=1e-3)
+        before = block.copy()
+        got = fock._block_lowest_eigenvalue(block)
+        assert np.array_equal(block, before)
+        if margins < 1.0:
+            assert got == block.diagonal().real.min() == 0.0
+            assert abs(got - expected) <= 2.0 * _shift(block)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("family", ["bs-output", "general"])
+    def test_separable_recurrence_densities_need_no_eigensolve(self, family, monkeypatch):
+        # The CLI's bs-output and general families at its default cutoff.
+        s = OneModeGaussian(1.0, 0.6 + 0j)
+        state = {"bs-output": beam_splitter(s, s, 0.3),
+                 "general": TwoModeGaussian(1.0, 0.3 + 0j, 0.3 * cmath.exp(0.5j),
+                                            0.9 * cmath.exp(0.25j), 0j)}[family]
+        assert is_separable(state)
+        rho = fock.two_mode_density(state, 40)
+        assert rho.route == "recurrence" and rho._origin.swap_phase is not None
+        eigvalsh, decide = np.linalg.eigvalsh, fock._block_lowest_eigenvalue
+        decided, solved = [], []
+
+        def spy(block):
+            value = decide(block)
+            decided.append((block.copy(), value))
+            return value
+
+        def no_eigensolve(a, *args, **kwargs):
+            solved.append(np.asarray(a).shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "_block_lowest_eigenvalue", spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        value = fock.ppt_min_eigenvalue(rho)
+        monkeypatch.undo()
+        assert solved == []
+        assert [block.shape for block, _ in decided] == [(800, 800)] * 2
+        for block, got in decided:
+            assert block.dtype == np.float64
+            assert got == block.diagonal().min() <= _shift(block)
+            assert abs(got - float(np.linalg.eigvalsh(block)[0])) <= 2.0 * _shift(block)
+        assert value == min(got for _, got in decided) >= 0.0
+
+    def test_an_entangled_state_takes_the_eigensolver(self):
+        # A generic state, gathered complex, and a rotated beam-splitter
+        # image, decided in its real form: each value is the eigensolver's
+        # on the block, bit for bit.
+        generic = fock.two_mode_density(
+            TwoModeGaussian(1.0, 0.5 + 0j, 0.1 + 0j, 0.9 + 0j, 0.1j), 30)
+        assert generic._origin.swap_phase is None
+        parity = np.add(*np.divmod(np.arange(900), 30)) % 2
+        blocks = [fock._partial_transpose_block(generic, np.flatnonzero(parity == p))
+                  for p in (0, 1)]
+        expected = min(float(np.linalg.eigvalsh(b / generic.trace())[0]) for b in blocks)
+        assert expected < -1e-3
+        assert fock.ppt_min_eigenvalue(generic) == expected
+        name, bs, phase = next((name, rho, phase) for name, rho, phase in _seeded_bs_route(30)
+                               if _dense_partial_transpose_min(rho) < -1e-4)
+        forms = [fock._symmetric_form(bs, np.flatnonzero(parity == p), phase) for p in (0, 1)]
+        expected = min(float(np.linalg.eigvalsh(form)[0]) for form in forms)
+        assert fock.ppt_min_eigenvalue(bs) == expected, name
+
+    def test_the_density_spectrum_reads_the_same_rule(self, monkeypatch):
+        # FockDensity.min_eigenvalue decides each block of the density
+        # through the same routine.
+        rho = fock.two_mode_density(_BS_STATE, 40)
+        decide = fock._block_lowest_eigenvalue
+        decided = []
+
+        def spy(block):
+            value = decide(block)
+            decided.append((block.copy(), value))
+            return value
+
+        monkeypatch.setattr(fock, "_block_lowest_eigenvalue", spy)
+        value = rho.min_eigenvalue()
+        assert len(decided) == len(rho._blocks) == 2
+        for block, got in decided:
+            assert abs(got - float(np.linalg.eigvalsh(block)[0])) <= 2.0 * _shift(block)
+        assert value == min(got for _, got in decided) >= -1e-14
 
 
 class TestRoute:

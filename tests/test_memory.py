@@ -21,9 +21,10 @@ from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 MB = 1e6
 CUTOFF = 40
 # Bounds on the temporaries above what a call leaves alive.  At cutoff 40
-# they measure about 5.2 MB (assembly) and 7.1 MB (partial transpose, the
-# first call's completion of the lower triangles included); the margin is
-# for numpy's own temporaries.
+# they measure about 5.2 MB (assembly) and 7.7 MB (partial transpose, the
+# first call's completion of the lower triangles included: the 5.12 MB
+# real form of a block and two quarter-size temporaries of its
+# factorization); the margin is for numpy's own temporaries.
 BS_ASSEMBLY_TRANSIENT_MB = 11.0
 BS_PPT_TRANSIENT_MB = 9.0
 
@@ -71,15 +72,16 @@ def test_bs_partial_transpose_temporaries(bs_density):
 
 def test_bs_partial_transpose_takes_the_real_solver(bs_density, monkeypatch):
     # The swap phase read off the moments gives both 800-state blocks the
-    # real symmetric eigensolver.
+    # real symmetric form, and the routine that decides each block, by
+    # factorization or eigensolve, gets it.
     dtypes = []
-    eigvalsh = np.linalg.eigvalsh
+    decide = fock._block_lowest_eigenvalue
 
-    def spy(a, *args, **kwargs):
-        dtypes.append((np.asarray(a).dtype, np.asarray(a).shape))
-        return eigvalsh(a, *args, **kwargs)
+    def spy(block):
+        dtypes.append((block.dtype, block.shape))
+        return decide(block)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(fock, "_block_lowest_eigenvalue", spy)
     fock.ppt_min_eigenvalue(bs_density)
     assert dtypes == [(np.dtype(np.float64), (800, 800))] * 2
 
