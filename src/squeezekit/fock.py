@@ -36,33 +36,29 @@ is the one-block case.  No constructor forms a dense matrix.  Every route
 writes the entries of its blocks, exactly Hermitian, into one packed
 buffer (``_Written``), which ``FockDensity`` adopts as it is.  A state of
 zero mean conserves total parity, so every two-mode density is exactly
-zero between states of different total parity.  Hermiticity is checked
-where the data is small:
+zero between states of different total parity.  Each route checks its
+blocks to be Hermitian where the data is small, and writes what it checks
+symmetrized, all through one routine (``_hermitian_mean``):
 
-- the parity-graded writer computes the entries of even total parity
-  with n_a ≥ m_a and copies them into the upper triangles of its blocks
-  in slices, with no gather: at an even cutoff one slice copy per row
-  band.  It checks the squares it computes twice, n_a = m_a, and writes
-  them symmetrized: at an even cutoff all the squares of a block in one
-  step, at an odd one per slab (``_hermitian_part``).  The lower
-  triangles are the adjoint of the upper ones; they stay unwritten until
-  the first read that needs one, which writes them all in one tiled pass
-  (``_Written.complete``).  Moments, the witnesses, the trace and the
-  diagonal read none of them, so the concordance suite never pays that
-  pass; ``matrix``, ``purity``, the spectra and ``_entries`` complete the
-  density first;
-- the d-graded writer fills all its d sectors in one gather from its
-  stacked slabs, checks them in one step and writes them symmetrized;
-- the tensor route writes the kron of its two checked factors
-  (``_checked``), one block per class (parity of n_a, parity of n_b), each
-  one broadcast product; the one-mode route writes its one checked factor;
-- a mixture writes all its components with one writer, that of their
-  common moment pattern, else the parity-graded one, whose two blocks
-  every route refines, completes each, and sums it in place as it is
-  built, in one step over the packed buffer its components share.  Real
-  weights keep the sum exactly Hermitian;
-- ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
-  matrix and writes it symmetrized.
+- the parity-graded writer checks the n_a = m_a squares, which it
+  computes twice: at an even cutoff all the squares of a block in one
+  call, at an odd one per slab;
+- the d-graded writer checks every d sector, in one call;
+- the tensor route checks its two factors, the one-mode route its one;
+- a mixture checks nothing of its own: its components take one writer,
+  that of their common moment pattern, else the parity-graded one, whose
+  two blocks every route refines, and real weights keep their sum exactly
+  Hermitian;
+- ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks the dense
+  matrix.
+
+The parity-graded writer writes only the upper triangles, n_a ≥ m_a, in
+slices with no gather.  The lower triangles stay unwritten until the first
+read that needs one, which writes them all as the adjoint of the upper
+ones in one tiled pass (``_Written.complete``).  Moments, the witnesses,
+the trace and the diagonal read none of them, so the concordance suite
+never pays that pass; ``matrix``, ``purity``, the spectra and ``_entries``
+complete the density first.
 
 Constructors check the cutoff on entry and the trace deficit, summed block
 by block, at the end.
@@ -74,7 +70,8 @@ other pair.  The explicit ladder product a†^i a^k has a single nonzero band, a
 row − column = i − k, so Tr(ρ · K_a ⊗ K_b) is an O(cutoff²) gather of ρ
 along the two bands.  Each band comes in closed form, with no ladder
 matrix formed: its entry at column s is R[s − k, k]·R[s − k, i] with
-R[b, p] = √(b+1)···√(b+p) (``_ladder_band``).  ``moment``, ``moment_table`` and
+R[b, p] = √(b+1)···√(b+p), read off one table per cutoff
+(``_ladder_weights``).  ``moment``, ``moment_table`` and
 ``expectation_of_witness`` read it through one contraction
 (``_moments``): every band shift the words need in one gather, but for
 the shifts the density's grading makes structural zeros, and all words
@@ -266,21 +263,14 @@ def _recurrence_entries(a: np.ndarray, t: float, cutoff: int) -> np.ndarray:
     return out.ravel()
 
 
-def _checked(mat: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, exactly Hermitian; raises unless M is Hermitian to the
-    tolerance."""
-    out = np.empty_like(mat)
-    _require_hermitian(_hermitian_part(mat, out))
-    return out
-
-
 def _one_mode_matrix(n: float, m: complex, cutoff: int) -> np.ndarray:
     """The one-mode density with ⟨a†a⟩ = n and ⟨aa⟩ = −m on the first
-    ``cutoff`` Fock states, from the recurrence, checked (``_checked``).
-    Its Γ is the (a, a†) block of a product state's."""
+    ``cutoff`` Fock states, from the recurrence, checked and written
+    symmetrized (``_hermitian_mean``).  Its Γ is the (a, a†) block of a
+    product state's."""
     gamma = _moment_matrix(TwoModeGaussian(n, m))[np.ix_([0, 2], [0, 2])]
-    return _checked(_recurrence_entries(*_recurrence_start(gamma), cutoff)
-                    .reshape(cutoff, cutoff))
+    mat = _recurrence_entries(*_recurrence_start(gamma), cutoff).reshape(cutoff, cutoff)
+    return _hermitian_mean(mat, mat.T)
 
 
 def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
@@ -294,15 +284,14 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     rows m_b < c of slab m_a of one parity are the block's row band m_a,
     and each n_a < c gives its columns n_b < c in member order, the first
     ⌈c/2⌉ or ⌊c/2⌋ entries of a run of q.  The n_a = m_a square of each
-    band is computed twice; it is checked and written symmetrized.
+    band is computed twice; it is checked and written symmetrized
+    (``_hermitian_mean``).
 
     At an even cutoff every run has c/2 entries, so a block is the array
     (m_a, m_b/2, n_a, n_b/2) and the slab's rows of one parity, transposed,
-    are its band m_a: one slice copy per band.  All the squares of a block
-    are then checked in one step, and written as (M + M†)/2 in
-    ``_hermitian_part``'s arithmetic, conj((Mᵀ + M*)/2), signed zeros
-    included.  At an odd cutoff the runs alternate between ⌈c/2⌉ and
-    ⌊c/2⌋ entries: two consecutive n_a give c columns, so the band's
+    are its band m_a: one slice copy per band, and all the squares of a
+    block in one call.  At an odd cutoff the runs alternate between ⌈c/2⌉
+    and ⌊c/2⌋ entries: two consecutive n_a give c columns, so the band's
     columns with n_a > m_a are pairs of runs, two slice copies, and an
     unpaired last run, and each band's square is checked on its own.
     """
@@ -320,8 +309,8 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
             for parity, (members, values) in enumerate(out):
                 r0, r1 = np.searchsorted(members[0], [m_a * c, (m_a + 1) * c])
                 band = slab[:, (parity - m_a) % 2:c:2].transpose(1, 0, 2)
-                _require_hermitian(_hermitian_part(band[:, m_a, :r1 - r0],
-                                                   values[r0:r1, r0:r1]))
+                square = band[:, m_a, :r1 - r0]
+                values[r0:r1, r0:r1] = _hermitian_mean(square, square.T)
                 # Runs of n_a = m_a + 1, m_a + 3, ... (width w) and of the
                 # n_a between them (c − w), c columns per pair.
                 w = (c + (parity - m_a) % 2) // 2
@@ -341,11 +330,7 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     diagonal = np.arange(c)
     for block in blocks:
         squares = block[diagonal, :, diagonal]  # (m_a, m_b/2, n_b/2), a copy
-        mirrored = squares.transpose(0, 2, 1)
-        _require_hermitian(float(np.max(np.abs(squares - mirrored.conj()))))
-        symmetric = mirrored + squares.conj()
-        symmetric *= 0.5
-        block[diagonal, :, diagonal] = np.conjugate(symmetric, out=symmetric)
+        block[diagonal, :, diagonal] = _hermitian_mean(squares, squares.transpose(0, 2, 1))
     return out
 
 
@@ -435,20 +420,15 @@ def _tms_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     Swapping the modes maps sector d onto sector −d with the same entries,
     so the two share one block.  Sectors with |d| ≥ cutoff hold no retained
     state.  Every sector is filled in one gather from the stacked slabs
-    (``_sector_plan``), checked in one step to be Hermitian to the
-    tolerance and written as (M + M†)/2 in ``_hermitian_part``'s arithmetic
-    on a tile of the diagonal, conj((Mᵀ + M*)/2), signed zeros included.
+    (``_sector_plan``), and all of them are checked and written symmetrized
+    in one call (``_hermitian_mean``), on the packed entries and their
+    transposes.
     """
     members, source, adjoint = _sector_plan(cutoff)
     out = _Written(members)
     values = out.buffer[1:-1]
     np.take(_sector_slabs(*_recurrence_start(_moment_matrix(state)), cutoff), source, out=values)
-    transposed = values[adjoint]
-    np.conjugate(values, out=values)
-    _require_hermitian(float(np.max(np.abs(values - transposed))))
-    values += transposed
-    values *= 0.5
-    np.conjugate(values, out=values)
+    values[...] = _hermitian_mean(values, values[adjoint])
     return out
 
 
@@ -534,9 +514,6 @@ class _Written(list):
             self.lower_pending = False
 
 
-_TILE = 64
-
-
 def _require_dims(modes: int, cutoff: int) -> None:
     if modes not in (1, 2):
         raise ValueError("only one- or two-mode densities are supported")
@@ -544,33 +521,25 @@ def _require_dims(modes: int, cutoff: int) -> None:
         raise ValueError("cutoff must be at least 2")
 
 
-def _require_hermitian(deviation: float) -> None:
+def _hermitian_mean(mat: np.ndarray, transposed: np.ndarray) -> np.ndarray:
+    """conj((Mᵀ + M*)/2), exactly Hermitian, for M = ``mat`` and Mᵀ =
+    ``transposed``, M's entries in transposed order: a matrix and its
+    ``.T``, a stack of squares with its last two axes swapped, or packed
+    sectors and their gather.  Raises unless max |M* − Mᵀ| is within the
+    Hermiticity tolerance.  Every block this module makes Hermitian is
+    made so here, in this arithmetic: entry (i, j) rounds as
+    conj((M_ji + conj M_ij)/2), the conjugate of entry (j, i) up to the
+    sign of a zero imaginary part."""
+    out = mat.conj()
+    deviation = float(np.max(np.abs(out - transposed)))
     if deviation > _HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (deviation {deviation:.3g})")
+    out += transposed
+    out *= 0.5
+    return np.conjugate(out, out=out)
 
 
-def _hermitian_part(mat: np.ndarray, out: np.ndarray) -> float:
-    """Write (M + M†)/2, exactly Hermitian, into ``out``, which may be M
-    itself; return max |M − M†|.
-
-    Works on pairs of mirrored square tiles, which stay in cache, each
-    pair read before it is written; the transposed reads of a whole-matrix
-    M − M† and M + M† would not.
-    """
-    dim = mat.shape[0]
-    deviation = 0.0
-    for i in range(0, dim, _TILE):
-        for j in range(i, dim, _TILE):
-            upper = mat[i:i + _TILE, j:j + _TILE]
-            lower_adjoint = mat[j:j + _TILE, i:i + _TILE].conj().T
-            deviation = max(deviation, float(np.max(np.abs(upper - lower_adjoint))))
-            tile = upper + lower_adjoint
-            tile *= 0.5
-            out[i:i + _TILE, j:j + _TILE] = tile
-            out[j:j + _TILE, i:i + _TILE] = tile.conj().T
-    return deviation
-
-
+_TILE = 64
 _LOWER = np.tri(_TILE, k=-1, dtype=bool)
 
 
@@ -625,7 +594,7 @@ class FockDensity:
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match cutoff^modes = {dim}")
         blocks = _Written([np.arange(dim)[None, :]])
-        _require_hermitian(_hermitian_part(matrix, blocks[0].values))
+        blocks[0].values[...] = _hermitian_mean(matrix, matrix.T)
         self._set(modes, cutoff, blocks, trace_deficit, None)
 
     @classmethod
@@ -891,36 +860,35 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
 
 # --- measurements -------------------------------------------------------------
 
-@functools.lru_cache(maxsize=512)
-def _ladder_band(cutoff: int, n_create: int, n_annihilate: int) -> np.ndarray:
-    """The one nonzero band of the explicit product a†^i a^k on the first
-    ``cutoff`` Fock states, its entries (s + i − k, s) in order of s:
-    R[s − k, k]·R[s − k, i] for k ≤ s and s − k + i < cutoff, else 0, with
-    R[b, p] = √(b+1)···√(b+p) multiplied from the lowest factor up, as the
-    truncated matrix powers form it."""
-    i, k = n_create, n_annihilate
-    b = np.arange(cutoff - max(i, k))  # s − k of the nonzero entries
-    weights = np.ones((b.size, max(i, k) + 1))  # R[b, p]
-    np.cumprod(np.sqrt(b[:, None] + np.arange(1.0, max(i, k) + 1)), axis=1, out=weights[:, 1:])
-    band = np.zeros(cutoff - abs(i - k))
-    band[min(i, k):] = weights[:, k] * weights[:, i]
-    band.flags.writeable = False
-    return band
+@functools.lru_cache(maxsize=8)
+def _ladder_weights(cutoff: int) -> np.ndarray:
+    """R[b, p] = √(b+1)···√(b+p) for b < ``cutoff`` and p ≤ cutoff // 2,
+    multiplied from the lowest factor up, as the truncated matrix powers
+    form it; read-only."""
+    weights = np.ones((cutoff, cutoff // 2 + 1))
+    np.cumprod(np.sqrt(np.arange(cutoff)[:, None] + np.arange(1.0, cutoff // 2 + 1)), axis=1,
+               out=weights[:, 1:])
+    weights.flags.writeable = False
+    return weights
 
 
 def _band_rows(cutoff: int, shift: int, size: int) -> np.ndarray:
-    """``size`` × ``cutoff``: row t holds the band of a†^i a^k with
-    i − k = ``shift`` and k = t + max(0, −shift), each entry at the photon
-    number s of its gather row (see ``_band_plan``); rows past the words
-    of length cutoff // 2 are zero."""
+    """``size`` × ``cutoff``: row t holds the one nonzero band of a†^i a^k
+    with i − k = ``shift`` and k = t + max(0, −shift), its entry at the
+    photon number s of its gather row (see ``_band_plan``):
+    R[s − k, k]·R[s − k, i] (``_ladder_weights``) for k ≤ s and
+    s − k + i < cutoff, else 0.  Rows past the words of length
+    cutoff // 2 are zero."""
     out = np.zeros((size, cutoff))
+    weights = _ladder_weights(cutoff)
     k0 = max(0, -shift)
     for t in range(size):
         k = k0 + t
-        if 2 * k + shift > cutoff // 2:
+        i = k + shift
+        if i + k > cutoff // 2:
             break
-        band = _ladder_band(cutoff, k + shift, k)
-        out[t, k0:k0 + band.size] = band
+        width = cutoff - max(i, k)
+        out[t, k:k + width] = weights[:width, k] * weights[:width, i]
     return out
 
 
@@ -958,7 +926,7 @@ def _band_plan(ca: int, cb: int, shifts: tuple) -> _BandPlan:
         cols.append(grid.ravel() + (da * cb + db))
         slots.append(n * ca * cb + grid.ravel())
         mode_a[n] = _band_rows(ca, da, size_a)
-        b = _band_rows(cb, db, size_b) if cb > 1 else np.ones((1, 1))
+        b = _band_rows(cb, db, size_b)
         for part in (0, 1):
             mode_b[n, part::2, part::2] = b.T
     plan = _BandPlan(*(np.concatenate(x) for x in (rows, cols, slots)), mode_a, mode_b)

@@ -80,12 +80,18 @@ def werner_hbt_threshold(n: float) -> float:
 
 
 def werner_ppt_threshold(n: float) -> float:
-    """Mixing probability above which the partial transpose gains a negative
-    eigenvalue for a maximally correlated component:
-    p > (1 + √((1+n)/n) · (1+2n²)² / (n(1+2n)(1+n²)))⁻¹.  Above n = 1e50,
-    where n⁴ is still far from overflow, the factor is evaluated on u = 1/n,
-    as √(1+u) · (2+u²)² / ((2+u)(1+u²)), so that no power of n overflows;
-    it tends to 2, and p to ⅓.  Every value up to 1e50 keeps the form in n."""
+    """The paper's published Werner PPT curve (acceptance criterion 05,
+    figure 6), for a maximally correlated component:
+    p* = (1 + √((1+n)/n) · (1+2n²)² / (n(1+2n)(1+n²)))⁻¹.  It is not where
+    the partial transpose turns negative: the exact partial transpose of
+    the mixture is negative for every p > 0, which the Fock oracle
+    confirms (``tests/test_fock.py::TestWernerPartialTranspose``).  What
+    p* bounds is open.
+
+    Above n = 1e50, where n⁴ is still far from overflow, the factor is
+    evaluated on u = 1/n, as √(1+u) · (2+u²)² / ((2+u)(1+u²)), so that no
+    power of n overflows; it tends to 2, and p* to ⅓.  Every value up to
+    1e50 keeps the form in n."""
     if n <= 0:
         raise ValueError("threshold defined for n > 0")
     if n > 1e50:

@@ -938,6 +938,14 @@ class TestNearVacuumWitness:
         assert (payload["v_minus"], payload["v_plus"]) == (1.0 / 3.0, 0.0)
         assert payload["whbt_pair"] == 1.0 / 6.0
 
+    @pytest.mark.parametrize("n, m", [("1e-100", "0"), ("1e-170", "1e-85")])
+    def test_one_mode_oracle_names_the_vacuum_it_rounds_to(self, capsys, n, m):
+        # The oracle's ⟨a†a⟩ rounds to zero on these states: the oracle
+        # witness names it, before the g2 ratio would divide by it.
+        code, out, err = run_cli(capsys, "classify", "one-mode", "--n", n, "--m", m, "--oracle")
+        assert (code, out) == (2, "")
+        assert err == "error: witness normalization vanishes (vacuum)\n"
+
     def test_tiny_two_mode_state_is_not_the_vacuum(self, capsys):
         # I₂ underflows to 0 at n = 1e-170, yet the state reports every
         # field it reports at n = 1e-100; the vacuum still reports none.

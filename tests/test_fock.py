@@ -90,8 +90,9 @@ class TestLadderOperators:
     def test_closed_form_bands_are_the_matrix_products(self):
         # Every band a truncation-safe word can use, i + k ≤ cutoff/2, at
         # cutoffs 2–80 is the band of the truncated product (a†)^i a^k of
-        # the reference's matrix powers, bit for bit.
-        band = fock._ladder_band.__wrapped__
+        # the reference's matrix powers, bit for bit: row min(i, k) of the
+        # band rows of shift i − k, at the columns s whose entry
+        # (s + i − k, s) lies in the matrix, and zero elsewhere.
         for cutoff in range(2, 81):
             a = annihilation(cutoff).real
             powers = [np.eye(cutoff)]
@@ -100,9 +101,13 @@ class TestLadderOperators:
             for i in range(cutoff // 2 + 1):
                 for k in range(cutoff // 2 + 1 - i):
                     expected = np.diagonal(powers[i].T @ powers[k], k - i)
-                    got = band(cutoff, i, k)
+                    row = fock._band_rows(cutoff, i - k, min(i, k) + 1)[min(i, k)]
+                    inside = slice(max(0, k - i), cutoff - max(0, i - k))
+                    got = row[inside]
                     assert got.shape == expected.shape, (cutoff, i, k)
                     assert got.tobytes() == expected.tobytes(), (cutoff, i, k)
+                    row[inside] = 0.0
+                    assert not np.any(row), (cutoff, i, k)
 
 
 class TestUnitaries:
@@ -1449,16 +1454,16 @@ class TestGradedStorage:
                 fock.expectation_of_witness(rho, kind)
 
 
-class _HermitianPartSpy:
+class _HermitianMeanSpy:
     def __init__(self, monkeypatch):
         self.shapes = []
-        original = fock._hermitian_part
+        original = fock._hermitian_mean
 
-        def spy(mat, out):
+        def spy(mat, transposed):
             self.shapes.append(mat.shape)
-            return original(mat, out)
+            return original(mat, transposed)
 
-        monkeypatch.setattr(fock, "_hermitian_part", spy)
+        monkeypatch.setattr(fock, "_hermitian_mean", spy)
 
 
 class TestWrittenBlocks:
@@ -1485,19 +1490,22 @@ class TestWrittenBlocks:
                 assert np.array_equal(values, values.conj().T), name
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
-        # The tensor route checks its two factors, the one-mode route its
-        # factor and a mixture nothing of its own: its components take one
-        # writer.  The tms route checks all its d sectors in one step of
-        # its own, and the recurrence route at an even cutoff all the
-        # n_a = m_a squares of a block, with no ``_hermitian_part`` call
-        # (see ``test_skewed_factor_is_rejected_on_both_routes``).  At an
-        # odd cutoff the recurrence route checks the two squares of each
+        # Every check goes through one routine, and each call's shape pins
+        # what a route checks.  The tensor route checks its two factors,
+        # the one-mode route its factor and a mixture nothing of its own:
+        # its components take one writer.  The tms route checks all its d
+        # sectors in one call, on their 650 packed entries at cutoff 12.
+        # The recurrence route checks the n_a = m_a squares only: at an
+        # even cutoff all the squares of a block in one call, as a stack
+        # (m_a, m_b/2, n_b/2), and at an odd one the two squares of each
         # slab, one per total parity, of 6 and 5 states at cutoff 11, so
-        # the bs+tms mixture checks the slabs of both its components.  Only
-        # a dense matrix is checked by ``FockDensity``.
-        spy = _HermitianPartSpy(monkeypatch)
-        expected = {"tensor": [(12, 12), (12, 12)], "tms": [], "bs": [], "werner": [],
-                    "bs+tms mixture": [], "bs+tensor mixture": []}
+        # the bs+tms mixture checks the slabs of both its components.
+        # Only a dense matrix is checked by ``FockDensity``.
+        spy = _HermitianMeanSpy(monkeypatch)
+        sectors, squares = [(650,)], [(12, 6, 6), (12, 6, 6)]
+        expected = {"tensor": [(12, 12), (12, 12)], "tms": sectors, "bs": squares,
+                    "werner": sectors * 2, "bs+tms mixture": squares * 2,
+                    "bs+tensor mixture": squares * 2}
         for name, state in _ROUTE_STATES.items():
             spy.shapes.clear()
             fock.two_mode_density(state, 12, eps_tr=1.0)
@@ -1509,7 +1517,7 @@ class TestWrittenBlocks:
             assert spy.shapes == calls, name
         spy.shapes.clear()
         rho = fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 12, eps_tr=1.0)
-        assert spy.shapes == []
+        assert spy.shapes == squares
         spy.shapes.clear()
         fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
         assert spy.shapes == [(12, 12)]
