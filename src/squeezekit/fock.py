@@ -47,8 +47,8 @@ symmetrized, all through one routine (``_hermitian_mean``):
 - the tensor route checks its two factors, the one-mode route its one;
 - a mixture checks nothing of its own: its components take one writer,
   that of their common moment pattern, else the parity-graded one, whose
-  two blocks every route refines, and real weights keep their sum exactly
-  Hermitian;
+  two blocks every route refines, and are summed into the first
+  component's buffer; real weights keep the sum exactly Hermitian;
 - ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks the dense
   matrix.
 
@@ -595,7 +595,7 @@ class FockDensity:
             raise ValueError(f"matrix shape {matrix.shape} does not match cutoff^modes = {dim}")
         blocks = _Written([np.arange(dim)[None, :]])
         blocks[0].values[...] = _hermitian_mean(matrix, matrix.T)
-        self._set(modes, cutoff, blocks, trace_deficit, None)
+        self.__post_init__(modes, cutoff, blocks, trace_deficit, None)
 
     @classmethod
     def _graded(cls, modes: int, cutoff: int, blocks: _Written, trace_deficit: float,
@@ -603,15 +603,8 @@ class FockDensity:
         """The density of written ``blocks``; ``trace``, where the caller
         has already summed it with ``_blocks_trace``, is adopted as is."""
         rho = cls.__new__(cls)
-        rho._set(modes, cutoff, blocks, trace_deficit, origin, trace)
+        rho.__post_init__(modes, cutoff, blocks, trace_deficit, origin, trace)
         return rho
-
-    def _set(self, modes, cutoff, blocks, trace_deficit, origin, trace=None) -> None:
-        for name, value in (("modes", modes), ("cutoff", cutoff), ("_written", blocks),
-                            ("trace_deficit", trace_deficit), ("_matrix", None),
-                            ("_origin", origin), ("_trace", trace)):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -629,17 +622,16 @@ class FockDensity:
         return (_rebuilt, (self.modes, self.cutoff, [members for members, _ in self._stored],
                            self._packed, self.trace_deficit, self._origin, self._trace))
 
-    def __post_init__(self):
-        """Adopt the packed buffer of the written blocks through read-only
-        views, and build the lookup from each basis state's block copy, the
-        packed offset of its row and its position in the block (see
-        ``_entries``).  The written blocks themselves stay writable, for
-        the lower triangles a writer may have left (``_blocks``).  The
-        trace is summed here, from the diagonals, unless it was handed
-        on."""
-        _require_dims(self.modes, self.cutoff)
-        dim = self.cutoff ** self.modes
-        written = self._written
+    def __post_init__(self, modes: int, cutoff: int, written: _Written, trace_deficit: float,
+                      origin: _Origin | None, trace: float | None = None) -> None:
+        """Adopt the packed buffer of the ``written`` blocks through
+        read-only views, and build the lookup from each basis state's block
+        copy, the packed offset of its row and its position in the block
+        (see ``_entries``).  The written blocks themselves stay writable,
+        for the lower triangles a writer may have left (``_blocks``).  The
+        trace is summed here, from the diagonals, unless it was handed on.
+        The callers have checked ``modes`` and ``cutoff``."""
+        dim = cutoff ** modes
         packed = written.buffer.view()
         blocks = tuple(_Block(members, values.view()) for members, values in written)
         flat = np.concatenate([members.ravel() for members, _ in blocks])
@@ -669,9 +661,9 @@ class FockDensity:
         # that every block copy joins states of one d = n_a − n_b mod k (−n
         # on one mode).  No two states differ in d by 2·cutoff, so that k is
         # d itself; k = 2 is total parity, and k = 1 no grading.
-        d = np.subtract(*np.divmod(flat, self.cutoff))
+        d = np.subtract(*np.divmod(flat, cutoff))
         d -= d[first][row]
-        modulus = next(k for k in (2 * self.cutoff, 2, 1) if np.all(d % k == 0))
+        modulus = next(k for k in (2 * cutoff, 2, 1) if np.all(d % k == 0))
         # Freed before the keys, which live as long as the density, are
         # allocated: keys above these in the heap left it fragmented, and a
         # later density's buffer took fresh memory, up to 14 MB of peak RSS.
@@ -685,11 +677,12 @@ class FockDensity:
         span = packed.size
         row_key = np.where(copy >= 0, row_start + copy * span, -span)
         col_key = pos - np.where(copy >= 0, copy, -2) * span
-        for name, value in (("_stored", blocks), ("_packed", packed),
+        for name, value in (("modes", modes), ("cutoff", cutoff), ("_written", written),
+                            ("_matrix", None), ("_origin", origin),
+                            ("_stored", blocks), ("_packed", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
-                            ("_trace", _blocks_trace(blocks) if self._trace is None
-                             else self._trace),
-                            ("trace_deficit", float(self.trace_deficit)),
+                            ("_trace", _blocks_trace(blocks) if trace is None else trace),
+                            ("trace_deficit", float(trace_deficit)),
                             ("_d_modulus", modulus)):
             object.__setattr__(self, name, value)
 
@@ -803,6 +796,8 @@ def one_mode_density(s: OneModeGaussian, cutoff: int, *, eps_tr: float = EPS_TR)
     """
     _require_dims(1, cutoff)
     _require_physical(s)
+    if not isinstance(s, OneModeGaussian):
+        raise TypeError(f"unsupported state type {type(s).__name__}")
     blocks = _Written([np.arange(cutoff)[None, :]])
     blocks[0].values[...] = _one_mode_matrix(s.n, s.m, cutoff)
     return _finish(1, cutoff, blocks, eps_tr, _Origin("one-mode"))
@@ -832,9 +827,9 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     and every other state by total parity.  A mixture's components are all
     written by one writer, their common pattern's, else the total-parity
     writer, whose two blocks every route refines; each component must meet
-    the trace tolerance on its own, and is summed into the mixture as it is
-    built, in one step over the packed buffer the components share.  Real
-    weights keep the sum exactly Hermitian.
+    the trace tolerance on its own, is weighted in its own buffer and added
+    into the first one's, which the mixture adopts: two buffers at a time.
+    Real weights keep the sum exactly Hermitian.
     """
     _require_dims(2, cutoff)
     _require_physical(state)
@@ -848,13 +843,13 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     for w, comp in state.components:
         blocks = write(comp, cutoff)
         _trace_deficit(cutoff, _blocks_trace(blocks), eps_tr)
-        if out is None:
-            out = _Written([b.members for b in blocks])
-            out.buffer[1:-1] = 0.0
         blocks.complete()  # the sum reads every entry
         values = blocks.buffer[1:-1]
         values *= w  # in place: no temporary of the buffer's size
-        out.buffer[1:-1] += values
+        if out is None:
+            out = blocks
+        else:
+            out.buffer[1:-1] += values
     return _finish(2, cutoff, out, eps_tr, _Origin("mixture"))
 
 

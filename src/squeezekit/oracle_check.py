@@ -87,7 +87,7 @@ def random_one_mode(rng: np.random.Generator) -> OneModeGaussian:
 
 
 def random_two_mode(rng: np.random.Generator):
-    """Random physical two-mode state, cycling through the state families.
+    """Random physical two-mode state, of one of four families drawn at random.
 
     Families: product pairs with a relative squeezing phase, cross-correlated
     unsqueezed pairs, their thermal-diluted mixtures, and locally rotated

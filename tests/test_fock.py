@@ -288,6 +288,18 @@ class TestTwoModeDensity:
             with pytest.raises(ValueError, match="cutoff must be at least 2"):
                 build(cutoff)
 
+    def test_wrong_state_type_is_named(self):
+        # Each constructor names a state it does not build, after the gate,
+        # which still rejects an unphysical one first.
+        wrong = [(fock.one_mode_density, TwoModeGaussian(0.5, 0.2 + 0j)),
+                 (fock.one_mode_density, _ROUTE_STATES["werner"]),
+                 (fock.two_mode_density, OneModeGaussian(0.5, 0.2 + 0j))]
+        for build, state in wrong:
+            with pytest.raises(TypeError, match=f"unsupported state type {type(state).__name__}$"):
+                build(state, 20)
+        with pytest.raises(NonPhysicalStateError):
+            fock.one_mode_density(TwoModeGaussian.epr(1.0, 1.5 + 0j), 20)
+
 
 def _band_constructors(delta):
     """Each constructor route on a state whose squeezing (or cross
@@ -1528,7 +1540,8 @@ class TestWrittenBlocks:
     def test_each_written_block_set_is_summed_once(self, monkeypatch):
         # One trace per block set a writer fills: one per mixture component
         # and one for their sum, which the deficit and the density share.
-        # The address of a set's first block tells the sets apart.
+        # The address of a set's first block tells the components apart; the
+        # sum lives in the first component's buffer.
         summed = []
         original = fock._blocks_trace
 
@@ -1540,8 +1553,12 @@ class TestWrittenBlocks:
         for name, state in _ROUTE_STATES.items():
             summed.clear()
             rho = fock.two_mode_density(state, 12, eps_tr=1.0)
-            sets = 1 + len(state.components) if isinstance(state, GaussianMixture) else 1
-            assert len(summed) == len(set(summed)) == sets, name
+            if isinstance(state, GaussianMixture):
+                components = len(state.components)
+                assert len(summed) == components + 1 and summed[-1] == summed[0], name
+                assert len(set(summed)) == components, name
+            else:
+                assert len(summed) == 1, name
             assert rho.trace() == original(rho._blocks), name
             assert rho.trace_deficit == 1.0 - rho.trace(), name
         for build in (lambda: fock.two_mode_density(beam_splitter(*_BS_OUTPUT_INPUTS), 12,

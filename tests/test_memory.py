@@ -3,6 +3,10 @@ tracemalloc: one density at a time, and temporaries of about a third of a
 beam-splitter (bs) density, 20.48 MB of packed blocks, which the
 recurrence route builds.
 
+A mixture on the recurrence route sums its components into the first
+one's buffer: its peak is at most two densities' blocks and the assembly
+bound, about 52 MB at cutoff 40.
+
 Every cache a measurement touches is filled before it is traced, so the
 numbers are the call's own.  tracemalloc sees numpy's array data but not
 LAPACK's workspace.
@@ -14,7 +18,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from squeezekit import OneModeGaussian, beam_splitter, mode_rotation
+from squeezekit import (GaussianMixture, OneModeGaussian, TwoModeGaussian, beam_splitter,
+                        mode_rotation)
 from squeezekit import fock
 from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 
@@ -62,6 +67,17 @@ def test_bs_assembly_temporaries(bs_density):
     rho, live, peak = _traced(lambda: fock.two_mode_density(_BS_STATE, CUTOFF))
     assert live == pytest.approx(rho.nbytes / MB, abs=0.2)
     assert peak - live <= BS_ASSEMBLY_TRANSIENT_MB
+
+
+def test_recurrence_mixture_sums_into_its_first_component(bs_density):
+    # Two components on the recurrence route: the mixture's density is its
+    # first component's buffer, so two densities' blocks are alive at once
+    # (the sum and the component being added), and no third buffer.
+    mixture = GaussianMixture(((0.5, _BS_STATE), (0.5, TwoModeGaussian.epr(0.8, 0.7 + 0j))))
+    fock.two_mode_density(mixture, CUTOFF)
+    rho, _, peak = _traced(lambda: fock.two_mode_density(mixture, CUTOFF))
+    assert rho.route == "mixture" and rho.nbytes == bs_density.nbytes
+    assert peak <= 2 * rho.nbytes / MB + BS_ASSEMBLY_TRANSIENT_MB
 
 
 def test_bs_partial_transpose_temporaries(bs_density):
