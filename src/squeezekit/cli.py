@@ -223,14 +223,16 @@ def _flags(names) -> str:
 def _family_values(args, family, free=None) -> dict:
     """The parameters of ``family`` read off the parsed ``args``, with the
     defaults of the optional ones.  Raise ValueError for a parameter flag the
-    family does not read, and for one it needs that is left out, other than
-    ``free``."""
+    family does not read, for one it needs that is left out, other than
+    ``free``, and for ``free`` given, which ``sweep --vary`` sets."""
     names, defaults = _FAMILIES[family].names, _FAMILIES[family].defaults
     given = {name: value for name, value in vars(args).items()
              if name in _HELP and value is not None}
     unread = [name for name in given if name not in names]
     if unread:
         raise ValueError(f"family {family!r} does not read {_flags(unread)}")
+    if free in given:
+        raise ValueError("--vary {0} sets --{0}; leave --{0} out".format(free.replace("_", "-")))
     missing = [name for name in names if name not in given and name not in defaults
                and name != free]
     if missing:

@@ -5,8 +5,9 @@ Fock entries (Hamilton et al., PRL 119, 170501 (2017); Miatto & Quesada,
 Quantum 4, 366 (2020), arXiv:2004.11002).  With Γ = ⟨ζζ†⟩ for
 ζ = (a, b, a†, b†) (one mode: ζ = (a, a†)), read off the stored moments
 by ``separability._moment_matrix``, and K = [ζ, ζ†] = diag(I, −I),
-σ_Q = Γ − K/2 + I/2, A = X(I − σ_Q⁻¹)* with X the swap of ζ's two halves,
-and T = det(σ_Q)^(−1/2), the entries ρ[m, n] = G(m, n) obey G(0) = T and
+N = Γ − (I + K)/2 the normally ordered moments, σ_Q = N + I,
+A = X(N·σ_Q⁻¹)* = X(I − σ_Q⁻¹)* with X the swap of ζ's two halves, and
+T = det(σ_Q)^(−1/2), the entries ρ[m, n] = G(m, n) obey G(0) = T and
 G(k + e_i) = Σ_j A_ij √k_j G(k − e_j)/√(k_i + 1).  Every entry is that of
 the untruncated state, so the recurrence needs no working space beyond
 the cutoff.  Three writers lay its entries out by the grading the state
@@ -30,11 +31,11 @@ truncated generators, which share no code with the recurrence, the
 parity-graded writer entry by entry against a plain recurrence over a
 dict, and the d-graded writer against the parity-graded one.
 
-A ``FockDensity`` is a set of Hermitian blocks on disjoint sets of basis
-states; every entry outside them is a structural zero, and a dense matrix
-is the one-block case.  No constructor forms a dense matrix.  Every route
-writes the entries of its blocks, exactly Hermitian, into one packed
-buffer (``_Written``), which ``FockDensity`` adopts as it is.  A state of
+A ``FockDensity`` is a set of Hermitian blocks whose copies partition the
+basis states; every entry between two copies is a structural zero, and a
+dense matrix is the one-block case.  No constructor forms a dense matrix.
+Every route writes the entries of its blocks, exactly Hermitian, into one
+packed buffer (``_Written``), which ``FockDensity`` adopts as it is.  A state of
 zero mean conserves total parity, so every two-mode density is exactly
 zero between states of different total parity.  Each route checks its
 blocks to be Hermitian where the data is small, and writes what it checks
@@ -143,6 +144,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import FrozenInstanceError
 from typing import NamedTuple
 
@@ -169,13 +171,16 @@ class ConvergenceError(RuntimeError):
 
 def _recurrence_start(gamma: np.ndarray):
     """(A, T) of the recurrence for the state with ⟨ζζ†⟩ = Γ (see the
-    module docstring); X swaps the two row halves of I − σ_Q⁻¹.  A state in
-    the gate's band, smallest eigenvalue λ of Γ below zero, is built from
-    Γ − λI, which keeps its density positive."""
+    module docstring); X swaps the two row halves of N·σ_Q⁻¹.  N's ⟨aa†⟩ − I
+    block is the transpose of its ⟨a†a⟩ block, which Γ holds unrounded, so
+    that a small n keeps its relative precision.  A state in the gate's
+    band, smallest eigenvalue λ of Γ below zero, is built from Γ − λI, which
+    keeps its density positive."""
     half = gamma.shape[0] // 2
-    sigma_q = gamma - min(float(np.linalg.eigvalsh(gamma)[0]), 0.0) * np.eye(2 * half)
-    sigma_q[half:, half:] += np.eye(half)
-    a = np.roll(np.eye(2 * half) - np.linalg.inv(sigma_q), half, axis=0).conj()
+    normal = gamma - min(float(np.linalg.eigvalsh(gamma)[0]), 0.0) * np.eye(2 * half)
+    normal[:half, :half] = normal[half:, half:].T
+    sigma_q = normal + np.eye(2 * half)
+    a = np.roll(normal @ np.linalg.inv(sigma_q), half, axis=0).conj()
     return a, 1.0 / math.sqrt(np.linalg.det(sigma_q).real)
 
 
@@ -485,9 +490,9 @@ class _Origin(NamedTuple):
 class _Written(list):
     """Blocks (``_Block``) on ``members`` whose values lie back to back in
     one buffer, between two zeros: the entries the lookup reads for a pair
-    of states in no common block.  The values start uninitialised; a route
-    writes every entry, exactly Hermitian, and ``FockDensity`` adopts the
-    buffer as its packed values.
+    of states in different block copies.  The values start uninitialised; a
+    route writes every entry, exactly Hermitian, and ``FockDensity`` adopts
+    the buffer as its packed values.
 
     A writer that sets ``lower_pending`` writes only what a block's upper
     triangle needs, and lists each block's members in increasing flat
@@ -564,9 +569,10 @@ class FockDensity:
 
     ``trace_deficit`` is 1 − Tr ρ, the photon-number weight of the state
     beyond the cutoff.  Every density is a set of blocks written into one
-    packed buffer (``_Written``), each exactly Hermitian, and every entry
-    outside the blocks is a structural zero.  The constructors of this
-    module write only the blocks of the gradings their states conserve;
+    packed buffer (``_Written``), each exactly Hermitian, whose copies
+    partition the basis states; every entry between two copies is a
+    structural zero.  The constructors of this module write only the
+    blocks of the gradings their states conserve;
     ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
     matrix to be Hermitian to 1e-12 and writes it symmetrized as a single
     block.  The blocks are stored read-only, mirror copies sharing one.
@@ -595,15 +601,15 @@ class FockDensity:
             raise ValueError(f"matrix shape {matrix.shape} does not match cutoff^modes = {dim}")
         blocks = _Written([np.arange(dim)[None, :]])
         blocks[0].values[...] = _hermitian_mean(matrix, matrix.T)
-        self.__post_init__(modes, cutoff, blocks, trace_deficit, None)
+        self.__post_init__(modes, cutoff, blocks, trace_deficit, _blocks_trace(blocks), None)
 
     @classmethod
     def _graded(cls, modes: int, cutoff: int, blocks: _Written, trace_deficit: float,
-                origin: _Origin | None = None, trace: float | None = None) -> "FockDensity":
-        """The density of written ``blocks``; ``trace``, where the caller
-        has already summed it with ``_blocks_trace``, is adopted as is."""
+                trace: float, origin: _Origin | None = None) -> "FockDensity":
+        """The density of written ``blocks``, whose ``trace`` the caller
+        has summed with ``_blocks_trace``."""
         rho = cls.__new__(cls)
-        rho.__post_init__(modes, cutoff, blocks, trace_deficit, origin, trace)
+        rho.__post_init__(modes, cutoff, blocks, trace_deficit, trace, origin)
         return rho
 
     def __setattr__(self, name, value):
@@ -623,20 +629,21 @@ class FockDensity:
                            self._packed, self.trace_deficit, self._origin, self._trace))
 
     def __post_init__(self, modes: int, cutoff: int, written: _Written, trace_deficit: float,
-                      origin: _Origin | None, trace: float | None = None) -> None:
+                      trace: float, origin: _Origin | None) -> None:
         """Adopt the packed buffer of the ``written`` blocks through
         read-only views, and build the lookup from each basis state's block
         copy, the packed offset of its row and its position in the block
-        (see ``_entries``).  The written blocks themselves stay writable,
-        for the lower triangles a writer may have left (``_blocks``).  The
-        trace is summed here, from the diagonals, unless it was handed on.
-        The callers have checked ``modes`` and ``cutoff``."""
+        (see ``_entries``).  The block copies must partition the basis
+        states.  The written blocks themselves stay writable, for the lower
+        triangles a writer may have left (``_blocks``).  The callers have
+        checked ``modes`` and ``cutoff`` and summed ``trace`` with
+        ``_blocks_trace``."""
         dim = cutoff ** modes
         packed = written.buffer.view()
         blocks = tuple(_Block(members, values.view()) for members, values in written)
         flat = np.concatenate([members.ravel() for members, _ in blocks])
-        if flat.min() < 0 or flat.max() >= dim:
-            raise ValueError(f"block members outside the {dim} basis states")
+        if not np.array_equal(np.sort(flat), np.arange(dim)):
+            raise ValueError(f"block members do not partition the {dim} basis states")
         for members, values in blocks:
             members.flags.writeable = False
             values.flags.writeable = False
@@ -649,14 +656,6 @@ class FockDensity:
         first = np.cumsum(size) - size
         row = np.repeat(np.arange(size.size), size)
         at = np.arange(flat.size) - first[row]
-        copy = np.full(dim, -1, dtype=np.intp)
-        copy[flat] = row
-        if np.count_nonzero(copy >= 0) != flat.size:
-            raise ValueError("blocks overlap")
-        row_start = np.zeros(dim, dtype=np.intp)
-        pos = np.zeros(dim, dtype=np.intp)
-        row_start[flat] = base[row] + size[row] * at
-        pos[flat] = at
         # The grading: the largest modulus k among 2·cutoff, 2 and 1 such
         # that every block copy joins states of one d = n_a − n_b mod k (−n
         # on one mode).  No two states differ in d by 2·cutoff, so that k is
@@ -664,25 +663,23 @@ class FockDensity:
         d = np.subtract(*np.divmod(flat, cutoff))
         d -= d[first][row]
         modulus = next(k for k in (2 * cutoff, 2, 1) if np.all(d % k == 0))
+        # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
+        # the same block copy, and off the buffer's ends otherwise: a
+        # different copy shifts it by a multiple of the buffer's size.
+        span = packed.size
+        row_keys, col_keys = base[row] + size[row] * at + row * span, at - row * span
         # Freed before the keys, which live as long as the density, are
         # allocated: keys above these in the heap left it fragmented, and a
         # later density's buffer took fresh memory, up to 14 MB of peak RSS.
-        del flat, size, base, first, row, at, d
+        del size, base, first, row, at, d
         packed.flags.writeable = False
-        # Keys whose sum is the packed offset of ρ[x, y] when x and y lie in
-        # the same block copy, and off the buffer's ends otherwise: a
-        # different copy shifts it by a multiple of the buffer's size, and
-        # a state no block covers takes −size as row key and 2·size as
-        # column key.
-        span = packed.size
-        row_key = np.where(copy >= 0, row_start + copy * span, -span)
-        col_key = pos - np.where(copy >= 0, copy, -2) * span
+        row_key, col_key = np.empty((2, dim), dtype=np.intp)
+        row_key[flat], col_key[flat] = row_keys, col_keys
         for name, value in (("modes", modes), ("cutoff", cutoff), ("_written", written),
                             ("_matrix", None), ("_origin", origin),
                             ("_stored", blocks), ("_packed", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
-                            ("_trace", _blocks_trace(blocks) if trace is None else trace),
-                            ("trace_deficit", float(trace_deficit)),
+                            ("_trace", trace), ("trace_deficit", float(trace_deficit)),
                             ("_d_modulus", modulus)):
             object.__setattr__(self, name, value)
 
@@ -737,13 +734,8 @@ class FockDensity:
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the trace-renormalized matrix, each block
-        decided by ``_block_lowest_eigenvalue`` (see the module docstring).
-        A basis state that no block covers contributes the eigenvalue 0."""
-        lowest = min(_block_lowest_eigenvalue(values / self._trace)
-                     for _, values in self._blocks)
-        if np.any(self._row_key < 0):
-            lowest = min(lowest, 0.0)
-        return lowest
+        decided by ``_block_lowest_eigenvalue`` (see the module docstring)."""
+        return min(_block_lowest_eigenvalue(values / self._trace) for _, values in self._blocks)
 
     def diagonal(self) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -757,13 +749,14 @@ def _rebuilt(modes, cutoff, members, packed, trace_deficit, origin, trace) -> Fo
     own."""
     blocks = _Written(members)
     blocks.buffer[...] = packed
-    return FockDensity._graded(modes, cutoff, blocks, trace_deficit, origin, trace)
+    return FockDensity._graded(modes, cutoff, blocks, trace_deficit, trace, origin)
 
 
 def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """ρ[rows, cols] elementwise for flat basis indices: the packed entry
-    where both states lie in the same block copy, else one of the zeros at
-    the ends of the buffer, where the clipped sum of their keys lands."""
+    where both states lie in the same block copy, else, for states in
+    different copies, one of the zeros at the ends of the buffer, where the
+    clipped sum of their keys lands."""
     return rho._values.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
 
 
@@ -783,7 +776,7 @@ def _finish(modes: int, cutoff: int, blocks, eps_tr: float,
     the deficit and the density alike."""
     trace = _blocks_trace(blocks)
     return FockDensity._graded(modes, cutoff, blocks, _trace_deficit(cutoff, trace, eps_tr),
-                               origin, trace)
+                               trace, origin)
 
 
 # --- constructors -------------------------------------------------------------
@@ -1188,7 +1181,8 @@ def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
     Both witnesses read words of length at most 4 through ``_moments``: W2
     from one band shift (n and ⟨a†²a²⟩ lie on the diagonal), WHBT from
     two, (δa, δb) = (0, 0) and (2, −2): ⟨b†²a²⟩ is the conjugate of
-    ⟨a†²b²⟩, read on the same shift.
+    ⟨a†²b²⟩, read on the same shift.  ZeroDivisionError names the vacuum
+    where the normalization, ⟨a†a⟩² or WHBT's denominator, is not normal.
     """
     if kind is WitnessKind.W2:
         if rho.modes != 1:
@@ -1202,13 +1196,13 @@ def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
         raise ValueError(f"word of length 4 is truncation-unsafe at cutoff {rho.cutoff}")
     if kind is WitnessKind.W2:
         n1, n2 = (value.real for value in _moments(rho, [(1, 0, 1, 0), (2, 0, 2, 0)]))
-        if abs(n1) < 1e-12:
+        if n1 ** 2 < sys.float_info.min:
             raise ZeroDivisionError("witness normalization vanishes (vacuum)")
         return 3.0 - n2 / n1 ** 2
     cross, i2a, i2b, sq_ba, sq_ab = _moments(
         rho, [(1, 1, 1, 1), (2, 0, 2, 0), (0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2)])
     denominator = i2a.real + i2b.real + 2.0 * cross.real
-    if abs(denominator) < 1e-12:
+    if denominator < sys.float_info.min:
         raise ZeroDivisionError("witness normalization vanishes (vacuum)")
     numerator = 2.0 * cross.real + (sq_ba + sq_ab).real
     return 0.5 - numerator / denominator

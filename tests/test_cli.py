@@ -865,12 +865,15 @@ class TestSweepFlags:
          "lam2"),
     ], ids=lambda value: value[0] if isinstance(value, tuple) else value)
     def test_every_other_parameter_is_required(self, capsys, argv, vary):
-        family, flags = argv[0], argv[1:]
+        family, flag = argv[0], "--" + vary
+        # The varied flag itself is left out: ``--vary`` sets it.
+        flags = [x for pair in zip(argv[1::2], argv[2::2]) if pair[0] != flag for x in pair]
         grid = ("--vary", vary, "0", "1", "3")
         assert run_cli(capsys, "sweep", family, *flags, *grid)[0] == 0
+        code, out, err = run_cli(capsys, "sweep", family, *flags, flag, "0.5", *grid)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: --vary {vary} sets {flag}; leave {flag} out"
         for k in range(0, len(flags), 2):
-            if flags[k] in ("--" + vary, "--m-phase"):
-                continue
             code, out, err = run_cli(capsys, "sweep", family, *flags[:k], *flags[k + 2:], *grid)
             assert (code, out) == (2, ""), flags[k]
             assert err.strip() == f"error: family {family!r} needs {flags[k]}"
@@ -938,13 +941,29 @@ class TestNearVacuumWitness:
         assert (payload["v_minus"], payload["v_plus"]) == (1.0 / 3.0, 0.0)
         assert payload["whbt_pair"] == 1.0 / 6.0
 
-    @pytest.mark.parametrize("n, m", [("1e-100", "0"), ("1e-170", "1e-85")])
+    @pytest.mark.parametrize("n, m", [("1e-170", "1e-85")])
     def test_one_mode_oracle_names_the_vacuum_it_rounds_to(self, capsys, n, m):
-        # The oracle's ⟨a†a⟩ rounds to zero on these states: the oracle
-        # witness names it, before the g2 ratio would divide by it.
+        # The oracle's ⟨a†a⟩² underflows on this state: the oracle witness
+        # names the vacuum, before the g2 ratio would divide by it.
         code, out, err = run_cli(capsys, "classify", "one-mode", "--n", n, "--m", m, "--oracle")
         assert (code, out) == (2, "")
         assert err == "error: witness normalization vanishes (vacuum)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("one-mode", "--n", "1e-100", "--m", "0"),
+        ("one-mode", "--n", "1e-13", "--m", "3.1622744978908767e-07"),
+        ("epr", "--n", "1e-7", "--mc", "0"),
+        ("epr", "--n", "0", "--mc", "1e-16"),
+    ], ids=lambda argv: "-".join(argv[::2]))
+    def test_oracle_reads_a_state_next_to_the_vacuum(self, capsys, argv):
+        # The oracle reads small photon numbers to full relative precision,
+        # so it agrees with the closed form wherever its normalization is a
+        # normal float.
+        code, out, err = run_cli(capsys, "classify", *argv, "--oracle", "--format", "json")
+        assert (code, err) == (0, "")
+        deltas = {key: value for key, value in json.loads(out).items()
+                  if key.startswith("oracle_") and key.endswith("_delta")}
+        assert deltas and all(value <= 1e-15 for value in deltas.values()), deltas
 
     def test_tiny_two_mode_state_is_not_the_vacuum(self, capsys):
         # I₂ underflows to 0 at n = 1e-170, yet the state reports every
@@ -961,6 +980,10 @@ class TestNearVacuumWitness:
         assert reports["1e-170"]["whbt_verdict"] == "boundary"
         assert reports["1e-170"]["v_minus"] == reports["1e-100"]["v_minus"]
         assert list(reports["0"]) == ["n", "mc", "physical", "entangled"]
+        # The oracle's I₂ underflows at n = 1e-170: it names the vacuum.
+        code, out, err = run_cli(capsys, "classify", "epr", "--n", "1e-170", "--mc", "0",
+                                 "--oracle")
+        assert (code, out, err) == (2, "", "error: witness normalization vanishes (vacuum)\n")
         code, out, _ = run_cli(capsys, "witness", "whbt", "--family", "werner", "--n", "1e-170",
                                "--mc", "5e-171", "--p", "0.5", "--format", "json")
         assert code == 0 and json.loads(out)["verdict"] == "boundary"

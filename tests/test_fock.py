@@ -539,7 +539,9 @@ class TestWitnessExpectations:
             fock.expectation_of_witness(two, WitnessKind.W2)
 
 
-class TestPhysicalitySummary:
+class TestCandidateWeightSummary:
+    """The test reference ``candidate_weight_summary``, which test_separability reads."""
+
     def test_matches_unprojected_candidate_spectrum(self):
         # Rebuild the unprojected working candidate explicitly and compare
         # its dense spectrum with the weight summary.
@@ -978,7 +980,9 @@ class TestSwapSymmetricPartialTranspose:
     def test_wrong_phase_takes_the_complex_path(self, monkeypatch):
         spy = _BlockSolverSpy(monkeypatch)
         for name, rho, _ in _seeded_bs_route(12)[:4]:
-            wrong = fock.FockDensity._graded(2, 12, _written(rho._blocks), rho.trace_deficit,
+            blocks = _written(rho._blocks)
+            wrong = fock.FockDensity._graded(2, 12, blocks, rho.trace_deficit,
+                                             fock._blocks_trace(blocks),
                                              fock._Origin("recurrence",
                                                           rho._origin.swap_phase + 0.3))
             spy.dtypes.clear()
@@ -1391,22 +1395,21 @@ class TestGradedStorage:
                 float(np.linalg.eigvalsh(dense)[0]), abs=1e-14), name
             assert np.array_equal(rho.diagonal(), rho.matrix.diagonal().real), name
 
-    def test_uncovered_state_contributes_eigenvalue_zero(self):
+    def test_a_block_set_with_a_gap_is_rejected(self):
+        # A writer that drops a basis state fails loudly, instead of
+        # reading zeros there and a smallest eigenvalue of 0.
         block = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
-        covered = fock.FockDensity._graded(1, 2, _written([([[0, 1]], block)]), 0.0)
+        blocks = _written([([[0, 1]], block)])
+        covered = fock.FockDensity._graded(1, 2, blocks, 0.0, fock._blocks_trace(blocks))
         assert covered.min_eigenvalue() > 0.3
-        partial = fock.FockDensity._graded(1, 3, _written([([[0, 1]], block)]), 0.0)
-        assert partial.min_eigenvalue() == 0.0
-        assert np.array_equal(partial.diagonal(), [0.6, 0.4, 0.0])
+        with pytest.raises(ValueError, match="do not partition the 3 basis states"):
+            fock.FockDensity._graded(1, 3, blocks, 0.0, fock._blocks_trace(blocks))
 
     def test_lookup_reads_every_entry_of_the_dense_view(self):
-        # Pairs in one block copy, in two copies of one block, in two
-        # blocks, and with a state that no block covers, on every route at
-        # an even and an odd cutoff, the dense and one-mode densities
-        # included.
-        block = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
-        partial = fock.FockDensity._graded(1, 3, _written([([[2, 0]], block)]), 0.0)
-        densities = [partial]
+        # Pairs in one block copy, in two copies of one block and in two
+        # blocks, on every route at an even and an odd cutoff, the dense
+        # and one-mode densities included.
+        densities = []
         for cutoff in (6, 7):
             graded = _graded_densities(cutoff)
             bs = graded["bs"]
@@ -1430,10 +1433,11 @@ class TestGradedStorage:
 
     def test_overlapping_or_foreign_members_are_rejected(self):
         eye = np.eye(2, dtype=complex) / 2.0
-        with pytest.raises(ValueError, match="overlap"):
-            fock.FockDensity._graded(1, 3, _written([([[0, 1]], eye), ([[1, 2]], eye)]), 0.0)
-        with pytest.raises(ValueError, match="outside"):
-            fock.FockDensity._graded(1, 3, _written([([[2, 3]], eye)]), 0.0)
+        # An overlap, a foreign member and a gap.
+        for members in ([[[0, 1]], [[1, 2]]], [[[0, 1]], [[2, 3]]], [[[0, 1]]]):
+            blocks = _written([(m, eye) for m in members])
+            with pytest.raises(ValueError, match="do not partition the 3 basis states"):
+                fock.FockDensity._graded(1, 3, blocks, 0.0, fock._blocks_trace(blocks))
 
     def test_dense_view_is_read_only(self):
         rho = fock.two_mode_density(_BS_STATE, 8, eps_tr=1.0)
