@@ -5,9 +5,8 @@ oracle concordance suite.
 Angles are accepted in units of π (``--lam 0.5`` means π/2) so that figure
 abscissae stay exact; ``classify``, ``witness``, ``visibility`` and
 ``sweep``, the commands that take angles, accept ``--radians`` for raw
-radians.  CSV output is
-deterministic: 12 significant digits, '.' decimal separator, LF line
-endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
+radians.  CSV output is deterministic: 12 significant digits, '.' decimal
+separator, LF line endings.  Exit codes: 0 success, 2 invalid input, 3 nonphysical state,
 4 oracle disagreement; an ``--oracle`` cutoff too small for the state's
 photon-number tail also exits 2, as does a family parameter flag the family
 does not read or a required one left out: a family takes the same flags in
@@ -16,14 +15,15 @@ parameters, state and published fields from one table (``_FAMILIES``).  A
 negative value may be written in exponent notation (``--mc -1e-3``); a
 ``--vary`` START or STOP that is not a finite number, or NUM not an
 integer, exits 2 and names the field, and so does a ``figure --points``
-or ``--vary`` NUM below 1.  Only ``classify``, ``sweep`` and
-``amplifier`` take ``--oracle``; with it they report the route, the cutoff,
+or ``--vary`` NUM below 1 or too large to allocate.  Only ``classify``,
+``sweep`` and ``amplifier`` take ``--oracle``; with it they report the route, the cutoff,
 the trace deficit and the packed size (``oracle_density_mb``) of the density
 they measured.  ``amplifier`` reports its gains and classicality threshold,
 then the ``classify one-mode`` fields of its output state.  ``sweep`` exits 4
 when the oracle disagrees at any point; a point the gate rejects is a row
 with ``physical`` false and does not change the exit code.  ``oracle-check``
-takes ``--cutoff`` for its suite.
+takes ``--cutoff`` for its suite; as CSV it writes one row per check,
+without the detail, which may hold commas.
 """
 
 from __future__ import annotations
@@ -138,6 +138,14 @@ def _table(args, columns, rows, comment: str, head: dict | None = None) -> None:
 
 def _angle(value: float, radians: bool) -> float:
     return value if radians else value * math.pi
+
+
+def _grid(flag: str, start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace``, or ValueError naming ``flag`` if it cannot be allocated."""
+    try:
+        return np.linspace(start, stop, num)
+    except MemoryError:
+        raise ValueError(f"{flag} {num} is too many points to allocate") from None
 
 
 # --- families -------------------------------------------------------------------
@@ -495,7 +503,7 @@ def _cmd_figure(args) -> int:
     comment, columns, (lo, hi, landmarks), row_at = _FIGURES[args.id]
     if args.points < 1:
         raise ValueError(f"--points needs at least one point, got {args.points}")
-    grid = np.unique(np.concatenate([np.linspace(lo, hi, args.points), landmarks]))
+    grid = np.unique(np.concatenate([_grid("--points", lo, hi, args.points), landmarks]))
     _table(args, columns, [row_at(x) for x in grid], comment,
            {"figure": args.id, "comment": comment})
     return 0
@@ -526,7 +534,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--vary needs at least one point, got {num}")
     params = _family_values(args, family, free=name)
     points, disagree = [], False
-    for value in np.linspace(start, stop, count):
+    for value in _grid("--vary NUM", start, stop, count):
         params[name] = float(value)
         fields, outcome = _describe(family, params, args.radians, args.oracle, args.cutoff)
         points.append(fields)
@@ -557,6 +565,10 @@ def _cmd_oracle_check(args) -> int:
             "checks": [dataclasses.asdict(c) for c in report.checks],
         }
         _emit(args, json.dumps(payload, indent=2) + "\n")
+    elif args.format == "csv":
+        _table(args, ("name", "ok", "worst", "tolerance"),
+               [(c.name, c.ok, c.worst, c.tolerance) for c in report.checks],
+               f"suite of {report.n_states} states, cutoff {report.cutoff}, seed {report.seed}")
     else:
         lines = []
         for c in report.checks:

@@ -74,9 +74,9 @@ matrix formed: its entry at column s is R[s − k, k]·R[s − k, i] with
 R[b, p] = √(b+1)···√(b+p), read off one table per cutoff
 (``_ladder_weights``).  ``moment``, ``moment_table`` and
 ``expectation_of_witness`` read it through one contraction
-(``_moments``): every band shift the words need in one gather, but for
-the shifts the density's grading makes structural zeros, and all words
-in one batched product.  Only the shifts on or above the diagonal are
+(``_moments``), which alone checks the words: every band shift they need
+in one gather, but for the shifts the density's grading makes structural
+zeros, and all words in one batched product.  Only the shifts on or above the diagonal are
 gathered: a word W whose entries lie below it takes conj Tr(ρW†), equal
 to Tr(ρW) for Hermitian ρ, so a moment table reads half the bands and
 no lower triangle.  Purity, spectrum, trace and diagonal are read from
@@ -98,7 +98,7 @@ and the symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩,
 and is decided in real arithmetic, at about a quarter of the complex
 cost.  The symmetry is checked on every block to the Hermiticity
 tolerance; a block that fails it, and every density without δ, is
-gathered complex.
+gathered complex.  Both gather their rows in ``_partial_transpose_rows``.
 
 A block need not be diagonalized to be decided
 (``_block_lowest_eigenvalue``).  With h the block divided by the trace,
@@ -925,7 +925,8 @@ def _band_plan(ca: int, cb: int, shifts: tuple) -> _BandPlan:
 
 def _moments(rho: FockDensity, words) -> list:
     """Tr{ρ · a†^i a^k ⊗ b†^j b^l} for each counts tuple (i, j, k, l) in
-    ``words``.
+    ``words``.  Here alone words are checked: ValueError names the longest
+    when it is longer than cutoff // 2, or a one-mode density given mode b.
 
     The explicit product a†^i a^k is nonzero only on the band of entries
     (s + δ, s) with δ = i − k, so a word reads only the entries
@@ -954,6 +955,11 @@ def _moments(rho: FockDensity, words) -> list:
     on the d-graded one (k = 2·cutoff, tms and Werner) every shift with
     δa ≠ δb; a one-mode density and a dense one (k = 1) keep every shift.
     """
+    longest = max(map(sum, words), default=0)
+    if longest > rho.cutoff // 2:
+        raise ValueError(f"word of length {longest} is truncation-unsafe at cutoff {rho.cutoff}")
+    if rho.modes == 1 and any(j or l for _, j, _, l in words):
+        raise ValueError("one-mode density cannot take words containing mode b")
     ca, cb = rho.cutoff, rho.cutoff if rho.modes == 2 else 1
     # (counts read, conjugate?) per word: W itself, or W† = a†^k b†^l a^i b^j
     # where W's entries lie below the diagonal.
@@ -981,28 +987,17 @@ def _moments(rho: FockDensity, words) -> list:
 
 
 def moment(rho: FockDensity, word: OperatorWord) -> complex:
-    """Tr{ρ · a†^i b†^j a^k b^l} from the bands of the explicit ladder products."""
-    if len(word) > rho.cutoff // 2:
-        raise ValueError(
-            f"word of length {len(word)} is truncation-unsafe at cutoff {rho.cutoff}"
-        )
-    counts = word.counts()
-    if rho.modes == 1 and (counts[1] or counts[3]):
-        raise ValueError("one-mode density cannot take words containing mode b")
-    return _moments(rho, [counts])[0]
+    """Tr{ρ · a†^i b†^j a^k b^l}, checked and read by ``_moments``."""
+    return _moments(rho, [word.counts()])[0]
 
 
 def moment_table(rho: FockDensity, max_len: int) -> dict:
     """All normally ordered ladder moments with total length 1 .. max_len.
 
     Keys are exponent tuples (i, j, k, l) for a†^i b†^j a^k b^l (j = l = 0
-    on one-mode densities).  One gather and one batched contraction
+    on one-mode densities).  One checked gather and batched contraction
     (``_moments``) give every value, each equal to its ``moment``.
     """
-    if max_len > rho.cutoff // 2:
-        raise ValueError(
-            f"words of length {max_len} are truncation-unsafe at cutoff {rho.cutoff}"
-        )
     two_mode = rho.modes == 2
     words = [(i, j, k, l)
              for i in range(max_len + 1)
@@ -1016,14 +1011,19 @@ def moment_table(rho: FockDensity, max_len: int) -> dict:
 _PANEL = 32  # rows per gathered panel of a partial-transpose block
 
 
-def _partial_transpose_entries(rho: FockDensity, rows: np.ndarray,
-                               cols: np.ndarray) -> np.ndarray:
-    """PT[rows, cols] for flat two-mode indices, straight from the packed
-    buffer: PT[(x_a, x_b), (y_a, y_b)] = ρ[(x_a, y_b), (y_a, x_b)]."""
+def _partial_transpose_rows(rho: FockDensity, order: np.ndarray, start: int, stop: int,
+                            phase: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``start:stop`` of the partial transpose on the flat two-mode
+    states ``order`` through ``_entries``, PT[(x_a, x_b), (y_a, y_b)] =
+    ρ[(x_a, y_b), (y_a, x_b)]; given ``phase``, those of D·PT·D†, D = diag(phase)."""
     c = rho.cutoff
-    ra, rb = np.divmod(rows, c)
-    ca, cb = np.divmod(cols, c)
-    return _entries(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
+    ra, rb = np.divmod(order[start:stop], c)
+    ca, cb = np.divmod(order, c)
+    m = _entries(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
+    if phase is not None:
+        m *= phase[start:stop, None]
+        m *= phase.conj()
+    return m
 
 
 def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarray:
@@ -1032,8 +1032,7 @@ def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarra
     panel's size."""
     out = np.empty((members.size, members.size), dtype=complex)
     for start in range(0, members.size, _PANEL):
-        out[start:start + _PANEL] = _partial_transpose_entries(
-            rho, members[start:start + _PANEL], members)
+        out[start:start + _PANEL] = _partial_transpose_rows(rho, members, start, start + _PANEL)
     return out
 
 
@@ -1052,10 +1051,10 @@ def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
     D = diag(e^{iδN/2}) has M[sx, sy] = conj(M[x, y]) and is real in the
     basis {|j, j⟩, (|j, k⟩ + |k, j⟩)/√2, i(|j, k⟩ − |k, j⟩)/√2 : j < k}.
     The states are ordered (diagonal, upper j < k, their swap images), and
-    the real form is filled in row panels read straight from the packed
-    buffer: panels of diagonal rows, then panels of upper rows with the
-    panels of their images.  The symmetry is checked on every quadrant of
-    M to the density's Hermiticity tolerance.  No complex block is formed;
+    the real form is filled in row panels of M (``_partial_transpose_rows``):
+    panels of diagonal rows, then panels of upper rows with the panels of
+    their images.  The symmetry is checked on every quadrant of M to the
+    density's Hermiticity tolerance.  No complex block is formed;
     the real one, half its size, is the only array of the block's size, and
     the last panels go with this call, before the block is decided.
     """
@@ -1064,15 +1063,6 @@ def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
     upper = na < nb
     order = np.concatenate((members[na == nb], members[upper], nb[upper] * c + na[upper]))
     phase = np.exp(0.5j * swap_phase * np.add(*np.divmod(order, c))) if swap_phase else None
-
-    def panel(start: int, stop: int) -> np.ndarray:
-        """Rows ``start:stop`` of M."""
-        m = _partial_transpose_entries(rho, order[start:stop], order)
-        if phase is not None:
-            m *= phase[start:stop, None]
-            m *= phase.conj()
-        return m
-
     n_pairs = int(np.count_nonzero(upper))
     n_diag = order.size - 2 * n_pairs
     dg, up, lo = slice(n_diag), slice(n_diag, n_diag + n_pairs), slice(n_diag + n_pairs, None)
@@ -1080,7 +1070,7 @@ def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
     residual = 0.0
     for start in range(0, n_diag, _PANEL):
         rows = slice(start, min(start + _PANEL, n_diag))
-        m = panel(rows.start, rows.stop)
+        m = _partial_transpose_rows(rho, order, rows.start, rows.stop, phase)
         residual = max(residual, _max_abs(m[:, dg].imag), _max_abs(m[:, lo] - m[:, up].conj()))
         real[rows, dg] = m[:, dg].real
         real[rows, up] = math.sqrt(2.0) * m[:, up].real
@@ -1088,8 +1078,8 @@ def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
     for start in range(n_diag, n_diag + n_pairs, _PANEL):
         rows = slice(start, min(start + _PANEL, n_diag + n_pairs))
         images = slice(rows.start + n_pairs, rows.stop + n_pairs)
-        mu = panel(rows.start, rows.stop)
-        ml = panel(images.start, images.stop)
+        mu = _partial_transpose_rows(rho, order, rows.start, rows.stop, phase)
+        ml = _partial_transpose_rows(rho, order, images.start, images.stop, phase)
         residual = max(residual, _max_abs(ml[:, lo] - mu[:, up].conj()),
                        _max_abs(ml[:, up] - mu[:, lo].conj()))
         real[rows, up] = mu[:, up].real + mu[:, lo].real
@@ -1187,18 +1177,14 @@ def expectation_of_witness(rho: FockDensity, kind: WitnessKind) -> float:
     if kind is WitnessKind.W2:
         if rho.modes != 1:
             raise ValueError("single-mode witness needs a one-mode density")
-    elif kind is WitnessKind.WHBT:
-        if rho.modes != 2:
-            raise ValueError("intensity witness needs a two-mode density")
-    else:
-        raise ValueError(f"unknown witness kind {kind!r}")
-    if 4 > rho.cutoff // 2:
-        raise ValueError(f"word of length 4 is truncation-unsafe at cutoff {rho.cutoff}")
-    if kind is WitnessKind.W2:
         n1, n2 = (value.real for value in _moments(rho, [(1, 0, 1, 0), (2, 0, 2, 0)]))
         if n1 ** 2 < sys.float_info.min:
             raise ZeroDivisionError("witness normalization vanishes (vacuum)")
         return 3.0 - n2 / n1 ** 2
+    if kind is not WitnessKind.WHBT:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    if rho.modes != 2:
+        raise ValueError("intensity witness needs a two-mode density")
     cross, i2a, i2b, sq_ba, sq_ab = _moments(
         rho, [(1, 1, 1, 1), (2, 0, 2, 0), (0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2)])
     denominator = i2a.real + i2b.real + 2.0 * cross.real

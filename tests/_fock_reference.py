@@ -25,6 +25,16 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), k=1).astype(complex)
 
 
+def quadrature_second_moment(rho, mode: complex) -> float:
+    """⟨X²⟩ of a one-mode density for X = (c + c†)/√2 with c = ``mode``·a,
+    from this module's ladder matrix and the dense ``matrix`` over its
+    trace: the variance of X for a state of zero mean.  ``mode`` = 1 gives
+    X₁ = (a + a†)/√2, −i gives X₂ = (a − a†)/(√2 i)."""
+    c = mode * annihilation(rho.cutoff)
+    x = (c + c.conj().T) / math.sqrt(2.0)
+    return float(np.trace(rho.matrix @ x @ x).real) / rho.trace()
+
+
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
     """exp(g) for anti-Hermitian g, exactly unitary up to round-off."""
     h = 1j * g

@@ -654,6 +654,13 @@ class TestFigures:
         assert (code, out) == (2, "")
         assert err.strip() == f"error: --points needs at least one point, got {points}"
 
+    def test_a_grid_too_large_to_allocate_exits_two(self, capsys):
+        # 10**15 float64 points are 7 PiB, beyond any address space, so the
+        # grid's first allocation fails before any memory is touched.
+        code, out, err = run_cli(capsys, "figure", "6", "--points", str(10 ** 15))
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: --points {10 ** 15} is too many points to allocate"
+
     def test_unknown_figure_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["figure", "7"])
@@ -689,6 +696,13 @@ class TestSweep:
                                  "--vary", "mc", "0", "1", count)
         assert (code, out) == (2, "")
         assert err.strip() == f"error: --vary needs at least one point, got {count}"
+
+    def test_a_grid_too_large_to_allocate_exits_two(self, capsys):
+        # 7 PiB of points: the grid's first allocation fails outright.
+        code, out, err = run_cli(capsys, "sweep", "epr", "--n", "1",
+                                 "--vary", "mc", "0", "1", str(10 ** 15))
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: --vary NUM {10 ** 15} is too many points to allocate"
 
     def test_unknown_parameter_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "epr", "--n", "1",
@@ -1096,6 +1110,17 @@ class TestOracleCheckCommand:
             "one-mode moments", "one-mode purity", "single-mode witness",
             "two-mode moments", "intensity witness", "partial-transpose boundary",
         }
+
+    def test_csv_has_one_row_per_check(self, capsys):
+        _, out, _ = run_cli(capsys, "oracle-check", "--states", "2", "--format", "json")
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        code, out, _ = run_cli(capsys, "oracle-check", "--states", "2", "--format", "csv")
+        assert code == 0
+        assert out.startswith("# suite of 2 states, cutoff 40, seed ")
+        header, rows = parse_csv(out)
+        assert header == ["name", "ok", "worst", "tolerance"]
+        assert [row[0] for row in rows] == names and len(rows) == 6
+        assert all(len(row) == 4 and row[1] == "true" for row in rows)
 
 
 _ONE_MODE_KEYS = ["n", "m", "m_phase", "physical", "classification", "pure", "var_x1",

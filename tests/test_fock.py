@@ -412,6 +412,21 @@ class TestMoments:
         with pytest.raises(ValueError):
             fock.moment(rho, OperatorWord.from_counts(create_a=3, annihilate_a=3))
 
+    @pytest.mark.parametrize("read, length", [
+        (lambda rho: fock.moment(rho, OperatorWord.from_counts(2, 0, 2, 0)), 4),
+        (lambda rho: fock.moment_table(rho, 5), 5),
+        (lambda rho: fock.expectation_of_witness(
+            rho, WitnessKind.W2 if rho.modes == 1 else WitnessKind.WHBT), 4),
+    ], ids=["moment", "moment_table", "expectation_of_witness"])
+    def test_every_reader_names_the_longest_word(self, read, length):
+        # One rule, in ``_moments``: a word longer than cutoff // 2 = 3.
+        one = fock.one_mode_density(OneModeGaussian(0.5, 0.2j), 7, eps_tr=1.0)
+        two = fock.two_mode_density(_TMS_STATE, 7, eps_tr=1.0)
+        for rho in (one, two):
+            with pytest.raises(ValueError) as exc:
+                read(rho)
+            assert str(exc.value) == f"word of length {length} is truncation-unsafe at cutoff 7"
+
     def test_moment_table_matches_single_queries(self, rng):
         s = random_physical_one_mode(rng, n_max=0.8, frac_max=0.8)
         pair = TwoModeGaussian.pair_with_phase(s, 0.9)
@@ -1368,6 +1383,7 @@ class TestGradedStorage:
 
         one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), cutoff, eps_tr=1.0)
         for name, rho in (*_graded_densities(cutoff).items(), ("one-mode", one)):
+            assert fock.moment_table(rho, 0) == {}, name
             table = fock.moment_table(rho, 6)
             words = _all_words(6) if rho.modes == 2 else [
                 (i, 0, k, 0) for i in range(7) for k in range(7) if 1 <= i + k <= 6]

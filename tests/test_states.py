@@ -33,10 +33,10 @@ from squeezekit import (
     weyl_characteristic,
     wick_moment,
 )
-from squeezekit import fock, is_physical_two_mode
+from squeezekit import fock, is_physical_two_mode, oracle_check
 from squeezekit.states import MOMENT_BOUND, _counts_moment, _lowest_eigenvalue, state_record
 
-from _fock_reference import displacement_unitary
+from _fock_reference import displacement_unitary, quadrature_second_moment
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -198,6 +198,21 @@ class TestClassification:
         with pytest.raises(NonPhysicalStateError):
             is_p_representable(OneModeGaussian(0.5, 1.0 + 0j))
 
+    @pytest.mark.parametrize("n, m_abs", [(1.0, 0.8), (1.0, 1.2), (0.5, 0.3), (0.5, 0.7),
+                                          (0.3, 0.5)])
+    def test_verdict_matches_the_oracle_quadratures(self, n, m_abs):
+        # Independent oracle: a Gaussian state has a regular P density iff
+        # no quadrature variance falls below the vacuum level ½.  The
+        # smallest variance over a grid of angles is read off the cutoff-60
+        # density, not from the closed form's n ≥ |m| rule.
+        s = OneModeGaussian(n, m_abs * cmath.exp(0.7j))
+        rho = fock.one_mode_density(s, 60)
+        lowest = min(quadrature_second_moment(rho, cmath.exp(-1j * angle))
+                     for angle in np.linspace(0.0, math.pi, 181))
+        assert abs(lowest - 0.5) > 0.1
+        expected = Classification.CLASSICAL if lowest > 0.5 else Classification.QUANTUM
+        assert is_p_representable(s) is expected
+
 
 class TestPFunction:
     def test_thermal_width(self):
@@ -294,6 +309,16 @@ class TestQuadratures:
             s = random_physical_one_mode(rng, frac_max=1.0)
             dx1, dx2 = quadrature_variances(s)
             assert dx1 * dx2 >= 0.25 - 1e-9
+
+    def test_variances_match_the_oracle(self):
+        # Independent oracle: ⟨X₁²⟩ and ⟨X₂²⟩ from the dense cutoff-40
+        # density and the tests' own ladder matrix, on the suite's draws.
+        draws = np.random.default_rng(5)
+        for _ in range(30):
+            s = oracle_check.random_one_mode(draws)
+            rho = fock.one_mode_density(s, 40)
+            oracle = [quadrature_second_moment(rho, mode) for mode in (1.0, -1j)]
+            assert quadrature_variances(s) == pytest.approx(oracle, abs=1e-6), s
 
 
 class TestG2AndPurity:

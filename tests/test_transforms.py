@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from squeezekit import (
@@ -22,7 +23,9 @@ from squeezekit import (
     rotated_quadrature_variance,
     werner_mix,
 )
+from squeezekit import fock, oracle_check
 
+from _fock_reference import quadrature_second_moment
 from conftest import random_physical_one_mode
 
 SQRT2 = math.sqrt(2.0)
@@ -211,6 +214,19 @@ class TestRotatedQuadrature:
             direct = rotated_quadrature_variance(s, lam, theta)
             via_shift = quadrature_variances(phase_shift(s, lam - theta / 2.0))[0]
             assert direct == pytest.approx(via_shift, rel=1e-12, abs=1e-12)
+
+    def test_matches_the_oracle(self):
+        # Independent oracle: the quadrature of b = a e^{iλ} rotated by θ/2,
+        # X = (b e^{−iθ/2} + b† e^{iθ/2})/√2, read off the dense cutoff-40
+        # density with the tests' own ladder matrix; m real, of either sign.
+        draws = np.random.default_rng(5)
+        for _ in range(10):
+            drawn = oracle_check.random_one_mode(draws)
+            s = OneModeGaussian(drawn.n, complex(abs(drawn.m) * draws.choice((-1.0, 1.0))))
+            lam, theta = draws.uniform(0.0, 2.0 * math.pi, 2)
+            rho = fock.one_mode_density(s, 40)
+            oracle = quadrature_second_moment(rho, cmath.exp(1j * (lam - theta / 2.0)))
+            assert rotated_quadrature_variance(s, lam, theta) == pytest.approx(oracle, abs=1e-6)
 
     def test_complex_m_rejected(self):
         with pytest.raises(UnsupportedPhaseError):
