@@ -104,12 +104,25 @@ def _emit(args, text: str) -> None:
 
 
 def _csv(columns, rows, comment: str | None = None) -> str:
+    """CSV text, one ``%`` format per row, made once per tuple of cell
+    types: ``%.12g`` for the float cells, and ``_fmt`` for the others."""
     lines = []
     if comment:
         lines.append(f"# {comment}")
     lines.append(",".join(columns))
+    formats = {}
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in formats:
+            floats = [issubclass(t, (float, np.floating)) for t in types]
+            formats[types] = (",".join("%.12g" if f else "%s" for f in floats),
+                              [i for i, f in enumerate(floats) if not f])
+        text, others = formats[types]
+        if others:
+            row = list(row)
+            for i in others:
+                row[i] = _fmt(row[i])
+        lines.append(text % tuple(row))
     return "\n".join(lines) + "\n"
 
 
@@ -504,7 +517,7 @@ def _cmd_figure(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points needs at least one point, got {args.points}")
     grid = np.unique(np.concatenate([_grid("--points", lo, hi, args.points), landmarks]))
-    _table(args, columns, [row_at(x) for x in grid], comment,
+    _table(args, columns, [row_at(x) for x in grid.tolist()], comment,
            {"figure": args.id, "comment": comment})
     return 0
 

@@ -57,9 +57,10 @@ The parity-graded writer writes only the upper triangles, n_a ≥ m_a, in
 slices with no gather.  The lower triangles stay unwritten until the first
 read that needs one, which writes them all as the adjoint of the upper
 ones in one tiled pass (``_Written.complete``).  Moments, the witnesses,
-the trace and the diagonal read none of them, so the concordance suite
-never pays that pass; ``matrix``, ``purity``, the spectra and ``_entries``
-complete the density first.
+the trace, the diagonal and the partial transpose read none of them, so
+neither the concordance suite nor ``classify --oracle`` pays that pass;
+``matrix``, ``purity``, the density's spectrum and ``_entries`` complete
+the density first.
 
 Constructors check the cutoff on entry and the trace deficit, summed block
 by block, at the end.
@@ -98,7 +99,15 @@ and the symmetric and antisymmetric combinations of |j, k⟩ and |k, j⟩,
 and is decided in real arithmetic, at about a quarter of the complex
 cost.  The symmetry is checked on every block to the Hermiticity
 tolerance; a block that fails it, and every density without δ, is
-gathered complex.  Both gather their rows in ``_partial_transpose_rows``.
+gathered complex.  A density in the parity layout, the ``recurrence``
+route and the mixtures it writes, is read from its written band alone
+(``_parity_bands``): in block g of the partial transpose, sub-block
+(x_a, y_a) is ρ's sub-block (x_a, y_a) of total parity
+(x_a − y_a + g) mod 2, transposed, read where y_a ≥ x_a and as the
+conjugate of sub-block (y_a, x_a) where y_a < x_a, in strided slices and
+with no index arrays; every entry is the one the completed density holds,
+bit for bit.  Densities of other layouts gather their rows through
+``_entries`` (``_partial_transpose_rows``).
 
 A block need not be diagonalized to be decided
 (``_block_lowest_eigenvalue``).  With h the block divided by the trace,
@@ -122,8 +131,10 @@ wherever their smallest corner weights lie below δ; at cutoff 40 the
 factorization takes about half the time of a real 800-state spectrum and
 a quarter of a complex one.  It runs in two halves on the block's own
 storage (``_shifted_factorizes``), so no second array of the block's size
-is made.  ``FockDensity.min_eigenvalue`` decides each density block the
-same way.
+is made; the panel between the halves is solved against the leading
+factor in place, by halving into matmul updates and LU solves of at most
+100 rows (``_solve_lower``), not by one pivoted LU solve.
+``FockDensity.min_eigenvalue`` decides each density block the same way.
 
 None of the routines here consults the Wick engine, so moments, purities,
 witness expectations and partial-transpose spectra computed from these
@@ -304,9 +315,7 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     order = [0, 2, 1, 3]
     a = a[np.ix_(order, order)]
     c, even = cutoff, cutoff + cutoff % 2
-    na, nb = np.divmod(np.arange(c * c), c)
-    out = _Written([np.flatnonzero((na + nb) % 2 == parity)[None, :] for parity in (0, 1)],
-                   lower_pending=True)
+    out = _Written([members[None, :] for members in _parity_members(c)], lower_pending=True)
     if c % 2:
         # An odd cutoff stops before the last slab of the even one.
         for m_a, slab in zip(range(c), _parity_slabs(a, t, even)):
@@ -337,6 +346,14 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
         squares = block[diagonal, :, diagonal]  # (m_a, m_b/2, n_b/2), a copy
         block[diagonal, :, diagonal] = _hermitian_mean(squares, squares.transpose(0, 2, 1))
     return out
+
+
+def _parity_members(cutoff: int) -> list:
+    """The flat two-mode states of even and of odd total parity, each in
+    increasing flat index: the members of the two blocks of the parity
+    layout (``_recurrence_blocks``)."""
+    na, nb = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    return [np.flatnonzero((na + nb) % 2 == parity) for parity in (0, 1)]
 
 
 def _pattern_tolerance(state: TwoModeGaussian) -> float:
@@ -578,8 +595,9 @@ class FockDensity:
     block.  The blocks are stored read-only, mirror copies sharing one.
     A writer may leave the lower triangles unwritten (the ``recurrence``
     route); ``_stored`` and ``_packed`` then hold them unwritten, and only
-    the readers of the upper triangles read them.  Every other read goes
-    through ``_blocks`` or ``_values``, which write them first, once.
+    the readers of the upper triangles read them: the moments and the
+    partial transpose.  Every other read goes through ``_blocks`` or
+    ``_values``, which write them first, once.
     Measurements read the blocks through a per-state lookup; ``matrix`` is
     a dense read-only view built on first use.  A density from this
     module's constructors records how it was built (``route``); a dense one
@@ -752,12 +770,19 @@ def _rebuilt(modes, cutoff, members, packed, trace_deficit, origin, trace) -> Fo
     return FockDensity._graded(modes, cutoff, blocks, trace_deficit, trace, origin)
 
 
+def _lookup(rho: FockDensity, packed: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    """``packed``[ρ's offset of (rows, cols)] elementwise for flat basis
+    indices: the packed entry where both states lie in the same block copy,
+    else, for states in different copies, one of the zeros at the ends of
+    the buffer, where the clipped sum of their keys lands."""
+    return packed.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
+
+
 def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """ρ[rows, cols] elementwise for flat basis indices: the packed entry
-    where both states lie in the same block copy, else, for states in
-    different copies, one of the zeros at the ends of the buffer, where the
-    clipped sum of their keys lands."""
-    return rho._values.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
+    """ρ[rows, cols] elementwise for flat basis indices, every entry written
+    first (``_values``), read by ``_lookup``."""
+    return _lookup(rho, rho._values, rows, cols)
 
 
 def _trace_deficit(cutoff: int, trace: float, eps_tr: float) -> float:
@@ -944,7 +969,8 @@ def _moments(rho: FockDensity, words) -> list:
     moment(ρ, W†) = conj(moment(ρ, W)) exactly.  That halves the gather and
     the contraction, and reads no entry below a block's diagonal, so a
     density whose lower triangles are unwritten is not completed: the
-    gather reads the packed buffer directly, not through ``_entries``.
+    gather reads the packed buffer as it is through ``_lookup``, not
+    through ``_entries``.
 
     One grading rule skips the shifts that read only structural zeros.
     Entry (s, s + δ) joins states whose d = n_a − n_b differ by δa − δb,
@@ -971,8 +997,7 @@ def _moments(rho: FockDensity, words) -> list:
         return [0j] * len(words)
     plan = _band_plan(ca, cb, shifts)
     grid = np.zeros((len(shifts), ca, cb), dtype=complex)
-    grid.ravel()[plan.slots] = rho._packed.take(
-        rho._row_key.take(plan.rows) + rho._col_key.take(plan.cols), mode="clip")
+    grid.ravel()[plan.slots] = _lookup(rho, rho._packed, plan.rows, plan.cols)
     half = np.matmul(plan.mode_a, grid.view(float))
     full = np.matmul(half, plan.mode_b).view(complex)
     index = {shift: n for n, shift in enumerate(shifts)}
@@ -1011,29 +1036,115 @@ def moment_table(rho: FockDensity, max_len: int) -> dict:
 _PANEL = 32  # rows per gathered panel of a partial-transpose block
 
 
-def _partial_transpose_rows(rho: FockDensity, order: np.ndarray, start: int, stop: int,
-                            phase: np.ndarray | None = None) -> np.ndarray:
+def _partial_transpose_rows(rho: FockDensity, order: np.ndarray, start: int,
+                            stop: int) -> np.ndarray:
     """Rows ``start:stop`` of the partial transpose on the flat two-mode
     states ``order`` through ``_entries``, PT[(x_a, x_b), (y_a, y_b)] =
-    ρ[(x_a, y_b), (y_a, x_b)]; given ``phase``, those of D·PT·D†, D = diag(phase)."""
+    ρ[(x_a, y_b), (y_a, x_b)]."""
     c = rho.cutoff
     ra, rb = np.divmod(order[start:stop], c)
     ca, cb = np.divmod(order, c)
-    m = _entries(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
-    if phase is not None:
-        m *= phase[start:stop, None]
-        m *= phase.conj()
-    return m
+    return _entries(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
 
 
 def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarray:
-    """Rows and columns ``members`` of the partial transpose, gathered in
-    panels of ``_PANEL`` rows, so that the lookup's index arrays stay a
-    panel's size."""
+    """Rows and columns ``members`` of the partial transpose.  A density in
+    the parity layout, whose ``members`` are one of its total parities, is
+    read from its written bands (``_band_partial_transpose``); any other is
+    gathered through ``_entries`` in panels of ``_PANEL`` rows, so that the
+    lookup's index arrays stay a panel's size."""
+    bands = _parity_bands(rho)
+    if bands is not None:
+        g = _parity_of(members, rho.cutoff)
+        if np.array_equal(members, _parity_members(rho.cutoff)[g]):
+            return _band_partial_transpose(bands, g, members, rho.cutoff)
     out = np.empty((members.size, members.size), dtype=complex)
     for start in range(0, members.size, _PANEL):
         out[start:start + _PANEL] = _partial_transpose_rows(rho, members, start, start + _PANEL)
     return out
+
+
+def _parity_of(members: np.ndarray, cutoff: int) -> int:
+    """The total parity of the first of the flat two-mode states ``members``."""
+    return int(sum(divmod(int(members[0]), cutoff)) % 2)
+
+
+def _parity_bands(rho: FockDensity) -> np.ndarray | None:
+    """The two blocks of a density in the parity layout
+    (``_recurrence_blocks``) as one array B[p, m_a, m_b // 2, n_a, n_b // 2]
+    of ρ[(m_a, m_b), (n_a, n_b)] in block p; None for any other layout.
+    Band m_a of block p holds the states (m_a, m_b) with m_b of parity
+    p − m_a.  Only the sub-blocks with n_a ≥ m_a are written, and the
+    readers here read no other, and of the n_a = m_a squares only the upper
+    triangles (``_completed_squares``).  At an even cutoff the two blocks
+    are equal in size and B is a view of the packed buffer; at an odd one B
+    is a copy padded with zeros to the next even cutoff."""
+    c = rho.cutoff
+    if rho.modes != 2 or len(rho._stored) != 2 or not all(
+            m.shape[0] == 1 and np.array_equal(m[0], ref)
+            for (m, _), ref in zip(rho._stored, _parity_members(c))):
+        return None
+    e, h = c + c % 2, (c + 1) // 2
+    if c % 2 == 0:
+        return rho._packed[1:-1].reshape(2, e, h, e, h)
+    out = np.zeros((2, e * h, e * h), dtype=complex)
+    for block, (members, values) in zip(out, rho._stored):
+        na, nb = np.divmod(members[0], c)
+        at = na * h + nb // 2
+        block[at[:, None], at] = values
+    return out.reshape(2, e, h, e, h)
+
+
+def _completed_squares(bands: np.ndarray, g: int) -> np.ndarray:
+    """The n_a = m_a squares of block g, S[m_a, m_b // 2, n_b // 2], each
+    with its lower triangle the adjoint of its upper one, as
+    ``_Written.complete`` writes it."""
+    e, h = bands.shape[1:3]
+    diagonal = np.arange(e)
+    squares = bands[g][diagonal, :, diagonal, :]
+    np.copyto(squares, squares.conj().transpose(0, 2, 1), where=np.tri(h, k=-1, dtype=bool))
+    return squares
+
+
+# Partial transpose from the bands.  In block g of the partial transpose,
+# sub-block (x_a, y_a) is ρ's sub-block (x_a, y_a) transposed, in block
+# p = (x_a − y_a + g) mod 2: PT_g[x_a, i, y_a, j] = B[p, x_a, j, y_a, i].
+# Where y_a < x_a it is read instead as the conjugate of
+# B[p, y_a, i, x_a, j], and where y_a = x_a from the completed squares, so
+# every entry is the one a completed density holds, bit for bit.
+
+def _band_partial_transpose(bands: np.ndarray, g: int, members: np.ndarray,
+                            cutoff: int) -> np.ndarray:
+    """Block g of the partial transpose on ``members``, its total parity g,
+    from the bands alone, one band of rows at a time (``_band_pt_rows``)."""
+    e, h = bands.shape[1:3]
+    squares = _completed_squares(bands, g)
+    out = np.empty((e, h, e, h), dtype=complex)
+    for xa in range(cutoff):
+        _band_pt_rows(bands, squares, g, xa, out[xa, :(cutoff - (g - xa) % 2 + 1) // 2])
+    out = out.reshape(e * h, e * h)
+    if cutoff % 2:
+        na, nb = np.divmod(members, cutoff)
+        at = na * h + nb // 2
+        out = out[np.ix_(at, at)]
+    return out
+
+
+def _band_pt_rows(bands: np.ndarray, squares: np.ndarray, g: int, xa: int,
+                  out: np.ndarray) -> None:
+    """Write into ``out``, (width, y_a, y_b // 2), the first width rows
+    (x_a, x_b) of band x_a of block g of the partial transpose,
+    x_b = 2i + (g − x_a) mod 2: per parity of y_a one strided copy of the
+    sub-blocks right of the square and one of those left of it, which are
+    then conjugated in place, and the square from ``squares``."""
+    e, width = bands.shape[1], out.shape[0]
+    for ys in (0, 1):
+        block = bands[(xa - ys + g) % 2]
+        right, left = slice(xa + 1 + (ys - xa - 1) % 2, e, 2), slice(ys, xa, 2)
+        out[:, right] = block[xa, :, right, :width].transpose(2, 1, 0)
+        out[:, left] = block[left, :width, xa, :].transpose(1, 0, 2)
+    np.conjugate(out[:, :xa], out=out[:, :xa])
+    out[:, xa] = squares[xa, :, :width].T
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -1041,50 +1152,98 @@ def _max_abs(x: np.ndarray) -> float:
 
 
 def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
-    """The partial-transpose block on ``members`` (a set closed under the
-    mode swap s) in a real symmetric form of the same spectrum, divided by
-    the trace; None when the block lacks the symmetry.
+    """The partial-transpose block on ``members`` (one total parity of a
+    density in the parity layout, closed under the mode swap s) in a real
+    symmetric form of the same spectrum, divided by the trace; None when
+    the block lacks the symmetry.
 
     A density that commutes with T|j, k⟩ = e^{iδ(j−k)}|k, j⟩ (with or
     without the sign (−1)^{j+k}: it conserves total parity) has
     PT[sx, sy] = e^{iδ(N_y − N_x)} conj(PT[x, y]), so M = D PT D† with
     D = diag(e^{iδN/2}) has M[sx, sy] = conj(M[x, y]) and is real in the
     basis {|j, j⟩, (|j, k⟩ + |k, j⟩)/√2, i(|j, k⟩ − |k, j⟩)/√2 : j < k}.
-    The states are ordered (diagonal, upper j < k, their swap images), and
-    the real form is filled in row panels of M (``_partial_transpose_rows``):
-    panels of diagonal rows, then panels of upper rows with the panels of
-    their images.  The symmetry is checked on every quadrant of M to the
-    density's Hermiticity tolerance.  No complex block is formed;
-    the real one, half its size, is the only array of the block's size, and
-    the last panels go with this call, before the block is decided.
+    The states are ordered (diagonal, upper j < k, their swap images).
+
+    The rows of M are read one band x_a at a time from the written bands
+    (``_band_pt_rows``), so the density is never completed.  A band's
+    diagonal row and upper rows (x_a, x_b > x_a) fill the real form; its
+    rows (x_a, x_b < x_a) are the images of the upper rows (x_b, x_a) of
+    earlier bands.  Each upper row x leaves Re M[x, y] ± Re M[x, sy] and
+    Im M[x, sy] − Im M[x, y] in the real form and Im M[x, y] in its image's
+    row, among the columns the final transposes overwrite, so M[x, ·] is
+    recovered there and M[sx, sy] = conj(M[x, y]) checked on every
+    quadrant of the image row, to the density's Hermiticity tolerance; a
+    diagonal row checks its own quadrants.  No complex block is formed;
+    the real one, half its size, is the only array of the block's size.
+    A density in any other layout returns None.
     """
     c = rho.cutoff
+    bands = _parity_bands(rho)
+    if bands is None:
+        return None
+    g = _parity_of(members, c)
+    squares = _completed_squares(bands, g)
+    e, h = bands.shape[1:3]
     na, nb = np.divmod(members, c)
     upper = na < nb
     order = np.concatenate((members[na == nb], members[upper], nb[upper] * c + na[upper]))
     phase = np.exp(0.5j * swap_phase * np.add(*np.divmod(order, c))) if swap_phase else None
+    conj_phase = None if phase is None else phase.conj()
+    oa, ob = np.divmod(order, c)
+    columns = oa * h + ob // 2  # each state of ``order`` among a band row's columns
+    place = np.empty(e * h, dtype=np.intp)
+    place[columns] = np.arange(order.size)  # and its place in ``order``
     n_pairs = int(np.count_nonzero(upper))
     n_diag = order.size - 2 * n_pairs
     dg, up, lo = slice(n_diag), slice(n_diag, n_diag + n_pairs), slice(n_diag + n_pairs, None)
     real = np.empty((order.size, order.size))
     residual = 0.0
-    for start in range(0, n_diag, _PANEL):
-        rows = slice(start, min(start + _PANEL, n_diag))
-        m = _partial_transpose_rows(rho, order, rows.start, rows.stop, phase)
-        residual = max(residual, _max_abs(m[:, dg].imag), _max_abs(m[:, lo] - m[:, up].conj()))
-        real[rows, dg] = m[:, dg].real
-        real[rows, up] = math.sqrt(2.0) * m[:, up].real
-        real[rows, lo] = -math.sqrt(2.0) * m[:, up].imag
-    for start in range(n_diag, n_diag + n_pairs, _PANEL):
-        rows = slice(start, min(start + _PANEL, n_diag + n_pairs))
-        images = slice(rows.start + n_pairs, rows.stop + n_pairs)
-        mu = _partial_transpose_rows(rho, order, rows.start, rows.stop, phase)
-        ml = _partial_transpose_rows(rho, order, images.start, images.stop, phase)
-        residual = max(residual, _max_abs(ml[:, lo] - mu[:, up].conj()),
-                       _max_abs(ml[:, up] - mu[:, lo].conj()))
-        real[rows, up] = mu[:, up].real + mu[:, lo].real
-        real[rows, lo] = mu[:, lo].imag - mu[:, up].imag
-        real[images, lo] = mu[:, up].real - mu[:, lo].real
+    gathered = np.empty(((c + 1) // 2, e, h), dtype=complex)
+    band = np.empty(((c + 1) // 2, order.size), dtype=complex)
+    for xa in range(c):
+        s = (g - xa) % 2
+        first, width = (xa - s + 1) // 2, (c - s + 1) // 2  # x_b ≥ x_a from ``first``
+        at = place[xa * h:xa * h + width]  # each row's place in ``order``
+        _band_pt_rows(bands, squares, g, xa, gathered[:width])
+        m = np.take(gathered[:width].reshape(width, e * h), columns, axis=1, out=band[:width])
+        if phase is not None:
+            m *= phase[at, None]
+            m *= conj_phase
+        if g == 0:  # the diagonal row (x_a, x_a)
+            md = m[first]
+            residual = max(residual, _max_abs(md[dg].imag), _max_abs(md[lo] - md[up].conj()))
+            real[xa, dg] = md[dg].real
+            np.multiply(md[up].real, math.sqrt(2.0), out=real[xa, up])
+            np.multiply(md[up].imag, -math.sqrt(2.0), out=real[xa, lo])
+        if first + 1 - g < width:
+            mu = m[first + 1 - g:]
+            rows = slice(int(at[first + 1 - g]), int(at[-1]) + 1)
+            images = slice(rows.start + n_pairs, rows.stop + n_pairs)
+            np.add(mu[:, up].real, mu[:, lo].real, out=real[rows, up])
+            np.subtract(mu[:, lo].imag, mu[:, up].imag, out=real[rows, lo])
+            np.subtract(mu[:, up].real, mu[:, lo].real, out=real[images, lo])
+            real[images, up] = mu[:, up].imag
+        if first:
+            # Images (x_a, x_b), x_b < x_a, of the upper rows x = (x_b, x_a)
+            # of earlier bands: M[x, y] = up_re + i·up_im and
+            # M[x, sy] = lo_re + i·lo_im, recovered from x's entries, and
+            # their conjugates against the image's lower and upper columns.
+            ml, images = m[:first], at[:first]
+            up_re = real[images - n_pairs, up]
+            lo_re = up_re - real[images, lo]
+            up_re += real[images, lo]
+            up_re *= 0.5
+            lo_re *= 0.5
+            up_im = real[images, up]
+            lo_im = real[images - n_pairs, lo]
+            lo_im += up_im
+            for mi, re, im in ((ml[:, lo], up_re, up_im), (ml[:, up], lo_re, lo_im)):
+                np.subtract(mi.real, re, out=re)
+                np.add(mi.imag, im, out=im)
+                re *= re
+                im *= im
+                re += im
+                residual = max(residual, math.sqrt(float(np.max(re, initial=0.0))))
     if residual > _HERMITICITY_TOL:
         return None
     for rows, cols in ((up, dg), (lo, dg), (lo, up)):
@@ -1105,19 +1264,41 @@ def _block_lowest_eigenvalue(block: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(block)[0])
 
 
+_SOLVE_BASE = 100  # rows of a leading factor that ``_solve_lower`` solves by LU
+
+
+def _solve_lower(lower: np.ndarray, panel: np.ndarray) -> None:
+    """Overwrite ``panel`` with L⁻¹·panel for the lower-triangular factor
+    L = ``lower``, by halving: the leading rows are solved, the trailing
+    ones take the product of L's lower-left quarter with them off, one
+    matmul, and are solved in turn.  A factor of at most ``_SOLVE_BASE``
+    rows is solved by ``np.linalg.solve``."""
+    n = lower.shape[0]
+    if n <= _SOLVE_BASE:
+        panel[...] = np.linalg.solve(lower, panel)
+        return
+    k = n // 2
+    _solve_lower(lower[:k, :k], panel[:k])
+    panel[k:] -= lower[k:, :k] @ panel[:k]
+    _solve_lower(lower[k:, k:], panel[k:])
+
+
 def _shifted_factorizes(block: np.ndarray, delta: float) -> bool:
     """Whether block + δI has a Cholesky factorization, with temporaries of
     a quarter of the block each: the leading half is factorized as L, the
-    panel W = L⁻¹·block[lead, trail] solved, and the Schur complement
-    block[trail, trail] + δI − WᴴW factorized.  The shift is written on the
-    block's diagonal and the diagonal restored after, so the block leaves
-    unchanged, bit for bit."""
+    panel W = L⁻¹·block[lead, trail] solved in place (``_solve_lower``),
+    and the Schur complement block[trail, trail] + δI − WᴴW factorized.
+    The shift is written on the block's diagonal and the diagonal restored
+    after, so the block leaves unchanged, bit for bit."""
     n = block.shape[0]
     lead, trail = slice(n // 2), slice(n // 2, n)
     diagonal = block.diagonal().copy()
     np.fill_diagonal(block, diagonal + delta)
     try:
-        panel = np.linalg.solve(np.linalg.cholesky(block[lead, lead]), block[lead, trail])
+        lower = np.linalg.cholesky(block[lead, lead])
+        panel = block[lead, trail].copy()
+        _solve_lower(lower, panel)
+        del lower
         schur = panel.conj().T @ panel
         del panel
         np.subtract(block[trail, trail], schur, out=schur)
@@ -1143,7 +1324,9 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
     k.  A density that records a swap phase (``_swap_phase``) commutes
     with a phased mode swap, which makes each block real symmetric up to
     known phases (``_symmetric_form``); a block that fails that check, and
-    every other density, is gathered complex.
+    every other density, is gathered complex.  A density in the parity
+    layout is read from its written band alone, never completed
+    (``_parity_bands``); any other through ``_entries``.
 
     Each block, divided by the trace, is decided by
     ``_block_lowest_eigenvalue``: by one factorization where that is

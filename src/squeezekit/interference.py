@@ -61,16 +61,18 @@ class VisibilityRecord:
     phase_offset_plus: float = 0.0
 
     def __post_init__(self):
-        for name in ("v_minus", "v_plus"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not (-_VIS_TOL <= v <= 1.0 + _VIS_TOL):
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-        vm = float(self.v_m)
-        object.__setattr__(self, "v_m", vm)
-        if abs(vm) > 1.0 + _VIS_TOL:
-            raise ValueError(f"v_m = {vm} outside [-1, 1]")
-        object.__setattr__(self, "phase_offset_plus", float(self.phase_offset_plus))
+        v_minus = float(self.v_minus)
+        if not (-_VIS_TOL <= v_minus <= 1.0 + _VIS_TOL):
+            raise ValueError(f"v_minus = {v_minus} outside [0, 1]")
+        v_plus = float(self.v_plus)
+        if not (-_VIS_TOL <= v_plus <= 1.0 + _VIS_TOL):
+            raise ValueError(f"v_plus = {v_plus} outside [0, 1]")
+        v_m = float(self.v_m)
+        if abs(v_m) > 1.0 + _VIS_TOL:
+            raise ValueError(f"v_m = {v_m} outside [-1, 1]")
+        # The frozen fields, written once as floats.
+        self.__dict__.update(v_minus=v_minus, v_plus=v_plus, v_m=v_m,
+                             phase_offset_plus=float(self.phase_offset_plus))
 
     @property
     def total(self) -> float:

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from squeezekit import (
@@ -640,6 +641,23 @@ class TestFigures:
         capsys.readouterr()
         assert path_a.read_bytes() == path_b.read_bytes()
         assert b"\r" not in path_a.read_bytes()
+
+    def test_csv_rows_equal_the_cell_by_cell_format(self):
+        # ``_csv`` formats a row with one ``%`` string per tuple of cell
+        # types; every row must read as the cells joined through ``_fmt``.
+        rng = np.random.default_rng(7)
+        specials = [0.0, -0.0, 1.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+                    1e16, 1e-300, 5e-324, 123456789012.5, 2.0 ** 0.5, -1e-5]
+        cells = [*specials, *(10.0 ** rng.uniform(-320, 308, 40) * rng.choice([-1, 1], 40)),
+                 np.float64(1.0 / 3.0), np.float64(-0.0), np.float64("nan"),
+                 np.float32(0.1), np.float32(-3.0e38), np.float32("inf"),
+                 True, False, np.bool_(True), np.bool_(False), 0, -7, 2 ** 70,
+                 np.int64(-9), np.int32(12), "text", "", "a,b%s%%", None]
+        rows = [[cells[i] for i in rng.integers(0, len(cells), 6)] for _ in range(400)]
+        rows += [[float(x)] * 3 for x in rng.standard_normal(50)] + [[], ["only"]]
+        lines = cli._csv(["c"] * 6, rows, "note").split("\n")
+        assert lines[:2] == ["# note", "c,c,c,c,c,c"] and lines[-1] == ""
+        assert lines[2:-1] == [",".join(cli._fmt(v) for v in row) for row in rows]
 
     def test_figure_has_comment_and_header(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "3", "--points", "5")

@@ -29,7 +29,7 @@ from squeezekit import (
     whbt_closed_form_epr,
     wick_moment,
 )
-from squeezekit import fock
+from squeezekit import cli, fock
 from squeezekit.oracle_check import (
     DEFAULT_SEED,
     MOMENT_RTOL,
@@ -1005,6 +1005,36 @@ class TestSwapSymmetricPartialTranspose:
                 _dense_partial_transpose_min(rho), abs=1e-13), name
             assert spy.dtypes and all(dt == np.complex128 for dt in spy.dtypes), name
 
+    @pytest.mark.parametrize("kick", [1e-9, 1e-9j])
+    def test_one_broken_entry_loses_the_real_form(self, kick):
+        # One written entry ρ[A, B] (B after A) moved by a real or an
+        # imaginary 1e-9, where the mode swap s maps the pair to neither
+        # itself nor (B, A), breaks the swap symmetry in the
+        # partial-transpose block of parity a_1 + b_2 alone, wherever the
+        # entry falls: in a diagonal row, an upper row or the image rows
+        # checked against it.
+        c = 8
+        state = _BS_STATE
+        origin = fock._Origin("recurrence", fock._swap_phase(state))
+        parity = np.add(*np.divmod(np.arange(c * c), c)) % 2
+        members = [np.flatnonzero(parity == g) for g in (0, 1)]
+        rng = np.random.default_rng(31)
+        swap = np.arange(c * c).reshape(c, c).T.ravel()
+        tried = 0
+        while tried < 24:
+            p = int(rng.integers(2))
+            row, col = sorted(rng.choice(members[p].size, 2, replace=False))
+            a, b = members[p][row], members[p][col]
+            if {(swap[a], swap[b])} & {(a, b), (b, a)}:
+                continue
+            tried += 1
+            blocks = fock._recurrence_blocks(state, c)
+            blocks[p].values[row, col] += kick
+            rho = fock._finish(2, c, blocks, 1.0, origin)
+            broken = (a // c + b % c) % 2
+            forms = [fock._symmetric_form(rho, m, origin.swap_phase) for m in members]
+            assert forms[broken] is None and forms[1 - broken] is not None, (p, row, col)
+
     def test_eigensolver_input_type_per_route(self, monkeypatch):
         spy = _BlockSolverSpy(monkeypatch)
         for name, rho in _graded_densities(12).items():
@@ -1125,6 +1155,28 @@ class TestFactorizationCertificate:
             assert abs(got - expected) <= 2.0 * _shift(block)
         else:
             assert got == expected
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [7, 100, 257, 400])
+    def test_blocked_solve_matches_the_lu_solve(self, n, dtype):
+        # The panel solve of the factorization, W = L⁻¹·B by halving with LU
+        # solves of at most ``_SOLVE_BASE`` rows, against one LU solve, on
+        # the Cholesky factor of a seeded positive definite matrix with
+        # eigenvalues in [0.1, 1.1], so κ(L) ≤ √11.  The forward error of
+        # either solve is of order n·ε·κ(L)·‖W‖, below 1e-12 here.
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n // 2 + 1))
+        if dtype is np.complex128:
+            z = z + 1j * rng.standard_normal((n, n))
+            b = b + 1j * rng.standard_normal(b.shape)
+        q, _ = np.linalg.qr(z)
+        lower = np.linalg.cholesky((q * rng.uniform(0.1, 1.1, n)) @ q.conj().T)
+        expected = np.linalg.solve(lower, b)
+        panel = b.copy()
+        fock._solve_lower(lower, panel)
+        assert panel.dtype == dtype
+        assert np.linalg.norm(panel - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("family", ["bs-output", "general"])
     def test_separable_recurrence_densities_need_no_eigensolve(self, family, monkeypatch):
@@ -1683,12 +1735,13 @@ class TestLowerTrianglesOnDemand:
                     == fock.expectation_of_witness(built, WitnessKind.WHBT)), name
             assert lazy.trace() == built.trace() and lazy.nbytes == built.nbytes, name
             assert np.array_equal(lazy.diagonal(), built.diagonal()), name
+            # The partial transpose reads the written bands alone.
+            assert fock.ppt_min_eigenvalue(lazy) == fock.ppt_min_eigenvalue(eager), name
             assert lazy._written.lower_pending, name
             assert np.array_equal(lazy.matrix, eager.matrix), name
             assert not lazy._written.lower_pending, name
             assert lazy.purity() == eager.purity(), name
             assert lazy.min_eigenvalue() == eager.min_eigenvalue(), name
-            assert fock.ppt_min_eigenvalue(lazy) == fock.ppt_min_eigenvalue(eager), name
 
     def test_one_mode_moments_read_the_upper_triangle(self):
         # Every one-mode word a†^i a^k with i < k takes its adjoint's
@@ -1718,17 +1771,44 @@ class TestLowerTrianglesOnDemand:
         assert run_concordance_suite(n_states=16, seed=DEFAULT_SEED).ok
         assert len(written) >= 2 and spy.addresses == []
 
-    def test_the_partial_transpose_completes_each_density_once(self, monkeypatch):
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_the_partial_transpose_completes_no_density(self, cutoff, monkeypatch, capsys):
+        # Neither the partial transpose nor a ``classify --oracle`` call
+        # writes a lower triangle, and every block's two readings, from the
+        # written bands and from the completed density, agree bit for bit.
+        # ``matrix`` and ``purity`` then complete each density exactly once.
         spy = _MirrorSpy(monkeypatch)
         for name, state in self._STATES.items():
             spy.addresses.clear()
-            rho = fock.two_mode_density(state, 12, eps_tr=1.0)
-            fock.ppt_min_eigenvalue(rho)
-            fock.ppt_min_eigenvalue(rho)
+            rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            parity = np.add(*np.divmod(np.arange(rho.dim), cutoff)) % 2
+            members = [np.flatnonzero(parity == g) for g in (0, 1)]
+            value = fock.ppt_min_eigenvalue(rho)
+            assert fock.ppt_min_eigenvalue(rho) == value, name
+            blocks = [fock._partial_transpose_block(rho, m) for m in members]
+            phase = rho._origin.swap_phase
+            forms = [None if phase is None else fock._symmetric_form(rho, m, phase)
+                     for m in members]
+            assert spy.addresses == [] and rho._written.lower_pending, name
             rho.matrix, rho.purity()
             assert sorted(spy.addresses) == sorted(
                 values.ctypes.data for _, values in rho._stored), name
-
+            keys = [np.empty((m.size, m.size), dtype=complex) for m in members]
+            for key, m in zip(keys, members):
+                for start in range(0, m.size, fock._PANEL):
+                    key[start:start + fock._PANEL] = fock._partial_transpose_rows(
+                        rho, m, start, start + fock._PANEL)
+            for block, key in zip(blocks, keys):
+                assert np.array_equal(block.view(np.uint64), key.view(np.uint64)), name
+            if phase is not None:
+                assert [form is not None for form in forms] == [True, True], name
+                assert all(np.array_equal(a, fock._symmetric_form(rho, m, phase))
+                           for a, m in zip(forms, members)), name
+        spy.addresses.clear()
+        args = ["classify", "bs-output", "--n", "0.1", "--m", "0.08", "--lam", "0.3",
+                "--oracle", "--cutoff", str(cutoff), "--format", "json"]
+        assert cli.main(args) == 0
+        assert spy.addresses == [] and "oracle_ppt_min_eig" in capsys.readouterr().out
 
     def test_threads_racing_to_complete_a_density_read_it_whole(self):
         # Eight threads on two cores read every entry of one density whose

@@ -26,10 +26,11 @@ from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 MB = 1e6
 CUTOFF = 40
 # Bounds on the temporaries above what a call leaves alive.  At cutoff 40
-# they measure about 5.2 MB (assembly) and 7.7 MB (partial transpose, the
-# first call's completion of the lower triangles included: the 5.12 MB
-# real form of a block and two quarter-size temporaries of its
-# factorization); the margin is for numpy's own temporaries.
+# they measure about 5.2 MB (assembly) and 8.4 MB (partial transpose,
+# which reads the written band and completes nothing: the 5.12 MB real
+# form of a block, and during its factorization two quarter-size
+# temporaries and the half-quarter update of the panel solve); the margin
+# is for numpy's own temporaries.
 BS_ASSEMBLY_TRANSIENT_MB = 11.0
 BS_PPT_TRANSIENT_MB = 9.0
 
