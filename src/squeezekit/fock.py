@@ -54,13 +54,13 @@ symmetrized, all through one routine (``_hermitian_mean``):
   matrix.
 
 The parity-graded writer writes only the upper triangles, n_a ≥ m_a, in
-slices with no gather.  The lower triangles stay unwritten until the first
-read that needs one, which writes them all as the adjoint of the upper
-ones in one tiled pass (``_Written.complete``).  Moments, the witnesses,
-the trace, the diagonal and the partial transpose read none of them, so
-neither the concordance suite nor ``classify --oracle`` pays that pass;
-``matrix``, ``purity``, the density's spectrum and ``_entries`` complete
-the density first.
+slices with no gather, and no one writes its lower triangles: a block's
+lower triangle is the adjoint of its upper one, a rule that only readers
+apply, in one place (``_from_upper``).  Moments, the witnesses, the
+trace, the diagonal and the partial transpose read no lower triangle;
+``matrix``, ``purity``, the density's spectrum and a pickle read each
+block through ``_from_upper``, a copy.  The packed buffer is read-only
+from adoption on, so no read writes a density.
 
 Constructors check the cutoff on entry and the trace deficit, summed block
 by block, at the end.
@@ -105,9 +105,9 @@ route and the mixtures it writes, is read from its written band alone
 (x_a, y_a) is ρ's sub-block (x_a, y_a) of total parity
 (x_a − y_a + g) mod 2, transposed, read where y_a ≥ x_a and as the
 conjugate of sub-block (y_a, x_a) where y_a < x_a, in strided slices and
-with no index arrays; every entry is the one the completed density holds,
-bit for bit.  Densities of other layouts gather their rows through
-``_entries`` (``_partial_transpose_rows``).
+with no index arrays; every entry is the one ``matrix`` holds, bit for
+bit.  Densities of other layouts, which store both triangles, gather
+their rows through ``_lookup`` (``_partial_transpose_rows``).
 
 A block need not be diagonalized to be decided
 (``_block_lowest_eigenvalue``).  With h the block divided by the trace,
@@ -132,8 +132,8 @@ factorization takes about half the time of a real 800-state spectrum and
 a quarter of a complex one.  It runs in two halves on the block's own
 storage (``_shifted_factorizes``), so no second array of the block's size
 is made; the panel between the halves is solved against the leading
-factor in place, by halving into matmul updates and LU solves of at most
-100 rows (``_solve_lower``), not by one pivoted LU solve.
+factor in place, by halving into matmul updates and LU solves, each of at
+most 100 rows (``_solve_lower``), not by one pivoted LU solve.
 ``FockDensity.min_eigenvalue`` decides each density block the same way.
 
 None of the routines here consults the Wick engine, so moments, purities,
@@ -293,7 +293,7 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     """Blocks of the restricted density of a two-mode state, one per total
     parity, each listing its states in increasing flat index.  Only the
     entries with n_a ≥ m_a are written, exactly Hermitian on the squares
-    n_a = m_a; the lower triangles are left for ``_Written.complete``.
+    n_a = m_a; the lower triangles stay unwritten (``_from_upper``).
 
     The slabs run along m_a over (n_a, m_b, q) (``_parity_slabs``), at the
     even cutoff c or c + 1: the entries do not depend on the cutoff.  The
@@ -315,7 +315,7 @@ def _recurrence_blocks(state: TwoModeGaussian, cutoff: int) -> "_Written":
     order = [0, 2, 1, 3]
     a = a[np.ix_(order, order)]
     c, even = cutoff, cutoff + cutoff % 2
-    out = _Written([members[None, :] for members in _parity_members(c)], lower_pending=True)
+    out = _Written([members[None, :] for members in _parity_members(c)])
     if c % 2:
         # An odd cutoff stops before the last slab of the even one.
         for m_a, slab in zip(range(c), _parity_slabs(a, t, even)):
@@ -508,32 +508,19 @@ class _Written(list):
     """Blocks (``_Block``) on ``members`` whose values lie back to back in
     one buffer, between two zeros: the entries the lookup reads for a pair
     of states in different block copies.  The values start uninitialised; a
-    route writes every entry, exactly Hermitian, and ``FockDensity`` adopts
-    the buffer as its packed values.
+    route writes at least each block's upper triangle, exactly Hermitian
+    where it writes both, and ``FockDensity`` adopts the buffer as its
+    packed values.  A writer that leaves the lower triangles unwritten (the
+    parity layout) lists each block's members in increasing flat index."""
 
-    A writer that sets ``lower_pending`` writes only what a block's upper
-    triangle needs, and lists each block's members in increasing flat
-    index; its lower triangles stay unwritten until ``complete``."""
-
-    def __init__(self, members, lower_pending: bool = False):
+    def __init__(self, members):
         self.buffer = np.empty(sum(m.shape[1] ** 2 for m in members) + 2, dtype=complex)
         self.buffer[0] = self.buffer[-1] = 0.0
-        self.lower_pending = lower_pending
         offset = 1
         for m in members:
             size = m.shape[1]
             self.append(_Block(m, self.buffer[offset:offset + size * size].reshape(size, size)))
             offset += size * size
-
-    def complete(self) -> None:
-        """Write each block's lower triangle as the adjoint of its upper
-        one, once.  The flag clears only after every triangle is written,
-        so a second thread that still finds it set writes the same bits
-        again."""
-        if self.lower_pending:
-            for _, values in self:
-                _mirror_upper(values)
-            self.lower_pending = False
 
 
 def _require_dims(modes: int, cutoff: int) -> None:
@@ -561,19 +548,14 @@ def _hermitian_mean(mat: np.ndarray, transposed: np.ndarray) -> np.ndarray:
     return np.conjugate(out, out=out)
 
 
-_TILE = 64
-_LOWER = np.tri(_TILE, k=-1, dtype=bool)
-
-
-def _mirror_upper(mat: np.ndarray) -> None:
-    """Write the adjoint of the upper triangle of ``mat`` into its lower
-    one, in pairs of mirrored square tiles, which stay in cache."""
-    dim = mat.shape[0]
-    for i in range(0, dim, _TILE):
-        tile = mat[i:i + _TILE, i:i + _TILE]
-        np.copyto(tile, tile.conj().T, where=_LOWER[:tile.shape[0], :tile.shape[0]])
-        for j in range(i + _TILE, dim, _TILE):
-            np.conjugate(mat[i:i + _TILE, j:j + _TILE].T, out=mat[j:j + _TILE, i:i + _TILE])
+def _from_upper(values: np.ndarray) -> np.ndarray:
+    """A Hermitian copy of a block, or of a stack of squares, built from its
+    upper triangle: the strict lower one is the adjoint of the upper.  The
+    entries below the diagonal of ``values`` are copied over, never used."""
+    out = values.copy()
+    np.conjugate(values.swapaxes(-1, -2), out=out,
+                 where=np.tri(values.shape[-1], k=-1, dtype=bool))
+    return out
 
 
 def _blocks_trace(blocks) -> float:
@@ -593,11 +575,11 @@ class FockDensity:
     ``FockDensity(modes, cutoff, matrix, trace_deficit)`` checks a dense
     matrix to be Hermitian to 1e-12 and writes it symmetrized as a single
     block.  The blocks are stored read-only, mirror copies sharing one.
-    A writer may leave the lower triangles unwritten (the ``recurrence``
-    route); ``_stored`` and ``_packed`` then hold them unwritten, and only
-    the readers of the upper triangles read them: the moments and the
-    partial transpose.  Every other read goes through ``_blocks`` or
-    ``_values``, which write them first, once.
+    The parity layout (the ``recurrence`` route and its mixtures) leaves
+    the lower triangles unwritten, and no reader reads one: the moments and
+    the partial transpose read the upper triangles alone, and ``matrix``,
+    ``purity``, ``min_eigenvalue`` and a pickle read each block through
+    ``_from_upper``, on every layout alike.
     Measurements read the blocks through a per-state lookup; ``matrix`` is
     a dense read-only view built on first use.  A density from this
     module's constructors records how it was built (``route``); a dense one
@@ -608,7 +590,7 @@ class FockDensity:
     rebuilds it with every entry written (``__reduce__``).
     """
 
-    __slots__ = ("modes", "cutoff", "trace_deficit", "_written", "_stored", "_packed",
+    __slots__ = ("modes", "cutoff", "trace_deficit", "_blocks", "_packed",
                  "_row_key", "_col_key", "_trace", "_matrix", "_origin", "_d_modulus")
 
     def __init__(self, modes: int, cutoff: int, matrix, trace_deficit: float):
@@ -638,30 +620,33 @@ class FockDensity:
 
     def __reduce__(self):
         """Copies and pickles rebuild the density through ``_graded`` from
-        each block's members and the packed values, every entry written
-        first, so that no pickle holds unwritten memory.  The trace deficit,
-        the trace and the origin, swap phase included, are kept as they
-        are."""
-        self._written.complete()
-        return (_rebuilt, (self.modes, self.cutoff, [members for members, _ in self._stored],
-                           self._packed, self.trace_deficit, self._origin, self._trace))
+        each block's members and the packed values, each block read through
+        ``_from_upper``, so that no pickle holds unwritten memory.  The trace
+        deficit, the trace and the origin, swap phase included, are kept as
+        they are."""
+        packed = np.concatenate([self._packed[:1],
+                                 *(_from_upper(values).ravel() for _, values in self._blocks),
+                                 self._packed[-1:]])
+        return (_rebuilt, (self.modes, self.cutoff, [members for members, _ in self._blocks],
+                           packed, self.trace_deficit, self._origin, self._trace))
 
     def __post_init__(self, modes: int, cutoff: int, written: _Written, trace_deficit: float,
                       trace: float, origin: _Origin | None) -> None:
-        """Adopt the packed buffer of the ``written`` blocks through
-        read-only views, and build the lookup from each basis state's block
-        copy, the packed offset of its row and its position in the block
-        (see ``_entries``).  The block copies must partition the basis
-        states.  The written blocks themselves stay writable, for the lower
-        triangles a writer may have left (``_blocks``).  The callers have
+        """Adopt the packed buffer of the ``written`` blocks, read-only for
+        good, and build the lookup from each basis state's block copy, the
+        packed offset of its row and its position in the block (see
+        ``_lookup``).  The block copies must partition the basis states.
+        The buffer itself is made read-only, and the density keeps views of
+        it alone, which cannot be made writable again.  The callers have
         checked ``modes`` and ``cutoff`` and summed ``trace`` with
         ``_blocks_trace``."""
         dim = cutoff ** modes
-        packed = written.buffer.view()
-        blocks = tuple(_Block(members, values.view()) for members, values in written)
+        blocks = tuple(written)
         flat = np.concatenate([members.ravel() for members, _ in blocks])
         if not np.array_equal(np.sort(flat), np.arange(dim)):
             raise ValueError(f"block members do not partition the {dim} basis states")
+        written.buffer.flags.writeable = False
+        packed = written.buffer.view()
         for members, values in blocks:
             members.flags.writeable = False
             values.flags.writeable = False
@@ -690,29 +675,15 @@ class FockDensity:
         # allocated: keys above these in the heap left it fragmented, and a
         # later density's buffer took fresh memory, up to 14 MB of peak RSS.
         del size, base, first, row, at, d
-        packed.flags.writeable = False
         row_key, col_key = np.empty((2, dim), dtype=np.intp)
         row_key[flat], col_key[flat] = row_keys, col_keys
-        for name, value in (("modes", modes), ("cutoff", cutoff), ("_written", written),
+        for name, value in (("modes", modes), ("cutoff", cutoff),
                             ("_matrix", None), ("_origin", origin),
-                            ("_stored", blocks), ("_packed", packed),
+                            ("_blocks", blocks), ("_packed", packed),
                             ("_row_key", row_key), ("_col_key", col_key),
                             ("_trace", trace), ("trace_deficit", float(trace_deficit)),
                             ("_d_modulus", modulus)):
             object.__setattr__(self, name, value)
-
-    @property
-    def _blocks(self) -> tuple:
-        """The blocks, every entry written: the first read writes the lower
-        triangles that the writer left (``_Written.complete``)."""
-        self._written.complete()
-        return self._stored
-
-    @property
-    def _values(self) -> np.ndarray:
-        """The packed buffer that ``_entries`` reads, every entry written."""
-        self._written.complete()
-        return self._packed
 
     @property
     def dim(self) -> int:
@@ -722,7 +693,7 @@ class FockDensity:
     def nbytes(self) -> int:
         """Bytes of the packed block values, one per block: mirror copies
         share theirs, and structural zeros take none."""
-        return sum(values.nbytes for _, values in self._stored)
+        return sum(values.nbytes for _, values in self._blocks)
 
     @property
     def route(self) -> str | None:
@@ -736,6 +707,7 @@ class FockDensity:
         if self._matrix is None:
             dense = np.zeros((self.dim, self.dim), dtype=complex)
             for members, values in self._blocks:
+                values = _from_upper(values)
                 for row in members:
                     dense[np.ix_(row, row)] = values
             dense.flags.writeable = False
@@ -747,17 +719,18 @@ class FockDensity:
 
     def purity(self) -> float:
         """Tr ρ² of the trace-renormalized matrix."""
-        return sum(len(members) * float(np.sum(np.abs(values / self._trace) ** 2))
+        return sum(len(members) * float(np.sum(np.abs(_from_upper(values) / self._trace) ** 2))
                    for members, values in self._blocks)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the trace-renormalized matrix, each block
         decided by ``_block_lowest_eigenvalue`` (see the module docstring)."""
-        return min(_block_lowest_eigenvalue(values / self._trace) for _, values in self._blocks)
+        return min(_block_lowest_eigenvalue(_from_upper(values) / self._trace)
+                   for _, values in self._blocks)
 
     def diagonal(self) -> np.ndarray:
         out = np.zeros(self.dim)
-        for members, values in self._stored:
+        for members, values in self._blocks:
             out[members] = values.diagonal().real
         return out
 
@@ -770,19 +743,14 @@ def _rebuilt(modes, cutoff, members, packed, trace_deficit, origin, trace) -> Fo
     return FockDensity._graded(modes, cutoff, blocks, trace_deficit, trace, origin)
 
 
-def _lookup(rho: FockDensity, packed: np.ndarray, rows: np.ndarray,
-            cols: np.ndarray) -> np.ndarray:
-    """``packed``[ρ's offset of (rows, cols)] elementwise for flat basis
-    indices: the packed entry where both states lie in the same block copy,
-    else, for states in different copies, one of the zeros at the ends of
-    the buffer, where the clipped sum of their keys lands."""
-    return packed.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
-
-
-def _entries(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """ρ[rows, cols] elementwise for flat basis indices, every entry written
-    first (``_values``), read by ``_lookup``."""
-    return _lookup(rho, rho._values, rows, cols)
+def _lookup(rho: FockDensity, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """ρ's packed entry of (rows, cols) elementwise for flat basis indices:
+    the packed entry where both states lie in the same block copy, else,
+    for states in different copies, one of the zeros at the ends of the
+    buffer, where the clipped sum of their keys lands.  On the parity
+    layout an entry below a block's diagonal is unwritten: its callers
+    there read none."""
+    return rho._packed.take(rho._row_key.take(rows) + rho._col_key.take(cols), mode="clip")
 
 
 def _trace_deficit(cutoff: int, trace: float, eps_tr: float) -> float:
@@ -847,7 +815,9 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
     writer, whose two blocks every route refines; each component must meet
     the trace tolerance on its own, is weighted in its own buffer and added
     into the first one's, which the mixture adopts: two buffers at a time.
-    Real weights keep the sum exactly Hermitian.
+    Real weights keep the sum exactly Hermitian.  The total-parity writer
+    leaves its lower triangles unwritten, so there only the upper
+    triangles are weighted and summed: no arithmetic reads unwritten memory.
     """
     _require_dims(2, cutoff)
     _require_physical(state)
@@ -857,17 +827,19 @@ def two_mode_density(state, cutoff: int, *, eps_tr: float = EPS_TR) -> FockDensi
         return _finish(2, cutoff, write(state, cutoff), eps_tr, origin)
     writers = {_writer(comp)[0] for _, comp in state.components}
     write = writers.pop() if len(writers) == 1 else _recurrence_blocks
+    summed = True if write is not _recurrence_blocks else np.concatenate(
+        [np.tri(m.size, dtype=bool).T.ravel() for m in _parity_members(cutoff)])
     out = None
     for w, comp in state.components:
         blocks = write(comp, cutoff)
         _trace_deficit(cutoff, _blocks_trace(blocks), eps_tr)
-        blocks.complete()  # the sum reads every entry
         values = blocks.buffer[1:-1]
-        values *= w  # in place: no temporary of the buffer's size
+        # In place: no temporary of the buffer's size.
+        np.multiply(values, w, out=values, where=summed)
         if out is None:
             out = blocks
         else:
-            out.buffer[1:-1] += values
+            np.add(out.buffer[1:-1], values, out=out.buffer[1:-1], where=summed)
     return _finish(2, cutoff, out, eps_tr, _Origin("mixture"))
 
 
@@ -967,10 +939,8 @@ def _moments(rho: FockDensity, words) -> list:
     (c_b = 1 on one mode): a word W below it takes the conjugate of its
     adjoint's value, Tr(ρW) = conj Tr(ρW†) for Hermitian ρ, so that
     moment(ρ, W†) = conj(moment(ρ, W)) exactly.  That halves the gather and
-    the contraction, and reads no entry below a block's diagonal, so a
-    density whose lower triangles are unwritten is not completed: the
-    gather reads the packed buffer as it is through ``_lookup``, not
-    through ``_entries``.
+    the contraction, and reads no entry below a block's diagonal, which the
+    parity layout leaves unwritten.
 
     One grading rule skips the shifts that read only structural zeros.
     Entry (s, s + δ) joins states whose d = n_a − n_b differ by δa − δb,
@@ -997,7 +967,7 @@ def _moments(rho: FockDensity, words) -> list:
         return [0j] * len(words)
     plan = _band_plan(ca, cb, shifts)
     grid = np.zeros((len(shifts), ca, cb), dtype=complex)
-    grid.ravel()[plan.slots] = _lookup(rho, rho._packed, plan.rows, plan.cols)
+    grid.ravel()[plan.slots] = _lookup(rho, plan.rows, plan.cols)
     half = np.matmul(plan.mode_a, grid.view(float))
     full = np.matmul(half, plan.mode_b).view(complex)
     index = {shift: n for n, shift in enumerate(shifts)}
@@ -1039,25 +1009,28 @@ _PANEL = 32  # rows per gathered panel of a partial-transpose block
 def _partial_transpose_rows(rho: FockDensity, order: np.ndarray, start: int,
                             stop: int) -> np.ndarray:
     """Rows ``start:stop`` of the partial transpose on the flat two-mode
-    states ``order`` through ``_entries``, PT[(x_a, x_b), (y_a, y_b)] =
-    ρ[(x_a, y_b), (y_a, x_b)]."""
+    states ``order`` through ``_lookup``, PT[(x_a, x_b), (y_a, y_b)] =
+    ρ[(x_a, y_b), (y_a, x_b)].  It reads both triangles, so it serves only
+    the layouts that store both: ``_partial_transpose_block`` sends the
+    parity layout to its bands."""
     c = rho.cutoff
     ra, rb = np.divmod(order[start:stop], c)
     ca, cb = np.divmod(order, c)
-    return _entries(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
+    return _lookup(rho, ra[:, None] * c + cb, ca * c + rb[:, None])
 
 
-def _partial_transpose_block(rho: FockDensity, members: np.ndarray) -> np.ndarray:
+def _partial_transpose_block(rho: FockDensity, members: np.ndarray,
+                             bands: np.ndarray | None = None) -> np.ndarray:
     """Rows and columns ``members`` of the partial transpose.  A density in
-    the parity layout, whose ``members`` are one of its total parities, is
-    read from its written bands (``_band_partial_transpose``); any other is
-    gathered through ``_entries`` in panels of ``_PANEL`` rows, so that the
-    lookup's index arrays stay a panel's size."""
-    bands = _parity_bands(rho)
+    the parity layout, whose partial-transpose blocks are its two total
+    parities, is read from its written ``bands``, taken here unless given
+    (``_parity_bands``, ``_band_partial_transpose``); any other is gathered
+    through ``_lookup`` in panels of ``_PANEL`` rows, so that the lookup's
+    index arrays stay a panel's size."""
+    bands = _parity_bands(rho) if bands is None else bands
     if bands is not None:
-        g = _parity_of(members, rho.cutoff)
-        if np.array_equal(members, _parity_members(rho.cutoff)[g]):
-            return _band_partial_transpose(bands, g, members, rho.cutoff)
+        return _band_partial_transpose(bands, _parity_of(members, rho.cutoff), members,
+                                       rho.cutoff)
     out = np.empty((members.size, members.size), dtype=complex)
     for start in range(0, members.size, _PANEL):
         out[start:start + _PANEL] = _partial_transpose_rows(rho, members, start, start + _PANEL)
@@ -1076,49 +1049,45 @@ def _parity_bands(rho: FockDensity) -> np.ndarray | None:
     Band m_a of block p holds the states (m_a, m_b) with m_b of parity
     p − m_a.  Only the sub-blocks with n_a ≥ m_a are written, and the
     readers here read no other, and of the n_a = m_a squares only the upper
-    triangles (``_completed_squares``).  At an even cutoff the two blocks
-    are equal in size and B is a view of the packed buffer; at an odd one B
-    is a copy padded with zeros to the next even cutoff."""
+    triangles (``_band_squares``).  At an even cutoff the two blocks are
+    equal in size and B is a view of the packed buffer; at an odd one B is
+    a copy padded with zeros to the next even cutoff, made once per partial
+    transpose (``ppt_min_eigenvalue``)."""
     c = rho.cutoff
-    if rho.modes != 2 or len(rho._stored) != 2 or not all(
+    if rho.modes != 2 or len(rho._blocks) != 2 or not all(
             m.shape[0] == 1 and np.array_equal(m[0], ref)
-            for (m, _), ref in zip(rho._stored, _parity_members(c))):
+            for (m, _), ref in zip(rho._blocks, _parity_members(c))):
         return None
     e, h = c + c % 2, (c + 1) // 2
     if c % 2 == 0:
         return rho._packed[1:-1].reshape(2, e, h, e, h)
     out = np.zeros((2, e * h, e * h), dtype=complex)
-    for block, (members, values) in zip(out, rho._stored):
+    for block, (members, values) in zip(out, rho._blocks):
         na, nb = np.divmod(members[0], c)
         at = na * h + nb // 2
         block[at[:, None], at] = values
     return out.reshape(2, e, h, e, h)
 
 
-def _completed_squares(bands: np.ndarray, g: int) -> np.ndarray:
-    """The n_a = m_a squares of block g, S[m_a, m_b // 2, n_b // 2], each
-    with its lower triangle the adjoint of its upper one, as
-    ``_Written.complete`` writes it."""
-    e, h = bands.shape[1:3]
-    diagonal = np.arange(e)
-    squares = bands[g][diagonal, :, diagonal, :]
-    np.copyto(squares, squares.conj().transpose(0, 2, 1), where=np.tri(h, k=-1, dtype=bool))
-    return squares
+def _band_squares(bands: np.ndarray, g: int) -> np.ndarray:
+    """The n_a = m_a squares of block g, S[m_a, m_b // 2, n_b // 2], read
+    from their upper triangles (``_from_upper``)."""
+    return _from_upper(np.diagonal(bands[g], axis1=0, axis2=2).transpose(2, 0, 1))
 
 
 # Partial transpose from the bands.  In block g of the partial transpose,
 # sub-block (x_a, y_a) is ρ's sub-block (x_a, y_a) transposed, in block
 # p = (x_a − y_a + g) mod 2: PT_g[x_a, i, y_a, j] = B[p, x_a, j, y_a, i].
 # Where y_a < x_a it is read instead as the conjugate of
-# B[p, y_a, i, x_a, j], and where y_a = x_a from the completed squares, so
-# every entry is the one a completed density holds, bit for bit.
+# B[p, y_a, i, x_a, j], and where y_a = x_a from the squares read through
+# ``_from_upper``, so every entry is the one ``matrix`` holds, bit for bit.
 
 def _band_partial_transpose(bands: np.ndarray, g: int, members: np.ndarray,
                             cutoff: int) -> np.ndarray:
     """Block g of the partial transpose on ``members``, its total parity g,
     from the bands alone, one band of rows at a time (``_band_pt_rows``)."""
     e, h = bands.shape[1:3]
-    squares = _completed_squares(bands, g)
+    squares = _band_squares(bands, g)
     out = np.empty((e, h, e, h), dtype=complex)
     for xa in range(cutoff):
         _band_pt_rows(bands, squares, g, xa, out[xa, :(cutoff - (g - xa) % 2 + 1) // 2])
@@ -1151,11 +1120,13 @@ def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x), initial=0.0))
 
 
-def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
+def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float,
+                    bands: np.ndarray | None = None):
     """The partial-transpose block on ``members`` (one total parity of a
     density in the parity layout, closed under the mode swap s) in a real
-    symmetric form of the same spectrum, divided by the trace; None when
-    the block lacks the symmetry.
+    symmetric form of the same spectrum, divided by the trace, read from
+    the density's ``bands``, taken here unless given (``_parity_bands``);
+    None when the block lacks the symmetry.
 
     A density that commutes with T|j, k⟩ = e^{iδ(j−k)}|k, j⟩ (with or
     without the sign (−1)^{j+k}: it conserves total parity) has
@@ -1165,7 +1136,7 @@ def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
     The states are ordered (diagonal, upper j < k, their swap images).
 
     The rows of M are read one band x_a at a time from the written bands
-    (``_band_pt_rows``), so the density is never completed.  A band's
+    (``_band_pt_rows``), so no lower triangle is read.  A band's
     diagonal row and upper rows (x_a, x_b > x_a) fill the real form; its
     rows (x_a, x_b < x_a) are the images of the upper rows (x_b, x_a) of
     earlier bands.  Each upper row x leaves Re M[x, y] ± Re M[x, sy] and
@@ -1178,11 +1149,11 @@ def _symmetric_form(rho: FockDensity, members: np.ndarray, swap_phase: float):
     A density in any other layout returns None.
     """
     c = rho.cutoff
-    bands = _parity_bands(rho)
+    bands = _parity_bands(rho) if bands is None else bands
     if bands is None:
         return None
     g = _parity_of(members, c)
-    squares = _completed_squares(bands, g)
+    squares = _band_squares(bands, g)
     e, h = bands.shape[1:3]
     na, nb = np.divmod(members, c)
     upper = na < nb
@@ -1270,16 +1241,18 @@ _SOLVE_BASE = 100  # rows of a leading factor that ``_solve_lower`` solves by LU
 def _solve_lower(lower: np.ndarray, panel: np.ndarray) -> None:
     """Overwrite ``panel`` with L⁻¹·panel for the lower-triangular factor
     L = ``lower``, by halving: the leading rows are solved, the trailing
-    ones take the product of L's lower-left quarter with them off, one
-    matmul, and are solved in turn.  A factor of at most ``_SOLVE_BASE``
-    rows is solved by ``np.linalg.solve``."""
+    ones take the product of L's lower-left quarter with them off, in
+    matmuls of ``_SOLVE_BASE`` rows each, so that no product is larger,
+    and are solved in turn.  A factor of at most ``_SOLVE_BASE`` rows is
+    solved by ``np.linalg.solve``."""
     n = lower.shape[0]
     if n <= _SOLVE_BASE:
         panel[...] = np.linalg.solve(lower, panel)
         return
     k = n // 2
     _solve_lower(lower[:k, :k], panel[:k])
-    panel[k:] -= lower[k:, :k] @ panel[:k]
+    for i in range(k, n, _SOLVE_BASE):
+        panel[i:i + _SOLVE_BASE] -= lower[i:i + _SOLVE_BASE, :k] @ panel[:k]
     _solve_lower(lower[k:, k:], panel[k:])
 
 
@@ -1325,8 +1298,8 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
     with a phased mode swap, which makes each block real symmetric up to
     known phases (``_symmetric_form``); a block that fails that check, and
     every other density, is gathered complex.  A density in the parity
-    layout is read from its written band alone, never completed
-    (``_parity_bands``); any other through ``_entries``.
+    layout is read from its written band alone (``_parity_bands``, taken
+    once for both blocks); any other through ``_lookup``.
 
     Each block, divided by the trace, is decided by
     ``_block_lowest_eigenvalue``: by one factorization where that is
@@ -1336,12 +1309,13 @@ def ppt_min_eigenvalue(rho: FockDensity) -> float:
         raise ValueError("partial transpose needs a two-mode density")
     labels = np.add(*np.divmod(np.arange(rho.dim), rho.cutoff)) % rho._d_modulus
     swap_phase = None if rho._origin is None else rho._origin.swap_phase
+    bands = _parity_bands(rho)
     lowest = math.inf
     for g in np.unique(labels):
         members = np.flatnonzero(labels == g)
-        block = None if swap_phase is None else _symmetric_form(rho, members, swap_phase)
+        block = None if swap_phase is None else _symmetric_form(rho, members, swap_phase, bands)
         if block is None:
-            block = _partial_transpose_block(rho, members)
+            block = _partial_transpose_block(rho, members, bands)
             block /= rho.trace()
         lowest = min(lowest, _block_lowest_eigenvalue(block))
         del block

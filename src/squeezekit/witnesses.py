@@ -1,5 +1,12 @@
-"""Witness operators whose negative expectation certifies nonclassicality
-(single mode) or entanglement (two modes).
+"""Witness operators, each read on a stated domain.
+
+W2 is negative exactly on the nonclassical zero-mean one-mode Gaussian
+states, those without a positive P function (``w2_expectation``).  A
+negative WHBT certifies nonclassicality on an uncorrelated pair and
+entanglement on the cross-correlated and Werner families.  Off those
+families it certifies nothing by itself: the classical bound is −½, not 0,
+and split thermal light reaches it, classical and separable
+(``whbt_expectation``).
 
 Both witnesses normalize their fourth-order numerators with expectations
 taken on the same state, so Tr{Wρ} reduces to a ratio of normally ordered
@@ -66,8 +73,10 @@ def w2_expectation(s: OneModeGaussian) -> WitnessReport:
     """Expectation of the single-mode witness 3 − a†a†aa/⟨a†a⟩².
 
     Equals (n² − |m|²)/n², i.e. 3 − g⁽²⁾ with g⁽²⁾ = 2 + (|m|/n)² from
-    ``g2``, positive exactly for states with a regular P density and −1/n
-    on pure states.  The ratio |m|/n keeps it finite where n² underflows.
+    ``g2``, nonnegative exactly for the states with a positive P function
+    and −1/n on pure states.  That holds on the zero-mean one-mode
+    Gaussian states this function takes; a non-Gaussian classical state
+    can read below 0.  The ratio |m|/n keeps it finite where n² underflows.
     Nonphysical second moments raise NonPhysicalStateError.
     """
     _require_physical(s)
@@ -139,11 +148,17 @@ def whbt_expectation(state) -> WitnessReport:
     so it keeps its value, and √I₂ is formed as s·√I₂(moments/s).
 
     W·√I₂ is second order, like the gate's eigenvalue, so the verdict is
-    ``boundary`` where |W| ≤ max(EPS_VERDICT, EPS_PHYS/√I₂).  A negative
-    verdict certifies nonclassicality on an uncorrelated pair and
-    entanglement on the cross-correlated and Werner families; on other
-    states it certifies nonclassicality only (over half of whbt-negative
-    random states are PPT-separable).
+    ``boundary`` where |W| ≤ max(EPS_VERDICT, EPS_PHYS/√I₂).  The verdict
+    reads the sign as the paper does on its families: a negative value
+    certifies nonclassicality on an uncorrelated pair and entanglement on
+    the cross-correlated and Werner families.  Off them it certifies
+    nothing by itself.  Classical fields α, β have
+    2C + 2·Re s = E[(2·Re αβ*)²] ≤ E[(|α|² + |β|²)²] = I₂, so the classical
+    bound is W ≥ −½; W ≥ 0 needs a random relative phase.  Split thermal
+    light, ``beam_splitter(OneModeGaussian.thermal(2),
+    OneModeGaussian.vacuum(), 0)``, has ⟨a†b⟩ = 1 and reads W = −½, with
+    the verdict ``quantum-or-entangled``, yet it is classical and
+    separable.  Over half of whbt-negative random states are PPT-separable.
     """
     i2, c, _, s = fourth_order(state)
     root = math.sqrt(i2)

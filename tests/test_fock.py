@@ -5,8 +5,6 @@ import functools
 import inspect
 import math
 import pickle
-import sys
-import threading
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -366,7 +364,7 @@ class TestBeamSplitterOutputs:
         assert np.max(np.abs(rho.matrix - exact.matrix)) <= 1e-14
         if route == "recurrence":
             assert rho._origin == exact._origin
-            assert np.array_equal(rho._values, exact._values)
+            assert np.array_equal(rho.matrix.view(np.uint64), exact.matrix.view(np.uint64))
 
 
 class TestVacuumPorts:
@@ -685,15 +683,16 @@ class TestGradedAssembly:
                       _TMS_STATE):
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
             assert rho.route == "tms" and len(rho._blocks) == cutoff
-            exact = _scatter(_completed(fock._recurrence_blocks(state, cutoff)), cutoff)
+            exact = _scatter(_upper_read(fock._recurrence_blocks(state, cutoff)), cutoff)
             assert np.max(np.abs(rho.matrix - exact)) <= 1e-14, state
 
     @pytest.mark.parametrize("cutoff", [2, 3, 10, 12, 40])
     def test_mixture_is_the_weighted_sum_of_one_writers_blocks(self, cutoff):
         # A mixture writes all its components with one writer, that of
         # their common pattern (tms on a Werner mixture), else the
-        # total-parity recurrence, completes each, and sums w · blocks in
-        # component order: bit for bit the same sum taken here.
+        # total-parity recurrence, and sums w · blocks in component order:
+        # bit for bit the same sum taken here, on the upper triangles alone
+        # for the total-parity writer, which leaves its lower ones unwritten.
         werner = werner_mix(TwoModeGaussian.epr(0.8, 0.9 + 0j), 0.6)
         other_tms = GaussianMixture(((0.3, _BS_STATE),
                                      (0.7, TwoModeGaussian.epr(0.8, 0.7 + 0.2j))))
@@ -702,14 +701,15 @@ class TestGradedAssembly:
                                (_BS_TENSOR_MIXTURE, fock._recurrence_blocks),
                                (werner, fock._tms_blocks)):
             rho = fock.two_mode_density(mixture, cutoff, eps_tr=1.0)
-            parts = [(w, _completed(write(comp, cutoff))) for w, comp in mixture.components]
+            parts = [(w, _upper_read(write(comp, cutoff))) for w, comp in mixture.components]
             assert rho.route == "mixture" and len(rho._blocks) == len(parts[0][1])
             for k, (members, values) in enumerate(rho._blocks):
                 expected = np.zeros_like(values)
                 for w, blocks in parts:
                     assert np.array_equal(blocks[k].members, members)
                     expected += blocks[k].values * w
-                assert np.array_equal(values, expected), (write.__name__, k)
+                got = values if write is fock._tms_blocks else fock._from_upper(values)
+                assert np.array_equal(got, expected), (write.__name__, k)
 
     # The dense beam-splitter references work at 32 states per mode, where
     # their own truncation is 2.6e-15 (bs) and 1.6e-14 (bs output) against
@@ -778,7 +778,8 @@ class TestRecurrenceRoute:
             x_a, x_b = np.divmod(big_members[0], cutoff + 1)
             keep = np.flatnonzero((x_a < cutoff) & (x_b < cutoff))
             assert np.array_equal(members[0], x_a[keep] * cutoff + x_b[keep])
-            assert np.array_equal(values, big_values[np.ix_(keep, keep)])
+            assert np.array_equal(fock._from_upper(values),
+                                  fock._from_upper(big_values[np.ix_(keep, keep)]))
 
 
 class TestBandMeasurement:
@@ -1306,10 +1307,10 @@ def _written(blocks):
     return out
 
 
-def _completed(blocks):
-    # A writer's blocks with every lower triangle written.
-    blocks.complete()
-    return blocks
+def _upper_read(blocks):
+    # A writer's blocks as every reader takes them, each built from its
+    # upper triangle.
+    return [fock._Block(members, fock._from_upper(values)) for members, values in blocks]
 
 
 def _scatter(blocks, cutoff):
@@ -1421,7 +1422,7 @@ class TestGradedStorage:
             build(second)
             after = build(first)
             assert len(before._blocks) == len(after._blocks), name
-            for b1, b2 in zip(before._blocks, after._blocks):
+            for b1, b2 in zip(_upper_read(before._blocks), _upper_read(after._blocks)):
                 assert np.array_equal(b1.members, b2.members), name
                 assert np.array_equal(b1.values, b2.values), name
 
@@ -1476,7 +1477,8 @@ class TestGradedStorage:
     def test_lookup_reads_every_entry_of_the_dense_view(self):
         # Pairs in one block copy, in two copies of one block and in two
         # blocks, on every route at an even and an odd cutoff, the dense
-        # and one-mode densities included.
+        # and one-mode densities included.  The parity layout writes its
+        # upper triangles alone, x ≤ y in flat index: only those are read.
         densities = []
         for cutoff in (6, 7):
             graded = _graded_densities(cutoff)
@@ -1488,8 +1490,10 @@ class TestGradedStorage:
                                                 eps_tr=1.0)]
         for rho in densities:
             x, y = np.divmod(np.arange(rho.dim ** 2), rho.dim)
-            got = fock._entries(rho, x, y).reshape(rho.dim, rho.dim)
-            assert np.array_equal(got, rho.matrix)
+            if rho.modes == 2 and fock._parity_bands(rho) is not None:
+                x, y = x[x <= y], y[x <= y]
+            got = fock._lookup(rho, x, y)
+            assert np.array_equal(got, rho.matrix[x, y])
 
     def test_non_hermitian_block_is_rejected_with_its_deviation(self):
         rho = fock.two_mode_density(_TMS_STATE, 8, eps_tr=1.0)
@@ -1568,10 +1572,19 @@ class TestWrittenBlocks:
             assert np.count_nonzero(mat[~off]) > size
 
     def test_constructor_blocks_are_exactly_hermitian(self):
+        # Every entry a writer writes on both sides of a block's diagonal:
+        # the whole block, but for the parity layout, which writes both
+        # triangles of its n_a = m_a squares alone, and its mixtures, which
+        # sum the upper triangles alone.
         one = fock.one_mode_density(OneModeGaussian(0.6, 0.3 - 0.4j), 12, eps_tr=1.0)
         for name, rho in (*_graded_densities(12).items(), ("one-mode", one)):
-            for _, values in rho._blocks:
-                assert np.array_equal(values, values.conj().T), name
+            bands = fock._parity_bands(rho) if rho.modes == 2 else None
+            if bands is not None and rho.route == "mixture":
+                continue
+            squares = [values for _, values in rho._blocks] if bands is None else [
+                np.diagonal(block, axis1=0, axis2=2).T for block in bands]
+            for values in squares:
+                assert np.array_equal(values, values.conj().swapaxes(-1, -2)), name
 
     def test_only_written_blocks_skip_the_output_check(self, monkeypatch):
         # Every check goes through one routine, and each call's shape pins
@@ -1700,87 +1713,92 @@ def _nan_below(blocks):
     return blocks
 
 
-class _MirrorSpy:
-    def __init__(self, monkeypatch):
-        self.addresses = []
-        original = fock._mirror_upper
+def _every_reader(rho):
+    # Every reader of a density, each value as it is read.
+    values = {"table": fock.moment_table(rho, 6), "trace": rho.trace(),
+              "diagonal": rho.diagonal(), "matrix": rho.matrix, "purity": rho.purity(),
+              "min_eigenvalue": rho.min_eigenvalue(), "nbytes": rho.nbytes}
+    if rho.modes == 2:
+        values["whbt"] = fock.expectation_of_witness(rho, WitnessKind.WHBT)
+        values["ppt"] = fock.ppt_min_eigenvalue(rho)
+    else:
+        values["w2"] = fock.expectation_of_witness(rho, WitnessKind.W2)
+    return values
 
-        def spy(mat):
-            self.addresses.append(mat.ctypes.data)
-            return original(mat)
 
-        monkeypatch.setattr(fock, "_mirror_upper", spy)
+def _assert_same_reads(got, expected, name):
+    # Bit for bit, but for the signs of zeros in the dense view.
+    assert got.keys() == expected.keys(), name
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got[key], value), (name, key)
+        else:
+            assert got[key] == value, (name, key)
+        if key not in ("matrix", "table"):
+            assert np.array_equal(np.array([got[key]]).view(np.uint8),
+                                  np.array([value]).view(np.uint8)), (name, key)
 
 
-class TestLowerTrianglesOnDemand:
-    """The recurrence route writes each block's upper triangle only, and
-    its lower triangles on the first read that needs one: moments, the
-    witnesses, the trace and the diagonal read none of them."""
+class TestUnwrittenLowerTriangles:
+    """The recurrence route writes each block's upper triangle only, and no
+    one writes its lower triangles: every reader either reads none of them
+    or takes each block through ``_from_upper``."""
 
     _STATES = {"bs": _BS_STATE, "bs-output": beam_splitter(*_BS_OUTPUT_INPUTS),
                "no family": TwoModeGaussian(1.0, 0.5, 0.2, 1.0)}
 
-    @pytest.mark.parametrize("cutoff", [12, 13])
+    @pytest.mark.parametrize("cutoff", [12, 13, 40])
     def test_upper_readers_never_read_below_the_diagonal(self, cutoff):
+        # NaN in every unwritten entry reaches no reader: each equals its
+        # value on the density as built, bit for bit.
         for name, state in self._STATES.items():
             origin = fock._Origin("recurrence", fock._swap_phase(state))
             lazy = fock._finish(2, cutoff, _nan_below(fock._recurrence_blocks(state, cutoff)),
                                 1.0, origin)
             built = fock.two_mode_density(state, cutoff, eps_tr=1.0)
-            eager = _completed(fock._recurrence_blocks(state, cutoff))
-            assert not eager.lower_pending
-            eager = fock._finish(2, cutoff, eager, 1.0, origin)
-            assert fock.moment_table(lazy, 6) == fock.moment_table(built, 6), name
-            assert (fock.expectation_of_witness(lazy, WitnessKind.WHBT)
-                    == fock.expectation_of_witness(built, WitnessKind.WHBT)), name
-            assert lazy.trace() == built.trace() and lazy.nbytes == built.nbytes, name
-            assert np.array_equal(lazy.diagonal(), built.diagonal()), name
-            # The partial transpose reads the written bands alone.
-            assert fock.ppt_min_eigenvalue(lazy) == fock.ppt_min_eigenvalue(eager), name
-            assert lazy._written.lower_pending, name
-            assert np.array_equal(lazy.matrix, eager.matrix), name
-            assert not lazy._written.lower_pending, name
-            assert lazy.purity() == eager.purity(), name
-            assert lazy.min_eigenvalue() == eager.min_eigenvalue(), name
+            _assert_same_reads(_every_reader(lazy), _every_reader(built), name)
+            assert not np.isnan(lazy.matrix).any(), name
 
     def test_one_mode_moments_read_the_upper_triangle(self):
         # Every one-mode word a†^i a^k with i < k takes its adjoint's
         # value, so W2 and the table read the upper triangle alone.
         s = OneModeGaussian(0.6, 0.3 - 0.4j)
         built = fock.one_mode_density(s, 12, eps_tr=1.0)
-        blocks = fock._Written([np.arange(12)[None, :]], lower_pending=True)
+        blocks = fock._Written([np.arange(12)[None, :]])
         blocks[0].values[...] = fock._one_mode_matrix(s.n, s.m, 12)
         lazy = fock._finish(1, 12, _nan_below(blocks), 1.0, fock._Origin("one-mode"))
         assert fock.moment_table(lazy, 6) == fock.moment_table(built, 6)
         assert (fock.expectation_of_witness(lazy, WitnessKind.W2)
                 == fock.expectation_of_witness(built, WitnessKind.W2))
-        assert lazy._written.lower_pending
         assert np.array_equal(lazy.matrix, built.matrix)
 
-    def test_the_suite_completes_no_recurrence_density(self, monkeypatch):
-        # At the default seed, 16 states give two recurrence-route states.
-        spy = _MirrorSpy(monkeypatch)
+    def test_the_suite_reads_no_lower_triangle(self, monkeypatch):
+        # At the default seed, 16 states give two recurrence-route states;
+        # NaN below each of their diagonals would fail the suite.
         written = []
         original = fock._recurrence_blocks
 
         def recurrence_blocks(state, cutoff):
             written.append(state)
-            return original(state, cutoff)
+            return _nan_below(original(state, cutoff))
 
         monkeypatch.setattr(fock, "_recurrence_blocks", recurrence_blocks)
         assert run_concordance_suite(n_states=16, seed=DEFAULT_SEED).ok
-        assert len(written) >= 2 and spy.addresses == []
+        assert len(written) >= 2
 
     @pytest.mark.parametrize("cutoff", [12, 13])
-    def test_the_partial_transpose_completes_no_density(self, cutoff, monkeypatch, capsys):
-        # Neither the partial transpose nor a ``classify --oracle`` call
-        # writes a lower triangle, and every block's two readings, from the
-        # written bands and from the completed density, agree bit for bit.
-        # ``matrix`` and ``purity`` then complete each density exactly once.
-        spy = _MirrorSpy(monkeypatch)
+    def test_the_band_partial_transpose_is_the_dense_one(self, cutoff, capsys):
+        # Every block read from the written bands is the block the lookup
+        # gathers from a dense density of the same matrix: bit for bit from
+        # one that stores ``matrix`` as it is, and but for the signs of
+        # zeros from ``FockDensity(2, c, matrix, …)``, whose Hermitian mean
+        # writes both zero imaginary parts of a real pair as −0.  The real
+        # form reads the same each time.
         for name, state in self._STATES.items():
-            spy.addresses.clear()
             rho = fock.two_mode_density(state, cutoff, eps_tr=1.0)
+            stored = _written([([np.arange(rho.dim)], rho.matrix)])
+            dense = [fock.FockDensity._graded(2, cutoff, stored, rho.trace_deficit, rho.trace()),
+                     fock.FockDensity(2, cutoff, rho.matrix, rho.trace_deficit)]
             parity = np.add(*np.divmod(np.arange(rho.dim), cutoff)) % 2
             members = [np.flatnonzero(parity == g) for g in (0, 1)]
             value = fock.ppt_min_eigenvalue(rho)
@@ -1789,65 +1807,24 @@ class TestLowerTrianglesOnDemand:
             phase = rho._origin.swap_phase
             forms = [None if phase is None else fock._symmetric_form(rho, m, phase)
                      for m in members]
-            assert spy.addresses == [] and rho._written.lower_pending, name
-            rho.matrix, rho.purity()
-            assert sorted(spy.addresses) == sorted(
-                values.ctypes.data for _, values in rho._stored), name
-            keys = [np.empty((m.size, m.size), dtype=complex) for m in members]
-            for key, m in zip(keys, members):
-                for start in range(0, m.size, fock._PANEL):
-                    key[start:start + fock._PANEL] = fock._partial_transpose_rows(
-                        rho, m, start, start + fock._PANEL)
-            for block, key in zip(blocks, keys):
-                assert np.array_equal(block.view(np.uint64), key.view(np.uint64)), name
+            for block, m in zip(blocks, members):
+                as_is, meaned = (fock._partial_transpose_rows(d, m, 0, m.size) for d in dense)
+                assert np.array_equal(block.view(np.uint64), as_is.view(np.uint64)), name
+                assert np.array_equal(block, meaned), name
             if phase is not None:
                 assert [form is not None for form in forms] == [True, True], name
                 assert all(np.array_equal(a, fock._symmetric_form(rho, m, phase))
                            for a, m in zip(forms, members)), name
-        spy.addresses.clear()
         args = ["classify", "bs-output", "--n", "0.1", "--m", "0.08", "--lam", "0.3",
                 "--oracle", "--cutoff", str(cutoff), "--format", "json"]
         assert cli.main(args) == 0
-        assert spy.addresses == [] and "oracle_ppt_min_eig" in capsys.readouterr().out
-
-    def test_threads_racing_to_complete_a_density_read_it_whole(self):
-        # Eight threads on two cores read every entry of one density whose
-        # lower triangles are unwritten: each sees them written, whichever
-        # thread writes them.
-        eager = fock.two_mode_density(_BS_STATE, 12, eps_tr=1.0)
-        x, y = np.divmod(np.arange(eager.dim ** 2), eager.dim)
-        expected = eager.matrix.ravel()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(10):
-                rho = fock.two_mode_density(_BS_STATE, 12, eps_tr=1.0)
-                assert rho._written.lower_pending
-                barrier = threading.Barrier(8)
-                seen, errors = [], []
-
-                def read():
-                    try:
-                        barrier.wait(timeout=10)
-                        seen.append(fock._entries(rho, x, y))
-                    except Exception as exc:  # reported by the assertion below
-                        errors.append(exc)
-
-                threads = [threading.Thread(target=read) for _ in range(8)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                assert not any(t.is_alive() for t in threads) and errors == []
-                assert len(seen) == 8 and all(np.array_equal(e, expected) for e in seen)
-        finally:
-            sys.setswitchinterval(interval)
+        assert "oracle_ppt_min_eig" in capsys.readouterr().out
 
 
 def _copied_densities(cutoff):
     """Builders of a fresh density of each route, the recurrence route's
-    (``bs``, with a swap phase) lower triangles still unwritten, and of a
-    dense one."""
+    (``bs``, with a swap phase) lower triangles unwritten, and of a dense
+    one."""
     builders = {name: functools.partial(fock.two_mode_density, state, cutoff, eps_tr=1.0)
                 for name, state in _ROUTE_STATES.items()}
     bs = builders["bs"]()
@@ -1858,16 +1835,18 @@ def _copied_densities(cutoff):
     return builders
 
 
+_CLONES = pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda rho: pickle.loads(pickle.dumps(rho))],
+    ids=["copy", "deepcopy", "pickle"])
+
+
 class TestCopies:
-    @pytest.mark.parametrize("clone", [
-        copy.copy, copy.deepcopy, lambda rho: pickle.loads(pickle.dumps(rho))],
-        ids=["copy", "deepcopy", "pickle"])
+    @_CLONES
     def test_a_copy_is_the_density_bit_for_bit(self, clone):
         for name, build in _copied_densities(12).items():
             rho = build()
-            assert rho._written.lower_pending is (rho.route == "recurrence"), name
             twin = clone(rho)
-            assert twin is not rho and not twin._written.lower_pending, name
+            assert twin is not rho, name
             assert np.array_equal(twin.matrix, rho.matrix), name
             assert fock.moment_table(twin, 6) == fock.moment_table(rho, 6), name
             if rho.modes == 2:
@@ -1876,6 +1855,36 @@ class TestCopies:
                 rho.route, rho._origin, rho.trace_deficit, rho.trace(), rho.nbytes), name
             with pytest.raises(FrozenInstanceError):
                 twin.cutoff = 3
+
+    @_CLONES
+    @pytest.mark.parametrize("cutoff", [12, 13])
+    def test_a_copy_holds_no_unwritten_memory(self, clone, cutoff):
+        # A density built over NaN below every diagonal copies into a
+        # buffer with none, and its twin reads as it does on every reader.
+        for name, state in TestUnwrittenLowerTriangles._STATES.items():
+            origin = fock._Origin("recurrence", fock._swap_phase(state))
+            rho = fock._finish(2, cutoff, _nan_below(fock._recurrence_blocks(state, cutoff)),
+                               1.0, origin)
+            assert np.isnan(rho._packed).any(), name
+            twin = clone(rho)
+            assert not np.isnan(twin._packed).any(), name
+            _assert_same_reads(_every_reader(twin), _every_reader(rho), name)
+
+
+class TestReadOnlyStorage:
+    def test_no_write_reaches_a_density(self):
+        # The packed buffer is read-only from adoption on, on its base
+        # array: neither it nor any block view takes a write, or can be
+        # made writable again.
+        for name, build in _copied_densities(7).items():
+            rho = build()
+            assert not rho._packed.base.flags.writeable, name
+            for array in (rho._packed, rho._packed.view(),
+                          *(values for _, values in rho._blocks)):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0.0
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
 
 
 class TestAdjointWords:

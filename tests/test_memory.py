@@ -26,11 +26,11 @@ from squeezekit.oracle_check import DEFAULT_SEED, run_concordance_suite
 MB = 1e6
 CUTOFF = 40
 # Bounds on the temporaries above what a call leaves alive.  At cutoff 40
-# they measure about 5.2 MB (assembly) and 8.4 MB (partial transpose,
-# which reads the written band and completes nothing: the 5.12 MB real
-# form of a block, and during its factorization two quarter-size
-# temporaries and the half-quarter update of the panel solve); the margin
-# is for numpy's own temporaries.
+# they measure about 5.2 MB (assembly) and 8.0 MB (partial transpose,
+# which reads the written upper band alone: the 5.12 MB real form of a
+# block, and during its factorization two quarter-size temporaries and
+# the panel solve's updates of at most 100 rows each); the margin is for
+# numpy's own temporaries.
 BS_ASSEMBLY_TRANSIENT_MB = 11.0
 BS_PPT_TRANSIENT_MB = 9.0
 

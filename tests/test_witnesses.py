@@ -37,10 +37,10 @@ from squeezekit import (
     whbt_expectation,
     wick_moment,
 )
-from squeezekit import states, witnesses
+from squeezekit import fock, states, witnesses
 from squeezekit.states import OperatorWord, state_record
-from squeezekit.witnesses import (EPS_VERDICT, FourthOrder, _fourth_order_words, _moment_scale,
-                                  _scaled, _verdict, fourth_order)
+from squeezekit.witnesses import (EPS_VERDICT, FourthOrder, WitnessKind, _fourth_order_words,
+                                  _moment_scale, _scaled, _verdict, fourth_order)
 
 from conftest import random_physical_one_mode
 
@@ -228,6 +228,25 @@ class TestWhbtVerdicts:
                       TwoModeGaussian.pair_with_phase(OneModeGaussian(1.0, 1.5 + 0j), 0.3)):
             with pytest.raises(NonPhysicalStateError):
                 whbt_expectation(state)
+
+
+class TestWhbtDomain:
+    def test_split_thermal_light_reaches_the_classical_bound_and_is_separable(self):
+        # Thermal light split on a balanced beam splitter, a passive image of
+        # thermal light and the vacuum, is classical, with first-order
+        # coherence ⟨a†b⟩ = n, and off the paper's families: its WHBT is the
+        # classical bound −½, which the cutoff-40 oracle reads too, and its
+        # partial transpose is positive.  A negative WHBT does not certify
+        # nonclassicality there.
+        thermal = OneModeGaussian.thermal(2)
+        assert is_p_representable(thermal) is Classification.CLASSICAL
+        state = beam_splitter(thermal, OneModeGaussian.vacuum(), 0)
+        assert state.m_x == 1.0
+        assert whbt_expectation(state).value == -0.5
+        rho = fock.two_mode_density(state, 40)
+        assert fock.expectation_of_witness(rho, WitnessKind.WHBT) == pytest.approx(-0.5, abs=1e-9)
+        assert fock.ppt_min_eigenvalue(rho) >= 0.0
+        assert is_separable(state)
 
 
 class TestWhbtBand:
